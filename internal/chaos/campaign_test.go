@@ -109,6 +109,22 @@ func TestCampaignDeliversFullFaultMenu(t *testing.T) {
 	}
 }
 
+// Replacements must never rebuild a member that is already back online.
+// Seed 41 draws the same disk twice while it is offline, so the injector
+// schedules a second replacement after the first rebuild has finished.
+// Seed 64 leaves a group degraded on a member other than the enclosure
+// slot the repair sweep restocks.
+func TestCampaignSkipsReplacingOnlineMembers(t *testing.T) {
+	for _, seed := range []uint64{41, 64} {
+		cfg := QuickConfig(seed)
+		for _, c := range []Config{cfg, cfg.Ablated()} {
+			if r := Run(c); r.Probes == 0 {
+				t.Fatalf("seed %d: campaign completed no probes", seed)
+			}
+		}
+	}
+}
+
 // With ARN armed, senders never discover dead routers the hard way.
 func TestFeaturedCampaignHasNoRouterStalls(t *testing.T) {
 	r := featured(t)

@@ -137,9 +137,11 @@ func (in *Injector) injectOne() {
 		}
 		return
 	}
-	// Replace after the walk delay and rebuild.
+	// Replace after the walk delay and rebuild. A repeat draw of a
+	// member that was already offline schedules a second replacement;
+	// by the time it arrives the first may have brought the member back.
 	in.eng.After(in.cfg.ReplaceDelay, func() {
-		if g.State() == raid.Failed || in.stopped {
+		if g.State() == raid.Failed || in.stopped || !g.Offline(m) {
 			return
 		}
 		dcfg := g.Disks()[m].Config()

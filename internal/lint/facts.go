@@ -243,8 +243,6 @@ func markerCall(modpath string, callee *types.Func) (sinkInfo, bool) {
 		return mark("records sweep results")
 	case modpath + "/internal/integrity":
 		return mark("drives the integrity scrub plane")
-	case modpath + "/internal/shard":
-		return mark("delivers cross-shard events")
 	case modpath + "/internal/serve":
 		return mark("feeds the session service API")
 	case modpath + "/internal/ledger":

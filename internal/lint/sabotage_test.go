@@ -168,66 +168,67 @@ func (t *trig) flush(pending map[string]sim.Time) {
 	}
 }
 
-// TestSabotageShardIsolation seeds a cross-shard captured write into an
-// in-memory copy of the real internal/shard sources and asserts
-// shard-isolation refuses it — so the Send/outbox seam PR 7 shipped
+// TestSabotageShardIsolation seeds a captured cross-worker write into
+// an in-memory copy of the real internal/sweep sources and asserts
+// shard-isolation refuses it — so the replica pool's own-slot rule
 // cannot be bypassed silently, even by code living inside the package.
 func TestSabotageShardIsolation(t *testing.T) {
 	m := loadRepo(t)
 	files := map[string]string{}
-	for _, name := range []string{"shard.go", "fabric.go"} {
-		src, err := os.ReadFile(filepath.Join("../shard", name))
+	for _, name := range []string{"sweep.go", "merge.go", "suite.go"} {
+		src, err := os.ReadFile(filepath.Join("../sweep", name))
 		if err != nil {
-			t.Fatalf("reading real shard source: %v", err)
+			t.Fatalf("reading real sweep source: %v", err)
 		}
 		files[name] = string(src)
 	}
 
 	// The unmodified copy must be clean: the real worker pool writes
-	// nothing captured (engines are shared-nothing during a quantum).
-	clean, err := m.TypecheckSource("spiderfs/internal/shard", files)
+	// only its own out[i] slot.
+	clean, err := m.TypecheckSource("spiderfs/internal/sweep", files)
 	if err != nil {
 		t.Fatalf("TypecheckSource(clean): %v", err)
 	}
 	if diags := m.RunPackage(clean, []*Check{checkShardIsolation}); len(diags) != 0 {
-		t.Fatalf("pristine internal/shard copy should be clean, got %v", diags)
+		t.Fatalf("pristine internal/sweep copy should be clean, got %v", diags)
 	}
 
-	// Sabotage: a per-quantum event tally accumulated straight across
-	// worker goroutines — the exact seam bypass the barrier exists to
-	// prevent.
-	files["sabotage.go"] = `package shard
+	// Sabotage: a failed-replica tally accumulated straight across
+	// worker goroutines, in whatever order they happen to finish.
+	files["sabotage.go"] = `package sweep
 
 import "sync"
 
-func (r *Runner) racyEventTally() uint64 {
-	var total uint64
+func racyErrorTally(out []Replica) int {
+	var total int
 	var wg sync.WaitGroup
-	for _, s := range r.shards {
+	for _, r := range out {
 		wg.Add(1)
-		go func(s *Shard) {
+		go func(r Replica) {
 			defer wg.Done()
-			total += s.Eng.Fired()
-		}(s)
+			if r.Err != "" {
+				total++
+			}
+		}(r)
 	}
 	wg.Wait()
 	return total
 }
 `
-	sab, err := m.TypecheckSource("spiderfs/internal/shard", files)
+	sab, err := m.TypecheckSource("spiderfs/internal/sweep", files)
 	if err != nil {
 		t.Fatalf("TypecheckSource(sabotage): %v", err)
 	}
 	diags := m.RunPackage(sab, []*Check{checkShardIsolation})
 	if len(diags) != 1 {
-		t.Fatalf("seeded cross-shard write: got %d diagnostics %v, want exactly 1", len(diags), diags)
+		t.Fatalf("seeded captured write: got %d diagnostics %v, want exactly 1", len(diags), diags)
 	}
 	d := diags[0]
 	if d.Check != "shard-isolation" || d.File != "sabotage.go" {
 		t.Fatalf("diagnostic %v should be shard-isolation in sabotage.go", d)
 	}
-	if !strings.Contains(d.Message, "total") || !strings.Contains(d.Message, "Shard.Send") {
-		t.Errorf("message %q should name the captured target and point at the Send seam", d.Message)
+	if !strings.Contains(d.Message, "total") || !strings.Contains(d.Message, "own slot") {
+		t.Errorf("message %q should name the captured target and state the own-slot rule", d.Message)
 	}
 }
 

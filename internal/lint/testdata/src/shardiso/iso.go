@@ -1,11 +1,11 @@
-//simlint:importpath spiderfs/internal/shard/fixture
+//simlint:importpath spiderfs/internal/sweep/fixture
 
-// Sabotage fixture for shard isolation: inside internal/shard (and
-// internal/sweep) a goroutine may write only its own slot. Writing
-// state captured from outside the go func — a scalar, a shared map, a
-// fixed slice index — bypasses the Send/outbox seam that keeps the
-// parallel run's merge order deterministic, and is flagged even when a
-// mutex would make it race-free.
+// Sabotage fixture for shard isolation: inside internal/sweep (and
+// internal/serve, internal/ledger) a goroutine may write only its own
+// slot. Writing state captured from outside the go func — a scalar, a
+// shared map, a fixed slice index — makes the result depend on the
+// order workers finish in, and is flagged even when a mutex would make
+// it race-free.
 package fixture
 
 import "sync"
@@ -14,7 +14,7 @@ type result struct {
 	fired uint64
 }
 
-// scalar accumulation across workers: the classic seam bypass.
+// scalar accumulation across workers: the classic own-slot violation.
 func tallyAcross(parts [][]uint64) uint64 {
 	var total uint64
 	var wg sync.WaitGroup
@@ -62,7 +62,7 @@ func firstOnly(parts []result) []uint64 {
 }
 
 // a lock does not excuse it here: mutex order is scheduler order, and
-// scheduler order is exactly what the window barrier must not see.
+// scheduler order is exactly what the index-ordered merge must not see.
 func lockedTally(parts [][]uint64) uint64 {
 	var mu sync.Mutex
 	var total uint64

@@ -1,5 +1,5 @@
-// Sabotage fixture for unsynced shared writes: outside the shard
-// plane, a goroutine writing captured state without sync mediation is
+// Sabotage fixture for unsynced shared writes: outside the own-slot
+// packages, a goroutine writing captured state without sync mediation is
 // a data race the race detector only catches when the scheduler
 // cooperates. simlint flags the write shape itself.
 package unsyncedwrite

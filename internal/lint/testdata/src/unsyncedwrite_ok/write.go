@@ -1,5 +1,5 @@
 // Clean counterpart to unsyncedwrite: the three legal shapes — a
-// mutex-guarded write (legal outside the shard plane, where only
+// mutex-guarded write (legal outside the own-slot packages, where only
 // memory safety is at stake), own-slot writes into a private index,
 // and goroutine-local state drained through a channel.
 package unsyncedwriteok

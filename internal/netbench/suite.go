@@ -37,9 +37,6 @@ type Suite struct {
 	// Scale is present when the full Spider II-scale benchmark ran.
 	Scale   *Scale   `json:"scale,omitempty"`
 	Results []Result `json:"results"`
-	// Shard records the sharded parallel engine's congestion numbers and
-	// the serial-vs-parallel fingerprint identity (see shard.go).
-	Shard *ShardSection `json:"shard,omitempty"`
 	// The headline regression numbers: the ordered registries versus the
 	// frozen map baseline on the identical start/finish churn workload.
 	StartFinishAllocRatio float64 `json:"start_finish_alloc_ratio"`
@@ -181,7 +178,6 @@ func Run(full bool) Suite {
 		s.Results = append(s.Results, r)
 		s.Scale = &scale
 	}
-	s.Shard = RunShard(full)
 	return s
 }
 
@@ -199,16 +195,6 @@ func (s Suite) Render() string {
 	if s.Scale != nil {
 		fmt.Fprintf(&b, "scale: %d clients, %d routers, %d OSSes, %d torus nodes, %d links\n",
 			s.Scale.Clients, s.Scale.Routers, s.Scale.OSSes, s.Scale.TorusNodes, s.Scale.Links)
-	}
-	if s.Shard != nil {
-		fmt.Fprintf(&b, "sharded engine: %d regions + %d storage shards, lookahead %dns, %d CPUs\n",
-			s.Shard.Regions, s.Shard.StorageShards, s.Shard.LookaheadNs, s.Shard.CPUs)
-		for _, r := range s.Shard.Runs {
-			fmt.Fprintf(&b, "  workers=%d %14.0f ns/op  %.0f flow events/op, %.0f ns/flow-event, fingerprint %s\n",
-				r.Workers, r.NsPerOp, r.FlowEventsPerOp, r.NsPerFlowEvent, r.Fingerprint)
-		}
-		fmt.Fprintf(&b, "  deterministic across workers: %v; speedup %.2fx (recorded, not gated)\n",
-			s.Shard.Deterministic, s.Shard.Speedup)
 	}
 	fmt.Fprintf(&b, "start/finish vs map baseline: %.1fx fewer allocs/op, %.1fx faster\n",
 		s.StartFinishAllocRatio, s.StartFinishSpeedup)

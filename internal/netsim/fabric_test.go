@@ -131,6 +131,32 @@ func TestGeminiPathFollowsTorusRoute(t *testing.T) {
 	}
 }
 
+// stepDir must agree with the per-node link ordering for every unit hop,
+// including wraparound hops in both directions.
+func TestStepDirCoversAllHops(t *testing.T) {
+	tor := topology.Torus{NX: 5, NY: 3, NZ: 4}
+	type hop struct {
+		d       topology.Coord
+		wantDir int
+	}
+	at := func(c topology.Coord) topology.Coord {
+		return topology.Coord{X: (c.X + tor.NX) % tor.NX, Y: (c.Y + tor.NY) % tor.NY, Z: (c.Z + tor.NZ) % tor.NZ}
+	}
+	for i := 0; i < tor.Nodes(); i++ {
+		cur := tor.CoordOf(i)
+		for _, h := range []hop{
+			{topology.Coord{X: 1}, dirXPlus}, {topology.Coord{X: -1}, dirXMinus},
+			{topology.Coord{Y: 1}, dirYPlus}, {topology.Coord{Y: -1}, dirYMinus},
+			{topology.Coord{Z: 1}, dirZPlus}, {topology.Coord{Z: -1}, dirZMinus},
+		} {
+			next := at(topology.Coord{X: cur.X + h.d.X, Y: cur.Y + h.d.Y, Z: cur.Z + h.d.Z})
+			if got := stepDir(tor, cur, next); got != h.wantDir {
+				t.Fatalf("stepDir(%v -> %v) = %d, want %d", cur, next, got, h.wantDir)
+			}
+		}
+	}
+}
+
 func TestEndToEndFlowThroughFabric(t *testing.T) {
 	eng := sim.NewEngine()
 	f := smallFabric(eng)

@@ -173,6 +173,10 @@ func (g *Group) Config() GroupConfig { return g.cfg }
 // State returns the group's health state.
 func (g *Group) State() State { return g.state }
 
+// Offline reports whether member m is offline: failed or pulled, and
+// not yet restored or rebuilt.
+func (g *Group) Offline(m int) bool { return g.offline[m] }
+
 // Disks returns the member disks (monitoring/QA use).
 func (g *Group) Disks() []*disk.Disk { return g.dsks }
 

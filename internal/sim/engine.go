@@ -79,8 +79,8 @@ func (h *eventHeap) Pop() any {
 // the determinism contract in DESIGN.md).
 //
 // Engine is not safe for concurrent use; all model code must run on the
-// goroutine driving Run/Step. Multi-engine harnesses (internal/shard)
-// confine each engine to one worker per synchronization quantum.
+// goroutine driving Run/Step. Parallel harnesses (internal/sweep) give
+// each worker engines of its own.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -140,8 +140,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of live events still scheduled. Canceled
 // tombstones awaiting lazy deletion are not counted, so Pending() == 0
-// means the engine truly has no work — the quiescence test multi-engine
-// barriers rely on ("this shard is idle").
+// means the engine truly has no work.
 func (e *Engine) Pending() int { return e.live }
 
 // reapFloor is the heap size below which tombstone reaping is not worth
@@ -341,14 +340,4 @@ func (e *Engine) peek() *Event {
 		return nil
 	}
 	return e.heap[0]
-}
-
-// NextEventTime returns the timestamp of the next pending event and true,
-// or zero and false if the queue is empty.
-func (e *Engine) NextEventTime() (Time, bool) {
-	ev := e.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.t, true
 }

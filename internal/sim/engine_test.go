@@ -298,21 +298,6 @@ func TestEngineCancelRescheduleFromCallback(t *testing.T) {
 	}
 }
 
-func TestEngineNextEventTime(t *testing.T) {
-	e := NewEngine()
-	if _, ok := e.NextEventTime(); ok {
-		t.Fatal("empty engine should have no next event")
-	}
-	ev := e.At(42, func() {})
-	if tm, ok := e.NextEventTime(); !ok || tm != 42 {
-		t.Fatalf("next = %v,%v want 42,true", tm, ok)
-	}
-	ev.Cancel()
-	if _, ok := e.NextEventTime(); ok {
-		t.Fatal("canceled event should not be reported")
-	}
-}
-
 // Property: events fire in nondecreasing timestamp order regardless of
 // insertion order.
 func TestEngineOrderProperty(t *testing.T) {

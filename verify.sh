@@ -48,15 +48,19 @@ stage_test() {
 	go test -shuffle=on ./...
 	# Determinism double-run: the event-trace regression tests compare
 	# two in-process runs already; -count=2 additionally reruns each
-	# comparison in a fresh map-randomization schedule. The sweep and
-	# shard runners' serial-vs-parallel double-runs ride the same gate.
-	go test -count=2 -run 'Deterministic' ./internal/netsim/ ./internal/chaos/ ./internal/sweep/ ./internal/benchsuite/ ./internal/integrity/ ./internal/shard/ ./internal/serve/ ./internal/ledger/
+	# comparison in a fresh map-randomization schedule. The sweep
+	# runner's serial-vs-parallel double-runs ride the same gate.
+	go test -count=2 -run 'Deterministic' ./internal/netsim/ ./internal/chaos/ ./internal/sweep/ ./internal/benchsuite/ ./internal/integrity/ ./internal/serve/ ./internal/ledger/
+	# The benchmark (bench/) is a module of its own, so the root
+	# ./... never compiles it; test it here so a change to the
+	# simulator's public API cannot break it unnoticed.
+	(cd bench && go test ./...)
 	set +x
 }
 
 stage_race() {
 	set -x
-	go test -race ./internal/chaos/... ./internal/failure/... ./internal/sim/... ./internal/netsim/... ./internal/spantrace/... ./internal/sweep/... ./internal/integrity/... ./internal/shard/... ./internal/serve/... ./internal/ledger/...
+	go test -race ./internal/chaos/... ./internal/failure/... ./internal/sim/... ./internal/netsim/... ./internal/spantrace/... ./internal/sweep/... ./internal/integrity/... ./internal/serve/... ./internal/ledger/...
 	set +x
 }
 
