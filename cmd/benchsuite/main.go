@@ -2,54 +2,24 @@
 // the full parameter-space sweep at block level and file-system level,
 // and the derived software-overhead table.
 //
-// With -netsim it instead runs the flow-solver benchmark suite: the
-// ordered-registry start/finish path versus the frozen map-based
-// baseline, and a Spider II-scale congestion run (18,688 clients, 440
-// LNET routers, 288 OSSes) recording ns/flow-event. -out writes the
-// JSON artifact (the checked-in BENCH_netsim.json is produced by
-// `go run ./cmd/benchsuite -netsim -out BENCH_netsim.json`).
+// One suite flag instead runs a BENCH_*.json suite from the table in
+// internal/regress (which also documents each suite's gates), prints
+// it, and with -out writes its artifact:
 //
-// With -spantrace it measures the tracing plane's observer cost: the
-// same Spider II-scale congestion workload untraced versus traced at
-// 1-in-64 sampling (the checked-in BENCH_spantrace.json is produced by
-// `go run ./cmd/benchsuite -spantrace -out BENCH_spantrace.json`; the
-// acceptance ceiling is 5% wall-clock overhead).
+//	-netsim     BENCH_netsim.json     flow solver: ordered registries vs map baseline, Spider II-scale congestion
+//	-spantrace  BENCH_spantrace.json  tracing observer cost: untraced vs 1-in-64 sampled congestion run
+//	-sweep      BENCH_sweep.json      E3/E13/E18 seed sweeps, serial vs -workers-wide parallel double-run
+//	-integrity  BENCH_integrity.json  E19 scrub interval vs undetected corrupt reads
+//	-serve      BENCH_serve.json      session service: cold vs warm-pool vs cache-hit
+//	-ledger     BENCH_ledger.json     operations ledger: campaign roots, tamper scorecard, batch sweep
 //
-// With -sweep it runs the standard seed sweeps (E3 slow-disk, E13
-// purge residency, E18 chaos) through the deterministic parallel sweep
-// runner, double-running each serially and on a -workers-wide pool
-// (the checked-in BENCH_sweep.json is produced by
-// `go run ./cmd/benchsuite -sweep -out BENCH_sweep.json`).
-//
-// With -integrity it runs the E19 data-integrity sweep: the same
-// latent-corruption storm + disk-failure scenario at three scrub
-// intervals (off, default, slow), double-run through the sweep
-// harness (the checked-in BENCH_integrity.json is produced by
-// `go run ./cmd/benchsuite -integrity -out BENCH_integrity.json`;
-// the gate requires exactly zero undetected corrupt reads at the
-// default interval).
-//
-// With -serve it runs the session-service benchmark: sessions/sec and
-// p50/p99 session latency on the cold-build, warm-pool, and cache-hit
-// execution paths, with a cold-vs-warm fingerprint cross-check (the
-// checked-in BENCH_serve.json is produced by
-// `go run ./cmd/benchsuite -serve -out BENCH_serve.json`; the gate
-// requires exact fingerprint identity and zero failed sessions, and
-// records — never gates — the speedups).
-//
-// With -ledger it runs the operations-ledger benchmark: the quick
-// chaos campaign's anchored Merkle root sequence (double-run and
-// traced-vs-untraced byte-identical), the auditor's adversarial
-// tamper scorecard, and an anchoring batch-size sweep (the checked-in
-// BENCH_ledger.json is produced by
-// `go run ./cmd/benchsuite -ledger -out BENCH_ledger.json`; the gate
-// requires exact root/head identity and all tamper classes detected,
-// and records — never gates — the append throughput).
+// A suite whose fresh run fails its own invariants exits 1 and writes
+// nothing. The checked-in artifacts are produced by, e.g.,
+// `go run ./cmd/benchsuite -sweep -out BENCH_sweep.json`.
 //
 // With -check it is the bench-regression gate: each committed
 // BENCH_*.json in -bench-dir is compared against its freshly generated
-// counterpart in -fresh, and any gate finding (see internal/regress)
-// exits nonzero.
+// counterpart in -fresh, and any gate finding exits 1.
 package main
 
 import (
@@ -62,60 +32,44 @@ import (
 	"spiderfs/internal/benchsuite"
 	"spiderfs/internal/disk"
 	"spiderfs/internal/lustre"
-	"spiderfs/internal/netbench"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/regress"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 )
 
-// benchArtifacts are the committed bench JSON files the -check gate
-// knows how to compare (via their schema fields).
-var benchArtifacts = []string{"BENCH_netsim.json", "BENCH_spantrace.json", "BENCH_sweep.json", "BENCH_integrity.json", "BENCH_serve.json", "BENCH_ledger.json"}
-
 func main() {
 	cellSec := flag.Float64("cell", 1.0, "seconds per sweep cell (simulated)")
 	seed := flag.Uint64("seed", 42, "random seed")
-	netsimSuite := flag.Bool("netsim", false, "run the netsim flow-solver suite instead of the acquisition sweep")
-	spantraceSuite := flag.Bool("spantrace", false, "run the spantrace observer-cost suite instead of the acquisition sweep")
-	sweepSuite := flag.Bool("sweep", false, "run the seed-sweep suite (E3/E13/E18) instead of the acquisition sweep")
-	integritySuite := flag.Bool("integrity", false, "run the E19 data-integrity sweep (scrub interval vs undetected corruption)")
-	serveSuite := flag.Bool("serve", false, "run the session-service benchmark (cold vs warm-pool vs cache-hit)")
-	ledgerSuite := flag.Bool("ledger", false, "run the operations-ledger benchmark (campaign roots, tamper scorecard, batch sweep)")
-	workers := flag.Int("workers", 0, "with -sweep, parallel worker count (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "with -sweep/-integrity, parallel worker count (0 = GOMAXPROCS)")
 	check := flag.Bool("check", false, "regression gate: compare committed BENCH_*.json against -fresh copies")
 	benchDir := flag.String("bench-dir", ".", "with -check, directory holding the committed BENCH_*.json files")
 	freshDir := flag.String("fresh", "", "with -check, directory holding freshly generated BENCH_*.json files")
-	full := flag.Bool("full", true, "with -netsim/-spantrace, use the Spider II-scale congestion benchmark")
 	out := flag.String("out", "", "with a suite flag, write the suite JSON to this file")
+	chosen := make([]*bool, len(regress.Suites))
+	for i, s := range regress.Suites {
+		chosen[i] = flag.Bool(s.Flag, false, "run the suite behind "+s.File+": "+s.About)
+	}
 	flag.Parse()
 
+	var suites []regress.Suite
+	for i, on := range chosen {
+		if *on {
+			suites = append(suites, regress.Suites[i])
+		}
+	}
+	if *check && len(suites) > 0 || len(suites) > 1 {
+		fmt.Fprintln(os.Stderr, "benchsuite: choose at most one of -check and the suite flags")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *check {
 		runCheck(*benchDir, *freshDir)
 		return
 	}
-	if *netsimSuite {
-		runNetsim(*full, *out)
-		return
-	}
-	if *spantraceSuite {
-		runSpantrace(*full, *out)
-		return
-	}
-	if *sweepSuite {
-		runSweep(*seed, *workers, *out)
-		return
-	}
-	if *integritySuite {
-		runIntegrity(*seed, *workers, *out)
-		return
-	}
-	if *serveSuite {
-		runServe(*out)
-		return
-	}
-	if *ledgerSuite {
-		runLedger(*seed, *out)
+	if len(suites) == 1 {
+		runSuite(suites[0], regress.Env{Seed: *seed, Workers: *workers,
+			Clock: func() int64 { return time.Now().UnixNano() }}, *out)
 		return
 	}
 
@@ -142,98 +96,32 @@ func main() {
 	}
 }
 
-func runSweep(seed uint64, workers int, out string) {
-	fmt.Println("== seed sweeps (deterministic parallel replica runner, serial vs parallel double-run) ==")
-	s, err := benchsuite.RunSweepSuite(seed, workers, func() int64 { return time.Now().UnixNano() })
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	fmt.Print(s.Render())
-	if out == "" {
-		return
-	}
-	data, err := s.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote", out)
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "benchsuite:", err)
+	os.Exit(1)
 }
 
-func runIntegrity(seed uint64, workers int, out string) {
-	fmt.Println("== E19 data-integrity sweep (scrub interval vs undetected corrupt reads) ==")
-	s, err := benchsuite.RunIntegritySuite(seed, workers, func() int64 { return time.Now().UnixNano() })
+// runSuite is the one generation path: run, render, check the fresh-only
+// invariants, write. An artifact that fails its own invariants is never
+// written, so generation gives the same verdict -check would, earlier.
+func runSuite(s regress.Suite, env regress.Env, out string) {
+	fmt.Printf("== %s ==\n", s.About)
+	g, err := s.Generate(env)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	fmt.Print(s.Render())
-	if out == "" {
-		return
-	}
-	data, err := s.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote", out)
-}
-
-func runServe(out string) {
-	fmt.Println("== session service (warm-engine pool + result cache, cold vs warm vs cache-hit) ==")
-	s := benchsuite.RunServeSuite(func() int64 { return time.Now().UnixNano() })
-	fmt.Print(s.Render())
-	if s.Errors > 0 || !s.Deterministic {
-		fmt.Fprintln(os.Stderr, "benchsuite: serve suite failed its own determinism check")
-		os.Exit(1)
+	fmt.Print(g.Text)
+	if len(g.Findings) > 0 {
+		for _, f := range g.Findings {
+			fmt.Fprintf(os.Stderr, "FAIL %s\n", f)
+		}
+		fatal(fmt.Errorf("%s failed its own invariants; not written", s.File))
 	}
 	if out == "" {
 		return
 	}
-	data, err := s.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote", out)
-}
-
-func runLedger(seed uint64, out string) {
-	fmt.Println("== operations ledger (anchored campaign roots, tamper scorecard, batch sweep) ==")
-	s, err := benchsuite.RunLedgerSuite(seed, func() int64 { return time.Now().UnixNano() })
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	fmt.Print(s.Render())
-	if !s.Deterministic || !s.TracedIdentical || !s.AuditClean || s.TampersDetected != s.TamperTotal {
-		fmt.Fprintln(os.Stderr, "benchsuite: ledger suite failed its own invariants")
-		os.Exit(1)
-	}
-	if out == "" {
-		return
-	}
-	data, err := s.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
+	if err := os.WriteFile(out, g.JSON, 0o644); err != nil {
+		fatal(err)
 	}
 	fmt.Println("wrote", out)
 }
@@ -250,7 +138,8 @@ func runCheck(benchDir, freshDir string) {
 	}
 	checked := 0
 	failed := false
-	for _, name := range benchArtifacts {
+	for _, s := range regress.Suites {
+		name := s.File
 		fresh, err := os.ReadFile(filepath.Join(freshDir, name))
 		if os.IsNotExist(err) {
 			continue
@@ -288,42 +177,4 @@ func runCheck(benchDir, freshDir string) {
 		os.Exit(1)
 	}
 	fmt.Printf("bench regression gate: ok (%d artifacts)\n", checked)
-}
-
-func runSpantrace(full bool, out string) {
-	fmt.Println("== spantrace observer cost (untraced vs 1-in-64 sampled congestion run) ==")
-	s := netbench.RunSpans(full)
-	fmt.Print(s.Render())
-	if out == "" {
-		return
-	}
-	data, err := s.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote", out)
-}
-
-func runNetsim(full bool, out string) {
-	fmt.Println("== netsim flow solver (ordered registries vs frozen map baseline) ==")
-	s := netbench.Run(full)
-	fmt.Print(s.Render())
-	if out == "" {
-		return
-	}
-	data, err := s.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote", out)
 }

@@ -1,7 +1,6 @@
 package benchsuite
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -25,6 +24,9 @@ func IntegrityEntries(seed uint64) []sweep.Entry {
 			Body: integrity.E19Replica(base, 30*sim.Minute)},
 	}
 }
+
+// IntegritySchema identifies the BENCH_integrity.json shape.
+const IntegritySchema = "spiderfs-integrity-bench/1"
 
 // IntegritySuite is the BENCH_integrity.json artifact: the three E19
 // sweep records plus the headline quantities the regression gate pins.
@@ -58,7 +60,7 @@ func RunIntegritySuite(seed uint64, workers int, clock sweep.Clock) (IntegritySu
 		return IntegritySuite{}, err
 	}
 	s := IntegritySuite{
-		Schema:        "spiderfs-integrity-bench/1",
+		Schema:        IntegritySchema,
 		CPUs:          base.CPUs,
 		Workers:       base.Workers,
 		DefaultScrubS: integrity.DefaultScrubInterval.Seconds(),
@@ -108,13 +110,4 @@ func (s IntegritySuite) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// JSON renders the artifact.
-func (s IntegritySuite) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -1,6 +1,7 @@
 package benchsuite
 
 import (
+	"encoding/json"
 	"testing"
 )
 
@@ -48,7 +49,7 @@ func TestIntegritySuiteDeterministic(t *testing.T) {
 				a.Sweeps[i].Label, a.Sweeps[i].Fingerprint, b.Sweeps[i].Fingerprint)
 		}
 	}
-	aj, err := a.JSON()
+	aj, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,9 @@ type LedgerTamper struct {
 	Epoch    int    `json:"epoch"`
 }
 
+// LedgerSchema identifies the BENCH_ledger.json shape.
+const LedgerSchema = "spiderfs-ledger-bench/1"
+
 // LedgerSuite is the BENCH_ledger.json artifact: the quick chaos
 // campaign's anchored root sequence (double-run and traced-vs-untraced
 // identical, exact-gated), the auditor's adversarial scorecard, and the
@@ -83,7 +86,7 @@ func RunLedgerSuite(seed uint64, clock sweep.Clock) (LedgerSuite, error) {
 		now = clock
 	}
 	s := LedgerSuite{
-		Schema: "spiderfs-ledger-bench/1",
+		Schema: LedgerSchema,
 		CPUs:   runtime.GOMAXPROCS(0),
 		Seed:   seed,
 	}
@@ -240,13 +243,4 @@ func (s LedgerSuite) Render() string {
 			p.MaxBatch, p.Anchors, p.Head, p.EntriesPerSec)
 	}
 	return b.String()
-}
-
-// JSON renders the artifact.
-func (s LedgerSuite) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

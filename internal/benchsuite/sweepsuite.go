@@ -24,10 +24,3 @@ func SweepEntries(seed uint64) []sweep.Entry {
 		{Label: "e18-chaos", Replicas: 32, Seed: seed, Body: chaos.CampaignReplica(chaos.QuickConfig(0))},
 	}
 }
-
-// RunSweepSuite runs the standard sweeps through the double-run suite
-// harness. workers <= 0 uses GOMAXPROCS; clock supplies monotonic
-// nanoseconds for the serial-vs-parallel timing (nil records zeros).
-func RunSweepSuite(seed uint64, workers int, clock sweep.Clock) (sweep.Suite, error) {
-	return sweep.RunSuite(SweepEntries(seed), workers, clock)
-}

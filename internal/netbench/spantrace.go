@@ -1,7 +1,6 @@
 package netbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,6 +54,9 @@ func spider2Spans(every, batch int, spans *float64) func(b *testing.B) {
 	}
 }
 
+// SpanSchema identifies the BENCH_spantrace.json shape.
+const SpanSchema = "spiderfs-spantrace-bench/1"
+
 // SpanSuite is the JSON artifact (BENCH_spantrace.json) format.
 type SpanSuite struct {
 	Schema      string `json:"schema"`
@@ -80,7 +82,7 @@ func RunSpans(full bool) SpanSuite {
 	if full {
 		batch = spider2Batch
 	}
-	s := SpanSuite{Schema: "spiderfs-spantrace-bench/1", SampleEvery: spantraceEvery}
+	s := SpanSuite{Schema: SpanSchema, SampleEvery: spantraceEvery}
 	s.Untraced = measure("spider2_congestion/untraced", spider2Spans(0, batch, nil))
 	var spans float64
 	s.Traced = measure(fmt.Sprintf("spider2_congestion/traced_1in%d", spantraceEvery),
@@ -118,13 +120,4 @@ func (s SpanSuite) Render() string {
 	fmt.Fprintf(&b, "tracing overhead at 1-in-%d sampling: %.2f%% wall clock, %.0f spans/op (ceiling 5%%)\n",
 		s.SampleEvery, s.OverheadFrac*100, s.SpansPerOp)
 	return b.String()
-}
-
-// JSON renders the artifact.
-func (s SpanSuite) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -1,6 +1,9 @@
 package netbench
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // The verify bench smoke drives these at -benchtime=1x so the traced
 // and untraced congestion paths both stay runnable; the real overhead
@@ -36,7 +39,7 @@ func TestSpanSuiteQuickRun(t *testing.T) {
 	if s.SpansPerOp <= 0 || s.SpansPerOp > 128 {
 		t.Fatalf("spans/op = %.1f, want a small positive count", s.SpansPerOp)
 	}
-	out, err := s.JSON()
+	out, err := json.Marshal(s)
 	if err != nil || len(out) == 0 {
 		t.Fatalf("JSON render failed: %v", err)
 	}

@@ -1,7 +1,6 @@
 package netbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -30,6 +29,9 @@ type Scale struct {
 	TorusNodes int `json:"torus_nodes"`
 	Links      int `json:"links"`
 }
+
+// Schema identifies the BENCH_netsim.json shape.
+const Schema = "spiderfs-netsim-bench/1"
 
 // Suite is the JSON artifact (BENCH_netsim.json) format.
 type Suite struct {
@@ -157,7 +159,7 @@ func spider2Congestion(events *float64, scale *Scale) func(b *testing.B) {
 // benchmark (tests use that; the checked-in artifact is generated with
 // full=true via `go run ./cmd/benchsuite -netsim -out BENCH_netsim.json`).
 func Run(full bool) Suite {
-	s := Suite{Schema: "spiderfs-netsim-bench/1"}
+	s := Suite{Schema: Schema}
 	base := measure("start_finish/map_baseline", churnBaseline)
 	ord := measure("start_finish/ordered", churnOrdered)
 	s.Results = append(s.Results, base, ord)
@@ -199,13 +201,4 @@ func (s Suite) Render() string {
 	fmt.Fprintf(&b, "start/finish vs map baseline: %.1fx fewer allocs/op, %.1fx faster\n",
 		s.StartFinishAllocRatio, s.StartFinishSpeedup)
 	return b.String()
-}
-
-// JSON renders the artifact.
-func (s Suite) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -1,6 +1,7 @@
 package netbench
 
 import (
+	"encoding/json"
 	"testing"
 
 	"spiderfs/internal/netsim"
@@ -117,7 +118,7 @@ func TestSuiteQuickRun(t *testing.T) {
 	if s.Results[0].Name != "start_finish/map_baseline" || s.Results[1].Name != "start_finish/ordered" {
 		t.Fatalf("unexpected result names: %q, %q", s.Results[0].Name, s.Results[1].Name)
 	}
-	out, err := s.JSON()
+	out, err := json.Marshal(s)
 	if err != nil || len(out) == 0 {
 		t.Fatalf("JSON render failed: %v", err)
 	}

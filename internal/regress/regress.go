@@ -1,10 +1,19 @@
-// Package regress is the bench-regression gate: it compares a
-// committed BENCH_*.json artifact against a freshly generated one and
-// reports findings where the fresh run has gotten worse. The gate is
-// schema-aware — each artifact family declares which of its metrics
-// are deterministic (exact or near-exact gates: sweep fingerprints,
-// metric means, allocation counts) and which are wall-clock-derived
-// (loose tolerances or no gate at all, because CI runners are noisy).
+// Package regress holds the table of BENCH_*.json suites and the
+// bench-regression gate over them. Each Suite row names the benchsuite
+// flag and artifact file, the schema, how to generate the artifact, and
+// a typed gate in two halves:
+//
+//   - fresh-only invariants, which a freshly generated artifact must
+//     satisfy on its own (cmd/benchsuite refuses to write an artifact
+//     that fails them), and
+//   - drift checks, which compare the fresh artifact against the
+//     committed one.
+//
+// Both halves decode straight into the producer's own artifact type.
+// Deterministic metrics (fingerprints, sweep means, Merkle roots,
+// allocation counts) get exact or near-exact gates; wall-clock-derived
+// ones get loose tolerances, absolute ceilings or no gate at all,
+// because CI runners are noisy.
 //
 // The package takes bytes and returns findings; all file I/O and exit
 // codes live in cmd/benchsuite, keeping this package environment-free.
@@ -14,6 +23,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+
+	"spiderfs/internal/benchsuite"
+	"spiderfs/internal/netbench"
+	"spiderfs/internal/serve"
+	"spiderfs/internal/sweep"
 )
 
 // Tolerances for the wall-clock-adjacent gates. Deterministic gates
@@ -56,17 +71,158 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Artifact, f.Check, f.Detail)
 }
 
-type header struct {
-	Schema string `json:"schema"`
+// fail builds a finding; the suite wrapper stamps the artifact name.
+func fail(check, format string, args ...any) Finding {
+	return Finding{Check: check, Detail: fmt.Sprintf(format, args...)}
 }
 
-// Compare gates a fresh artifact against the committed one. The schema
-// field of the committed bytes selects the rule set; a fresh artifact
-// with a different schema is itself a finding (the generator changed
-// shape without updating the committed baseline). The returned error
-// covers malformed input, not regressions.
+// Env is what the caller injects into a suite run: the seed, the sweep
+// worker count (0 = GOMAXPROCS), and a monotonic wall clock in
+// nanoseconds (nil records zero timings).
+type Env struct {
+	Seed    uint64
+	Workers int
+	Clock   func() int64
+}
+
+// Generated is one fresh suite run: its stdout table, its artifact
+// bytes, and the findings of its fresh-only invariants.
+type Generated struct {
+	Text     string
+	JSON     []byte
+	Findings []Finding
+}
+
+// Suite is one row of the suite table.
+type Suite struct {
+	Flag   string // benchsuite flag that runs the suite, e.g. "sweep"
+	File   string // committed artifact, e.g. BENCH_sweep.json
+	Schema string // the artifact's schema field
+	About  string // one line for the flag help and the run header
+	// Generate runs the suite and checks its fresh-only invariants.
+	Generate func(Env) (Generated, error)
+
+	invariants func(artifact string, fresh []byte) ([]Finding, error)
+	compare    func(artifact string, committed, fresh []byte) ([]Finding, error)
+}
+
+// Suites is the suite table, in generation order.
+var Suites = []Suite{
+	// The ordered flow-solver registries must stay cheaper than the
+	// frozen map baseline in allocations (ratio floor) and beat it
+	// outright in time (speedup >= 1, fresh-only); every committed
+	// result must still be measured, within the allocs/op slack.
+	newSuite("netsim", "BENCH_netsim.json", netbench.Schema,
+		"netsim flow solver (ordered registries vs frozen map baseline)",
+		func(Env) (netbench.Suite, error) { return netbench.Run(true), nil },
+		netsimInvariants, netsimDrift),
+	// Tracing at 1-in-64 sampling may cost at most 5% of wall clock
+	// (fresh-only ceiling); spans/op is a sampling count held to 10%.
+	newSuite("spantrace", "BENCH_spantrace.json", netbench.SpanSchema,
+		"spantrace observer cost (untraced vs 1-in-64 sampled congestion run)",
+		func(Env) (netbench.SpanSuite, error) { return netbench.RunSpans(true), nil },
+		spantraceInvariants, spantraceDrift),
+	// E3/E13/E18 seed sweeps: every record double-runs identically with
+	// zero failed replicas (fresh-only); fingerprints and metric means
+	// are exact against the committed run. Timings are recorded only.
+	newSuite("sweep", "BENCH_sweep.json", sweep.Schema,
+		"seed sweeps E3/E13/E18 (deterministic parallel replica runner, serial vs parallel double-run)",
+		func(e Env) (sweep.Suite, error) {
+			return sweep.RunSuite(benchsuite.SweepEntries(e.Seed), e.Workers, e.Clock)
+		},
+		func(f sweep.Suite) []Finding { return recordInvariants(f.Sweeps) },
+		func(c, f sweep.Suite) []Finding { return recordDrift(c.Sweeps, f.Sweeps) }),
+	// E19: the sweep gates on every record, plus zero undetected
+	// corrupt reads at the default scrub interval, a nonzero unscrubbed
+	// exposure baseline, and the scrub-overhead ceiling (all fresh-only).
+	newSuite("integrity", "BENCH_integrity.json", benchsuite.IntegritySchema,
+		"E19 data-integrity sweep (scrub interval vs undetected corrupt reads)",
+		func(e Env) (benchsuite.IntegritySuite, error) {
+			return benchsuite.RunIntegritySuite(e.Seed, e.Workers, e.Clock)
+		},
+		integrityInvariants,
+		func(c, f benchsuite.IntegritySuite) []Finding { return recordDrift(c.Sweeps, f.Sweeps) }),
+	// Session service: cold and warm-pool runs agree on every seed with
+	// zero failed sessions (fresh-only); the probe fingerprint is exact
+	// and every committed execution path is still measured. The
+	// latency-derived fields are recorded only: a 1-CPU host
+	// legitimately reports different ratios.
+	newSuite("serve", "BENCH_serve.json", serve.Schema,
+		"session service (warm-engine pool + result cache, cold vs warm vs cache-hit)",
+		func(e Env) (serve.Suite, error) { return serve.RunBench(e.Clock), nil },
+		serveInvariants, serveDrift),
+	// Operations ledger: deterministic, traced-identical, audit-clean,
+	// every tamper class detected (fresh-only); counts, head, root
+	// sequence and per-batch anchor heads are hash-exact. Append
+	// throughput is recorded only.
+	newSuite("ledger", "BENCH_ledger.json", benchsuite.LedgerSchema,
+		"operations ledger (anchored campaign roots, tamper scorecard, batch sweep)",
+		func(e Env) (benchsuite.LedgerSuite, error) { return benchsuite.RunLedgerSuite(e.Seed, e.Clock) },
+		ledgerInvariants, ledgerDrift),
+}
+
+// newSuite builds a table row from a producer's typed run function and
+// the two halves of its gate.
+func newSuite[T interface{ Render() string }](flag, file, schema, about string,
+	run func(Env) (T, error), invariants func(fresh T) []Finding, drift func(committed, fresh T) []Finding) Suite {
+	decode := func(artifact, which string, data []byte) (T, error) {
+		var v T
+		if err := json.Unmarshal(data, &v); err != nil {
+			return v, fmt.Errorf("regress %s: %s artifact: %w", artifact, which, err)
+		}
+		return v, nil
+	}
+	return Suite{
+		Flag: flag, File: file, Schema: schema, About: about,
+		Generate: func(env Env) (Generated, error) {
+			v, err := run(env)
+			if err != nil {
+				return Generated{}, err
+			}
+			data, err := json.MarshalIndent(v, "", "  ")
+			if err != nil {
+				return Generated{}, err
+			}
+			return Generated{Text: v.Render(), JSON: append(data, '\n'), Findings: stamp(file, invariants(v))}, nil
+		},
+		invariants: func(artifact string, fresh []byte) ([]Finding, error) {
+			f, err := decode(artifact, "fresh", fresh)
+			if err != nil {
+				return nil, err
+			}
+			return stamp(artifact, invariants(f)), nil
+		},
+		compare: func(artifact string, committed, fresh []byte) ([]Finding, error) {
+			c, err := decode(artifact, "committed", committed)
+			if err != nil {
+				return nil, err
+			}
+			f, err := decode(artifact, "fresh", fresh)
+			if err != nil {
+				return nil, err
+			}
+			return stamp(artifact, append(invariants(f), drift(c, f)...)), nil
+		},
+	}
+}
+
+func stamp(artifact string, fs []Finding) []Finding {
+	for i := range fs {
+		fs[i].Artifact = artifact
+	}
+	return fs
+}
+
+// Compare gates a fresh artifact against the committed one: the fresh
+// artifact's invariants plus its drift from the committed copy. The
+// schema field of the committed bytes selects the suite; a fresh
+// artifact with a different schema is itself a finding (the generator
+// changed shape without updating the committed baseline). The returned
+// error covers malformed input, not regressions.
 func Compare(artifact string, committed, fresh []byte) ([]Finding, error) {
-	var ch, fh header
+	var ch, fh struct {
+		Schema string `json:"schema"`
+	}
 	if err := json.Unmarshal(committed, &ch); err != nil {
 		return nil, fmt.Errorf("regress %s: committed artifact: %w", artifact, err)
 	}
@@ -77,383 +233,224 @@ func Compare(artifact string, committed, fresh []byte) ([]Finding, error) {
 		return []Finding{{artifact, "schema",
 			fmt.Sprintf("committed %q vs fresh %q", ch.Schema, fh.Schema)}}, nil
 	}
-	switch ch.Schema {
-	case "spiderfs-netsim-bench/1":
-		return compareNetsim(artifact, committed, fresh)
-	case "spiderfs-spantrace-bench/1":
-		return compareSpantrace(artifact, committed, fresh)
-	case "spiderfs-sweep-bench/1":
-		return compareSweep(artifact, committed, fresh)
-	case "spiderfs-integrity-bench/1":
-		return compareIntegrity(artifact, committed, fresh)
-	case "spiderfs-serve-bench/1":
-		return compareServe(artifact, committed, fresh)
-	case "spiderfs-ledger-bench/1":
-		return compareLedger(artifact, committed, fresh)
+	s, ok := lookup(ch.Schema)
+	if !ok {
+		return nil, fmt.Errorf("regress %s: unknown schema %q", artifact, ch.Schema)
 	}
-	return nil, fmt.Errorf("regress %s: unknown schema %q", artifact, ch.Schema)
+	return s.compare(artifact, committed, fresh)
 }
 
-type netsimDoc struct {
-	Results []struct {
-		Name        string  `json:"name"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	} `json:"results"`
-	AllocRatio float64 `json:"start_finish_alloc_ratio"`
-	Speedup    float64 `json:"start_finish_speedup"`
+func lookup(schema string) (Suite, bool) {
+	i := slices.IndexFunc(Suites, func(s Suite) bool { return s.Schema == schema })
+	if i < 0 {
+		return Suite{}, false
+	}
+	return Suites[i], true
 }
 
-func compareNetsim(artifact string, committed, fresh []byte) ([]Finding, error) {
-	var c, f netsimDoc
-	if err := decodeBoth(artifact, committed, fresh, &c, &f); err != nil {
-		return nil, err
-	}
+// byKey pairs each committed row with the fresh row of the same key and
+// returns gate's findings for every pair. A committed row with no fresh
+// counterpart is reported under the missing check: a fresh run that
+// silently drops a measurement must not pass.
+func byKey[R any, K comparable](committed, fresh []R, key func(R) K, missing, what string, gate func(c, f R) []Finding) []Finding {
 	var out []Finding
-	if floor := c.AllocRatio * allocRatioFloorFrac; f.AllocRatio < floor {
-		out = append(out, Finding{artifact, "alloc-ratio",
-			fmt.Sprintf("start_finish_alloc_ratio %.2f fell below floor %.2f (committed %.2f)",
-				f.AllocRatio, floor, c.AllocRatio)})
+	for _, c := range committed {
+		k := key(c)
+		i := slices.IndexFunc(fresh, func(f R) bool { return key(f) == k })
+		if i < 0 {
+			out = append(out, fail(missing, "%s %v absent from fresh run", what, k))
+			continue
+		}
+		out = append(out, gate(c, fresh[i])...)
 	}
+	return out
+}
+
+func netsimInvariants(f netbench.Suite) []Finding {
 	// The ordered path must still beat the map baseline outright; the
-	// committed margin is ~7x, so 1.0 is a generous noise allowance.
-	if f.Speedup < 1.0 {
-		out = append(out, Finding{artifact, "speedup",
-			fmt.Sprintf("start_finish_speedup %.2f < 1.0 (ordered path slower than map baseline; committed %.2f)",
-				f.Speedup, c.Speedup)})
+	// committed margin is ~5x, so 1.0 is a generous noise allowance.
+	if f.StartFinishSpeedup < 1.0 {
+		return []Finding{fail("speedup", "start_finish_speedup %.2f < 1.0 (ordered path slower than map baseline)",
+			f.StartFinishSpeedup)}
 	}
-	for _, cr := range c.Results {
-		for _, fr := range f.Results {
-			if fr.Name != cr.Name {
-				continue
-			}
-			if ceil := cr.AllocsPerOp*allocsPerOpSlack + 1; fr.AllocsPerOp > ceil {
-				out = append(out, Finding{artifact, "allocs-per-op",
-					fmt.Sprintf("%s allocs/op %.0f exceeds ceiling %.0f (committed %.0f)",
-						cr.Name, fr.AllocsPerOp, ceil, cr.AllocsPerOp)})
-			}
-		}
-	}
-	return out, nil
+	return nil
 }
 
-type spantraceDoc struct {
-	Overhead   float64 `json:"overhead_frac"`
-	SpansPerOp float64 `json:"spans_per_op"`
-}
-
-func compareSpantrace(artifact string, committed, fresh []byte) ([]Finding, error) {
-	var c, f spantraceDoc
-	if err := decodeBoth(artifact, committed, fresh, &c, &f); err != nil {
-		return nil, err
-	}
+func netsimDrift(c, f netbench.Suite) []Finding {
 	var out []Finding
-	if f.Overhead > overheadCeiling {
-		out = append(out, Finding{artifact, "overhead",
-			fmt.Sprintf("overhead_frac %.4f exceeds ceiling %.2f (committed %.4f)",
-				f.Overhead, overheadCeiling, c.Overhead)})
+	if floor := c.StartFinishAllocRatio * allocRatioFloorFrac; f.StartFinishAllocRatio < floor {
+		out = append(out, fail("alloc-ratio", "start_finish_alloc_ratio %.2f fell below floor %.2f (committed %.2f)",
+			f.StartFinishAllocRatio, floor, c.StartFinishAllocRatio))
 	}
+	return append(out, byKey(c.Results, f.Results, func(r netbench.Result) string { return r.Name },
+		"netsim-missing", "result", func(cr, fr netbench.Result) []Finding {
+			if ceil := float64(cr.AllocsPerOp)*allocsPerOpSlack + 1; float64(fr.AllocsPerOp) > ceil {
+				return []Finding{fail("allocs-per-op", "%s allocs/op %d exceeds ceiling %.0f (committed %d)",
+					cr.Name, fr.AllocsPerOp, ceil, cr.AllocsPerOp)}
+			}
+			return nil
+		})...)
+}
+
+func spantraceInvariants(f netbench.SpanSuite) []Finding {
+	if f.OverheadFrac > overheadCeiling {
+		return []Finding{fail("overhead", "overhead_frac %.4f exceeds ceiling %.2f", f.OverheadFrac, overheadCeiling)}
+	}
+	return nil
+}
+
+func spantraceDrift(c, f netbench.SpanSuite) []Finding {
 	if !withinFrac(f.SpansPerOp, c.SpansPerOp, spansPerOpTolFrac) {
-		out = append(out, Finding{artifact, "spans-per-op",
-			fmt.Sprintf("spans_per_op %.1f drifted beyond %.0f%% of committed %.1f",
-				f.SpansPerOp, spansPerOpTolFrac*100, c.SpansPerOp)})
+		return []Finding{fail("spans-per-op", "spans_per_op %.1f drifted beyond %.0f%% of committed %.1f",
+			f.SpansPerOp, spansPerOpTolFrac*100, c.SpansPerOp)}
 	}
-	return out, nil
+	return nil
 }
 
-// sweepRec is the gated slice of one sweep record; sweep-family and
-// integrity-family artifacts both carry lists of these.
-type sweepRec struct {
-	Label         string `json:"label"`
-	Deterministic bool   `json:"deterministic"`
-	Fingerprint   string `json:"fingerprint"`
-	Errors        int    `json:"errors"`
-	Metrics       []struct {
-		Name string  `json:"name"`
-		Mean float64 `json:"mean"`
-	} `json:"metrics"`
-}
-
-type sweepDoc struct {
-	Sweeps []sweepRec `json:"sweeps"`
-}
-
-func compareSweep(artifact string, committed, fresh []byte) ([]Finding, error) {
-	var c, f sweepDoc
-	if err := decodeBoth(artifact, committed, fresh, &c, &f); err != nil {
-		return nil, err
-	}
-	return compareSweepRecords(artifact, c.Sweeps, f.Sweeps), nil
-}
-
-// compareSweepRecords applies the deterministic sweep gates — exact
-// fingerprints, exact metric means, zero replica errors, double-run
-// determinism — to every committed record.
-func compareSweepRecords(artifact string, committed, fresh []sweepRec) []Finding {
+// recordInvariants holds every sweep record to double-run determinism
+// and zero failed replicas.
+func recordInvariants(fresh []sweep.Record) []Finding {
 	var out []Finding
-	for _, cs := range committed {
-		found := false
-		for _, fs := range fresh {
-			if fs.Label != cs.Label {
-				continue
-			}
-			found = true
-			if !fs.Deterministic {
-				out = append(out, Finding{artifact, "sweep-deterministic",
-					fmt.Sprintf("%s: serial and parallel runs diverged", cs.Label)})
-			}
-			if fs.Errors > 0 {
-				out = append(out, Finding{artifact, "sweep-errors",
-					fmt.Sprintf("%s: %d replicas failed (committed %d)", cs.Label, fs.Errors, cs.Errors)})
-			}
-			// The fingerprint covers every replica's seed, params, and
-			// metrics: any behavioral change in the simulation shows up
-			// here exactly.
-			if fs.Fingerprint != cs.Fingerprint {
-				out = append(out, Finding{artifact, "sweep-fingerprint",
-					fmt.Sprintf("%s: fingerprint %s != committed %s", cs.Label, fs.Fingerprint, cs.Fingerprint)})
-			}
-			for _, cm := range cs.Metrics {
-				got, ok := findMean(fs.Metrics, cm.Name)
-				if !ok {
-					out = append(out, Finding{artifact, "sweep-metric",
-						fmt.Sprintf("%s: metric %s missing from fresh run", cs.Label, cm.Name)})
-					continue
-				}
-				if !withinFrac(got, cm.Mean, sweepMeanTol) {
-					out = append(out, Finding{artifact, "sweep-metric",
-						fmt.Sprintf("%s: %s mean %v != committed %v", cs.Label, cm.Name, got, cm.Mean)})
-				}
-			}
-			break
+	for _, r := range fresh {
+		if !r.Deterministic {
+			out = append(out, fail("sweep-deterministic", "%s: serial and parallel runs diverged", r.Label))
 		}
-		if !found {
-			out = append(out, Finding{artifact, "sweep-missing",
-				fmt.Sprintf("sweep %s absent from fresh run", cs.Label)})
+		if r.Errors > 0 {
+			out = append(out, fail("sweep-errors", "%s: %d replicas failed", r.Label, r.Errors))
 		}
 	}
 	return out
 }
 
-type integrityDoc struct {
-	Sweeps              []sweepRec `json:"sweeps"`
-	UndetectedAtDefault float64    `json:"undetected_reads_at_default"`
-	UndetectedNoScrub   float64    `json:"undetected_reads_no_scrub"`
-	ScrubOverheadFrac   float64    `json:"scrub_overhead_frac"`
+// recordDrift holds every committed sweep record to an exact fingerprint
+// and exact metric means. The fingerprint covers every replica's seed,
+// params, and metrics: any behavioral change in the simulation shows up
+// here exactly.
+func recordDrift(committed, fresh []sweep.Record) []Finding {
+	return byKey(committed, fresh, func(r sweep.Record) string { return r.Label },
+		"sweep-missing", "sweep", func(cs, fs sweep.Record) []Finding {
+			var out []Finding
+			if fs.Fingerprint != cs.Fingerprint {
+				out = append(out, fail("sweep-fingerprint", "%s: fingerprint %s != committed %s",
+					cs.Label, fs.Fingerprint, cs.Fingerprint))
+			}
+			return append(out, byKey(cs.Metrics, fs.Metrics, func(m sweep.MetricStats) string { return m.Name },
+				"sweep-metric", cs.Label+": metric", func(cm, fm sweep.MetricStats) []Finding {
+					if !withinFrac(fm.Mean, cm.Mean, sweepMeanTol) {
+						return []Finding{fail("sweep-metric", "%s: %s mean %v != committed %v",
+							cs.Label, cm.Name, fm.Mean, cm.Mean)}
+					}
+					return nil
+				})...)
+		})
 }
 
-// compareIntegrity gates BENCH_integrity.json: the standard exact sweep
-// gates on every E19 record, plus two headline properties of the fresh
-// run itself — zero undetected corrupt reads at the default scrub
-// interval (a hard invariant, not a drift check) and a bounded
-// foreground overhead for background scrubbing.
-func compareIntegrity(artifact string, committed, fresh []byte) ([]Finding, error) {
-	var c, f integrityDoc
-	if err := decodeBoth(artifact, committed, fresh, &c, &f); err != nil {
-		return nil, err
-	}
-	out := compareSweepRecords(artifact, c.Sweeps, f.Sweeps)
+func integrityInvariants(f benchsuite.IntegritySuite) []Finding {
+	out := recordInvariants(f.Sweeps)
 	if f.UndetectedAtDefault != 0 {
-		out = append(out, Finding{artifact, "undetected-corrupt-reads",
-			fmt.Sprintf("undetected_reads_at_default %v != 0 (committed %v): silent corruption reached clients at the default scrub interval",
-				f.UndetectedAtDefault, c.UndetectedAtDefault)})
+		out = append(out, fail("undetected-corrupt-reads",
+			"undetected_reads_at_default %v != 0: silent corruption reached clients at the default scrub interval",
+			f.UndetectedAtDefault))
 	}
 	if f.UndetectedNoScrub <= 0 {
-		out = append(out, Finding{artifact, "exposure-baseline",
-			fmt.Sprintf("undetected_reads_no_scrub %v: the unscrubbed baseline shows no exposure, so the zero-at-default gate proves nothing",
-				f.UndetectedNoScrub)})
+		out = append(out, fail("exposure-baseline",
+			"undetected_reads_no_scrub %v: the unscrubbed baseline shows no exposure, so the zero-at-default gate proves nothing",
+			f.UndetectedNoScrub))
 	}
 	if f.ScrubOverheadFrac > scrubOverheadCeiling {
-		out = append(out, Finding{artifact, "scrub-overhead",
-			fmt.Sprintf("scrub_overhead_frac %.4f exceeds ceiling %.2f (committed %.4f)",
-				f.ScrubOverheadFrac, scrubOverheadCeiling, c.ScrubOverheadFrac)})
+		out = append(out, fail("scrub-overhead", "scrub_overhead_frac %.4f exceeds ceiling %.2f",
+			f.ScrubOverheadFrac, scrubOverheadCeiling))
 	}
-	return out, nil
+	return out
 }
 
-type serveDoc struct {
-	Fingerprint   string `json:"fingerprint"`
-	Deterministic bool   `json:"deterministic"`
-	Errors        int    `json:"errors"`
-	Paths         []struct {
-		Path     string `json:"path"`
-		Sessions int    `json:"sessions"`
-	} `json:"paths"`
-}
-
-// compareServe gates BENCH_serve.json: the probe fingerprint is exact
-// (a pooled session must reproduce the cold run bit for bit), the
-// cold-vs-warm double run must agree on every seed (Deterministic),
-// zero sessions may fail, and every committed execution path must still
-// be measured with at least one session. The latency-derived fields —
-// sessions/sec, percentiles, warm/cache speedups — are recorded only:
-// a single-CPU host regenerating the artifact legitimately reports
-// different ratios.
-func compareServe(artifact string, committed, fresh []byte) ([]Finding, error) {
-	var c, f serveDoc
-	if err := decodeBoth(artifact, committed, fresh, &c, &f); err != nil {
-		return nil, err
-	}
+func serveInvariants(f serve.Suite) []Finding {
 	var out []Finding
 	if !f.Deterministic {
-		out = append(out, Finding{artifact, "serve-deterministic",
-			"cold and warm-pool runs diverged (per-seed session fingerprints differ)"})
+		out = append(out, fail("serve-deterministic",
+			"cold and warm-pool runs diverged (per-seed session fingerprints differ)"))
 	}
 	if f.Errors > 0 {
-		out = append(out, Finding{artifact, "serve-errors",
-			fmt.Sprintf("%d sessions failed (committed %d)", f.Errors, c.Errors)})
+		out = append(out, fail("serve-errors", "%d sessions failed", f.Errors))
 	}
+	return out
+}
+
+func serveDrift(c, f serve.Suite) []Finding {
+	var out []Finding
 	if f.Fingerprint != c.Fingerprint {
-		out = append(out, Finding{artifact, "serve-fingerprint",
-			fmt.Sprintf("probe fingerprint %s != committed %s (exact identity required)",
-				f.Fingerprint, c.Fingerprint)})
+		out = append(out, fail("serve-fingerprint", "probe fingerprint %s != committed %s (exact identity required)",
+			f.Fingerprint, c.Fingerprint))
 	}
-	for _, cp := range c.Paths {
-		found := false
-		for _, fp := range f.Paths {
-			if fp.Path != cp.Path {
-				continue
-			}
-			found = true
+	return append(out, byKey(c.Paths, f.Paths, func(p serve.PathStat) string { return p.Path },
+		"serve-path", "execution path", func(cp, fp serve.PathStat) []Finding {
 			if fp.Sessions == 0 {
-				out = append(out, Finding{artifact, "serve-path",
-					fmt.Sprintf("path %s measured zero sessions (committed %d)", cp.Path, cp.Sessions)})
+				return []Finding{fail("serve-path", "path %s measured zero sessions (committed %d)",
+					cp.Path, cp.Sessions)}
 			}
-			break
-		}
-		if !found {
-			out = append(out, Finding{artifact, "serve-path",
-				fmt.Sprintf("execution path %s absent from fresh run", cp.Path)})
-		}
-	}
-	return out, nil
+			return nil
+		})...)
 }
 
-type ledgerDoc struct {
-	CampaignEntries int      `json:"campaign_entries"`
-	CampaignAnchors int      `json:"campaign_anchors"`
-	CampaignDrops   int      `json:"campaign_drops"`
-	CampaignRoots   []string `json:"campaign_roots"`
-	CampaignHead    string   `json:"campaign_head"`
-	Deterministic   bool     `json:"deterministic"`
-	TracedIdentical bool     `json:"traced_identical"`
-	AuditClean      bool     `json:"audit_clean"`
-	TamperTotal     int      `json:"tamper_total"`
-	TampersDetected int      `json:"tampers_detected"`
-	Tampers         []struct {
-		Name     string `json:"name"`
-		Detected bool   `json:"detected"`
-	} `json:"tampers"`
-	Batches []struct {
-		MaxBatch int    `json:"max_batch"`
-		Entries  int    `json:"entries"`
-		Anchors  int    `json:"anchors"`
-		Head     string `json:"head"`
-	} `json:"batches"`
-}
-
-// compareLedger gates BENCH_ledger.json. The root sequence, head, and
-// per-batch anchor heads are hash-exact: any divergence means the
-// operations ledger's determinism contract broke. The three booleans
-// and the full tamper scorecard are hard invariants of the fresh run.
-// The wall-clock throughput fields (append_ns, entries_per_sec) are
-// recorded, not gated.
-func compareLedger(artifact string, committed, fresh []byte) ([]Finding, error) {
-	var c, f ledgerDoc
-	if err := decodeBoth(artifact, committed, fresh, &c, &f); err != nil {
-		return nil, err
-	}
+func ledgerInvariants(f benchsuite.LedgerSuite) []Finding {
 	var out []Finding
 	if !f.Deterministic {
-		out = append(out, Finding{artifact, "ledger-deterministic",
-			"double-run campaign ledger exports are not byte-identical"})
+		out = append(out, fail("ledger-deterministic", "double-run campaign ledger exports are not byte-identical"))
 	}
 	if !f.TracedIdentical {
-		out = append(out, Finding{artifact, "ledger-traced",
-			"attaching the span tracer changed the anchored root sequence"})
+		out = append(out, fail("ledger-traced", "attaching the span tracer changed the anchored root sequence"))
 	}
 	if !f.AuditClean {
-		out = append(out, Finding{artifact, "ledger-audit",
-			"the untampered campaign export no longer audits clean"})
+		out = append(out, fail("ledger-audit", "the untampered campaign export no longer audits clean"))
 	}
+	if f.TampersDetected != f.TamperTotal {
+		out = append(out, fail("ledger-tampers", "tampers detected %d of %d: the auditor lost coverage",
+			f.TampersDetected, f.TamperTotal))
+	}
+	for _, t := range f.Tampers {
+		if !t.Detected {
+			out = append(out, fail("ledger-tampers", "tamper class %s went undetected", t.Name))
+		}
+	}
+	return out
+}
+
+func ledgerDrift(c, f benchsuite.LedgerSuite) []Finding {
+	var out []Finding
 	if f.CampaignEntries != c.CampaignEntries || f.CampaignAnchors != c.CampaignAnchors ||
 		f.CampaignDrops != c.CampaignDrops {
-		out = append(out, Finding{artifact, "ledger-counts",
-			fmt.Sprintf("entries/anchors/drops %d/%d/%d != committed %d/%d/%d",
-				f.CampaignEntries, f.CampaignAnchors, f.CampaignDrops,
-				c.CampaignEntries, c.CampaignAnchors, c.CampaignDrops)})
+		out = append(out, fail("ledger-counts", "entries/anchors/drops %d/%d/%d != committed %d/%d/%d",
+			f.CampaignEntries, f.CampaignAnchors, f.CampaignDrops,
+			c.CampaignEntries, c.CampaignAnchors, c.CampaignDrops))
 	}
 	if f.CampaignHead != c.CampaignHead {
-		out = append(out, Finding{artifact, "ledger-head",
-			fmt.Sprintf("campaign head %.16s.. != committed %.16s.. (exact identity required)",
-				f.CampaignHead, c.CampaignHead)})
+		out = append(out, fail("ledger-head", "campaign head %.16s.. != committed %.16s.. (exact identity required)",
+			f.CampaignHead, c.CampaignHead))
 	}
 	if len(f.CampaignRoots) != len(c.CampaignRoots) {
-		out = append(out, Finding{artifact, "ledger-roots",
-			fmt.Sprintf("%d roots != committed %d", len(f.CampaignRoots), len(c.CampaignRoots))})
+		out = append(out, fail("ledger-roots", "%d roots != committed %d", len(f.CampaignRoots), len(c.CampaignRoots)))
 	} else {
 		for i := range c.CampaignRoots {
 			if f.CampaignRoots[i] != c.CampaignRoots[i] {
-				out = append(out, Finding{artifact, "ledger-roots",
-					fmt.Sprintf("root %d %.16s.. != committed %.16s.. (first divergence)",
-						i, f.CampaignRoots[i], c.CampaignRoots[i])})
+				out = append(out, fail("ledger-roots", "root %d %.16s.. != committed %.16s.. (first divergence)",
+					i, f.CampaignRoots[i], c.CampaignRoots[i]))
 				break
 			}
 		}
 	}
-	if f.TamperTotal < c.TamperTotal || f.TampersDetected != f.TamperTotal {
-		out = append(out, Finding{artifact, "ledger-tampers",
-			fmt.Sprintf("tampers detected %d of %d (committed %d of %d): the auditor lost coverage",
-				f.TampersDetected, f.TamperTotal, c.TampersDetected, c.TamperTotal)})
+	if f.TamperTotal < c.TamperTotal {
+		out = append(out, fail("ledger-tampers", "%d tamper classes run (committed %d): the auditor lost coverage",
+			f.TamperTotal, c.TamperTotal))
 	}
-	for _, ft := range f.Tampers {
-		if !ft.Detected {
-			out = append(out, Finding{artifact, "ledger-tampers",
-				fmt.Sprintf("tamper class %s went undetected", ft.Name)})
-		}
-	}
-	for _, cb := range c.Batches {
-		found := false
-		for _, fb := range f.Batches {
-			if fb.MaxBatch != cb.MaxBatch {
-				continue
-			}
-			found = true
+	return append(out, byKey(c.Batches, f.Batches, func(b benchsuite.LedgerBatch) int { return b.MaxBatch },
+		"ledger-batch", "max_batch", func(cb, fb benchsuite.LedgerBatch) []Finding {
 			if fb.Entries != cb.Entries || fb.Anchors != cb.Anchors || fb.Head != cb.Head {
-				out = append(out, Finding{artifact, "ledger-batch",
-					fmt.Sprintf("max_batch %d: %d entries/%d anchors head %.16s.. != committed %d/%d head %.16s..",
-						cb.MaxBatch, fb.Entries, fb.Anchors, fb.Head,
-						cb.Entries, cb.Anchors, cb.Head)})
+				return []Finding{fail("ledger-batch",
+					"max_batch %d: %d entries/%d anchors head %.16s.. != committed %d/%d head %.16s..",
+					cb.MaxBatch, fb.Entries, fb.Anchors, fb.Head, cb.Entries, cb.Anchors, cb.Head)}
 			}
-			break
-		}
-		if !found {
-			out = append(out, Finding{artifact, "ledger-batch",
-				fmt.Sprintf("max_batch %d point absent from fresh run", cb.MaxBatch)})
-		}
-	}
-	return out, nil
-}
-
-func findMean(metrics []struct {
-	Name string  `json:"name"`
-	Mean float64 `json:"mean"`
-}, name string) (float64, bool) {
-	for _, m := range metrics {
-		if m.Name == name {
-			return m.Mean, true
-		}
-	}
-	return 0, false
-}
-
-func decodeBoth(artifact string, committed, fresh []byte, c, f any) error {
-	if err := json.Unmarshal(committed, c); err != nil {
-		return fmt.Errorf("regress %s: committed artifact: %w", artifact, err)
-	}
-	if err := json.Unmarshal(fresh, f); err != nil {
-		return fmt.Errorf("regress %s: fresh artifact: %w", artifact, err)
-	}
-	return nil
+			return nil
+		})...)
 }
 
 // withinFrac reports whether got is within tol×|want| of want (exact

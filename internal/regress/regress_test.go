@@ -1,6 +1,9 @@
 package regress
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -204,6 +207,11 @@ func TestNetsimGates(t *testing.T) {
 	if out := mustCompare(t, "BENCH_netsim.json", netsimCommitted, drift); len(out) != 0 {
 		t.Errorf("in-tolerance drift tripped the gate: %v", out)
 	}
+
+	// A committed result the fresh run no longer measures is a finding.
+	dropped := strings.Replace(netsimCommitted,
+		`{"name": "start_finish/map_baseline", "ns_per_op": 11399.5, "allocs_per_op": 62},`, ``, 1)
+	wantCheck(t, mustCompare(t, "BENCH_netsim.json", netsimCommitted, dropped), "netsim-missing")
 }
 
 func TestSpantraceGates(t *testing.T) {
@@ -334,5 +342,96 @@ func TestLedgerGates(t *testing.T) {
 	wall = strings.Replace(wall, `"entries_per_sec": 1998048.0`, `"entries_per_sec": 820000.0`, 1)
 	if out := mustCompare(t, "BENCH_ledger.json", ledgerCommitted, wall); len(out) != 0 {
 		t.Errorf("wall-clock drift tripped the gate: %v", out)
+	}
+}
+
+// TestSuiteTableMatchesCommittedArtifacts ties the suite table to the
+// repository's committed BENCH_*.json files: every file has a table
+// entry under its own name, every entry has a committed file, and each
+// file passes its fresh-only invariants and compares clean against
+// itself.
+func TestSuiteTableMatchesCommittedArtifacts(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := map[string]bool{}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(p)
+		committed[name] = true
+		var h struct {
+			Schema string `json:"schema"`
+		}
+		if err := json.Unmarshal(data, &h); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s, ok := lookup(h.Schema)
+		if !ok {
+			t.Errorf("%s: schema %q has no suite table entry", name, h.Schema)
+			continue
+		}
+		if s.File != name {
+			t.Errorf("%s: schema %q belongs to the %s entry", name, h.Schema, s.File)
+		}
+		if out, err := s.invariants(name, data); err != nil || len(out) != 0 {
+			t.Errorf("%s: fresh-only invariants: %v %v", name, out, err)
+		}
+		if out := mustCompare(t, name, string(data), string(data)); len(out) != 0 {
+			t.Errorf("%s vs itself: %v", name, out)
+		}
+	}
+	for _, s := range Suites {
+		if !committed[s.File] {
+			t.Errorf("suite -%s has no committed %s", s.Flag, s.File)
+		}
+	}
+}
+
+// TestInvariantsCatchSabotageAlone checks that every fresh-only
+// invariant trips on the fresh artifact alone, with no committed copy:
+// the property cmd/benchsuite relies on to refuse writing a broken
+// artifact.
+func TestInvariantsCatchSabotageAlone(t *testing.T) {
+	for _, c := range []struct {
+		doc, old, new, check string
+	}{
+		{sweepCommitted, `"deterministic": true`, `"deterministic": false`, "sweep-deterministic"},
+		{sweepCommitted, `"errors": 0`, `"errors": 3`, "sweep-errors"},
+		{serveCommitted, `"deterministic": true`, `"deterministic": false`, "serve-deterministic"},
+		{serveCommitted, `"errors": 0`, `"errors": 2`, "serve-errors"},
+		{ledgerCommitted, `"deterministic": true`, `"deterministic": false`, "ledger-deterministic"},
+		{ledgerCommitted, `"traced_identical": true`, `"traced_identical": false`, "ledger-traced"},
+		{ledgerCommitted, `"audit_clean": true`, `"audit_clean": false`, "ledger-audit"},
+		{ledgerCommitted, `"tampers_detected": 5`, `"tampers_detected": 4`, "ledger-tampers"},
+		{ledgerCommitted, `{"name": "batch-reorder", "detected": true`, `{"name": "batch-reorder", "detected": false`, "ledger-tampers"},
+		{integrityCommitted, `"undetected_reads_at_default": 0`, `"undetected_reads_at_default": 0.25`, "undetected-corrupt-reads"},
+		{integrityCommitted, `"undetected_reads_no_scrub": 5.125`, `"undetected_reads_no_scrub": 0`, "exposure-baseline"},
+		{integrityCommitted, `"scrub_overhead_frac": 0.134`, `"scrub_overhead_frac": 0.41`, "scrub-overhead"},
+		{integrityCommitted, `"deterministic": true`, `"deterministic": false`, "sweep-deterministic"},
+		{spantraceCommitted, `"overhead_frac": -0.084`, `"overhead_frac": 0.11`, "overhead"},
+		{netsimCommitted, `"start_finish_speedup": 6.85`, `"start_finish_speedup": 0.8`, "speedup"},
+	} {
+		var h struct {
+			Schema string `json:"schema"`
+		}
+		if err := json.Unmarshal([]byte(c.doc), &h); err != nil {
+			t.Fatal(err)
+		}
+		s, ok := lookup(h.Schema)
+		if !ok {
+			t.Fatalf("no suite for %q", h.Schema)
+		}
+		if !strings.Contains(c.doc, c.old) {
+			t.Fatalf("%s: fixture lacks %s", c.check, c.old)
+		}
+		out, err := s.invariants(s.File, []byte(strings.Replace(c.doc, c.old, c.new, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCheck(t, out, c.check)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -23,6 +22,9 @@ type PathStat struct {
 	P50Ns          float64 `json:"p50_ns"`
 	P99Ns          float64 `json:"p99_ns"`
 }
+
+// Schema identifies the BENCH_serve.json shape.
+const Schema = "spiderfs-serve-bench/1"
 
 // Suite is the BENCH_serve.json artifact. Fingerprint, Deterministic,
 // and Errors are exact-gated by internal/regress; the latency-derived
@@ -133,7 +135,7 @@ func RunBench(clock func() int64) Suite {
 		seeds[i] = benchSeedBase + uint64(i)
 	}
 	s := Suite{
-		Schema: "spiderfs-serve-bench/1", CPUs: runtime.NumCPU(),
+		Schema: Schema, CPUs: runtime.NumCPU(),
 		Workers: workers, PoolSize: workers,
 	}
 
@@ -196,13 +198,4 @@ func (s Suite) Render() string {
 	fmt.Fprintf(&b, "speedup vs cold p50: warm %.2fx, cache %.2fx (recorded, not gated: 1-CPU hosts differ)\n",
 		s.WarmSpeedup, s.CacheSpeedup)
 	return b.String()
-}
-
-// JSON renders the artifact.
-func (s Suite) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

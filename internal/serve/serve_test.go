@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -396,7 +397,7 @@ func TestRunBenchSmoke(t *testing.T) {
 	if len(s.Paths) != 3 {
 		t.Fatalf("paths = %d, want 3", len(s.Paths))
 	}
-	if _, err := s.JSON(); err != nil {
+	if _, err := json.Marshal(s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Render() == "" {

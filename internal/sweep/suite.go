@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -42,6 +41,9 @@ type Record struct {
 	Metrics       []MetricStats `json:"metrics"`
 }
 
+// Schema identifies the BENCH_sweep.json shape.
+const Schema = "spiderfs-sweep-bench/1"
+
 // Suite is the JSON artifact (BENCH_sweep.json) format.
 type Suite struct {
 	Schema string `json:"schema"`
@@ -65,7 +67,7 @@ func RunSuite(entries []Entry, workers int, clock Clock) (Suite, error) {
 	if clock != nil {
 		now = clock
 	}
-	s := Suite{Schema: "spiderfs-sweep-bench/1", CPUs: runtime.GOMAXPROCS(0), Workers: workers}
+	s := Suite{Schema: Schema, CPUs: runtime.GOMAXPROCS(0), Workers: workers}
 	for _, e := range entries {
 		cfg := Config{Label: e.Label, Seed: e.Seed, Replicas: e.Replicas, Workers: 1}
 		t0 := now()
@@ -119,13 +121,4 @@ func (s Suite) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// JSON renders the artifact.
-func (s Suite) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

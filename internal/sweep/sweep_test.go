@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -203,7 +204,7 @@ func TestRunSuiteDoubleRunAndClock(t *testing.T) {
 			t.Errorf("%s: no merged metrics", r.Label)
 		}
 	}
-	if _, err := s.JSON(); err != nil {
+	if _, err := json.Marshal(s); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(s.Render(), "deterministic=true") {

@@ -9,6 +9,8 @@
 #   ./verify.sh test    — shuffled full test run + determinism double-run
 #   ./verify.sh race    — race-mode runs of the concurrency-adjacent packages
 #   ./verify.sh bench   — one-iteration benchmark smoke
+#   ./verify.sh benchcheck — regenerate the deterministic BENCH_*.json
+#                         artifacts into fresh-bench/ and gate them
 #   ./verify.sh all     — all of the above, in order
 set -eu
 
@@ -74,21 +76,41 @@ stage_bench() {
 	set +x
 }
 
+stage_benchcheck() {
+	set -x
+	# The sweep, integrity, serve, and ledger suites are fully
+	# deterministic (fingerprints, metric means, and Merkle roots), so a
+	# fresh run on any host must reproduce the committed artifacts
+	# exactly; timings (including the serve warm/cache speedups and the
+	# ledger append throughput) are recorded but not gated. The
+	# netsim/spantrace suites are wall-clock-bound and too slow/noisy to
+	# regenerate per change — their committed artifacts are gated when
+	# regenerated locally via `benchsuite -check`.
+	mkdir -p fresh-bench
+	for suite in sweep integrity serve ledger; do
+		go run ./cmd/benchsuite -$suite -out fresh-bench/BENCH_$suite.json
+	done
+	go run ./cmd/benchsuite -check -fresh fresh-bench
+	set +x
+}
+
 case "$stage" in
 build) stage_build ;;
 lint) stage_lint ;;
 test) stage_test ;;
 race) stage_race ;;
 bench) stage_bench ;;
+benchcheck) stage_benchcheck ;;
 all)
 	stage_build
 	stage_lint
 	stage_test
 	stage_race
 	stage_bench
+	stage_benchcheck
 	;;
 *)
-	echo "usage: ./verify.sh [build|lint|test|race|bench|all]" >&2
+	echo "usage: ./verify.sh [build|lint|test|race|bench|benchcheck|all]" >&2
 	exit 2
 	;;
 esac
