@@ -46,7 +46,7 @@ func TestDebtInventoryShape(t *testing.T) {
 	report := m.Debt(Checks())
 
 	counts := map[string]int{}
-	foundBaselineRange := false
+	foundCausality := false
 	for _, s := range report.Sites {
 		if strings.Contains(s.File, "\\") || strings.HasPrefix(s.File, "/") || strings.HasPrefix(s.File, "..") {
 			t.Errorf("site path %q is not module-root-relative", s.File)
@@ -57,15 +57,15 @@ func TestDebtInventoryShape(t *testing.T) {
 		for _, c := range s.Checks {
 			counts[c]++
 		}
-		if s.File == "internal/netbench/baseline.go" {
-			foundBaselineRange = true
-			if !strings.Contains(s.Reason, "frozen") {
-				t.Errorf("netbench baseline site lost its reason: %q", s.Reason)
+		if s.File == "internal/sim/engine.go" {
+			foundCausality = true
+			if !strings.Contains(s.Reason, "causality assertion") {
+				t.Errorf("engine causality site lost its reason: %q", s.Reason)
 			}
 		}
 	}
-	if !foundBaselineRange {
-		t.Error("inventory missed the internal/netbench/baseline.go ordered-map-range site")
+	if !foundCausality {
+		t.Error("inventory missed the internal/sim/engine.go causality-assertion sites")
 	}
 	if len(report.Sites) != report.Total {
 		t.Errorf("Total %d != len(Sites) %d", report.Total, len(report.Sites))

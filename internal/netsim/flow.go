@@ -311,8 +311,8 @@ func (n *Network) reassign(flows []*Flow) {
 			start = n.eng.Now()
 		}
 		at := start + dur
-		if at < n.eng.Now() {
-			at = n.eng.Now()
+		if at < start { // overflow: saturate instead of wrapping into the past
+			at = sim.MaxTime
 		}
 		// Move the existing completion event when possible: same FIFO
 		// semantics as cancel+reschedule (fresh sequence number), but no

@@ -128,6 +128,25 @@ func TestLatencyDelaysCompletion(t *testing.T) {
 	}
 }
 
+// A transfer that would outlast representable time completes at
+// MaxTime, never "in the past": both at t=0 and mid-run, where the
+// completion instant would overflow the clock.
+func TestHugeFlowSaturatesCompletion(t *testing.T) {
+	eng := sim.NewEngine()
+	n := NewNetwork(eng)
+	l := n.NewLink("l", 1e9, 0)
+	n.StartFlow([]*Link{l}, 1e22, nil)
+	eng.At(sim.Second, func() { n.StartFlow([]*Link{l}, 1e22, nil) })
+	eng.RunUntil(sim.Day)
+	if n.FlowsCompleted != 0 {
+		t.Fatalf("%d 1e22-byte flows completed within a day at 1 GB/s", n.FlowsCompleted)
+	}
+	eng.Run()
+	if n.FlowsCompleted != 2 || eng.Now() != sim.MaxTime {
+		t.Fatalf("completed %d flows by %v, want 2 at MaxTime", n.FlowsCompleted, eng.Now())
+	}
+}
+
 func TestNetworkCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewNetwork(eng)

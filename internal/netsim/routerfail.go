@@ -114,8 +114,9 @@ func (f *Fabric) StartClientFlow(c topology.Coord, oss int, mode RouteMode, byte
 	eng := f.engine()
 	// Spantrace: under a sampled request context the send becomes a
 	// fabric child span; with no context at all (raw fabric workloads,
-	// netbench) the fabric self-samples roots; NoSpan means the request
-	// was considered upstream and skipped, so nothing is recorded.
+	// the congestion benchmark) the fabric self-samples roots; NoSpan
+	// means the request was considered upstream and skipped, so nothing
+	// is recorded.
 	tr := f.Tracer
 	var fparent spantrace.SpanID
 	if tr != nil {

@@ -10,10 +10,9 @@
 //     committed one.
 //
 // Both halves decode straight into the producer's own artifact type.
-// Deterministic metrics (fingerprints, sweep means, Merkle roots,
-// allocation counts) get exact or near-exact gates; wall-clock-derived
-// ones get loose tolerances, absolute ceilings or no gate at all,
-// because CI runners are noisy.
+// Deterministic metrics (fingerprints, sweep means, Merkle roots) get
+// exact or near-exact gates; wall-clock-derived ones get an absolute
+// ceiling or no gate at all, because CI runners are noisy.
 //
 // The package takes bytes and returns findings; all file I/O and exit
 // codes live in cmd/benchsuite, keeping this package environment-free.
@@ -26,37 +25,19 @@ import (
 	"slices"
 
 	"spiderfs/internal/benchsuite"
-	"spiderfs/internal/netbench"
 	"spiderfs/internal/serve"
 	"spiderfs/internal/sweep"
 )
 
-// Tolerances for the wall-clock-adjacent gates. Deterministic gates
-// (fingerprints, sweep means) do not use these.
+// Gate tolerances.
 const (
-	// allocRatioFloorFrac: the netsim ordered-vs-map allocation ratio
-	// may fall to this fraction of the committed value before the gate
-	// trips. Allocation counts are stable across runs, but compiler
-	// versions shift them slightly.
-	allocRatioFloorFrac = 0.70
-	// allocsPerOpSlack: per-result allocs/op may exceed the committed
-	// count by this factor (plus one alloc of absolute slack).
-	allocsPerOpSlack = 1.25
-	// overheadCeiling: spantrace's documented acceptance ceiling —
-	// tracing may cost at most this fraction of wall clock. Gated as an
-	// absolute ceiling, not relative to the committed (often negative,
-	// i.e. in-noise) value.
-	overheadCeiling = 0.05
-	// spansPerOpTolFrac: spans emitted per benchmark op are a sampling
-	// count, deterministic up to batch rounding.
-	spansPerOpTolFrac = 0.10
 	// sweepMeanTol: sweep metric means are fully deterministic; only
 	// float formatting round-trip error is allowed.
 	sweepMeanTol = 1e-9
 	// scrubOverheadCeiling: background scrubbing at the default
 	// interval may tax foreground read latency by at most this
-	// fraction. Gated as an absolute ceiling (like the spantrace
-	// overhead), since the committed value sits well under it.
+	// fraction. Gated as an absolute ceiling, since the committed value
+	// sits well under it.
 	scrubOverheadCeiling = 0.25
 )
 
@@ -108,20 +89,6 @@ type Suite struct {
 
 // Suites is the suite table, in generation order.
 var Suites = []Suite{
-	// The ordered flow-solver registries must stay cheaper than the
-	// frozen map baseline in allocations (ratio floor) and beat it
-	// outright in time (speedup >= 1, fresh-only); every committed
-	// result must still be measured, within the allocs/op slack.
-	newSuite("netsim", "BENCH_netsim.json", netbench.Schema,
-		"netsim flow solver (ordered registries vs frozen map baseline)",
-		func(Env) (netbench.Suite, error) { return netbench.Run(true), nil },
-		netsimInvariants, netsimDrift),
-	// Tracing at 1-in-64 sampling may cost at most 5% of wall clock
-	// (fresh-only ceiling); spans/op is a sampling count held to 10%.
-	newSuite("spantrace", "BENCH_spantrace.json", netbench.SpanSchema,
-		"spantrace observer cost (untraced vs 1-in-64 sampled congestion run)",
-		func(Env) (netbench.SpanSuite, error) { return netbench.RunSpans(true), nil },
-		spantraceInvariants, spantraceDrift),
 	// E3/E13/E18 seed sweeps: every record double-runs identically with
 	// zero failed replicas (fresh-only); fingerprints and metric means
 	// are exact against the committed run. Timings are recorded only.
@@ -264,47 +231,6 @@ func byKey[R any, K comparable](committed, fresh []R, key func(R) K, missing, wh
 		out = append(out, gate(c, fresh[i])...)
 	}
 	return out
-}
-
-func netsimInvariants(f netbench.Suite) []Finding {
-	// The ordered path must still beat the map baseline outright; the
-	// committed margin is ~5x, so 1.0 is a generous noise allowance.
-	if f.StartFinishSpeedup < 1.0 {
-		return []Finding{fail("speedup", "start_finish_speedup %.2f < 1.0 (ordered path slower than map baseline)",
-			f.StartFinishSpeedup)}
-	}
-	return nil
-}
-
-func netsimDrift(c, f netbench.Suite) []Finding {
-	var out []Finding
-	if floor := c.StartFinishAllocRatio * allocRatioFloorFrac; f.StartFinishAllocRatio < floor {
-		out = append(out, fail("alloc-ratio", "start_finish_alloc_ratio %.2f fell below floor %.2f (committed %.2f)",
-			f.StartFinishAllocRatio, floor, c.StartFinishAllocRatio))
-	}
-	return append(out, byKey(c.Results, f.Results, func(r netbench.Result) string { return r.Name },
-		"netsim-missing", "result", func(cr, fr netbench.Result) []Finding {
-			if ceil := float64(cr.AllocsPerOp)*allocsPerOpSlack + 1; float64(fr.AllocsPerOp) > ceil {
-				return []Finding{fail("allocs-per-op", "%s allocs/op %d exceeds ceiling %.0f (committed %d)",
-					cr.Name, fr.AllocsPerOp, ceil, cr.AllocsPerOp)}
-			}
-			return nil
-		})...)
-}
-
-func spantraceInvariants(f netbench.SpanSuite) []Finding {
-	if f.OverheadFrac > overheadCeiling {
-		return []Finding{fail("overhead", "overhead_frac %.4f exceeds ceiling %.2f", f.OverheadFrac, overheadCeiling)}
-	}
-	return nil
-}
-
-func spantraceDrift(c, f netbench.SpanSuite) []Finding {
-	if !withinFrac(f.SpansPerOp, c.SpansPerOp, spansPerOpTolFrac) {
-		return []Finding{fail("spans-per-op", "spans_per_op %.1f drifted beyond %.0f%% of committed %.1f",
-			f.SpansPerOp, spansPerOpTolFrac*100, c.SpansPerOp)}
-	}
-	return nil
 }
 
 // recordInvariants holds every sweep record to double-run determinism

@@ -161,6 +161,9 @@ func TestHTTPErrors(t *testing.T) {
 	if resp, _ := postSpec(t, ts, `{not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
 	}
+	if resp, _ := postSpec(t, ts, `{"kind":"workload","seed":7,"waves":1000000}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-cap spec: status %d, want 400", resp.StatusCode)
+	}
 	for _, path := range []string{"/v1/sessions/s-999999", "/v1/sessions/s-999999/events", "/v1/sessions/s-999999/report"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

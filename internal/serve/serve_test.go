@@ -60,11 +60,19 @@ func TestSpecNormalizeAndKey(t *testing.T) {
 		{Kind: "sweep", Seed: 1},
 		{Kind: "sweep", Seed: 1, Sweep: "a/b"},
 		{Kind: "sweep", Seed: 1, Sweep: "toy", Replicas: -2},
+		{Kind: "workload", Seed: 1, Waves: maxWaves + 1},
+		{Kind: "workload", Seed: 1, Flows: maxFlows + 1},
+		{Kind: "workload", Seed: 1, Bytes: 2 * maxBytes},
+		{Kind: "chaos", Seed: 1, Days: maxDays + 1},
+		{Kind: "sweep", Seed: 1, Sweep: "toy", Replicas: maxReplicas + 1},
 	} {
 		bad := bad
 		if err := bad.Normalize(); err == nil {
 			t.Errorf("spec %+v: expected a normalize error", bad)
 		}
+	}
+	if _, err := RunSolo(Spec{Kind: "workload", Seed: 1, Flows: maxFlows + 1}, nil); err == nil {
+		t.Error("RunSolo accepted an over-cap spec")
 	}
 }
 

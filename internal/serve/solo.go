@@ -24,7 +24,8 @@ type instance struct {
 // buildInstance constructs a cold engine/fabric pair. The small shape
 // matches the repo's small center (5x4x4 torus, 16 I/O modules in 4
 // groups, 16 OSSes); full mirrors the production deployment the
-// netbench suite drives (Titan torus, 110 modules, 288 OSSes).
+// Spider II congestion benchmark drives (Titan torus, 110 modules, 288
+// OSSes).
 func buildInstance(full bool) *instance {
 	eng := sim.NewEngine()
 	cfg := netsim.Spider2Fabric()

@@ -71,6 +71,17 @@ const (
 	defaultBytes = 16e6
 )
 
+// Work caps: a spec over any of these is refused, so no single request
+// can hold a worker for hours. Every documented and benchmarked spec
+// sits far below them.
+const (
+	maxWaves    = 64
+	maxFlows    = 8192
+	maxBytes    = 1e12
+	maxDays     = 31
+	maxReplicas = 256
+)
+
 // Normalize validates the spec and fills kind-appropriate defaults,
 // clearing parameters that belong to other kinds so Key() is canonical.
 func (s *Spec) Normalize() error {
@@ -85,10 +96,14 @@ func (s *Spec) Normalize() error {
 		if s.Bytes <= 0 {
 			s.Bytes = defaultBytes
 		}
+		if s.Waves > maxWaves || s.Flows > maxFlows || !(s.Bytes <= maxBytes) {
+			return fmt.Errorf("serve: workload %d waves x %d flows x %g bytes exceeds the cap of %d x %d x %g",
+				s.Waves, s.Flows, s.Bytes, maxWaves, maxFlows, maxBytes)
+		}
 		s.Days, s.Sweep, s.Replicas = 0, "", 0
 	case "chaos":
-		if s.Days < 0 {
-			return fmt.Errorf("serve: negative days %d", s.Days)
+		if s.Days < 0 || s.Days > maxDays {
+			return fmt.Errorf("serve: days %d outside [0, %d]", s.Days, maxDays)
 		}
 		s.Waves, s.Flows, s.Bytes, s.Sweep, s.Replicas = 0, 0, 0, "", 0
 	case "sweep":
@@ -98,8 +113,8 @@ func (s *Spec) Normalize() error {
 		if strings.ContainsAny(s.Sweep, "/ \t\n") {
 			return fmt.Errorf("serve: invalid sweep label %q", s.Sweep)
 		}
-		if s.Replicas < 0 {
-			return fmt.Errorf("serve: negative replicas %d", s.Replicas)
+		if s.Replicas < 0 || s.Replicas > maxReplicas {
+			return fmt.Errorf("serve: replicas %d outside [0, %d]", s.Replicas, maxReplicas)
 		}
 		s.Full, s.Waves, s.Flows, s.Bytes, s.Days = false, 0, 0, 0, 0
 	default:

@@ -82,14 +82,13 @@ func (h *eventHeap) Pop() any {
 // goroutine driving Run/Step. Parallel harnesses (internal/sweep) give
 // each worker engines of its own.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    eventHeap
-	fired   uint64
-	live    int // scheduled, uncanceled, unfired events in the heap
-	tomb    int // canceled tombstones still occupying heap slots
-	stopped bool
-	trace   func(at Time, seq uint64)
+	now   Time
+	seq   uint64
+	heap  eventHeap
+	fired uint64
+	live  int // scheduled, uncanceled, unfired events in the heap
+	tomb  int // canceled tombstones still occupying heap slots
+	trace func(at Time, seq uint64)
 }
 
 // SetTrace installs a hook that observes every fired event (its
@@ -216,28 +215,9 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
-// Stop makes the current Run/RunUntil return after the in-flight event
-// completes. Pending events remain scheduled.
-//
-// Stop is sticky: the flag stays set until ClearStop is called, so a
-// Stop issued between runs (e.g. by a barrier controller between
-// synchronization quanta) makes the next Run/RunUntil return
-// immediately instead of being silently lost. Resuming therefore takes
-// an explicit ClearStop followed by Run/RunUntil.
-func (e *Engine) Stop() { e.stopped = true }
-
-// ClearStop re-arms the engine after a Stop. It is the only way the
-// stopped flag is cleared; Run and RunUntil never reset it themselves.
-func (e *Engine) ClearStop() { e.stopped = false }
-
-// Stopped reports whether Stop has been called without a matching
-// ClearStop. While true, Run and RunUntil return without firing events.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports whether an event was executed (false when the
-// queue is empty). Step ignores the stopped flag; it fires exactly one
-// event regardless.
+// queue is empty).
 func (e *Engine) Step() bool {
 	for len(e.heap) > 0 {
 		ev := heap.Pop(&e.heap).(*Event)
@@ -260,24 +240,18 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the queue is empty or Stop is called. If the
-// engine is already stopped (a sticky Stop not yet cleared), Run returns
-// immediately without firing anything.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t. When the loop drains
-// normally the clock then advances to t (even if the queue emptied
-// earlier); when a Stop fires mid-run the clock stays at the last fired
-// event, so unprocessed events are never left stranded behind the clock
-// and a later resume continues exactly where the run halted.
+// RunUntil executes events with timestamps <= t, then advances the
+// clock to t (even if the queue emptied earlier).
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
+	for {
 		next := e.peek()
 		if next == nil || next.t > t {
-			// Drained normally: the window is fully processed.
 			if e.now < t {
 				e.now = t
 			}
@@ -305,7 +279,7 @@ func (e *Engine) RunFor(d Time) {
 
 // Reset returns the engine to its just-constructed state: the clock at
 // zero, no scheduled events, no canceled-tombstone debt, counters
-// cleared, the sticky stop flag re-armed, and any trace hook removed.
+// cleared, and any trace hook removed.
 // This is the warm-pool seam (internal/serve): a model stack built on a
 // reset engine must reproduce a fresh engine's event-trace fingerprint
 // bit for bit, because nothing — sequence numbers included — survives.
@@ -327,7 +301,6 @@ func (e *Engine) Reset() {
 	e.fired = 0
 	e.live = 0
 	e.tomb = 0
-	e.stopped = false
 	e.trace = nil
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -101,86 +102,6 @@ func TestEngineRunUntil(t *testing.T) {
 	e.RunFor(8)
 	if len(fired) != 4 || e.Now() != 20 {
 		t.Fatalf("after RunFor: fired=%v now=%v", fired, e.Now())
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		e.At(i, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	// Stop is sticky: without ClearStop the resume attempt is a no-op.
-	e.Run()
-	if count != 3 {
-		t.Fatalf("run while stopped fired events: count = %d, want 3", count)
-	}
-	e.ClearStop()
-	e.Run() // resume
-	if count != 10 {
-		t.Fatalf("after resume count = %d, want 10", count)
-	}
-}
-
-// A Stop issued before Run/RunUntil (e.g. by a barrier controller
-// between quanta) must not be silently lost.
-func TestEngineStopStickyBeforeRun(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.At(5, func() { fired = true })
-	e.Stop()
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-	e.Run()
-	e.RunUntil(10)
-	if fired {
-		t.Fatal("stopped engine fired an event")
-	}
-	if e.Now() != 0 {
-		t.Fatalf("stopped engine moved its clock to %v", e.Now())
-	}
-	e.ClearStop()
-	e.RunUntil(10)
-	if !fired || e.Now() != 10 {
-		t.Fatalf("after ClearStop: fired=%v now=%v, want true 10", fired, e.Now())
-	}
-}
-
-// A Stop that fires mid-RunUntil must leave the clock at the last fired
-// event, not teleport it to the target time past unprocessed events.
-func TestEngineRunUntilStopKeepsClock(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		e.At(at, func() {
-			fired = append(fired, at)
-			if at == 10 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunUntil(30)
-	if len(fired) != 2 || e.Now() != 10 {
-		t.Fatalf("after stopped RunUntil: fired=%v now=%v, want [5 10] 10", fired, e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2 (events at 15, 20 still live)", e.Pending())
-	}
-	e.ClearStop()
-	e.RunUntil(30)
-	if len(fired) != 4 || e.Now() != 30 {
-		t.Fatalf("after resume: fired=%v now=%v, want 4 events and clock 30", fired, e.Now())
 	}
 }
 
@@ -370,6 +291,8 @@ func TestTimeString(t *testing.T) {
 		{90 * Second, "1.50min"},
 		{3 * Hour, "3.00h"},
 		{-2 * Second, "-2.000s"},
+		{math.MinInt64, "-2562047.79h"},
+		{MaxTime, "2562047.79h"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
@@ -382,8 +305,15 @@ func TestFromSeconds(t *testing.T) {
 	if FromSeconds(1.5) != 1500*Millisecond {
 		t.Fatalf("FromSeconds(1.5) = %v", FromSeconds(1.5))
 	}
-	if FromSeconds(-3) != 0 {
-		t.Fatal("negative seconds should clamp to 0")
+	if FromSeconds(-3) != 0 || FromSeconds(math.NaN()) != 0 {
+		t.Fatal("negative and NaN seconds should clamp to 0")
+	}
+	// Beyond ~292 years the nanosecond count no longer fits: saturate
+	// instead of wrapping to a negative time.
+	for _, s := range []float64{1e10, 1e12, math.Inf(1)} {
+		if got := FromSeconds(s); got != MaxTime {
+			t.Errorf("FromSeconds(%g) = %d, want MaxTime", s, int64(got))
+		}
 	}
 }
 
@@ -412,21 +342,20 @@ func runTracedModel(e *Engine, seed int) uint64 {
 func TestEngineResetDeterministicReuse(t *testing.T) {
 	fresh := runTracedModel(NewEngine(), 7)
 
-	// Dirty an engine thoroughly — mid-run stop, pending events, trace
-	// hook, tombstones — then Reset and rerun the same model.
+	// Dirty an engine thoroughly — a run halted mid-queue, pending
+	// events, trace hook, tombstones — then Reset and rerun the same model.
 	e := NewEngine()
 	e.SetTrace(func(Time, uint64) {})
 	for i := 0; i < 100; i++ {
 		e.At(Time(i), func() {})
 	}
 	stale := e.At(500, func() { t.Error("stale pre-reset event fired") })
-	e.At(10, func() { e.Stop() })
-	e.Run()
+	e.RunUntil(10)
 
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 || e.Stopped() {
-		t.Fatalf("reset engine not pristine: now=%v pending=%d fired=%d stopped=%v",
-			e.Now(), e.Pending(), e.Fired(), e.Stopped())
+	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {
+		t.Fatalf("reset engine not pristine: now=%v pending=%d fired=%d",
+			e.Now(), e.Pending(), e.Fired())
 	}
 	if stale.Pending() {
 		t.Fatal("pre-reset event still pending after Reset")

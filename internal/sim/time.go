@@ -7,7 +7,10 @@
 // thousands of entities tractable on a single core.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point on the simulation clock, in nanoseconds since the start
 // of the run. It is also used for durations; the zero value is the start
@@ -26,7 +29,7 @@ const (
 )
 
 // MaxTime is the farthest representable instant (~292 simulated years).
-// RunFor saturates here instead of wrapping when now + d overflows.
+// RunFor and FromSeconds saturate here instead of wrapping.
 const MaxTime Time = 1<<63 - 1
 
 // Seconds returns the time as a floating-point number of seconds.
@@ -39,17 +42,25 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // FromSeconds converts a floating-point number of seconds to a Time.
-// Negative and non-finite inputs are clamped to zero.
+// Negative and NaN inputs are clamped to zero; inputs beyond MaxTime,
+// +Inf included, saturate at MaxTime.
 func FromSeconds(s float64) Time {
 	if !(s > 0) {
 		return 0
 	}
-	return Time(s * float64(Second))
+	ns := s * float64(Second)
+	if ns >= float64(MaxTime) {
+		return MaxTime
+	}
+	return Time(ns)
 }
 
 // String renders the time with an adaptive unit, e.g. "1.500ms".
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64:
+		// -t overflows back to t; render the magnitude in hours directly.
+		return fmt.Sprintf("-%.2fh", -float64(t)/float64(Hour))
 	case t < 0:
 		return "-" + (-t).String()
 	case t < Microsecond:

@@ -68,24 +68,21 @@ stage_race() {
 
 stage_bench() {
 	set -x
-	# Benchmark smoke: one iteration of every netsim/sim benchmark,
-	# including the Spider II-scale congestion wave and the
-	# traced/untraced spantrace pair, so the harnesses behind
-	# BENCH_netsim.json and BENCH_spantrace.json cannot rot silently.
-	go test -bench . -benchtime=1x -run '^$' ./internal/netsim/ ./internal/sim/ ./internal/netbench/ ./internal/spantrace/
+	# Benchmark smoke: one iteration of every netsim/sim/spantrace
+	# benchmark, including the Spider II-scale congestion wave untraced
+	# and 1-in-64 traced, so no benchmark harness can rot silently.
+	go test -bench . -benchtime=1x -run '^$' ./internal/netsim/ ./internal/sim/ ./internal/spantrace/
 	set +x
 }
 
 stage_benchcheck() {
 	set -x
-	# The sweep, integrity, serve, and ledger suites are fully
-	# deterministic (fingerprints, metric means, and Merkle roots), so a
-	# fresh run on any host must reproduce the committed artifacts
-	# exactly; timings (including the serve warm/cache speedups and the
-	# ledger append throughput) are recorded but not gated. The
-	# netsim/spantrace suites are wall-clock-bound and too slow/noisy to
-	# regenerate per change — their committed artifacts are gated when
-	# regenerated locally via `benchsuite -check`.
+	# Every BENCH_*.json suite (sweep, integrity, serve, ledger) is
+	# fully deterministic (fingerprints, metric means, and Merkle
+	# roots), so a fresh run on any host must reproduce the committed
+	# artifacts exactly; timings (including the serve warm/cache
+	# speedups and the ledger append throughput) are recorded but not
+	# gated. A suite missing from fresh-bench/ fails the check.
 	mkdir -p fresh-bench
 	for suite in sweep integrity serve ledger; do
 		go run ./cmd/benchsuite -$suite -out fresh-bench/BENCH_$suite.json
