@@ -51,32 +51,7 @@ func BenchmarkAblationJournaling(b *testing.B) {
 
 // --- A2: imperative recovery (§IV-D) ---
 
-func recoveryStall(imperative bool) sim.Time {
-	eng := sim.NewEngine()
-	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(2200))
-	client := lustre.NewClient(0, topology.Coord{}, fs, lustre.NullTransport{Eng: eng})
-	var file *lustre.File
-	fs.CreateOn("app/out", []int{0}, func(f *lustre.File) { file = f })
-	eng.Run()
-	lustre.FailOSS(fs, 0, lustre.DefaultRecovery(imperative), nil)
-	start := eng.Now()
-	var doneAt sim.Time
-	client.WriteStream(file, 8<<20, 1<<20, func(int64) { doneAt = eng.Now() })
-	eng.Run()
-	return doneAt - start
-}
-
-func BenchmarkAblationImperativeRecovery(b *testing.B) {
-	var with, without sim.Time
-	for i := 0; i < b.N; i++ {
-		without = recoveryStall(false)
-		with = recoveryStall(true)
-	}
-	printOnce("A2 ablation: imperative recovery (paper Sec. IV-D)", fmt.Sprintf(
-		"application stall across an OSS failover: %v without IR -> %v with IR (%.1fx shorter)\n",
-		without, with, float64(without)/float64(with)))
-	b.ReportMetric(float64(without)/float64(with), "stall-reduction")
-}
+func BenchmarkAblationImperativeRecovery(b *testing.B) { benchStudy(b, "recovery") }
 
 // --- A3: asymmetric router notification (§IV-D) ---
 

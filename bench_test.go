@@ -5,6 +5,8 @@
 //
 // Experiment ids (F* = figures, E* = embedded quantitative claims)
 // follow DESIGN.md; EXPERIMENTS.md records paper-vs-measured values.
+// F3, F4, E1, E2, E3, E6, E8, E11, E13 and A2 run their study from
+// internal/experiment, the one definition `spidersim <study>` shares.
 package spiderfs_test
 
 import (
@@ -15,21 +17,19 @@ import (
 	"spiderfs/internal/benchsuite"
 	"spiderfs/internal/center"
 	"spiderfs/internal/disk"
+	"spiderfs/internal/experiment"
 	"spiderfs/internal/failure"
 	"spiderfs/internal/iosi"
 	"spiderfs/internal/lustre"
 	"spiderfs/internal/monitor"
 	"spiderfs/internal/netsim"
 	"spiderfs/internal/placement"
-	"spiderfs/internal/procure"
 	"spiderfs/internal/provision"
-	"spiderfs/internal/purge"
 	"spiderfs/internal/qa"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
-	"spiderfs/internal/stats"
 	"spiderfs/internal/tools"
 	"spiderfs/internal/topology"
 	"spiderfs/internal/workload"
@@ -45,6 +45,21 @@ func printOnce(id, body string) {
 		return
 	}
 	fmt.Printf("\n--- %s ---\n%s", id, body)
+}
+
+// benchStudy runs the named internal/experiment study at its benchmark
+// seed, prints its table once and reports its headline.
+func benchStudy(b *testing.B, name string) {
+	s, ok := experiment.Lookup(name)
+	if !ok {
+		b.Fatalf("no study %q", name)
+	}
+	var r experiment.Result
+	for i := 0; i < b.N; i++ {
+		r = s.Run(s.Seed)
+	}
+	printOnce(r.Title, r.Body)
+	b.ReportMetric(r.Headline, s.Unit)
 }
 
 // ---------------------------------------------------------------- F2
@@ -71,145 +86,23 @@ func BenchmarkFig2RouterPlacement(b *testing.B) {
 
 // ---------------------------------------------------------------- F3
 
-func fig3Sweep() []workload.IORResult {
-	sizes := []int64{64 << 10, 256 << 10, 1 << 20, 4 << 20}
-	out := make([]workload.IORResult, 0, len(sizes))
-	for i, sz := range sizes {
-		c := center.New(center.Config{Small: true, Namespaces: 1, Seed: uint64(300 + i)})
-		out = append(out, c.RunIOR(0, workload.IORConfig{
-			Clients:      32,
-			TransferSize: sz,
-			StoneWall:    300 * sim.Millisecond,
-		}))
-	}
-	return out
-}
-
-func BenchmarkFig3TransferSize(b *testing.B) {
-	var res []workload.IORResult
-	for i := 0; i < b.N; i++ {
-		res = fig3Sweep()
-	}
-	body := fmt.Sprintf("%-10s %12s\n", "xfer", "agg MB/s")
-	var peak float64
-	var peakAt int64
-	for _, r := range res {
-		body += fmt.Sprintf("%-10d %12.1f\n", r.Transfer, r.AggregateBps/1e6)
-		if r.AggregateBps > peak {
-			peak, peakAt = r.AggregateBps, r.Transfer
-		}
-	}
-	body += fmt.Sprintf("knee at %d bytes; plateau beyond the 1 MiB wire-RPC cap (paper: best at 1 MiB, mild decline after)\n", peakAt)
-	printOnce("F3 IOR bandwidth vs transfer size (Fig. 3)", body)
-	b.ReportMetric(peak/1e9, "peak-GB/s")
-}
+func BenchmarkFig3TransferSize(b *testing.B) { benchStudy(b, "fig3") }
 
 // ---------------------------------------------------------------- F4
 
-func fig4Sweep() []workload.IORResult {
-	counts := []int{2, 4, 8, 16, 32, 64, 128}
-	out := make([]workload.IORResult, 0, len(counts))
-	for i, n := range counts {
-		c := center.New(center.Config{Small: true, Namespaces: 1, Seed: uint64(400 + i)})
-		out = append(out, c.RunIOR(0, workload.IORConfig{
-			Clients:      n,
-			TransferSize: 1 << 20,
-			StoneWall:    300 * sim.Millisecond,
-		}))
-	}
-	return out
-}
-
-func BenchmarkFig4ClientScaling(b *testing.B) {
-	var res []workload.IORResult
-	for i := 0; i < b.N; i++ {
-		res = fig4Sweep()
-	}
-	body := fmt.Sprintf("%-10s %12s\n", "clients", "agg MB/s")
-	var plateau float64
-	for _, r := range res {
-		body += fmt.Sprintf("%-10d %12.1f\n", r.Clients, r.AggregateBps/1e6)
-		if r.AggregateBps > plateau {
-			plateau = r.AggregateBps
-		}
-	}
-	body += "shape: near-linear scaling then a controller-bound plateau (paper: linear to ~6,000 clients, then steady)\n"
-	printOnce("F4 IOR bandwidth vs client count (Fig. 4)", body)
-	b.ReportMetric(plateau/1e9, "plateau-GB/s")
-}
+func BenchmarkFig4ClientScaling(b *testing.B) { benchStudy(b, "fig4") }
 
 // ---------------------------------------------------------------- E1
 
-func BenchmarkE1WorkloadMix(b *testing.B) {
-	var tr *workload.MixedTrace
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(500))
-		cfg := workload.DefaultMixed()
-		cfg.Duration = 3 * sim.Second
-		cfg.MeanArrival = 4 * sim.Millisecond
-		cfg.LargeMaxUnits = 4
-		tr = workload.RunMixed(fs, cfg, rng.New(501))
-	}
-	small, large := 0, 0
-	for _, s := range tr.Sizes {
-		if s <= 16<<10 {
-			small++
-		} else if s >= 1<<20 {
-			large++
-		}
-	}
-	// Fit the Pareto tail above the median gap: the merged arrival
-	// process of many streams is heavy-tailed in its tail, not its body.
-	fit := stats.FitPareto(tr.InterArrivals, stats.Percentile(tr.InterArrivals, 0.5))
-	n := float64(len(tr.Sizes))
-	printOnce("E1 workload characterization (paper Sec. II)", fmt.Sprintf(
-		"write fraction: %.2f (paper: 0.60)\nsize modality: %.0f%% <=16KiB, %.0f%% >=1MiB (paper: bimodal)\ninter-arrival Pareto tail alpha: %.2f over %d tail gaps (paper: long-tail Pareto)\n",
-		tr.WriteFraction(), 100*float64(small)/n, 100*float64(large)/n, fit.Alpha, fit.N))
-	b.ReportMetric(tr.WriteFraction(), "write-frac")
-}
+func BenchmarkE1WorkloadMix(b *testing.B) { benchStudy(b, "mixed") }
 
 // ---------------------------------------------------------------- E2
 
-func BenchmarkE2CheckpointSizing(b *testing.B) {
-	var seq, rnd float64
-	var res workload.CheckpointResult
-	for i := 0; i < b.N; i++ {
-		seq = procure.CheckpointBandwidth(600e12, 0.75, 6*sim.Minute)
-		rnd = procure.RandomDerate(1e12, 0.24)
-		c := center.New(center.Config{Small: true, Namespaces: 1, Seed: 600})
-		res = workload.RunCheckpoint(c.Namespaces[0], workload.CheckpointConfig{
-			Writers: 64, BytesPerRank: 16 << 20, TransferSize: 1 << 20,
-		})
-	}
-	printOnce("E2 checkpoint sizing (paper Sec. III-A)", fmt.Sprintf(
-		"75%% of 600 TB in 6 min -> %.2f TB/s (paper: the 1 TB/s class requirement)\nrandom derate at 24%% -> %.0f GB/s (paper: 240 GB/s)\nsimulated miniature checkpoint: %.2f GB/s on 2/56-scale controllers\n",
-		seq/1e12, rnd/1e9, res.AggregateBps/1e9))
-	b.ReportMetric(seq/1e12, "TB/s-req")
-}
+func BenchmarkE2CheckpointSizing(b *testing.B) { benchStudy(b, "checkpoint") }
 
 // ---------------------------------------------------------------- E3
 
-func BenchmarkE3SlowDiskRounds(b *testing.B) {
-	var rep qa.Report
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		dcfg := disk.NLSAS2TB()
-		dcfg.Capacity = 1 << 30
-		groups := raid.BuildGroups(eng, 32, raid.Spider2Group(), dcfg, disk.DefaultPopulation(), rng.New(700))
-		cfg := qa.DefaultElimination()
-		cfg.BenchBytes = 32 << 20
-		rep = qa.RunElimination(eng, groups, cfg, rng.New(701))
-	}
-	body := ""
-	for _, r := range rep.Rounds {
-		body += fmt.Sprintf("round %d: mean %.0f MB/s, spread %.1f%%, replaced %d\n",
-			r.Index, r.MeanMBps, r.Spread*100, r.Replaced)
-	}
-	body += fmt.Sprintf("%v\n(paper: ~1,500 + ~500 of 20,160 drives replaced; 5%%->7.5%% envelope)\n", rep)
-	printOnce("E3 slow-disk elimination (paper Sec. V-A)", body)
-	b.ReportMetric(float64(rep.TotalReplaced)/320, "replaced-frac")
-}
+func BenchmarkE3SlowDiskRounds(b *testing.B) { benchStudy(b, "slowdisk") }
 
 // ---------------------------------------------------------------- E4
 
@@ -328,31 +221,7 @@ func BenchmarkE5LibPIO(b *testing.B) {
 
 // ---------------------------------------------------------------- E6
 
-func BenchmarkE6DataCentric(b *testing.B) {
-	var dc, ex center.WorkflowResult
-	var cmp procure.ModelComparison
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		shared := lustre.Build(eng, lustre.TestNamespace(), rng.New(1000))
-		dc = center.DataCentricWorkflow(shared, 256<<20, 4, 4)
-		eng2 := sim.NewEngine()
-		simFS := lustre.Build(eng2, lustre.TestNamespace(), rng.New(1001))
-		p := lustre.TestNamespace()
-		p.Name = "viz"
-		vizFS := lustre.Build(eng2, p, rng.New(1002))
-		ex = center.ExclusiveWorkflow(simFS, vizFS, 256<<20, 4, 4, 10e9)
-		cmp = procure.CompareModels([]procure.Platform{
-			{Name: "titan", MemBytes: 710e12, WorkflowShareBytes: 100e12},
-			{Name: "analysis", MemBytes: 30e12, WorkflowShareBytes: 20e12},
-			{Name: "viz", MemBytes: 20e12, WorkflowShareBytes: 10e12},
-			{Name: "dtn", MemBytes: 10e12, WorkflowShareBytes: 5e12},
-		}, procure.Spider2SSU(), 10e9)
-	}
-	printOnce("E6 data-centric vs machine-exclusive (paper Secs. II, VII)", fmt.Sprintf(
-		"workflow: data-centric %v vs exclusive %v (transfer %v, %d MiB moved)\nacquisition: %v\n",
-		dc.Total, ex.Total, ex.TransferTime, ex.BytesMoved>>20, cmp))
-	b.ReportMetric(float64(ex.Total)/float64(dc.Total), "exclusive/dc-time")
-}
+func BenchmarkE6DataCentric(b *testing.B) { benchStudy(b, "workflow") }
 
 // ---------------------------------------------------------------- E7
 
@@ -390,47 +259,7 @@ func BenchmarkE7FillLevel(b *testing.B) {
 
 // ---------------------------------------------------------------- E8
 
-func e8Run(layout raid.EnclosureLayout, seed uint64) failure.IncidentReport {
-	eng := sim.NewEngine()
-	dcfg := disk.NLSAS2TB()
-	dcfg.Capacity = 64 << 20
-	groups := raid.BuildGroups(eng, 4, raid.Spider2Group(), dcfg, disk.DefaultPopulation(), rng.New(seed))
-	for _, g := range groups {
-		g.RebuildPause = 30 * sim.Minute
-		g.RebuildChunk = 8
-	}
-	c := raid.NewCouplet(eng, 0, layout, groups)
-	g := groups[0]
-	g.FailDisk(0)
-	repl := disk.New(eng, 9999, dcfg, disk.Nominal(), rng.New(seed).Split("r"))
-	g.StartRebuild(0, repl, nil)
-	c.ControllerFailover()
-	c.Journal.Log(1_000_000)
-	eng.RunFor(sim.Hour)
-	c.FailEnclosure(1)
-	eng.RunFor(17 * sim.Hour)
-	rep := failure.IncidentReport{JournalLost: c.TakeOffline()}
-	for _, gg := range c.Groups() {
-		if gg.State() == raid.Failed {
-			rep.GroupsFailed++
-		}
-	}
-	rep.FilesRecovered, rep.FilesLost = c.RecoverFiles(rng.New(seed).Split("rec"), 0.95)
-	return rep
-}
-
-func BenchmarkE8HumanError(b *testing.B) {
-	var s1, s2 failure.IncidentReport
-	for i := 0; i < b.N; i++ {
-		s1 = e8Run(raid.Spider1Layout(), 1200)
-		s2 = e8Run(raid.Spider2Layout(), 1201)
-	}
-	rate := 100 * float64(s1.FilesRecovered) / float64(s1.FilesRecovered+s1.FilesLost)
-	printOnce("E8 human-error incident (paper Sec. IV-E)", fmt.Sprintf(
-		"spider1 5x2 layout:  %d groups failed, %d journal entries lost, %.1f%% recovered (paper: >1M files, 95%%, two weeks)\nspider2 10x1 layout: %d groups failed (same operator actions tolerated)\n",
-		s1.GroupsFailed, s1.JournalLost, rate, s2.GroupsFailed))
-	b.ReportMetric(rate, "recovery-%")
-}
+func BenchmarkE8HumanError(b *testing.B) { benchStudy(b, "incident") }
 
 // ---------------------------------------------------------------- E9
 
@@ -492,27 +321,7 @@ func BenchmarkE10ScalableTools(b *testing.B) {
 
 // --------------------------------------------------------------- E11
 
-func BenchmarkE11Namespaces(b *testing.B) {
-	var one, two center.MetadataLoadResult
-	for i := 0; i < b.N; i++ {
-		run := func(n int) center.MetadataLoadResult {
-			eng := sim.NewEngine()
-			var namespaces []*lustre.FS
-			for j := 0; j < n; j++ {
-				p := lustre.TestNamespace()
-				p.Name = fmt.Sprintf("ns%d", j)
-				namespaces = append(namespaces, lustre.Build(eng, p, rng.New(uint64(1500+j))))
-			}
-			return center.MetadataStorm(namespaces, 3000, 64)
-		}
-		one = run(1)
-		two = run(2)
-	}
-	printOnce("E11 single vs multiple namespaces (paper Sec. IV-C)", fmt.Sprintf(
-		"1 namespace:  %.0f metadata ops/s (MDS util %.2f), blast radius 100%%\n2 namespaces: %.0f metadata ops/s (MDS util %.2f), blast radius 50%%\n",
-		one.OpsPerSec, one.Utilization, two.OpsPerSec, two.Utilization))
-	b.ReportMetric(two.OpsPerSec/one.OpsPerSec, "split-gain")
-}
+func BenchmarkE11Namespaces(b *testing.B) { benchStudy(b, "namespaces") }
 
 // --------------------------------------------------------------- E12
 
@@ -545,39 +354,7 @@ func BenchmarkE12BlockVsFS(b *testing.B) {
 
 // --------------------------------------------------------------- E13
 
-func BenchmarkE13Purge(b *testing.B) {
-	var deleted int64
-	var resident int64
-	var sweeps int
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(1700))
-		p := purge.New(fs, purge.Policy{MaxAge: 14 * sim.Day, Interval: sim.Day, Concurrency: 16})
-		p.Start()
-		day := 0
-		var producer func()
-		producer = func() {
-			if day >= 25 {
-				return
-			}
-			tools.Populate(fs, tools.TreeSpec{Dirs: 1, FilesPerDir: 20, FileSize: 8 << 20,
-				Root: fmt.Sprintf("day%02d", day)})
-			day++
-			eng.After(sim.Day, producer)
-		}
-		producer()
-		eng.RunUntil(25 * sim.Day)
-		p.Stop()
-		eng.Run()
-		deleted = p.Deleted
-		resident = fs.NumFiles
-		sweeps = len(p.Sweeps)
-	}
-	printOnce("E13 purge policy (paper Sec. IV-C)", fmt.Sprintf(
-		"25 days at 20 files/day under the 14-day policy: %d sweeps, %d deleted, %d resident (~15 days of production)\n",
-		sweeps, deleted, resident))
-	b.ReportMetric(float64(resident), "resident-files")
-}
+func BenchmarkE13Purge(b *testing.B) { benchStudy(b, "purge") }
 
 // --------------------------------------------------------------- E14
 

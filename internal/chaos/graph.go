@@ -115,9 +115,6 @@ func (g *Graph) Add(name string, kind Kind, deps ...string) *Node {
 	return n
 }
 
-// Node returns the named node, or nil.
-func (g *Graph) Node(name string) *Node { return g.nodes[name] }
-
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node { return append([]*Node(nil), g.order...) }
 

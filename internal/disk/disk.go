@@ -58,20 +58,6 @@ func NLSAS2TB() Config {
 	}
 }
 
-// SATA1TB returns the SATA drive class used in Spider I.
-func SATA1TB() Config {
-	return Config{
-		Name:         "sata-1tb",
-		Capacity:     1_000_000_000_000,
-		SeekBase:     2 * sim.Millisecond,
-		SeekFull:     30 * sim.Millisecond,
-		RPM:          7200,
-		PeakMBps:     110,
-		ZoneSlowdown: 0.35,
-		CmdOverhead:  500 * sim.Microsecond,
-	}
-}
-
 // Op is a single disk command.
 type Op struct {
 	Write bool

@@ -59,9 +59,6 @@ type ScanResult struct {
 	Silent int // silently corrupt sectors
 }
 
-// Corrupt reports whether the extent holds any defect.
-func (sr ScanResult) Corrupt() bool { return sr.UREs > 0 || sr.Silent > 0 }
-
 // SetFaultInjection arms (or, with a nil src, disarms) the media-error
 // model. The stream must be dedicated to this disk — injection draws
 // advance it on every command while armed.

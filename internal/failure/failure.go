@@ -23,11 +23,6 @@ type DiskFailureConfig struct {
 	ReplaceDelay sim.Time
 }
 
-// DefaultDiskFailures mirrors fleet behaviour.
-func DefaultDiskFailures() DiskFailureConfig {
-	return DiskFailureConfig{AnnualFailureRate: 0.03, ReplaceDelay: 4 * sim.Hour}
-}
-
 // Injector runs failure processes against a set of RAID groups.
 type Injector struct {
 	eng    *sim.Engine
@@ -186,37 +181,41 @@ type IncidentReport struct {
 	FilesLost      int64
 }
 
-// HumanErrorScenario replays §IV-E against the given couplet: a disk is
-// replaced (rebuild starts), the controller connection is interrupted
-// and fails over (unit returns to production still rebuilding), and
-// eighteen (simulated) hours later the array is taken offline while
-// still rebuilding, dropping the journal. journalFiles is the metadata
-// exposure (over a million files in the real event); recovery proceeds
-// at the given success rate (~0.95 achieved over two weeks).
-func HumanErrorScenario(eng *sim.Engine, c *raid.Couplet, journalFiles int64, recoveryRate float64, src *rng.Source) IncidentReport {
-	groups := c.Groups()
+// HumanErrorScenario replays §IV-E on a couplet of four RAID groups
+// (64 MiB NL-SAS members) wired under layout. A disk is replaced and
+// its rebuild starts; the controller connection is interrupted and
+// fails over, so the unit returns to production still rebuilding and a
+// million files' metadata accumulate in the journal. An hour in, the
+// enclosure housing other members of the group drops (the compounding
+// hardware failure); seventeen hours later the array is taken offline
+// while still rebuilding, dropping the journal, and recovery proceeds
+// at the ~95% rate achieved over two weeks.
+func HumanErrorScenario(layout raid.EnclosureLayout, seed uint64) IncidentReport {
+	eng := sim.NewEngine()
+	dcfg := disk.NLSAS2TB()
+	dcfg.Capacity = 64 << 20
+	groups := raid.BuildGroups(eng, 4, raid.Spider2Group(), dcfg, disk.DefaultPopulation(), rng.New(seed))
+	for _, g := range groups {
+		g.RebuildPause = 30 * sim.Minute
+		g.RebuildChunk = 8
+	}
+	c := raid.NewCouplet(eng, 0, layout, groups)
 	g := groups[0]
-	// A drive is pulled and replaced; rebuild begins.
 	g.FailDisk(0)
-	repl := disk.New(eng, 999999, g.Disks()[0].Config(), disk.Nominal(), src.Split("incident-repl"))
+	repl := disk.New(eng, 9999, dcfg, disk.Nominal(), rng.New(seed).Split("r"))
 	g.StartRebuild(0, repl, nil)
-
-	// Controller-enclosure connection interrupted; failover as designed.
 	c.ControllerFailover()
+	c.Journal.Log(1_000_000)
+	eng.RunFor(sim.Hour)
+	c.FailEnclosure(1)
+	eng.RunFor(17 * sim.Hour)
 
-	// Production continues against the rebuilding unit: journal entries
-	// accumulate.
-	c.Journal.Log(journalFiles)
-	eng.RunFor(18 * sim.Hour)
-
-	// The array is taken offline while still in rebuild state.
-	rep := IncidentReport{}
-	rep.JournalLost = c.TakeOffline()
+	rep := IncidentReport{JournalLost: c.TakeOffline()}
 	for _, gg := range groups {
 		if gg.State() == raid.Failed {
 			rep.GroupsFailed++
 		}
 	}
-	rep.FilesRecovered, rep.FilesLost = c.RecoverFiles(src.Split("recovery"), recoveryRate)
+	rep.FilesRecovered, rep.FilesLost = c.RecoverFiles(rng.New(seed).Split("rec"), 0.95)
 	return rep
 }

@@ -150,8 +150,8 @@ func TestCableFlapFeedsCoalescer(t *testing.T) {
 // loses data and the journal; under the corrected 10-enclosure layout
 // the same operator actions are survivable.
 func TestHumanErrorScenarioLayoutContrast(t *testing.T) {
-	spider1 := runWithEnclosureLoss(t, raid.Spider1Layout(), 10)
-	spider2 := runWithEnclosureLoss(t, raid.Spider2Layout(), 20)
+	spider1 := HumanErrorScenario(raid.Spider1Layout(), 10)
+	spider2 := HumanErrorScenario(raid.Spider2Layout(), 20)
 
 	if spider1.GroupsFailed == 0 {
 		t.Fatal("Spider I layout should lose groups")
@@ -159,65 +159,15 @@ func TestHumanErrorScenarioLayoutContrast(t *testing.T) {
 	if spider1.JournalLost != 1_000_000 {
 		t.Fatalf("journal lost = %d, want 1M (unclean offline)", spider1.JournalLost)
 	}
+	if got := spider1.FilesRecovered + spider1.FilesLost; got != spider1.JournalLost {
+		t.Fatalf("recovery accounting: %d + %d != %d journal entries lost",
+			spider1.FilesRecovered, spider1.FilesLost, spider1.JournalLost)
+	}
 	rate := float64(spider1.FilesRecovered) / float64(spider1.FilesRecovered+spider1.FilesLost)
 	if rate < 0.94 || rate > 0.96 {
 		t.Fatalf("recovery rate = %.3f, want ~0.95", rate)
 	}
 	if spider2.GroupsFailed != 0 {
 		t.Fatalf("Spider II layout lost %d groups; should tolerate", spider2.GroupsFailed)
-	}
-}
-
-func runWithEnclosureLoss(t *testing.T, layout raid.EnclosureLayout, seed uint64) IncidentReport {
-	t.Helper()
-	eng := sim.NewEngine()
-	groups := smallGroups(eng, 4, seed)
-	for _, g := range groups {
-		g.RebuildPause = 30 * sim.Minute
-		g.RebuildChunk = 8
-	}
-	c := raid.NewCouplet(eng, 0, layout, groups)
-	g := groups[0]
-	g.FailDisk(0)
-	repl := disk.New(eng, 999999, g.Disks()[0].Config(), disk.Nominal(), rng.New(seed).Split("r"))
-	g.StartRebuild(0, repl, nil)
-	c.ControllerFailover()
-	c.Journal.Log(1_000_000)
-	// The enclosure housing other members of the group drops during the
-	// rebuild (the compounding hardware failure of the incident).
-	eng.RunFor(sim.Hour)
-	c.FailEnclosure(1)
-	eng.RunFor(17 * sim.Hour)
-
-	rep := IncidentReport{}
-	rep.JournalLost = c.TakeOffline()
-	for _, gg := range c.Groups() {
-		if gg.State() == raid.Failed {
-			rep.GroupsFailed++
-		}
-	}
-	rep.FilesRecovered, rep.FilesLost = c.RecoverFiles(rng.New(seed).Split("rec"), 0.95)
-	return rep
-}
-
-func TestHumanErrorScenarioBasic(t *testing.T) {
-	eng := sim.NewEngine()
-	groups := smallGroups(eng, 2, 30)
-	for _, g := range groups {
-		g.RebuildPause = 30 * sim.Minute
-		g.RebuildChunk = 8
-	}
-	c := raid.NewCouplet(eng, 0, raid.Spider1Layout(), groups)
-	rep := HumanErrorScenario(eng, c, 500_000, 0.95, rng.New(31))
-	// No enclosure loss in the base scenario: no group fails, but taking
-	// the array offline mid-rebuild still drops the journal.
-	if rep.GroupsFailed != 0 {
-		t.Fatalf("groups failed = %d", rep.GroupsFailed)
-	}
-	if rep.JournalLost != 500_000 {
-		t.Fatalf("journal lost = %d; rebuild should still be running at 18h", rep.JournalLost)
-	}
-	if rep.FilesRecovered+rep.FilesLost != 500_000 {
-		t.Fatalf("recovery accounting: %d + %d", rep.FilesRecovered, rep.FilesLost)
 	}
 }

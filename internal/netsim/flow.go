@@ -140,9 +140,6 @@ type Flow struct {
 // Rate returns the flow's current share in bytes/second.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Remaining returns bytes not yet delivered (as of the last rate event).
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Network owns links and flows for one engine.
 type Network struct {
 	eng    *sim.Engine

@@ -129,15 +129,6 @@ func (b *Balancer) CreateBalanced(path string, stripeCount int, done func(*lustr
 	b.fs.CreateOn(path, b.Suggest(stripeCount), done)
 }
 
-// LoadSnapshot reports the per-OST score vector (diagnostics and tests).
-func (b *Balancer) LoadSnapshot() []float64 {
-	out := make([]float64, len(b.fs.OSTs))
-	for i := range out {
-		out[i] = b.Score(i)
-	}
-	return out
-}
-
 // Imbalance returns (max-min)/mean of the snapshot — the load-imbalance
 // metric libPIO aims to reduce. Returns 0 for an idle system.
 func Imbalance(scores []float64) float64 {

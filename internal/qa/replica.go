@@ -10,27 +10,32 @@ import (
 	"spiderfs/internal/sweep"
 )
 
-// SlowDiskReplica returns a sweep body that runs one independent E3
-// slow-disk elimination campaign (§V-A): a fresh engine and drive fleet
-// seeded from the replica stream, the full multi-round
-// benchmark/bin/replace loop, and the campaign's headline numbers
-// recorded as metrics. Replicas share nothing, so the sweep runner can
-// fan them across workers.
+// SlowDiskCampaign runs one E3 slow-disk elimination campaign (§V-A):
+// a fresh engine and a fleet of Spider II RAID groups on 1 GiB NL-SAS
+// members drawn from fleet, then the full multi-round
+// benchmark/bin/replace loop driven by elim. It returns the campaign
+// report and the fleet's drive count.
+func SlowDiskCampaign(groups int, cfg EliminationConfig, fleet, elim *rng.Source) (Report, int) {
+	eng := sim.NewEngine()
+	dcfg := disk.NLSAS2TB()
+	dcfg.Capacity = 1 << 30
+	gs := raid.BuildGroups(eng, groups, raid.Spider2Group(), dcfg, disk.DefaultPopulation(), fleet)
+	drives := 0
+	for _, g := range gs {
+		drives += len(g.Disks())
+	}
+	return RunElimination(eng, gs, cfg, elim), drives
+}
+
+// SlowDiskReplica returns a sweep body that runs one independent
+// SlowDiskCampaign seeded from the replica stream and records the
+// campaign's headline numbers as metrics. Replicas share nothing, so
+// the sweep runner can fan them across workers.
 func SlowDiskReplica(groups int, cfg EliminationConfig) sweep.Body {
 	return func(r *sweep.Rep) error {
-		eng := sim.NewEngine()
-		dcfg := disk.NLSAS2TB()
-		dcfg.Capacity = 1 << 30
-		fleet := raid.BuildGroups(eng, groups, raid.Spider2Group(), dcfg,
-			disk.DefaultPopulation(), rng.New(r.Seed))
-		rep := RunElimination(eng, fleet, cfg, r.Src.Split("elim"))
+		rep, drives := SlowDiskCampaign(groups, cfg, rng.New(r.Seed), r.Src.Split("elim"))
 		if len(rep.Rounds) == 0 {
 			return fmt.Errorf("qa: elimination produced no rounds")
-		}
-
-		drives := 0
-		for _, g := range fleet {
-			drives += len(g.Disks())
 		}
 		first, last := rep.Rounds[0], rep.Rounds[len(rep.Rounds)-1]
 		r.Record("rounds", float64(len(rep.Rounds)))

@@ -101,9 +101,6 @@ func NewCouplet(eng *sim.Engine, id int, layout EnclosureLayout, groups []*Group
 // Groups returns the RAID groups behind the couplet.
 func (c *Couplet) Groups() []*Group { return c.groups }
 
-// Layout returns the enclosure layout.
-func (c *Couplet) Layout() EnclosureLayout { return c.layout }
-
 // FailEnclosure takes enclosure e offline: every group loses the member
 // disks housed there. Returns the number of groups that transitioned to
 // Failed (unrecoverable).

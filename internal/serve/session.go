@@ -120,13 +120,6 @@ func (s *Session) Snapshot() Snapshot {
 	}
 }
 
-// Terminal reports whether the session has reached done or failed.
-func (s *Session) Terminal() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state == StateDone || s.state == StateFailed
-}
-
 // LatencyNs returns the session's recorded execution wall latency —
 // worker pickup to terminal state — or 0 when the service has no clock
 // or the session is not terminal yet. The bench harness reads this.

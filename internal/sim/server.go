@@ -51,9 +51,6 @@ func (s *Server) Capacity() int { return s.capacity }
 // QueueLen returns the number of jobs waiting (not in service).
 func (s *Server) QueueLen() int { return len(s.queue) }
 
-// InService returns the number of jobs currently being served.
-func (s *Server) InService() int { return s.inService }
-
 // Submit enqueues a job with the given service time. done (may be nil) is
 // invoked when the job completes. Service times <= 0 are served as
 // zero-duration jobs (still pass through the queue discipline).

@@ -192,34 +192,3 @@ func RunIOR(fs *lustre.FS, cfg IORConfig) IORResult {
 	}
 	return res
 }
-
-// TransferSizeSweep reproduces Fig. 3: fixed client count, varying
-// transfer size. Each point runs on a fresh namespace built by mkFS to
-// keep points independent.
-func TransferSizeSweep(mkFS func() *lustre.FS, clients int, sizes []int64, wall sim.Time) []IORResult {
-	out := make([]IORResult, 0, len(sizes))
-	for _, sz := range sizes {
-		fs := mkFS()
-		out = append(out, RunIOR(fs, IORConfig{
-			Clients:      clients,
-			TransferSize: sz,
-			StoneWall:    wall,
-		}))
-	}
-	return out
-}
-
-// ClientScalingSweep reproduces Fig. 4: fixed transfer size, varying
-// client count.
-func ClientScalingSweep(mkFS func() *lustre.FS, counts []int, xfer int64, wall sim.Time) []IORResult {
-	out := make([]IORResult, 0, len(counts))
-	for _, n := range counts {
-		fs := mkFS()
-		out = append(out, RunIOR(fs, IORConfig{
-			Clients:      n,
-			TransferSize: xfer,
-			StoneWall:    wall,
-		}))
-	}
-	return out
-}

@@ -52,7 +52,7 @@ stage_test() {
 	# two in-process runs already; -count=2 additionally reruns each
 	# comparison in a fresh map-randomization schedule. The sweep
 	# runner's serial-vs-parallel double-runs ride the same gate.
-	go test -count=2 -run 'Deterministic' ./internal/netsim/ ./internal/chaos/ ./internal/sweep/ ./internal/benchsuite/ ./internal/integrity/ ./internal/serve/ ./internal/ledger/
+	go test -count=2 -run 'Deterministic' ./internal/netsim/ ./internal/chaos/ ./internal/sweep/ ./internal/benchsuite/ ./internal/integrity/ ./internal/serve/ ./internal/ledger/ ./internal/experiment/
 	# The benchmark (bench/) is a module of its own, so the root
 	# ./... never compiles it; test it here so a change to the
 	# simulator's public API cannot break it unnoticed.
@@ -68,10 +68,12 @@ stage_race() {
 
 stage_bench() {
 	set -x
-	# Benchmark smoke: one iteration of every netsim/sim/spantrace
-	# benchmark, including the Spider II-scale congestion wave untraced
-	# and 1-in-64 traced, so no benchmark harness can rot silently.
-	go test -bench . -benchtime=1x -run '^$' ./internal/netsim/ ./internal/sim/ ./internal/spantrace/
+	# Benchmark smoke: one iteration of every root paper-experiment
+	# benchmark (Figs. 2-4, E1-E17, ablations) and every
+	# netsim/sim/spantrace benchmark, including the Spider II-scale
+	# congestion wave untraced and 1-in-64 traced, so no benchmark
+	# harness can rot silently.
+	go test -bench . -benchtime=1x -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/spantrace/
 	set +x
 }
 
