@@ -52,8 +52,14 @@ type Controller struct {
 	eng *sim.Engine
 	srv *sim.Server
 
-	dirty   int64 // bytes admitted but not yet flushed to disk
-	waiters []ctrlWaiter
+	dirty int64 // bytes admitted but not yet flushed to disk
+	// waiters holds writes stalled on a full cache. Flushed moves the
+	// ones it releases into released, in order, and schedules one
+	// readmit event for each; readmit pops released and re-runs the
+	// admission.
+	waiters  sim.Queue[ctrlWaiter]
+	released sim.Queue[ctrlWaiter]
+	readmit  func()
 
 	// Counters.
 	RPCs         uint64
@@ -65,7 +71,7 @@ type Controller struct {
 
 type ctrlWaiter struct {
 	size int64
-	fn   func()
+	done func()
 }
 
 // NewController builds a controller couplet on eng.
@@ -73,7 +79,12 @@ func NewController(eng *sim.Engine, id int, cfg ControllerConfig) *Controller {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	return &Controller{ID: id, cfg: cfg, eng: eng, srv: sim.NewServer(eng, "ctrl", cfg.Slots)}
+	c := &Controller{ID: id, cfg: cfg, eng: eng, srv: sim.NewServer(eng, "ctrl", cfg.Slots)}
+	c.readmit = func() {
+		w, _ := c.released.Pop()
+		c.AdmitWrite(w.size, w.done)
+	}
+	return c
 }
 
 // Config returns the controller configuration.
@@ -86,8 +97,9 @@ func (c *Controller) Dirty() int64 { return c.dirty }
 func (c *Controller) Utilization() float64 { return c.srv.Utilization() }
 
 // QueueLen returns requests waiting for a controller service slot — a
-// live congestion signal the placement library reads.
-func (c *Controller) QueueLen() int { return c.srv.QueueLen() + len(c.waiters) }
+// live congestion signal the placement library reads. Released waiters
+// whose readmit event has not fired yet are not counted.
+func (c *Controller) QueueLen() int { return c.srv.QueueLen() + c.waiters.Len() }
 
 // serviceTime is the request-processing cost of moving size bytes
 // through the couplet.
@@ -106,7 +118,7 @@ func (c *Controller) AdmitWrite(size int64, done func()) {
 	}
 	if c.dirty+size > c.cfg.CacheBytes && c.dirty > 0 {
 		c.CacheStalls++
-		c.waiters = append(c.waiters, ctrlWaiter{size: size, fn: func() { c.AdmitWrite(size, done) }})
+		c.waiters.Push(ctrlWaiter{size: size, done: done})
 		return
 	}
 	c.dirty += size
@@ -136,13 +148,17 @@ func (c *Controller) Flushed(size int64) {
 	if c.dirty < 0 {
 		c.dirty = 0
 	}
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		if c.dirty+w.size > c.cfg.CacheBytes && c.dirty > 0 {
+	// Each head waiter that fits the current gap is released without
+	// reserving its space, so one gap can release several and all but
+	// the first may re-stall. That thundering herd is model behaviour.
+	for {
+		w, ok := c.waiters.Front()
+		if !ok || c.dirty+w.size > c.cfg.CacheBytes && c.dirty > 0 {
 			break
 		}
-		c.waiters = c.waiters[1:]
+		c.waiters.Pop()
+		c.released.Push(w)
 		// Re-run the admission on a fresh event to keep stack depth flat.
-		c.eng.After(0, w.fn)
+		c.eng.After(0, c.readmit)
 	}
 }

@@ -84,6 +84,74 @@ func TestControllerWaitersDrainInOrder(t *testing.T) {
 	}
 }
 
+// TestControllerHerdReleaseFIFO pins the cache-stall queue: Flushed
+// releases every head waiter that fits the freed gap, in FIFO order,
+// without reserving their space; released waiters leave QueueLen at
+// once but re-enter the admission only when their readmit event fires,
+// and the ones the gap cannot hold re-stall and count again.
+func TestControllerHerdReleaseFIFO(t *testing.T) {
+	eng := sim.NewEngine()
+	ctrl := NewController(eng, 0, ControllerConfig{Bps: 1e9, Slots: 1, CacheBytes: 4 << 20})
+	ctrl.AdmitWrite(4<<20, nil)
+	eng.Run()
+	var order []int
+	for i := 0; i < 3; i++ {
+		i := i
+		ctrl.AdmitWrite(1<<20, func() { order = append(order, i) })
+	}
+	if ctrl.CacheStalls != 3 || ctrl.QueueLen() != 3 {
+		t.Fatalf("stalls %d, queue %d; want 3, 3", ctrl.CacheStalls, ctrl.QueueLen())
+	}
+	ctrl.Flushed(2 << 20) // a 2 MiB gap releases all three 1 MiB waiters
+	if ctrl.QueueLen() != 0 || eng.Pending() != 3 {
+		t.Fatalf("after Flushed: queue %d, pending events %d; want 0, 3", ctrl.QueueLen(), eng.Pending())
+	}
+	// Readmits fire in release order: 0 takes the free slot, 1 queues
+	// behind it, 2 finds the gap taken and re-stalls.
+	for i, want := range []int{0, 1, 2} {
+		eng.Step()
+		if ctrl.QueueLen() != want {
+			t.Fatalf("after readmit %d: queue %d, want %d", i, ctrl.QueueLen(), want)
+		}
+	}
+	if ctrl.CacheStalls != 4 || ctrl.Dirty() != 4<<20 {
+		t.Fatalf("stalls %d, dirty %d; want 4, %d", ctrl.CacheStalls, ctrl.Dirty(), 4<<20)
+	}
+	eng.Run()
+	ctrl.Flushed(1 << 20)
+	eng.Run()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("completion order %v, want [0 1 2]", order)
+	}
+	if ctrl.CacheStalls != 4 || ctrl.QueueLen() != 0 {
+		t.Fatalf("stalls %d, queue %d; want 4, 0", ctrl.CacheStalls, ctrl.QueueLen())
+	}
+}
+
+// TestControllerStallAllocationCeiling pins the cost of a cache stall:
+// a waiter that Flushed releases and that re-stalls on readmit, because
+// another writer took the gap first, allocates only the readmit event.
+func TestControllerStallAllocationCeiling(t *testing.T) {
+	const size = 1 << 20
+	eng := sim.NewEngine()
+	ctrl := NewController(eng, 0, ControllerConfig{Bps: 1e9, Slots: 1, CacheBytes: 4 * size})
+	ctrl.AdmitWrite(4*size, nil)
+	ctrl.AdmitWrite(size, nil) // stalls
+	eng.Run()
+	stalls := ctrl.CacheStalls
+	perCycle := testing.AllocsPerRun(1000, func() {
+		ctrl.Flushed(size)
+		ctrl.dirty += size // another writer takes the gap
+		eng.Run()          // readmit re-stalls
+	})
+	if ctrl.CacheStalls != stalls+1001 || ctrl.QueueLen() != 1 {
+		t.Fatalf("stalls %d, queue %d; want %d, 1", ctrl.CacheStalls, ctrl.QueueLen(), stalls+1001)
+	}
+	if perCycle > 1 {
+		t.Errorf("stall -> Flushed -> readmit allocates %.2f, want <= 1", perCycle)
+	}
+}
+
 func TestObjectFlushTimerForcesResidual(t *testing.T) {
 	eng, fs := testFS(t, 92)
 	ost := fs.OSTs[0]

@@ -246,9 +246,9 @@ func TestGroupFailureDuringRebuildClearsBookkeeping(t *testing.T) {
 	if st := g.FailDisk(8); st != Failed {
 		t.Fatalf("third failure -> %v, want failed", st)
 	}
-	if g.rebuildEvent != nil || g.rebuildMember != -1 || g.rebuildNext != 0 || len(g.pending) != 0 {
+	if g.rebuildEvent != nil || g.rebuildMember != -1 || g.rebuildNext != 0 || g.pending.Len() != 0 {
 		t.Fatalf("stale rebuild bookkeeping after group failure: event=%v member=%d next=%d pending=%d",
-			g.rebuildEvent, g.rebuildMember, g.rebuildNext, len(g.pending))
+			g.rebuildEvent, g.rebuildMember, g.rebuildNext, g.pending.Len())
 	}
 	eng.Run()
 	if g.State() != Failed {

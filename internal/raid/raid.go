@@ -96,7 +96,7 @@ type Group struct {
 	rebuildGen uint64
 	// pending queues replacements that arrived while a rebuild was
 	// already running — one rebuild at a time, like a real controller.
-	pending []pendingRebuild
+	pending sim.Queue[pendingRebuild]
 	// RebuildChunk is the number of stripes reconstructed per background
 	// batch; larger values finish sooner but steal more disk time from
 	// foreground I/O.
@@ -390,7 +390,7 @@ func (g *Group) FailDisk(m int) State {
 		// Cancel the rebuild cleanly: event, cursor, and member are
 		// cleared together, and queued replacements die with the group.
 		g.cancelRebuild()
-		g.pending = nil
+		g.pending = sim.Queue[pendingRebuild]{}
 		return g.state
 	}
 	if g.state != Rebuilding {
@@ -445,9 +445,8 @@ func (g *Group) cancelRebuild() {
 // still offline. Entries whose member came back (restored, or rebuilt
 // under an earlier replacement) complete vacuously.
 func (g *Group) startQueuedRebuild() {
-	for len(g.pending) > 0 && g.state != Rebuilding && g.state != Failed {
-		p := g.pending[0]
-		g.pending = g.pending[1:]
+	for g.pending.Len() > 0 && g.state != Rebuilding && g.state != Failed {
+		p, _ := g.pending.Pop()
 		if !g.offline[p.member] {
 			if p.done != nil {
 				g.eng.After(0, p.done)
@@ -474,7 +473,7 @@ func (g *Group) StartRebuild(m int, replacement *disk.Disk, done func()) {
 		// One rebuild at a time, like a real controller: a second
 		// replacement arriving mid-rebuild waits its turn instead of
 		// clobbering the running rebuild's cursor.
-		g.pending = append(g.pending, pendingRebuild{member: m, repl: replacement, done: done})
+		g.pending.Push(pendingRebuild{member: m, repl: replacement, done: done})
 		return
 	}
 	g.beginRebuild(m, replacement, done)

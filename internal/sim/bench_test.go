@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineEventThroughput measures raw event dispatch rate — the
 // budget every model layer spends from.
@@ -16,18 +19,30 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkServerPipeline measures the FIFO server fast path.
+// BenchmarkServerPipeline measures the FIFO server per job: b.N jobs
+// through a lone single-slot server with 1 or 1,024 jobs standing in
+// its queue, as bench/probes.go's sim.server_ns_per_job probe does. The
+// two sub-benchmarks cost the same when the dequeue is O(1).
 func BenchmarkServerPipeline(b *testing.B) {
-	e := NewEngine()
-	s := NewServer(e, "bench", 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Submit(Microsecond, nil)
-		if s.QueueLen() > 1000 {
+	for _, depth := range []int{1, 1024} {
+		b.Run(fmt.Sprintf("q%d", depth), func(b *testing.B) {
+			e := NewEngine()
+			s := NewServer(e, "bench", 1)
+			submitted := 0
+			var next func()
+			next = func() {
+				if submitted < b.N {
+					submitted++
+					s.Submit(Microsecond, next)
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; i <= depth; i++ {
+				next()
+			}
 			e.Run()
-		}
+		})
 	}
-	e.Run()
 }
 
 // BenchmarkCancelChurn measures schedule+cancel cycles (the network

@@ -15,7 +15,7 @@ type Server struct {
 	capacity int
 
 	inService int
-	queue     []serverJob
+	queue     Queue[serverJob]
 
 	// statistics
 	Completed   uint64
@@ -49,7 +49,7 @@ func (s *Server) Name() string { return s.name }
 func (s *Server) Capacity() int { return s.capacity }
 
 // QueueLen returns the number of jobs waiting (not in service).
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int { return s.queue.Len() }
 
 // Submit enqueues a job with the given service time. done (may be nil) is
 // invoked when the job completes. Service times <= 0 are served as
@@ -64,9 +64,9 @@ func (s *Server) Submit(service Time, done func()) {
 		s.start(job)
 		return
 	}
-	s.queue = append(s.queue, job)
-	if len(s.queue) > s.MaxQueue {
-		s.MaxQueue = len(s.queue)
+	s.queue.Push(job)
+	if s.queue.Len() > s.MaxQueue {
+		s.MaxQueue = s.queue.Len()
 	}
 }
 
@@ -78,10 +78,7 @@ func (s *Server) start(job serverJob) {
 		s.inService--
 		s.Completed++
 		s.ServiceTime += job.service
-		if len(s.queue) > 0 {
-			next := s.queue[0]
-			copy(s.queue, s.queue[1:])
-			s.queue = s.queue[:len(s.queue)-1]
+		if next, ok := s.queue.Pop(); ok {
 			s.start(next)
 		}
 		if job.done != nil {

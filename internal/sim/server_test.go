@@ -22,6 +22,69 @@ func TestServerFIFO(t *testing.T) {
 	if s.Completed != 5 {
 		t.Fatalf("completed = %d", s.Completed)
 	}
+
+	// Wrap-around: jobs submitted while earlier ones drain keep a
+	// one-slot server's queue two deep, so the ring's head wraps on
+	// every completion; job 5's completion submits two, growing the
+	// ring while it is wrapped.
+	e = NewEngine()
+	s = NewServer(e, "disk", 1)
+	order = nil
+	const jobs = 16
+	next := 0
+	var submit func()
+	submit = func() {
+		if next == jobs {
+			return
+		}
+		id := next
+		next++
+		s.Submit(10, func() {
+			order = append(order, id)
+			submit()
+			if id == 5 {
+				submit()
+			}
+		})
+	}
+	for i := 0; i < 3; i++ {
+		submit()
+	}
+	e.Run()
+	if len(order) != jobs {
+		t.Fatalf("completed %d of %d jobs", len(order), jobs)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("wrap-around completion order %v not FIFO", order)
+		}
+	}
+	// Jobs 3-8 wait 20 (two ahead of them), jobs 9-15 wait 30.
+	if e.Now() != 10*jobs || s.MaxQueue != 3 || s.WaitTime != 0+10+20+6*20+7*30 {
+		t.Fatalf("end %v, max queue %d, wait %v; want %d, 3, 360", e.Now(), s.MaxQueue, s.WaitTime, 10*jobs)
+	}
+}
+
+// TestServerAllocationCeiling pins the steady-state cost of a deep
+// queue: with 1,024 jobs standing in line, a submit plus a completion
+// allocates the completion event and its closure, nothing per queued
+// job.
+func TestServerAllocationCeiling(t *testing.T) {
+	e := NewEngine()
+	s := NewServer(e, "deep", 1)
+	for i := 0; i <= 1024; i++ {
+		s.Submit(Microsecond, nil)
+	}
+	perJob := testing.AllocsPerRun(1000, func() {
+		s.Submit(Microsecond, nil)
+		e.Step()
+	})
+	if s.QueueLen() != 1024 {
+		t.Fatalf("queue depth %d, want 1024", s.QueueLen())
+	}
+	if perJob > 2 {
+		t.Errorf("submit+complete at depth 1024 allocates %.2f, want <= 2", perJob)
+	}
 }
 
 func TestServerParallelSlots(t *testing.T) {

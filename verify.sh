@@ -70,10 +70,10 @@ stage_bench() {
 	set -x
 	# Benchmark smoke: one iteration of every root paper-experiment
 	# benchmark (Figs. 2-4, E1-E17, ablations) and every
-	# netsim/sim/spantrace benchmark, including the Spider II-scale
-	# congestion wave untraced and 1-in-64 traced, so no benchmark
-	# harness can rot silently.
-	go test -bench . -benchtime=1x -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/spantrace/
+	# netsim/sim/lustre/raid/spantrace benchmark, including the Spider
+	# II-scale congestion wave untraced and 1-in-64 traced, so no
+	# benchmark harness can rot silently.
+	go test -bench . -benchtime=1x -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/lustre/ ./internal/raid/ ./internal/spantrace/
 	set +x
 }
 
