@@ -43,7 +43,7 @@ type Injector struct {
 	Rebuilds int
 	DataLoss int // groups that transitioned to Failed
 	stopped  bool
-	pending  *sim.Event
+	pending  sim.Event
 	replID   int
 	live     []*raid.Group // scratch for injectOne resampling
 }
@@ -61,10 +61,7 @@ func (in *Injector) Start() {
 // Stop halts the process.
 func (in *Injector) Stop() {
 	in.stopped = true
-	if in.pending != nil {
-		in.pending.Cancel()
-		in.pending = nil
-	}
+	in.pending.Cancel()
 }
 
 // meanGap returns the expected time between failures across the fleet.

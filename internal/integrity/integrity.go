@@ -60,7 +60,7 @@ type Scrubber struct {
 	g       *raid.Group
 	cfg     Config
 	next    int64 // next stripe to scrub
-	ev      *sim.Event
+	ev      sim.Event
 	running bool
 
 	// Escalate, when set, is invoked once per scrub batch that found
@@ -113,14 +113,10 @@ func (s *Scrubber) Start() {
 // Stop disarms the scrubber, cancelling any pending batch.
 func (s *Scrubber) Stop() {
 	s.running = false
-	if s.ev != nil {
-		s.ev.Cancel()
-		s.ev = nil
-	}
+	s.ev.Cancel()
 }
 
 func (s *Scrubber) batch() {
-	s.ev = nil
 	if !s.running {
 		return
 	}

@@ -34,7 +34,7 @@ type Sampler struct {
 	series   Series
 	last     int64
 	stop     bool
-	pending  *sim.Event
+	pending  sim.Event
 }
 
 // NewSampler starts sampling immediately and runs until Stop. The
@@ -71,10 +71,7 @@ func (s *Sampler) schedule() {
 // collected series.
 func (s *Sampler) Stop() Series {
 	s.stop = true
-	if s.pending != nil {
-		s.pending.Cancel()
-		s.pending = nil
-	}
+	s.pending.Cancel()
 	return s.series
 }
 

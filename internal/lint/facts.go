@@ -230,8 +230,11 @@ func markerCall(modpath string, callee *types.Func) (sinkInfo, bool) {
 	switch pkg.Path() {
 	case modpath + "/internal/sim":
 		if recv == "Engine" {
+			// schedule is the unexported entry point At and
+			// sim.Server's completions share; marking it keeps every
+			// path into the heap a sink, not only the public API.
 			switch callee.Name() {
-			case "At", "After", "Reschedule":
+			case "At", "After", "Reschedule", "schedule":
 				return mark("schedules engine events")
 			}
 		}

@@ -49,7 +49,7 @@ func (s *sched) flushViaLocal(pending map[string]sim.Time) {
 // the sink's own method value passed as a callback: eng.At handed to a
 // scheduler-shaped parameter is a direct hazard.
 func handOff(eng *sim.Engine, pending map[string]sim.Time) {
-	schedule := func(at func(sim.Time, func()) *sim.Event, t sim.Time) {
+	schedule := func(at func(sim.Time, func()) sim.Event, t sim.Time) {
 		at(t, func() {})
 	}
 	for _, t := range pending { // want ordered-map-range

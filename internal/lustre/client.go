@@ -188,7 +188,7 @@ func (s *stream) issue(size int64) {
 			ctx = spantrace.NoSpan
 		}
 	}
-	var watchdog *sim.Event
+	var watchdog sim.Event
 	if cl := s.c; cl.RPCTimeout > 0 {
 		delay := cl.RPCTimeout
 		var arm func()

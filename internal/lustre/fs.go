@@ -212,7 +212,7 @@ func (fs *FS) MkdirAll(path string, done func()) {
 	mdt := fs.mdtFor(path)
 	for i := 0; i < missing; i++ {
 		b.Add(1)
-		mdt.mkdir(b.Done)
+		mdt.mkdir(b.DoneFunc())
 	}
 	b.Arm()
 }
@@ -306,7 +306,7 @@ func (fs *FS) Stat(f *File, done func()) {
 		b := sim.NewBarrier(done)
 		for _, oi := range f.OSTIndices {
 			b.Add(1)
-			fs.OSSes[fs.ostOSS[oi]].Glimpse(b.Done)
+			fs.OSSes[fs.ostOSS[oi]].Glimpse(b.DoneFunc())
 		}
 		b.Arm()
 	})

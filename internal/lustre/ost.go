@@ -141,7 +141,7 @@ type Object struct {
 	Size       int64
 	buffered   int64
 	readPtr    int64
-	flushTimer *sim.Event
+	flushTimer sim.Event
 }
 
 // NewObject allocates an object on the OST.
@@ -352,18 +352,14 @@ func (obj *Object) flushFragmented() {
 // buffer so dirty data is bounded in time.
 func (obj *Object) armFlushTimer() {
 	if obj.buffered <= 0 {
-		if obj.flushTimer != nil {
-			obj.flushTimer.Cancel()
-			obj.flushTimer = nil
-		}
+		obj.flushTimer.Cancel()
 		return
 	}
-	if obj.flushTimer != nil && obj.flushTimer.Pending() {
+	if obj.flushTimer.Pending() {
 		return
 	}
 	o := obj.ost
 	obj.flushTimer = o.eng.After(o.FlushDelay, func() {
-		obj.flushTimer = nil
 		if obj.buffered > 0 {
 			n := obj.buffered
 			obj.buffered = 0
@@ -382,10 +378,7 @@ func (obj *Object) armFlushTimer() {
 // Flush forces any residual buffered bytes to disk (file close/fsync).
 func (obj *Object) Flush(done func()) {
 	o := obj.ost
-	if obj.flushTimer != nil {
-		obj.flushTimer.Cancel()
-		obj.flushTimer = nil
-	}
+	obj.flushTimer.Cancel()
 	if obj.buffered <= 0 {
 		o.eng.After(0, done)
 		return
@@ -442,10 +435,7 @@ func (obj *Object) Read(size int64, random bool, done func()) {
 // Destroy releases the object's bytes (unlink).
 func (obj *Object) Destroy() {
 	o := obj.ost
-	if obj.flushTimer != nil {
-		obj.flushTimer.Cancel()
-		obj.flushTimer = nil
-	}
+	obj.flushTimer.Cancel()
 	if obj.buffered > 0 {
 		o.ctrl.Flushed(obj.buffered) // dirty data discarded with the object
 		obj.buffered = 0

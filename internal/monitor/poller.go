@@ -88,7 +88,7 @@ type ControllerPoller struct {
 	ctrls    []*lustre.Controller
 	interval sim.Time
 	stop     bool
-	pending  *sim.Event
+	pending  sim.Event
 
 	lastRPCs  []uint64
 	lastBytes []int64
@@ -128,10 +128,7 @@ func (p *ControllerPoller) schedule() {
 // Stop halts polling and cancels the pending tick.
 func (p *ControllerPoller) Stop() {
 	p.stop = true
-	if p.pending != nil {
-		p.pending.Cancel()
-		p.pending = nil
-	}
+	p.pending.Cancel()
 }
 
 // StandardChecks returns the check battery OLCF ran against a

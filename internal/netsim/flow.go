@@ -130,7 +130,7 @@ type Flow struct {
 	remaining  float64
 	rate       float64
 	lastUpdate sim.Time
-	completion *sim.Event
+	completion sim.Event
 	done       func()
 	net        *Network
 	activeIdx  int    // index in Network.active, -1 once finished
@@ -299,7 +299,6 @@ func (n *Network) reassign(flows []*Flow) {
 		f.rate = rate
 		if rate <= 0 {
 			f.completion.Cancel()
-			f.completion = nil
 			continue
 		}
 		dur := sim.FromSeconds(f.remaining / rate)
@@ -314,7 +313,7 @@ func (n *Network) reassign(flows []*Flow) {
 		// Move the existing completion event when possible: same FIFO
 		// semantics as cancel+reschedule (fresh sequence number), but no
 		// allocation and no canceled tombstone left in the event heap.
-		if f.completion != nil && n.eng.Reschedule(f.completion, at) {
+		if n.eng.Reschedule(f.completion, at) {
 			continue
 		}
 		ff := f
@@ -332,7 +331,6 @@ func (n *Network) finish(f *Flow) {
 		l.detach(f.linkIdx[k])
 	}
 	f.rate = 0
-	f.completion = nil
 	if f.activeIdx >= 0 {
 		last := len(n.active) - 1
 		moved := n.active[last]

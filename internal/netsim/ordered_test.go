@@ -94,7 +94,7 @@ func TestUnchangedRateKeepsCompletionEvent(t *testing.T) {
 	fast := n.NewLink("fast", 10e9, 0) // plenty of slack
 	f := n.StartFlow([]*Link{slow, fast}, 1e8, nil)
 	ev := f.completion
-	if ev == nil || !ev.Pending() {
+	if !ev.Pending() {
 		t.Fatal("no completion scheduled")
 	}
 	at := ev.Time()
@@ -104,12 +104,12 @@ func TestUnchangedRateKeepsCompletionEvent(t *testing.T) {
 		n.StartFlow([]*Link{fast}, 1e6, nil)
 	}
 	if f.completion != ev || !ev.Pending() || ev.Time() != at {
-		t.Fatalf("non-bottleneck churn rescheduled the flow: event %p@%v, want %p@%v",
+		t.Fatalf("non-bottleneck churn rescheduled the flow: event %v@%v, want %v@%v",
 			f.completion, f.completion.Time(), ev, at)
 	}
 	// An arrival on the bottleneck must reschedule (rate halves). The
-	// event allocation is reused via Engine.Reschedule, so the pointer
-	// may stay the same — the time must move.
+	// event is moved via Engine.Reschedule, so the handle may stay the
+	// same — the time must move.
 	n.StartFlow([]*Link{slow}, 1e8, nil)
 	if f.completion.Time() == at {
 		t.Fatal("bottleneck arrival did not move the completion event")

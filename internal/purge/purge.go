@@ -42,7 +42,7 @@ type Purger struct {
 	fs     *lustre.FS
 	policy Policy
 
-	pending *sim.Event
+	pending sim.Event
 	stopped bool
 
 	Sweeps  []SweepReport
@@ -141,8 +141,5 @@ func (p *Purger) schedule() {
 // Stop halts periodic sweeping.
 func (p *Purger) Stop() {
 	p.stopped = true
-	if p.pending != nil {
-		p.pending.Cancel()
-		p.pending = nil
-	}
+	p.pending.Cancel()
 }

@@ -195,7 +195,7 @@ func TestRestoreDuringRebuildCancelsCleanly(t *testing.T) {
 	if st := g.RestoreDisk(4); st != Healthy {
 		t.Fatalf("restore -> %v, want healthy", st)
 	}
-	if g.rebuildEvent != nil || g.rebuildMember != -1 || g.rebuildNext != 0 {
+	if g.rebuildEvent.Pending() || g.rebuildMember != -1 || g.rebuildNext != 0 {
 		t.Fatalf("stale rebuild bookkeeping: event=%v member=%d next=%d",
 			g.rebuildEvent, g.rebuildMember, g.rebuildNext)
 	}
@@ -246,7 +246,7 @@ func TestGroupFailureDuringRebuildClearsBookkeeping(t *testing.T) {
 	if st := g.FailDisk(8); st != Failed {
 		t.Fatalf("third failure -> %v, want failed", st)
 	}
-	if g.rebuildEvent != nil || g.rebuildMember != -1 || g.rebuildNext != 0 || g.pending.Len() != 0 {
+	if g.rebuildEvent.Pending() || g.rebuildMember != -1 || g.rebuildNext != 0 || g.pending.Len() != 0 {
 		t.Fatalf("stale rebuild bookkeeping after group failure: event=%v member=%d next=%d pending=%d",
 			g.rebuildEvent, g.rebuildMember, g.rebuildNext, g.pending.Len())
 	}

@@ -89,7 +89,7 @@ type Group struct {
 	// rebuild bookkeeping
 	rebuildMember int
 	rebuildNext   int64 // next stripe index to reconstruct
-	rebuildEvent  *sim.Event
+	rebuildEvent  sim.Event
 	// rebuildGen orphans in-flight batch chains when a rebuild is
 	// cancelled (group failure, member restore) or superseded: batch
 	// continuations check their generation before rescheduling.
@@ -237,7 +237,7 @@ func (g *Group) submitTo(member int, op disk.Op, b *sim.Barrier) {
 		return
 	}
 	b.Add(1)
-	g.dsks[member].Submit(op, b.Done)
+	g.dsks[member].Submit(op, b.DoneFunc())
 }
 
 // Read issues a logical read of size bytes at offset off and calls done
@@ -294,7 +294,7 @@ func (g *Group) Write(off, size int64, done func()) {
 		g.PartialWrite++
 		rmw := g.tracer.Begin(spantrace.RAID, "rmw", sp, (chunkLast-chunkFirst+1)*g.cfg.ChunkSize)
 		b.Add(1)
-		stripeDone := b.Done
+		stripeDone := b.DoneFunc()
 		if rmw != 0 {
 			stripeDone = func() {
 				g.tracer.End(rmw)
@@ -432,10 +432,7 @@ func (g *Group) RestoreDisk(m int) State {
 // event, cursor, member, and the generation that orphans any in-flight
 // batch continuation.
 func (g *Group) cancelRebuild() {
-	if g.rebuildEvent != nil {
-		g.rebuildEvent.Cancel()
-		g.rebuildEvent = nil
-	}
+	g.rebuildEvent.Cancel()
 	g.rebuildMember = -1
 	g.rebuildNext = 0
 	g.rebuildGen++
@@ -513,7 +510,6 @@ func (g *Group) rebuildBatch(gen uint64, done func()) {
 		} else {
 			g.state = Degraded
 		}
-		g.rebuildEvent = nil
 		g.rebuildMember = -1
 		g.rebuildNext = 0
 		if done != nil {
@@ -551,10 +547,10 @@ func (g *Group) rebuildBatch(gen uint64, done func()) {
 			continue
 		}
 		b.Add(1)
-		g.dsks[i].Submit(disk.Op{LBA: first * g.cfg.ChunkSize, Size: size}, b.Done)
+		g.dsks[i].Submit(disk.Op{LBA: first * g.cfg.ChunkSize, Size: size}, b.DoneFunc())
 	}
 	b.Add(1)
-	g.dsks[g.rebuildMember].Submit(disk.Op{Write: true, LBA: first * g.cfg.ChunkSize, Size: size}, b.Done)
+	g.dsks[g.rebuildMember].Submit(disk.Op{Write: true, LBA: first * g.cfg.ChunkSize, Size: size}, b.DoneFunc())
 	// Latent errors on the survivors surface here, with parity margin
 	// already spent on the rebuilding member — repair or escalate.
 	g.checkRange(first*g.cfg.ChunkSize, size, false, b)

@@ -8,6 +8,7 @@ type Barrier struct {
 	remaining int
 	armed     bool
 	done      func()
+	doneFn    func() // b.Done as a func value, bound on first DoneFunc
 }
 
 // NewBarrier returns a barrier that calls done when Arm has been called
@@ -25,6 +26,16 @@ func (b *Barrier) Done() {
 		panic("sim: Barrier.Done called more times than Add") //simlint:allow no-library-panic caller-contract assertion: Done without a matching Add
 	}
 	b.fireIfReady()
+}
+
+// DoneFunc returns b.Done as a completion callback. The method value is
+// bound once per barrier, so handing it to every sub-job of a fan-out
+// allocates once rather than once per sub-job.
+func (b *Barrier) DoneFunc() func() {
+	if b.doneFn == nil {
+		b.doneFn = b.Done
+	}
+	return b.doneFn
 }
 
 // Arm declares that no further Add calls will occur. If all sub-jobs have

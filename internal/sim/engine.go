@@ -1,75 +1,150 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// Event is a scheduled callback. The zero Event is invalid; events are
-// created by Engine.At and Engine.After. An Event may be canceled before
-// it fires; cancellation is cheap (lazy deletion from the heap).
+// Event is a handle to a scheduled callback, returned by Engine.At and
+// Engine.After. It is a small value: copy it freely. The engine recycles
+// the event behind a handle once it fires, once its canceled tombstone
+// leaves the heap, and on Reset; a generation number in the handle tells
+// the uses of one event apart, so a handle outlives its event safely:
+// Cancel, Reschedule and Pending on a fired, canceled or pre-Reset
+// handle are no-ops that report false, even when the engine has since
+// reused the event for another callback. The zero Event is a valid
+// handle that is never pending.
 type Event struct {
+	ev  *event
+	gen uint64
+}
+
+// event is the engine's recycled record of one scheduled callback. A
+// sim.Server completion is data, not a closure: the server and the job's
+// service time ride in srv and service, and fn is the job's own done.
+// The fields fit a 64-byte allocation class.
+type event struct {
 	t        Time
 	seq      uint64
 	fn       func()
+	srv      *Server
+	service  Time
 	eng      *Engine
-	canceled bool
-	fired    bool
-	idx      int // position in the heap, -1 once popped
+	gen      uint64 // bumped each time the event is recycled
+	idx      int32  // position in the heap
+	canceled bool   // a tombstone awaiting removal from the heap
 }
 
-// Time returns when the event is (or was) scheduled to fire.
-func (e *Event) Time() Time { return e.t }
+// live returns the handle's event if it is still pending, else nil.
+func (h Event) live() *event {
+	if h.ev == nil || h.ev.gen != h.gen || h.ev.canceled {
+		return nil
+	}
+	return h.ev
+}
+
+// Time returns when a pending event is scheduled to fire, or 0 once it
+// has fired or been canceled.
+func (h Event) Time() Time {
+	if ev := h.live(); ev != nil {
+		return ev.t
+	}
+	return 0
+}
 
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op. Cancel reports whether the event was
 // still pending. The canceled event stays in the heap as a tombstone
 // (lazy deletion); the engine's live-event accounting and tombstone
 // reaping keep Pending and heap size honest regardless.
-func (e *Event) Cancel() bool {
-	if e == nil || e.fired || e.canceled {
+func (h Event) Cancel() bool {
+	ev := h.live()
+	if ev == nil {
 		return false
 	}
-	e.canceled = true
-	e.fn = nil
-	if e.eng != nil {
-		e.eng.live--
-		e.eng.tomb++
-		e.eng.maybeReap()
-	}
+	ev.canceled = true
+	ev.fn = nil
+	e := ev.eng
+	e.live--
+	e.tomb++
+	e.maybeReap()
 	return true
 }
 
 // Pending reports whether the event is still waiting to fire.
-func (e *Event) Pending() bool { return e != nil && !e.fired && !e.canceled }
+func (h Event) Pending() bool { return h.live() != nil }
 
-type eventHeap []*Event
+func (a *event) before(b *event) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// eventHeap is a binary min-heap on (t, seq). The key is a strict total
+// order, so every correct heap pops the same sequence of events.
+type eventHeap []*event
+
+func (h eventHeap) set(i int, ev *event) {
+	h[i] = ev
+	ev.idx = int32(i)
+}
+
+// up moves h[j] toward the root until its parent is before it.
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(h[i]) {
+			break
+		}
+		h.set(j, h[i])
+		j = i
 	}
-	return h[i].seq < h[j].seq
+	h.set(j, ev)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// down moves h[i] toward the leaves until both children are after it,
+// and reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	ev := h[i]
+	i0, n := i, len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].before(h[j]) {
+			j = r
+		}
+		if !h[j].before(ev) {
+			break
+		}
+		h.set(i, h[j])
+		i = j
+	}
+	h.set(i, ev)
+	return i > i0
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
+
+// fix restores heap order after h[i]'s key changed.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
 }
-func (h *eventHeap) Pop() any {
+
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	ev := old[0]
+	old[0] = old[n]
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return ev
 }
 
 // Engine is a discrete-event simulation executive. Events scheduled for
@@ -89,6 +164,7 @@ type Engine struct {
 	live  int // scheduled, uncanceled, unfired events in the heap
 	tomb  int // canceled tombstones still occupying heap slots
 	trace func(at Time, seq uint64)
+	free  []*event // recycled events, reused by schedule
 }
 
 // SetTrace installs a hook that observes every fired event (its
@@ -157,43 +233,65 @@ func (e *Engine) maybeReap() {
 	kept := e.heap[:0]
 	for _, ev := range e.heap {
 		if ev.canceled {
-			ev.idx = -1
+			e.recycle(ev)
 			continue
 		}
-		ev.idx = len(kept)
+		ev.idx = int32(len(kept))
 		kept = append(kept, ev)
-	}
-	// Zero the tail so dropped tombstones don't pin their callbacks.
-	for i := len(kept); i < len(e.heap); i++ {
-		e.heap[i] = nil
 	}
 	e.heap = kept
 	e.tomb = 0
-	heap.Init(&e.heap)
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		kept.down(i)
+	}
+}
+
+// recycle retires ev: the generation bump turns every handle to it
+// stale, and the event joins the free list for reuse. Within a run the
+// heap and the free list together hold at most the deepest heap's
+// events, so stale heap slots pin nothing that is not already kept.
+func (e *Engine) recycle(ev *event) {
+	ev.gen++
+	ev.fn = nil
+	ev.srv = nil
+	ev.canceled = false
+	e.free = append(e.free, ev)
+}
+
+// schedule queues a callback at t: fn, or srv.finish(service, fn) when
+// srv is set. It reuses a recycled event when one is free.
+func (e *Engine) schedule(t Time, fn func(), srv *Server, service Time) Event {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //simlint:allow no-library-panic causality assertion: scheduling into the past is a model bug
+	}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{eng: e}
+	}
+	ev.t, ev.seq, ev.fn, ev.srv, ev.service = t, e.seq, fn, srv, service
+	e.seq++
+	e.live++
+	e.heap.push(ev)
+	return Event{ev: ev, gen: ev.gen}
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //simlint:allow no-library-panic causality assertion: scheduling into the past is a model bug
-	}
-	ev := &Event{t: t, seq: e.seq, fn: fn, eng: e}
-	e.seq++
-	e.live++
-	heap.Push(&e.heap, ev)
-	return ev
-}
+func (e *Engine) At(t Time, fn func()) Event { return e.schedule(t, fn, nil, 0) }
 
-// Reschedule moves a still-pending event to absolute time t, reusing
-// its allocation and callback. The event receives a fresh sequence
-// number, so FIFO tie-breaking behaves exactly as if the event had been
-// canceled and newly scheduled — but without allocating a replacement
-// or leaving a canceled tombstone in the heap. It reports whether the
-// move happened; a fired or canceled event is left untouched (schedule
-// a new one instead). Like At, moving an event into the past panics.
-func (e *Engine) Reschedule(ev *Event, t Time) bool {
-	if !ev.Pending() || ev.idx < 0 {
+// Reschedule moves a still-pending event to absolute time t, keeping
+// its callback. The event receives a fresh sequence number, so FIFO
+// tie-breaking behaves exactly as if the event had been canceled and
+// newly scheduled — but without leaving a canceled tombstone in the
+// heap. It reports whether the move happened; a fired or canceled event
+// is left untouched (schedule a new one instead). Like At, moving an
+// event into the past panics.
+func (e *Engine) Reschedule(h Event, t Time) bool {
+	ev := h.live()
+	if ev == nil {
 		return false
 	}
 	if t < e.now {
@@ -202,13 +300,13 @@ func (e *Engine) Reschedule(ev *Event, t Time) bool {
 	ev.t = t
 	ev.seq = e.seq
 	e.seq++
-	heap.Fix(&e.heap, ev.idx)
+	e.heap.fix(int(ev.idx))
 	return true
 }
 
 // After schedules fn to run d after the current time. Negative d is
 // treated as zero.
-func (e *Engine) After(d Time, fn func()) *Event {
+func (e *Engine) After(d Time, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
@@ -217,24 +315,30 @@ func (e *Engine) After(d Time, fn func()) *Event {
 
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports whether an event was executed (false when the
-// queue is empty).
+// queue is empty). The event is recycled before its callback runs, so
+// the callback's own handle is already stale and its new schedules may
+// reuse the event.
 func (e *Engine) Step() bool {
 	for len(e.heap) > 0 {
-		ev := heap.Pop(&e.heap).(*Event)
+		ev := e.heap.pop()
 		if ev.canceled {
 			e.tomb--
+			e.recycle(ev)
 			continue
 		}
 		e.now = ev.t
-		ev.fired = true
-		fn := ev.fn
-		ev.fn = nil
+		seq, fn, srv, service := ev.seq, ev.fn, ev.srv, ev.service
+		e.recycle(ev)
 		e.live--
 		e.fired++
 		if e.trace != nil {
-			e.trace(ev.t, ev.seq)
+			e.trace(e.now, seq)
 		}
-		fn()
+		if srv != nil {
+			srv.finish(service, fn)
+		} else {
+			fn()
+		}
 		return true
 	}
 	return false
@@ -284,18 +388,22 @@ func (e *Engine) RunFor(d Time) {
 // reset engine must reproduce a fresh engine's event-trace fingerprint
 // bit for bit, because nothing — sequence numbers included — survives.
 //
-// Events still in the heap are tombstoned in place (callback and engine
-// references dropped) so a stale *Event held by old model code becomes
-// permanently non-pending and its Cancel a no-op, rather than a
-// corruption of the next run's live/tomb accounting.
+// Events still in the heap are recycled, so a stale Event handle held by
+// old model code is permanently non-pending and its Cancel a no-op,
+// rather than a corruption of the next run's live/tomb accounting. Up
+// to resetKeep recycled events survive for the next run: they hold no
+// callbacks and change no event order. The rest are released, so a
+// pooled engine that once ran a deep queue does not keep that depth's
+// events for the rest of its life.
 func (e *Engine) Reset() {
 	for _, ev := range e.heap {
-		ev.canceled = true
-		ev.fn = nil
-		ev.eng = nil
-		ev.idx = -1
+		e.recycle(ev)
 	}
+	clear(e.heap[:cap(e.heap)])
 	e.heap = e.heap[:0]
+	if len(e.free) > resetKeep {
+		e.free = append([]*event(nil), e.free[:resetKeep]...)
+	}
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
@@ -304,9 +412,17 @@ func (e *Engine) Reset() {
 	e.trace = nil
 }
 
-func (e *Engine) peek() *Event {
+// resetKeep is how many recycled events Reset keeps. A warm-pooled
+// serve session ends with about 128 (DESIGN.md, "Engine events, handles
+// and tombstones"), so the cap never costs a pooled session an
+// allocation.
+const resetKeep = 1024
+
+// peek returns the earliest live event, popping and recycling any
+// tombstones ahead of it, or nil when none is scheduled.
+func (e *Engine) peek() *event {
 	for len(e.heap) > 0 && e.heap[0].canceled {
-		heap.Pop(&e.heap)
+		e.recycle(e.heap.pop())
 		e.tomb--
 	}
 	if len(e.heap) == 0 {

@@ -110,7 +110,7 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEnginePendingExcludesCanceled(t *testing.T) {
 	e := NewEngine()
 	keep := e.At(100, func() {})
-	var canceled []*Event
+	var canceled []Event
 	for i := 0; i < 1000; i++ {
 		canceled = append(canceled, e.At(Time(i+1), func() {}))
 	}
@@ -154,7 +154,7 @@ func TestEngineReapPreservesOrder(t *testing.T) {
 		}
 		if forceReap {
 			// Cancel a burst so tombstones outnumber live events.
-			var evs []*Event
+			var evs []Event
 			for i := 0; i < 2000; i++ {
 				evs = append(evs, e.At(Time(i), func() {}))
 			}
@@ -181,11 +181,12 @@ func TestEngineReapPreservesOrder(t *testing.T) {
 }
 
 // Cancel and Reschedule invoked from inside a firing callback: the
-// in-flight event has been popped (idx == -1) and marked fired, so both
-// must refuse it, while other pending events stay fully mutable.
+// in-flight event was recycled before its callback ran, so its handle is
+// stale and both must refuse it, while other pending events stay fully
+// mutable.
 func TestEngineCancelRescheduleFromCallback(t *testing.T) {
 	e := NewEngine()
-	var self, other *Event
+	var self, other Event
 	otherRan := false
 	movedRan := Time(0)
 	moved := e.At(30, func() { movedRan = e.Now() })
@@ -254,7 +255,7 @@ func TestEngineCancelProperty(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		e := NewEngine()
 		fired := map[int]bool{}
-		var evs []*Event
+		var evs []Event
 		canceled := map[int]bool{}
 		n := 200
 		for i := 0; i < n; i++ {
@@ -324,7 +325,7 @@ func runTracedModel(e *Engine, seed int) uint64 {
 	th := NewTraceHash()
 	e.SetTrace(th.Observe)
 	r := rand.New(rand.NewSource(int64(seed)))
-	var evs []*Event
+	var evs []Event
 	for i := 0; i < 200; i++ {
 		evs = append(evs, e.At(Time(r.Intn(50)), func() {}))
 	}
@@ -408,5 +409,165 @@ func TestEngineRunForOverflowSaturates(t *testing.T) {
 	e.RunFor(-5)
 	if e.Now() != MaxTime {
 		t.Fatalf("clock moved on negative RunFor: %v", e.Now())
+	}
+}
+
+// A handle outlives its event: once the event fired, or was canceled and
+// its tombstone reaped or popped, or was dropped by Reset, the engine
+// reuses it for a new callback. The old handle must then neither cancel,
+// reschedule nor report pending on the event now behind it.
+func TestEngineStaleHandles(t *testing.T) {
+	// checkStale asserts old is dead while cur, scheduled on the same
+	// recycled event at time at, stays live and untouched.
+	checkStale := func(t *testing.T, e *Engine, old, cur Event, at Time) {
+		t.Helper()
+		if old.ev != cur.ev {
+			t.Fatal("the new event did not reuse the recycled one")
+		}
+		if old.Pending() || old.Time() != 0 {
+			t.Errorf("stale handle: pending %v, time %v; want false, 0", old.Pending(), old.Time())
+		}
+		if old.Cancel() || e.Reschedule(old, at+100) {
+			t.Error("stale handle canceled or rescheduled the recycled event")
+		}
+		if !cur.Pending() || cur.Time() != at {
+			t.Errorf("recycled event: pending %v, time %v; want true, %v", cur.Pending(), cur.Time(), at)
+		}
+	}
+	var zero Event
+	if zero.Pending() || zero.Cancel() || zero.Time() != 0 || NewEngine().Reschedule(zero, 1) {
+		t.Fatal("the zero Event must be a never-pending no-op handle")
+	}
+
+	t.Run("fired", func(t *testing.T) {
+		e := NewEngine()
+		fired := e.At(10, func() {})
+		e.Step()
+		cur := e.At(20, func() {})
+		checkStale(t, e, fired, cur, 20)
+	})
+
+	t.Run("popped-tombstone", func(t *testing.T) {
+		e := NewEngine()
+		dead := e.At(10, func() {})
+		dead.Cancel()
+		e.At(15, func() {})
+		e.RunUntil(12) // pops and recycles the tombstone, fires nothing
+		cur := e.At(20, func() {})
+		checkStale(t, e, dead, cur, 20)
+	})
+
+	t.Run("reaped-tombstone", func(t *testing.T) {
+		// 41 tombstones against 40 live events: the last cancel tips
+		// tombstones past live events in a heap above reapFloor.
+		e := NewEngine()
+		for i := 0; i < 40; i++ {
+			e.At(1000, func() {})
+		}
+		dead := make([]Event, 41)
+		for i := range dead {
+			dead[i] = e.At(Time(i+1), func() {})
+		}
+		for _, h := range dead {
+			h.Cancel()
+		}
+		if e.tomb != 0 || len(e.heap) != 40 {
+			t.Fatalf("heap %d with %d tombstones after mass cancel, want 40 and 0 (reaped)", len(e.heap), e.tomb)
+		}
+		cur := e.At(20, func() {})
+		for _, h := range dead {
+			if h.ev == cur.ev {
+				checkStale(t, e, h, cur, 20)
+			} else if h.Pending() || h.Cancel() || e.Reschedule(h, 30) {
+				t.Fatal("a reaped tombstone's handle came back to life")
+			}
+		}
+		if e.Pending() != 41 {
+			t.Fatalf("pending = %d, want 41", e.Pending())
+		}
+	})
+
+	t.Run("reset", func(t *testing.T) {
+		e := NewEngine()
+		before := e.At(10, func() { t.Error("pre-Reset event fired") })
+		e.Reset()
+		cur := e.At(5, func() {})
+		checkStale(t, e, before, cur, 5)
+		if e.Pending() != 1 {
+			t.Fatalf("pending = %d, want 1", e.Pending())
+		}
+		e.Run()
+		if e.Fired() != 1 || e.Now() != 5 {
+			t.Fatalf("fired %d, now %v; want 1, 5", e.Fired(), e.Now())
+		}
+	})
+}
+
+// Reset bounds what a pooled engine keeps: after a run whose heap held
+// far more than resetKeep events, only resetKeep recycled events survive,
+// handles to the released ones stay stale, and the next run still
+// reuses the kept events.
+func TestEngineResetReleasesDeepFreeList(t *testing.T) {
+	e := NewEngine()
+	const deep = 8 * resetKeep
+	hs := make([]Event, deep)
+	for i := range hs {
+		hs[i] = e.At(Time(i), func() {})
+	}
+	e.RunUntil(deep / 2)
+	e.Reset()
+	if len(e.free) != resetKeep || len(e.heap) != 0 {
+		t.Fatalf("after Reset: free %d, heap %d; want %d, 0", len(e.free), len(e.heap), resetKeep)
+	}
+	for _, s := range e.heap[:cap(e.heap)] {
+		if s != nil {
+			t.Fatal("a heap slot past the end still pins an event")
+		}
+	}
+	for _, h := range hs {
+		if h.Pending() || h.Cancel() || e.Reschedule(h, 1) {
+			t.Fatal("a pre-Reset handle came back to life")
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < resetKeep; i++ {
+			e.At(Time(i), func() {})
+		}
+		e.Run()
+		e.Reset()
+	}); n != 0 {
+		t.Fatalf("a run within resetKeep events allocated %v times after Reset", n)
+	}
+}
+
+// TestEngineAllocationCeiling pins the engine's steady state at zero
+// allocations: once warmed, scheduling reuses recycled events, and
+// neither firing, moving nor canceling an event allocates.
+func TestEngineAllocationCeiling(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	warm := func() {
+		for i := 0; i < 4*reapFloor; i++ {
+			e.After(Time(i), fn)
+		}
+		e.Run()
+	}
+	warm()
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(Microsecond, fn)
+		e.Step()
+	}); n > 0 {
+		t.Errorf("At+Step allocates %.2f, want 0", n)
+	}
+	warm()
+	if n := testing.AllocsPerRun(1000, func() {
+		h := e.After(Microsecond, fn)
+		e.Reschedule(h, e.Now()+Millisecond)
+		h.Cancel()
+	}); n > 0 {
+		t.Errorf("At+Reschedule+Cancel allocates %.2f, want 0", n)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", e.Pending())
 	}
 }

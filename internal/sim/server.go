@@ -70,21 +70,29 @@ func (s *Server) Submit(service Time, done func()) {
 	}
 }
 
+// start puts job in service. Its completion is scheduled as data — the
+// server, the service time and done ride in the event — so no closure is
+// allocated.
 func (s *Server) start(job serverJob) {
 	s.inService++
-	s.WaitTime += s.eng.Now() - job.arrive
-	s.eng.After(job.service, func() {
-		s.accumulateBusy()
-		s.inService--
-		s.Completed++
-		s.ServiceTime += job.service
-		if next, ok := s.queue.Pop(); ok {
-			s.start(next)
-		}
-		if job.done != nil {
-			job.done()
-		}
-	})
+	now := s.eng.Now()
+	s.WaitTime += now - job.arrive
+	s.eng.schedule(now+job.service, job.done, s, job.service)
+}
+
+// finish completes a job of the given service time: the engine calls it
+// when that time has elapsed, with the job's done.
+func (s *Server) finish(service Time, done func()) {
+	s.accumulateBusy()
+	s.inService--
+	s.Completed++
+	s.ServiceTime += service
+	if next, ok := s.queue.Pop(); ok {
+		s.start(next)
+	}
+	if done != nil {
+		done()
+	}
 }
 
 func (s *Server) accumulateBusy() {

@@ -67,8 +67,8 @@ func TestServerFIFO(t *testing.T) {
 
 // TestServerAllocationCeiling pins the steady-state cost of a deep
 // queue: with 1,024 jobs standing in line, a submit plus a completion
-// allocates the completion event and its closure, nothing per queued
-// job.
+// allocates nothing. The completion is data in a recycled event, not a
+// closure, and the ring holds the queued jobs.
 func TestServerAllocationCeiling(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "deep", 1)
@@ -82,8 +82,8 @@ func TestServerAllocationCeiling(t *testing.T) {
 	if s.QueueLen() != 1024 {
 		t.Fatalf("queue depth %d, want 1024", s.QueueLen())
 	}
-	if perJob > 2 {
-		t.Errorf("submit+complete at depth 1024 allocates %.2f, want <= 2", perJob)
+	if perJob > 0 {
+		t.Errorf("submit+complete at depth 1024 allocates %.2f, want 0", perJob)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestBarrierFanOut(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Add(1)
 		d := Time(10 * (i + 1))
-		s.Submit(d, b.Done)
+		s.Submit(d, b.DoneFunc())
 	}
 	b.Arm()
 	e.Run()
@@ -171,6 +171,10 @@ func TestBarrierFanOut(t *testing.T) {
 	}
 	if at != 40 {
 		t.Fatalf("barrier fired at %v, want 40 (slowest leg)", at)
+	}
+	// The callback is bound once per barrier, not once per sub-job.
+	if n := testing.AllocsPerRun(100, func() { b.DoneFunc() }); n != 0 {
+		t.Fatalf("DoneFunc allocates %.0f per call after the first, want 0", n)
 	}
 }
 

@@ -102,7 +102,7 @@ func LustreDU(fs *lustre.FS, dir *lustre.Dir, done func(DUResult)) {
 	})
 	for i := range fs.OSTs {
 		b.Add(1)
-		fs.OSSes[fs.OSSOf(i)].Glimpse(b.Done)
+		fs.OSSes[fs.OSSOf(i)].Glimpse(b.DoneFunc())
 	}
 	b.Arm()
 }

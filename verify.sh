@@ -12,6 +12,8 @@
 #   ./verify.sh benchcheck — regenerate the deterministic BENCH_*.json
 #                         artifacts into fresh-bench/ and gate them
 #   ./verify.sh all     — all of the above, in order
+#   ./verify.sh fuzz    — 30 s of native fuzzing of the engine API (not
+#                         part of all: its inputs differ from run to run)
 set -eu
 
 stage="${1:-all}"
@@ -93,6 +95,15 @@ stage_benchcheck() {
 	set +x
 }
 
+stage_fuzz() {
+	set -x
+	# FuzzEngineOps replays arbitrary At/After/Cancel/Reschedule/Step/
+	# RunUntil/Reset sequences against a sorted-slice reference queue;
+	# plain go test already runs its seed corpus.
+	go test -run '^$' -fuzz FuzzEngineOps -fuzztime 30s ./internal/sim
+	set +x
+}
+
 case "$stage" in
 build) stage_build ;;
 lint) stage_lint ;;
@@ -100,6 +111,7 @@ test) stage_test ;;
 race) stage_race ;;
 bench) stage_bench ;;
 benchcheck) stage_benchcheck ;;
+fuzz) stage_fuzz ;;
 all)
 	stage_build
 	stage_lint
@@ -109,7 +121,7 @@ all)
 	stage_benchcheck
 	;;
 *)
-	echo "usage: ./verify.sh [build|lint|test|race|bench|benchcheck|all]" >&2
+	echo "usage: ./verify.sh [build|lint|test|race|bench|benchcheck|fuzz|all]" >&2
 	exit 2
 	;;
 esac
