@@ -2,73 +2,91 @@
 // the full parameter-space sweep at block level and file-system level,
 // and the derived software-overhead table.
 //
-// One suite flag instead runs a BENCH_*.json suite from the table in
-// internal/regress (which also documents each suite's gates), prints
-// it, and with -out writes its artifact:
+// One suite flag instead runs a BENCH_*.json suite from the table
+// below, prints it, and with -out writes its artifact:
 //
-//	-sweep      BENCH_sweep.json      E3/E13/E18 seed sweeps, serial vs -workers-wide parallel double-run
+//	-sweep      BENCH_sweep.json      E3/E13/E18 seed sweeps, serial vs 4-worker parallel double-run
 //	-integrity  BENCH_integrity.json  E19 scrub interval vs undetected corrupt reads
 //	-serve      BENCH_serve.json      session service: cold vs warm-pool vs cache-hit
 //	-ledger     BENCH_ledger.json     operations ledger: campaign roots, tamper scorecard, batch sweep
 //
-// A suite whose fresh run fails its own invariants exits 1 and writes
-// nothing. The checked-in artifacts are produced by, e.g.,
+// Every field of every artifact is deterministic, so the committed
+// copies are goldens: `./verify.sh benchcheck` regenerates them and
+// byte-compares. A suite whose fresh run fails its own Check exits 1
+// and writes nothing. The checked-in artifacts are produced by, e.g.,
 // `go run ./cmd/benchsuite -sweep -out BENCH_sweep.json`.
-//
-// With -check it is the bench-regression gate: each committed
-// BENCH_*.json in -bench-dir is compared against its freshly generated
-// counterpart in -fresh, and any gate finding exits 1. A suite whose
-// fresh artifact is missing exits 2.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
 
 	"spiderfs/internal/benchsuite"
 	"spiderfs/internal/disk"
 	"spiderfs/internal/lustre"
 	"spiderfs/internal/raid"
-	"spiderfs/internal/regress"
 	"spiderfs/internal/rng"
+	"spiderfs/internal/serve"
 	"spiderfs/internal/sim"
+	"spiderfs/internal/sweep"
 )
+
+// artifact is a suite's result: a stdout table and the producer's own
+// invariants.
+type artifact interface {
+	Render() string
+	Check() error
+}
+
+// suite is one row of the BENCH_*.json table.
+type suite struct {
+	flag  string // benchsuite flag that runs the suite, e.g. "sweep"
+	file  string // committed artifact, e.g. BENCH_sweep.json
+	about string // one line for the flag help and the run header
+	run   func(seed uint64) (artifact, error)
+}
+
+// suites is the suite table, in generation order.
+var suites = []suite{
+	{"sweep", "BENCH_sweep.json",
+		"seed sweeps E3/E13/E18 (deterministic parallel replica runner, serial vs parallel double-run)",
+		func(seed uint64) (artifact, error) { return sweep.RunSuite(benchsuite.SweepEntries(seed)) }},
+	{"integrity", "BENCH_integrity.json",
+		"E19 data-integrity sweep (scrub interval vs undetected corrupt reads)",
+		func(seed uint64) (artifact, error) { return benchsuite.RunIntegritySuite(seed) }},
+	{"serve", "BENCH_serve.json",
+		"session service (warm-engine pool + result cache, cold vs warm vs cache-hit)",
+		func(uint64) (artifact, error) { return serve.RunBench(), nil }},
+	{"ledger", "BENCH_ledger.json",
+		"operations ledger (anchored campaign roots, tamper scorecard, batch sweep)",
+		func(seed uint64) (artifact, error) { return benchsuite.RunLedgerSuite(seed) }},
+}
 
 func main() {
 	cellSec := flag.Float64("cell", 1.0, "seconds per sweep cell (simulated)")
 	seed := flag.Uint64("seed", 42, "random seed")
-	workers := flag.Int("workers", 0, "with -sweep/-integrity, parallel worker count (0 = GOMAXPROCS)")
-	check := flag.Bool("check", false, "regression gate: compare committed BENCH_*.json against -fresh copies")
-	benchDir := flag.String("bench-dir", ".", "with -check, directory holding the committed BENCH_*.json files")
-	freshDir := flag.String("fresh", "", "with -check, directory holding freshly generated BENCH_*.json files")
 	out := flag.String("out", "", "with a suite flag, write the suite JSON to this file")
-	chosen := make([]*bool, len(regress.Suites))
-	for i, s := range regress.Suites {
-		chosen[i] = flag.Bool(s.Flag, false, "run the suite behind "+s.File+": "+s.About)
+	chosen := make([]*bool, len(suites))
+	for i, s := range suites {
+		chosen[i] = flag.Bool(s.flag, false, "run the suite behind "+s.file+": "+s.about)
 	}
 	flag.Parse()
 
-	var suites []regress.Suite
+	var picked []suite
 	for i, on := range chosen {
 		if *on {
-			suites = append(suites, regress.Suites[i])
+			picked = append(picked, suites[i])
 		}
 	}
-	if *check && len(suites) > 0 || len(suites) > 1 {
-		fmt.Fprintln(os.Stderr, "benchsuite: choose at most one of -check and the suite flags")
+	if len(picked) > 1 {
+		fmt.Fprintln(os.Stderr, "benchsuite: choose at most one suite flag")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *check {
-		runCheck(*benchDir, *freshDir)
-		return
-	}
-	if len(suites) == 1 {
-		runSuite(suites[0], regress.Env{Seed: *seed, Workers: *workers,
-			Clock: func() int64 { return time.Now().UnixNano() }}, *out)
+	if len(picked) == 1 {
+		runSuite(picked[0], *seed, *out)
 		return
 	}
 
@@ -100,71 +118,29 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runSuite is the one generation path: run, render, check the fresh-only
-// invariants, write. An artifact that fails its own invariants is never
-// written, so generation gives the same verdict -check would, earlier.
-func runSuite(s regress.Suite, env regress.Env, out string) {
-	fmt.Printf("== %s ==\n", s.About)
-	g, err := s.Generate(env)
+// runSuite is the one generation path: run, render, check the
+// producer's invariants, write. An artifact that fails its own Check is
+// never written.
+func runSuite(s suite, seed uint64, out string) {
+	fmt.Printf("== %s ==\n", s.about)
+	a, err := s.run(seed)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(g.Text)
-	if len(g.Findings) > 0 {
-		for _, f := range g.Findings {
-			fmt.Fprintf(os.Stderr, "FAIL %s\n", f)
-		}
-		fatal(fmt.Errorf("%s failed its own invariants; not written", s.File))
+	fmt.Print(a.Render())
+	if err := a.Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", s.file, err)
+		fatal(fmt.Errorf("%s failed its own invariants; not written", s.file))
 	}
 	if out == "" {
 		return
 	}
-	if err := os.WriteFile(out, g.JSON, 0o644); err != nil {
+	data, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		fatal(err)
 	}
 	fmt.Println("wrote", out)
-}
-
-// runCheck is the regression gate. Every suite's artifact in freshDir
-// is compared against the committed copy in benchDir; any finding exits
-// 1. A suite with no fresh artifact or no committed baseline, or a
-// missing freshDir, is a hard error — the gate must never pass
-// vacuously by mistake.
-func runCheck(benchDir, freshDir string) {
-	if freshDir == "" {
-		fmt.Fprintln(os.Stderr, "benchsuite: -check requires -fresh <dir>")
-		os.Exit(2)
-	}
-	failed := false
-	for _, s := range regress.Suites {
-		name := s.File
-		fresh, err := os.ReadFile(filepath.Join(freshDir, name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite: no fresh artifact for -"+s.Flag+":", err)
-			os.Exit(2)
-		}
-		committed, err := os.ReadFile(filepath.Join(benchDir, name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite: fresh artifact has no committed baseline:", err)
-			os.Exit(2)
-		}
-		findings, err := regress.Compare(name, committed, fresh)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite:", err)
-			os.Exit(2)
-		}
-		if len(findings) == 0 {
-			fmt.Printf("ok   %s\n", name)
-			continue
-		}
-		failed = true
-		for _, f := range findings {
-			fmt.Printf("FAIL %s\n", f)
-		}
-	}
-	if failed {
-		fmt.Println("bench regression gate: FAIL")
-		os.Exit(1)
-	}
-	fmt.Printf("bench regression gate: ok (%d artifacts)\n", len(regress.Suites))
 }

@@ -1,6 +1,7 @@
 package benchsuite
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -28,12 +29,15 @@ func IntegrityEntries(seed uint64) []sweep.Entry {
 // IntegritySchema identifies the BENCH_integrity.json shape.
 const IntegritySchema = "spiderfs-integrity-bench/1"
 
+// scrubOverheadCeiling: background scrubbing at the default interval
+// may tax foreground read latency by at most this fraction.
+const scrubOverheadCeiling = 0.25
+
 // IntegritySuite is the BENCH_integrity.json artifact: the three E19
-// sweep records plus the headline quantities the regression gate pins.
+// sweep records plus the headline quantities Check holds to the
+// integrity plane's acceptance properties.
 type IntegritySuite struct {
-	Schema  string `json:"schema"`
-	CPUs    int    `json:"cpus"`
-	Workers int    `json:"workers"`
+	Schema string `json:"schema"`
 
 	// DefaultScrubS is the default scrub pass interval in seconds.
 	DefaultScrubS float64 `json:"default_scrub_interval_s"`
@@ -54,15 +58,13 @@ type IntegritySuite struct {
 
 // RunIntegritySuite runs the E19 sweep through the double-run suite
 // harness and derives the headline summary fields.
-func RunIntegritySuite(seed uint64, workers int, clock sweep.Clock) (IntegritySuite, error) {
-	base, err := sweep.RunSuite(IntegrityEntries(seed), workers, clock)
+func RunIntegritySuite(seed uint64) (IntegritySuite, error) {
+	base, err := sweep.RunSuite(IntegrityEntries(seed))
 	if err != nil {
 		return IntegritySuite{}, err
 	}
 	s := IntegritySuite{
 		Schema:        IntegritySchema,
-		CPUs:          base.CPUs,
-		Workers:       base.Workers,
 		DefaultScrubS: integrity.DefaultScrubInterval.Seconds(),
 		Sweeps:        base.Sweeps,
 	}
@@ -90,11 +92,31 @@ func RunIntegritySuite(seed uint64, workers int, clock sweep.Clock) (IntegritySu
 	return s, nil
 }
 
+// Check reports every broken invariant: the sweep records' own, zero
+// undetected corrupt reads at the default scrub interval, a positive
+// unscrubbed exposure baseline (without one the zero proves nothing),
+// and the scrub-overhead ceiling.
+func (s IntegritySuite) Check() error {
+	errs := []error{sweep.Suite{Sweeps: s.Sweeps}.Check()}
+	if s.UndetectedAtDefault != 0 {
+		errs = append(errs, fmt.Errorf("undetected_reads_at_default %v != 0: silent corruption reached clients at the default scrub interval",
+			s.UndetectedAtDefault))
+	}
+	if s.UndetectedNoScrub <= 0 {
+		errs = append(errs, fmt.Errorf("undetected_reads_no_scrub %v: the unscrubbed baseline shows no exposure",
+			s.UndetectedNoScrub))
+	}
+	if s.ScrubOverheadFrac > scrubOverheadCeiling {
+		errs = append(errs, fmt.Errorf("scrub_overhead_frac %.4f exceeds ceiling %.2f",
+			s.ScrubOverheadFrac, scrubOverheadCeiling))
+	}
+	return errors.Join(errs...)
+}
+
 // Render formats the suite for stdout.
 func (s IntegritySuite) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "integrity suite (E19): default scrub interval %.0f s, %d workers on %d CPU(s)\n",
-		s.DefaultScrubS, s.Workers, s.CPUs)
+	fmt.Fprintf(&b, "integrity suite (E19): default scrub interval %.0f s\n", s.DefaultScrubS)
 	fmt.Fprintf(&b, "undetected corrupt reads per replica: %.2f unscrubbed -> %.2f at default\n",
 		s.UndetectedNoScrub, s.UndetectedAtDefault)
 	fmt.Fprintf(&b, "rebuild latent-error hits per replica: %.2f unscrubbed -> %.2f at default\n",

@@ -3,8 +3,8 @@ package benchsuite
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"spiderfs/internal/chaos"
@@ -12,21 +12,17 @@ import (
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
-	"spiderfs/internal/sweep"
 )
 
 // LedgerBatch is one point of the anchoring batch-size sweep: a fixed
 // synthetic entry stream (one entry per simulated second, the density
 // of a busy campaign's monitor bursts) appended under one MaxBatch
-// setting. Entries/Anchors/Head are deterministic and exact-gated;
-// AppendNs and EntriesPerSec are wall-clock throughput, recorded only.
+// setting.
 type LedgerBatch struct {
-	MaxBatch      int     `json:"max_batch"`
-	Entries       int     `json:"entries"`
-	Anchors       int     `json:"anchors"`
-	Head          string  `json:"head"`
-	AppendNs      int64   `json:"append_ns"`
-	EntriesPerSec float64 `json:"entries_per_sec"`
+	MaxBatch int    `json:"max_batch"`
+	Entries  int    `json:"entries"`
+	Anchors  int    `json:"anchors"`
+	Head     string `json:"head"`
 }
 
 // LedgerTamper is one adversarial case applied to the campaign export:
@@ -44,14 +40,13 @@ const LedgerSchema = "spiderfs-ledger-bench/1"
 
 // LedgerSuite is the BENCH_ledger.json artifact: the quick chaos
 // campaign's anchored root sequence (double-run and traced-vs-untraced
-// identical, exact-gated), the auditor's adversarial scorecard, and the
-// batch-size sweep.
+// identical), the auditor's adversarial scorecard, and the batch-size
+// sweep.
 type LedgerSuite struct {
 	Schema string `json:"schema"`
-	CPUs   int    `json:"cpus"`
 	Seed   uint64 `json:"seed"`
 
-	// Quick-campaign ledger identity, exact-gated by internal/regress.
+	// Quick-campaign ledger identity.
 	CampaignEntries int      `json:"campaign_entries"`
 	CampaignAnchors int      `json:"campaign_anchors"`
 	CampaignDrops   int      `json:"campaign_drops"`
@@ -77,19 +72,9 @@ type LedgerSuite struct {
 // epoch hours, so every MaxBatch point also crosses an epoch boundary.
 const batchSweepEntries = 8192
 
-// RunLedgerSuite builds the BENCH_ledger.json artifact. clock supplies
-// monotonic wall nanoseconds for the throughput numbers (nil records
-// zeros), exactly like sweep.RunSuite.
-func RunLedgerSuite(seed uint64, clock sweep.Clock) (LedgerSuite, error) {
-	now := func() int64 { return 0 }
-	if clock != nil {
-		now = clock
-	}
-	s := LedgerSuite{
-		Schema: LedgerSchema,
-		CPUs:   runtime.GOMAXPROCS(0),
-		Seed:   seed,
-	}
+// RunLedgerSuite builds the BENCH_ledger.json artifact.
+func RunLedgerSuite(seed uint64) (LedgerSuite, error) {
+	s := LedgerSuite{Schema: LedgerSchema, Seed: seed}
 
 	// Campaign identity: double run, then a traced run.
 	r1 := chaos.Run(chaos.QuickConfig(seed))
@@ -134,7 +119,6 @@ func RunLedgerSuite(seed uint64, clock sweep.Clock) (LedgerSuite, error) {
 
 	for _, maxBatch := range []int{64, 256, 1024, 4096} {
 		l := ledger.New(ledger.Config{Epoch: sim.Hour, MaxBatch: maxBatch})
-		t0 := now()
 		for i := 0; i < batchSweepEntries; i++ {
 			if err := l.Append(sim.Time(i)*sim.Second,
 				fmt.Sprintf("oss%03d", i%97), "hardware", "synthetic-event", ""); err != nil {
@@ -142,17 +126,37 @@ func RunLedgerSuite(seed uint64, clock sweep.Clock) (LedgerSuite, error) {
 			}
 		}
 		l.Close()
-		dt := now() - t0
-		p := LedgerBatch{
-			MaxBatch: maxBatch, Entries: l.Len(), Anchors: l.AnchorCount(),
-			Head: l.Head(), AppendNs: dt,
-		}
-		if dt > 0 {
-			p.EntriesPerSec = float64(l.Len()) / (float64(dt) / 1e9)
-		}
-		s.Batches = append(s.Batches, p)
+		s.Batches = append(s.Batches, LedgerBatch{
+			MaxBatch: maxBatch, Entries: l.Len(), Anchors: l.AnchorCount(), Head: l.Head(),
+		})
 	}
 	return s, nil
+}
+
+// Check reports every broken invariant: the campaign export must be
+// deterministic, unchanged by tracing and audit-clean, and every
+// tamper class must be detected.
+func (s LedgerSuite) Check() error {
+	var errs []error
+	if !s.Deterministic {
+		errs = append(errs, errors.New("double-run campaign ledger exports are not byte-identical"))
+	}
+	if !s.TracedIdentical {
+		errs = append(errs, errors.New("attaching the span tracer changed the anchored root sequence"))
+	}
+	if !s.AuditClean {
+		errs = append(errs, errors.New("the untampered campaign export no longer audits clean"))
+	}
+	if s.TampersDetected != s.TamperTotal {
+		errs = append(errs, fmt.Errorf("tampers detected %d of %d: the auditor lost coverage",
+			s.TampersDetected, s.TamperTotal))
+	}
+	for _, t := range s.Tampers {
+		if !t.Detected {
+			errs = append(errs, fmt.Errorf("tamper class %s went undetected", t.Name))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // runTampers applies one instance of each tamper class the issue's
@@ -228,7 +232,7 @@ func cloneExport(exp *ledger.Export) *ledger.Export {
 // Render formats the suite for stdout.
 func (s LedgerSuite) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ledger suite: quick campaign seed %d on %d CPU(s)\n", s.Seed, s.CPUs)
+	fmt.Fprintf(&b, "ledger suite: quick campaign seed %d\n", s.Seed)
 	fmt.Fprintf(&b, "campaign ledger: %d entries, %d anchors (%d refused), head %.16s..\n",
 		s.CampaignEntries, s.CampaignAnchors, s.CampaignDrops, s.CampaignHead)
 	fmt.Fprintf(&b, "deterministic=%v traced-identical=%v audit-clean=%v\n",
@@ -239,8 +243,7 @@ func (s LedgerSuite) Render() string {
 	}
 	fmt.Fprintf(&b, "batch-size sweep (%d entries at 1/s simulated):\n", batchSweepEntries)
 	for _, p := range s.Batches {
-		fmt.Fprintf(&b, "  max_batch %-5d -> %4d anchors, head %.16s.., %.0f entries/s appended\n",
-			p.MaxBatch, p.Anchors, p.Head, p.EntriesPerSec)
+		fmt.Fprintf(&b, "  max_batch %-5d -> %4d anchors, head %.16s..\n", p.MaxBatch, p.Anchors, p.Head)
 	}
 	return b.String()
 }

@@ -23,11 +23,11 @@ func small(seed uint64) []sweep.Entry {
 // serially and in parallel and fails on any divergence. Then the whole
 // suite is run twice to check the rendered artifact is reproducible.
 func TestSweepSuiteDeterministic(t *testing.T) {
-	a, err := sweep.RunSuite(small(7), 4, nil)
+	a, err := sweep.RunSuite(small(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sweep.RunSuite(small(7), 2, nil)
+	b, err := sweep.RunSuite(small(7))
 	if err != nil {
 		t.Fatal(err)
 	}

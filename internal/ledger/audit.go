@@ -1,6 +1,9 @@
 package ledger
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Finding is one integrity violation the auditor located. Epoch is the
 // anchoring epoch the violation falls in (-1 when no epoch can be
@@ -92,6 +95,11 @@ func Audit(exp *Export) []Finding {
 				fmt.Sprintf("anchor %d starts at seq %d, coverage ended at %d", j, a.FirstSeq, cover)})
 		}
 		end := a.FirstSeq + uint64(a.Entries)
+		if end < a.FirstSeq {
+			// The claimed range wraps uint64; saturate so it reads as
+			// covering more entries than any export holds.
+			end = math.MaxUint64
+		}
 		if end > uint64(len(exp.Entries)) {
 			out = append(out, Finding{ClassTruncation, a.Epoch, int64(len(exp.Entries)),
 				fmt.Sprintf("anchor %d covers seqs [%d,%d) but only %d entries remain",

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"spiderfs/internal/sim"
@@ -175,4 +176,17 @@ func TestAuditFlagsUnanchoredTail(t *testing.T) {
 	// No Close: the open batch is exported unanchored.
 	fs := Audit(l.Export())
 	requireFinding(t, fs, ClassUnanchoredTail, 0)
+}
+
+// An anchor whose claimed range overflows uint64 is a truncation
+// finding, not a slice-bounds panic: the export is untrusted input.
+func TestAuditOverflowingAnchorRange(t *testing.T) {
+	exp, trusted := fixture(t)
+	exp.Anchors[2].FirstSeq = math.MaxUint64
+	exp.Anchors[2].Entries = 2
+	requireFinding(t, Audit(exp), ClassTruncation, 2)
+	requireFinding(t, AuditAgainst(exp, trusted), ClassTruncation, 2)
+	if _, err := Resume(exp); err == nil {
+		t.Fatal("resume accepted an export whose anchor overflows the entry range")
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -380,13 +381,13 @@ func TestServeConcurrentSessionsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunBenchSmoke exercises the bench harness with no clock: timing
-// fields stay zero but the gated fields must hold.
+// TestRunBenchSmoke exercises the bench harness: every path runs and
+// the artifact passes its own Check.
 func TestRunBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke is not short")
 	}
-	s := RunBench(nil)
+	s := RunBench()
 	if s.Schema != "spiderfs-serve-bench/1" {
 		t.Fatalf("schema %q", s.Schema)
 	}
@@ -395,6 +396,9 @@ func TestRunBenchSmoke(t *testing.T) {
 	}
 	if s.Errors != 0 {
 		t.Fatalf("errors = %d", s.Errors)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if s.Fingerprint == "" {
 		t.Fatal("empty probe fingerprint")
@@ -410,5 +414,35 @@ func TestRunBenchSmoke(t *testing.T) {
 	}
 	if s.Render() == "" {
 		t.Fatal("empty render")
+	}
+}
+
+// TestServeGates is the sabotage table for the BENCH_serve.json
+// invariants: a cold-vs-warm divergence or any failed session must fail
+// Check on its own, with no committed copy to compare against.
+func TestServeGates(t *testing.T) {
+	good := Suite{Schema: Schema, PoolSize: 2, Fingerprint: "6f1d2c3b4a596877", Deterministic: true,
+		Paths: []PathStat{{"cold", 12}, {"warm", 12}, {"cache", 12}}}
+	for _, c := range []struct {
+		name   string
+		mutate func(*Suite)
+		want   string
+	}{
+		{"clean", func(*Suite) {}, ""},
+		{"racy", func(s *Suite) { s.Deterministic = false }, "diverged"},
+		{"failed", func(s *Suite) { s.Errors = 2 }, "2 sessions failed"},
+	} {
+		s := good
+		c.mutate(&s)
+		err := s.Check()
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Check() = %v, want %q", c.name, err, c.want)
+		}
 	}
 }

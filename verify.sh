@@ -9,11 +9,12 @@
 #   ./verify.sh test    — shuffled full test run + determinism double-run
 #   ./verify.sh race    — race-mode runs of the concurrency-adjacent packages
 #   ./verify.sh bench   — one-iteration benchmark smoke
-#   ./verify.sh benchcheck — regenerate the deterministic BENCH_*.json
-#                         artifacts into fresh-bench/ and gate them
+#   ./verify.sh benchcheck — regenerate the BENCH_*.json goldens into
+#                         fresh-bench/ and byte-compare them
 #   ./verify.sh all     — all of the above, in order
-#   ./verify.sh fuzz    — 30 s of native fuzzing of the engine API (not
-#                         part of all: its inputs differ from run to run)
+#   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API
+#                         and the ledger auditor (not part of all: its
+#                         inputs differ from run to run)
 set -eu
 
 stage="${1:-all}"
@@ -81,17 +82,17 @@ stage_bench() {
 
 stage_benchcheck() {
 	set -x
-	# Every BENCH_*.json suite (sweep, integrity, serve, ledger) is
-	# fully deterministic (fingerprints, metric means, and Merkle
-	# roots), so a fresh run on any host must reproduce the committed
-	# artifacts exactly; timings (including the serve warm/cache
-	# speedups and the ledger append throughput) are recorded but not
-	# gated. A suite missing from fresh-bench/ fails the check.
+	# Every BENCH_*.json suite (sweep, integrity, serve, ledger) holds
+	# only deterministic fields (fingerprints, metric means, Merkle
+	# roots; no host time), so the committed copies are goldens: a fresh
+	# run on any host must reproduce them byte for byte. benchsuite
+	# refuses to write an artifact that fails its producer's Check, and
+	# diff fails on a missing file.
 	mkdir -p fresh-bench
 	for suite in sweep integrity serve ledger; do
 		go run ./cmd/benchsuite -$suite -out fresh-bench/BENCH_$suite.json
+		diff -u BENCH_$suite.json fresh-bench/BENCH_$suite.json
 	done
-	go run ./cmd/benchsuite -check -fresh fresh-bench
 	set +x
 }
 
@@ -99,8 +100,14 @@ stage_fuzz() {
 	set -x
 	# FuzzEngineOps replays arbitrary At/After/Cancel/Reschedule/Step/
 	# RunUntil/Reset sequences against a sorted-slice reference queue;
-	# plain go test already runs its seed corpus.
+	# FuzzLedgerAudit feeds arbitrary export bytes to the auditor and
+	# Resume, which must never panic. go test -fuzz takes one target per
+	# invocation; plain go test already runs both seed corpora. The
+	# ledger seed is a 14 KB campaign export: minimizing each new
+	# interesting input that large under the default 60 s cap stalls the
+	# whole 30 s run, so minimization is capped at 2 s.
 	go test -run '^$' -fuzz FuzzEngineOps -fuzztime 30s ./internal/sim
+	go test -run '^$' -fuzz FuzzLedgerAudit -fuzztime 30s -fuzzminimizetime 2s ./internal/ledger
 	set +x
 }
 
