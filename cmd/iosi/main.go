@@ -72,7 +72,7 @@ func main() {
 			i, sig.BurstsPerRun, sig.Period, sig.BurstVolume/(1<<20))
 	}
 	sig := iosi.Extract(series, 4)
-	fmt.Printf("\nsignature across %d runs:\n", *runs)
+	fmt.Printf("\nsignature across %d runs:\n", len(series))
 	fmt.Printf("  period:       %v\n", sig.Period)
 	fmt.Printf("  burst volume: %.1f MiB\n", sig.BurstVolume/(1<<20))
 	fmt.Printf("  burst length: %v\n", sig.BurstDuration)

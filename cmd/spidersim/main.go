@@ -1,23 +1,16 @@
 // Command spidersim is the scenario runner for the Spider center
 // simulation. Each subcommand replays one of the paper's studies end to
-// end. The paper studies print the same table as their root benchmark
-// (internal/experiment), byte for byte at the benchmark's seed:
+// end.
 //
-//	spidersim fig3        — IOR bandwidth vs transfer size (Fig. 3)
-//	spidersim fig4        — IOR bandwidth vs client count (Fig. 4)
-//	spidersim mixed       — the §II center-wide mixed workload characterization (E1)
-//	spidersim checkpoint  — Titan checkpoint sizing (E2)
-//	spidersim slowdisk    — the §V-A slow-disk elimination campaign (E3)
-//	spidersim workflow    — data-centric vs machine-exclusive workflow (E6)
-//	spidersim incident    — the §IV-E human-error incident replay (E8)
-//	spidersim namespaces  — single vs multiple namespaces (E11)
-//	spidersim purge       — the 14-day purge policy (E13)
-//	spidersim recovery    — application stall across an OSS failover, with and without imperative recovery (A2)
+// Every internal/experiment study is a subcommand named after it, and
+// prints the same table as its BenchmarkPaper sub-benchmark, byte for
+// byte at the study's seed: `spidersim fig3 -seed 300` is `go test -run
+// '^$' -bench 'Paper/fig3$' -benchtime 1x .`. EXPERIMENTS.md maps each
+// paper row (Figs. 2-4, E1-E17, HERO, A1-A8) to its study name and seed.
 //
 // The rest drive the center's operational planes:
 //
 //	spidersim arch        — the simulated center's architecture
-//	spidersim layers      — bottom-up layer profile: span waterfall of one traced write stream (E17)
 //	spidersim chaos       — center-wide chaos campaign, featured vs ablated (E18)
 //	spidersim spans       — end-to-end span tracing: waterfall, critical paths, flame
 //	spidersim sweep       — deterministic parallel seed sweeps of E3/E13/E18/E19 with merged CIs
@@ -39,9 +32,7 @@ import (
 	"spiderfs/internal/chaos"
 	"spiderfs/internal/experiment"
 	"spiderfs/internal/integrity"
-	"spiderfs/internal/lustre"
 	"spiderfs/internal/netsim"
-	"spiderfs/internal/qa"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/serve"
 	"spiderfs/internal/sim"
@@ -96,21 +87,22 @@ func main() {
 	case "arch":
 		c := center.New(center.Config{Scale: 1, Namespaces: 2, Seed: *seed})
 		fmt.Print(c.RenderArchitecture())
-	case "layers":
-		fmt.Println("bottom-up layer profile (Lesson 12): span waterfall of one traced 1 MiB write stream")
-		fmt.Print(spantrace.RenderWaterfall(qa.SpanLadder(lustre.TestNamespace(), *seed)))
 	default:
 		usage()
 		os.Exit(2)
 	}
 }
 
+// commands are the subcommands spidersim implements itself. main looks
+// a study up first, so no study may take one of these names.
+var commands = []string{"arch", "chaos", "spans", "sweep", "scrub", "session", "ledger"}
+
 func usage() {
-	cmds := []string{"arch", "layers"}
+	var cmds []string
 	for _, s := range experiment.Studies {
 		cmds = append(cmds, s.Name)
 	}
-	cmds = append(cmds, "chaos", "spans", "sweep", "scrub", "session", "ledger")
+	cmds = append(cmds, commands...)
 	fmt.Fprintf(os.Stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp e3|e13|e18|e19|all] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE]\n", strings.Join(cmds, "|"))
 	fmt.Fprintln(os.Stderr, "       spidersim ledger <verify|replay|append> -in FILE [...]")
 }

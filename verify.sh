@@ -71,8 +71,8 @@ stage_race() {
 
 stage_bench() {
 	set -x
-	# Benchmark smoke: one iteration of every root paper-experiment
-	# benchmark (Figs. 2-4, E1-E17, ablations) and every
+	# Benchmark smoke: one iteration of every BenchmarkPaper study
+	# (Figs. 2-4, E1-E17, HERO, ablations A1-A8) and every
 	# netsim/sim/lustre/raid/spantrace benchmark, including the Spider
 	# II-scale congestion wave untraced and 1-in-64 traced, so no
 	# benchmark harness can rot silently.
