@@ -22,6 +22,7 @@ func (n *Network) Degrade(l *Link, frac float64) {
 	}
 	l.accrueCap(n.eng.Now())
 	l.Cap = l.nominal * frac
+	l.setShare()
 	n.reassign(n.affectedLink(l))
 }
 
@@ -31,6 +32,7 @@ func (n *Network) Restore(l *Link) {
 		l.accrueCap(n.eng.Now())
 		l.Cap = l.nominal
 		l.nominal = 0
+		l.setShare()
 		n.reassign(n.affectedLink(l))
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
+	"spiderfs/internal/spantrace"
 	"spiderfs/internal/topology"
 )
 
@@ -83,7 +84,12 @@ func TestSameInstantCompletionsDeterministic(t *testing.T) {
 // TestFabricResetDeterministicReuse is the warm-pool seam regression:
 // a congestion-heavy scenario (router failure, degraded cable, ARN on)
 // run on a reset-and-reused engine/fabric must reproduce the fresh
-// build's event trace and outcome counters bit for bit.
+// build's event trace and outcome counters bit for bit. The reused run
+// starts its flows from the free list the first run filled, whose
+// stamps date from before Reset restarted the epoch counter. A traced
+// send and a traced no-ARN send that stalls on a dead router ride
+// along: each caller's done must fire exactly once and every span
+// must close.
 func TestFabricResetDeterministicReuse(t *testing.T) {
 	cfg := Spider2Fabric()
 	cfg.Torus = topology.Torus{NX: 5, NY: 4, NZ: 4}
@@ -100,14 +106,38 @@ func TestFabricResetDeterministicReuse(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			send()
 		}
+		tr := spantrace.New(rng.New(9), 1)
+		tr.Bind(eng)
+		var tracedDone, stalledDone int
+		traced := func(c topology.Coord, oss int, done func()) {
+			f.Tracer = tr
+			f.StartClientFlow(c, oss, RouteFGR, 16e6, src, done)
+			f.Tracer = nil
+		}
+		traced(topology.Coord{X: 1, Y: 2, Z: 3}, 5, func() { tracedDone++ })
 		eng.At(sim.FromSeconds(0.05), func() {
 			f.FailRouter(src.Intn(f.NumRouters()))
 			f.Net.Degrade(f.RouterUpLinks()[src.Intn(f.NumRouters())], 0.25)
 			for i := 0; i < 100; i++ {
 				send()
 			}
+			// Without ARN the sender picks FGR's router for (c, oss)
+			// although it is dead, stalls, and reroutes.
+			f.SetNotification(false)
+			c, oss := topology.Coord{X: 4, Y: 0, Z: 2}, 6
+			f.FailRouter(f.selectRouter(c, f.ossLeaf[oss], RouteFGR, nil, nil))
+			traced(c, oss, func() { stalledDone++ })
 		})
 		eng.Run()
+		if tracedDone != 1 || stalledDone != 1 {
+			t.Fatalf("traced send done %d times, stalled send %d, want 1 and 1", tracedDone, stalledDone)
+		}
+		if f.StalledSends == 0 {
+			t.Fatal("no-ARN send to a dead router did not stall")
+		}
+		if tr.Len() == 0 || tr.Open() != 0 {
+			t.Fatalf("tracer recorded %d spans with %d left open, want some and none open", tr.Len(), tr.Open())
+		}
 		return th.Sum(), f.Net.FlowsCompleted, f.Net.BytesDelivered
 	}
 
@@ -129,6 +159,9 @@ func TestFabricResetDeterministicReuse(t *testing.T) {
 	}
 	if fab.RouterFailed(0) || fab.StalledSends != 0 || fab.Net.FlowsStarted != 0 {
 		t.Fatal("fabric state survived Reset")
+	}
+	if len(fab.Net.free) == 0 {
+		t.Fatal("no pooled flows for the reused run to start from")
 	}
 	gotTrace, gotDone, gotBytes := scenario(eng, fab)
 	if gotTrace != wantTrace {

@@ -200,10 +200,8 @@ func (f *Fabric) routerSwitch(rid int) int {
 }
 
 // geminiPath appends the dimension-ordered torus links from a to b to
-// dst. It allocates nothing beyond dst's own growth, so pathVia can
-// build a whole client->OSS path in one right-sized allocation — paths
-// are built once per RPC, which makes this part of the flow-start hot
-// path at full scale.
+// dst and allocates nothing beyond dst's own growth; pathVia builds
+// client->OSS paths, once per flow start, on top of it.
 func (f *Fabric) geminiPath(dst []*Link, a, b topology.Coord) []*Link {
 	t := f.Cfg.Torus
 	cur := a
@@ -259,7 +257,7 @@ func (f *Fabric) ClientPath(c topology.Coord, oss int, mode RouteMode, src *rng.
 	if rid < 0 {
 		panic("netsim: no eligible router") //simlint:allow no-library-panic healthy-fabric query; failure-aware sends go through Send, which counts drops
 	}
-	return f.pathVia(c, oss, rid)
+	return f.pathVia(nil, c, oss, rid)
 }
 
 // CongestionReport summarizes fabric hot spots after a run.

@@ -14,10 +14,24 @@
 // intrusive sets (per-link slices with swap-remove, a per-flow epoch
 // stamp for affected-set collection), never Go maps, so completion
 // events are scheduled — and their seq-based FIFO tie-breaks assigned —
-// in an order independent of map randomization. This is also the hot
-// path at Spider II scale (tens of thousands of concurrent flows), so
-// the start/finish path performs no map operations and skips
-// rescheduling flows whose fair-share rate did not change.
+// in an order independent of map randomization.
+//
+// Hot path. At Spider II scale (tens of thousands of concurrent flows)
+// the solver is incremental and allocation-free. It rests on one
+// invariant: between operations, every active flow's rate is the
+// minimum over its path of the links' current shares (Link.share =
+// Cap/flows), because every share change re-rates every flow on that
+// link. A start therefore lowers a sibling's rate to at most the new
+// shares of the starter's links it crosses, with no walk of the
+// sibling's own path; a finish can raise only the siblings whose rate
+// equals the old share of one of the finisher's links (they were
+// bottlenecked there), so only those are recomputed from their paths.
+// Both walks collect the affected flows in one deterministic order —
+// the flow itself, then its path order, then each link's registry in
+// insertion order — and a flow whose rate did not change keeps its
+// completion event. Flows are recycled through a per-network free list
+// with their path buffers and completion callbacks, so a start/finish
+// performs no allocation and no map operation.
 package netsim
 
 import (
@@ -38,7 +52,7 @@ type linkSlot struct {
 // the flows crossing it.
 type Link struct {
 	Name    string
-	Cap     float64  // bytes per second
+	Cap     float64  // bytes per second; change it only through Degrade/Restore
 	Latency sim.Time // propagation/forwarding delay added once per flow
 
 	// nominal remembers pre-degradation capacity (see cable.go).
@@ -47,6 +61,9 @@ type Link struct {
 	// flows is the insertion-ordered registry of flows crossing the
 	// link; flowIdx back-pointers live in each flow's linkIdx.
 	flows []linkSlot
+	// share is Cap/len(flows), refreshed on every change to either, so
+	// re-rating reads it instead of dividing (+Inf on an idle link).
+	share float64
 
 	// Capacity-seconds integration across Degrade/Restore, so
 	// Utilization reports against the capacity that was actually
@@ -92,6 +109,10 @@ func (l *Link) Utilization(now sim.Time) float64 {
 	return l.BytesCarried / cs
 }
 
+// setShare refreshes the cached fair share after a change to Cap or to
+// the registry.
+func (l *Link) setShare() { l.share = l.Cap / float64(len(l.flows)) }
+
 // attach appends f (whose path index is slot) to the link's registry.
 func (l *Link) attach(f *Flow, slot int) {
 	f.linkIdx[slot] = int32(len(l.flows))
@@ -99,6 +120,7 @@ func (l *Link) attach(f *Flow, slot int) {
 	if len(l.flows) > l.MaxFlows {
 		l.MaxFlows = len(l.flows)
 	}
+	l.setShare()
 }
 
 // detach swap-removes the registry entry at index idx, repairing the
@@ -110,16 +132,20 @@ func (l *Link) detach(idx int32) {
 	moved.f.linkIdx[moved.slot] = idx
 	l.flows[last] = linkSlot{}
 	l.flows = l.flows[:last]
+	l.setShare()
 }
 
 // linkIdxInline is the path length covered by a Flow's inline index
-// buffer: the longest Titan client->OSS path (torus diameter 12+8+12
-// plus injection, router, SAN and OSS-port hops) fits, so the
-// start/finish path does not allocate a separate index slice.
+// buffer and its first path buffer: the longest Titan client->OSS path
+// (torus diameter 12+8+12 plus injection, router, SAN and OSS-port
+// hops) fits, so neither ever grows on a real fabric.
 const linkIdxInline = 40
 
-// Flow is one in-flight transfer.
+// Flow is one in-flight transfer. Flows are recycled: a *Flow returned
+// by StartFlow is valid only until its done callback runs.
 type Flow struct {
+	// path is owned by the flow and reused when it is recycled; callers'
+	// slices are copied in, never retained.
 	path []*Link
 	// linkIdx[k] is this flow's index in path[k].flows — the intrusive
 	// half of the link registries. It aliases idxBuf for the path
@@ -129,10 +155,11 @@ type Flow struct {
 	size       float64
 	remaining  float64
 	rate       float64
+	next       float64 // rate the pending reassign applies; < 0: recompute from the path
 	lastUpdate sim.Time
 	completion sim.Event
 	done       func()
-	net        *Network
+	finishFn   func() // n.finish(f), bound once per Flow object
 	activeIdx  int    // index in Network.active, -1 once finished
 	stamp      uint64 // epoch marker for affected-set collection
 }
@@ -140,11 +167,24 @@ type Flow struct {
 // Rate returns the flow's current share in bytes/second.
 func (f *Flow) Rate() float64 { return f.rate }
 
+// pathRate is the egalitarian rate from scratch: the minimum share over
+// the flow's (non-empty) path.
+func (f *Flow) pathRate() float64 {
+	rate := f.path[0].share
+	for _, l := range f.path[1:] {
+		if l.share < rate {
+			rate = l.share
+		}
+	}
+	return rate
+}
+
 // Network owns links and flows for one engine.
 type Network struct {
 	eng    *sim.Engine
 	links  []*Link
 	active []*Flow // insertion-ordered; swap-remove via Flow.activeIdx
+	free   []*Flow // finished flows awaiting reuse
 
 	epoch   uint64  // current affected-set collection epoch
 	scratch []*Flow // reused affected-set buffer (no per-event allocation)
@@ -177,6 +217,7 @@ func (n *Network) NewLink(name string, capBps float64, latency sim.Time) *Link {
 		panic(fmt.Sprintf("netsim: link %q with non-positive capacity", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
 	l := &Link{Name: name, Cap: capBps, Latency: latency, capSince: n.eng.Now()}
+	l.setShare()
 	n.links = append(n.links, l)
 	return l
 }
@@ -186,68 +227,99 @@ func (n *Network) Links() []*Link { return n.links }
 
 // StartFlow launches a transfer of size bytes across path and calls done
 // (may be nil) at completion. An empty path completes after zero time.
+// path is copied, so the caller may reuse it. The returned *Flow is
+// recycled once done runs and must not be used after that.
 func (n *Network) StartFlow(path []*Link, size float64, done func()) *Flow {
+	f := n.newFlow()
+	f.path = append(f.path[:0], path...)
+	return n.start(f, size, done)
+}
+
+// newFlow takes a flow from the free list, or builds one with its
+// completion callback bound and its path buffer sized for a Titan path.
+func (n *Network) newFlow() *Flow {
+	if k := len(n.free) - 1; k >= 0 {
+		f := n.free[k]
+		n.free[k] = nil
+		n.free = n.free[:k]
+		return f
+	}
+	f := &Flow{path: make([]*Link, 0, linkIdxInline)}
+	f.finishFn = func() { n.finish(f) }
+	return f
+}
+
+// start launches f, whose path is already filled in. One walk over f's
+// links attaches f and collects the affected set (f first, then path
+// order, then each link's registry in insertion order); for each
+// sibling it also folds the new share of every link of f's it crosses
+// into the sibling's current rate — exact by the package invariant, as
+// a start only lowers shares. Only f itself is rated from scratch.
+func (n *Network) start(f *Flow, size float64, done func()) *Flow {
 	if size <= 0 {
 		panic("netsim: flow with non-positive size") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
 	n.FlowsStarted++
-	f := &Flow{path: path, size: size, remaining: size, lastUpdate: n.eng.Now(),
-		done: done, net: n, activeIdx: -1}
-	if len(path) == 0 {
-		n.eng.After(0, func() { n.finish(f) })
+	f.size, f.remaining, f.rate, f.done = size, size, 0, done
+	f.lastUpdate = n.eng.Now()
+	if len(f.path) == 0 {
+		f.activeIdx = -1
+		n.eng.After(0, f.finishFn)
 		return f
 	}
 	f.activeIdx = len(n.active)
 	n.active = append(n.active, f)
-	if len(path) <= linkIdxInline {
-		f.linkIdx = f.idxBuf[:len(path)]
+	if len(f.path) <= linkIdxInline {
+		f.linkIdx = f.idxBuf[:len(f.path)]
 	} else {
-		f.linkIdx = make([]int32, len(path))
+		f.linkIdx = make([]int32, len(f.path))
 	}
+	// f is stamped first, so the walk skips its registry entries; as
+	// every start stamps afresh, a recycled flow's stamp from before a
+	// Reset (which restarts the epoch count) is never read.
+	n.epoch++
+	f.stamp = n.epoch
+	f.next = -1
+	aff := append(n.scratch[:0], f)
 	var latency sim.Time
-	for k, l := range path {
+	for k, l := range f.path {
 		l.attach(f, k)
 		latency += l.Latency
+		share := l.share
+		for _, e := range l.flows {
+			g := e.f
+			if g.stamp != n.epoch {
+				g.stamp = n.epoch
+				g.next = g.rate
+				aff = append(aff, g)
+			}
+			// f's own next stays negative: shares are never below it.
+			if share < g.next {
+				g.next = share
+			}
+		}
 	}
+	n.scratch = aff
 	// Fold path latency into the transfer by pre-charging it as time the
 	// flow spends before data moves: schedule the first rate assignment
 	// after the latency. For the bulk transfers Spider carries, latency
 	// is negligible against transfer time; this keeps bookkeeping simple.
-	f.lastUpdate = n.eng.Now() + latency
-	n.reassign(n.affected(f))
+	f.lastUpdate += latency
+	n.reassign(aff)
 	return f
 }
 
-// affected fills the network's scratch buffer with every flow sharing a
-// link with f (f itself first), in deterministic order: path order, then
-// each link's registry in insertion order. The per-flow epoch stamp
-// deduplicates without allocating; the returned slice is valid until the
-// next affected/affectedLink call.
-func (n *Network) affected(f *Flow) []*Flow {
-	n.epoch++
-	s := n.scratch[:0]
-	f.stamp = n.epoch
-	s = append(s, f)
-	for _, l := range f.path {
-		for _, e := range l.flows {
-			if e.f.stamp != n.epoch {
-				e.f.stamp = n.epoch
-				s = append(s, e.f)
-			}
-		}
-	}
-	n.scratch = s
-	return s
-}
-
 // affectedLink collects l's flows in insertion order into the scratch
-// buffer (same validity rules as affected).
+// buffer, each marked for a full recompute (Degrade and Restore change
+// the share under every one of them). The returned slice is valid until
+// the next start, finish or affectedLink.
 func (n *Network) affectedLink(l *Link) []*Flow {
 	n.epoch++
 	s := n.scratch[:0]
 	for _, e := range l.flows {
 		if e.f.stamp != n.epoch {
 			e.f.stamp = n.epoch
+			e.f.next = -1
 			s = append(s, e.f)
 		}
 	}
@@ -274,23 +346,18 @@ func (n *Network) advance(f *Flow) {
 	}
 }
 
-// reassign recomputes rates and completion events for the given flows,
-// in slice order (the caller guarantees a deterministic order). A flow
-// whose fair-share rate is unchanged keeps its scheduled completion
-// event untouched: with a constant rate, lazy progress accounting and
-// the already-scheduled completion time both remain exact, so the
-// cancel+reschedule (two heap operations and an allocation) is skipped.
+// reassign applies the rates the collecting walk prepared, in slice
+// order (the caller guarantees a deterministic order): a flow's next
+// rate, or, where next is negative, its rate from scratch. A flow whose
+// rate is unchanged keeps its scheduled completion event untouched:
+// with a constant rate, lazy progress accounting and the
+// already-scheduled completion time both remain exact, so the
+// cancel+reschedule (two heap operations) is skipped.
 func (n *Network) reassign(flows []*Flow) {
 	for _, f := range flows {
-		rate := -1.0
-		for _, l := range f.path {
-			share := l.Cap / float64(len(l.flows))
-			if rate < 0 || share < rate {
-				rate = share
-			}
-		}
+		rate := f.next
 		if rate < 0 {
-			rate = 0
+			rate = f.pathRate()
 		}
 		if rate == f.rate && f.completion.Pending() {
 			continue
@@ -312,21 +379,44 @@ func (n *Network) reassign(flows []*Flow) {
 		}
 		// Move the existing completion event when possible: same FIFO
 		// semantics as cancel+reschedule (fresh sequence number), but no
-		// allocation and no canceled tombstone left in the event heap.
+		// canceled tombstone left in the event heap.
 		if n.eng.Reschedule(f.completion, at) {
 			continue
 		}
-		ff := f
-		f.completion = n.eng.At(at, func() { n.finish(ff) })
+		f.completion = n.eng.At(at, f.finishFn)
 	}
 }
 
-// finish tears the flow down and redistributes its bandwidth.
+// finish tears the flow down and redistributes its bandwidth. The walk
+// runs before f detaches, so it reads the old shares: a sibling whose
+// rate equals the old share of one of f's links was bottlenecked there
+// and is recomputed. Every other sibling's rate is set by a link f does
+// not cross, and the shares of f's links only rise, so it keeps its
+// rate and its completion event.
+// f returns to the free list before done runs, so done may start a new
+// flow (and reuse f).
 func (n *Network) finish(f *Flow) {
 	n.advance(f)
 	n.BytesDelivered += f.size
 	f.remaining = 0
-	aff := n.affected(f) // aff[0] is f itself
+	n.epoch++
+	f.stamp = n.epoch
+	aff := n.scratch[:0]
+	for _, l := range f.path {
+		share := l.share
+		for _, e := range l.flows {
+			g := e.f
+			if g.stamp != n.epoch {
+				g.stamp = n.epoch
+				g.next = g.rate
+				aff = append(aff, g)
+			}
+			if g.rate == share {
+				g.next = -1
+			}
+		}
+	}
+	n.scratch = aff
 	for k, l := range f.path {
 		l.detach(f.linkIdx[k])
 	}
@@ -341,9 +431,12 @@ func (n *Network) finish(f *Flow) {
 		f.activeIdx = -1
 	}
 	n.FlowsCompleted++
-	n.reassign(aff[1:])
-	if f.done != nil {
-		f.done()
+	n.reassign(aff)
+	done := f.done
+	f.done = nil
+	n.free = append(n.free, f)
+	if done != nil {
+		done()
 	}
 }
 

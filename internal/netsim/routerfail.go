@@ -84,20 +84,35 @@ func (f *Fabric) selectRouter(c topology.Coord, destLeaf int, mode RouteMode, sr
 	}
 }
 
-// pathVia builds the full client->OSS link path through router rid in a
-// single right-sized allocation (the path is retained by the flow until
-// completion, so it cannot come from a reusable scratch buffer).
-func (f *Fabric) pathVia(c topology.Coord, oss, rid int) []*Link {
+// pathVia appends the full client->OSS link path through router rid to
+// dst. A flow start passes the flow's own recycled path buffer, so
+// building the path allocates nothing once that buffer has reached a
+// Titan path's length.
+func (f *Fabric) pathVia(dst []*Link, c topology.Coord, oss, rid int) []*Link {
 	destLeaf := f.ossLeaf[oss]
 	mod := f.Placement.Modules[rid/4]
-	path := make([]*Link, 0, f.Cfg.Torus.Distance(c, mod.Coord)+6)
-	path = append(path, f.inject[f.Cfg.Torus.Index(c)])
-	path = f.geminiPath(path, c, mod.Coord)
-	path = append(path, f.routerFwd[rid], f.routerUp[rid])
+	dst = append(dst, f.inject[f.Cfg.Torus.Index(c)])
+	dst = f.geminiPath(dst, c, mod.Coord)
+	dst = append(dst, f.routerFwd[rid], f.routerUp[rid])
 	if sw := f.routerSwitch(rid); sw != destLeaf {
-		path = append(path, f.coreUp[sw], f.coreDown[destLeaf])
+		dst = append(dst, f.coreUp[sw], f.coreDown[destLeaf])
 	}
-	return append(path, f.ossPort[oss])
+	return append(dst, f.ossPort[oss])
+}
+
+// send is one client send in flight through StartClientFlow's attempts.
+type send struct {
+	c       topology.Coord
+	oss     int
+	mode    RouteMode
+	bytes   float64
+	src     *rng.Source
+	done    func()
+	tr      *spantrace.Tracer
+	fparent spantrace.SpanID
+	// skip is the sender's router blacklist, allocated by the first
+	// stall; lookups on the nil map are fine.
+	skip map[int]bool
 }
 
 // StartClientFlow launches a transfer from a client to an OSS with
@@ -110,83 +125,83 @@ func (f *Fabric) pathVia(c topology.Coord, oss, rid int) []*Link {
 // router blacklisted after stalls), the send is dropped: DroppedFlows
 // is incremented, the optional OnDrop error path runs, and done never
 // fires — the caller's stalled-send counters make the loss visible.
+//
+// An untraced first-attempt send allocates nothing: the attempt is a
+// plain call, and closures are built only for a stall's retry and for a
+// traced send's span-ending completion.
 func (f *Fabric) StartClientFlow(c topology.Coord, oss int, mode RouteMode, bytes float64, src *rng.Source, done func()) {
-	eng := f.engine()
+	s := send{c: c, oss: oss, mode: mode, bytes: bytes, src: src, done: done, tr: f.Tracer}
 	// Spantrace: under a sampled request context the send becomes a
 	// fabric child span; with no context at all (raw fabric workloads,
 	// the congestion benchmark) the fabric self-samples roots; NoSpan
 	// means the request was considered upstream and skipped, so nothing
 	// is recorded.
-	tr := f.Tracer
-	var fparent spantrace.SpanID
-	if tr != nil {
+	if tr := s.tr; tr != nil {
 		switch p := tr.Cur(); {
 		case p == spantrace.NoSpan:
-			tr = nil
+			s.tr = nil
 		case p == 0:
-			fparent = tr.SampleRoot(spantrace.Fabric, "send", int64(bytes))
-			if fparent == 0 {
-				tr = nil
+			s.fparent = tr.SampleRoot(spantrace.Fabric, "send", int64(bytes))
+			if s.fparent == 0 {
+				s.tr = nil
 			}
 		default:
-			fparent = tr.Begin(spantrace.Fabric, "send", p, int64(bytes))
+			s.fparent = tr.Begin(spantrace.Fabric, "send", p, int64(bytes))
 		}
 	}
-	// The blacklist is allocated lazily: the overwhelmingly common case
-	// is a first-attempt success, and this runs once per RPC. Lookups on
-	// the nil map are fine; only a stall materializes it.
-	var skip map[int]bool
-	var attempt func()
-	attempt = func() {
-		rid := f.selectRouter(c, f.ossLeaf[oss], mode, src, skip)
-		if rid < 0 {
-			f.DroppedFlows++
-			tr.Mark(spantrace.Fabric, "drop", fparent, int64(bytes), "")
-			tr.End(fparent)
-			if f.OnDrop != nil {
-				f.OnDrop(oss, bytes)
-			}
-			return
-		}
-		if f.failedRouters[rid] {
-			// Dead router selected: without ARN the sender discovers it
-			// the hard way.
-			f.StalledSends++
-			f.StallTime += RouterTimeout
-			stall := tr.Begin(spantrace.Fabric, "router-stall", fparent, 0)
-			if stall != 0 {
-				tr.Annotate(stall, "rtr"+strconv.Itoa(rid))
-			}
-			if skip == nil {
-				skip = map[int]bool{}
-			}
-			skip[rid] = true
-			eng.After(RouterTimeout, func() {
-				tr.End(stall)
-				tr.Mark(spantrace.Fabric, "reroute", fparent, 0, "")
-				attempt()
-			})
-			return
-		}
-		path := f.pathVia(c, oss, rid)
-		fl := tr.Begin(spantrace.Fabric, "flow", fparent, int64(bytes))
-		if fl != 0 {
-			tr.Annotate(fl, "rtr"+strconv.Itoa(rid)+" hops="+strconv.Itoa(len(path)))
-			for _, l := range path {
-				tr.Mark(spantrace.Fabric, "hop", fl, 0, l.Name)
-			}
-			inner := done
-			done = func() {
-				tr.End(fl)
-				tr.End(fparent)
-				if inner != nil {
-					inner()
-				}
-			}
-		}
-		f.Net.StartFlow(path, bytes, done)
-	}
-	attempt()
+	f.attempt(s)
 }
 
-func (f *Fabric) engine() *sim.Engine { return f.eng }
+// attempt routes s once: it drops the send, stalls on a dead router and
+// schedules the retry, or starts the flow.
+func (f *Fabric) attempt(s send) {
+	tr := s.tr
+	rid := f.selectRouter(s.c, f.ossLeaf[s.oss], s.mode, s.src, s.skip)
+	if rid < 0 {
+		f.DroppedFlows++
+		tr.Mark(spantrace.Fabric, "drop", s.fparent, int64(s.bytes), "")
+		tr.End(s.fparent)
+		if f.OnDrop != nil {
+			f.OnDrop(s.oss, s.bytes)
+		}
+		return
+	}
+	if f.failedRouters[rid] {
+		// Dead router selected: without ARN the sender discovers it
+		// the hard way.
+		f.StalledSends++
+		f.StallTime += RouterTimeout
+		stall := tr.Begin(spantrace.Fabric, "router-stall", s.fparent, 0)
+		if stall != 0 {
+			tr.Annotate(stall, "rtr"+strconv.Itoa(rid))
+		}
+		if s.skip == nil {
+			s.skip = map[int]bool{}
+		}
+		s.skip[rid] = true
+		f.eng.After(RouterTimeout, func() {
+			tr.End(stall)
+			tr.Mark(spantrace.Fabric, "reroute", s.fparent, 0, "")
+			f.attempt(s)
+		})
+		return
+	}
+	fl := f.Net.newFlow()
+	fl.path = f.pathVia(fl.path[:0], s.c, s.oss, rid)
+	done := s.done
+	if sp := tr.Begin(spantrace.Fabric, "flow", s.fparent, int64(s.bytes)); sp != 0 {
+		tr.Annotate(sp, "rtr"+strconv.Itoa(rid)+" hops="+strconv.Itoa(len(fl.path)))
+		for _, l := range fl.path {
+			tr.Mark(spantrace.Fabric, "hop", sp, 0, l.Name)
+		}
+		inner, fparent := s.done, s.fparent
+		done = func() {
+			tr.End(sp)
+			tr.End(fparent)
+			if inner != nil {
+				inner()
+			}
+		}
+	}
+	f.Net.start(fl, s.bytes, done)
+}

@@ -12,9 +12,9 @@
 #   ./verify.sh benchcheck — regenerate the BENCH_*.json goldens into
 #                         fresh-bench/ and byte-compare them
 #   ./verify.sh all     — all of the above, in order
-#   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API
-#                         and the ledger auditor (not part of all: its
-#                         inputs differ from run to run)
+#   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API,
+#                         the ledger auditor and the flow solver (not
+#                         part of all: its inputs differ from run to run)
 set -eu
 
 stage="${1:-all}"
@@ -101,13 +101,17 @@ stage_fuzz() {
 	# FuzzEngineOps replays arbitrary At/After/Cancel/Reschedule/Step/
 	# RunUntil/Reset sequences against a sorted-slice reference queue;
 	# FuzzLedgerAudit feeds arbitrary export bytes to the auditor and
-	# Resume, which must never panic. go test -fuzz takes one target per
-	# invocation; plain go test already runs both seed corpora. The
-	# ledger seed is a 14 KB campaign export: minimizing each new
-	# interesting input that large under the default 60 s cap stalls the
-	# whole 30 s run, so minimization is capped at 2 s.
+	# Resume, which must never panic; FuzzFlowOps checks the incremental
+	# flow solver's rates bitwise against a from-scratch recomputation
+	# after arbitrary start/complete/Degrade/Restore/Reset sequences.
+	# go test -fuzz takes one target per invocation; plain go test
+	# already runs every seed corpus. The ledger seed is a 14 KB
+	# campaign export, and every flow op rechecks all active flows:
+	# minimizing each new interesting input that large under the default
+	# 60 s cap stalls the whole 30 s run, so minimization is capped at 2 s.
 	go test -run '^$' -fuzz FuzzEngineOps -fuzztime 30s ./internal/sim
 	go test -run '^$' -fuzz FuzzLedgerAudit -fuzztime 30s -fuzzminimizetime 2s ./internal/ledger
+	go test -run '^$' -fuzz FuzzFlowOps -fuzztime 30s -fuzzminimizetime 2s ./internal/netsim
 	set +x
 }
 
