@@ -42,7 +42,7 @@ func main() {
 
 	// 3. Proposals (block-storage vs appliance models, §III-A) and the
 	// weighted best-value evaluation (§III-C).
-	reqs := procure.Requirements{SeqBps: 1e12, RandBps: 240e9, Capacity: 32e15, BudgetUSD: 45e6}
+	reqs := procure.Spider2Requirements()
 	proposals := []procure.Proposal{
 		{
 			Vendor: "block-storage-co", Unit: procure.Spider2SSU(),

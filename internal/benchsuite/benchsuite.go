@@ -26,11 +26,12 @@ type Sweep struct {
 	WriteFracs   []float64
 	Random       []bool
 	CellDuration sim.Time
-	// RandomSpan bounds block-level random offsets to this fraction of
-	// the LUN so the comparison matches the FS-level cells, whose data
-	// occupies ~25% of the platters. Zero means 0.25.
-	RandomSpan float64
 }
+
+// blockRandomSpan bounds block-level random offsets to this fraction of
+// the LUN so the comparison matches the FS-level cells, whose data
+// occupies ~25% of the platters.
+const blockRandomSpan = 0.25
 
 // DefaultSweep returns the grid OLCF shipped to vendors.
 func DefaultSweep() Sweep {
@@ -75,17 +76,13 @@ func fmtSize(n int64) string {
 // RunBlockLevel sweeps the grid against a raw RAID group.
 func RunBlockLevel(eng *sim.Engine, g *raid.Group, sweep Sweep, src *rng.Source) []Cell {
 	var cells []Cell
-	span := sweep.RandomSpan
-	if span == 0 {
-		span = 0.25
-	}
 	for _, rs := range sweep.RequestSizes {
 		for _, qd := range sweep.QueueDepths {
 			for _, wf := range sweep.WriteFracs {
 				for _, rnd := range sweep.Random {
 					res := workload.RunFairLIOGroup(eng, g, workload.FairLIOConfig{
 						RequestSize: rs, QueueDepth: qd, WriteFrac: wf, Random: rnd,
-						RandomSpan: span, Duration: sweep.CellDuration,
+						RandomSpan: blockRandomSpan, Duration: sweep.CellDuration,
 					}, src.Split(fmt.Sprintf("blk-%d-%d-%f-%v", rs, qd, wf, rnd)))
 					cells = append(cells, Cell{
 						RequestSize: rs, QueueDepth: qd, WriteFrac: wf, Random: rnd,

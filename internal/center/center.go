@@ -362,20 +362,3 @@ func MetadataStorm(namespaces []*lustre.FS, files int, concurrency int) Metadata
 	res.Utilization = util / float64(len(namespaces))
 	return res
 }
-
-// BlastRadius returns the fraction of the center's files made
-// unavailable by the loss of namespace ns — the failure-domain argument
-// for multiple namespaces.
-func BlastRadius(namespaces []*lustre.FS, ns int) float64 {
-	var total, lost int64
-	for i, fs := range namespaces {
-		total += fs.NumFiles
-		if i == ns {
-			lost += fs.NumFiles
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(lost) / float64(total)
-}

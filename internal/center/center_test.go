@@ -1,12 +1,16 @@
 package center
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"spiderfs/internal/lustre"
 	"spiderfs/internal/netsim"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
+	"spiderfs/internal/stats"
+	"spiderfs/internal/topology"
 	"spiderfs/internal/workload"
 )
 
@@ -128,31 +132,6 @@ func TestMetadataStormNamespaceSplit(t *testing.T) {
 	}
 }
 
-func TestBlastRadius(t *testing.T) {
-	eng := sim.NewEngine()
-	a := lustre.Build(eng, lustre.TestNamespace(), rng.New(20))
-	p := lustre.TestNamespace()
-	p.Name = "b"
-	b := lustre.Build(eng, p, rng.New(21))
-	for i := 0; i < 10; i++ {
-		a.Create(pathN("a", i), 1, nil)
-		b.Create(pathN("b", i), 1, nil)
-	}
-	eng.Run()
-	single := BlastRadius([]*lustre.FS{a}, 0)
-	if single != 1.0 {
-		t.Fatalf("single namespace blast = %f, want 1.0", single)
-	}
-	split := BlastRadius([]*lustre.FS{a, b}, 0)
-	if split != 0.5 {
-		t.Fatalf("split blast = %f, want 0.5", split)
-	}
-}
-
-func pathN(prefix string, i int) string {
-	return prefix + "/f" + string(rune('0'+i))
-}
-
 func TestControllerUpgradeRaisesThroughput(t *testing.T) {
 	// E14 in miniature: same shape, upgraded controller, optimally
 	// placed clients -> clearly higher aggregate.
@@ -170,5 +149,69 @@ func TestControllerUpgradeRaisesThroughput(t *testing.T) {
 	ratio := after / before
 	if ratio < 1.2 {
 		t.Fatalf("upgrade gained only %.2fx (%.1f -> %.1f GB/s)", ratio, before/1e9, after/1e9)
+	}
+}
+
+func TestRenderArchitecture(t *testing.T) {
+	c := New(Config{Small: true, Namespaces: 2, Seed: 5})
+	out := c.RenderArchitecture()
+	for _, want := range []string{"Gemini 3D torus", "LNET routers", "Spider namespace", "RAID-6 8+2", "MDT"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("architecture rendering missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Count(out, "Spider namespace") != 2 {
+		t.Fatal("should render both namespaces")
+	}
+}
+
+// The end-to-end value behind A8: two identical checkpointing apps on
+// one namespace finish their dumps faster when staggered by half their
+// period than when they burst in phase.
+func TestStaggeredCheckpointsBeatAligned(t *testing.T) {
+	run := func(offset sim.Time) float64 {
+		eng := sim.NewEngine()
+		p := lustre.TestNamespace()
+		// Proportional miniature controller (as in the Small center), so
+		// two simultaneous dumps genuinely contend.
+		p.CtrlCfg.Bps = 2.5e9
+		p.CtrlCfg.Slots = 8
+		fs := lustre.Build(eng, p, rng.New(321))
+		var durations []float64
+		app := func(id int, start sim.Time) {
+			client := lustre.NewClient(id, topology.Coord{}, fs, lustre.NullTransport{Eng: eng})
+			period := 2 * sim.Second
+			fs.Create(fmt.Sprintf("app%d/ckpt", id), 4, func(file *lustre.File) {
+				var dump func(n int)
+				dump = func(n int) {
+					if n == 0 {
+						return
+					}
+					t0 := eng.Now()
+					client.WriteStream(file, 96<<20, 1<<20, func(int64) {
+						durations = append(durations, (eng.Now() - t0).Seconds())
+						eng.After(period, func() { dump(n - 1) })
+					})
+				}
+				if eng.Now() >= start {
+					dump(5)
+				} else {
+					eng.At(start, func() { dump(5) })
+				}
+			})
+		}
+		app(0, 0)
+		app(1, offset)
+		eng.Run()
+		return stats.Percentile(durations, 0.95)
+	}
+	aligned := run(0)
+	staggered := run(sim.Second) // half the period
+	if staggered >= aligned {
+		t.Fatalf("staggered p95 dump %.3fs not better than aligned %.3fs", staggered, aligned)
+	}
+	if aligned/staggered < 1.3 {
+		t.Fatalf("stagger gain only %.2fx (aligned %.3fs vs staggered %.3fs)",
+			aligned/staggered, aligned, staggered)
 	}
 }

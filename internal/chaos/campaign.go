@@ -65,15 +65,14 @@ type Config struct {
 	// member disk; CorruptionStormAt sprays CorruptionStormErrors silent
 	// sectors uniformly across the fleet (a firmware-bug-class event); a
 	// positive ScrubInterval runs a background scrubber over every RAID
-	// group with the rebuild-style batch/pause throttle. VerifyPolicy
-	// selects when foreground reads verify stripe checksums.
+	// group with the rebuild-style batch/pause throttle. Foreground
+	// reads verify stripe checksums under raid's default policy.
 	MediaFaults           disk.FaultConfig
 	CorruptionStormAt     sim.Time
 	CorruptionStormErrors int
 	ScrubInterval         sim.Time
 	ScrubBatch            int64
 	ScrubPause            sim.Time
-	VerifyPolicy          raid.VerifyPolicy
 
 	// Scripted MDS outage against namespace 0 (zero At disables).
 	MDSOutageAt       sim.Time
@@ -364,7 +363,6 @@ func (p *campaign) buildGraph() {
 			p.graph.Add(ostName(fs, i), KindOST, gn, ossName(fs, fs.OSSOf(i)), mdsName(fs))
 			g.RebuildChunk = p.cfg.RebuildChunk
 			g.RebuildPause = p.cfg.RebuildPause
-			g.Verify = p.cfg.VerifyPolicy
 			if p.cfg.MediaFaults.Enabled() {
 				for j, d := range g.Disks() {
 					d.SetFaultInjection(p.cfg.MediaFaults, media.Split(fmt.Sprintf("%s-d%d", gn, j)))
@@ -483,7 +481,7 @@ func (p *campaign) startRouterBursts() {
 }
 
 // startCableDegradation drops a router uplink to a fraction of its
-// nominal bandwidth (the in-place-diagnosable §IV-A failure mode). The
+// nominal bandwidth (the §IV-A degraded-cable failure mode). The
 // link stays up — this degrades throughput without downtime.
 func (p *campaign) startCableDegradation() {
 	if p.cfg.CableDegradeInterval <= 0 || len(p.uplinks) == 0 {

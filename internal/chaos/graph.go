@@ -115,9 +115,6 @@ func (g *Graph) Add(name string, kind Kind, deps ...string) *Node {
 	return n
 }
 
-// Nodes returns all nodes in insertion order.
-func (g *Graph) Nodes() []*Node { return append([]*Node(nil), g.order...) }
-
 // Down reports whether the named node is currently unavailable. Unknown
 // names are up (the graph only tracks components with failure modes).
 func (g *Graph) Down(name string) bool {
@@ -188,6 +185,8 @@ func (g *Graph) removeCause(n *Node, cause string) {
 }
 
 // DownCount returns how many nodes of the given kind are currently down.
+//
+//simlint:allow test-only-export read-only accessor the cascade tests assert
 func (g *Graph) DownCount(kind Kind) int {
 	c := 0
 	for _, n := range g.order {

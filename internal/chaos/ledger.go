@@ -18,23 +18,6 @@ type ComponentStats struct {
 	downSince sim.Time
 }
 
-// MTBF is the mean time between failures over the observation window
-// (zero when the component never failed).
-func (s ComponentStats) MTBF(window sim.Time) sim.Time {
-	if s.Failures == 0 {
-		return 0
-	}
-	return window / sim.Time(s.Failures)
-}
-
-// MTTR is the mean time to repair across the component's failures.
-func (s ComponentStats) MTTR() sim.Time {
-	if s.Failures == 0 {
-		return 0
-	}
-	return s.Downtime / sim.Time(s.Failures)
-}
-
 // Ledger accrues per-component downtime during a campaign. The graph
 // feeds it down/up transitions; Close settles components still down at
 // the end of the window so their open outage is charged.

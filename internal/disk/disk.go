@@ -135,6 +135,8 @@ func New(eng *sim.Engine, id int, cfg Config, health Health, src *rng.Source) *D
 func (d *Disk) Config() Config { return d.cfg }
 
 // Health returns the drive personality (test/fault-injection use).
+//
+//simlint:allow test-only-export accessor the tests clone a drive personality with
 func (d *Disk) Health() Health { return d.health }
 
 // SetHealth replaces the drive personality, modelling a disk swap or a
@@ -149,9 +151,6 @@ func (d *Disk) ResetStats() {
 	d.Latency = stats.Summary{}
 	d.SlowCmds = 0
 }
-
-// QueueLen returns the number of commands waiting at the drive.
-func (d *Disk) QueueLen() int { return d.srv.QueueLen() }
 
 // Utilization returns the drive's busy fraction since t=0.
 func (d *Disk) Utilization() float64 { return d.srv.Utilization() }
@@ -202,6 +201,8 @@ func (d *Disk) serviceParts(op Op) parts {
 // ServiceTime computes the service time of op from the current head
 // position without executing it. Exposed for analytic calibration.
 // Draws from the disk's rng stream like a real command would.
+//
+//simlint:allow test-only-export analytic oracle the zoned-rate tests check the service model with
 func (d *Disk) ServiceTime(op Op) sim.Time {
 	return d.serviceParts(op).total()
 }

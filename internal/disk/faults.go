@@ -37,10 +37,9 @@ const SectorSize = 4096
 // FaultConfig sets media-error injection rates. Rates are expected
 // defects per decimal GB transferred; injected counts are Poisson.
 type FaultConfig struct {
-	// UREPerGBWritten and SilentPerGBWritten inject defects into the
-	// extent just written (weak writes, high-fly writes, bit rot seeded
-	// at write time).
-	UREPerGBWritten    float64
+	// SilentPerGBWritten injects silent defects into the extent just
+	// written (weak writes, high-fly writes, bit rot seeded at write
+	// time).
 	SilentPerGBWritten float64
 	// UREPerGBRead injects drive-detectable defects uniformly across the
 	// platter per GB read — media wear, which is what makes long rebuilds
@@ -50,7 +49,7 @@ type FaultConfig struct {
 
 // Enabled reports whether any injection rate is non-zero.
 func (fc FaultConfig) Enabled() bool {
-	return fc.UREPerGBWritten > 0 || fc.SilentPerGBWritten > 0 || fc.UREPerGBRead > 0
+	return fc.SilentPerGBWritten > 0 || fc.UREPerGBRead > 0
 }
 
 // ScanResult summarizes the latent defects in a scanned extent.
@@ -77,26 +76,10 @@ func (d *Disk) InjectError(lba int64, kind CorruptKind) {
 	d.mark(lba/SectorSize, kind)
 }
 
-// TearWrite models a power-fault-interrupted write of [lba, lba+size):
-// the sector at the torn boundary is left silently inconsistent (old
-// head, new tail — checksums above will disagree, the drive will not).
-func (d *Disk) TearWrite(lba, size int64) {
-	if size <= 0 || lba < 0 || lba+size > d.cfg.Capacity {
-		return
-	}
-	sectors := size / SectorSize
-	if sectors < 1 {
-		sectors = 1
-	}
-	boundary := sectors / 2
-	if d.faultSrc != nil {
-		boundary = d.faultSrc.Int63n(sectors)
-	}
-	d.mark(lba/SectorSize+boundary, Silent)
-}
-
 // CorruptSectors returns the number of latent-corrupt sectors on the
 // platter.
+//
+//simlint:allow test-only-export fault-injection accessor the cross-package integrity tests count planted defects with
 func (d *Disk) CorruptSectors() int { return len(d.media) }
 
 // Scan reports the latent defects in [lba, lba+size) without performing
@@ -202,7 +185,6 @@ func (d *Disk) applyFaults(op Op) {
 	}
 	gb := float64(op.Size) / 1e9
 	if op.Write {
-		d.injectUniform(op.LBA, op.Size, d.faults.UREPerGBWritten*gb, URE)
 		d.injectUniform(op.LBA, op.Size, d.faults.SilentPerGBWritten*gb, Silent)
 	} else {
 		d.injectUniform(0, d.cfg.Capacity, d.faults.UREPerGBRead*gb, URE)

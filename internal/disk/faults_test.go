@@ -59,14 +59,6 @@ func TestWriteHealsOverwrittenExtent(t *testing.T) {
 	}
 }
 
-func TestTearWriteLeavesSilentBoundary(t *testing.T) {
-	_, d := testDisk(3)
-	d.TearWrite(0, 256*SectorSize)
-	if got := d.Scan(0, 256*SectorSize); got.Silent != 1 || got.UREs != 0 {
-		t.Fatalf("torn write scan = %+v, want exactly one silent sector", got)
-	}
-}
-
 // Rate-driven injection must be deterministic per (seed, op sequence)
 // and must draw only from the dedicated fault stream: a disk armed with
 // zero rates services commands bit-identically to a never-armed disk.
@@ -85,7 +77,7 @@ func TestFaultInjectionDeterminismAndIsolation(t *testing.T) {
 		return d, eng.Now()
 	}
 
-	hot := FaultConfig{UREPerGBWritten: 40, SilentPerGBWritten: 40, UREPerGBRead: 40}
+	hot := FaultConfig{SilentPerGBWritten: 40, UREPerGBRead: 40}
 	a, _ := run(true, hot)
 	b, _ := run(true, hot)
 	if a.InjectedUREs == 0 || a.InjectedSilent == 0 {

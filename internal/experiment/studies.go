@@ -433,7 +433,7 @@ func E12(seed uint64) Result {
 func E13(seed uint64) Result {
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(seed))
-	p := purge.New(fs, purge.Policy{MaxAge: 14 * sim.Day, Interval: sim.Day, Concurrency: 16})
+	p := purge.New(fs, purge.Spider2Policy())
 	p.Start()
 	day := 0
 	var producer func()

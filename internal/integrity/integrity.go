@@ -95,10 +95,9 @@ func New(eng *sim.Engine, g *raid.Group, cfg Config) *Scrubber {
 	return &Scrubber{eng: eng, g: g, cfg: cfg}
 }
 
-// Group returns the group being scrubbed.
-func (s *Scrubber) Group() *raid.Group { return s.g }
-
 // Running reports whether the scrubber is armed.
+//
+//simlint:allow test-only-export read-only accessor the scrubber lifecycle tests assert
 func (s *Scrubber) Running() bool { return s.running }
 
 // Start arms the scrubber; the first batch issues immediately.

@@ -22,9 +22,6 @@ type Series struct {
 	Samples  []float64
 }
 
-// Duration returns the covered time span.
-func (s Series) Duration() sim.Time { return sim.Time(len(s.Samples)) * s.Interval }
-
 // Sampler collects a Series from a live namespace by sampling the delta
 // of bytes written to all OSTs each interval — exactly what the DDN
 // controller pollers gave OLCF.
@@ -203,28 +200,4 @@ func Extract(runs []Series, k float64) Signature {
 	}
 	out.Confidence = conf * float64(len(vols)) / float64(len(runs))
 	return out
-}
-
-// Similarity scores how close two signatures are in [0, 1]; used to
-// match an unknown run against a library of known applications.
-func Similarity(a, b Signature) float64 {
-	if a.BurstVolume == 0 || b.BurstVolume == 0 {
-		return 0
-	}
-	ratio := func(x, y float64) float64 {
-		if x == 0 && y == 0 {
-			return 1
-		}
-		if x == 0 || y == 0 {
-			return 0
-		}
-		if x > y {
-			x, y = y, x
-		}
-		return x / y
-	}
-	score := ratio(a.BurstVolume, b.BurstVolume) *
-		ratio(a.Period.Seconds(), b.Period.Seconds()) *
-		ratio(float64(a.BurstsPerRun), float64(b.BurstsPerRun))
-	return math.Cbrt(score)
 }

@@ -97,21 +97,6 @@ func TestExtractEmptyRuns(t *testing.T) {
 	}
 }
 
-func TestSimilarityMatchesSameApp(t *testing.T) {
-	src := rng.New(4)
-	a := ExtractRun(synthSeries(sim.Second, 200, 25, 4, 80e9, 2e9, src.Split("a")), 5)
-	b := ExtractRun(synthSeries(sim.Second, 200, 25, 4, 80e9, 4e9, src.Split("b")), 5)
-	other := ExtractRun(synthSeries(sim.Second, 200, 60, 10, 20e9, 2e9, src.Split("c")), 5)
-	same := Similarity(a, b)
-	diff := Similarity(a, other)
-	if same < 0.8 {
-		t.Fatalf("same-app similarity = %f", same)
-	}
-	if diff >= same {
-		t.Fatalf("different app (%f) matched better than same app (%f)", diff, same)
-	}
-}
-
 func TestSamplerCapturesCheckpointBursts(t *testing.T) {
 	// End-to-end: run a periodically checkpointing app on a live
 	// namespace, sample server-side throughput, and recover the period.

@@ -57,7 +57,7 @@ func TestDebtInventoryShape(t *testing.T) {
 		for _, c := range s.Checks {
 			counts[c]++
 		}
-		if s.File == "internal/sim/engine.go" {
+		if s.File == "internal/sim/engine.go" && s.Checks[0] == "no-library-panic" {
 			foundCausality = true
 			if !strings.Contains(s.Reason, "causality assertion") {
 				t.Errorf("engine causality site lost its reason: %q", s.Reason)

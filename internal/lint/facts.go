@@ -59,10 +59,8 @@ func newFacts(modpath string) *facts {
 // packages typechecked via TypecheckSource, which are not in m.Pkgs).
 func (m *Module) factsWith(p *Package) *facts {
 	base := m.moduleFacts()
-	for _, q := range m.Pkgs {
-		if q == p {
-			return base
-		}
+	if m.inModule(p) {
+		return base
 	}
 	ext := newFacts(base.modpath)
 	for k, v := range base.direct {

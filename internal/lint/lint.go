@@ -72,6 +72,7 @@ func Checks() []*Check {
 		checkShardIsolation,
 		checkUnsyncedSharedWrite,
 		checkDroppedError,
+		checkTestOnlyExport,
 	}
 }
 
@@ -101,6 +102,8 @@ func (m *Module) Run(checks []*Check) []Diagnostic {
 // RunPackage executes the checks over a single package (typically one
 // produced by TypecheckSource for sabotage fixtures), including that
 // package's typecheck diagnostics.
+//
+//simlint:allow test-only-export runs the sabotage fixtures and testdata corpus
 func (m *Module) RunPackage(p *Package, checks []*Check) []Diagnostic {
 	return finish(m.runPackage(p, checks))
 }

@@ -43,6 +43,7 @@ type Module struct {
 	local   map[string]*Package
 	loading map[string]bool
 	facts   *facts
+	exports *exportUses
 }
 
 // LoadModule parses and typechecks every package under root (skipping
@@ -262,6 +263,8 @@ func (m *Module) typecheck(p *Package) {
 // RunPackage. files maps file name to source. Sabotage fixtures and
 // the testdata corpus load through here; type errors become "load"
 // diagnostics on the returned package rather than failing the call.
+//
+//simlint:allow test-only-export loads the sabotage fixtures and testdata corpus
 func (m *Module) TypecheckSource(importPath string, files map[string]string) (*Package, error) {
 	var names []string
 	for name := range files {

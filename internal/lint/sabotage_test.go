@@ -20,7 +20,7 @@ type Tracker struct {
 	pending map[string]sim.Time
 }
 
-func (t *Tracker) ScheduleCompletions(done func(string)) {
+func (t *Tracker) scheduleCompletions(done func(string)) {
 	for name, at := range t.pending {
 		n := name
 		t.eng.At(at, func() { done(n) })
@@ -46,7 +46,7 @@ type Tracker struct {
 	index map[string]int    // lookup only, never ranged
 }
 
-func (t *Tracker) ScheduleCompletions(done func(string)) {
+func (t *Tracker) scheduleCompletions(done func(string)) {
 	for _, it := range t.order {
 		n := it.name
 		t.eng.At(it.at, func() { done(n) })
@@ -247,5 +247,63 @@ func TestSabotageSingleCheckSelection(t *testing.T) {
 	}
 	if diags := m.RunPackage(pkg, []*Check{checkOrderedMapRange}); len(diags) != 1 {
 		t.Fatalf("ordered-map-range alone should fire once, got %v", diags)
+	}
+}
+
+// TestSabotageTestOnlyExport adds a mechanism that only its own test
+// calls — the shape of the dead paper mechanisms test-only-export was
+// written to keep deleted — and asserts the check refuses it, while a
+// non-test caller in the package clears it.
+func TestSabotageTestOnlyExport(t *testing.T) {
+	m := loadRepo(t)
+	const spread = `package sabotage
+
+import "spiderfs/internal/stats"
+
+// Spread is the p90-p10 band of xs.
+func Spread(xs []float64) float64 {
+	return stats.Percentile(xs, 0.9) - stats.Percentile(xs, 0.1)
+}
+`
+	const spreadTest = `package sabotage
+
+import "testing"
+
+func TestSpread(t *testing.T) {
+	if Spread([]float64{1, 2, 3}) <= 0 {
+		t.Fatal("empty band")
+	}
+}
+`
+	pkg, err := m.TypecheckSource("spiderfs/internal/sabotage", map[string]string{
+		"spread.go":      spread,
+		"spread_test.go": spreadTest,
+	})
+	if err != nil {
+		t.Fatalf("TypecheckSource: %v", err)
+	}
+	diags := m.RunPackage(pkg, Checks())
+	if len(diags) != 1 {
+		t.Fatalf("test-only export: got %d diagnostics %v, want exactly 1", len(diags), diags)
+	}
+	if d := diags[0]; d.Check != "test-only-export" || d.File != "spread.go" || !strings.Contains(d.Message, "Spread") {
+		t.Fatalf("diagnostic %v should be test-only-export naming Spread in spread.go", d)
+	}
+
+	wired, err := m.TypecheckSource("spiderfs/internal/sabotage", map[string]string{
+		"spread.go":      spread,
+		"spread_test.go": spreadTest,
+		"report.go": `package sabotage
+
+import "fmt"
+
+func report(xs []float64) string { return fmt.Sprintf("band %.1f", Spread(xs)) }
+`,
+	})
+	if err != nil {
+		t.Fatalf("TypecheckSource(wired): %v", err)
+	}
+	if diags := m.RunPackage(wired, Checks()); len(diags) != 0 {
+		t.Fatalf("Spread with a non-test caller should be clean, got %v", diags)
 	}
 }

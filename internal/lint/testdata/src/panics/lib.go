@@ -3,14 +3,14 @@ package panics
 
 import "fmt"
 
-func Divide(a, b int) int {
+func divide(a, b int) int {
 	if b == 0 {
 		panic("divide by zero") // want no-library-panic
 	}
 	return a / b
 }
 
-func Parse(s string) int {
+func parse(s string) int {
 	if s == "" {
 		panic(fmt.Errorf("empty input")) // want no-library-panic
 	}

@@ -11,17 +11,17 @@ type Box struct {
 	closed bool
 }
 
-func (b *Box) Take() (int, error) {
+func (b *Box) take() (int, error) {
 	if b.closed {
 		return 0, errClosed
 	}
 	if b.n < 0 {
-		panic("panicsok: negative count") //simlint:allow no-library-panic can't-happen internal invariant: Put never stores negatives
+		panic("panicsok: negative count") //simlint:allow no-library-panic can't-happen internal invariant: put never stores negatives
 	}
 	return b.n, nil
 }
 
-func (b *Box) Put(n int) error {
+func (b *Box) put(n int) error {
 	if n < 0 {
 		return errors.New("panicsok: negative input")
 	}

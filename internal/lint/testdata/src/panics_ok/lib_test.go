@@ -2,7 +2,7 @@ package panicsok
 
 // Test files may panic freely; the check never looks at them.
 func mustTake(b *Box) int {
-	n, err := b.Take()
+	n, err := b.take()
 	if err != nil {
 		panic(err)
 	}

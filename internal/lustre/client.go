@@ -1,7 +1,6 @@
 package lustre
 
 import (
-	"spiderfs/internal/netsim"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
@@ -9,9 +8,8 @@ import (
 )
 
 // Transport carries RPC payloads from a client to an OSS. The lustre
-// package ships two implementations: NullTransport (infinite network,
-// for file-system-level studies) and FabricTransport (the full
-// Gemini+IB path).
+// package ships NullTransport (infinite network, for file-system-level
+// studies); internal/center supplies the full Gemini+IB path.
 type Transport interface {
 	Send(from topology.Coord, oss int, bytes int64, done func())
 }
@@ -23,22 +21,6 @@ type NullTransport struct{ Eng *sim.Engine }
 // Send implements Transport.
 func (n NullTransport) Send(_ topology.Coord, _ int, _ int64, done func()) {
 	n.Eng.After(0, done)
-}
-
-// FabricTransport routes payloads over a netsim.Fabric with the chosen
-// routing discipline. Sends go through the fabric's router-failure
-// path: a dead router stalls the sender (without ARN) or is routed
-// around (with ARN), and a send with no eligible router left is
-// recorded as a dropped flow instead of panicking.
-type FabricTransport struct {
-	Fabric *netsim.Fabric
-	Mode   netsim.RouteMode
-	Src    *rng.Source
-}
-
-// Send implements Transport.
-func (t FabricTransport) Send(from topology.Coord, oss int, bytes int64, done func()) {
-	t.Fabric.StartClientFlow(from, oss, t.Mode, float64(bytes), t.Src, done)
 }
 
 // Client is one compute-node Lustre client issuing pipelined RPC
@@ -294,10 +276,10 @@ func (c *Client) ReadStream(f *File, total, xfer int64, random bool, done func(i
 }
 
 // ReadUntil reads until the deadline (stonewall), reporting bytes read.
-func (c *Client) ReadUntil(f *File, deadline sim.Time, xfer int64, random bool, done func(int64)) {
+func (c *Client) ReadUntil(f *File, deadline sim.Time, xfer int64, done func(int64)) {
 	if xfer <= 0 {
 		panic("lustre: ReadUntil needs positive xfer") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	s := &stream{c: c, f: f, xfer: xfer, deadline: deadline, hasDeadline: true, random: random, done: done}
+	s := &stream{c: c, f: f, xfer: xfer, deadline: deadline, hasDeadline: true, done: done}
 	s.pump()
 }

@@ -17,7 +17,7 @@ func TestReadUntilStonewall(t *testing.T) {
 	client.WriteStream(file, 32<<20, 1<<20, nil)
 	eng.Run()
 	var read int64
-	client.ReadUntil(file, eng.Now()+sim.Second, 1<<20, false, func(n int64) { read = n })
+	client.ReadUntil(file, eng.Now()+sim.Second, 1<<20, func(n int64) { read = n })
 	eng.Run()
 	if read <= 0 {
 		t.Fatal("stonewall read moved nothing")
@@ -166,27 +166,6 @@ func TestObjectFlushTimerForcesResidual(t *testing.T) {
 	}
 	if ost.FragmentedFlushes == 0 {
 		t.Fatal("forced residual flush not recorded")
-	}
-}
-
-func TestObjectExplicitFlush(t *testing.T) {
-	eng, fs := testFS(t, 93)
-	obj := fs.OSTs[0].NewObject()
-	obj.Write(256<<10, nil)
-	flushed := false
-	eng.After(sim.Millisecond, func() {
-		obj.Flush(func() { flushed = true })
-	})
-	eng.Run()
-	if !flushed {
-		t.Fatal("explicit flush never completed")
-	}
-	// Flushing an empty buffer completes too.
-	again := false
-	obj.Flush(func() { again = true })
-	eng.Run()
-	if !again {
-		t.Fatal("empty flush never completed")
 	}
 }
 

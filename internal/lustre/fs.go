@@ -139,9 +139,6 @@ func (fs *FS) SetTracer(tr *spantrace.Tracer) {
 // OSSOf returns the OSS index serving OST ost.
 func (fs *FS) OSSOf(ost int) int { return fs.ostOSS[ost] }
 
-// Root returns the root directory.
-func (fs *FS) Root() *Dir { return fs.root }
-
 // TotalCapacity returns the namespace capacity in bytes.
 func (fs *FS) TotalCapacity() int64 {
 	var c int64

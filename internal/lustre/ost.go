@@ -375,25 +375,6 @@ func (obj *Object) armFlushTimer() {
 	})
 }
 
-// Flush forces any residual buffered bytes to disk (file close/fsync).
-func (obj *Object) Flush(done func()) {
-	o := obj.ost
-	obj.flushTimer.Cancel()
-	if obj.buffered <= 0 {
-		o.eng.After(0, done)
-		return
-	}
-	n := obj.buffered
-	obj.buffered = 0
-	lba := o.seqAlloc(n)
-	o.flushToDisk(lba, n, func() {
-		o.ctrl.Flushed(n)
-		if done != nil {
-			done()
-		}
-	})
-}
-
 // Read services a read RPC of size bytes. random selects a seeky access
 // pattern (analytics) versus a streaming one. done fires when data is
 // returned (read-through: controller service + disk read).

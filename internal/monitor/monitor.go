@@ -112,6 +112,8 @@ func (s *Scheduler) schedule(c Check) {
 }
 
 // CurrentLevel returns a check's last known level.
+//
+//simlint:allow test-only-export read-only accessor the check-scheduler tests assert
 func (s *Scheduler) CurrentLevel(name string) Level { return s.level[name] }
 
 // WorstLevel returns the highest current severity across checks.

@@ -116,8 +116,8 @@ func TestTimeSeriesBounded(t *testing.T) {
 	if ts.Last() != 9 {
 		t.Fatalf("last = %f", ts.Last())
 	}
-	if v := ts.Values(); len(v) != 5 || v[0] != 5 {
-		t.Fatalf("values = %v", v)
+	if v := ts.Points[0].Value; v != 5 {
+		t.Fatalf("oldest kept value = %v, want 5", v)
 	}
 }
 

@@ -31,20 +31,13 @@ func (ts *TimeSeries) Add(at sim.Time, v float64) {
 }
 
 // Last returns the most recent value, or 0 if empty.
+//
+//simlint:allow test-only-export read-only accessor the series tests assert
 func (ts *TimeSeries) Last() float64 {
 	if len(ts.Points) == 0 {
 		return 0
 	}
 	return ts.Points[len(ts.Points)-1].Value
-}
-
-// Values extracts the raw values (for stats / IOSI input).
-func (ts *TimeSeries) Values() []float64 {
-	out := make([]float64, len(ts.Points))
-	for i, p := range ts.Points {
-		out[i] = p.Value
-	}
-	return out
 }
 
 // Store holds named series.
@@ -71,6 +64,8 @@ func (s *Store) Series(name string) *TimeSeries {
 // Names returns the registered series names, sorted. (The backing
 // index is a map; handing callers its iteration order would leak map
 // randomization into reports — see the determinism contract.)
+//
+//simlint:allow test-only-export read-only accessor the poller tests assert
 func (s *Store) Names() []string {
 	out := make([]string, 0, len(s.series))
 	for n := range s.series {

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"spiderfs/internal/rng"
@@ -52,112 +51,6 @@ func TestDegradeBadFracPanics(t *testing.T) {
 		}
 	}()
 	n.Degrade(l, 0)
-}
-
-// The §IV-A procedure: exercise the fabric, then rank sibling cables by
-// normalized throughput; the degraded one surfaces at the top.
-func TestDiagnoseCablesFindsWeakLink(t *testing.T) {
-	eng := sim.NewEngine()
-	f := smallFabric(eng)
-	src := rng.New(9)
-	// Degrade one router's uplink to 20%.
-	weak := f.RouterUpLinks()[7]
-	f.Net.Degrade(weak, 0.2)
-	// Exercise each uplink in isolation with sustained offered load for
-	// a fixed window (the in-place procedure drives point tests over the
-	// suspect path class so shared-link effects don't confound it).
-	for _, up := range f.RouterUpLinks() {
-		f.Net.StartFlow([]*Link{up}, 1e13, nil)
-	}
-	eng.RunUntil(2 * sim.Second)
-	f.Net.Sync()
-	suspects := DiagnoseCables(f.RouterUpLinks(), eng.Now().Seconds())
-	if len(suspects) == 0 {
-		t.Fatal("no suspects returned")
-	}
-	if !strings.Contains(suspects[0].Name, weak.Name) {
-		t.Fatalf("worst suspect = %s, want %s (ranked list head)", suspects[0].Name, weak.Name)
-	}
-	if suspects[0].RatioToMedian > 0.7 {
-		t.Fatalf("weak cable ratio %.2f should flag below 0.7", suspects[0].RatioToMedian)
-	}
-	_ = src
-}
-
-func TestDiagnoseCablesSkipsIdle(t *testing.T) {
-	eng := sim.NewEngine()
-	n := NewNetwork(eng)
-	idle := n.NewLink("idle", 1e9, 0)
-	busy := n.NewLink("busy", 1e9, 0)
-	n.StartFlow([]*Link{busy}, 1e8, nil)
-	eng.Run()
-	suspects := DiagnoseCables([]*Link{idle, busy}, eng.Now().Seconds())
-	if len(suspects) != 1 || suspects[0].Name != "busy" {
-		t.Fatalf("suspects = %+v", suspects)
-	}
-	if DiagnoseCables(nil, 1) != nil {
-		t.Fatal("empty input should return nil")
-	}
-}
-
-// mkCarried builds a link that has carried bytes over one second, for
-// diagnosis-math tests.
-func mkCarried(n *Network, name string, bytes float64) *Link {
-	l := n.NewLink(name, 1e9, 0)
-	l.BytesCarried = bytes
-	return l
-}
-
-// Even-sized sibling groups must use the mean of the two middle
-// throughputs as the median. The upper-middle element alone biased
-// RatioToMedian low: with rates {2,4,6,8} the old code divided by 6, so
-// a healthy 4 looked like ratio 0.67 — below the 0.7 suspect line.
-func TestDiagnoseCablesEvenMedian(t *testing.T) {
-	eng := sim.NewEngine()
-	n := NewNetwork(eng)
-	links := []*Link{
-		mkCarried(n, "a", 2e9),
-		mkCarried(n, "b", 4e9),
-		mkCarried(n, "c", 6e9),
-		mkCarried(n, "d", 8e9),
-	}
-	rows := DiagnoseCables(links, 1)
-	// Median = (4+6)/2 = 5 GB/s.
-	byName := map[string]CableSuspect{}
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-	if got := byName["b"].RatioToMedian; math.Abs(got-4.0/5.0) > 1e-9 {
-		t.Fatalf("ratio(b) = %v, want 0.8 (upper-middle median would give %v)", got, 4.0/6.0)
-	}
-	if byName["b"].RatioToMedian < 0.7 {
-		t.Fatal("healthy middle link flagged as suspect under even-group median")
-	}
-	if got := byName["a"].RatioToMedian; math.Abs(got-2.0/5.0) > 1e-9 {
-		t.Fatalf("ratio(a) = %v, want 0.4", got)
-	}
-}
-
-// Equal ratios must rank in link-name order, so the report is stable
-// run to run (the worst-first sort previously had no tie-break).
-func TestDiagnoseCablesDeterministicTieBreak(t *testing.T) {
-	eng := sim.NewEngine()
-	n := NewNetwork(eng)
-	// Insertion order deliberately scrambled; all carry identical bytes.
-	names := []string{"rtr9", "rtr1", "rtr5", "rtr3", "rtr7"}
-	var links []*Link
-	for _, nm := range names {
-		links = append(links, mkCarried(n, nm, 3e9))
-	}
-	for trial := 0; trial < 3; trial++ {
-		rows := DiagnoseCables(links, 1)
-		want := []string{"rtr1", "rtr3", "rtr5", "rtr7", "rtr9"}
-		for i, r := range rows {
-			if r.Name != want[i] {
-				t.Fatalf("trial %d: rank %d = %s, want %s", trial, i, r.Name, want[i])
-			}
-		}
-	}
 }
 
 func TestDegradedFabricVisibleInCongestion(t *testing.T) {

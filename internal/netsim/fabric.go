@@ -79,10 +79,8 @@ type Fabric struct {
 	StalledSends  uint64
 	StallTime     sim.Time
 	// DroppedFlows counts sends abandoned because no eligible router
-	// remained (the whole fleet dead or blacklisted); OnDrop, when set,
-	// is the error path invoked for each such send.
+	// remained (the whole fleet dead or blacklisted).
 	DroppedFlows uint64
-	OnDrop       func(oss int, bytes float64)
 
 	// Tracer, when set, records fabric spans for sampled requests (and
 	// self-samples raw sends that arrive with no request context). It
@@ -179,12 +177,13 @@ func (f *Fabric) Reset() error {
 	f.StalledSends = 0
 	f.StallTime = 0
 	f.DroppedFlows = 0
-	f.OnDrop = nil
 	f.Tracer = nil
 	return nil
 }
 
 // OSSLeaf returns the leaf switch an OSS attaches to.
+//
+//simlint:allow test-only-export read-only accessor the fabric wiring tests assert
 func (f *Fabric) OSSLeaf(oss int) int { return f.ossLeaf[oss] }
 
 // NumOSS returns the number of attached object storage servers.

@@ -123,8 +123,7 @@ type send struct {
 //
 // When no eligible router remains (a center-wide router loss, or every
 // router blacklisted after stalls), the send is dropped: DroppedFlows
-// is incremented, the optional OnDrop error path runs, and done never
-// fires — the caller's stalled-send counters make the loss visible.
+// is incremented and done never fires — the caller's stalled-send counters make the loss visible.
 //
 // An untraced first-attempt send allocates nothing: the attempt is a
 // plain call, and closures are built only for a stall's retry and for a
@@ -161,9 +160,6 @@ func (f *Fabric) attempt(s send) {
 		f.DroppedFlows++
 		tr.Mark(spantrace.Fabric, "drop", s.fparent, int64(s.bytes), "")
 		tr.End(s.fparent)
-		if f.OnDrop != nil {
-			f.OnDrop(s.oss, s.bytes)
-		}
 		return
 	}
 	if f.failedRouters[rid] {

@@ -77,9 +77,6 @@ func TestRouterExhaustionDropsFlow(t *testing.T) {
 	for rid := 0; rid < f.NumRouters(); rid++ {
 		f.FailRouter(rid)
 	}
-	var droppedOSS int
-	var droppedBytes float64
-	f.OnDrop = func(oss int, bytes float64) { droppedOSS, droppedBytes = oss, bytes }
 	done := false
 	f.StartClientFlow(topology.Coord{}, 2, RouteNaive, 1e6, src, func() { done = true })
 	eng.Run()
@@ -88,9 +85,6 @@ func TestRouterExhaustionDropsFlow(t *testing.T) {
 	}
 	if f.DroppedFlows != 1 {
 		t.Fatalf("DroppedFlows = %d, want 1", f.DroppedFlows)
-	}
-	if droppedOSS != 2 || droppedBytes != 1e6 {
-		t.Fatalf("OnDrop saw (%d, %g), want (2, 1e6)", droppedOSS, droppedBytes)
 	}
 	// Recovery makes the fabric usable again — the condition is
 	// transient, not fatal.

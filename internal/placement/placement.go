@@ -128,26 +128,3 @@ func (b *Balancer) Suggest(stripeCount int) []int {
 func (b *Balancer) CreateBalanced(path string, stripeCount int, done func(*lustre.File)) {
 	b.fs.CreateOn(path, b.Suggest(stripeCount), done)
 }
-
-// Imbalance returns (max-min)/mean of the snapshot — the load-imbalance
-// metric libPIO aims to reduce. Returns 0 for an idle system.
-func Imbalance(scores []float64) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	min, max, sum := scores[0], scores[0], 0.0
-	for _, s := range scores {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-		sum += s
-	}
-	mean := sum / float64(len(scores))
-	if mean == 0 {
-		return 0
-	}
-	return (max - min) / mean
-}

@@ -102,19 +102,6 @@ func TestRoundRobinTieBreakRotates(t *testing.T) {
 	}
 }
 
-func TestImbalanceMetric(t *testing.T) {
-	if Imbalance(nil) != 0 {
-		t.Fatal("empty imbalance should be 0")
-	}
-	if Imbalance([]float64{2, 2, 2}) != 0 {
-		t.Fatal("uniform imbalance should be 0")
-	}
-	v := Imbalance([]float64{0, 4})
-	if v != 2 {
-		t.Fatalf("imbalance = %f, want (4-0)/2 = 2", v)
-	}
-}
-
 // The E5 experiment in miniature: with half the OSTs under background
 // contention, libPIO-placed jobs must beat default round-robin placement
 // substantially.

@@ -82,9 +82,9 @@ type System struct {
 // SeqBps, RandBps, Capacity, Disks, and Price aggregate linearly over
 // SSUs (the point of the SSU procurement structure).
 func (s System) SeqBps() float64   { return float64(s.Count) * s.Unit.SeqBps }
-func (s System) RandBps() float64  { return float64(s.Count) * s.Unit.RandBps }
+func (s System) RandBps() float64  { return float64(s.Count) * s.Unit.RandBps } //simlint:allow test-only-export read-only aggregate the sizing tests assert
 func (s System) Capacity() float64 { return float64(s.Count) * s.Unit.Capacity }
-func (s System) Disks() int        { return s.Count * s.Unit.Disks }
+func (s System) Disks() int        { return s.Count * s.Unit.Disks } //simlint:allow test-only-export read-only aggregate the sizing tests assert
 func (s System) PriceUSD() float64 { return float64(s.Count) * s.Unit.PriceUSD }
 
 // UnitsFor returns the SSU count needed to meet all three targets

@@ -95,33 +95,16 @@ func DiskFullProfile() BootProfile {
 		ServiceStart: 15 * sim.Second, RootFailProb: 0.03}
 }
 
-// BootResult reports one node boot.
-type BootResult struct {
-	Duration sim.Time
-	Retries  int
-}
-
-// BootNode simulates one boot: firmware, root (with retry on failure),
-// ordered config scripts, then services. It returns the validation
-// error without scheduling anything when the scripts do not validate.
-func BootNode(eng *sim.Engine, profile BootProfile, scripts []ConfigScript, src *rng.Source, done func(BootResult)) error {
-	ordered, err := ValidateScripts(scripts)
-	if err != nil {
-		return err
-	}
-	bootOrdered(eng, profile, ordered, src, done)
-	return nil
-}
-
-// bootOrdered schedules one boot of pre-validated, pre-sorted scripts.
-func bootOrdered(eng *sim.Engine, profile BootProfile, ordered []ConfigScript, src *rng.Source, done func(BootResult)) {
-	var res BootResult
-	start := eng.Now()
+// bootOrdered schedules one boot of pre-validated, pre-sorted scripts:
+// firmware, root (rebooting on failure), scripts, then services. done
+// receives the number of root failures retried.
+func bootOrdered(eng *sim.Engine, profile BootProfile, ordered []ConfigScript, src *rng.Source, done func(retries int)) {
+	retries := 0
 	var rootPhase func()
 	rootPhase = func() {
 		eng.After(profile.Root, func() {
 			if src.Bool(profile.RootFailProb) {
-				res.Retries++
+				retries++
 				eng.After(profile.Firmware, rootPhase) // reboot
 				return
 			}
@@ -129,10 +112,7 @@ func bootOrdered(eng *sim.Engine, profile BootProfile, ordered []ConfigScript, s
 			for _, s := range ordered {
 				scriptsTotal += s.Runtime
 			}
-			eng.After(scriptsTotal+profile.ServiceStart, func() {
-				res.Duration = eng.Now() - start
-				done(res)
-			})
+			eng.After(scriptsTotal+profile.ServiceStart, func() { done(retries) })
 		})
 	}
 	eng.After(profile.Firmware, rootPhase)
@@ -146,27 +126,8 @@ func FleetBoot(eng *sim.Engine, n int, profile BootProfile, scripts []ConfigScri
 	if err != nil {
 		return 0, 0, err
 	}
-	if parallel < 1 {
-		parallel = 1
-	}
 	start := eng.Now()
-	remaining := n
-	launched := 0
-	var launch func()
-	launch = func() {
-		if launched >= n {
-			return
-		}
-		launched++
-		bootOrdered(eng, profile, ordered, src.Split(fmt.Sprintf("node-%d", launched)), func(r BootResult) {
-			retries += r.Retries
-			remaining--
-			launch()
-		})
-	}
-	for i := 0; i < parallel && i < n; i++ {
-		launch()
-	}
+	fleetAsyncOrdered(eng, "node", n, profile, ordered, parallel, src, func(r int) { retries = r })
 	eng.Run()
 	return eng.Now() - start, retries, nil
 }
@@ -200,7 +161,7 @@ func Converge(eng *sim.Engine, n int, kind NodeKind, src *rng.Source) ConvergeRe
 		// Spider2Scripts always validates; boot with the ordered set.
 		ordered, _ := ValidateScripts(Spider2Scripts())
 		eng.After(imageBuild, func() {
-			fleetAsyncOrdered(eng, n, DisklessProfile(), ordered, 64, src, func(retries int) {
+			fleetAsyncOrdered(eng, "anode", n, DisklessProfile(), ordered, 64, src, func(retries int) {
 				res.Failures = retries
 			})
 		})
@@ -220,8 +181,8 @@ func Converge(eng *sim.Engine, n int, kind NodeKind, src *rng.Source) ConvergeRe
 					retry()
 					return
 				}
-				bootOrdered(eng, DiskFullProfile(), nil, src.Split(fmt.Sprintf("cvg-%d", launched)), func(r BootResult) {
-					res.Failures += r.Retries
+				bootOrdered(eng, DiskFullProfile(), nil, src.Split(fmt.Sprintf("cvg-%d", launched)), func(r int) {
+					res.Failures += r
 					launch()
 				})
 			})
@@ -244,19 +205,11 @@ func Converge(eng *sim.Engine, n int, kind NodeKind, src *rng.Source) ConvergeRe
 	return res
 }
 
-// FleetBootAsync is FleetBoot without the engine drain, for embedding in
-// larger scenarios; done receives the total retry count when the fleet
-// is up. An invalid script set is reported without scheduling anything.
-func FleetBootAsync(eng *sim.Engine, n int, profile BootProfile, scripts []ConfigScript, parallel int, src *rng.Source, done func(retries int)) error {
-	ordered, err := ValidateScripts(scripts)
-	if err != nil {
-		return err
-	}
-	fleetAsyncOrdered(eng, n, profile, ordered, parallel, src, done)
-	return nil
-}
-
-func fleetAsyncOrdered(eng *sim.Engine, n int, profile BootProfile, ordered []ConfigScript, parallel int, src *rng.Source, done func(retries int)) {
+// fleetAsyncOrdered boots n nodes of pre-validated, pre-sorted scripts,
+// at most parallel at a time, without draining the engine; done
+// receives the total retry count when the fleet is up. Node i draws
+// from src.Split(label-i).
+func fleetAsyncOrdered(eng *sim.Engine, label string, n int, profile BootProfile, ordered []ConfigScript, parallel int, src *rng.Source, done func(retries int)) {
 	if parallel < 1 {
 		parallel = 1
 	}
@@ -269,8 +222,8 @@ func fleetAsyncOrdered(eng *sim.Engine, n int, profile BootProfile, ordered []Co
 			return
 		}
 		launched++
-		bootOrdered(eng, profile, ordered, src.Split(fmt.Sprintf("anode-%d", launched)), func(r BootResult) {
-			retries += r.Retries
+		bootOrdered(eng, profile, ordered, src.Split(fmt.Sprintf("%s-%d", label, launched)), func(r int) {
+			retries += r
 			remaining--
 			if remaining == 0 {
 				done(retries)

@@ -34,30 +34,26 @@ func TestValidateScriptsDetectsViolation(t *testing.T) {
 
 func TestBootNodeDiskless(t *testing.T) {
 	eng := sim.NewEngine()
-	src := rng.New(1)
-	var res BootResult
-	if err := BootNode(eng, DisklessProfile(), Spider2Scripts(), src, func(r BootResult) { res = r }); err != nil {
-		t.Fatalf("BootNode: %v", err)
+	took, retries, err := FleetBoot(eng, 1, DisklessProfile(), Spider2Scripts(), 1, rng.New(1))
+	if err != nil {
+		t.Fatalf("FleetBoot: %v", err)
 	}
-	eng.Run()
 	// 45 + 20 + 9 (scripts) + 15 = 89 s.
-	if res.Duration != 89*sim.Second {
-		t.Fatalf("boot took %v, want 89s", res.Duration)
+	if took != 89*sim.Second {
+		t.Fatalf("boot took %v, want 89s", took)
 	}
-	if res.Retries != 0 {
-		t.Fatalf("retries = %d", res.Retries)
+	if retries != 0 {
+		t.Fatalf("retries = %d", retries)
 	}
 }
 
 func TestDisklessBootsFasterThanDiskFull(t *testing.T) {
 	boot := func(p BootProfile, seed uint64) sim.Time {
-		eng := sim.NewEngine()
-		var res BootResult
-		if err := BootNode(eng, p, Spider2Scripts(), rng.New(seed), func(r BootResult) { res = r }); err != nil {
-			t.Fatalf("BootNode: %v", err)
+		took, _, err := FleetBoot(sim.NewEngine(), 1, p, Spider2Scripts(), 1, rng.New(seed))
+		if err != nil {
+			t.Fatalf("FleetBoot: %v", err)
 		}
-		eng.Run()
-		return res.Duration
+		return took
 	}
 	dl := boot(DisklessProfile(), 2)
 	df := boot(DiskFullProfile(), 2)
@@ -113,7 +109,7 @@ func TestConvergeDisklessFasterAndCleaner(t *testing.T) {
 func TestBootNodeInvalidScriptsErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	bad := []ConfigScript{{Order: 1, Name: "x", Needs: []string{"missing"}}}
-	err := BootNode(eng, DisklessProfile(), bad, rng.New(5), nil)
+	_, _, err := FleetBoot(eng, 1, DisklessProfile(), bad, 1, rng.New(5))
 	if err == nil {
 		t.Fatal("expected validation error")
 	}
@@ -125,8 +121,5 @@ func TestBootNodeInvalidScriptsErrors(t *testing.T) {
 	}
 	if _, _, err := FleetBoot(eng, 4, DisklessProfile(), bad, 2, rng.New(5)); err == nil {
 		t.Fatal("FleetBoot should propagate the validation error")
-	}
-	if err := FleetBootAsync(eng, 4, DisklessProfile(), bad, 2, rng.New(5), func(int) {}); err == nil {
-		t.Fatal("FleetBootAsync should propagate the validation error")
 	}
 }

@@ -17,9 +17,6 @@ type Policy struct {
 	Interval sim.Time
 	// Concurrency is how many unlinks are kept in flight per sweep.
 	Concurrency int
-	// Exempt returns true for paths the purge must never touch
-	// (optional).
-	Exempt func(path string) bool
 }
 
 // Spider2Policy returns the production policy.
@@ -82,9 +79,6 @@ func (p *Purger) Sweep(done func(SweepReport)) {
 	var victims []*lustre.File
 	p.fs.Walk(nil, func(f *lustre.File) {
 		rep.Scanned++
-		if p.policy.Exempt != nil && p.policy.Exempt(f.Path) {
-			return
-		}
 		if now-lastTouch(f) > p.policy.MaxAge {
 			victims = append(victims, f)
 		}

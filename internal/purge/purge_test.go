@@ -2,7 +2,6 @@ package purge
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"spiderfs/internal/lustre"
@@ -78,22 +77,6 @@ func TestAccessRefreshesRetention(t *testing.T) {
 	fs.Walk(nil, func(f *lustre.File) { left = append(left, f.Path) })
 	if len(left) != 1 || left[0] != "data/f002" {
 		t.Fatalf("survivor = %v", left)
-	}
-}
-
-func TestExemptPaths(t *testing.T) {
-	eng, fs := freshFS(3)
-	mkFiles(fs, "scratch", 5, 1<<20)
-	mkFiles(fs, "keep", 5, 1<<20)
-	eng.Run()
-	eng.RunUntil(20 * sim.Day)
-	pol := Spider2Policy()
-	pol.Exempt = func(path string) bool { return strings.HasPrefix(path, "keep/") }
-	p := New(fs, pol)
-	p.Sweep(nil)
-	eng.Run()
-	if fs.NumFiles != 5 {
-		t.Fatalf("files left = %d, want 5 exempt", fs.NumFiles)
 	}
 }
 

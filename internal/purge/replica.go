@@ -27,7 +27,7 @@ type ResidencyConfig struct {
 // under the 14-day Spider policy.
 func DefaultResidency() ResidencyConfig {
 	return ResidencyConfig{
-		Policy:      Policy{MaxAge: 14 * sim.Day, Interval: sim.Day, Concurrency: 16},
+		Policy:      Spider2Policy(),
 		Days:        25,
 		FilesPerDay: 20,
 		FileSize:    8 << 20,

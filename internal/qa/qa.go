@@ -2,9 +2,7 @@
 // practices: the multi-round slow-disk elimination campaign of §V-A
 // (benchmark every RAID group, bin by performance, inspect the slowest
 // bin's drive latencies, replace outliers, repeat until the variance
-// envelope is met) and the "thin file system" reserved test region of
-// §V-D that allows destructive performance tests on a production
-// system.
+// envelope is met).
 package qa
 
 import (
@@ -15,7 +13,6 @@ import (
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/stats"
-	"spiderfs/internal/workload"
 )
 
 // EliminationConfig tunes a slow-disk campaign.
@@ -208,87 +205,4 @@ func RunElimination(eng *sim.Engine, groups []*raid.Group, cfg EliminationConfig
 		}
 	}
 	return rep
-}
-
-// ThinFS is the reserved test region: a small slice at the head of each
-// RAID LUN kept free of user data so destructive benchmarks can run for
-// the lifetime of the system (§V-D).
-type ThinFS struct {
-	Groups    []*raid.Group
-	SliceSize int64 // reserved bytes per group
-}
-
-// NewThinFS reserves sliceSize bytes on each group.
-func NewThinFS(groups []*raid.Group, sliceSize int64) *ThinFS {
-	if sliceSize <= 0 {
-		panic("qa: thin slice must be positive") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	return &ThinFS{Groups: groups, SliceSize: sliceSize}
-}
-
-// CapacityOverhead returns the fraction of total capacity consumed by
-// the reservation (what the acquisition must budget for).
-func (t *ThinFS) CapacityOverhead() float64 {
-	var total int64
-	for _, g := range t.Groups {
-		total += g.Capacity()
-	}
-	return float64(t.SliceSize*int64(len(t.Groups))) / float64(total)
-}
-
-// Bench runs the block benchmark confined to each group's reserved
-// slice, returning per-group MB/s. It is safe against production data by
-// construction (the slice holds none).
-func (t *ThinFS) Bench(eng *sim.Engine, cfg workload.FairLIOConfig, src *rng.Source) []float64 {
-	out := make([]float64, len(t.Groups))
-	for i, g := range t.Groups {
-		res := runSliceBench(eng, g, t.SliceSize, cfg, src.Split(fmt.Sprintf("thin-%d", i)))
-		out[i] = res
-	}
-	return out
-}
-
-func runSliceBench(eng *sim.Engine, g *raid.Group, slice int64, cfg workload.FairLIOConfig, src *rng.Source) float64 {
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 1
-	}
-	var moved int64
-	var off int64
-	outstanding := 0
-	end := eng.Now() + cfg.Duration
-	var issue func()
-	issue = func() {
-		for outstanding < cfg.QueueDepth && eng.Now() < end {
-			outstanding++
-			var o int64
-			if cfg.Random {
-				o = src.Int63n(slice - cfg.RequestSize)
-				o -= o % cfg.RequestSize
-			} else {
-				if off+cfg.RequestSize > slice {
-					off = 0
-				}
-				o = off
-				off += cfg.RequestSize
-			}
-			done := func() {
-				outstanding--
-				moved += cfg.RequestSize
-				issue()
-			}
-			if src.Bool(cfg.WriteFrac) {
-				g.Write(o, cfg.RequestSize, done)
-			} else {
-				g.Read(o, cfg.RequestSize, done)
-			}
-		}
-	}
-	start := eng.Now()
-	issue()
-	eng.Run()
-	dur := eng.Now() - start
-	if dur <= 0 {
-		return 0
-	}
-	return float64(moved) / 1e6 / dur.Seconds()
 }

@@ -7,7 +7,6 @@ import (
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
-	"spiderfs/internal/workload"
 )
 
 // buildFleet makes nGroups RAID groups on small disks with the standard
@@ -73,43 +72,6 @@ func TestEliminationConvergesOnCleanFleet(t *testing.T) {
 	if len(rep.Rounds) > 2 {
 		t.Fatalf("clean fleet needed %d rounds", len(rep.Rounds))
 	}
-}
-
-func TestThinFSOverheadSmall(t *testing.T) {
-	eng := sim.NewEngine()
-	groups := buildFleet(eng, 8, 7)
-	thin := NewThinFS(groups, 64<<20)
-	oh := thin.CapacityOverhead()
-	if oh <= 0 || oh > 0.05 {
-		t.Fatalf("thin overhead = %.4f, want small positive", oh)
-	}
-}
-
-func TestThinFSBenchRuns(t *testing.T) {
-	eng := sim.NewEngine()
-	groups := buildFleet(eng, 4, 8)
-	thin := NewThinFS(groups, 128<<20)
-	rates := thin.Bench(eng, workload.FairLIOConfig{
-		RequestSize: 1 << 20, QueueDepth: 4, WriteFrac: 1,
-		Duration: 500 * sim.Millisecond,
-	}, rng.New(9))
-	if len(rates) != 4 {
-		t.Fatalf("rates = %v", rates)
-	}
-	for i, r := range rates {
-		if r < 100 || r > 2000 {
-			t.Fatalf("group %d thin bench = %.0f MB/s implausible", i, r)
-		}
-	}
-}
-
-func TestThinFSZeroSlicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewThinFS(nil, 0)
 }
 
 func TestReportString(t *testing.T) {

@@ -212,6 +212,8 @@ func (g *Group) chunkLocation(stripe int64, dataIdx int) (member int) {
 // ChunkMember returns the member disk holding data chunk dataIdx of the
 // given stripe — the layout map experiments use to plant targeted
 // defects.
+//
+//simlint:allow test-only-export layout map the integrity tests plant targeted defects with
 func (g *Group) ChunkMember(stripe int64, dataIdx int) int {
 	return g.chunkLocation(stripe, dataIdx)
 }
@@ -224,11 +226,6 @@ func (g *Group) parityLocations(stripe int64) (int, int) {
 }
 
 func (g *Group) diskOffset(stripe int64) int64 { return stripe * g.cfg.ChunkSize }
-
-// onlineMembers returns how many members are online.
-func (g *Group) onlineMembers() int {
-	return g.cfg.Width() - len(g.offline)
-}
 
 // submitTo issues a chunk op to the member if online; offline members
 // contribute nothing (reconstruction cost is added by the caller).
@@ -405,6 +402,8 @@ func (g *Group) FailDisk(m int) State {
 // was the member being rebuilt, the rebuild is cancelled cleanly and
 // any queued replacement for another member starts. Restoring a member
 // of a Failed group changes nothing: the data is already gone.
+//
+//simlint:allow test-only-export fault injector the integrity tests revive a member with
 func (g *Group) RestoreDisk(m int) State {
 	if m < 0 || m >= g.cfg.Width() {
 		panic("raid: bad member index") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
@@ -488,6 +487,8 @@ func (g *Group) beginRebuild(m int, replacement *disk.Disk, done func()) {
 
 // RebuildProgress returns the fraction of stripes reconstructed, in
 // [0, 1], when rebuilding; 1 when healthy.
+//
+//simlint:allow test-only-export read-only accessor the rebuild tests assert
 func (g *Group) RebuildProgress() float64 {
 	total := g.dsks[0].Config().Capacity / g.cfg.ChunkSize
 	if g.state != Rebuilding {

@@ -84,17 +84,6 @@ func (r *Source) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -125,18 +114,6 @@ func (r *Source) Pareto(alpha, xm float64) float64 {
 	return xm / math.Pow(1-r.Float64(), 1/alpha)
 }
 
-// BoundedPareto returns a Pareto(alpha) value truncated to [lo, hi] by
-// inverse-CDF sampling of the bounded Pareto distribution.
-func (r *Source) BoundedPareto(alpha, lo, hi float64) float64 {
-	if alpha <= 0 || lo <= 0 || hi <= lo {
-		panic("rng: BoundedPareto with invalid parameters") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
 // Normal returns a normally distributed value with the given mean and
 // standard deviation (Box–Muller).
 func (r *Source) Normal(mean, stddev float64) float64 {
@@ -162,19 +139,6 @@ func (r *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// LogNormal returns exp(Normal(mu, sigma)).
-func (r *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Weibull returns a Weibull(shape k, scale lambda) value.
-func (r *Source) Weibull(k, lambda float64) float64 {
-	if k <= 0 || lambda <= 0 {
-		panic("rng: Weibull with non-positive parameter") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	return lambda * math.Pow(-math.Log(1-r.Float64()), 1/k)
-}
-
 // Poisson returns a Poisson(lambda) count using Knuth's method for small
 // lambda and a normal approximation above 500.
 func (r *Source) Poisson(lambda float64) int {
@@ -198,44 +162,4 @@ func (r *Source) Poisson(lambda float64) int {
 		}
 		k++
 	}
-}
-
-// Zipf draws from a Zipf distribution over [1, n] with exponent s > 0
-// using inverse-CDF over precomputed weights held by the Zipfian helper;
-// for one-off draws use NewZipf.
-type Zipf struct {
-	cdf []float64
-	src *Source
-}
-
-// NewZipf builds a Zipf sampler over ranks 1..n with exponent s.
-func NewZipf(src *Source, n int, s float64) *Zipf {
-	if n <= 0 || s <= 0 {
-		panic("rng: NewZipf with invalid parameters") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 1; i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), s)
-		cdf[i-1] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, src: src}
-}
-
-// Draw returns a rank in [1, n].
-func (z *Zipf) Draw() int {
-	u := z.src.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }

@@ -36,16 +36,6 @@ type Report struct {
 	Ledger *ledger.Export `json:"ledger,omitempty"`
 }
 
-// Metric returns the named metric's value, or (0, false).
-func (r *Report) Metric(name string) (float64, bool) {
-	for _, m := range r.Metrics {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
-}
-
 // JSON marshals the report with a trailing newline — the exact bytes
 // the /v1/sessions/{id}/report endpoint serves, and what the CLI
 // prints, so the byte-identity contract is testable end to end.

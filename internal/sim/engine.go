@@ -42,6 +42,8 @@ func (h Event) live() *event {
 
 // Time returns when a pending event is scheduled to fire, or 0 once it
 // has fired or been canceled.
+//
+//simlint:allow test-only-export read-only accessor the engine tests assert handle state with
 func (h Event) Time() Time {
 	if ev := h.live(); ev != nil {
 		return ev.t
@@ -216,6 +218,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of live events still scheduled. Canceled
 // tombstones awaiting lazy deletion are not counted, so Pending() == 0
 // means the engine truly has no work.
+//
+//simlint:allow test-only-export read-only accessor the engine tests assert a drained queue with
 func (e *Engine) Pending() int { return e.live }
 
 // reapFloor is the heap size below which tombstone reaping is not worth

@@ -10,7 +10,7 @@ package sim
 // bookkeeping.
 type Server struct {
 	eng  *Engine
-	name string
+	name string // diagnostic label, shown by %+v and debuggers
 	// capacity is the number of jobs that can be in service at once.
 	capacity int
 
@@ -42,10 +42,9 @@ func NewServer(eng *Engine, name string, capacity int) *Server {
 	return &Server{eng: eng, name: name, capacity: capacity}
 }
 
-// Name returns the server's diagnostic name.
-func (s *Server) Name() string { return s.name }
-
 // Capacity returns the number of parallel service slots.
+//
+//simlint:allow test-only-export read-only accessor the server tests assert
 func (s *Server) Capacity() int { return s.capacity }
 
 // QueueLen returns the number of jobs waiting (not in service).

@@ -134,6 +134,8 @@ func (t *Tracer) Bind(eng *sim.Engine) {
 func (t *Tracer) Enabled() bool { return t != nil && t.every > 0 && t.eng != nil }
 
 // SampleEvery returns the configured 1-in-N rate (0 = off).
+//
+//simlint:allow test-only-export read-only accessor the tracer tests assert
 func (t *Tracer) SampleEvery() int {
 	if t == nil {
 		return 0
@@ -264,6 +266,8 @@ func (t *Tracer) Spans() []Span {
 }
 
 // Len is the number of recorded spans.
+//
+//simlint:allow test-only-export read-only accessor the tracer tests assert
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
@@ -272,6 +276,8 @@ func (t *Tracer) Len() int {
 }
 
 // Open is the number of spans begun but not yet ended.
+//
+//simlint:allow test-only-export read-only accessor the tracer tests assert
 func (t *Tracer) Open() int {
 	if t == nil {
 		return 0

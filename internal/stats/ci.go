@@ -59,6 +59,8 @@ func (s *Summary) CI95Half() float64 {
 // MeanCI95 returns the sample mean of values and the half-width of its
 // 95% confidence interval. The half-width is 0 for fewer than two
 // values.
+//
+//simlint:allow test-only-export oracle the tests check Summary.CI95Half against
 func MeanCI95(values []float64) (mean, half float64) {
 	var s Summary
 	for _, v := range values {

@@ -19,6 +19,8 @@ type Histogram struct {
 }
 
 // NewLinearHistogram covers [lo, hi) with n equal-width buckets.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func NewLinearHistogram(lo, hi float64, n int) *Histogram {
 	if n < 1 || hi <= lo {
 		panic("stats: invalid linear histogram parameters") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
@@ -35,6 +37,8 @@ func NewLinearHistogram(lo, hi float64, n int) *Histogram {
 // NewLogHistogram covers [lo, hi) with n buckets whose widths grow
 // geometrically. lo must be positive. I/O size and latency distributions
 // are long-tailed, so log bucketing is the default in this repo.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func NewLogHistogram(lo, hi float64, n int) *Histogram {
 	if n < 1 || lo <= 0 || hi <= lo {
 		panic("stats: invalid log histogram parameters") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
@@ -50,6 +54,8 @@ func NewLogHistogram(lo, hi float64, n int) *Histogram {
 }
 
 // Add records one observation.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func (h *Histogram) Add(x float64) {
 	h.total++
 	if x < h.edges[0] {
@@ -74,12 +80,18 @@ func (h *Histogram) Add(x float64) {
 }
 
 // Total returns the number of observations including under/overflow.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func (h *Histogram) Total() uint64 { return h.total }
 
 // Buckets returns the number of (non-overflow) buckets.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func (h *Histogram) Buckets() int { return len(h.counts) }
 
 // Count returns the count in bucket i.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
 
 // BucketBounds returns the [lo, hi) edges of bucket i.
@@ -88,11 +100,17 @@ func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
 }
 
 // Underflow and Overflow return the out-of-range counts.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func (h *Histogram) Underflow() uint64 { return h.underflow }
-func (h *Histogram) Overflow() uint64  { return h.overflow }
+
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
+func (h *Histogram) Overflow() uint64 { return h.overflow }
 
 // FractionBelow returns the fraction of observations strictly below x,
 // linearly interpolating within the containing bucket.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func (h *Histogram) FractionBelow(x float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -115,6 +133,8 @@ func (h *Histogram) FractionBelow(x float64) float64 {
 }
 
 // Merge adds the counts of o (which must have identical bucketing).
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func (h *Histogram) Merge(o *Histogram) {
 	if len(h.edges) != len(o.edges) {
 		panic("stats: merging histograms with different bucketing") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
@@ -134,6 +154,8 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Render returns a multi-line ASCII rendering with proportional bars,
 // used by the CLI tools to print distribution tables.
+//
+//simlint:allow test-only-export fixed-bucket histogram kept for the planned metrics registry; its tests pin the bucketing
 func (h *Histogram) Render(width int) string {
 	if width < 10 {
 		width = 10

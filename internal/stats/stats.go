@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives used by the Spider
 // workload characterization, performance QA, and experiment reporting:
-// streaming moments, histograms, percentiles, autocorrelation, Pareto
-// tail fitting, and performance binning.
+// streaming moments, histograms, percentiles, confidence intervals,
+// Pareto tail fitting, and performance binning.
 package stats
 
 import (
@@ -59,29 +59,6 @@ func (s *Summary) CoV() float64 {
 	return s.Stddev() / math.Abs(s.Mean)
 }
 
-// Merge combines another summary into s (parallel Welford merge).
-func (s *Summary) Merge(o Summary) {
-	if o.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = o
-		return
-	}
-	n := s.N + o.N
-	delta := o.Mean - s.Mean
-	mean := s.Mean + delta*float64(o.N)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.N)*float64(o.N)/float64(n)
-	s.N, s.Mean, s.m2 = n, mean, m2
-	s.Sum += o.Sum
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-}
-
 // Percentile returns the p-quantile (0 <= p <= 1) of values using linear
 // interpolation between order statistics. It sorts a copy; for repeated
 // queries over the same data use Quantiles. Returns NaN on empty input.
@@ -92,24 +69,6 @@ func Percentile(values []float64, p float64) float64 {
 	v := append([]float64(nil), values...)
 	sort.Float64s(v)
 	return quantileSorted(v, p)
-}
-
-// Quantiles returns the quantiles at each p (each in [0,1]) with a single
-// sort of the input copy.
-func Quantiles(values []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(values) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	v := append([]float64(nil), values...)
-	sort.Float64s(v)
-	for i, p := range ps {
-		out[i] = quantileSorted(v, p)
-	}
-	return out
 }
 
 func quantileSorted(sorted []float64, p float64) float64 {
@@ -127,56 +86,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of the series,
-// or 0 when it is undefined (short series or zero variance). The paper's
-// IOSI tool uses autocorrelation to find periodic I/O bursts.
-func Autocorrelation(series []float64, lag int) float64 {
-	n := len(series)
-	if lag <= 0 || lag >= n {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range series {
-		mean += v
-	}
-	mean /= float64(n)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := series[i] - mean
-		den += d * d
-		if i+lag < n {
-			num += d * (series[i+lag] - mean)
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// DominantPeriod scans lags in [minLag, maxLag] and returns the lag with
-// the highest autocorrelation plus that correlation value. Returns (0, 0)
-// when no lag is admissible.
-func DominantPeriod(series []float64, minLag, maxLag int) (lag int, corr float64) {
-	if minLag < 1 {
-		minLag = 1
-	}
-	if maxLag >= len(series) {
-		maxLag = len(series) - 1
-	}
-	best, bestCorr := 0, math.Inf(-1)
-	for l := minLag; l <= maxLag; l++ {
-		c := Autocorrelation(series, l)
-		if c > bestCorr {
-			best, bestCorr = l, c
-		}
-	}
-	if best == 0 {
-		return 0, 0
-	}
-	return best, bestCorr
 }
 
 // ParetoFit holds maximum-likelihood Pareto tail parameters.
@@ -215,40 +124,4 @@ func FitPareto(samples []float64, xm float64) ParetoFit {
 		return ParetoFit{Xm: xm, N: n}
 	}
 	return ParetoFit{Alpha: float64(n) / sum, Xm: xm, N: n}
-}
-
-// LinearFit returns the least-squares slope and intercept of y against x.
-// It returns zeros when the fit is undefined.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	n := len(x)
-	if n != len(y) || n < 2 {
-		return 0, 0
-	}
-	var sx, sy, sxx, sxy float64
-	for i := 0; i < n; i++ {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	den := float64(n)*sxx - sx*sx
-	if den == 0 {
-		return 0, 0
-	}
-	slope = (float64(n)*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / float64(n)
-	return slope, intercept
-}
-
-// CCDF returns the empirical complementary CDF of values evaluated at
-// each point in xs: the fraction of values strictly greater than x.
-func CCDF(values, xs []float64) []float64 {
-	v := append([]float64(nil), values...)
-	sort.Float64s(v)
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		idx := sort.SearchFloat64s(v, math.Nextafter(x, math.Inf(1)))
-		out[i] = float64(len(v)-idx) / float64(len(v))
-	}
-	return out
 }

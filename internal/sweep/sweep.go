@@ -1,8 +1,7 @@
-// Package sweep is the deterministic parallel replica runner: it fans N
-// independent simulation configurations (seed sweeps, parameter grids)
-// across a bounded worker pool and merges the results in replica-index
-// order, so the aggregate report is byte-identical whatever GOMAXPROCS
-// or the scheduler do.
+// Package sweep is the deterministic parallel replica runner: it fans
+// the N independent replicas of a seed sweep across a bounded worker
+// pool and merges the results in replica-index order, so the aggregate
+// report is byte-identical whatever GOMAXPROCS or the scheduler do.
 //
 // The determinism contract has three legs:
 //
@@ -36,36 +35,6 @@ type Metric struct {
 	Value float64 `json:"value"`
 }
 
-// Param is one grid-axis coordinate assigned to a replica.
-type Param struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
-// Axis is one dimension of a parameter grid.
-type Axis struct {
-	Name   string
-	Values []float64
-}
-
-// Cross returns the full cartesian product of the axes, one []Param per
-// grid point, in row-major (last axis fastest) order.
-func Cross(axes ...Axis) [][]Param {
-	points := [][]Param{nil}
-	for _, ax := range axes {
-		next := make([][]Param, 0, len(points)*len(ax.Values))
-		for _, p := range points {
-			for _, v := range ax.Values {
-				row := make([]Param, len(p), len(p)+1)
-				copy(row, p)
-				next = append(next, append(row, Param{Name: ax.Name, Value: v}))
-			}
-		}
-		points = next
-	}
-	return points
-}
-
 // Rep is the per-replica context handed to a Body. It is confined to
 // one worker goroutine for the duration of the body.
 type Rep struct {
@@ -77,9 +46,6 @@ type Rep struct {
 	// Src is the replica's private random stream, split from the sweep
 	// seed by replica index. Never shared between replicas.
 	Src *rng.Source
-	// Params carries the grid coordinates for grid sweeps (empty for
-	// plain seed sweeps).
-	Params []Param
 
 	metrics []Metric
 }
@@ -87,16 +53,6 @@ type Rep struct {
 // Record appends one named observation to the replica's result.
 func (r *Rep) Record(name string, v float64) {
 	r.metrics = append(r.metrics, Metric{Name: name, Value: v})
-}
-
-// Param returns the named grid coordinate, or (0, false).
-func (r *Rep) Param(name string) (float64, bool) {
-	for _, p := range r.Params {
-		if p.Name == name {
-			return p.Value, true
-		}
-	}
-	return 0, false
 }
 
 // Body runs one replica end to end. Bodies must draw all randomness
@@ -112,20 +68,16 @@ type Config struct {
 	Label string
 	// Seed is the root seed every replica stream is split from.
 	Seed uint64
-	// Replicas is the number of replicas for a seed sweep. Ignored when
-	// Grid is set (each grid point is one replica).
+	// Replicas is the number of replicas.
 	Replicas int
 	// Workers bounds the pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Grid, when set, runs one replica per point (see Cross).
-	Grid [][]Param
 }
 
 // Replica is one replica's merged result.
 type Replica struct {
 	Index   int      `json:"index"`
 	Seed    uint64   `json:"seed"`
-	Params  []Param  `json:"params,omitempty"`
 	Metrics []Metric `json:"metrics"`
 	Err     string   `json:"err,omitempty"`
 }
@@ -144,11 +96,8 @@ type Result struct {
 // same Config (Workers aside) produce byte-identical merged reports.
 func Run(cfg Config, body Body) (*Result, error) {
 	n := cfg.Replicas
-	if len(cfg.Grid) > 0 {
-		n = len(cfg.Grid)
-	}
 	if n <= 0 {
-		return nil, fmt.Errorf("sweep: config needs Replicas > 0 or a non-empty Grid")
+		return nil, fmt.Errorf("sweep: config needs Replicas > 0")
 	}
 	if body == nil {
 		return nil, fmt.Errorf("sweep: nil body")
@@ -162,9 +111,6 @@ func Run(cfg Config, body Body) (*Result, error) {
 	for i := 0; i < n; i++ {
 		src := root.Split(fmt.Sprintf("replica-%05d", i))
 		reps[i] = &Rep{Index: i, Seed: src.Uint64(), Src: src}
-		if len(cfg.Grid) > 0 {
-			reps[i].Params = cfg.Grid[i]
-		}
 	}
 
 	workers := cfg.Workers
@@ -210,7 +156,7 @@ func Run(cfg Config, body Body) (*Result, error) {
 // runReplica executes one body, converting a panic into a per-replica
 // error so a single bad configuration cannot take down the whole sweep.
 func runReplica(r *Rep, body Body) (out Replica) {
-	out = Replica{Index: r.Index, Seed: r.Seed, Params: r.Params}
+	out = Replica{Index: r.Index, Seed: r.Seed}
 	defer func() {
 		if v := recover(); v != nil {
 			out.Err = fmt.Sprintf("panic: %v", v)
@@ -225,7 +171,7 @@ func runReplica(r *Rep, body Body) (out Replica) {
 }
 
 // Fingerprint hashes the merged result — label, seed, and every
-// replica's seed, params, metrics, and error in index order. Serial and
+// replica's seed, metrics, and error in index order. Serial and
 // parallel runs of the same config must agree.
 func (res *Result) Fingerprint() uint64 {
 	h := fnv.New64a()
@@ -241,10 +187,6 @@ func (res *Result) Fingerprint() uint64 {
 	for _, r := range res.Replicas {
 		w64(uint64(int64(r.Index)))
 		w64(r.Seed)
-		for _, p := range r.Params {
-			h.Write([]byte(p.Name))
-			w64(math.Float64bits(p.Value))
-		}
 		for _, m := range r.Metrics {
 			h.Write([]byte(m.Name))
 			w64(math.Float64bits(m.Value))

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -63,45 +62,6 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if serial.Replicas[0].Metrics[1].Value == serial.Replicas[1].Metrics[1].Value {
 		t.Fatal("replica metrics identical; replicas are not independent")
-	}
-}
-
-// TestSweepDeterministicGrid extends the double-run to a parameter
-// grid: one replica per grid point, index order preserved.
-func TestSweepDeterministicGrid(t *testing.T) {
-	grid := Cross(
-		Axis{Name: "rate", Values: []float64{1, 2, 4}},
-		Axis{Name: "load", Values: []float64{0.25, 0.5}},
-	)
-	if len(grid) != 6 {
-		t.Fatalf("Cross produced %d points, want 6", len(grid))
-	}
-	body := func(r *Rep) error {
-		rate, ok := r.Param("rate")
-		if !ok {
-			return errors.New("missing rate")
-		}
-		load, _ := r.Param("load")
-		r.Record("work", rate*load+r.Src.Float64())
-		return nil
-	}
-	run := func(workers int) *Result {
-		res, err := Run(Config{Label: "grid", Seed: 5, Grid: grid, Workers: workers}, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(1), run(4)
-	if a.Report() != b.Report() {
-		t.Fatalf("grid reports differ across worker counts")
-	}
-	// Grid order is row-major with the last axis fastest.
-	want := [][2]float64{{1, 0.25}, {1, 0.5}, {2, 0.25}, {2, 0.5}, {4, 0.25}, {4, 0.5}}
-	for i, r := range a.Replicas {
-		if r.Params[0].Value != want[i][0] || r.Params[1].Value != want[i][1] {
-			t.Fatalf("replica %d params = %v, want %v", i, r.Params, want[i])
-		}
 	}
 }
 

@@ -50,7 +50,8 @@ func TestPathProperty(t *testing.T) {
 	f := func(a, b uint16) bool {
 		ca := tor.CoordOf(int(a) % tor.Nodes())
 		cb := tor.CoordOf(int(b) % tor.Nodes())
-		path := tor.Path(ca, cb)
+		var path []Coord
+		tor.Walk(ca, cb, func(c Coord) { path = append(path, c) })
 		if len(path) != tor.Distance(ca, cb) {
 			return false
 		}

@@ -69,15 +69,6 @@ func (t Torus) Distance(a, b Coord) int {
 	return dx + dy + dz
 }
 
-// Path returns the dimension-ordered (X, then Y, then Z) route from a to
-// b, excluding a and including b. Gemini uses dimension-ordered routing,
-// so this is the deterministic path traffic actually takes.
-func (t Torus) Path(a, b Coord) []Coord {
-	path := make([]Coord, 0, t.Distance(a, b))
-	t.Walk(a, b, func(c Coord) { path = append(path, c) })
-	return path
-}
-
 // Walk visits the dimension-ordered route from a to b (excluding a,
 // including b) without allocating — the form hot path construction in
 // netsim uses, where a []Coord per transfer would dominate allocations.

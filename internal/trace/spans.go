@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"spiderfs/internal/spantrace"
 )
@@ -56,28 +54,4 @@ func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 		return nil, fmt.Errorf("trace: decoding spans: %w", err)
 	}
 	return recs, nil
-}
-
-// WriteSpansCSV serializes a span dump as CSV with a header row.
-func WriteSpansCSV(w io.Writer, spans []spantrace.Span) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "parent", "layer", "op", "start_ns", "end_ns", "bytes", "detail"}); err != nil {
-		return err
-	}
-	for _, r := range FromSpans(spans) {
-		rec := []string{
-			strconv.FormatUint(r.ID, 16),
-			strconv.FormatUint(r.Parent, 16),
-			r.Layer, r.Op,
-			strconv.FormatInt(r.StartNS, 10),
-			strconv.FormatInt(r.EndNS, 10),
-			strconv.FormatInt(r.Bytes, 10),
-			r.Detail,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

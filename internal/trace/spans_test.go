@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"spiderfs/internal/sim"
@@ -45,22 +44,5 @@ func TestSpansJSONRoundTrip(t *testing.T) {
 	}
 	if recs[1].Layer != "disk" || recs[1].Detail != "lun3" {
 		t.Fatalf("child record mangled: %+v", recs[1])
-	}
-}
-
-func TestSpansCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSpansCSV(&buf, sampleSpans()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d CSV lines, want header + 3 rows:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != "id,parent,layer,op,start_ns,end_ns,bytes,detail" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[2], "def,abc,disk,disk-write,") {
-		t.Fatalf("row 2 = %q (IDs should be hex)", lines[2])
 	}
 }

@@ -1,16 +1,14 @@
 // Package trace provides portable serialization for server-side
 // throughput logs — the artifact the IOSI workflow (§VI-B) stores and
-// mines. Logs round-trip through JSON (tool interchange) and CSV
-// (spreadsheets/plotting), so extracted signatures can be compared
-// across runs collected on different days, as the OLCF tooling did.
+// mines. Logs round-trip through JSON, so extracted signatures can be
+// compared across runs collected on different days, as the OLCF
+// tooling did.
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"spiderfs/internal/iosi"
 	"spiderfs/internal/sim"
@@ -59,61 +57,4 @@ func Read(r io.Reader) ([]Log, error) {
 		}
 	}
 	return logs, nil
-}
-
-// WriteCSV emits one log as (t_seconds, bytes_per_sec) rows with a
-// header.
-func WriteCSV(w io.Writer, l Log) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_seconds", "bytes_per_sec"}); err != nil {
-		return err
-	}
-	for i, v := range l.SamplesBps {
-		t := float64(i) * l.IntervalMS / 1000
-		if err := cw.Write([]string{
-			strconv.FormatFloat(t, 'f', 3, 64),
-			strconv.FormatFloat(v, 'f', 0, 64),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a WriteCSV stream; the interval is inferred from the
-// first two timestamps (a single-row log gets 1s).
-func ReadCSV(r io.Reader, name string) (Log, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return Log{}, fmt.Errorf("trace: reading csv: %w", err)
-	}
-	if len(rows) < 2 {
-		return Log{}, fmt.Errorf("trace: csv has no data rows")
-	}
-	l := Log{Name: name, IntervalMS: 1000}
-	var times []float64
-	for _, row := range rows[1:] {
-		if len(row) != 2 {
-			return Log{}, fmt.Errorf("trace: malformed csv row %v", row)
-		}
-		t, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return Log{}, fmt.Errorf("trace: bad timestamp %q: %w", row[0], err)
-		}
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return Log{}, fmt.Errorf("trace: bad sample %q: %w", row[1], err)
-		}
-		times = append(times, t)
-		l.SamplesBps = append(l.SamplesBps, v)
-	}
-	if len(times) >= 2 {
-		l.IntervalMS = (times[1] - times[0]) * 1000
-		if l.IntervalMS <= 0 {
-			return Log{}, fmt.Errorf("trace: non-increasing timestamps")
-		}
-	}
-	return l, nil
 }

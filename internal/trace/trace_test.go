@@ -51,37 +51,6 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	l := FromSeries("csvtest", sample())
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "t_seconds,bytes_per_sec\n") {
-		t.Fatalf("missing header: %q", buf.String()[:40])
-	}
-	got, err := ReadCSV(&buf, "csvtest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IntervalMS != 500 {
-		t.Fatalf("interval = %f ms", got.IntervalMS)
-	}
-	if len(got.SamplesBps) != 6 || got.SamplesBps[4] != 41e9 {
-		t.Fatalf("samples = %v", got.SamplesBps)
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("header-only\n"), "x"); err == nil {
-		t.Fatal("expected error on empty csv")
-	}
-	bad := "t_seconds,bytes_per_sec\nnot-a-number,5\n"
-	if _, err := ReadCSV(strings.NewReader(bad), "x"); err == nil {
-		t.Fatal("expected parse error")
-	}
-}
-
 func TestSignatureSurvivesRoundTrip(t *testing.T) {
 	// The point of the format: IOSI extraction on the round-tripped log
 	// equals extraction on the original.

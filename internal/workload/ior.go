@@ -33,14 +33,6 @@ func RandomPlacer(t topology.Torus, seed uint64) Placer {
 	}
 }
 
-// UniformPlacer spreads ranks evenly through the torus (the optimized
-// placement used for the post-upgrade 510 GB/s measurement).
-func UniformPlacer(t topology.Torus) Placer {
-	return func(rank int) topology.Coord {
-		return t.CoordOf((rank * 104729) % t.Nodes()) // large prime stride
-	}
-}
-
 // IORConfig parameterizes a file-per-process run.
 type IORConfig struct {
 	Clients      int
@@ -50,7 +42,6 @@ type IORConfig struct {
 	BlockSize int64
 	StoneWall sim.Time
 	Read      bool
-	RandomIO  bool // random offsets within each process's file (reads)
 	// StripeCount for each process's file; file-per-process runs use 1.
 	StripeCount int
 	Dir         string
@@ -156,9 +147,9 @@ func RunIOR(fs *lustre.FS, cfg IORConfig) IORResult {
 	for i, c := range clients {
 		switch {
 		case cfg.Read && cfg.StoneWall > 0:
-			c.ReadUntil(files[i], deadline, cfg.TransferSize, cfg.RandomIO, record(i))
+			c.ReadUntil(files[i], deadline, cfg.TransferSize, record(i))
 		case cfg.Read:
-			c.ReadStream(files[i], cfg.BlockSize, cfg.TransferSize, cfg.RandomIO, record(i))
+			c.ReadStream(files[i], cfg.BlockSize, cfg.TransferSize, false, record(i))
 		case cfg.StoneWall > 0:
 			c.WriteUntil(files[i], deadline, cfg.TransferSize, record(i))
 		default:

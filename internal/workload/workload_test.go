@@ -103,7 +103,6 @@ func TestClientScalingMonotoneThenSaturates(t *testing.T) {
 func TestPlacers(t *testing.T) {
 	tor := topology.TitanTorus()
 	rp := RandomPlacer(tor, 7)
-	up := UniformPlacer(tor)
 	seen := map[topology.Coord]bool{}
 	for i := 0; i < 100; i++ {
 		c := rp(i)
@@ -111,9 +110,6 @@ func TestPlacers(t *testing.T) {
 			t.Fatalf("random placer out of torus: %v", c)
 		}
 		seen[c] = true
-		if !tor.Contains(up(i)) {
-			t.Fatalf("uniform placer out of torus")
-		}
 	}
 	if len(seen) < 90 {
 		t.Fatalf("random placer collided heavily: %d unique of 100", len(seen))
