@@ -110,7 +110,7 @@ type Disk struct {
 	// Counters for the monitoring and QA layers.
 	Ops      uint64
 	Bytes    int64
-	Latency  stats.Summary // per-command service latency in milliseconds
+	Latency  stats.Summary // per-command service latency in milliseconds, recorded at submit time
 	SlowCmds uint64        // commands that took a tail excursion
 
 	// Integrity counters (faults.go).
@@ -208,6 +208,13 @@ func (d *Disk) ServiceTime(op Op) sim.Time {
 }
 
 // Submit queues op and calls done (may be nil) at completion.
+//
+// An untraced command hands done straight to the server, whose event
+// carries it as data, so it allocates nothing. Latency is recorded here
+// rather than at completion: the disk is a single-slot FIFO, so
+// commands complete in submission order and a drained run's Summary is
+// the same either way. Only a sampled traced command keeps a closure,
+// to decompose its span once it completes.
 func (d *Disk) Submit(op Op, done func()) {
 	if op.Size <= 0 || op.LBA < 0 || op.LBA+op.Size > d.cfg.Capacity {
 		panic(fmt.Sprintf("disk: invalid op lba=%d size=%d cap=%d", op.LBA, op.Size, d.cfg.Capacity)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
@@ -218,40 +225,42 @@ func (d *Disk) Submit(op Op, done func()) {
 	d.lastEnd = op.LBA + op.Size
 	d.Ops++
 	d.Bytes += op.Size
+	d.Latency.Add(st.Millis())
 	op2 := "disk-read"
 	if op.Write {
 		op2 = "disk-write"
 	}
 	sp := d.Tracer.Begin(spantrace.Disk, op2, d.Tracer.Cur(), op.Size)
+	if sp == 0 {
+		d.srv.Submit(st, done)
+		return
+	}
 	submitted := d.eng.Now()
 	d.srv.Submit(st, func() {
-		d.Latency.Add(st.Millis())
-		if sp != 0 {
-			// Decompose retroactively: the actuator started this
-			// command total ns before it completed; everything
-			// earlier was queueing behind other commands.
-			end := d.eng.Now()
-			at := end - st
-			if at > submitted {
-				d.Tracer.Range(spantrace.Disk, "queue", sp, submitted, at, 0)
-			}
-			for _, ph := range [...]struct {
-				op  string
-				dur sim.Time
-			}{
-				{"cmd", pts.overhead},
-				{"seek", pts.seek},
-				{"rotate", pts.rotate},
-				{"transfer", pts.transfer},
-				{"tail", pts.tail},
-			} {
-				if ph.dur > 0 {
-					d.Tracer.Range(spantrace.Disk, ph.op, sp, at, at+ph.dur, 0)
-					at += ph.dur
-				}
-			}
-			d.Tracer.End(sp)
+		// Decompose retroactively: the actuator started this command
+		// total ns before it completed; everything earlier was
+		// queueing behind other commands.
+		end := d.eng.Now()
+		at := end - st
+		if at > submitted {
+			d.Tracer.Range(spantrace.Disk, "queue", sp, submitted, at, 0)
 		}
+		for _, ph := range [...]struct {
+			op  string
+			dur sim.Time
+		}{
+			{"cmd", pts.overhead},
+			{"seek", pts.seek},
+			{"rotate", pts.rotate},
+			{"transfer", pts.transfer},
+			{"tail", pts.tail},
+		} {
+			if ph.dur > 0 {
+				d.Tracer.Range(spantrace.Disk, ph.op, sp, at, at+ph.dur, 0)
+				at += ph.dur
+			}
+		}
+		d.Tracer.End(sp)
 		if done != nil {
 			done()
 		}

@@ -217,3 +217,35 @@ func TestPopulationDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitAllocationCeiling pins the untraced command path: with 64
+// commands standing in the queue, a submit plus a completion allocates
+// nothing. done rides in the server's event as data; no per-command
+// closure is built unless the command is sampled for tracing.
+func TestSubmitAllocationCeiling(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(eng, 0, NLSAS2TB(), Nominal(), rng.New(6).Split("d"))
+	completed := 0
+	done := func() { completed++ }
+	var lba int64
+	submit := func() {
+		d.Submit(Op{LBA: lba, Size: 128 << 10}, done)
+		lba += 128 << 10
+	}
+	for i := 0; i <= 64; i++ {
+		submit()
+	}
+	perCmd := testing.AllocsPerRun(1000, func() {
+		submit()
+		eng.Step()
+	})
+	if d.srv.QueueLen() != 64 {
+		t.Fatalf("queue depth %d, want 64", d.srv.QueueLen())
+	}
+	if completed != 1001 {
+		t.Fatalf("%d completions, want 1001", completed)
+	}
+	if perCmd > 0 {
+		t.Errorf("untraced submit+complete at depth 64 allocates %.2f, want 0", perCmd)
+	}
+}

@@ -62,6 +62,15 @@ type Scrubber struct {
 	next    int64 // next stripe to scrub
 	ev      sim.Event
 	running bool
+	// inFlight is set while a batch's reads are outstanding. Its
+	// completion continues the chain, so a Stop and Start inside that
+	// window resumes the chain instead of issuing a second one.
+	inFlight bool
+
+	// batchFn and doneFn are s.batch and s.complete, bound once so a
+	// steady-state batch cycle allocates nothing.
+	batchFn func()
+	doneFn  func(raid.ScrubResult)
 
 	// Escalate, when set, is invoked once per scrub batch that found
 	// stripes beyond parity, with the count of stripes this batch
@@ -92,7 +101,10 @@ func New(eng *sim.Engine, g *raid.Group, cfg Config) *Scrubber {
 	if cfg.PassInterval <= 0 {
 		cfg.PassInterval = def.PassInterval
 	}
-	return &Scrubber{eng: eng, g: g, cfg: cfg}
+	s := &Scrubber{eng: eng, g: g, cfg: cfg}
+	s.batchFn = s.batch
+	s.doneFn = s.complete
+	return s
 }
 
 // Running reports whether the scrubber is armed.
@@ -100,13 +112,17 @@ func New(eng *sim.Engine, g *raid.Group, cfg Config) *Scrubber {
 //simlint:allow test-only-export read-only accessor the scrubber lifecycle tests assert
 func (s *Scrubber) Running() bool { return s.running }
 
-// Start arms the scrubber; the first batch issues immediately.
+// Start arms the scrubber; the first batch issues immediately, unless
+// a batch from before a Stop is still reading, in which case its
+// completion resumes the chain.
 func (s *Scrubber) Start() {
 	if s.running {
 		return
 	}
 	s.running = true
-	s.batch()
+	if !s.inFlight {
+		s.batch()
+	}
 }
 
 // Stop disarms the scrubber, cancelling any pending batch.
@@ -124,28 +140,33 @@ func (s *Scrubber) batch() {
 		s.running = false
 		return
 	}
-	s.g.ScrubStripes(s.next, s.cfg.BatchStripes, func(res raid.ScrubResult) {
-		if !s.running {
-			return
-		}
-		s.ScannedStripes += res.Scanned
-		s.Repairs += res.Repaired
-		s.Lost += res.Lost
-		if res.Lost > 0 && s.Escalate != nil {
-			s.Escalate(res.Lost)
-		}
-		if res.Rebuilding && (res.Repaired > 0 || res.Lost > 0) {
-			// Scrub-found defect with a rebuild in flight: the paper's
-			// double-failure window, seen from the scrubber's side.
-			s.RebuildOverlaps++
-		}
-		s.next += res.Scanned
-		pause := s.cfg.BatchPause
-		if s.next >= s.g.TotalStripes() {
-			s.next = 0
-			s.Passes++
-			pause = s.cfg.PassInterval
-		}
-		s.ev = s.eng.After(pause, s.batch)
-	})
+	s.inFlight = true
+	s.g.ScrubStripes(s.next, s.cfg.BatchStripes, s.doneFn)
+}
+
+// complete accounts one finished batch and paces the next.
+func (s *Scrubber) complete(res raid.ScrubResult) {
+	s.inFlight = false
+	if !s.running {
+		return
+	}
+	s.ScannedStripes += res.Scanned
+	s.Repairs += res.Repaired
+	s.Lost += res.Lost
+	if res.Lost > 0 && s.Escalate != nil {
+		s.Escalate(res.Lost)
+	}
+	if res.Rebuilding && (res.Repaired > 0 || res.Lost > 0) {
+		// Scrub-found defect with a rebuild in flight: the paper's
+		// double-failure window, seen from the scrubber's side.
+		s.RebuildOverlaps++
+	}
+	s.next += res.Scanned
+	pause := s.cfg.BatchPause
+	if s.next >= s.g.TotalStripes() {
+		s.next = 0
+		s.Passes++
+		pause = s.cfg.PassInterval
+	}
+	s.ev = s.eng.After(pause, s.batchFn)
 }

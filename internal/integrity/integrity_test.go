@@ -79,6 +79,68 @@ func TestScrubberStopCancelsPendingBatch(t *testing.T) {
 	}
 }
 
+// TestScrubberRestartResumesChain stops and restarts a scrubber while
+// a batch is still reading: the restart must resume the one scrub chain
+// already in flight, not start a second one beside it, so the counts
+// match a scrubber that was never interrupted.
+func TestScrubberRestartResumesChain(t *testing.T) {
+	cfg := Config{BatchStripes: 64, BatchPause: sim.Second, PassInterval: sim.Minute}
+	run := func(restart bool) *Scrubber {
+		eng, g := scrubGroup(t, 36)
+		s := New(eng, g, cfg)
+		s.Start()
+		if restart {
+			eng.RunFor(sim.Millisecond) // the first batch is still reading
+			if s.ScannedStripes != 0 {
+				t.Fatal("first batch finished before the restart")
+			}
+			s.Stop()
+			s.Start()
+		}
+		eng.RunFor(10 * sim.Minute)
+		s.Stop()
+		eng.Run()
+		return s
+	}
+	clean, restarted := run(false), run(true)
+	if clean.ScannedStripes != 4608 || clean.Passes != 9 {
+		t.Fatalf("clean start: %d stripes in %d passes, want 4608 in 9", clean.ScannedStripes, clean.Passes)
+	}
+	if restarted.ScannedStripes != clean.ScannedStripes || restarted.Passes != clean.Passes {
+		t.Fatalf("restart mid-batch: %d stripes in %d passes, clean start %d in %d",
+			restarted.ScannedStripes, restarted.Passes, clean.ScannedStripes, clean.Passes)
+	}
+}
+
+// TestScrubberBatchAllocationCeiling pins the steady-state scrub path:
+// on a warmed group with no defects, one batch cycle (the pause timer,
+// ten member reads, the barrier and the completion) allocates nothing.
+// The group reuses one scrub record and the scrubber's callbacks are
+// bound once.
+func TestScrubberBatchAllocationCeiling(t *testing.T) {
+	eng, g := scrubGroup(t, 37)
+	cfg := Config{BatchStripes: 64, BatchPause: sim.Second, PassInterval: sim.Second}
+	s := New(eng, g, cfg)
+	cycle := func() {
+		want := s.ScannedStripes + cfg.BatchStripes
+		for s.ScannedStripes < want && eng.Step() {
+		}
+	}
+	s.Start()
+	for i := 0; i < 16; i++ { // two passes: every queue and free list at size
+		cycle()
+	}
+	before := s.ScannedStripes
+	perBatch := testing.AllocsPerRun(100, cycle)
+	if got := s.ScannedStripes - before; got != 101*cfg.BatchStripes {
+		t.Fatalf("scanned %d stripes over 101 cycles, want %d", got, 101*cfg.BatchStripes)
+	}
+	if perBatch > 0 {
+		t.Errorf("steady-state scrub batch allocates %.2f, want 0", perBatch)
+	}
+	s.Stop()
+}
+
 func TestScrubberHaltsOnGroupFailure(t *testing.T) {
 	eng, g := scrubGroup(t, 33)
 	s := New(eng, g, Config{BatchStripes: 64, BatchPause: sim.Second, PassInterval: sim.Second})

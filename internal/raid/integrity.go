@@ -166,27 +166,63 @@ func (g *Group) ScrubStripes(first, n int64, done func(ScrubResult)) {
 		}
 		return
 	}
-	res := &ScrubResult{Scanned: n, Rebuilding: g.state == Rebuilding}
+	r := g.scrub
+	if r == nil {
+		r = newScrubBatch(g)
+		g.scrub = r
+	}
+	if r.busy {
+		// Overlaps the batch in flight, which owns the group's record.
+		r = newScrubBatch(g)
+	}
+	r.busy = true
+	r.res = ScrubResult{Scanned: n, Rebuilding: g.state == Rebuilding}
+	r.done = done
 	ck := g.cfg.ChunkSize
 	off := first * ck
 	size := n * ck
 	g.ScrubbedStripes += n
 	// Background work with no client request to parent to: self-sample
 	// like rebuild batches so scrub interference shows up in traces.
-	sp := g.tracer.SampleRoot(spantrace.RAID, "scrub-batch", size)
-	b := sim.NewBarrier(func() {
-		g.tracer.End(sp)
-		if done != nil {
-			done(*res)
-		}
-	})
-	old := g.tracer.Swap(sp)
+	r.sp = g.tracer.SampleRoot(spantrace.RAID, "scrub-batch", size)
+	r.b.Reset(r.fire)
+	old := g.tracer.Swap(r.sp)
 	for m := 0; m < g.cfg.Width(); m++ {
-		g.submitTo(m, disk.Op{LBA: off, Size: size}, b)
+		g.submitTo(m, disk.Op{LBA: off, Size: size}, &r.b)
 	}
-	res.Repaired, res.Lost = g.checkRange(off, size, true, b)
+	r.res.Repaired, r.res.Lost = g.checkRange(off, size, true, &r.b)
 	g.tracer.Swap(old)
-	b.Arm()
+	r.b.Arm()
+}
+
+// scrubBatch is one ScrubStripes call from issue until its barrier
+// fires. Each group keeps one and reuses it, so a steady-state scrub
+// batch allocates nothing; a call that overlaps the batch in flight
+// gets a fresh one.
+type scrubBatch struct {
+	g    *Group
+	res  ScrubResult
+	b    sim.Barrier
+	sp   spantrace.SpanID
+	done func(ScrubResult)
+	fire func() // r.finish, bound once
+	busy bool
+}
+
+func newScrubBatch(g *Group) *scrubBatch {
+	r := &scrubBatch{g: g}
+	r.fire = r.finish
+	return r
+}
+
+// finish ends the batch's span, frees the record and reports.
+func (r *scrubBatch) finish() {
+	r.g.tracer.End(r.sp)
+	done, res := r.done, r.res
+	r.done, r.busy = nil, false
+	if done != nil {
+		done(res)
+	}
 }
 
 // stripeHit is one defective chunk found by a range check.

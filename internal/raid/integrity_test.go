@@ -6,6 +6,8 @@ import (
 	"spiderfs/internal/disk"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
+	"spiderfs/internal/spantrace"
+	"spiderfs/internal/stats"
 )
 
 // smallGroup builds a 8+2 group over 64 MiB member disks (512 stripes)
@@ -257,5 +259,132 @@ func TestGroupFailureDuringRebuildClearsBookkeeping(t *testing.T) {
 	// Restoring a member of a dead group resurrects nothing.
 	if st := g.RestoreDisk(5); st != Failed {
 		t.Fatalf("restore on failed group -> %v", st)
+	}
+}
+
+// TestOverlappingScrubsReportTheirOwnResults issues a second scrub
+// while the first is still reading, and a third from inside the first
+// one's completion, so the group's reusable scrub record is busy, then
+// free again, while another call holds a fresh one. Each call must
+// report its own range's outcome.
+func TestOverlappingScrubsReportTheirOwnResults(t *testing.T) {
+	eng, g := smallGroup(t, 27)
+	corruptChunk(g, 10, 0, disk.Silent) // first: one repair
+	corruptChunk(g, 20, 3, disk.URE)    // first: another
+	corruptChunk(g, 100, 1, disk.Silent)
+	for k := 0; k < 3; k++ { // second: one stripe beyond parity
+		corruptChunk(g, 150, k, disk.Silent)
+	}
+	corruptChunk(g, 300, 5, disk.Silent) // third: one repair
+	var first, second, third ScrubResult
+	calls := 0
+	g.ScrubStripes(0, 64, func(r ScrubResult) {
+		calls++
+		first = r
+		g.ScrubStripes(256, 128, func(r ScrubResult) { calls++; third = r })
+	})
+	g.ScrubStripes(64, 128, func(r ScrubResult) { calls++; second = r })
+	eng.Run()
+	if calls != 3 {
+		t.Fatalf("%d completions, want 3", calls)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want ScrubResult
+	}{
+		{"first", first, ScrubResult{Scanned: 64, Repaired: 2}},
+		{"second", second, ScrubResult{Scanned: 128, Repaired: 1, Lost: 1}},
+		{"third", third, ScrubResult{Scanned: 128, Repaired: 1}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s scrub reported %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+	if g.ScrubbedStripes != 320 || g.ScrubRepairs != 4 || g.UnrecoverableStripes != 1 {
+		t.Fatalf("ScrubbedStripes/ScrubRepairs/UnrecoverableStripes = %d/%d/%d, want 320/4/1",
+			g.ScrubbedStripes, g.ScrubRepairs, g.UnrecoverableStripes)
+	}
+}
+
+// TestDiskTracingHasNoObserverEffect runs one RAID workload untraced
+// and with a tracer sampling every request. An untraced disk command
+// hands done straight to the server; a traced one wraps it to decompose
+// its span. The two paths must schedule the same events and record the
+// same counters on every member.
+func TestDiskTracingHasNoObserverEffect(t *testing.T) {
+	type member struct {
+		lat      stats.Summary
+		ops      uint64
+		bytes    int64
+		slowCmds uint64
+	}
+	run := func(every int) (uint64, uint64, []member, int) {
+		eng := sim.NewEngine()
+		hash := sim.NewTraceHash()
+		eng.SetTrace(hash.Observe)
+		src := rng.New(41)
+		dcfg := disk.NLSAS2TB()
+		dcfg.Capacity = 64 << 20
+		weak := disk.Nominal()
+		weak.TailProb = 0.05 // tail excursions on a few percent of commands
+		members := make([]*disk.Disk, Spider2Group().Width())
+		for i := range members {
+			members[i] = disk.New(eng, i, dcfg, weak, src.Split("d"))
+		}
+		g := NewGroup(eng, 0, Spider2Group(), members)
+		tr := spantrace.New(rng.New(5), every)
+		if every > 0 {
+			tr.Bind(eng)
+			g.SetTracer(tr)
+		}
+		corruptChunk(g, 40, 2, disk.Silent)
+		load := rng.New(8).Split("load")
+		for i := 0; i < 200; i++ {
+			root := tr.SampleRoot(spantrace.Client, "op", 0)
+			old := tr.Swap(root)
+			off := load.Int63n(g.Capacity() - 4<<20)
+			switch i % 3 {
+			case 0:
+				g.Write(off&^(1<<20-1), 1<<20, nil) // full stripe
+			case 1:
+				g.Write(off, 128<<10, nil) // read-modify-write
+			default:
+				g.Read(off, 512<<10, nil)
+			}
+			tr.Swap(old)
+			tr.End(root)
+			eng.RunFor(10 * sim.Millisecond)
+		}
+		g.ScrubStripes(0, g.TotalStripes(), nil)
+		eng.Run()
+		out := make([]member, len(members))
+		for i, d := range members {
+			out[i] = member{d.Latency, d.Ops, d.Bytes, d.SlowCmds}
+		}
+		diskSpans := 0
+		for _, sp := range tr.Spans() {
+			if sp.Layer == spantrace.Disk {
+				diskSpans++
+			}
+		}
+		return hash.Sum(), hash.Events(), out, diskSpans
+	}
+	sumA, evA, a, _ := run(0)
+	sumB, evB, b, diskSpans := run(1)
+	if diskSpans == 0 {
+		t.Fatal("traced run recorded no disk spans")
+	}
+	if sumA != sumB || evA != evB {
+		t.Fatalf("trace fingerprint %016x/%d untraced, %016x/%d traced", sumA, evA, sumB, evB)
+	}
+	slow := uint64(0)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("member %d: untraced %+v, traced %+v", i, a[i], b[i])
+		}
+		slow += a[i].slowCmds
+	}
+	if slow == 0 {
+		t.Fatal("no tail excursions: SlowCmds is not exercised")
 	}
 }

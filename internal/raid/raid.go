@@ -85,6 +85,9 @@ type Group struct {
 	// OnStripeLoss, when set, fires once per stripe escalated as
 	// unrecoverable — the chaos ledger's data-loss accounting hook.
 	OnStripeLoss func(stripe int64)
+	// scrub is the reusable record of a ScrubStripes call (integrity.go),
+	// built on the first one.
+	scrub *scrubBatch
 
 	// rebuild bookkeeping
 	rebuildMember int

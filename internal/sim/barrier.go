@@ -38,6 +38,15 @@ func (b *Barrier) DoneFunc() func() {
 	return b.doneFn
 }
 
+// Reset re-arms an idle barrier (the zero value, or one that has
+// fired) for another fan-out that calls done. Its bound DoneFunc is
+// kept, so a caller that reuses one barrier round after round
+// allocates nothing per round.
+func (b *Barrier) Reset(done func()) {
+	b.armed = false
+	b.done = done
+}
+
 // Arm declares that no further Add calls will occur. If all sub-jobs have
 // already completed (including the zero-job case), the callback fires
 // immediately.
