@@ -498,7 +498,7 @@ func (p *campaign) startCableDegradation() {
 				l := p.uplinks[idx]
 				net.Degrade(l, p.cfg.CableDegradeFrac)
 				p.rep.CableDegradations++
-				p.emit(l.Name, monitor.Hardware, "hca-symbol-errors")
+				p.emit(l.Name(), monitor.Hardware, "hca-symbol-errors")
 				p.eng.After(p.cfg.CableRepair, func() {
 					net.Restore(l)
 					delete(p.degraded, idx)

@@ -86,22 +86,33 @@ func Nominal() Health {
 // Disk is a single simulated drive attached to an engine. All commands
 // are serviced FIFO with a single actuator (queue depth shaping happens
 // above, in the RAID/OST layers).
+//
+// A Disk is one contiguous record: its server and both rng streams are
+// held by value and the defect bounds sit next to them, so a command
+// (a scrub read, above all) touches no other object until it finds a
+// defect in range. A Disk must not be copied once created.
 type Disk struct {
 	ID     int
 	cfg    Config
 	health Health
 	eng    *sim.Engine
-	srv    *sim.Server
-	src    *rng.Source
+	srv    sim.Server
+	src    rng.Source
 
 	lastEnd int64 // LBA following the previous command, for sequential detection
 
 	// Latent media-error model (faults.go). faultSrc is a dedicated
-	// stream: disarmed disks draw nothing, so enabling injection on one
-	// disk never perturbs another model's randomness.
+	// stream, drawn from only while armed: disarmed disks draw nothing,
+	// so enabling injection on one disk never perturbs another model's
+	// randomness.
 	faults   FaultConfig
-	faultSrc *rng.Source
-	media    map[int64]CorruptKind // corrupt sector index -> defect kind
+	armed    bool
+	faultSrc rng.Source
+	// defects holds the corrupt sectors in ascending sector order;
+	// loSector and hiSector are its first and last sectors, so a range
+	// that misses them is rejected without reading the slice.
+	defects            []defect
+	loSector, hiSector int64
 
 	// Tracer, when set, records a span per command plus the
 	// seek/rotate/transfer/tail decomposition (spantrace plane).
@@ -119,16 +130,19 @@ type Disk struct {
 	RepairedSectors uint64 // defects healed by overwrites and repairs
 }
 
-// New creates a disk with the given personality.
+// New creates a disk with the given personality. The disk takes over
+// src's stream: it copies the state, so the caller must not draw from
+// src again.
 func New(eng *sim.Engine, id int, cfg Config, health Health, src *rng.Source) *Disk {
-	return &Disk{
+	d := &Disk{
 		ID:     id,
 		cfg:    cfg,
 		health: health,
 		eng:    eng,
-		srv:    sim.NewServer(eng, fmt.Sprintf("%s-%d", cfg.Name, id), 1),
-		src:    src,
+		src:    *src,
 	}
+	d.srv.Init(eng, 1)
+	return d
 }
 
 // Config returns the disk's product configuration.

@@ -1,10 +1,6 @@
 package disk
 
-import (
-	"sort"
-
-	"spiderfs/internal/rng"
-)
+import "spiderfs/internal/rng"
 
 // Latent media-error model. The paper's scariest storage failure mode is
 // the one nothing notices: a latent sector error sits on a platter until
@@ -58,12 +54,22 @@ type ScanResult struct {
 	Silent int // silently corrupt sectors
 }
 
+// defect is one latent-corrupt sector.
+type defect struct {
+	sector int64
+	kind   CorruptKind
+}
+
 // SetFaultInjection arms (or, with a nil src, disarms) the media-error
 // model. The stream must be dedicated to this disk — injection draws
-// advance it on every command while armed.
+// advance it on every command while armed. The disk copies src's
+// state, so the caller must not draw from src again.
 func (d *Disk) SetFaultInjection(fc FaultConfig, src *rng.Source) {
 	d.faults = fc
-	d.faultSrc = src
+	d.armed = src != nil
+	if d.armed {
+		d.faultSrc = *src
+	}
 }
 
 // InjectError marks the sector containing lba corrupt. Scripted
@@ -80,22 +86,15 @@ func (d *Disk) InjectError(lba int64, kind CorruptKind) {
 // platter.
 //
 //simlint:allow test-only-export fault-injection accessor the cross-package integrity tests count planted defects with
-func (d *Disk) CorruptSectors() int { return len(d.media) }
+func (d *Disk) CorruptSectors() int { return len(d.defects) }
 
 // Scan reports the latent defects in [lba, lba+size) without performing
 // any I/O or advancing any stream. The RAID layer's read-time verify
 // and the scrubber are built on it.
 func (d *Disk) Scan(lba, size int64) ScanResult {
 	var sr ScanResult
-	if len(d.media) == 0 || size <= 0 {
-		return sr
-	}
-	lo, hi := lba/SectorSize, (lba+size-1)/SectorSize
-	for s, kind := range d.media { // order-independent: counting only
-		if s < lo || s > hi {
-			continue
-		}
-		if kind == URE {
+	for _, df := range d.sectorsIn(lba, size) {
+		if df.kind == URE {
 			sr.UREs++
 		} else {
 			sr.Silent++
@@ -105,20 +104,19 @@ func (d *Disk) Scan(lba, size int64) ScanResult {
 }
 
 // ScanChunks invokes fn once per chunk-aligned slot of [lba, lba+size)
-// that holds a defect, in ascending LBA order — map iteration order
-// never reaches the caller, so scan-driven repair scheduling stays
-// deterministic.
+// that holds a defect, in ascending LBA order, so scan-driven repair
+// scheduling is deterministic. fn must not change the disk's defects.
 func (d *Disk) ScanChunks(lba, size, chunk int64, fn func(chunkLBA int64, sr ScanResult)) {
-	if len(d.media) == 0 || size <= 0 || chunk <= 0 {
+	if chunk <= 0 {
 		return
 	}
-	sectors := d.sectorsIn(lba, size)
+	in := d.sectorsIn(lba, size)
 	i := 0
-	for i < len(sectors) {
-		slot := (sectors[i] * SectorSize) / chunk * chunk
+	for i < len(in) {
+		slot := (in[i].sector * SectorSize) / chunk * chunk
 		var sr ScanResult
-		for i < len(sectors) && (sectors[i]*SectorSize)/chunk*chunk == slot {
-			if d.media[sectors[i]] == URE {
+		for i < len(in) && (in[i].sector*SectorSize)/chunk*chunk == slot {
+			if in[i].kind == URE {
 				sr.UREs++
 			} else {
 				sr.Silent++
@@ -133,39 +131,74 @@ func (d *Disk) ScanChunks(lba, size, chunk int64, fn func(chunkLBA int64, sr Sca
 // number of sectors healed. Writes heal implicitly (Submit calls this);
 // the explicit form exists for tests and tooling.
 func (d *Disk) Repair(lba, size int64) int {
-	sectors := d.sectorsIn(lba, size)
-	for _, s := range sectors {
-		delete(d.media, s)
+	i, j := d.span(lba, size)
+	if i == j {
+		return 0
 	}
-	d.RepairedSectors += uint64(len(sectors))
-	return len(sectors)
+	d.defects = append(d.defects[:i], d.defects[j:]...)
+	d.setBounds()
+	d.RepairedSectors += uint64(j - i)
+	return j - i
 }
 
-// sectorsIn returns the corrupt sector indices intersecting
-// [lba, lba+size), sorted ascending.
-func (d *Disk) sectorsIn(lba, size int64) []int64 {
-	if len(d.media) == 0 || size <= 0 {
-		return nil
+// sectorsIn returns the defects intersecting [lba, lba+size), in
+// ascending sector order. The result aliases the disk's index: it is
+// valid until the next change to the defects.
+func (d *Disk) sectorsIn(lba, size int64) []defect {
+	i, j := d.span(lba, size)
+	return d.defects[i:j]
+}
+
+// span returns the index range [i, j) of the defects intersecting
+// [lba, lba+size). A range outside [loSector, hiSector] is answered
+// from the bounds alone.
+func (d *Disk) span(lba, size int64) (i, j int) {
+	if len(d.defects) == 0 || size <= 0 {
+		return 0, 0
 	}
 	lo, hi := lba/SectorSize, (lba+size-1)/SectorSize
-	var out []int64
-	for s := range d.media { // sorted below before anything acts on it
-		if s >= lo && s <= hi {
-			out = append(out, s)
+	if hi < d.loSector || lo > d.hiSector {
+		return 0, 0
+	}
+	i = firstAtOrAfter(d.defects, lo)
+	return i, i + firstAtOrAfter(d.defects[i:], hi+1)
+}
+
+// firstAtOrAfter returns the index of the first defect in defs (sorted
+// by sector) whose sector is at least sector, or len(defs).
+func firstAtOrAfter(defs []defect, sector int64) int {
+	lo, hi := 0, len(defs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if defs[mid].sector < sector {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return lo
+}
+
+// setBounds refreshes loSector and hiSector after a change.
+func (d *Disk) setBounds() {
+	if n := len(d.defects); n > 0 {
+		d.loSector, d.hiSector = d.defects[0].sector, d.defects[n-1].sector
+	}
 }
 
 func (d *Disk) mark(sector int64, kind CorruptKind) {
-	if d.media == nil {
-		d.media = make(map[int64]CorruptKind)
+	i := firstAtOrAfter(d.defects, sector)
+	if i < len(d.defects) && d.defects[i].sector == sector {
+		if d.defects[i].kind == URE {
+			return // drive-detectable beats silent; keep the stronger defect
+		}
+		d.defects[i].kind = kind
+	} else {
+		d.defects = append(d.defects, defect{})
+		copy(d.defects[i+1:], d.defects[i:])
+		d.defects[i] = defect{sector: sector, kind: kind}
+		d.setBounds()
 	}
-	if prev, ok := d.media[sector]; ok && prev == URE {
-		return // drive-detectable beats silent; keep the stronger defect
-	}
-	d.media[sector] = kind
 	if kind == URE {
 		d.InjectedUREs++
 	} else {
@@ -177,10 +210,10 @@ func (d *Disk) mark(sector int64, kind CorruptKind) {
 // extent it overwrites, then rate-driven injection may seed new defects.
 // Draws happen only while armed with non-zero rates.
 func (d *Disk) applyFaults(op Op) {
-	if op.Write && len(d.media) > 0 {
+	if op.Write && len(d.defects) > 0 {
 		d.Repair(op.LBA, op.Size)
 	}
-	if d.faultSrc == nil {
+	if !d.armed {
 		return
 	}
 	gb := float64(op.Size) / 1e9

@@ -97,3 +97,30 @@ func TestFaultInjectionDeterminismAndIsolation(t *testing.T) {
 		t.Fatalf("zero rates injected defects")
 	}
 }
+
+// TestScanAllocationCeiling pins the defect index's read side: Scan and
+// ScanChunks over a range with defects inside it and on both sides of
+// it return a subslice of the index and allocate nothing.
+func TestScanAllocationCeiling(t *testing.T) {
+	_, d := testDisk(3)
+	for _, s := range []int64{2, 40, 41, 70, 300, 9000} {
+		d.InjectError(s*SectorSize, CorruptKind(s%2))
+	}
+	lba, size, chunk := int64(32*SectorSize), int64(256*SectorSize), int64(128<<10)
+	var hits int
+	fn := func(int64, ScanResult) { hits++ }
+	var sr ScanResult
+	perScan := testing.AllocsPerRun(1000, func() {
+		sr = d.Scan(lba, size)
+		d.ScanChunks(lba, size, chunk, fn)
+	})
+	if sr.UREs+sr.Silent != 3 {
+		t.Fatalf("scan found %+v, want the 3 defects in range", sr)
+	}
+	if hits != 1001*2 { // sectors 40-41 share a chunk; 70 has its own
+		t.Fatalf("%d chunk callbacks over 1001 scans, want %d", hits, 1001*2)
+	}
+	if perScan > 0 {
+		t.Errorf("Scan+ScanChunks allocates %.2f, want 0", perScan)
+	}
+}

@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"fmt"
+	"strconv"
 
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
@@ -88,6 +88,76 @@ type Fabric struct {
 	Tracer *spantrace.Tracer
 }
 
+// linkName is a link's name in compact form. A link made by NewLink
+// keeps the string it was given; a fabric link keeps its kind and
+// indices, and String renders the name only when someone reads it, so
+// building a Spider II-scale fabric formats no strings.
+type linkName struct {
+	s       string // the name of a linkNamed link
+	kind    linkKind
+	dir     uint8 // linkGemini: dirXPlus..dirZMinus
+	a, b, c int32 // coordinates (x, y, z) or indices, per kind
+}
+
+// linkKind selects a fabric link's name format.
+type linkKind uint8
+
+const (
+	linkNamed     linkKind = iota // s, as given to NewLink
+	linkGemini                    // gem(a,b,c)+x, one per torus direction
+	linkInject                    // inj(a,b,c)
+	linkRouterFwd                 // rtr<a>-fwd
+	linkRouterUp                  // rtr<a>-sw<b>
+	linkLeafCore                  // leaf<a>-core
+	linkCoreLeaf                  // core-leaf<a>
+	linkLeafOSS                   // leaf<a>-oss<b>
+)
+
+// dirTags are the Gemini link name suffixes, indexed by direction.
+var dirTags = [6]string{"+x", "-x", "+y", "-y", "+z", "-z"}
+
+// String renders the name.
+func (nm linkName) String() string {
+	if nm.kind == linkNamed {
+		return nm.s
+	}
+	var buf [32]byte
+	b := buf[:0]
+	num := func(prefix string, v int32) {
+		b = append(b, prefix...)
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	switch nm.kind {
+	case linkGemini, linkInject:
+		pre := "gem("
+		if nm.kind == linkInject {
+			pre = "inj("
+		}
+		num(pre, nm.a)
+		num(",", nm.b)
+		num(",", nm.c)
+		b = append(b, ')')
+		if nm.kind == linkGemini {
+			b = append(b, dirTags[nm.dir]...)
+		}
+	case linkRouterFwd:
+		num("rtr", nm.a)
+		b = append(b, "-fwd"...)
+	case linkRouterUp:
+		num("rtr", nm.a)
+		num("-sw", nm.b)
+	case linkLeafCore:
+		num("leaf", nm.a)
+		b = append(b, "-core"...)
+	case linkCoreLeaf:
+		num("core-leaf", nm.a)
+	case linkLeafOSS:
+		num("leaf", nm.a)
+		num("-oss", nm.b)
+	}
+	return string(b)
+}
+
 const (
 	dirXPlus = iota
 	dirXMinus
@@ -119,16 +189,14 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 	for i := 0; i < n; i++ {
 		c := t.CoordOf(i)
 		f.gem[i] = make([]*Link, 6)
-		mk := func(dir int, cap float64, tag string) {
-			f.gem[i][dir] = f.Net.NewLink(fmt.Sprintf("gem%v%s", c, tag), cap, cfg.GeminiLatency)
+		at := linkName{a: int32(c.X), b: int32(c.Y), c: int32(c.Z)}
+		// Capacities in direction order, dirXPlus through dirZMinus.
+		for dir, bps := range [6]float64{cfg.GeminiXBps, cfg.GeminiXBps, cfg.GeminiYBps, cfg.GeminiYBps, cfg.GeminiZBps, cfg.GeminiZBps} {
+			at.kind, at.dir = linkGemini, uint8(dir)
+			f.gem[i][dir] = f.Net.newLink(at, bps, cfg.GeminiLatency)
 		}
-		mk(dirXPlus, cfg.GeminiXBps, "+x")
-		mk(dirXMinus, cfg.GeminiXBps, "-x")
-		mk(dirYPlus, cfg.GeminiYBps, "+y")
-		mk(dirYMinus, cfg.GeminiYBps, "-y")
-		mk(dirZPlus, cfg.GeminiZBps, "+z")
-		mk(dirZMinus, cfg.GeminiZBps, "-z")
-		f.inject[i] = f.Net.NewLink(fmt.Sprintf("inj%v", c), cfg.InjectBps, cfg.GeminiLatency)
+		at.kind = linkInject
+		f.inject[i] = f.Net.newLink(at, cfg.InjectBps, cfg.GeminiLatency)
 	}
 
 	nRouters := 4 * len(placement.Modules)
@@ -137,16 +205,16 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 	for _, m := range placement.Modules {
 		for k, rid := range m.RouterIDs {
 			sw := m.Group*topology.SwitchesPerGroup + k
-			f.routerFwd[rid] = f.Net.NewLink(fmt.Sprintf("rtr%d-fwd", rid), cfg.RouterBps, cfg.IBLatency)
-			f.routerUp[rid] = f.Net.NewLink(fmt.Sprintf("rtr%d-sw%d", rid, sw), cfg.IBPortBps, cfg.IBLatency)
+			f.routerFwd[rid] = f.Net.newLink(linkName{kind: linkRouterFwd, a: int32(rid)}, cfg.RouterBps, cfg.IBLatency)
+			f.routerUp[rid] = f.Net.newLink(linkName{kind: linkRouterUp, a: int32(rid), b: int32(sw)}, cfg.IBPortBps, cfg.IBLatency)
 		}
 	}
 
 	f.coreUp = make([]*Link, f.nLeaves)
 	f.coreDown = make([]*Link, f.nLeaves)
 	for s := 0; s < f.nLeaves; s++ {
-		f.coreUp[s] = f.Net.NewLink(fmt.Sprintf("leaf%d-core", s), cfg.CoreTrunkBps, cfg.IBLatency)
-		f.coreDown[s] = f.Net.NewLink(fmt.Sprintf("core-leaf%d", s), cfg.CoreTrunkBps, cfg.IBLatency)
+		f.coreUp[s] = f.Net.newLink(linkName{kind: linkLeafCore, a: int32(s)}, cfg.CoreTrunkBps, cfg.IBLatency)
+		f.coreDown[s] = f.Net.newLink(linkName{kind: linkCoreLeaf, a: int32(s)}, cfg.CoreTrunkBps, cfg.IBLatency)
 	}
 
 	f.ossLeaf = make([]int, nOSS)
@@ -154,7 +222,7 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 	for i := 0; i < nOSS; i++ {
 		leaf := i % f.nLeaves
 		f.ossLeaf[i] = leaf
-		f.ossPort[i] = f.Net.NewLink(fmt.Sprintf("leaf%d-oss%d", leaf, i), cfg.IBPortBps, cfg.IBLatency)
+		f.ossPort[i] = f.Net.newLink(linkName{kind: linkLeafOSS, a: int32(leaf), b: int32(i)}, cfg.IBPortBps, cfg.IBLatency)
 	}
 	return f
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"spiderfs/internal/rng"
@@ -200,5 +201,47 @@ func TestFGRBeatsNaiveThroughput(t *testing.T) {
 	naive := run(RouteNaive)
 	if fgr >= naive {
 		t.Fatalf("FGR (%v) not faster than naive (%v)", fgr, naive)
+	}
+}
+
+// TestSpider2LinkNames checks that every link of the Spider II fabric
+// renders the name NewFabric used to format eagerly, in creation order.
+func TestSpider2LinkNames(t *testing.T) {
+	cfg := Spider2Fabric()
+	pl := placementForBench(cfg)
+	const nOSS = 288
+	f := NewFabric(sim.NewEngine(), cfg, pl, nOSS)
+	var want []string
+	for i := 0; i < cfg.Torus.Nodes(); i++ {
+		c := cfg.Torus.CoordOf(i)
+		for _, tag := range []string{"+x", "-x", "+y", "-y", "+z", "-z"} {
+			want = append(want, fmt.Sprintf("gem%v%s", c, tag))
+		}
+		want = append(want, fmt.Sprintf("inj%v", c))
+	}
+	for _, m := range pl.Modules {
+		for k, rid := range m.RouterIDs {
+			sw := m.Group*topology.SwitchesPerGroup + k
+			want = append(want, fmt.Sprintf("rtr%d-fwd", rid), fmt.Sprintf("rtr%d-sw%d", rid, sw))
+		}
+	}
+	leaves := pl.Groups * topology.SwitchesPerGroup
+	for s := 0; s < leaves; s++ {
+		want = append(want, fmt.Sprintf("leaf%d-core", s), fmt.Sprintf("core-leaf%d", s))
+	}
+	for i := 0; i < nOSS; i++ {
+		want = append(want, fmt.Sprintf("leaf%d-oss%d", i%leaves, i))
+	}
+	links := f.Net.Links()
+	if len(links) != len(want) {
+		t.Fatalf("%d links, want %d", len(links), len(want))
+	}
+	for i, l := range links {
+		if l.Name() != want[i] {
+			t.Fatalf("link %d renders %q, want %q", i, l.Name(), want[i])
+		}
+	}
+	if got := f.Net.NewLink("custom", 1e9, 0).Name(); got != "custom" {
+		t.Fatalf("NewLink name renders %q", got)
 	}
 }

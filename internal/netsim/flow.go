@@ -51,7 +51,7 @@ type linkSlot struct {
 // Link is a unidirectional channel with fixed capacity shared equally by
 // the flows crossing it.
 type Link struct {
-	Name    string
+	name    linkName // rendered by Name
 	Cap     float64  // bytes per second; change it only through Degrade/Restore
 	Latency sim.Time // propagation/forwarding delay added once per flow
 
@@ -75,6 +75,10 @@ type Link struct {
 	BytesCarried float64
 	MaxFlows     int
 }
+
+// Name returns the link's name. A fabric link renders it from its
+// compact descriptor on each call.
+func (l *Link) Name() string { return l.name.String() }
 
 // Flows returns the number of flows currently crossing the link.
 //
@@ -218,10 +222,14 @@ func (n *Network) Sync() {
 
 // NewLink creates and registers a link.
 func (n *Network) NewLink(name string, capBps float64, latency sim.Time) *Link {
+	return n.newLink(linkName{s: name}, capBps, latency)
+}
+
+func (n *Network) newLink(name linkName, capBps float64, latency sim.Time) *Link {
 	if capBps <= 0 {
 		panic(fmt.Sprintf("netsim: link %q with non-positive capacity", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	l := &Link{Name: name, Cap: capBps, Latency: latency, capSince: n.eng.Now()}
+	l := &Link{name: name, Cap: capBps, Latency: latency, capSince: n.eng.Now()}
 	l.setShare()
 	n.links = append(n.links, l)
 	return l
@@ -487,11 +495,15 @@ func (n *Network) Reset() error {
 // that link's name — the hot-spot metric of Lesson 14.
 func (n *Network) MaxLinkUtilization() (float64, string) {
 	now := n.eng.Now()
-	best, name := 0.0, ""
+	best := 0.0
+	var hot *Link
 	for _, l := range n.links {
 		if u := l.Utilization(now); u > best {
-			best, name = u, l.Name
+			best, hot = u, l
 		}
 	}
-	return best, name
+	if hot == nil {
+		return best, ""
+	}
+	return best, hot.Name()
 }

@@ -37,7 +37,7 @@ func checkRates(t *testing.T, n *Network, op int) {
 	t.Helper()
 	for _, l := range n.links {
 		if want := l.Cap / float64(l.Flows()); l.share != want {
-			t.Fatalf("op %d: link %q share %v, want %v", op, l.Name, l.share, want)
+			t.Fatalf("op %d: link %q share %v, want %v", op, l.Name(), l.share, want)
 		}
 	}
 	for i, f := range n.active {

@@ -35,10 +35,10 @@ func checkRegistries(t *testing.T, n *Network) {
 	for _, l := range n.links {
 		for i, e := range l.flows {
 			if e.f.linkIdx[e.slot] != int32(i) {
-				t.Fatalf("link %q entry %d back-pointer = %d", l.Name, i, e.f.linkIdx[e.slot])
+				t.Fatalf("link %q entry %d back-pointer = %d", l.Name(), i, e.f.linkIdx[e.slot])
 			}
 			if e.f.activeIdx < 0 {
-				t.Fatalf("link %q holds finished flow", l.Name)
+				t.Fatalf("link %q holds finished flow", l.Name())
 			}
 		}
 	}
@@ -78,7 +78,7 @@ func TestOrderedRegistrySwapRemove(t *testing.T) {
 	}
 	for _, l := range n.links {
 		if l.Flows() != 0 {
-			t.Fatalf("link %q still has %d registry entries", l.Name, l.Flows())
+			t.Fatalf("link %q still has %d registry entries", l.Name(), l.Flows())
 		}
 	}
 }

@@ -188,7 +188,7 @@ func (f *Fabric) attempt(s send) {
 	if sp := tr.Begin(spantrace.Fabric, "flow", s.fparent, int64(s.bytes)); sp != 0 {
 		tr.Annotate(sp, "rtr"+strconv.Itoa(rid)+" hops="+strconv.Itoa(len(fl.path)))
 		for _, l := range fl.path {
-			tr.Mark(spantrace.Fabric, "hop", sp, 0, l.Name)
+			tr.Mark(spantrace.Fabric, "hop", sp, 0, l.Name())
 		}
 		inner, fparent := s.done, s.fparent
 		done = func() {

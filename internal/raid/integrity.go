@@ -60,9 +60,7 @@ type ScrubResult struct {
 }
 
 // TotalStripes returns the number of stripes in the group.
-func (g *Group) TotalStripes() int64 {
-	return g.dsks[0].Config().Capacity / g.cfg.ChunkSize
-}
+func (g *Group) TotalStripes() int64 { return g.stripes }
 
 // ReadChecked issues a logical read and reports the integrity outcome
 // to done when the slowest involved member completes. Read is the

@@ -69,6 +69,9 @@ type Group struct {
 	cfg  GroupConfig
 	eng  *sim.Engine
 	dsks []*disk.Disk
+	// stripes is the group's stripe count, fixed by its members'
+	// capacity at NewGroup (replacements are the same product).
+	stripes int64
 
 	state   State
 	offline map[int]bool // member index -> offline
@@ -90,6 +93,7 @@ type Group struct {
 	scrub *scrubBatch
 
 	// rebuild bookkeeping
+	rebuild       *rebuildBatch // reusable batch record, built on the first rebuild
 	rebuildMember int
 	rebuildNext   int64 // next stripe index to reconstruct
 	rebuildEvent  sim.Event
@@ -154,6 +158,7 @@ func NewGroup(eng *sim.Engine, id int, cfg GroupConfig, members []*disk.Disk) *G
 		cfg:           cfg,
 		eng:           eng,
 		dsks:          members,
+		stripes:       members[0].Config().Capacity / cfg.ChunkSize,
 		state:         Healthy,
 		offline:       map[int]bool{},
 		rebuildMember: -1,
@@ -184,11 +189,7 @@ func (g *Group) Offline(m int) bool { return g.offline[m] }
 func (g *Group) Disks() []*disk.Disk { return g.dsks }
 
 // Capacity returns the user-visible LUN capacity in bytes.
-func (g *Group) Capacity() int64 {
-	perDisk := g.dsks[0].Config().Capacity
-	stripes := perDisk / g.cfg.ChunkSize
-	return stripes * g.cfg.StripeDataSize()
-}
+func (g *Group) Capacity() int64 { return g.stripes * g.cfg.StripeDataSize() }
 
 // chunkLocation maps (stripe, role) to a member disk using left-symmetric
 // rotating parity: for stripe s, the two parity chunks live on members
@@ -386,7 +387,7 @@ func (g *Group) FailDisk(m int) State {
 	g.offline[m] = true
 	if len(g.offline) > g.cfg.ParityDisks {
 		g.state = Failed
-		g.LostStripes = g.dsks[0].Config().Capacity / g.cfg.ChunkSize
+		g.LostStripes = g.stripes
 		// Cancel the rebuild cleanly: event, cursor, and member are
 		// cleared together, and queued replacements die with the group.
 		g.cancelRebuild()
@@ -485,7 +486,15 @@ func (g *Group) beginRebuild(m int, replacement *disk.Disk, done func()) {
 	g.rebuildMember = m
 	g.rebuildNext = 0
 	g.rebuildGen++
-	g.rebuildBatch(g.rebuildGen, done)
+	r := g.rebuild
+	if r == nil || r.busy {
+		// A batch of a cancelled rebuild may still be reading into the
+		// old record; it finds its generation stale when it fires.
+		r = newRebuildBatch(g)
+		g.rebuild = r
+	}
+	r.gen, r.done = g.rebuildGen, done
+	r.step()
 }
 
 // RebuildProgress returns the fraction of stripes reconstructed, in
@@ -493,18 +502,41 @@ func (g *Group) beginRebuild(m int, replacement *disk.Disk, done func()) {
 //
 //simlint:allow test-only-export read-only accessor the rebuild tests assert
 func (g *Group) RebuildProgress() float64 {
-	total := g.dsks[0].Config().Capacity / g.cfg.ChunkSize
 	if g.state != Rebuilding {
 		if g.state == Healthy {
 			return 1
 		}
 		return 0
 	}
-	return float64(g.rebuildNext) / float64(total)
+	return float64(g.rebuildNext) / float64(g.stripes)
 }
 
-func (g *Group) rebuildBatch(gen uint64, done func()) {
-	total := g.TotalStripes()
+// rebuildBatch is one rebuild's chain of batches: its generation, its
+// done and, while a batch is reading, that batch's barrier and span.
+// Each group keeps one and reuses it from batch to batch and rebuild
+// to rebuild, so a steady-state batch allocates nothing.
+type rebuildBatch struct {
+	g    *Group
+	gen  uint64
+	done func()
+	b    sim.Barrier
+	sp   spantrace.SpanID
+	busy bool   // a batch's reads are outstanding
+	fire func() // r.finish, bound once
+	next func() // r.step, bound once, for the pause timer
+}
+
+func newRebuildBatch(g *Group) *rebuildBatch {
+	r := &rebuildBatch{g: g}
+	r.fire, r.next = r.finish, r.step
+	return r
+}
+
+// step reconstructs the next RebuildChunk stripes, or completes the
+// rebuild when none are left.
+func (r *rebuildBatch) step() {
+	g := r.g
+	total := g.stripes
 	if g.rebuildNext >= total {
 		// Rebuild complete: member back online, bookkeeping cleared as
 		// one unit, then any queued replacement gets its turn.
@@ -516,6 +548,8 @@ func (g *Group) rebuildBatch(gen uint64, done func()) {
 		}
 		g.rebuildMember = -1
 		g.rebuildNext = 0
+		done := r.done
+		r.done = nil
 		if done != nil {
 			done()
 		}
@@ -529,35 +563,42 @@ func (g *Group) rebuildBatch(gen uint64, done func()) {
 	first := g.rebuildNext
 	g.rebuildNext += n
 	size := n * g.cfg.ChunkSize
+	r.busy = true
 	// Rebuild batches are background work with no client request to
 	// parent to: self-sample them as roots so rebuild interference is
 	// visible in chaos-campaign traces.
-	sp := g.tracer.SampleRoot(spantrace.RAID, "rebuild-batch", size)
-	b := sim.NewBarrier(func() {
-		g.tracer.End(sp)
-		if g.state != Rebuilding || g.rebuildGen != gen {
-			return // rebuild cancelled or superseded mid-batch
-		}
-		if g.RebuildPause > 0 {
-			g.rebuildEvent = g.eng.After(g.RebuildPause, func() { g.rebuildBatch(gen, done) })
-			return
-		}
-		g.rebuildBatch(gen, done)
-	})
+	r.sp = g.tracer.SampleRoot(spantrace.RAID, "rebuild-batch", size)
+	r.b.Reset(r.fire)
 	// Read n contiguous chunks from each survivor, write to replacement.
-	old := g.tracer.Swap(sp)
+	old := g.tracer.Swap(r.sp)
 	for i := 0; i < g.cfg.Width(); i++ {
 		if i == g.rebuildMember || g.offline[i] {
 			continue
 		}
-		b.Add(1)
-		g.dsks[i].Submit(disk.Op{LBA: first * g.cfg.ChunkSize, Size: size}, b.DoneFunc())
+		r.b.Add(1)
+		g.dsks[i].Submit(disk.Op{LBA: first * g.cfg.ChunkSize, Size: size}, r.b.DoneFunc())
 	}
-	b.Add(1)
-	g.dsks[g.rebuildMember].Submit(disk.Op{Write: true, LBA: first * g.cfg.ChunkSize, Size: size}, b.DoneFunc())
+	r.b.Add(1)
+	g.dsks[g.rebuildMember].Submit(disk.Op{Write: true, LBA: first * g.cfg.ChunkSize, Size: size}, r.b.DoneFunc())
 	// Latent errors on the survivors surface here, with parity margin
 	// already spent on the rebuilding member — repair or escalate.
-	g.checkRange(first*g.cfg.ChunkSize, size, false, b)
+	g.checkRange(first*g.cfg.ChunkSize, size, false, &r.b)
 	g.tracer.Swap(old)
-	b.Arm()
+	r.b.Arm()
+}
+
+// finish ends a batch's span and paces the next batch, unless the
+// rebuild was cancelled or superseded while the batch was reading.
+func (r *rebuildBatch) finish() {
+	g := r.g
+	g.tracer.End(r.sp)
+	r.busy = false
+	if g.state != Rebuilding || g.rebuildGen != r.gen {
+		return
+	}
+	if g.RebuildPause > 0 {
+		g.rebuildEvent = g.eng.After(g.RebuildPause, r.next)
+		return
+	}
+	r.step()
 }

@@ -229,6 +229,96 @@ func TestRebuildProgressAdvances(t *testing.T) {
 	}
 }
 
+// rebuildGroup returns a group of 256 MiB members with member 0 failed
+// and a same-product replacement for it.
+func rebuildGroup(seed uint64) (*sim.Engine, *Group, *disk.Disk) {
+	eng := sim.NewEngine()
+	src := rng.New(seed)
+	cfg := Spider2Group()
+	dcfg := disk.NLSAS2TB()
+	dcfg.Capacity = 256 << 20
+	members := make([]*disk.Disk, cfg.Width())
+	for i := range members {
+		members[i] = disk.New(eng, i, dcfg, disk.Nominal(), src.Split("d"))
+	}
+	g := NewGroup(eng, 0, cfg, members)
+	g.FailDisk(0)
+	return eng, g, disk.New(eng, 99, dcfg, disk.Nominal(), src.Split("r"))
+}
+
+// The stripe count is fixed at NewGroup; rebuilding member 0, the disk
+// it used to be read from, onto the same product leaves it unchanged.
+func TestTotalStripesSurvivesRebuild(t *testing.T) {
+	eng, g, repl := rebuildGroup(14)
+	stripes, capacity := g.TotalStripes(), g.Capacity()
+	if want := repl.Config().Capacity / g.Config().ChunkSize; stripes != want {
+		t.Fatalf("TotalStripes = %d, want %d", stripes, want)
+	}
+	g.StartRebuild(0, repl, nil)
+	eng.Run()
+	if g.State() != Healthy || g.Disks()[0] != repl {
+		t.Fatalf("state %v after rebuild onto member 0", g.State())
+	}
+	if g.TotalStripes() != stripes || g.Capacity() != capacity {
+		t.Fatalf("after rebuild: %d stripes, capacity %d; before: %d, %d", g.TotalStripes(), g.Capacity(), stripes, capacity)
+	}
+}
+
+// TestRebuildBatchAllocationCeiling pins the steady-state rebuild path:
+// one batch cycle (the pause timer, nine survivor reads, the
+// replacement write, the barrier and its completion) allocates
+// nothing. The group reuses one rebuild record from batch to batch.
+func TestRebuildBatchAllocationCeiling(t *testing.T) {
+	eng, g, repl := rebuildGroup(15)
+	g.RebuildChunk = 4
+	g.RebuildPause = sim.Second
+	g.StartRebuild(0, repl, nil)
+	cycle := func() {
+		want := g.rebuildNext + g.RebuildChunk
+		for g.rebuildNext < want && eng.Step() {
+		}
+	}
+	for i := 0; i < 16; i++ { // every queue and free list at size
+		cycle()
+	}
+	before := g.rebuildNext
+	perBatch := testing.AllocsPerRun(100, cycle)
+	if got := g.rebuildNext - before; got != 101*g.RebuildChunk {
+		t.Fatalf("rebuilt %d stripes over 101 cycles, want %d", got, 101*g.RebuildChunk)
+	}
+	if perBatch > 0 {
+		t.Errorf("steady-state rebuild batch allocates %.2f, want 0", perBatch)
+	}
+	eng.Run()
+	if g.State() != Healthy {
+		t.Fatalf("state after rebuild = %v", g.State())
+	}
+}
+
+// A rebuild cancelled while its batch is reading leaves that batch the
+// record it is reading into; the next rebuild gets its own, so the two
+// barriers never share a count and the orphan only ends its span.
+func TestRebuildAfterCancelMidBatch(t *testing.T) {
+	eng, g, repl := rebuildGroup(16)
+	g.StartRebuild(0, repl, func() { t.Error("cancelled rebuild reported done") })
+	orphan := g.rebuild
+	if !orphan.busy {
+		t.Fatal("first batch not in flight")
+	}
+	g.RestoreDisk(0)
+	g.FailDisk(1)
+	repl1 := disk.New(eng, 98, repl.Config(), disk.Nominal(), rng.New(17))
+	finished := 0
+	g.StartRebuild(1, repl1, func() { finished++ })
+	if g.rebuild == orphan {
+		t.Fatal("new rebuild reuses the record of the batch still reading")
+	}
+	eng.Run()
+	if orphan.busy || finished != 1 || g.State() != Healthy {
+		t.Fatalf("orphan busy %v, %d completions, state %v; want idle, 1, healthy", orphan.busy, finished, g.State())
+	}
+}
+
 func TestInvalidExtentPanics(t *testing.T) {
 	_, g := newTestGroup(t, 13)
 	defer func() {

@@ -16,6 +16,11 @@ import (
 // split per-goroutine sources with Split.
 type Source struct {
 	s [4]uint64
+
+	// Poisson's exp(-lambda) for the last lambda it drew with. Callers
+	// such as a drive's media-fault stream repeat one lambda per
+	// command, so the exponential is computed once per distinct value.
+	poisLambda, poisExp float64
 }
 
 func splitmix64(x *uint64) uint64 {
@@ -140,7 +145,9 @@ func (r *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
 }
 
 // Poisson returns a Poisson(lambda) count using Knuth's method for small
-// lambda and a normal approximation above 500.
+// lambda and a normal approximation above 500. exp(-lambda) is
+// remembered for the last lambda seen; the draws are the same either
+// way.
 func (r *Source) Poisson(lambda float64) int {
 	if lambda <= 0 {
 		return 0
@@ -152,7 +159,10 @@ func (r *Source) Poisson(lambda float64) int {
 		}
 		return int(v + 0.5)
 	}
-	l := math.Exp(-lambda)
+	if lambda != r.poisLambda {
+		r.poisLambda, r.poisExp = lambda, math.Exp(-lambda)
+	}
+	l := r.poisExp
 	k := 0
 	p := 1.0
 	for {

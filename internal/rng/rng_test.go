@@ -171,6 +171,48 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
+// poissonRef is Poisson without the exp(-lambda) memo.
+func poissonRef(r *Source, lambda float64) int {
+	if lambda <= 0 {
+		return 0
+	}
+	if lambda > 500 {
+		v := r.Normal(lambda, math.Sqrt(lambda))
+		if v < 0 {
+			return 0
+		}
+		return int(v + 0.5)
+	}
+	l := math.Exp(-lambda)
+	k := 0
+	p := 1.0
+	for {
+		p *= r.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// TestPoissonMemoMatchesReference interleaves lambdas, so the memo is
+// hit, missed and refilled, and checks every draw and the stream state
+// against the unmemoised reference bit for bit.
+func TestPoissonMemoMatchesReference(t *testing.T) {
+	lambdas := []float64{0.5, 1e-4, 3, 0, 700, 42.5, math.SmallestNonzeroFloat64}
+	pick := New(3)
+	got, want := New(19), New(19)
+	for i := 0; i < 20000; i++ {
+		lambda := lambdas[pick.Intn(len(lambdas))]
+		if g, w := got.Poisson(lambda), poissonRef(want, lambda); g != w {
+			t.Fatalf("draw %d: Poisson(%g) = %d, reference %d", i, lambda, g, w)
+		}
+		if got.s != want.s {
+			t.Fatalf("draw %d: stream state diverged after Poisson(%g)", i, lambda)
+		}
+	}
+}
+
 func TestBool(t *testing.T) {
 	r := New(14)
 	n := 100000

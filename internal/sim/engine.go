@@ -190,14 +190,29 @@ type TraceHash struct {
 func NewTraceHash() *TraceHash { return &TraceHash{h: 14695981039346656037} }
 
 // Observe folds one fired event into the fingerprint.
+// The fold is unrolled over the 16 little-endian bytes of at then seq;
+// it equals the byte loop exactly.
 func (t *TraceHash) Observe(at Time, seq uint64) {
+	const prime = 1099511628211
 	t.events++
-	for _, v := range [2]uint64{uint64(at), seq} {
-		for i := 0; i < 8; i++ {
-			t.h ^= (v >> (8 * i)) & 0xff
-			t.h *= 1099511628211
-		}
-	}
+	h, a := t.h, uint64(at)
+	h = (h ^ a&0xff) * prime
+	h = (h ^ a>>8&0xff) * prime
+	h = (h ^ a>>16&0xff) * prime
+	h = (h ^ a>>24&0xff) * prime
+	h = (h ^ a>>32&0xff) * prime
+	h = (h ^ a>>40&0xff) * prime
+	h = (h ^ a>>48&0xff) * prime
+	h = (h ^ a>>56) * prime
+	h = (h ^ seq&0xff) * prime
+	h = (h ^ seq>>8&0xff) * prime
+	h = (h ^ seq>>16&0xff) * prime
+	h = (h ^ seq>>24&0xff) * prime
+	h = (h ^ seq>>32&0xff) * prime
+	h = (h ^ seq>>40&0xff) * prime
+	h = (h ^ seq>>48&0xff) * prime
+	h = (h ^ seq>>56) * prime
+	t.h = h
 }
 
 // Sum returns the fingerprint of everything observed so far.

@@ -571,3 +571,33 @@ func TestEngineAllocationCeiling(t *testing.T) {
 		t.Fatalf("pending = %d, want 0", e.Pending())
 	}
 }
+
+// TestTraceHashMatchesByteLoop checks the unrolled fold against the
+// FNV-1a byte loop over the little-endian bytes of (at, seq).
+func TestTraceHashMatchesByteLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	th := NewTraceHash()
+	want := uint64(14695981039346656037)
+	for i := 0; i < 10000; i++ {
+		at, seq := Time(r.Int63()), r.Uint64()
+		switch i % 4 { // small values leave the high bytes zero
+		case 1:
+			at = Time(r.Intn(1 << 20))
+		case 2:
+			seq = uint64(r.Intn(256))
+		}
+		th.Observe(at, seq)
+		for _, v := range [2]uint64{uint64(at), seq} {
+			for b := 0; b < 8; b++ {
+				want ^= (v >> (8 * b)) & 0xff
+				want *= 1099511628211
+			}
+		}
+		if th.Sum() != want {
+			t.Fatalf("observation %d (at=%d seq=%d): hash %x, byte loop %x", i, at, seq, th.Sum(), want)
+		}
+	}
+	if th.Events() != 10000 {
+		t.Fatalf("events = %d, want 10000", th.Events())
+	}
+}

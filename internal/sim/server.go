@@ -36,10 +36,21 @@ type serverJob struct {
 // NewServer creates a server with the given number of parallel service
 // slots attached to engine eng. capacity must be >= 1.
 func NewServer(eng *Engine, name string, capacity int) *Server {
+	s := &Server{name: name}
+	s.Init(eng, capacity)
+	return s
+}
+
+// Init attaches a zero Server to engine eng with the given number of
+// service slots (at least 1). It readies a server held by value inside
+// a larger record, such as a drive, without allocating; the server
+// must not be copied afterwards, because its scheduled events point to
+// it.
+func (s *Server) Init(eng *Engine, capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Server{eng: eng, name: name, capacity: capacity}
+	s.eng, s.capacity = eng, capacity
 }
 
 // Capacity returns the number of parallel service slots.

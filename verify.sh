@@ -13,8 +13,9 @@
 #                         fresh-bench/ and byte-compare them
 #   ./verify.sh all     — all of the above, in order
 #   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API,
-#                         the ledger auditor and the flow solver (not
-#                         part of all: its inputs differ from run to run)
+#                         the ledger auditor, the flow solver and the
+#                         disk defect index (not part of all: its inputs
+#                         differ from run to run)
 set -eu
 
 stage="${1:-all}"
@@ -103,7 +104,10 @@ stage_fuzz() {
 	# FuzzLedgerAudit feeds arbitrary export bytes to the auditor and
 	# Resume, which must never panic; FuzzFlowOps checks the incremental
 	# flow solver's rates bitwise against a from-scratch recomputation
-	# after arbitrary start/complete/Degrade/Restore/Reset sequences.
+	# after arbitrary start/complete/Degrade/Restore/Reset sequences;
+	# FuzzMediaOps checks a drive's sorted defect index against a
+	# map-based reference after arbitrary InjectError/Repair/Scan/
+	# ScanChunks sequences.
 	# go test -fuzz takes one target per invocation; plain go test
 	# already runs every seed corpus. The ledger seed is a 14 KB
 	# campaign export, and every flow op rechecks all active flows:
@@ -112,6 +116,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzEngineOps -fuzztime 30s ./internal/sim
 	go test -run '^$' -fuzz FuzzLedgerAudit -fuzztime 30s -fuzzminimizetime 2s ./internal/ledger
 	go test -run '^$' -fuzz FuzzFlowOps -fuzztime 30s -fuzzminimizetime 2s ./internal/netsim
+	go test -run '^$' -fuzz FuzzMediaOps -fuzztime 30s ./internal/disk
 	set +x
 }
 
