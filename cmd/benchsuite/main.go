@@ -24,7 +24,10 @@ import (
 	"os"
 
 	"spiderfs/internal/benchsuite"
+	"spiderfs/internal/chaos"
 	"spiderfs/internal/disk"
+	"spiderfs/internal/experiment"
+	"spiderfs/internal/integrity"
 	"spiderfs/internal/lustre"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
@@ -52,16 +55,16 @@ type suite struct {
 var suites = []suite{
 	{"sweep", "BENCH_sweep.json",
 		"seed sweeps E3/E13/E18 (deterministic parallel replica runner, serial vs parallel double-run)",
-		func(seed uint64) (artifact, error) { return sweep.RunSuite(benchsuite.SweepEntries(seed)) }},
+		func(seed uint64) (artifact, error) { return sweep.RunSuite(seed, experiment.Sweeps()) }},
 	{"integrity", "BENCH_integrity.json",
 		"E19 data-integrity sweep (scrub interval vs undetected corrupt reads)",
-		func(seed uint64) (artifact, error) { return benchsuite.RunIntegritySuite(seed) }},
+		func(seed uint64) (artifact, error) { return integrity.RunSuite(seed) }},
 	{"serve", "BENCH_serve.json",
 		"session service (warm-engine pool + result cache, cold vs warm vs cache-hit)",
 		func(uint64) (artifact, error) { return serve.RunBench(), nil }},
 	{"ledger", "BENCH_ledger.json",
 		"operations ledger (anchored campaign roots, tamper scorecard, batch sweep)",
-		func(seed uint64) (artifact, error) { return benchsuite.RunLedgerSuite(seed) }},
+		func(seed uint64) (artifact, error) { return chaos.RunLedgerSuite(seed) }},
 }
 
 func main() {

@@ -7,7 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"spiderfs/internal/benchsuite"
+	"spiderfs/internal/chaos"
+	"spiderfs/internal/integrity"
 	"spiderfs/internal/serve"
 	"spiderfs/internal/sweep"
 )
@@ -24,9 +25,9 @@ func TestSuiteTableMatchesCommittedArtifacts(t *testing.T) {
 		into   artifact
 	}{
 		"BENCH_sweep.json":     {sweep.Schema, &sweep.Suite{}},
-		"BENCH_integrity.json": {benchsuite.IntegritySchema, &benchsuite.IntegritySuite{}},
+		"BENCH_integrity.json": {integrity.Schema, &integrity.Suite{}},
 		"BENCH_serve.json":     {serve.Schema, &serve.Suite{}},
-		"BENCH_ledger.json":    {benchsuite.LedgerSchema, &benchsuite.LedgerSuite{}},
+		"BENCH_ledger.json":    {chaos.LedgerSchema, &chaos.LedgerSuite{}},
 	}
 	paths, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {

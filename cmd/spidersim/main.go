@@ -24,10 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"spiderfs/internal/benchsuite"
 	"spiderfs/internal/center"
 	"spiderfs/internal/chaos"
 	"spiderfs/internal/experiment"
@@ -61,7 +61,7 @@ func main() {
 	scenario := fs.String("scenario", "fig3", "spans: scenario to trace (fig3|chaos)")
 	every := fs.Int("every", 1, "spans: sample 1-in-N root requests (0 disables tracing)")
 	out := fs.String("out", "", "spans: also export the raw spans as JSON to this file")
-	exp := fs.String("exp", "all", "sweep: which sweep to run (e3|e13|e18|e19|all)")
+	exp := fs.String("exp", "all", "sweep: which sweep to run ("+sweepChoices()+")")
 	replicas := fs.Int("replicas", 0, "sweep: override the replica count per sweep")
 	workers := fs.Int("workers", 0, "sweep: parallel worker count (0 = GOMAXPROCS)")
 	spec := fs.String("spec", "", "session: the scenario spec as JSON, e.g. '{\"kind\":\"workload\",\"seed\":7}'")
@@ -83,7 +83,7 @@ func main() {
 	case "scrub":
 		runScrub(*seed)
 	case "session":
-		runSession(*seed, *spec)
+		runSession(*spec)
 	case "arch":
 		c := center.New(center.Config{Scale: 1, Namespaces: 2, Seed: *seed})
 		fmt.Print(c.RenderArchitecture())
@@ -103,7 +103,7 @@ func usage() {
 		cmds = append(cmds, s.Name)
 	}
 	cmds = append(cmds, commands...)
-	fmt.Fprintf(os.Stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp e3|e13|e18|e19|all] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE]\n", strings.Join(cmds, "|"))
+	fmt.Fprintf(os.Stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp %s] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE]\n", strings.Join(cmds, "|"), sweepChoices())
 	fmt.Fprintln(os.Stderr, "       spidersim ledger <verify|replay|append> -in FILE [...]")
 }
 
@@ -111,9 +111,8 @@ func usage() {
 // exact report bytes the daemon's /report endpoint would serve — the
 // reference side of the spidersimd determinism contract. The sweep
 // catalog is the same one the daemon registers, so "sweep"-kind specs
-// resolve identically. seed feeds only the catalog construction; the
-// model streams come from the spec's own seed.
-func runSession(seed uint64, specJSON string) {
+// resolve identically; every model stream comes from the spec's seed.
+func runSession(specJSON string) {
 	if specJSON == "" {
 		fmt.Fprintln(os.Stderr, `session: -spec required, e.g. -spec '{"kind":"workload","seed":7}'`)
 		os.Exit(2)
@@ -123,7 +122,7 @@ func runSession(seed uint64, specJSON string) {
 		fmt.Fprintln(os.Stderr, "session: bad -spec:", err)
 		os.Exit(2)
 	}
-	rep, err := serve.RunSolo(spec, benchsuite.ServeCatalog(seed))
+	rep, err := serve.RunSolo(spec, experiment.Catalog())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "session:", err)
 		os.Exit(1)
@@ -136,40 +135,53 @@ func runSession(seed uint64, specJSON string) {
 	os.Stdout.Write(data)
 }
 
-// runSweep fans the standard seed sweeps across a worker pool and
+// sweepChoices lists the -exp values: each catalog label's first word
+// (before its first "-"), once, in catalog order, then "all".
+func sweepChoices() string {
+	var names []string
+	for _, e := range experiment.Catalog() {
+		name, _, _ := strings.Cut(e.Label, "-")
+		if !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
+// selectSweeps returns the catalog entries -exp names: every entry for
+// "all", else those whose label is exp or starts with exp + "-", so
+// "e19" selects all three scrub-interval sweeps.
+func selectSweeps(exp string) []sweep.Entry {
+	var out []sweep.Entry
+	for _, e := range experiment.Catalog() {
+		if exp == "all" || e.Label == exp || strings.HasPrefix(e.Label, exp+"-") {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// runSweep fans the catalog's seed sweeps across a worker pool and
 // prints each merged report — the same replica bodies and merge path
 // that `benchsuite -sweep` uses for BENCH_sweep.json, interactively.
 func runSweep(seed uint64, exp string, replicas, workers int) {
-	short := map[string]string{"e3": "e3-slowdisk", "e13": "e13-purge", "e18": "e18-chaos", "e19": "e19-scrub"}
-	want := exp
-	if w, ok := short[exp]; ok {
-		want = w
+	entries := selectSweeps(exp)
+	if len(entries) == 0 {
+		fmt.Fprintf(os.Stderr, "sweep: unknown experiment %q (want %s)\n", exp, sweepChoices())
+		os.Exit(2)
 	}
-	ran := 0
-	entries := append(benchsuite.SweepEntries(seed), benchsuite.IntegrityEntries(seed)...)
 	for _, e := range entries {
-		// Prefix match so "e19-scrub" selects all three scrub-interval sweeps.
-		if want != "all" && !strings.HasPrefix(e.Label, want) {
-			continue
-		}
 		if replicas > 0 {
 			e.Replicas = replicas
 		}
 		t0 := time.Now()
-		res, err := sweep.Run(sweep.Config{
-			Label: e.Label, Seed: e.Seed, Replicas: e.Replicas, Workers: workers,
-		}, e.Body)
+		res, err := sweep.Run(e, seed, workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			os.Exit(1)
 		}
 		fmt.Print(res.Report())
 		fmt.Printf("  (%d replicas in %v)\n", e.Replicas, time.Since(t0).Round(time.Millisecond))
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "sweep: unknown experiment %q (want e3, e13, e18, e19, or all)\n", exp)
-		os.Exit(2)
 	}
 }
 

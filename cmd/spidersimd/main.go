@@ -27,13 +27,13 @@ import (
 	"os"
 	"time"
 
-	"spiderfs/internal/benchsuite"
+	"spiderfs/internal/experiment"
 	"spiderfs/internal/serve"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	seed := flag.Uint64("seed", 42, "service-plane seed (session tokens and the sweep catalog; model streams come from each spec's own seed)")
+	seed := flag.Uint64("seed", 42, "service-plane seed: session tokens only (every model stream, sweeps included, comes from each spec's own seed)")
 	workers := flag.Int("workers", 2, "concurrent session executors")
 	queue := flag.Int("queue", 64, "admission queue depth; submits past it are shed with 429")
 	pool := flag.Int("pool", 2, "warm engine/fabric instances retained per shape (0 = always cold)")
@@ -47,7 +47,7 @@ func main() {
 		QueueDepth: *queue,
 		PoolSize:   *pool,
 		CacheSize:  *cache,
-		Sweeps:     benchsuite.ServeCatalog(*seed),
+		Sweeps:     experiment.Catalog(),
 		Clock:      func() int64 { return time.Now().UnixNano() },
 	})
 	defer svc.Close()

@@ -101,16 +101,19 @@ func TestInjectorHooksFire(t *testing.T) {
 	eng := sim.NewEngine()
 	groups := smallGroups(eng, 2, 11)
 	in := NewInjector(eng, groups, DiskFailureConfig{AnnualFailureRate: 400, ReplaceDelay: sim.Minute}, rng.New(12))
-	rebuilt := 0
-	in.OnRebuildDone = func(*raid.Group) { rebuilt++ }
 	failed := 0
 	in.OnGroupFailed = func(*raid.Group) { failed++ }
 	in.Start()
 	eng.RunUntil(12 * sim.Hour)
 	in.Stop()
 	eng.Run()
-	if rebuilt == 0 {
-		t.Fatal("OnRebuildDone never fired at an extreme failure rate")
+	if in.Rebuilds == 0 {
+		t.Fatal("no rebuild started at an extreme failure rate")
+	}
+	for _, g := range groups {
+		if g.State() == raid.Rebuilding {
+			t.Fatalf("group %d still rebuilding after the engine drained", g.ID)
+		}
 	}
 	if failed != in.DataLoss {
 		t.Fatalf("OnGroupFailed fired %d times, DataLoss = %d", failed, in.DataLoss)

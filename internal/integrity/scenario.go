@@ -208,9 +208,9 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	return res
 }
 
-// E19Replica returns a sweep body running the scenario with the given
+// e19Replica returns a sweep body running the scenario with the given
 // scrub pass interval (0 = scrubbing off), one fresh seed per replica.
-func E19Replica(base ScenarioConfig, scrubEvery sim.Time) sweep.Body {
+func e19Replica(base ScenarioConfig, scrubEvery sim.Time) sweep.Body {
 	return func(r *sweep.Rep) error {
 		cfg := base
 		cfg.Seed = r.Seed

@@ -34,7 +34,7 @@ func putAll(r *sweep.Rep, totals map[string]float64) {
 func runPerEntry(bodies map[string]sweep.Body) []*sweep.Result {
 	var out []*sweep.Result
 	for label, body := range bodies { // want ordered-map-range
-		res, err := sweep.Run(sweep.Config{Label: label, Seed: 1, Replicas: 2}, body)
+		res, err := sweep.Run(sweep.Entry{Label: label, Replicas: 2, Body: body}, 1, 0)
 		if err == nil {
 			out = append(out, res)
 		}

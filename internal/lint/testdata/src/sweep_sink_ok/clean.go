@@ -36,5 +36,5 @@ func recordByName(r *sweep.Rep, byName map[string]float64) {
 
 // map lookup (no range) feeding a sweep launch stays silent.
 func runNamed(bodies map[string]sweep.Body, label string) (*sweep.Result, error) {
-	return sweep.Run(sweep.Config{Label: label, Seed: 1, Replicas: 2}, bodies[label])
+	return sweep.Run(sweep.Entry{Label: label, Replicas: 2, Body: bodies[label]}, 1, 0)
 }

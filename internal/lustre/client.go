@@ -52,12 +52,6 @@ type Client struct {
 	// disables the watchdog.
 	RPCTimeout sim.Time
 
-	// RetryBackoffCap bounds the exponential watchdog backoff: each
-	// consecutive expiration of the same RPC doubles the re-arm delay up
-	// to this cap, so a long server outage costs O(log) retries instead
-	// of hammering every RPCTimeout. Zero means 8x RPCTimeout.
-	RetryBackoffCap sim.Time
-
 	// BackoffSrc, when set, jitters backed-off re-arm delays by ±25% so
 	// a thundering herd of stalled clients desynchronizes. Only
 	// backed-off arms draw from it — the first watchdog of every RPC
@@ -79,13 +73,11 @@ type Client struct {
 	BackoffWait  sim.Time
 }
 
-// backoffCap returns the effective backoff ceiling.
-func (c *Client) backoffCap() sim.Time {
-	if c.RetryBackoffCap > 0 {
-		return c.RetryBackoffCap
-	}
-	return 8 * c.RPCTimeout
-}
+// backoffCapFactor bounds the exponential watchdog backoff: each
+// consecutive expiration of the same RPC doubles the re-arm delay up to
+// backoffCapFactor x RPCTimeout, so a long server outage costs O(log)
+// retries instead of one every RPCTimeout.
+const backoffCapFactor = 8
 
 // NewClient builds a client at the given torus coordinate.
 func NewClient(id int, coord topology.Coord, fs *FS, tr Transport) *Client {
@@ -190,8 +182,8 @@ func (s *stream) issue(size int64) {
 					cl.BackoffWait += armed - cl.RPCTimeout
 				}
 				tr.Mark(spantrace.Client, "rpc-retry", rpcSpan, size, "")
-				if delay *= 2; delay > cl.backoffCap() {
-					delay = cl.backoffCap()
+				if delay *= 2; delay > backoffCapFactor*cl.RPCTimeout {
+					delay = backoffCapFactor * cl.RPCTimeout
 				}
 				arm()
 			})

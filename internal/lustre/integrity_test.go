@@ -12,13 +12,15 @@ import (
 
 // --- RPC retry backoff (satellite: exponential backoff with jitter) ---
 
-func backoffOutageRun(t *testing.T, src *rng.Source, cap sim.Time) *Client {
+// backoffTimeout is the watchdog the outage runs arm.
+const backoffTimeout = 20 * sim.Second
+
+func backoffOutageRun(t *testing.T, src *rng.Source) *Client {
 	t.Helper()
 	eng := sim.NewEngine()
 	fs := Build(eng, TestNamespace(), rng.New(90))
 	client := NewClient(0, topology.Coord{}, fs, NullTransport{Eng: eng})
-	client.RPCTimeout = 20 * sim.Second
-	client.RetryBackoffCap = cap
+	client.RPCTimeout = backoffTimeout
 	client.BackoffSrc = src
 	var file *File
 	fs.CreateOn("app/f", []int{0}, func(f *File) { file = f })
@@ -32,8 +34,8 @@ func backoffOutageRun(t *testing.T, src *rng.Source, cap sim.Time) *Client {
 }
 
 func TestRetryBackoffJitterDeterministic(t *testing.T) {
-	a := backoffOutageRun(t, rng.New(3).Split("backoff"), 0)
-	b := backoffOutageRun(t, rng.New(3).Split("backoff"), 0)
+	a := backoffOutageRun(t, rng.New(3).Split("backoff"))
+	b := backoffOutageRun(t, rng.New(3).Split("backoff"))
 	if a.RPCTimeouts == 0 || a.BackoffWaits == 0 {
 		t.Fatalf("outage tripped %d timeouts / %d backoff waits, want both nonzero",
 			a.RPCTimeouts, a.BackoffWaits)
@@ -46,20 +48,20 @@ func TestRetryBackoffJitterDeterministic(t *testing.T) {
 }
 
 func TestBackoffCapBoundsRetrySpacing(t *testing.T) {
-	// With the cap at the base timeout the backoff degenerates to fixed
-	// re-arms: a 345 s outage with a 20 s watchdog fires ~17 times. With
-	// the default (8x) cap the doubling schedule fires far fewer.
-	capped := backoffOutageRun(t, nil, 20*sim.Second)
-	expo := backoffOutageRun(t, nil, 0)
-	if capped.RPCTimeouts <= expo.RPCTimeouts {
-		t.Fatalf("capped-at-base fired %d vs exponential %d; backoff should reduce retries",
-			capped.RPCTimeouts, expo.RPCTimeouts)
+	// Fixed re-arms at the base timeout would fire once per watchdog
+	// over the whole outage: 345 s / 20 s = 17 times. The doubling
+	// schedule, capped at 8x the base, fires far fewer.
+	fixed := uint64(DefaultRecovery(false).OutageDuration() / backoffTimeout)
+	expo := backoffOutageRun(t, nil)
+	if expo.RPCTimeouts >= fixed {
+		t.Fatalf("exponential backoff fired %d vs %d fixed re-arms; backoff should reduce retries",
+			expo.RPCTimeouts, fixed)
 	}
 	if expo.RPCTimeouts > 6 {
 		t.Fatalf("exponential backoff fired %d times over a 345 s outage", expo.RPCTimeouts)
 	}
-	if capped.BackoffWaits != 0 {
-		t.Fatalf("cap==base produced %d backoff waits; none are backed off", capped.BackoffWaits)
+	if expo.BackoffWaits == 0 {
+		t.Fatal("no backed-off watchdog fired during the outage")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // seed-sensitive without the cost of a full scenario sweep.
 func toyCatalog() []sweep.Entry {
 	return []sweep.Entry{{
-		Label: "toy", Replicas: 4, Seed: 77,
+		Label: "toy", Replicas: 4,
 		Body: func(r *sweep.Rep) error {
 			r.Record("draw", float64(r.Src.Intn(1000)))
 			r.Record("index", float64(r.Index))
@@ -140,6 +140,35 @@ func TestServiceKindsMatchSolo(t *testing.T) {
 		if !bytes.Equal(wj, gj) {
 			t.Fatalf("%s: service report differs from solo:\n%s\nvs\n%s", spec.Kind, gj, wj)
 		}
+	}
+}
+
+// TestSweepSessionFollowsSpecSeed pins where a sweep session's seed
+// comes from: the spec, never the service. Two seeds must give two
+// samples, and two services seeded differently must agree on one spec.
+func TestSweepSessionFollowsSpecSeed(t *testing.T) {
+	cat := toyCatalog()
+	fp := func(svc *Service, seed uint64) string {
+		t.Helper()
+		sess, err := svc.Submit(Spec{Kind: "sweep", Seed: seed, Sweep: "toy"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Fingerprint
+	}
+	a := New(Config{Seed: 1, Workers: 1, Sweeps: cat})
+	defer a.Close()
+	b := New(Config{Seed: 2, Workers: 1, Sweeps: cat})
+	defer b.Close()
+	if f11, f12 := fp(a, 11), fp(a, 12); f11 == f12 {
+		t.Fatalf("seeds 11 and 12 both gave fingerprint %s: the session ignored the spec seed", f11)
+	}
+	if fa, fb := fp(a, 11), fp(b, 11); fa != fb {
+		t.Fatalf("services seeded 1 and 2 gave %s and %s for one spec", fa, fb)
 	}
 }
 

@@ -26,7 +26,8 @@ type Config struct {
 	// 0 disables caching).
 	CacheSize int
 	// Sweeps is the catalog "sweep"-kind specs may name (typically
-	// benchsuite.SweepEntries; nil leaves the kind unavailable).
+	// experiment.Catalog(); nil leaves the kind unavailable). A sweep
+	// session runs its entry at the spec's seed.
 	Sweeps []sweep.Entry
 	// Clock, when set, timestamps session latencies (wall nanoseconds).
 	// The simulation plane never reads it — leaving it nil (as tests do)

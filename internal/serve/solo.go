@@ -143,20 +143,17 @@ func runChaos(spec Spec) *Report {
 }
 
 // runSweepEntry runs one catalog sweep through the deterministic
-// parallel replica runner. The entry's own seed and body are part of
-// the catalog; the spec may only scale the replica count.
+// parallel replica runner at the spec's seed. The catalog supplies the
+// body and the default replica count; the spec may scale the latter.
 func runSweepEntry(spec Spec, catalog []sweep.Entry) (*Report, error) {
 	for _, e := range catalog {
 		if e.Label != spec.Sweep {
 			continue
 		}
-		replicas := e.Replicas
 		if spec.Replicas > 0 {
-			replicas = spec.Replicas
+			e.Replicas = spec.Replicas
 		}
-		res, err := sweep.Run(sweep.Config{
-			Label: e.Label, Seed: e.Seed, Replicas: replicas,
-		}, e.Body)
+		res, err := sweep.Run(e, spec.Seed, 0)
 		if err != nil {
 			return nil, err
 		}

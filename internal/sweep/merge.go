@@ -66,7 +66,7 @@ func (res *Result) Aggregate() []MetricStats {
 }
 
 // Report renders the merged sweep as a fixed-width table. Two runs of
-// the same config must produce byte-identical output regardless of
+// the same entry and seed must produce byte-identical output regardless of
 // worker count — the double-run test compares exactly this string.
 func (res *Result) Report() string {
 	var b strings.Builder

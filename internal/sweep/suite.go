@@ -12,14 +12,6 @@ import (
 // included, and the artifact is the same everywhere.
 const parallelWorkers = 4
 
-// Entry is one named sweep a suite runs.
-type Entry struct {
-	Label    string
-	Replicas int
-	Seed     uint64
-	Body     Body
-}
-
 // Record is one entry's outcome in the BENCH_sweep.json artifact: the
 // merged statistics plus the serial-vs-parallel double-run evidence.
 type Record struct {
@@ -60,21 +52,19 @@ func (s Suite) Check() error {
 	return errors.Join(errs...)
 }
 
-// RunSuite runs every entry twice — serially (1 worker) and on a
+// RunSuite runs every entry at seed twice — serially (1 worker) and on a
 // parallelWorkers-wide pool — verifies the merged reports are
 // byte-identical, and records per-metric statistics. It errors if any
 // entry's double-run diverges: a nondeterministic sweep is a broken
 // sweep, not a slow one.
-func RunSuite(entries []Entry) (Suite, error) {
+func RunSuite(seed uint64, entries []Entry) (Suite, error) {
 	s := Suite{Schema: Schema}
 	for _, e := range entries {
-		cfg := Config{Label: e.Label, Seed: e.Seed, Replicas: e.Replicas, Workers: 1}
-		serial, err := Run(cfg, e.Body)
+		serial, err := Run(e, seed, 1)
 		if err != nil {
 			return s, fmt.Errorf("sweep suite %s (serial): %w", e.Label, err)
 		}
-		cfg.Workers = parallelWorkers
-		parallel, err := Run(cfg, e.Body)
+		parallel, err := Run(e, seed, parallelWorkers)
 		if err != nil {
 			return s, fmt.Errorf("sweep suite %s (parallel): %w", e.Label, err)
 		}
@@ -82,7 +72,7 @@ func RunSuite(entries []Entry) (Suite, error) {
 		rec := Record{
 			Label:         e.Label,
 			Replicas:      e.Replicas,
-			Seed:          e.Seed,
+			Seed:          seed,
 			Deterministic: serial.Report() == parallel.Report(),
 			Fingerprint:   fmt.Sprintf("%016x", parallel.Fingerprint()),
 			Errors:        parallel.Errors,

@@ -61,17 +61,15 @@ func (r *Rep) Record(name string, v float64) {
 // error) marks the replica failed without aborting the sweep.
 type Body func(r *Rep) error
 
-// Config declares a sweep.
-type Config struct {
+// Entry is one named sweep: a label, a replica count and a body. It
+// carries no seed — Run takes one — so a catalog of entries serves
+// every seed.
+type Entry struct {
 	// Label names the sweep; it salts the replica streams, so two sweeps
 	// of the same seed with different labels are independent.
-	Label string
-	// Seed is the root seed every replica stream is split from.
-	Seed uint64
-	// Replicas is the number of replicas.
+	Label    string
 	Replicas int
-	// Workers bounds the pool; <= 0 means runtime.GOMAXPROCS(0).
-	Workers int
+	Body     Body
 }
 
 // Replica is one replica's merged result.
@@ -87,33 +85,33 @@ type Replica struct {
 type Result struct {
 	Label    string    `json:"label"`
 	Seed     uint64    `json:"seed"`
-	Workers  int       `json:"workers"`
 	Replicas []Replica `json:"replicas"`
 	Errors   int       `json:"errors"`
 }
 
-// Run executes the sweep and returns the merged result. Two runs of the
-// same Config (Workers aside) produce byte-identical merged reports.
-func Run(cfg Config, body Body) (*Result, error) {
-	n := cfg.Replicas
+// Run executes the sweep at seed on a pool of workers (<= 0 means
+// runtime.GOMAXPROCS(0)) and returns the merged result. Two runs of the
+// same entry and seed produce byte-identical merged reports whatever
+// the worker count.
+func Run(e Entry, seed uint64, workers int) (*Result, error) {
+	n := e.Replicas
 	if n <= 0 {
-		return nil, fmt.Errorf("sweep: config needs Replicas > 0")
+		return nil, fmt.Errorf("sweep: entry %q needs Replicas > 0", e.Label)
 	}
-	if body == nil {
-		return nil, fmt.Errorf("sweep: nil body")
+	if e.Body == nil {
+		return nil, fmt.Errorf("sweep: entry %q has a nil body", e.Label)
 	}
 
 	// Derive every replica's stream serially, in index order, before any
 	// worker starts: Split advances the parent stream, so derivation
 	// order is part of the contract.
-	root := rng.New(cfg.Seed).Split("sweep/" + cfg.Label)
+	root := rng.New(seed).Split("sweep/" + e.Label)
 	reps := make([]*Rep, n)
 	for i := 0; i < n; i++ {
 		src := root.Split(fmt.Sprintf("replica-%05d", i))
 		reps[i] = &Rep{Index: i, Seed: src.Uint64(), Src: src}
 	}
 
-	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -134,7 +132,7 @@ func Run(cfg Config, body Body) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = runReplica(reps[i], body)
+				out[i] = runReplica(reps[i], e.Body)
 			}
 		}()
 	}
@@ -144,7 +142,7 @@ func Run(cfg Config, body Body) (*Result, error) {
 	close(idx)
 	wg.Wait()
 
-	res := &Result{Label: cfg.Label, Seed: cfg.Seed, Workers: workers, Replicas: out}
+	res := &Result{Label: e.Label, Seed: seed, Replicas: out}
 	for i := range out {
 		if out[i].Err != "" {
 			res.Errors++
@@ -172,7 +170,7 @@ func runReplica(r *Rep, body Body) (out Replica) {
 
 // Fingerprint hashes the merged result — label, seed, and every
 // replica's seed, metrics, and error in index order. Serial and
-// parallel runs of the same config must agree.
+// parallel runs of the same entry and seed must agree.
 func (res *Result) Fingerprint() uint64 {
 	h := fnv.New64a()
 	w64 := func(v uint64) {

@@ -34,17 +34,12 @@ func simBody(r *Rep) error {
 // merged report must be byte-identical between a serial run and a
 // maximally parallel run of the same seed set.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	base := Config{Label: "det", Seed: 99, Replicas: 24}
-
-	serialCfg := base
-	serialCfg.Workers = 1
-	serial, err := Run(serialCfg, simBody)
+	e := Entry{Label: "det", Replicas: 24, Body: simBody}
+	serial, err := Run(e, 99, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelCfg := base
-	parallelCfg.Workers = 8
-	parallel, err := Run(parallelCfg, simBody)
+	parallel, err := Run(e, 99, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +71,7 @@ func TestSweepErrorsAndPanicsAreConfined(t *testing.T) {
 		r.Record("ok", 1)
 		return nil
 	}
-	res, err := Run(Config{Label: "errs", Seed: 1, Replicas: 8, Workers: 4}, body)
+	res, err := Run(Entry{Label: "errs", Replicas: 8, Body: body}, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +96,10 @@ func TestSweepErrorsAndPanicsAreConfined(t *testing.T) {
 }
 
 func TestSweepConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Label: "x"}, simBody); err == nil {
+	if _, err := Run(Entry{Label: "x", Body: simBody}, 1, 0); err == nil {
 		t.Error("zero replicas should error")
 	}
-	if _, err := Run(Config{Label: "x", Replicas: 1}, nil); err == nil {
+	if _, err := Run(Entry{Label: "x", Replicas: 1}, 1, 0); err == nil {
 		t.Error("nil body should error")
 	}
 }
@@ -117,7 +112,7 @@ func TestAggregateStatsAndOrder(t *testing.T) {
 		r.Record("alpha", 10)
 		return nil
 	}
-	res, err := Run(Config{Label: "agg", Seed: 3, Replicas: 5, Workers: 3}, body)
+	res, err := Run(Entry{Label: "agg", Replicas: 5, Body: body}, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +133,9 @@ func TestAggregateStatsAndOrder(t *testing.T) {
 }
 
 func TestRunSuiteDoubleRunAndClock(t *testing.T) {
-	s, err := RunSuite([]Entry{
-		{Label: "a", Replicas: 6, Seed: 11, Body: simBody},
-		{Label: "b", Replicas: 4, Seed: 12, Body: simBody},
+	s, err := RunSuite(11, []Entry{
+		{Label: "a", Replicas: 6, Body: simBody},
+		{Label: "b", Replicas: 4, Body: simBody},
 	})
 	if err != nil {
 		t.Fatal(err)

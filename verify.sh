@@ -56,7 +56,7 @@ stage_test() {
 	# two in-process runs already; -count=2 additionally reruns each
 	# comparison in a fresh map-randomization schedule. The sweep
 	# runner's serial-vs-parallel double-runs ride the same gate.
-	go test -count=2 -run 'Deterministic' ./internal/netsim/ ./internal/chaos/ ./internal/sweep/ ./internal/benchsuite/ ./internal/integrity/ ./internal/serve/ ./internal/ledger/ ./internal/experiment/
+	go test -count=2 -run 'Deterministic' ./internal/netsim/ ./internal/chaos/ ./internal/sweep/ ./internal/integrity/ ./internal/serve/ ./internal/ledger/ ./internal/experiment/
 	# The benchmark (bench/) is a module of its own, so the root
 	# ./... never compiles it; test it here so a change to the
 	# simulator's public API cannot break it unnoticed.
