@@ -26,6 +26,10 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed")
 	flag.Parse()
 
+	if *reqSize < 1 {
+		fmt.Fprintln(os.Stderr, "fairlio: -size must be positive")
+		os.Exit(2)
+	}
 	eng := sim.NewEngine()
 	src := rng.New(*seed)
 	cfg := workload.FairLIOConfig{

@@ -17,6 +17,10 @@ func main() {
 	groups := flag.Int("groups", 9, "router groups (each serves 4 IB leaf switches)")
 	flag.Parse()
 
+	if *groups < 1 {
+		fmt.Fprintln(os.Stderr, "fgrplan: need at least one router group")
+		os.Exit(2)
+	}
 	if *modules < *groups {
 		fmt.Fprintln(os.Stderr, "fgrplan: need at least one module per group")
 		os.Exit(2)

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"spiderfs/internal/center"
 	"spiderfs/internal/netsim"
@@ -26,6 +27,11 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed")
 	flag.Parse()
 
+	stoneWall := sim.FromSeconds(*wall)
+	if *clients < 1 || *xfer < 1 || stoneWall <= 0 {
+		fmt.Fprintln(os.Stderr, "iorsim: -clients, -xfer and -stonewall must be positive")
+		os.Exit(2)
+	}
 	mode := netsim.RouteFGR
 	if *naive {
 		mode = netsim.RouteNaive
@@ -41,7 +47,7 @@ func main() {
 	res := c.RunIOR(0, workload.IORConfig{
 		Clients:      *clients,
 		TransferSize: *xfer,
-		StoneWall:    sim.FromSeconds(*wall),
+		StoneWall:    stoneWall,
 		Read:         *read,
 	})
 	fmt.Println(res)

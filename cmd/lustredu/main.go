@@ -40,5 +40,4 @@ func main() {
 	fmt.Printf("%-12s %12d %10v %10d\n", "LustreDU", server.Bytes, server.Duration, server.MDSOps)
 	fmt.Printf("\nspeedup: %.1fx; MDS spared %d operations\n",
 		float64(serial.Duration)/float64(server.Duration), serial.MDSOps)
-	_ = sim.Second
 }

@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"spiderfs/internal/lustre"
 	"spiderfs/internal/rng"
@@ -25,6 +26,10 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed")
 	flag.Parse()
 
+	if *rpc < 1 {
+		fmt.Fprintln(os.Stderr, "obdsurvey: -rpc must be positive")
+		os.Exit(2)
+	}
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(*seed))
 	var file *lustre.File

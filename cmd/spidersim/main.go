@@ -191,12 +191,9 @@ func runSweep(seed uint64, exp string, replicas, workers int) {
 // rebuild hits, and lost stripes, and what it costs in read latency.
 func runScrub(seed uint64) {
 	fmt.Println("E19: background scrub vs latent-corruption exposure (same storm + disk failure, same seed)")
-	cfg := integrity.DefaultScenario()
-	cfg.Seed = seed
-	off := cfg
-	off.ScrubEvery = 0
-	a, b := integrity.RunScenario(off), integrity.RunScenario(cfg)
-	fmt.Printf("%-28s %14s %14s\n", "", "scrub off", fmt.Sprintf("every %v", cfg.ScrubEvery))
+	every := integrity.DefaultScrubInterval
+	a, b := integrity.RunScenario(seed, 0), integrity.RunScenario(seed, every)
+	fmt.Printf("%-28s %14s %14s\n", "", "scrub off", fmt.Sprintf("every %v", every))
 	row := func(name string, x, y any) { fmt.Printf("%-28s %14v %14v\n", name, x, y) }
 	row("reads served", a.Reads, b.Reads)
 	row("undetected corrupt reads", a.UndetectedReads, b.UndetectedReads)

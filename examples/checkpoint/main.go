@@ -31,7 +31,6 @@ func main() {
 	res := workload.RunCheckpoint(fs, workload.CheckpointConfig{
 		Writers:      512,
 		BytesPerRank: 128 << 20,
-		TransferSize: 1 << 20,
 	})
 	fmt.Printf("checkpoint: %.1f GiB in %v -> %.1f GB/s at 1/%d scale\n",
 		float64(res.BytesMoved)/(1<<30), res.Duration, res.AggregateBps/1e9, scale)

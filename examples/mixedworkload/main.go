@@ -28,9 +28,8 @@ func analyticsLatency(withCheckpoint bool) workload.AnalyticsResult {
 	}
 
 	return workload.RunAnalytics(fs, workload.AnalyticsConfig{
-		Readers:     4,
-		Requests:    50,
-		RequestSize: 64 << 10,
+		Readers:  4,
+		Requests: 50,
 	})
 }
 

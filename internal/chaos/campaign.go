@@ -46,18 +46,15 @@ type Config struct {
 	// OSS crash + failover process (Poisson, mean interval per center).
 	OSSCrashInterval sim.Time
 
-	// LNET router death bursts; CableCutFraction of the kills are
-	// attributed to a cut IB cable (the fault cascades cable -> router
-	// through the failure-domain graph).
+	// LNET router death bursts; cableCutFraction of the kills are
+	// attributed to a cut IB cable.
 	RouterBurstInterval sim.Time
 	RouterBurstSize     int
 	RouterRepair        sim.Time
-	CableCutFraction    float64
 
 	// In-place cable degradation (§IV-A): a router uplink drops to
-	// DegradeFrac of nominal bandwidth until repaired.
+	// cableDegradeFrac of nominal bandwidth until repaired.
 	CableDegradeInterval sim.Time
-	CableDegradeFrac     float64
 	CableRepair          sim.Time
 
 	// Data-integrity plane (§IV-E). MediaFaults arms rate-driven latent
@@ -90,17 +87,6 @@ type Config struct {
 	// report can quantify degraded operation, not just downtime.
 	ProbeInterval sim.Time
 	ProbeBytes    int64
-
-	// LedgerEpoch is the anchoring cadence of the operations ledger
-	// (internal/ledger): every monitor event, operator repair action,
-	// and scrub escalation is appended as a hash-chained entry, and the
-	// accumulated batch is sealed under a Merkle root each time an entry
-	// crosses into a new epoch. Zero means the ledger default (one
-	// anchor per simulated hour). The ledger is an observer — it
-	// schedules no events and draws no randomness — so arming or
-	// re-cadencing it never perturbs the fault schedule, and its root
-	// sequence extends the campaign fingerprint.
-	LedgerEpoch sim.Time
 
 	// TraceEvents arms the engine's event-trace audit: the report's
 	// EventTrace/TraceEvents fields then fingerprint every fired event's
@@ -151,10 +137,8 @@ func DefaultConfig(seed uint64) Config {
 		RouterBurstInterval: 24 * sim.Hour,
 		RouterBurstSize:     3,
 		RouterRepair:        2 * sim.Hour,
-		CableCutFraction:    0.3,
 
 		CableDegradeInterval: 12 * sim.Hour,
-		CableDegradeFrac:     0.25,
 		CableRepair:          6 * sim.Hour,
 
 		MDSOutageAt:       3*sim.Day + 5*sim.Hour,
@@ -165,8 +149,6 @@ func DefaultConfig(seed uint64) Config {
 
 		ProbeInterval: 2 * sim.Hour,
 		ProbeBytes:    64 << 20,
-
-		LedgerEpoch: sim.Hour,
 	}
 }
 
@@ -224,9 +206,12 @@ type campaign struct {
 	c      *center.Center
 	eng    *sim.Engine
 	graph  *Graph
-	ledger *Ledger        // per-component downtime stats (MTBF/MTTR)
-	ops    *ledger.Ledger // tamper-evident operations ledger
-	coal   *monitor.Coalescer
+	ledger *Ledger // per-component downtime stats (MTBF/MTTR)
+	// ops is the tamper-evident operations ledger, anchored once per
+	// ledger.DefaultEpoch (a simulated hour). It schedules no events and
+	// draws no randomness; its root sequence extends the fingerprint.
+	ops  *ledger.Ledger
+	coal *monitor.Coalescer
 
 	grpName   map[*raid.Group]string
 	injectors []*failure.Injector
@@ -264,7 +249,7 @@ func Run(cfg Config) *Report {
 	graph := NewGraph(eng, downLedger)
 	p := &campaign{
 		cfg: cfg, c: cc, eng: eng, graph: graph, ledger: downLedger,
-		ops:      ledger.New(ledger.Config{Epoch: cfg.LedgerEpoch}),
+		ops:      ledger.New(ledger.Config{}),
 		coal:     monitor.NewCoalescer(30 * sim.Second),
 		grpName:  map[*raid.Group]string{},
 		degraded: map[int]bool{},
@@ -430,6 +415,10 @@ func (p *campaign) startOSSCrashes() {
 	next()
 }
 
+// cableCutFraction of router kills are attributed to a cut IB cable
+// (the fault cascades cable -> router through the failure-domain graph).
+const cableCutFraction = 0.3
+
 // startRouterBursts kills batches of LNET routers. A fraction of the
 // kills are attributed to a cut cable, exercising the cable -> router
 // cascade; the rest are direct router deaths (LBUG-class). Either way
@@ -459,7 +448,7 @@ func (p *campaign) startRouterBursts() {
 				f.FailRouter(rid)
 				p.rep.RoutersKilled++
 				root := routerName(rid)
-				if src.Bool(p.cfg.CableCutFraction) {
+				if src.Bool(cableCutFraction) {
 					root = cableName(rid)
 					p.rep.CableCuts++
 					p.emit(root, monitor.Hardware, "cable-cut")
@@ -480,6 +469,10 @@ func (p *campaign) startRouterBursts() {
 	next()
 }
 
+// cableDegradeFrac is the share of nominal bandwidth a degraded router
+// uplink keeps until it is repaired.
+const cableDegradeFrac = 0.25
+
 // startCableDegradation drops a router uplink to a fraction of its
 // nominal bandwidth (the §IV-A degraded-cable failure mode). The
 // link stays up — this degrades throughput without downtime.
@@ -496,7 +489,7 @@ func (p *campaign) startCableDegradation() {
 			if !p.degraded[idx] {
 				p.degraded[idx] = true
 				l := p.uplinks[idx]
-				net.Degrade(l, p.cfg.CableDegradeFrac)
+				net.Degrade(l, cableDegradeFrac)
 				p.rep.CableDegradations++
 				p.emit(l.Name(), monitor.Hardware, "hca-symbol-errors")
 				p.eng.After(p.cfg.CableRepair, func() {

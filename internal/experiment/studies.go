@@ -124,7 +124,7 @@ func E2(seed uint64) Result {
 	rnd := procure.RandomDerate(1e12, 0.24)
 	c := center.New(center.Config{Small: true, Namespaces: 1, Seed: seed})
 	res := workload.RunCheckpoint(c.Namespaces[0], workload.CheckpointConfig{
-		Writers: 64, BytesPerRank: 16 << 20, TransferSize: 1 << 20,
+		Writers: 64, BytesPerRank: 16 << 20,
 	})
 	return Result{"E2 checkpoint sizing (paper Sec. III-A)", fmt.Sprintf(
 		"75%% of 600 TB in 6 min -> %.2f TB/s (paper: the 1 TB/s class requirement)\nrandom derate at 24%% -> %.0f GB/s (paper: 240 GB/s)\nsimulated miniature checkpoint: %.2f GB/s on 2/56-scale controllers\n",

@@ -20,7 +20,7 @@ func Sweeps() []sweep.Entry {
 	e3.BenchBytes = 16 << 20
 	return []sweep.Entry{
 		{Label: "e3-slowdisk", Replicas: 16, Body: qa.SlowDiskReplica(16, e3)},
-		{Label: "e13-purge", Replicas: 16, Body: purge.ResidencyReplica(purge.DefaultResidency())},
+		{Label: "e13-purge", Replicas: 16, Body: purge.ResidencyReplica()},
 		{Label: "e18-chaos", Replicas: 32, Body: chaos.CampaignReplica(chaos.QuickConfig(0))},
 	}
 }

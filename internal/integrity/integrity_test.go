@@ -208,16 +208,13 @@ func TestScrubberCountsRebuildOverlaps(t *testing.T) {
 	eng.Run()
 }
 
-// TestE19ScenarioDeterministic pins the replica contract: same config,
+// TestE19ScenarioDeterministic pins the replica contract: same arguments,
 // bit-identical result — including with the scrubber off (stream
 // isolation: disabling scrub must not shift any model stream).
 func TestE19ScenarioDeterministic(t *testing.T) {
 	for _, scrub := range []sim.Time{0, DefaultScrubInterval} {
-		cfg := DefaultScenario()
-		cfg.Seed = 42
-		cfg.ScrubEvery = scrub
-		a := RunScenario(cfg)
-		b := RunScenario(cfg)
+		a := RunScenario(42, scrub)
+		b := RunScenario(42, scrub)
 		if a != b {
 			t.Fatalf("scrub=%v: double run diverged:\n%+v\n%+v", scrub, a, b)
 		}
@@ -228,11 +225,8 @@ func TestE19ScenarioDeterministic(t *testing.T) {
 // property: at the default scrub interval the scrubber wins the race
 // against foreground reads for every freshly corrupted sector.
 func TestE19ZeroUndetectedAtDefaultInterval(t *testing.T) {
-	base := DefaultScenario()
 	for seed := uint64(1); seed <= 20; seed++ {
-		cfg := base
-		cfg.Seed = seed
-		r := RunScenario(cfg)
+		r := RunScenario(seed, DefaultScrubInterval)
 		if r.UndetectedReads != 0 {
 			t.Fatalf("seed %d: %d undetected corrupt reads at default interval", seed, r.UndetectedReads)
 		}
@@ -249,10 +243,7 @@ func TestE19ZeroUndetectedAtDefaultInterval(t *testing.T) {
 // the storm's bit rot reaches readers and the rebuild trips latent
 // errors — the exposure the experiment quantifies.
 func TestE19ScrubOffShowsExposure(t *testing.T) {
-	cfg := DefaultScenario()
-	cfg.Seed = 3
-	cfg.ScrubEvery = 0
-	r := RunScenario(cfg)
+	r := RunScenario(3, 0)
 	if r.UndetectedReads == 0 {
 		t.Fatal("scrub-off run served no undetected corrupt reads")
 	}

@@ -16,70 +16,39 @@ import (
 // (0) shows the exposure the paper warns about: silent corruption
 // served to readers, and rebuilds tripping over latent errors. The
 // default interval must drive undetected corrupt reads to zero.
+//
+// The E19 baseline: a 64 MiB-per-member 8+2 group read once a minute
+// for four hours, a 40-sector bit-rot storm at t=30 min, a member
+// failure at t=2 h with replace-and-rebuild, and the scrub throttle.
+// Only the scrub pass interval varies between replicas.
+const (
+	scenarioDuration = 4 * sim.Hour
+	// Members are small so replicas stay cheap in event count.
+	scenarioDiskCapacity = 64 << 20
 
-// ScenarioConfig parameterizes one E19 replica.
-type ScenarioConfig struct {
-	Seed     uint64
-	Duration sim.Time
+	// Scripted bit-rot storm: stormDefects silent sectors sprayed
+	// uniformly across the members at stormAt. Offset from the reader's
+	// minute cadence: the storm lands 7 s after a read, so the scrubber
+	// gets a full interval+pass of lead time before the next read can
+	// touch fresh corruption.
+	stormAt      = 30*sim.Minute + 7*sim.Second
+	stormDefects = 40
 
-	// Array under test: Geometry over DiskCapacity members (small, so
-	// replicas stay cheap in event count).
-	DiskCapacity int64
-	Geometry     raid.GroupConfig
-	Verify       raid.VerifyPolicy
+	// Foreground reader: one readSize read at a random stripe-aligned
+	// offset every readEvery.
+	readEvery = sim.Minute
+	readSize  = 1 << 20
 
-	// Rate-driven media-error injection, armed on every member.
-	Faults disk.FaultConfig
-	// Scripted bit-rot storm: StormDefects silent sectors sprayed
-	// uniformly across the members at StormAt.
-	StormAt      sim.Time
-	StormDefects int
+	// Mid-run member failure and rebuild.
+	failAt       = 2 * sim.Hour
+	replaceAfter = 5 * sim.Minute
+	rebuildChunk = 64
+	rebuildPause = 2 * sim.Second
 
-	// Foreground reader: one ReadSize read at a random stripe-aligned
-	// offset every ReadEvery.
-	ReadEvery sim.Time
-	ReadSize  int64
-
-	// Mid-run member failure and rebuild (0 FailAt disables).
-	FailAt       sim.Time
-	ReplaceAfter sim.Time
-	RebuildChunk int64
-	RebuildPause sim.Time
-
-	// Scrub throttle; ScrubEvery is the pass interval and the E19 axis
-	// (0 disables scrubbing entirely).
-	ScrubEvery sim.Time
-	ScrubBatch int64
-	ScrubPause sim.Time
-}
-
-// DefaultScenario returns the E19 baseline: a 64 MiB-per-member 8+2
-// group read once a minute for four hours, a 40-sector bit-rot storm at
-// t=30 min, a member failure at t=2 h, and the default scrub throttle.
-func DefaultScenario() ScenarioConfig {
-	return ScenarioConfig{
-		Seed:         1,
-		Duration:     4 * sim.Hour,
-		DiskCapacity: 64 << 20,
-		Geometry:     raid.Spider2Group(),
-		Verify:       raid.VerifyOnSuspect,
-		Faults:       disk.FaultConfig{UREPerGBRead: 0.02},
-		// Offset from the reader's minute cadence: the storm lands 7 s
-		// after a read, so the scrubber gets a full interval+pass of
-		// lead time before the next read can touch fresh corruption.
-		StormAt:      30*sim.Minute + 7*sim.Second,
-		StormDefects: 40,
-		ReadEvery:    sim.Minute,
-		ReadSize:     1 << 20,
-		FailAt:       2 * sim.Hour,
-		ReplaceAfter: 5 * sim.Minute,
-		RebuildChunk: 64,
-		RebuildPause: 2 * sim.Second,
-		ScrubEvery:   DefaultScrubInterval,
-		ScrubBatch:   256,
-		ScrubPause:   500 * sim.Millisecond,
-	}
-}
+	// Scrub throttle; the pass interval is RunScenario's argument.
+	scrubBatch = 256
+	scrubPause = 500 * sim.Millisecond
+)
 
 // ScenarioResult is one replica's outcome.
 type ScenarioResult struct {
@@ -98,93 +67,89 @@ type ScenarioResult struct {
 	MeanReadMs      float64  // foreground read latency (scrub overhead shows here)
 }
 
-// RunScenario executes one E19 replica. Two runs of the same config are
-// bit-identical; all randomness comes from named splits of cfg.Seed.
-func RunScenario(cfg ScenarioConfig) ScenarioResult {
+// RunScenario executes one E19 replica with the given scrub pass
+// interval (0 disables scrubbing). Two runs with the same arguments are
+// bit-identical; all randomness comes from named splits of seed.
+func RunScenario(seed uint64, scrubEvery sim.Time) ScenarioResult {
 	eng := sim.NewEngine()
-	src := rng.New(cfg.Seed)
+	src := rng.New(seed)
+	geom := raid.Spider2Group()
+	// Rate-driven media-error injection, armed on every member.
+	faults := disk.FaultConfig{UREPerGBRead: 0.02}
 	dcfg := disk.NLSAS2TB()
-	dcfg.Capacity = cfg.DiskCapacity
-	members := make([]*disk.Disk, cfg.Geometry.Width())
+	dcfg.Capacity = scenarioDiskCapacity
+	members := make([]*disk.Disk, geom.Width())
 	for i := range members {
 		members[i] = disk.New(eng, i, dcfg, disk.Nominal(), src.Split(fmt.Sprintf("disk-%d", i)))
 	}
-	g := raid.NewGroup(eng, 0, cfg.Geometry, members)
-	g.Verify = cfg.Verify
-	g.RebuildChunk = cfg.RebuildChunk
-	g.RebuildPause = cfg.RebuildPause
-	if cfg.Faults.Enabled() {
-		for i, d := range members {
-			d.SetFaultInjection(cfg.Faults, src.Split(fmt.Sprintf("media-%d", i)))
-		}
+	g := raid.NewGroup(eng, 0, geom, members)
+	g.Verify = raid.VerifyOnSuspect
+	g.RebuildChunk = rebuildChunk
+	g.RebuildPause = rebuildPause
+	for i, d := range members {
+		d.SetFaultInjection(faults, src.Split(fmt.Sprintf("media-%d", i)))
 	}
 
-	if cfg.StormDefects > 0 && cfg.StormAt > 0 {
-		storm := src.Split("storm")
-		eng.At(cfg.StormAt, func() {
-			for i := 0; i < cfg.StormDefects; i++ {
-				m := storm.Intn(cfg.Geometry.Width())
-				g.Disks()[m].InjectError(storm.Int63n(cfg.DiskCapacity), disk.Silent)
-			}
-		})
-	}
+	storm := src.Split("storm")
+	eng.At(stormAt, func() {
+		for i := 0; i < stormDefects; i++ {
+			m := storm.Intn(geom.Width())
+			g.Disks()[m].InjectError(storm.Int63n(scenarioDiskCapacity), disk.Silent)
+		}
+	})
 
 	var res ScenarioResult
 	var latSum float64
 	stop := false
 
 	reader := src.Split("reader")
-	stripes := g.Capacity() / cfg.Geometry.StripeDataSize()
-	maxStart := stripes - (cfg.ReadSize+cfg.Geometry.StripeDataSize()-1)/cfg.Geometry.StripeDataSize()
+	stripes := g.Capacity() / geom.StripeDataSize()
+	maxStart := stripes - (readSize+geom.StripeDataSize()-1)/geom.StripeDataSize()
 	var tick func()
 	tick = func() {
 		if stop {
 			return
 		}
-		off := reader.Int63n(maxStart+1) * cfg.Geometry.StripeDataSize()
+		off := reader.Int63n(maxStart+1) * geom.StripeDataSize()
 		issued := eng.Now()
-		g.ReadChecked(off, cfg.ReadSize, func(oc raid.ReadOutcome) {
+		g.ReadChecked(off, readSize, func(oc raid.ReadOutcome) {
 			res.Reads++
 			if oc.EIO {
 				res.EIOReads++
 			}
 			latSum += (eng.Now() - issued).Millis()
 		})
-		eng.After(cfg.ReadEvery, tick)
+		eng.After(readEvery, tick)
 	}
-	eng.After(cfg.ReadEvery, tick)
+	eng.After(readEvery, tick)
 
-	if cfg.FailAt > 0 {
-		eng.At(cfg.FailAt, func() {
-			if g.State() != raid.Healthy {
+	eng.At(failAt, func() {
+		if g.State() != raid.Healthy {
+			return
+		}
+		g.FailDisk(2)
+		eng.After(replaceAfter, func() {
+			if g.State() == raid.Failed {
 				return
 			}
-			g.FailDisk(2)
-			eng.After(cfg.ReplaceAfter, func() {
-				if g.State() == raid.Failed {
-					return
-				}
-				repl := disk.New(eng, 1000, dcfg, disk.Nominal(), src.Split("repl"))
-				if cfg.Faults.Enabled() {
-					repl.SetFaultInjection(cfg.Faults, src.Split("media-repl"))
-				}
-				start := eng.Now()
-				g.StartRebuild(2, repl, func() { res.RebuildWindow = eng.Now() - start })
-			})
+			repl := disk.New(eng, 1000, dcfg, disk.Nominal(), src.Split("repl"))
+			repl.SetFaultInjection(faults, src.Split("media-repl"))
+			start := eng.Now()
+			g.StartRebuild(2, repl, func() { res.RebuildWindow = eng.Now() - start })
 		})
-	}
+	})
 
 	var scr *Scrubber
-	if cfg.ScrubEvery > 0 {
+	if scrubEvery > 0 {
 		scr = New(eng, g, Config{
-			BatchStripes: cfg.ScrubBatch,
-			BatchPause:   cfg.ScrubPause,
-			PassInterval: cfg.ScrubEvery,
+			BatchStripes: scrubBatch,
+			BatchPause:   scrubPause,
+			PassInterval: scrubEvery,
 		})
 		scr.Start()
 	}
 
-	eng.RunUntil(cfg.Duration)
+	eng.RunUntil(scenarioDuration)
 	stop = true
 	if scr != nil {
 		scr.Stop()
@@ -210,12 +175,9 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 
 // e19Replica returns a sweep body running the scenario with the given
 // scrub pass interval (0 = scrubbing off), one fresh seed per replica.
-func e19Replica(base ScenarioConfig, scrubEvery sim.Time) sweep.Body {
+func e19Replica(scrubEvery sim.Time) sweep.Body {
 	return func(r *sweep.Rep) error {
-		cfg := base
-		cfg.Seed = r.Seed
-		cfg.ScrubEvery = scrubEvery
-		res := RunScenario(cfg)
+		res := RunScenario(r.Seed, scrubEvery)
 		r.Record("reads", float64(res.Reads))
 		r.Record("undetected_reads", float64(res.UndetectedReads))
 		r.Record("repaired_chunks", float64(res.RepairedChunks))

@@ -14,11 +14,10 @@ import (
 // baseline), the default (which must drive undetected corrupt reads to
 // zero), and a deliberately slow interval that loses the race.
 func Sweeps() []sweep.Entry {
-	base := DefaultScenario()
 	return []sweep.Entry{
-		{Label: "e19-scrub-off", Replicas: 8, Body: e19Replica(base, 0)},
-		{Label: "e19-scrub-default", Replicas: 8, Body: e19Replica(base, DefaultScrubInterval)},
-		{Label: "e19-scrub-slow", Replicas: 8, Body: e19Replica(base, 30*sim.Minute)},
+		{Label: "e19-scrub-off", Replicas: 8, Body: e19Replica(0)},
+		{Label: "e19-scrub-default", Replicas: 8, Body: e19Replica(DefaultScrubInterval)},
+		{Label: "e19-scrub-slow", Replicas: 8, Body: e19Replica(30 * sim.Minute)},
 	}
 }
 

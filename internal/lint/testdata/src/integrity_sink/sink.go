@@ -42,10 +42,10 @@ func startEach(eng *sim.Engine, groups map[string]*raid.Group) []*integrity.Scru
 
 // replaying E19 per map entry is just as nondeterministic: the result
 // order follows iteration order.
-func replay(cfgs map[string]integrity.ScenarioConfig) []integrity.ScenarioResult {
+func replay(seeds map[string]uint64) []integrity.ScenarioResult {
 	var out []integrity.ScenarioResult
-	for _, cfg := range cfgs { // want ordered-map-range
-		out = append(out, integrity.RunScenario(cfg))
+	for _, seed := range seeds { // want ordered-map-range
+		out = append(out, integrity.RunScenario(seed, integrity.DefaultScrubInterval))
 	}
 	return out
 }

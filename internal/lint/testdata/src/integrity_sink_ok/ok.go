@@ -40,6 +40,6 @@ func startNamed(eng *sim.Engine, byName map[string]*raid.Group) []*integrity.Scr
 }
 
 // map lookup (no range) feeding a scenario replay stays silent.
-func replayNamed(cfgs map[string]integrity.ScenarioConfig, label string) integrity.ScenarioResult {
-	return integrity.RunScenario(cfgs[label])
+func replayNamed(seeds map[string]uint64, label string) integrity.ScenarioResult {
+	return integrity.RunScenario(seeds[label], integrity.DefaultScrubInterval)
 }

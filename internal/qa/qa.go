@@ -19,36 +19,17 @@ import (
 type EliminationConfig struct {
 	// BenchBytes is the data written per group per round's measurement.
 	BenchBytes int64
-	// RequestSize for the per-group benchmark (1 MiB, full stripe).
-	RequestSize int64
-	// QueueDepth of the per-group benchmark.
-	QueueDepth int
 	// SpreadTarget is the acceptance envelope: (mean-min)/mean across
 	// groups must fall at or below it. Spider II's contract started at
 	// 5% and was relaxed to 7.5% in production.
 	SpreadTarget float64
-	// Bins is the number of performance bins; the slowest InspectBins of
-	// them are inspected for replacement candidates.
-	Bins        int
-	InspectBins int
-	// LatencyFactor flags a drive whose mean command latency exceeds
-	// LatencyFactor x the median of its group's drives.
-	LatencyFactor float64
-	// MaxRounds bounds the campaign.
-	MaxRounds int
 }
 
 // DefaultElimination mirrors the Spider II acceptance campaign.
 func DefaultElimination() EliminationConfig {
 	return EliminationConfig{
-		BenchBytes:    64 << 20,
-		RequestSize:   1 << 20,
-		QueueDepth:    8,
-		SpreadTarget:  0.05,
-		Bins:          10,
-		InspectBins:   3,
-		LatencyFactor: 1.10,
-		MaxRounds:     8,
+		BenchBytes:   64 << 20,
+		SpreadTarget: 0.05,
 	}
 }
 
@@ -77,16 +58,22 @@ func (r Report) String() string {
 		len(r.Rounds), r.TotalReplaced, r.BeforeMBps, r.AfterMBps, r.Converged)
 }
 
+// The per-group benchmark: full-stripe (1 MiB) writes at queue depth 8.
+const (
+	benchRequestSize = 1 << 20
+	benchQueueDepth  = 8
+)
+
 // benchGroups measures each group's sequential write bandwidth. Drive
 // latency counters are reset first so the per-round inspection sees only
 // this round's behaviour.
-func benchGroups(eng *sim.Engine, groups []*raid.Group, cfg EliminationConfig) []float64 {
+func benchGroups(eng *sim.Engine, groups []*raid.Group, benchBytes int64) []float64 {
 	out := make([]float64, len(groups))
 	// Warm-up: one untimed write per group aligns every drive's head at
 	// the bench region, so round-to-round comparisons measure streaming
 	// rate rather than the initial seek.
 	for _, g := range groups {
-		g.Write(0, cfg.RequestSize, nil)
+		g.Write(0, benchRequestSize, nil)
 	}
 	eng.Run()
 	for _, g := range groups {
@@ -98,18 +85,18 @@ func benchGroups(eng *sim.Engine, groups []*raid.Group, cfg EliminationConfig) [
 		var moved int64
 		outstanding := 0
 		issue := func() {}
-		off := cfg.RequestSize // continue where the warm-up left the heads
+		off := int64(benchRequestSize) // continue where the warm-up left the heads
 		issue = func() {
-			for outstanding < cfg.QueueDepth && moved+int64(outstanding)*cfg.RequestSize < cfg.BenchBytes {
+			for outstanding < benchQueueDepth && moved+int64(outstanding)*benchRequestSize < benchBytes {
 				outstanding++
-				if off+cfg.RequestSize > g.Capacity() {
+				if off+benchRequestSize > g.Capacity() {
 					off = 0
 				}
 				o := off
-				off += cfg.RequestSize
-				g.Write(o, cfg.RequestSize, func() {
+				off += benchRequestSize
+				g.Write(o, benchRequestSize, func() {
 					outstanding--
-					moved += cfg.RequestSize
+					moved += benchRequestSize
 					issue()
 				})
 			}
@@ -125,20 +112,23 @@ func benchGroups(eng *sim.Engine, groups []*raid.Group, cfg EliminationConfig) [
 	return out
 }
 
-// replaceSlowDisks inspects the slowest bin's groups, replacing drives
+// Groups are split into perfBins performance bins; the slowest
+// inspectBins of them are inspected, and a drive whose mean command
+// latency exceeds latencyFactor x the median of its group's drives is
+// replaced.
+const (
+	perfBins      = 10
+	inspectBins   = 3
+	latencyFactor = 1.10
+)
+
+// replaceSlowDisks inspects the slowest bins' groups, replacing drives
 // whose mean command latency is an outlier within their group. Returns
 // the number of replacements.
-func replaceSlowDisks(groups []*raid.Group, mbps []float64, cfg EliminationConfig, src *rng.Source) int {
-	bins := stats.QuantileBins(mbps, cfg.Bins)
-	inspect := cfg.InspectBins
-	if inspect < 1 {
-		inspect = 1
-	}
-	if inspect > len(bins.Members) {
-		inspect = len(bins.Members)
-	}
+func replaceSlowDisks(groups []*raid.Group, mbps []float64, src *rng.Source) int {
+	bins := stats.QuantileBins(mbps, perfBins)
 	var candidates []int
-	for b := 0; b < inspect; b++ {
+	for b := 0; b < min(inspectBins, len(bins.Members)); b++ {
 		candidates = append(candidates, bins.Members[b]...)
 	}
 	replaced := 0
@@ -154,7 +144,7 @@ func replaceSlowDisks(groups []*raid.Group, mbps []float64, cfg EliminationConfi
 			continue
 		}
 		for i, d := range disks {
-			if lats[i] > cfg.LatencyFactor*median {
+			if lats[i] > latencyFactor*median {
 				// Swap in a healthy drive from spares.
 				h := disk.Nominal()
 				h.SpeedFactor = src.TruncNormal(1.0, 0.015, 0.95, 1.05)
@@ -179,11 +169,14 @@ func spreadOf(mbps []float64) (mean, min, spread float64) {
 	return s.Mean, s.Min, (s.Mean - s.Min) / s.Mean
 }
 
+// maxRounds bounds the campaign.
+const maxRounds = 8
+
 // RunElimination executes the campaign and returns the report.
 func RunElimination(eng *sim.Engine, groups []*raid.Group, cfg EliminationConfig, src *rng.Source) Report {
 	var rep Report
-	for round := 0; round < cfg.MaxRounds; round++ {
-		mbps := benchGroups(eng, groups, cfg)
+	for round := 0; round < maxRounds; round++ {
+		mbps := benchGroups(eng, groups, cfg.BenchBytes)
 		mean, min, spread := spreadOf(mbps)
 		r := Round{Index: round, GroupMBps: mbps, MeanMBps: mean, MinMBps: min, Spread: spread}
 		if round == 0 {
@@ -195,7 +188,7 @@ func RunElimination(eng *sim.Engine, groups []*raid.Group, cfg EliminationConfig
 			rep.Converged = true
 			return rep
 		}
-		r.Replaced = replaceSlowDisks(groups, mbps, cfg, src)
+		r.Replaced = replaceSlowDisks(groups, mbps, src)
 		rep.TotalReplaced += r.Replaced
 		rep.Rounds = append(rep.Rounds, r)
 		if r.Replaced == 0 {

@@ -17,11 +17,6 @@ import (
 type CheckpointConfig struct {
 	Writers      int
 	BytesPerRank int64
-	TransferSize int64
-	StripeCount  int
-	Placer       Placer
-	Transport    lustre.Transport
-	Dir          string
 }
 
 // CheckpointResult reports one checkpoint.
@@ -31,25 +26,14 @@ type CheckpointResult struct {
 	AggregateBps float64
 }
 
-// RunCheckpoint executes one checkpoint and returns its duration.
+// RunCheckpoint executes one checkpoint and returns its duration. Each
+// rank writes its own single-stripe file under ckpt/ in 1 MiB transfers.
 func RunCheckpoint(fs *lustre.FS, cfg CheckpointConfig) CheckpointResult {
-	if cfg.TransferSize <= 0 {
-		cfg.TransferSize = 1 << 20
-	}
-	if cfg.StripeCount <= 0 {
-		cfg.StripeCount = 1
-	}
-	if cfg.Dir == "" {
-		cfg.Dir = "ckpt"
-	}
 	res := RunIOR(fs, IORConfig{
 		Clients:      cfg.Writers,
-		TransferSize: cfg.TransferSize,
+		TransferSize: 1 << 20,
 		BlockSize:    cfg.BytesPerRank,
-		StripeCount:  cfg.StripeCount,
-		Dir:          cfg.Dir,
-		Placer:       cfg.Placer,
-		Transport:    cfg.Transport,
+		Dir:          "ckpt",
 	})
 	return CheckpointResult{Duration: res.Duration, BytesMoved: res.BytesMoved, AggregateBps: res.AggregateBps}
 }
@@ -58,13 +42,12 @@ func RunCheckpoint(fs *lustre.FS, cfg CheckpointConfig) CheckpointResult {
 // visualization/analysis workloads that share the data-centric file
 // system with checkpoints (§II).
 type AnalyticsConfig struct {
-	Readers     int
-	Requests    int // per reader
-	RequestSize int64
-	StripeCount int
-	Transport   lustre.Transport
-	Dir         string
+	Readers  int
+	Requests int // per reader
 }
+
+// analyticsRequestSize is the size of one latency-bound analytics read.
+const analyticsRequestSize = 64 << 10
 
 // AnalyticsResult reports latency statistics (milliseconds).
 type AnalyticsResult struct {
@@ -73,29 +56,17 @@ type AnalyticsResult struct {
 	Duration  sim.Time
 }
 
-// RunAnalytics pre-creates one shared dataset per reader, then issues
-// random reads one at a time (latency-bound, not bandwidth-bound),
-// recording per-request latency.
+// RunAnalytics pre-creates one single-stripe dataset per reader under
+// viz/, then issues random reads one at a time (latency-bound, not
+// bandwidth-bound), recording per-request latency.
 func RunAnalytics(fs *lustre.FS, cfg AnalyticsConfig) AnalyticsResult {
 	eng := fs.Engine()
-	if cfg.RequestSize <= 0 {
-		cfg.RequestSize = 64 << 10
-	}
-	if cfg.StripeCount <= 0 {
-		cfg.StripeCount = 1
-	}
-	if cfg.Transport == nil {
-		cfg.Transport = lustre.NullTransport{Eng: eng}
-	}
-	if cfg.Dir == "" {
-		cfg.Dir = "viz"
-	}
 	files := make([]*lustre.File, cfg.Readers)
 	clients := make([]*lustre.Client, cfg.Readers)
 	for i := 0; i < cfg.Readers; i++ {
 		i := i
-		clients[i] = lustre.NewClient(i, topology.Coord{}, fs, cfg.Transport)
-		fs.Create(fmt.Sprintf("%s/set%05d", cfg.Dir, i), cfg.StripeCount, func(f *lustre.File) { files[i] = f })
+		clients[i] = lustre.NewClient(i, topology.Coord{}, fs, lustre.NullTransport{Eng: eng})
+		fs.Create(fmt.Sprintf("viz/set%05d", i), 1, func(f *lustre.File) { files[i] = f })
 	}
 	eng.Run()
 	for i, c := range clients {
@@ -114,7 +85,7 @@ func RunAnalytics(fs *lustre.FS, cfg AnalyticsConfig) AnalyticsResult {
 				return
 			}
 			t0 := eng.Now()
-			clients[i].ReadStream(files[i], cfg.RequestSize, cfg.RequestSize, true, func(int64) {
+			clients[i].ReadStream(files[i], analyticsRequestSize, analyticsRequestSize, true, func(int64) {
 				ms := (eng.Now() - t0).Millis()
 				res.Latency.Add(ms)
 				lats = append(lats, ms)
@@ -136,13 +107,7 @@ func RunAnalytics(fs *lustre.FS, cfg AnalyticsConfig) AnalyticsResult {
 type MixedConfig struct {
 	Duration      sim.Time
 	MeanArrival   sim.Time // mean request inter-arrival
-	ParetoAlpha   float64  // tail index of the inter-arrival distribution
-	WriteFrac     float64  // 0.6 in the Spider I study
-	SmallFrac     float64  // fraction of requests that are small
-	SmallMax      int64    // 16 KiB
-	LargeUnit     int64    // 1 MiB; large requests are multiples of it
-	LargeMaxUnits int
-	Streams       int // concurrent independent request streams
+	LargeMaxUnits int      // large requests are 1 to LargeMaxUnits mixedLargeUnits
 }
 
 // DefaultMixed returns the §II calibration.
@@ -150,15 +115,19 @@ func DefaultMixed() MixedConfig {
 	return MixedConfig{
 		Duration:      30 * sim.Second,
 		MeanArrival:   2 * sim.Millisecond,
-		ParetoAlpha:   1.4,
-		WriteFrac:     0.60,
-		SmallFrac:     0.45,
-		SmallMax:      16 << 10,
-		LargeUnit:     1 << 20,
 		LargeMaxUnits: 8,
-		Streams:       8,
 	}
 }
+
+// The §II calibration's fixed shape.
+const (
+	mixedParetoAlpha = 1.4      // tail index of the inter-arrival distribution
+	mixedWriteFrac   = 0.60     // 0.6 in the Spider I study
+	mixedSmallFrac   = 0.45     // fraction of requests that are small
+	mixedSmallMax    = 16 << 10 // 16 KiB
+	mixedLargeUnit   = 1 << 20  // 1 MiB; large requests are multiples of it
+	mixedStreams     = 8        // concurrent independent request streams
+)
 
 // MixedTrace records what the generator produced, for characterization.
 type MixedTrace struct {
@@ -186,9 +155,9 @@ func RunMixed(fs *lustre.FS, cfg MixedConfig, src *rng.Source) *MixedTrace {
 	end := eng.Now() + cfg.Duration
 
 	// One shared file per stream.
-	files := make([]*lustre.File, cfg.Streams)
-	clients := make([]*lustre.Client, cfg.Streams)
-	for i := 0; i < cfg.Streams; i++ {
+	files := make([]*lustre.File, mixedStreams)
+	clients := make([]*lustre.Client, mixedStreams)
+	for i := 0; i < mixedStreams; i++ {
 		i := i
 		clients[i] = lustre.NewClient(i, topology.Coord{}, fs, lustre.NullTransport{Eng: eng})
 		fs.Create(fmt.Sprintf("mixed/stream%03d", i), 1, func(f *lustre.File) { files[i] = f })
@@ -200,13 +169,16 @@ func RunMixed(fs *lustre.FS, cfg MixedConfig, src *rng.Source) *MixedTrace {
 	eng.Run()
 
 	// The Pareto xm that yields the requested mean for tail alpha:
-	// mean = alpha*xm/(alpha-1)  =>  xm = mean*(alpha-1)/alpha.
-	xm := cfg.MeanArrival.Seconds() * (cfg.ParetoAlpha - 1) / cfg.ParetoAlpha
+	// mean = alpha*xm/(alpha-1)  =>  xm = mean*(alpha-1)/alpha. alpha is
+	// a float64 variable so alpha-1 rounds at run time, not exactly as
+	// a constant expression would.
+	alpha := float64(mixedParetoAlpha)
+	xm := cfg.MeanArrival.Seconds() * (alpha - 1) / alpha
 
 	var last sim.Time = -1
 	var schedule func(stream int)
 	schedule = func(stream int) {
-		gap := sim.FromSeconds(src.Pareto(cfg.ParetoAlpha, xm))
+		gap := sim.FromSeconds(src.Pareto(alpha, xm))
 		eng.After(gap, func() {
 			if eng.Now() >= end {
 				return
@@ -216,13 +188,13 @@ func RunMixed(fs *lustre.FS, cfg MixedConfig, src *rng.Source) *MixedTrace {
 			}
 			last = eng.Now()
 			var size int64
-			if src.Bool(cfg.SmallFrac) {
-				size = 512 + src.Int63n(cfg.SmallMax-512)
+			if src.Bool(mixedSmallFrac) {
+				size = 512 + src.Int63n(mixedSmallMax-512)
 			} else {
-				size = cfg.LargeUnit * int64(1+src.Intn(cfg.LargeMaxUnits))
+				size = mixedLargeUnit * int64(1+src.Intn(cfg.LargeMaxUnits))
 			}
 			tr.Sizes = append(tr.Sizes, float64(size))
-			if src.Bool(cfg.WriteFrac) {
+			if src.Bool(mixedWriteFrac) {
 				tr.Writes++
 				tr.BytesWritten += size
 				clients[stream].WriteStream(files[stream], size, minI64(size, 1<<20), nil)
@@ -234,7 +206,7 @@ func RunMixed(fs *lustre.FS, cfg MixedConfig, src *rng.Source) *MixedTrace {
 			schedule(stream)
 		})
 	}
-	for i := 0; i < cfg.Streams; i++ {
+	for i := 0; i < mixedStreams; i++ {
 		schedule(i)
 	}
 	eng.Run()

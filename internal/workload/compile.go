@@ -20,7 +20,6 @@ type CompileConfig struct {
 	StatsPerFile int
 	// Parallelism is the make -j width.
 	Parallelism int
-	Dir         string
 }
 
 // CompileResult reports the build and its collateral damage.
@@ -29,7 +28,7 @@ type CompileResult struct {
 	MDSOps   uint64
 }
 
-// RunCompile executes the metadata storm against fs.
+// RunCompile executes the metadata storm against fs under build/.
 func RunCompile(fs *lustre.FS, cfg CompileConfig, done func(CompileResult)) {
 	if cfg.SourceFiles <= 0 {
 		panic("workload: compile needs source files") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
@@ -39,9 +38,6 @@ func RunCompile(fs *lustre.FS, cfg CompileConfig, done func(CompileResult)) {
 	}
 	if cfg.StatsPerFile < 1 {
 		cfg.StatsPerFile = 8
-	}
-	if cfg.Dir == "" {
-		cfg.Dir = "build"
 	}
 	eng := fs.Engine()
 	start := eng.Now()
@@ -65,14 +61,14 @@ func RunCompile(fs *lustre.FS, cfg CompileConfig, done func(CompileResult)) {
 		var statPhase func()
 		statPhase = func() {
 			if remainingStats == 0 {
-				fs.Create(fmt.Sprintf("%s/obj%06d.o", cfg.Dir, i), 1, func(f *lustre.File) {
+				fs.Create(fmt.Sprintf("build/obj%06d.o", i), 1, func(f *lustre.File) {
 					f.Objects[0].Preload(32 << 10)
 					worker()
 				})
 				return
 			}
 			remainingStats--
-			fs.Open(fmt.Sprintf("%s/src%06d.c", cfg.Dir, i%16), func(*lustre.File) { statPhase() })
+			fs.Open(fmt.Sprintf("build/src%06d.c", i%16), func(*lustre.File) { statPhase() })
 		}
 		statPhase()
 	}

@@ -19,9 +19,6 @@ type S3DConfig struct {
 	DumpBytes    int64 // per rank per dump
 	Dumps        int
 	ComputePhase sim.Time // wall time between dumps
-	TransferSize int64
-	Dir          string
-	Transport    lustre.Transport
 
 	// CreateFile is the libPIO hook: nil means the stock fs.Create
 	// round-robin allocator; the placement library substitutes its
@@ -39,20 +36,12 @@ type S3DResult struct {
 	DumpBps float64
 }
 
-// RunS3D executes the dump/compute cycle to completion.
+// RunS3D executes the dump/compute cycle to completion. Every rank
+// writes a single-stripe file per dump under s3d/ in 1 MiB transfers.
 func RunS3D(fs *lustre.FS, cfg S3DConfig) S3DResult {
 	eng := fs.Engine()
 	if cfg.Ranks <= 0 || cfg.Dumps <= 0 || cfg.DumpBytes <= 0 {
 		panic("workload: invalid S3D config") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	if cfg.TransferSize <= 0 {
-		cfg.TransferSize = 1 << 20
-	}
-	if cfg.Dir == "" {
-		cfg.Dir = "s3d"
-	}
-	if cfg.Transport == nil {
-		cfg.Transport = lustre.NullTransport{Eng: eng}
 	}
 	create := cfg.CreateFile
 	if create == nil {
@@ -63,7 +52,7 @@ func RunS3D(fs *lustre.FS, cfg S3DConfig) S3DResult {
 
 	clients := make([]*lustre.Client, cfg.Ranks)
 	for i := range clients {
-		clients[i] = lustre.NewClient(i, topology.Coord{}, fs, cfg.Transport)
+		clients[i] = lustre.NewClient(i, topology.Coord{}, fs, lustre.NullTransport{Eng: eng})
 	}
 
 	var res S3DResult
@@ -84,14 +73,14 @@ func RunS3D(fs *lustre.FS, cfg S3DConfig) S3DResult {
 			})
 			for i, c := range clients {
 				wrote.Add(1)
-				c.WriteStream(files[i], cfg.DumpBytes, cfg.TransferSize, func(int64) { wrote.Done() })
+				c.WriteStream(files[i], cfg.DumpBytes, 1<<20, func(int64) { wrote.Done() })
 			}
 			wrote.Arm()
 		})
 		for i := range clients {
 			i := i
 			created.Add(1)
-			create(fs, fmt.Sprintf("%s/dump%03d/rank%06d", cfg.Dir, d, i), 1, func(f *lustre.File) {
+			create(fs, fmt.Sprintf("s3d/dump%03d/rank%06d", d, i), 1, func(f *lustre.File) {
 				files[i] = f
 				created.Done()
 			})

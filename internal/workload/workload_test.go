@@ -127,7 +127,6 @@ func TestCheckpointSizingTitan(t *testing.T) {
 	res := RunCheckpoint(fs, CheckpointConfig{
 		Writers:      16,
 		BytesPerRank: 32 << 20,
-		TransferSize: 1 << 20,
 	})
 	if res.BytesMoved != 16*32<<20 {
 		t.Fatalf("moved %d", res.BytesMoved)
@@ -141,9 +140,8 @@ func TestCheckpointSizingTitan(t *testing.T) {
 func TestAnalyticsLatencyBound(t *testing.T) {
 	fs := mkTestFS(31)
 	res := RunAnalytics(fs, AnalyticsConfig{
-		Readers:     4,
-		Requests:    25,
-		RequestSize: 64 << 10,
+		Readers:  4,
+		Requests: 25,
 	})
 	if res.Latency.N != 100 {
 		t.Fatalf("latency samples = %d", res.Latency.N)

@@ -13,9 +13,10 @@
 #                         fresh-bench/ and byte-compare them
 #   ./verify.sh all     — all of the above, in order
 #   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API,
-#                         the ledger auditor, the flow solver and the
-#                         disk defect index (not part of all: its inputs
-#                         differ from run to run)
+#                         the ledger auditor, the flow solver, the disk
+#                         defect index and the service spec normalizer
+#                         (not part of all: its inputs differ from run
+#                         to run)
 set -eu
 
 stage="${1:-all}"
@@ -107,7 +108,10 @@ stage_fuzz() {
 	# after arbitrary start/complete/Degrade/Restore/Reset sequences;
 	# FuzzMediaOps checks a drive's sorted defect index against a
 	# map-based reference after arbitrary InjectError/Repair/Scan/
-	# ScanChunks sequences.
+	# ScanChunks sequences; FuzzSpecNormalize decodes arbitrary JSON
+	# into a service Spec and checks that Normalize never panics, keeps
+	# an accepted spec within the work caps, and is idempotent on it
+	# (nil error, unchanged Key).
 	# go test -fuzz takes one target per invocation; plain go test
 	# already runs every seed corpus. The ledger seed is a 14 KB
 	# campaign export, and every flow op rechecks all active flows:
@@ -117,6 +121,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzLedgerAudit -fuzztime 30s -fuzzminimizetime 2s ./internal/ledger
 	go test -run '^$' -fuzz FuzzFlowOps -fuzztime 30s -fuzzminimizetime 2s ./internal/netsim
 	go test -run '^$' -fuzz FuzzMediaOps -fuzztime 30s ./internal/disk
+	go test -run '^$' -fuzz FuzzSpecNormalize -fuzztime 30s ./internal/serve
 	set +x
 }
 
