@@ -98,8 +98,7 @@ func main() {
 
 	eng := sim.NewEngine()
 	src := rng.New(*seed)
-	g := raid.BuildGroups(eng, 1, raid.Spider2Group(), disk.NLSAS2TB(),
-		disk.DefaultPopulation(), src.Split("grp"))[0]
+	g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("grp"))[0]
 	fmt.Println("== block level (fair-lio over one RAID-6 8+2 LUN) ==")
 	block := benchsuite.RunBlockLevel(eng, g, sweep, src.Split("blk"))
 	fmt.Print(benchsuite.Render(block))

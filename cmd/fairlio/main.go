@@ -46,8 +46,7 @@ func main() {
 		d := disk.New(eng, 0, disk.NLSAS2TB(), disk.Nominal(), src.Split("disk"))
 		res = workload.RunFairLIODisk(eng, d, cfg, src.Split("io"))
 	case "group":
-		g := raid.BuildGroups(eng, 1, raid.Spider2Group(), disk.NLSAS2TB(),
-			disk.DefaultPopulation(), src.Split("grp"))[0]
+		g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("grp"))[0]
 		res = workload.RunFairLIOGroup(eng, g, cfg, src.Split("io"))
 	default:
 		fmt.Fprintf(os.Stderr, "fairlio: unknown target %q\n", *target)

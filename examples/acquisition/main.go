@@ -27,8 +27,7 @@ func main() {
 	// LUN — the numbers a bidder would return with its response.
 	eng := sim.NewEngine()
 	src := rng.New(7)
-	g := raid.BuildGroups(eng, 1, raid.Spider2Group(), disk.NLSAS2TB(),
-		disk.DefaultPopulation(), src.Split("grp"))[0]
+	g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("grp"))[0]
 	sweep := benchsuite.Sweep{
 		RequestSizes: []int64{64 << 10, 1 << 20},
 		QueueDepths:  []int{8},

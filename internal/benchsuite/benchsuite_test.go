@@ -25,7 +25,7 @@ func tinySweep() Sweep {
 func TestBlockLevelSweepShape(t *testing.T) {
 	eng := sim.NewEngine()
 	src := rng.New(1)
-	g := raid.BuildGroups(eng, 1, raid.Spider2Group(), disk.NLSAS2TB(), disk.DefaultPopulation(), src.Split("g"))[0]
+	g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("g"))[0]
 	cells := RunBlockLevel(eng, g, tinySweep(), src)
 	if len(cells) != 2*1*2*2 {
 		t.Fatalf("cells = %d", len(cells))
@@ -60,7 +60,7 @@ func TestFSLevelSweepAndOverhead(t *testing.T) {
 	eng := sim.NewEngine()
 	src := rng.New(2)
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(3))
-	g := raid.BuildGroups(eng, 1, raid.Spider2Group(), disk.NLSAS2TB(), disk.DefaultPopulation(), src.Split("g"))[0]
+	g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("g"))[0]
 
 	sweep := tinySweep()
 	block := RunBlockLevel(eng, g, sweep, src.Split("b"))

@@ -65,21 +65,16 @@ func New(cfg Config) *Center {
 	src := rng.New(cfg.Seed)
 	c := &Center{Eng: eng, Src: src, Cfg: cfg}
 
-	var grid topology.CabinetGrid
-	var modules, groups int
 	if cfg.Small {
-		c.Torus = topology.Torus{NX: 5, NY: 4, NZ: 4}
-		grid = topology.CabinetGrid{Cols: 5, Rows: 2}
-		modules, groups = 16, 4
+		c.Torus, c.Placement = topology.MiniTitan()
 	} else {
-		c.Torus = topology.TitanTorus()
-		grid = topology.TitanCabinets()
-		modules, groups = 110/cfg.Scale, 9
+		modules, groups := 110/cfg.Scale, 9
 		if modules < groups {
 			modules = groups
 		}
+		c.Torus = topology.TitanTorus()
+		c.Placement = topology.PlaceRouters(topology.TitanCabinets(), c.Torus, modules, groups)
 	}
-	c.Placement = topology.PlaceRouters(grid, c.Torus, modules, groups)
 
 	p := lustre.Spider2Namespace().Scale(cfg.Scale)
 	if cfg.Upgraded {
@@ -110,9 +105,7 @@ func New(cfg Config) *Center {
 	}
 
 	if cfg.UseFabric {
-		fcfg := netsim.Spider2Fabric()
-		fcfg.Torus = c.Torus
-		c.Fabric = netsim.NewFabric(eng, fcfg, c.Placement, totalOSS)
+		c.Fabric = netsim.NewFabric(eng, netsim.FabricConfig{Torus: c.Torus}, c.Placement, totalOSS)
 	}
 	return c
 }

@@ -392,7 +392,6 @@ func (p *campaign) startOSSCrashes() {
 		return
 	}
 	src := rng.New(p.cfg.Seed).Split("chaos-oss")
-	rec := lustre.DefaultRecovery(p.cfg.Imperative)
 	var next func()
 	next = func() {
 		p.eng.After(sim.FromSeconds(src.Exp(1/p.cfg.OSSCrashInterval.Seconds())), func() {
@@ -400,7 +399,7 @@ func (p *campaign) startOSSCrashes() {
 			fs := p.c.Namespaces[ns]
 			i := src.Intn(len(fs.OSSes))
 			name := ossName(fs, i)
-			if err := lustre.FailOSS(fs, i, rec, func(outage sim.Time) {
+			if err := lustre.FailOSS(fs, i, p.cfg.Imperative, func(outage sim.Time) {
 				p.graph.Recover(name)
 			}); err != nil {
 				p.rep.SkippedFaults++

@@ -19,43 +19,41 @@ import (
 	"spiderfs/internal/stats"
 )
 
-// Config describes a disk product.
+// Config describes a disk product. Capacity is its one knob: the unit
+// tests and the small center build 2 GiB drives to keep stripe counts
+// small. The mechanics are those of the Spider II drive, below.
 type Config struct {
-	Name     string
 	Capacity int64 // bytes
-
-	// Seek model: seekTime(d) = SeekBase + SeekFull*sqrt(d/Capacity),
-	// where d is the LBA distance in bytes. A uniformly random pair of
-	// positions yields an expected seek of SeekBase + 0.533*SeekFull.
-	SeekBase sim.Time
-	SeekFull sim.Time
-
-	RPM float64 // spindle speed, for rotational latency
-
-	// PeakMBps is the outer-zone sustained transfer rate in MB/s
-	// (decimal megabytes, as vendors quote it). ZoneSlowdown is the
-	// fractional rate loss at the innermost zone (0.3 = inner tracks run
-	// at 70% of outer).
-	PeakMBps     float64
-	ZoneSlowdown float64
-
-	// CmdOverhead is fixed per-command processing time.
-	CmdOverhead sim.Time
 }
+
+// The mechanics of the 2 TB near-line SAS drive. Seek model:
+// seekTime(d) = seekBase + seekFull*sqrt(d/Capacity), where d is the
+// LBA distance in bytes. A uniformly random pair of positions yields an
+// expected seek of seekBase + 0.533*seekFull.
+const (
+	seekBase = 1 * sim.Millisecond
+	seekFull = 26 * sim.Millisecond
+
+	// rpm is the spindle speed, for rotational latency; revolution is
+	// one turn, truncated to the nanosecond.
+	rpm        = 7200
+	revolution = 60 * sim.Second / rpm
+
+	// peakMBps is the outer-zone sustained transfer rate in MB/s
+	// (decimal megabytes, as vendors quote it). zoneSlowdown is the
+	// fractional rate loss at the innermost zone (0.35 = inner tracks
+	// run at 65% of outer).
+	peakMBps     = 140.0
+	zoneSlowdown = 0.35
+
+	// cmdOverhead is fixed per-command processing time.
+	cmdOverhead = 300 * sim.Microsecond
+)
 
 // NLSAS2TB returns the 2 TB near-line SAS drive used to build Spider II
 // (20,160 of them in the real system).
 func NLSAS2TB() Config {
-	return Config{
-		Name:         "nl-sas-2tb",
-		Capacity:     2_000_000_000_000,
-		SeekBase:     1 * sim.Millisecond,
-		SeekFull:     26 * sim.Millisecond,
-		RPM:          7200,
-		PeakMBps:     140,
-		ZoneSlowdown: 0.35,
-		CmdOverhead:  300 * sim.Microsecond,
-	}
+	return Config{Capacity: 2_000_000_000_000}
 }
 
 // Op is a single disk command.
@@ -175,7 +173,7 @@ func (d *Disk) rate(lba int64) float64 {
 	if frac > 1 {
 		frac = 1
 	}
-	mbps := d.cfg.PeakMBps * (1 - d.cfg.ZoneSlowdown*frac) * d.health.SpeedFactor
+	mbps := peakMBps * (1 - zoneSlowdown*frac) * d.health.SpeedFactor
 	return mbps * 1e6 / float64(sim.Second) // bytes per ns
 }
 
@@ -192,17 +190,16 @@ func (p parts) total() sim.Time {
 }
 
 func (d *Disk) serviceParts(op Op) parts {
-	p := parts{overhead: d.cfg.CmdOverhead}
+	p := parts{overhead: cmdOverhead}
 	if op.LBA != d.lastEnd {
 		dist := op.LBA - d.lastEnd
 		if dist < 0 {
 			dist = -dist
 		}
 		frac := math.Sqrt(float64(dist) / float64(d.cfg.Capacity))
-		p.seek = d.cfg.SeekBase + sim.Time(float64(d.cfg.SeekFull)*frac)
+		p.seek = seekBase + sim.Time(float64(seekFull)*frac)
 		// Rotational latency: uniform in [0, one revolution).
-		rev := sim.Time(60 * float64(sim.Second) / d.cfg.RPM)
-		p.rotate = sim.Time(d.src.Float64() * float64(rev))
+		p.rotate = sim.Time(d.src.Float64() * float64(revolution))
 	}
 	p.transfer = sim.Time(float64(op.Size) / d.rate(op.LBA))
 	if d.src.Bool(d.health.TailProb) {
@@ -281,47 +278,35 @@ func (d *Disk) Submit(op Op, done func()) {
 	})
 }
 
-// PopulationSpec controls the statistical spread of drive personalities
-// across a manufacturing batch, mirroring what OLCF observed: most drives
-// within a few percent of spec, a slow tail several percent below it, and
-// a smaller set of drives with latency excursions. Roughly 10% of Spider
-// II's initial 20,160 drives were eventually replaced for being slow
-// (~1,500 at block level, ~500 more at file system level).
-type PopulationSpec struct {
-	SpeedSigma  float64 // stddev of the healthy speed factor around 1.0
-	SlowFrac    float64 // fraction of drives with a depressed speed factor
-	SlowFactor  float64 // mean speed factor of slow drives
-	SlowSigma   float64 // spread of slow drives' factors
-	WeakFrac    float64 // fraction of drives with elevated tail latency
-	WeakTailPr  float64 // per-command excursion probability for weak drives
-	WeakTailDur sim.Time
-}
+// The statistical spread of drive personalities across a
+// manufacturing batch, mirroring the Spider II acceptance experience:
+// most drives within a few percent of spec, a slow tail several percent
+// below it, and a smaller set of drives with latency excursions. Roughly
+// 10% of Spider II's initial 20,160 drives were eventually replaced for
+// being slow (~1,500 at block level, ~500 more at file system level).
+const (
+	speedSigma  = 0.015 // stddev of the healthy speed factor around 1.0
+	slowFrac    = 0.075 // fraction of drives with a depressed speed factor
+	slowFactor  = 0.82  // mean speed factor of slow drives
+	slowSigma   = 0.05  // spread of slow drives' factors
+	weakFrac    = 0.025 // fraction of drives with elevated tail latency
+	weakTailPr  = 0.02  // per-command excursion probability for weak drives
+	weakTailDur = 60 * sim.Millisecond
+)
 
-// DefaultPopulation mirrors the Spider II acceptance experience.
-func DefaultPopulation() PopulationSpec {
-	return PopulationSpec{
-		SpeedSigma:  0.015,
-		SlowFrac:    0.075,
-		SlowFactor:  0.82,
-		SlowSigma:   0.05,
-		WeakFrac:    0.025,
-		WeakTailPr:  0.02,
-		WeakTailDur: 60 * sim.Millisecond,
-	}
-}
-
-// NewPopulation manufactures n drives with personalities drawn from spec.
-func NewPopulation(eng *sim.Engine, n int, cfg Config, spec PopulationSpec, src *rng.Source) []*Disk {
+// NewPopulation manufactures n drives with personalities drawn from the
+// Spider II batch spread.
+func NewPopulation(eng *sim.Engine, n int, cfg Config, src *rng.Source) []*Disk {
 	disks := make([]*Disk, n)
 	for i := 0; i < n; i++ {
 		h := Nominal()
-		h.SpeedFactor = src.TruncNormal(1.0, spec.SpeedSigma, 0.9, 1.08)
+		h.SpeedFactor = src.TruncNormal(1.0, speedSigma, 0.9, 1.08)
 		switch {
-		case src.Bool(spec.SlowFrac):
-			h.SpeedFactor = src.TruncNormal(spec.SlowFactor, spec.SlowSigma, 0.6, 0.95)
-		case src.Bool(spec.WeakFrac / (1 - spec.SlowFrac)):
-			h.TailProb = spec.WeakTailPr
-			h.TailScale = spec.WeakTailDur
+		case src.Bool(slowFrac):
+			h.SpeedFactor = src.TruncNormal(slowFactor, slowSigma, 0.6, 0.95)
+		case src.Bool(weakFrac / (1 - slowFrac)):
+			h.TailProb = weakTailPr
+			h.TailScale = weakTailDur
 		}
 		disks[i] = New(eng, i, cfg, h, src.Split(fmt.Sprintf("disk-%d", i)))
 	}

@@ -175,8 +175,7 @@ func TestZonedTransferInnerSlower(t *testing.T) {
 func TestPopulationSpread(t *testing.T) {
 	eng := sim.NewEngine()
 	src := rng.New(7)
-	spec := DefaultPopulation()
-	disks := NewPopulation(eng, 5000, NLSAS2TB(), spec, src)
+	disks := NewPopulation(eng, 5000, NLSAS2TB(), src)
 	if len(disks) != 5000 {
 		t.Fatalf("population size %d", len(disks))
 	}
@@ -203,7 +202,7 @@ func TestPopulationSpread(t *testing.T) {
 func TestPopulationDeterminism(t *testing.T) {
 	mk := func() []float64 {
 		eng := sim.NewEngine()
-		disks := NewPopulation(eng, 100, NLSAS2TB(), DefaultPopulation(), rng.New(42))
+		disks := NewPopulation(eng, 100, NLSAS2TB(), rng.New(42))
 		out := make([]float64, len(disks))
 		for i, d := range disks {
 			out[i] = d.Health().SpeedFactor

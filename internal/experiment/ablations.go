@@ -48,7 +48,7 @@ func recoveryStall(seed uint64, imperative bool) sim.Time {
 	var file *lustre.File
 	fs.CreateOn("app/out", []int{0}, func(f *lustre.File) { file = f })
 	eng.Run()
-	_ = lustre.FailOSS(fs, 0, lustre.DefaultRecovery(imperative), nil) // OSS 0 of a fresh namespace is up
+	_ = lustre.FailOSS(fs, 0, imperative, nil) // OSS 0 of a fresh namespace is up
 	start := eng.Now()
 	var doneAt sim.Time
 	client.WriteStream(file, 8<<20, 1<<20, func(int64) { doneAt = eng.Now() })
@@ -89,7 +89,7 @@ func A4(seed uint64) Result {
 		eng := sim.NewEngine()
 		fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(seed))
 		if mdts > 1 {
-			fs.EnableDNE(mdts, lustre.Spider2MDS())
+			fs.EnableDNE(mdts)
 		}
 		start := eng.Now()
 		issued := 0

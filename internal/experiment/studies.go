@@ -152,10 +152,8 @@ func E3(seed uint64) Result {
 // down to a 5x4x4 torus with 16 routers in 4 groups and 32 OSSes.
 func miniFabric() (*sim.Engine, *netsim.Fabric) {
 	eng := sim.NewEngine()
-	cfg := netsim.Spider2Fabric()
-	cfg.Torus = topology.Torus{NX: 5, NY: 4, NZ: 4}
-	pl := topology.PlaceRouters(topology.CabinetGrid{Cols: 5, Rows: 2}, cfg.Torus, 16, 4)
-	return eng, netsim.NewFabric(eng, cfg, pl, 32)
+	torus, pl := topology.MiniTitan()
+	return eng, netsim.NewFabric(eng, netsim.FabricConfig{Torus: torus}, pl, 32)
 }
 
 // E4 streams 48 x 1 GB client flows over the mini fabric under fine-
@@ -414,7 +412,7 @@ func E12(seed uint64) Result {
 	}
 	eng := sim.NewEngine()
 	src := rng.New(seed)
-	g := raid.BuildGroups(eng, 1, raid.Spider2Group(), disk.NLSAS2TB(), disk.DefaultPopulation(), src.Split("g"))[0]
+	g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("g"))[0]
 	block := benchsuite.RunBlockLevel(eng, g, sweep, src.Split("b"))
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(seed+1))
 	fsc := benchsuite.RunFSLevel(fs, sweep, src.Split("f"))

@@ -189,7 +189,7 @@ func HumanErrorScenario(layout raid.EnclosureLayout, seed uint64) IncidentReport
 	eng := sim.NewEngine()
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 64 << 20
-	groups := raid.BuildGroups(eng, 4, raid.Spider2Group(), dcfg, disk.DefaultPopulation(), rng.New(seed))
+	groups := raid.BuildGroups(eng, 4, dcfg, rng.New(seed))
 	for _, g := range groups {
 		g.RebuildPause = 30 * sim.Minute
 		g.RebuildChunk = 8

@@ -14,7 +14,7 @@ import (
 func smallGroups(eng *sim.Engine, n int, seed uint64) []*raid.Group {
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 64 << 20
-	return raid.BuildGroups(eng, n, raid.Spider2Group(), dcfg, disk.DefaultPopulation(), rng.New(seed))
+	return raid.BuildGroups(eng, n, dcfg, rng.New(seed))
 }
 
 func TestInjectorFailsAndRebuilds(t *testing.T) {

@@ -9,24 +9,19 @@ import (
 	"spiderfs/internal/sim"
 )
 
-// Params sizes a namespace build. One SSU carries OSTsPerSSU RAID
-// groups behind one controller couplet and OSSPerSSU object storage
-// servers.
+// Params sizes a namespace build. One SSU carries OSTsPerSSU Spider II
+// RAID groups (raid.Spider2Group) behind one controller couplet and
+// OSSPerSSU object storage servers.
 type Params struct {
 	Name       string
 	NumSSU     int
 	OSTsPerSSU int
 	OSSPerSSU  int
 
-	GroupCfg raid.GroupConfig
-	DiskCfg  disk.Config
-	DiskSpec disk.PopulationSpec
-	CtrlCfg  ControllerConfig
-	OSSCfg   OSSConfig
-	MDSCfg   MDSConfig
-
-	DefaultStripeCount int
-	DefaultStripeSize  int64
+	DiskCfg disk.Config
+	CtrlCfg ControllerConfig
+	OSSCfg  OSSConfig
+	MDSCfg  MDSConfig
 }
 
 // Spider2Namespace returns one of Spider II's two namespaces at full
@@ -34,18 +29,14 @@ type Params struct {
 // OSSes (the real file system was 36 SSUs split into two namespaces).
 func Spider2Namespace() Params {
 	return Params{
-		Name:               "atlas1",
-		NumSSU:             18,
-		OSTsPerSSU:         56,
-		OSSPerSSU:          8,
-		GroupCfg:           raid.Spider2Group(),
-		DiskCfg:            disk.NLSAS2TB(),
-		DiskSpec:           disk.DefaultPopulation(),
-		CtrlCfg:            Spider2Controller(),
-		OSSCfg:             Spider2OSS(),
-		MDSCfg:             Spider2MDS(),
-		DefaultStripeCount: 4,
-		DefaultStripeSize:  1 << 20,
+		Name:       "atlas1",
+		NumSSU:     18,
+		OSTsPerSSU: 56,
+		OSSPerSSU:  8,
+		DiskCfg:    disk.NLSAS2TB(),
+		CtrlCfg:    Spider2Controller(),
+		OSSCfg:     Spider2OSS(),
+		MDSCfg:     Spider2MDS(),
 	}
 }
 
@@ -89,7 +80,7 @@ func Build(eng *sim.Engine, p Params, src *rng.Source) *FS {
 	for ssu := 0; ssu < p.NumSSU; ssu++ {
 		ctrl := NewController(eng, ssu, p.CtrlCfg)
 		ctrls = append(ctrls, ctrl)
-		groups := raid.BuildGroups(eng, p.OSTsPerSSU, p.GroupCfg, p.DiskCfg, p.DiskSpec, src.Split(fmt.Sprintf("ssu-%d", ssu)))
+		groups := raid.BuildGroups(eng, p.OSTsPerSSU, p.DiskCfg, src.Split(fmt.Sprintf("ssu-%d", ssu)))
 		ssuOSSBase := len(osses)
 		for i := 0; i < p.OSSPerSSU; i++ {
 			osses = append(osses, NewOSS(eng, ssuOSSBase+i, p.OSSCfg))
@@ -101,8 +92,5 @@ func Build(eng *sim.Engine, p Params, src *rng.Source) *FS {
 			ostID++
 		}
 	}
-	fs := NewFS(eng, p.Name, NewMDS(eng, p.MDSCfg), osts, osses, ctrls, ostOSS)
-	fs.DefaultStripeCount = p.DefaultStripeCount
-	fs.DefaultStripeSize = p.DefaultStripeSize
-	return fs
+	return NewFS(eng, p.Name, NewMDS(eng, p.MDSCfg), osts, osses, ctrls, ostOSS)
 }

@@ -85,7 +85,7 @@ func TestImperativeRecoveryShortensOutage(t *testing.T) {
 		eng := sim.NewEngine()
 		fs := Build(eng, TestNamespace(), rng.New(80))
 		var outage sim.Time
-		FailOSS(fs, 0, DefaultRecovery(imperative), func(d sim.Time) { outage = d })
+		FailOSS(fs, 0, imperative, func(d sim.Time) { outage = d })
 		eng.Run()
 		return outage
 	}
@@ -107,29 +107,28 @@ func TestFailOSSStallsApplicationWrites(t *testing.T) {
 	var file *File
 	fs.CreateOn("app/f", []int{0}, func(f *File) { file = f }) // OST0 -> OSS0
 	eng.Run()
-	cfg := DefaultRecovery(true)
-	FailOSS(fs, 0, cfg, nil)
+	FailOSS(fs, 0, true, nil)
 	var doneAt sim.Time
 	client.WriteStream(file, 4<<20, 1<<20, func(int64) { doneAt = eng.Now() })
 	eng.Run()
-	if doneAt < cfg.OutageDuration() {
-		t.Fatalf("write finished at %v, before the %v outage ended", doneAt, cfg.OutageDuration())
+	if doneAt < outageDuration(true) {
+		t.Fatalf("write finished at %v, before the %v outage ended", doneAt, outageDuration(true))
 	}
 }
 
 func TestDoubleFailReturnsError(t *testing.T) {
 	eng := sim.NewEngine()
 	fs := Build(eng, TestNamespace(), rng.New(82))
-	if err := FailOSS(fs, 0, DefaultRecovery(true), nil); err != nil {
+	if err := FailOSS(fs, 0, true, nil); err != nil {
 		t.Fatalf("first fault: %v", err)
 	}
-	if err := FailOSS(fs, 0, DefaultRecovery(true), nil); err == nil {
+	if err := FailOSS(fs, 0, true, nil); err == nil {
 		t.Fatal("faulting a down OSS should return an error")
 	}
 	if fs.OSSes[0].DoubleFaults != 1 {
 		t.Fatalf("DoubleFaults = %d, want 1", fs.OSSes[0].DoubleFaults)
 	}
-	if err := FailOSS(fs, len(fs.OSSes), DefaultRecovery(true), nil); err == nil {
+	if err := FailOSS(fs, len(fs.OSSes), true, nil); err == nil {
 		t.Fatal("out-of-range OSS index should return an error")
 	}
 	// The run stays healthy: recovery completes as scheduled.
@@ -175,15 +174,14 @@ func TestRPCWatchdogCountsStalledSends(t *testing.T) {
 	// 345 s outage under exponential backoff: the watchdog fires at
 	// t=100 s (base) and t=300 s (backed-off 200 s arm); the 400 s arm
 	// is cancelled when the OSS recovers at 345 s.
-	cfg := DefaultRecovery(false)
-	if err := FailOSS(fs, 0, cfg, nil); err != nil {
+	if err := FailOSS(fs, 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	client.WriteStream(file, 1<<20, 1<<20, nil)
 	eng.Run()
 	if client.RPCTimeouts != 2 || client.RPCRetries != 2 {
 		t.Fatalf("timeouts/retries = %d/%d, want 2/2 across the %v outage",
-			client.RPCTimeouts, client.RPCRetries, cfg.OutageDuration())
+			client.RPCTimeouts, client.RPCRetries, outageDuration(false))
 	}
 	if client.BackoffWaits != 1 || client.BackoffWait != 100*sim.Second {
 		t.Fatalf("backoff waits/extra = %d/%v, want 1/100s",
@@ -203,7 +201,7 @@ func TestRPCWatchdogCountsStalledSends(t *testing.T) {
 func TestDNEShardsMetadata(t *testing.T) {
 	eng := sim.NewEngine()
 	fs := Build(eng, TestNamespace(), rng.New(83))
-	fs.EnableDNE(4, Spider2MDS())
+	fs.EnableDNE(4)
 	if len(fs.MDTs) != 4 {
 		t.Fatalf("MDTs = %d", len(fs.MDTs))
 	}
@@ -234,7 +232,7 @@ func TestDNEShardsMetadata(t *testing.T) {
 func TestDNESameDirSameMDT(t *testing.T) {
 	eng := sim.NewEngine()
 	fs := Build(eng, TestNamespace(), rng.New(84))
-	fs.EnableDNE(4, Spider2MDS())
+	fs.EnableDNE(4)
 	for i := 0; i < 20; i++ {
 		fs.Create(fmt.Sprintf("fixed/f%02d", i), 1, nil)
 	}
@@ -255,7 +253,7 @@ func TestDNERaisesMetadataThroughput(t *testing.T) {
 		eng := sim.NewEngine()
 		fs := Build(eng, TestNamespace(), rng.New(85))
 		if mdts > 1 {
-			fs.EnableDNE(mdts, Spider2MDS())
+			fs.EnableDNE(mdts)
 		}
 		start := eng.Now()
 		issued := 0

@@ -61,14 +61,18 @@ type FS struct {
 	Ctrls  []*Controller
 	ostOSS []int // OST index -> OSS index
 
-	DefaultStripeCount int
-	DefaultStripeSize  int64
-
 	root    *Dir
 	nextOST int
 
 	NumFiles int64
 }
+
+// The namespace default layout: a file created with stripe count 0 is
+// striped 4 wide in 1 MiB stripes, one full RAID stripe per OST.
+const (
+	defaultStripeCount = 4
+	defaultStripeSize  = 1 << 20
+)
 
 // NewFS assembles a namespace from prebuilt components. ostOSS maps each
 // OST to its serving OSS.
@@ -78,18 +82,18 @@ func NewFS(eng *sim.Engine, name string, mds *MDS, osts []*OST, osses []*OSS, ct
 	}
 	return &FS{
 		Name: name, eng: eng, MDS: mds, MDTs: []*MDS{mds}, OSTs: osts, OSSes: osses, Ctrls: ctrls,
-		ostOSS: ostOSS, DefaultStripeCount: 4, DefaultStripeSize: 1 << 20,
-		root: newDir("/"),
+		ostOSS: ostOSS, root: newDir("/"),
 	}
 }
 
 // EnableDNE adds n-1 extra metadata targets (n total), sharding
 // top-level directories across them by name hash. Legacy clients
 // blocked DNE at OLCF; the paper recommends DNE plus multiple
-// namespaces once clients allow it.
-func (fs *FS) EnableDNE(n int, cfg MDSConfig) {
+// namespaces once clients allow it. The extra targets run the
+// production MDS profile.
+func (fs *FS) EnableDNE(n int) {
 	for len(fs.MDTs) < n {
-		fs.MDTs = append(fs.MDTs, NewMDS(fs.eng, cfg))
+		fs.MDTs = append(fs.MDTs, NewMDS(fs.eng, Spider2MDS()))
 	}
 }
 
@@ -236,7 +240,7 @@ func (fs *FS) allocateOSTs(stripeCount int) []int {
 // default) and calls done with it after the MDS create completes.
 func (fs *FS) Create(path string, stripeCount int, done func(*File)) {
 	if stripeCount <= 0 {
-		stripeCount = fs.DefaultStripeCount
+		stripeCount = defaultStripeCount
 	}
 	fs.CreateOn(path, fs.allocateOSTs(stripeCount), done)
 }
@@ -255,7 +259,7 @@ func (fs *FS) CreateOn(path string, osts []int, done func(*File)) {
 	}
 	f := &File{
 		Path:       path,
-		StripeSize: fs.DefaultStripeSize,
+		StripeSize: defaultStripeSize,
 		OSTIndices: append([]int(nil), osts...),
 		CTime:      fs.eng.Now(),
 		MTime:      fs.eng.Now(),

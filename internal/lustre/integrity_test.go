@@ -25,7 +25,7 @@ func backoffOutageRun(t *testing.T, src *rng.Source) *Client {
 	var file *File
 	fs.CreateOn("app/f", []int{0}, func(f *File) { file = f })
 	eng.Run()
-	if err := FailOSS(fs, 0, DefaultRecovery(false), nil); err != nil {
+	if err := FailOSS(fs, 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	client.WriteStream(file, 1<<20, 1<<20, nil)
@@ -51,7 +51,7 @@ func TestBackoffCapBoundsRetrySpacing(t *testing.T) {
 	// Fixed re-arms at the base timeout would fire once per watchdog
 	// over the whole outage: 345 s / 20 s = 17 times. The doubling
 	// schedule, capped at 8x the base, fires far fewer.
-	fixed := uint64(DefaultRecovery(false).OutageDuration() / backoffTimeout)
+	fixed := uint64(outageDuration(false) / backoffTimeout)
 	expo := backoffOutageRun(t, nil)
 	if expo.RPCTimeouts >= fixed {
 		t.Fatalf("exponential backoff fired %d vs %d fixed re-arms; backoff should reduce retries",

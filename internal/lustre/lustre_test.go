@@ -3,6 +3,7 @@ package lustre
 import (
 	"testing"
 
+	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/topology"
@@ -36,7 +37,7 @@ func TestSpider2NamespaceShape(t *testing.T) {
 		t.Fatalf("OSSes per namespace = %d, want 144", p.NumSSU*p.OSSPerSSU)
 	}
 	// 10,080 disks * 2 TB ~ 20 PB raw per namespace; 16 PB data.
-	raw := int64(p.NumSSU*p.OSTsPerSSU*p.GroupCfg.Width()) * p.DiskCfg.Capacity
+	raw := int64(p.NumSSU*p.OSTsPerSSU*raid.Spider2Group().Width()) * p.DiskCfg.Capacity
 	if raw != 20_160_000_000_000_000/1*2016/2016 {
 		// 10,080 * 2e12 = 2.016e16
 		if raw != 20_160_000_000_000_000 {

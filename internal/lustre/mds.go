@@ -4,27 +4,25 @@ import "spiderfs/internal/sim"
 
 // MDSConfig sets the metadata server's service profile. Lustre (pre-DNE)
 // supports a single MDS per namespace — the central scaling limit that
-// drove OLCF to multiple namespaces (Lesson 10).
+// drove OLCF to multiple namespaces (Lesson 10). Stat is its one knob:
+// the stripe-count ablation shrinks it to expose the OSS glimpse cost.
 type MDSConfig struct {
-	Threads int
-	Create  sim.Time
-	Stat    sim.Time
-	Unlink  sim.Time
-	Mkdir   sim.Time
-	Lookup  sim.Time
+	Stat sim.Time
 }
 
-// Spider2MDS returns a production-class MDS profile (~20k creates/s,
-// ~50k stats/s peak).
+// The rest of the production-class MDS profile (~20k creates/s, ~50k
+// stats/s peak).
+const (
+	mdsThreads = 8
+	mdsCreate  = 400 * sim.Microsecond
+	mdsUnlink  = 300 * sim.Microsecond
+	mdsMkdir   = 250 * sim.Microsecond
+	mdsLookup  = 80 * sim.Microsecond
+)
+
+// Spider2MDS returns the production-class MDS profile.
 func Spider2MDS() MDSConfig {
-	return MDSConfig{
-		Threads: 8,
-		Create:  400 * sim.Microsecond,
-		Stat:    150 * sim.Microsecond,
-		Unlink:  300 * sim.Microsecond,
-		Mkdir:   250 * sim.Microsecond,
-		Lookup:  80 * sim.Microsecond,
-	}
+	return MDSConfig{Stat: 150 * sim.Microsecond}
 }
 
 // MDS is the metadata server of one namespace.
@@ -37,10 +35,7 @@ type MDS struct {
 
 // NewMDS builds an MDS on eng.
 func NewMDS(eng *sim.Engine, cfg MDSConfig) *MDS {
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	return &MDS{cfg: cfg, srv: sim.NewServer(eng, "mds", cfg.Threads)}
+	return &MDS{cfg: cfg, srv: sim.NewServer(eng, "mds", mdsThreads)}
 }
 
 // Utilization reports the MDS thread-pool busy fraction — the saturation
@@ -58,8 +53,8 @@ func (m *MDS) Ops() uint64 {
 	return m.Creates + m.Stats + m.Unlinks + m.Mkdirs + m.Lookups
 }
 
-func (m *MDS) create(done func()) { m.Creates++; m.srv.Submit(m.cfg.Create, done) }
+func (m *MDS) create(done func()) { m.Creates++; m.srv.Submit(mdsCreate, done) }
 func (m *MDS) stat(done func())   { m.Stats++; m.srv.Submit(m.cfg.Stat, done) }
-func (m *MDS) unlink(done func()) { m.Unlinks++; m.srv.Submit(m.cfg.Unlink, done) }
-func (m *MDS) mkdir(done func())  { m.Mkdirs++; m.srv.Submit(m.cfg.Mkdir, done) }
-func (m *MDS) lookup(done func()) { m.Lookups++; m.srv.Submit(m.cfg.Lookup, done) }
+func (m *MDS) unlink(done func()) { m.Unlinks++; m.srv.Submit(mdsUnlink, done) }
+func (m *MDS) mkdir(done func())  { m.Mkdirs++; m.srv.Submit(mdsMkdir, done) }
+func (m *MDS) lookup(done func()) { m.Lookups++; m.srv.Submit(mdsLookup, done) }

@@ -5,18 +5,22 @@ import (
 	"spiderfs/internal/spantrace"
 )
 
-// OSSConfig describes an object storage server's CPU budget.
+// OSSConfig describes an object storage server's CPU budget. Cores is
+// its one knob: the stripe-count ablation runs single-core servers.
 type OSSConfig struct {
-	Cores       int
-	FixedPerRPC sim.Time // obdfilter + ptlrpc per-request software cost
-	PerByte     sim.Time // data-movement CPU cost per byte
+	Cores int
 }
 
-// Spider2OSS returns the production OSS class: the software path costs
-// ~1 ns/byte (so ~1 GB/s per core of copy work) plus tens of
-// microseconds of per-RPC overhead.
+// The production OSS software path costs ~1 ns/byte (so ~1 GB/s per
+// core of copy work) plus tens of microseconds of per-RPC overhead.
+const (
+	ossFixedPerRPC = 30 * sim.Microsecond // obdfilter + ptlrpc per-request software cost
+	ossPerByte     = 1                    // data-movement CPU cost per byte, in ns
+)
+
+// Spider2OSS returns the production OSS class.
 func Spider2OSS() OSSConfig {
-	return OSSConfig{Cores: 8, FixedPerRPC: 30 * sim.Microsecond, PerByte: 1}
+	return OSSConfig{Cores: 8}
 }
 
 // OSS is one object storage server fronting several OSTs. Every data RPC
@@ -75,7 +79,7 @@ func (s *OSS) Service(size int64, done func()) {
 	}
 	s.RPCs++
 	s.Bytes += size
-	t := s.cfg.FixedPerRPC + sim.Time(size)*s.cfg.PerByte
+	t := ossFixedPerRPC + sim.Time(size)*ossPerByte
 	sp := s.tracer.Begin(spantrace.OSS, "oss-service", s.tracer.Cur(), size)
 	cb := done
 	if sp != 0 {
@@ -99,7 +103,7 @@ func (s *OSS) Glimpse(done func()) {
 		return
 	}
 	s.RPCs++
-	s.cpu.Submit(s.cfg.FixedPerRPC/2, done)
+	s.cpu.Submit(ossFixedPerRPC/2, done)
 }
 
 // Fail takes the server down; requests stall until Recover.

@@ -91,16 +91,15 @@ func TestSameInstantCompletionsDeterministic(t *testing.T) {
 // along: each caller's done must fire exactly once and every span
 // must close.
 func TestFabricResetDeterministicReuse(t *testing.T) {
-	cfg := Spider2Fabric()
-	cfg.Torus = topology.Torus{NX: 5, NY: 4, NZ: 4}
-	pl := topology.PlaceRouters(topology.CabinetGrid{Cols: 5, Rows: 2}, cfg.Torus, 16, 4)
+	torus, pl := topology.MiniTitan()
+	cfg := FabricConfig{Torus: torus}
 	scenario := func(eng *sim.Engine, f *Fabric) (uint64, uint64, float64) {
 		th := sim.NewTraceHash()
 		eng.SetTrace(th.Observe)
 		f.SetNotification(true)
 		src := rng.New(3)
 		send := func() {
-			c := cfg.Torus.CoordOf(src.Intn(cfg.Torus.Nodes()))
+			c := torus.CoordOf(src.Intn(torus.Nodes()))
 			f.StartClientFlow(c, src.Intn(8), RouteFGR, 16e6, src, nil)
 		}
 		for i := 0; i < 200; i++ {
@@ -201,14 +200,13 @@ func TestFabricRunDeterministic(t *testing.T) {
 		eng := sim.NewEngine()
 		th := sim.NewTraceHash()
 		eng.SetTrace(th.Observe)
-		cfg := Spider2Fabric()
-		cfg.Torus = topology.Torus{NX: 5, NY: 4, NZ: 4}
-		pl := topology.PlaceRouters(topology.CabinetGrid{Cols: 5, Rows: 2}, cfg.Torus, 16, 4)
+		torus, pl := topology.MiniTitan()
+		cfg := FabricConfig{Torus: torus}
 		f := NewFabric(eng, cfg, pl, 8)
 		f.SetNotification(true)
 		src := rng.New(3)
 		send := func() {
-			c := cfg.Torus.CoordOf(src.Intn(cfg.Torus.Nodes()))
+			c := torus.CoordOf(src.Intn(torus.Nodes()))
 			f.StartClientFlow(c, src.Intn(8), RouteFGR, 16e6, src, nil)
 		}
 		for i := 0; i < 200; i++ {

@@ -9,39 +9,34 @@ import (
 	"spiderfs/internal/topology"
 )
 
-// FabricConfig sets the link capacities of the end-to-end I/O path.
-// Defaults mirror the Titan/Spider II deployment: Gemini torus links of
-// a few GB/s with a slower Y dimension, LNET routers forwarding ~2.8
-// GB/s each, and FDR InfiniBand at ~6 GB/s per port.
+// FabricConfig sets the shape of the end-to-end I/O path. Its one knob
+// is the torus: the full Titan machine, or the miniature the small
+// center and the unit tests route over.
 type FabricConfig struct {
 	Torus topology.Torus
-
-	GeminiXBps   float64
-	GeminiYBps   float64
-	GeminiZBps   float64
-	InjectBps    float64 // compute node NIC injection
-	RouterBps    float64 // LNET router forwarding capacity
-	IBPortBps    float64 // router/OSS <-> leaf switch port
-	CoreTrunkBps float64 // leaf <-> core aggregate trunk
-
-	GeminiLatency sim.Time
-	IBLatency     sim.Time
 }
 
-// Spider2Fabric returns the production-like configuration.
+// Link capacities and latencies of the Titan/Spider II deployment:
+// Gemini torus links of a few GB/s with a slower Y dimension, LNET
+// routers forwarding ~2.8 GB/s each, and FDR InfiniBand at ~6 GB/s per
+// port.
+const (
+	geminiXBps   = 9.4e9
+	geminiYBps   = 4.7e9 // Gemini's Y dimension has half the links
+	geminiZBps   = 9.4e9
+	injectBps    = 2.9e9 // compute node NIC injection
+	routerBps    = 2.8e9 // LNET router forwarding capacity
+	ibPortBps    = 6.0e9 // router/OSS <-> leaf switch port
+	coreTrunkBps = 40e9  // leaf <-> core aggregate trunk
+
+	geminiLatency = 2 * sim.Microsecond
+	ibLatency     = 1 * sim.Microsecond
+)
+
+// Spider2Fabric returns the production configuration: Titan's full
+// torus.
 func Spider2Fabric() FabricConfig {
-	return FabricConfig{
-		Torus:         topology.TitanTorus(),
-		GeminiXBps:    9.4e9,
-		GeminiYBps:    4.7e9, // Gemini's Y dimension has half the links
-		GeminiZBps:    9.4e9,
-		InjectBps:     2.9e9,
-		RouterBps:     2.8e9,
-		IBPortBps:     6.0e9,
-		CoreTrunkBps:  40e9,
-		GeminiLatency: 2 * sim.Microsecond,
-		IBLatency:     1 * sim.Microsecond,
-	}
+	return FabricConfig{Torus: topology.TitanTorus()}
 }
 
 // Fabric is the built network: torus links, injection links, router
@@ -191,12 +186,12 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 		f.gem[i] = make([]*Link, 6)
 		at := linkName{a: int32(c.X), b: int32(c.Y), c: int32(c.Z)}
 		// Capacities in direction order, dirXPlus through dirZMinus.
-		for dir, bps := range [6]float64{cfg.GeminiXBps, cfg.GeminiXBps, cfg.GeminiYBps, cfg.GeminiYBps, cfg.GeminiZBps, cfg.GeminiZBps} {
+		for dir, bps := range [6]float64{geminiXBps, geminiXBps, geminiYBps, geminiYBps, geminiZBps, geminiZBps} {
 			at.kind, at.dir = linkGemini, uint8(dir)
-			f.gem[i][dir] = f.Net.newLink(at, bps, cfg.GeminiLatency)
+			f.gem[i][dir] = f.Net.newLink(at, bps, geminiLatency)
 		}
 		at.kind = linkInject
-		f.inject[i] = f.Net.newLink(at, cfg.InjectBps, cfg.GeminiLatency)
+		f.inject[i] = f.Net.newLink(at, injectBps, geminiLatency)
 	}
 
 	nRouters := 4 * len(placement.Modules)
@@ -205,16 +200,16 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 	for _, m := range placement.Modules {
 		for k, rid := range m.RouterIDs {
 			sw := m.Group*topology.SwitchesPerGroup + k
-			f.routerFwd[rid] = f.Net.newLink(linkName{kind: linkRouterFwd, a: int32(rid)}, cfg.RouterBps, cfg.IBLatency)
-			f.routerUp[rid] = f.Net.newLink(linkName{kind: linkRouterUp, a: int32(rid), b: int32(sw)}, cfg.IBPortBps, cfg.IBLatency)
+			f.routerFwd[rid] = f.Net.newLink(linkName{kind: linkRouterFwd, a: int32(rid)}, routerBps, ibLatency)
+			f.routerUp[rid] = f.Net.newLink(linkName{kind: linkRouterUp, a: int32(rid), b: int32(sw)}, ibPortBps, ibLatency)
 		}
 	}
 
 	f.coreUp = make([]*Link, f.nLeaves)
 	f.coreDown = make([]*Link, f.nLeaves)
 	for s := 0; s < f.nLeaves; s++ {
-		f.coreUp[s] = f.Net.newLink(linkName{kind: linkLeafCore, a: int32(s)}, cfg.CoreTrunkBps, cfg.IBLatency)
-		f.coreDown[s] = f.Net.newLink(linkName{kind: linkCoreLeaf, a: int32(s)}, cfg.CoreTrunkBps, cfg.IBLatency)
+		f.coreUp[s] = f.Net.newLink(linkName{kind: linkLeafCore, a: int32(s)}, coreTrunkBps, ibLatency)
+		f.coreDown[s] = f.Net.newLink(linkName{kind: linkCoreLeaf, a: int32(s)}, coreTrunkBps, ibLatency)
 	}
 
 	f.ossLeaf = make([]int, nOSS)
@@ -222,7 +217,7 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 	for i := 0; i < nOSS; i++ {
 		leaf := i % f.nLeaves
 		f.ossLeaf[i] = leaf
-		f.ossPort[i] = f.Net.newLink(linkName{kind: linkLeafOSS, a: int32(leaf), b: int32(i)}, cfg.IBPortBps, cfg.IBLatency)
+		f.ossPort[i] = f.Net.newLink(linkName{kind: linkLeafOSS, a: int32(leaf), b: int32(i)}, ibPortBps, ibLatency)
 	}
 	return f
 }

@@ -9,14 +9,11 @@ import (
 	"spiderfs/internal/topology"
 )
 
-// smallFabric builds a reduced machine for unit tests: 5x4x4 torus,
-// 16 modules, 4 groups (16 leaves), 32 OSSes.
+// smallFabric builds a reduced machine for unit tests: the MiniTitan
+// torus, 16 modules, 4 groups (16 leaves), 32 OSSes.
 func smallFabric(eng *sim.Engine) *Fabric {
-	cfg := Spider2Fabric()
-	cfg.Torus = topology.Torus{NX: 5, NY: 4, NZ: 4}
-	grid := topology.CabinetGrid{Cols: 5, Rows: 2}
-	pl := topology.PlaceRouters(grid, cfg.Torus, 16, 4)
-	return NewFabric(eng, cfg, pl, 32)
+	torus, pl := topology.MiniTitan()
+	return NewFabric(eng, FabricConfig{Torus: torus}, pl, 32)
 }
 
 func TestFabricConstruction(t *testing.T) {

@@ -1,6 +1,7 @@
 package qa
 
 import (
+	"fmt"
 	"testing"
 
 	"spiderfs/internal/disk"
@@ -14,7 +15,7 @@ import (
 func buildFleet(eng *sim.Engine, nGroups int, seed uint64) []*raid.Group {
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 1 << 30
-	return raid.BuildGroups(eng, nGroups, raid.Spider2Group(), dcfg, disk.DefaultPopulation(), rng.New(seed))
+	return raid.BuildGroups(eng, nGroups, dcfg, rng.New(seed))
 }
 
 func TestEliminationTightensSpread(t *testing.T) {
@@ -60,8 +61,21 @@ func TestEliminationConvergesOnCleanFleet(t *testing.T) {
 	eng := sim.NewEngine()
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 1 << 30
-	spec := disk.PopulationSpec{SpeedSigma: 0.005, SlowFrac: 0, SlowFactor: 0.8, SlowSigma: 0.01, WeakFrac: 0}
-	groups := raid.BuildGroups(eng, 12, raid.Spider2Group(), dcfg, spec, rng.New(5))
+	// A clean batch: healthy speed factors drawn tight around spec
+	// (sigma 0.005), no slow and no weak drives.
+	gcfg := raid.Spider2Group()
+	src := rng.New(5)
+	groups := make([]*raid.Group, 12)
+	for g := range groups {
+		members := make([]*disk.Disk, gcfg.Width())
+		for i := range members {
+			h := disk.Nominal()
+			h.SpeedFactor = src.TruncNormal(1.0, 0.005, 0.9, 1.08)
+			id := g*gcfg.Width() + i
+			members[i] = disk.New(eng, id, dcfg, h, src.Split(fmt.Sprintf("disk-%d", id)))
+		}
+		groups[g] = raid.NewGroup(eng, g, gcfg, members)
+	}
 	cfg := DefaultElimination()
 	cfg.BenchBytes = 16 << 20
 	cfg.SpreadTarget = 0.10

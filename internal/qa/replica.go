@@ -19,7 +19,7 @@ func SlowDiskCampaign(groups int, cfg EliminationConfig, fleet, elim *rng.Source
 	eng := sim.NewEngine()
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 1 << 30
-	gs := raid.BuildGroups(eng, groups, raid.Spider2Group(), dcfg, disk.DefaultPopulation(), fleet)
+	gs := raid.BuildGroups(eng, groups, dcfg, fleet)
 	drives := 0
 	for _, g := range gs {
 		drives += len(g.Disks())

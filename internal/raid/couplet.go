@@ -161,12 +161,13 @@ func (c *Couplet) RecoverFiles(src *rng.Source, successRate float64) (recovered,
 	return recovered, lost
 }
 
-// BuildGroups is a convenience that manufactures the disks for n groups
-// under one couplet and returns the groups. Disk personalities are drawn
-// from spec.
-func BuildGroups(eng *sim.Engine, n int, gcfg GroupConfig, dcfg disk.Config, spec disk.PopulationSpec, src *rng.Source) []*Group {
+// BuildGroups is a convenience that manufactures the disks for n Spider
+// II groups under one couplet and returns the groups. Disk personalities
+// are drawn from the Spider II batch spread (disk.NewPopulation).
+func BuildGroups(eng *sim.Engine, n int, dcfg disk.Config, src *rng.Source) []*Group {
+	gcfg := Spider2Group()
 	groups := make([]*Group, n)
-	disks := disk.NewPopulation(eng, n*gcfg.Width(), dcfg, spec, src)
+	disks := disk.NewPopulation(eng, n*gcfg.Width(), dcfg, src)
 	for i := range groups {
 		groups[i] = NewGroup(eng, i, gcfg, disks[i*gcfg.Width():(i+1)*gcfg.Width()])
 	}

@@ -14,7 +14,7 @@ func newCouplet(t *testing.T, layout EnclosureLayout, nGroups int, seed uint64) 
 	src := rng.New(seed)
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 64 << 20
-	groups := BuildGroups(eng, nGroups, Spider2Group(), dcfg, disk.DefaultPopulation(), src)
+	groups := BuildGroups(eng, nGroups, dcfg, src)
 	return eng, NewCouplet(eng, 0, layout, groups)
 }
 
@@ -132,7 +132,7 @@ func TestCoupletLayoutMismatchPanics(t *testing.T) {
 	src := rng.New(8)
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 64 << 20
-	groups := BuildGroups(eng, 1, Spider2Group(), dcfg, disk.DefaultPopulation(), src)
+	groups := BuildGroups(eng, 1, dcfg, src)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on layout mismatch")
@@ -144,7 +144,7 @@ func TestCoupletLayoutMismatchPanics(t *testing.T) {
 func TestBuildGroupsPartitionsDisks(t *testing.T) {
 	eng := sim.NewEngine()
 	src := rng.New(9)
-	groups := BuildGroups(eng, 3, Spider2Group(), disk.NLSAS2TB(), disk.DefaultPopulation(), src)
+	groups := BuildGroups(eng, 3, disk.NLSAS2TB(), src)
 	seen := map[*disk.Disk]bool{}
 	for _, g := range groups {
 		for _, d := range g.Disks() {

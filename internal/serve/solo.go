@@ -22,10 +22,9 @@ type instance struct {
 }
 
 // buildInstance constructs a cold engine/fabric pair. The small shape
-// matches the repo's small center (5x4x4 torus, 16 I/O modules in 4
-// groups, 16 OSSes); full mirrors the production deployment the
-// Spider II congestion benchmark drives (Titan torus, 110 modules, 288
-// OSSes).
+// is the small center's (topology.MiniTitan, 16 OSSes); full mirrors
+// the production deployment the Spider II congestion benchmark drives
+// (Titan torus, 110 modules, 288 OSSes).
 func buildInstance(full bool) *instance {
 	eng := sim.NewEngine()
 	cfg := netsim.Spider2Fabric()
@@ -35,8 +34,7 @@ func buildInstance(full bool) *instance {
 		pl = topology.PlaceRouters(topology.TitanCabinets(), cfg.Torus, 110, 9)
 		nOSS = 288
 	} else {
-		cfg.Torus = topology.Torus{NX: 5, NY: 4, NZ: 4}
-		pl = topology.PlaceRouters(topology.CabinetGrid{Cols: 5, Rows: 2}, cfg.Torus, 16, 4)
+		cfg.Torus, pl = topology.MiniTitan()
 	}
 	return &instance{eng: eng, fab: netsim.NewFabric(eng, cfg, pl, nOSS), full: full}
 }

@@ -108,7 +108,7 @@ func TestRetrySpansAppearDuringOSSOutage(t *testing.T) {
 
 	// Non-imperative recovery stalls clients for minutes; a 5s RPC
 	// watchdog fires repeatedly across the outage.
-	if err := lustre.FailOSS(fs, 0, lustre.DefaultRecovery(false), nil); err != nil {
+	if err := lustre.FailOSS(fs, 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	cl.WriteStream(file, 8<<20, 1<<20, nil)

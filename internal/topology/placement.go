@@ -16,6 +16,14 @@ type CabinetGrid struct {
 // TitanCabinets returns Titan's 25x8 cabinet grid.
 func TitanCabinets() CabinetGrid { return CabinetGrid{Cols: 25, Rows: 8} }
 
+// MiniTitan returns the miniature of Titan's I/O fabric that the small
+// center and the mini-fabric studies route over: a 5x4x4 torus under a
+// 5x2 cabinet grid, with 16 I/O modules (64 routers) in 4 groups.
+func MiniTitan() (Torus, Placement) {
+	t := Torus{NX: 5, NY: 4, NZ: 4}
+	return t, PlaceRouters(CabinetGrid{Cols: 5, Rows: 2}, t, 16, 4)
+}
+
 // Cabinets returns the number of cabinets.
 func (g CabinetGrid) Cabinets() int { return g.Cols * g.Rows }
 

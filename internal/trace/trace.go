@@ -45,15 +45,21 @@ func Write(w io.Writer, logs []Log) error {
 	return enc.Encode(logs)
 }
 
-// Read parses logs written by Write.
+// Read parses logs written by Write. It rejects a log whose Series
+// could not represent it: an interval that rounds below 1 ns, or a span
+// (samples times interval) past sim.MaxTime.
 func Read(r io.Reader) ([]Log, error) {
 	var logs []Log
 	if err := json.NewDecoder(r).Decode(&logs); err != nil {
 		return nil, fmt.Errorf("trace: decoding logs: %w", err)
 	}
 	for i, l := range logs {
-		if l.IntervalMS <= 0 {
-			return nil, fmt.Errorf("trace: log %d (%q) has non-positive interval", i, l.Name)
+		iv := sim.FromSeconds(l.IntervalMS / 1000)
+		switch {
+		case iv < 1:
+			return nil, fmt.Errorf("trace: log %d (%q) has interval %g ms, below 1 ns", i, l.Name, l.IntervalMS)
+		case iv == sim.MaxTime || sim.Time(len(l.SamplesBps)) > sim.MaxTime/iv:
+			return nil, fmt.Errorf("trace: log %d (%q) spans %d samples of %g ms, past the simulated clock's range", i, l.Name, len(l.SamplesBps), l.IntervalMS)
 		}
 	}
 	return logs, nil

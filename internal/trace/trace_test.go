@@ -39,9 +39,18 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsBadInterval(t *testing.T) {
-	r := strings.NewReader(`[{"name":"x","interval_ms":0,"samples_bps":[1]}]`)
-	if _, err := Read(r); err == nil {
-		t.Fatal("expected error on zero interval")
+	for _, tc := range []struct {
+		name, interval string
+	}{
+		{"zero", "0"},
+		{"negative", "-5"},
+		{"below 1 ns", "1e-9"},
+		{"span past MaxTime", "1e15"},
+	} {
+		r := strings.NewReader(`[{"name":"x","interval_ms":` + tc.interval + `,"samples_bps":[1,2,3]}]`)
+		if _, err := Read(r); err == nil {
+			t.Errorf("%s: interval_ms %s accepted", tc.name, tc.interval)
+		}
 	}
 }
 

@@ -223,7 +223,7 @@ func TestFairLIODiskSweepShape(t *testing.T) {
 func TestFairLIOGroupSequentialWrite(t *testing.T) {
 	eng := sim.NewEngine()
 	src := rng.New(41)
-	groups := raid.BuildGroups(eng, 1, raid.Spider2Group(), disk.NLSAS2TB(), disk.DefaultPopulation(), src.Split("g"))
+	groups := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("g"))
 	res := RunFairLIOGroup(eng, groups[0], FairLIOConfig{
 		RequestSize: 1 << 20, QueueDepth: 8, WriteFrac: 1, Random: false,
 		Duration: 2 * sim.Second,

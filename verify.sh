@@ -14,7 +14,8 @@
 #   ./verify.sh all     — all of the above, in order
 #   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API,
 #                         the ledger auditor, the flow solver, the disk
-#                         defect index and the service spec normalizer
+#                         defect index, the service spec normalizer and
+#                         the two trace file readers
 #                         (not part of all: its inputs differ from run
 #                         to run)
 set -eu
@@ -111,7 +112,11 @@ stage_fuzz() {
 	# ScanChunks sequences; FuzzSpecNormalize decodes arbitrary JSON
 	# into a service Spec and checks that Normalize never panics, keeps
 	# an accepted spec within the work caps, and is idempotent on it
-	# (nil error, unchanged Key).
+	# (nil error, unchanged Key); FuzzTraceRead and FuzzReadSpans feed
+	# arbitrary bytes to the throughput-log and span readers that
+	# `iosi -import` and `spidersim ledger replay -spans` cross, which
+	# must never panic: an accepted log yields a positive,
+	# non-overflowing Series, and accepted input round-trips.
 	# go test -fuzz takes one target per invocation; plain go test
 	# already runs every seed corpus. The ledger seed is a 14 KB
 	# campaign export, and every flow op rechecks all active flows:
@@ -122,6 +127,8 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzFlowOps -fuzztime 30s -fuzzminimizetime 2s ./internal/netsim
 	go test -run '^$' -fuzz FuzzMediaOps -fuzztime 30s ./internal/disk
 	go test -run '^$' -fuzz FuzzSpecNormalize -fuzztime 30s ./internal/serve
+	go test -run '^$' -fuzz FuzzTraceRead -fuzztime 30s ./internal/trace
+	go test -run '^$' -fuzz FuzzReadSpans -fuzztime 30s ./internal/trace
 	set +x
 }
 
