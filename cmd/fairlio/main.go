@@ -26,10 +26,32 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed")
 	flag.Parse()
 
-	if *reqSize < 1 {
-		fmt.Fprintln(os.Stderr, "fairlio: -size must be positive")
-		os.Exit(2)
+	dcfg := disk.NLSAS2TB()
+	var capacity int64
+	switch *target {
+	case "disk":
+		capacity = dcfg.Capacity
+	case "group":
+		// A LUN holds one stripe per chunk of a member drive.
+		gcfg := raid.Spider2Group()
+		capacity = dcfg.Capacity / gcfg.ChunkSize * gcfg.StripeDataSize()
+	default:
+		fail("unknown target %q", *target)
 	}
+	dur := sim.FromSeconds(*duration)
+	switch {
+	case *reqSize < 1:
+		fail("-size must be positive")
+	case *reqSize >= capacity:
+		fail("-size must be below the %s capacity of %d bytes", *target, capacity)
+	case *depth < 1:
+		fail("-depth must be at least 1")
+	case !(*writeFrac >= 0 && *writeFrac <= 1):
+		fail("-write must be a fraction in [0, 1]")
+	case dur <= 0:
+		fail("-seconds must be positive")
+	}
+
 	eng := sim.NewEngine()
 	src := rng.New(*seed)
 	cfg := workload.FairLIOConfig{
@@ -37,20 +59,15 @@ func main() {
 		QueueDepth:  *depth,
 		WriteFrac:   *writeFrac,
 		Random:      *random,
-		Duration:    sim.FromSeconds(*duration),
+		Duration:    dur,
 	}
-
-	var res workload.FairLIOResult
-	switch *target {
-	case "disk":
-		d := disk.New(eng, 0, disk.NLSAS2TB(), disk.Nominal(), src.Split("disk"))
+	var res workload.Result
+	if *target == "disk" {
+		d := disk.New(eng, 0, dcfg, disk.Nominal(), src.Split("disk"))
 		res = workload.RunFairLIODisk(eng, d, cfg, src.Split("io"))
-	case "group":
-		g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("grp"))[0]
+	} else {
+		g := raid.BuildGroups(eng, 1, dcfg, src.Split("grp"))[0]
 		res = workload.RunFairLIOGroup(eng, g, cfg, src.Split("io"))
-	default:
-		fmt.Fprintf(os.Stderr, "fairlio: unknown target %q\n", *target)
-		os.Exit(2)
 	}
 
 	mode := "sequential"
@@ -59,8 +76,14 @@ func main() {
 	}
 	fmt.Printf("fair-lio %s %s size=%d qd=%d write=%.0f%%\n",
 		*target, mode, *reqSize, *depth, *writeFrac*100)
-	fmt.Printf("  throughput: %8.1f MB/s\n", res.MBps)
-	fmt.Printf("  IOPS:       %8.0f\n", res.IOPS)
+	fmt.Printf("  throughput: %8.1f MB/s\n", res.MBps())
+	fmt.Printf("  IOPS:       %8.0f\n", res.IOPS())
 	fmt.Printf("  latency:    mean %.2f ms, min %.2f, max %.2f (n=%d)\n",
 		res.LatencyMs.Mean, res.LatencyMs.Min, res.LatencyMs.Max, res.LatencyMs.N)
+}
+
+// fail reports a flag the benchmark cannot honour and exits 2.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "fairlio: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -42,7 +42,14 @@ func run(t *testing.T, args ...string) (int, string, string) {
 // stderr before anything is built, instead of a panic from deep inside
 // the model.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
-	for _, args := range [][]string{{"-size", "0"}, {"-size", "-1"}, {"-target", "disk", "-size", "0"}} {
+	for _, args := range [][]string{
+		{"-size", "0"}, {"-size", "-1"}, {"-target", "disk", "-size", "0"},
+		{"-size", "99999999999999"}, {"-target", "disk", "-size", "3000000000000"},
+		{"-target", "disk", "-random", "-size", "2000000000000"},
+		{"-depth", "0"}, {"-depth", "-3"},
+		{"-write", "1.7"}, {"-write", "-0.1"}, {"-write", "NaN"},
+		{"-seconds", "0"}, {"-seconds", "-1"},
+	} {
 		code, stdout, stderr := run(t, args...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "fairlio: ") || strings.Count(stderr, "\n") != 1 {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one fairlio: line", args, code, stdout, stderr)

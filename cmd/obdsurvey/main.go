@@ -14,11 +14,6 @@ import (
 	"spiderfs/internal/workload"
 )
 
-type objDriver struct{ obj *lustre.Object }
-
-func (d objDriver) Write(size int64, done func())             { d.obj.WriteSync(size, false, done) }
-func (d objDriver) Read(size int64, random bool, done func()) { d.obj.Read(size, random, done) }
-
 func main() {
 	total := flag.Int64("total", 256<<20, "bytes per phase")
 	rpc := flag.Int64("rpc", 1<<20, "object RPC size")
@@ -26,9 +21,13 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed")
 	flag.Parse()
 
-	if *rpc < 1 {
-		fmt.Fprintln(os.Stderr, "obdsurvey: -rpc must be positive")
-		os.Exit(2)
+	switch {
+	case *rpc < 1:
+		fail("-rpc must be positive")
+	case *threads < 1:
+		fail("-threads must be at least 1")
+	case *total < int64(*threads):
+		fail("-total must give each of the %d threads at least one byte", *threads)
 	}
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(*seed))
@@ -36,10 +35,16 @@ func main() {
 	fs.Create("survey/obj", 1, func(f *lustre.File) { file = f })
 	eng.Run()
 
-	res := workload.RunObdSurvey(eng, objDriver{obj: file.Objects[0]}, *total, *rpc, *threads)
+	res := workload.RunObdSurvey(eng, file.Objects[0], *total, *rpc, *threads)
 	fmt.Printf("obdfilter-survey: total=%d MiB rpc=%d KiB threads=%d\n",
 		*total>>20, *rpc>>10, *threads)
 	fmt.Printf("  write:   %8.1f MB/s\n", res.WriteMBps)
 	fmt.Printf("  rewrite: %8.1f MB/s\n", res.RewriteMBps)
 	fmt.Printf("  read:    %8.1f MB/s\n", res.ReadMBps)
+}
+
+// fail reports a flag the survey cannot honour and exits 2.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "obdsurvey: "+format+"\n", args...)
+	os.Exit(2)
 }

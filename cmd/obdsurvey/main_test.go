@@ -42,7 +42,11 @@ func run(t *testing.T, args ...string) (int, string, string) {
 // stderr before anything is built, instead of a panic from deep inside
 // the model.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
-	for _, args := range [][]string{{"-rpc", "0"}, {"-rpc", "-1"}} {
+	for _, args := range [][]string{
+		{"-rpc", "0"}, {"-rpc", "-1"},
+		{"-threads", "0"}, {"-threads", "-2"},
+		{"-total", "0"}, {"-total", "7"},
+	} {
 		code, stdout, stderr := run(t, args...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "obdsurvey: ") || strings.Count(stderr, "\n") != 1 {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one obdsurvey: line", args, code, stdout, stderr)

@@ -18,8 +18,8 @@ import (
 	"spiderfs/internal/workload"
 )
 
-// Sweep is the parameter grid. Zero-valued fields get defaults drawn
-// from the published suite.
+// Sweep is the parameter grid. Every field must be set; DefaultSweep
+// is the published suite.
 type Sweep struct {
 	RequestSizes []int64
 	QueueDepths  []int
@@ -44,15 +44,13 @@ func DefaultSweep() Sweep {
 	}
 }
 
-// Cell is one grid point's result.
+// Cell is one grid point and the closed-loop result measured there.
 type Cell struct {
 	RequestSize int64
 	QueueDepth  int
 	WriteFrac   float64
 	Random      bool
-	MBps        float64
-	IOPS        float64
-	MeanLatMs   float64
+	workload.Result
 }
 
 // Key renders the cell coordinates compactly.
@@ -73,109 +71,71 @@ func fmtSize(n int64) string {
 	}
 }
 
+// walk measures every grid point in the published order: request
+// size, then queue depth, then write fraction, then access mode. run
+// gets the point's index and coordinates and returns its result.
+func (s Sweep) walk(run func(i int, c Cell) workload.Result) []Cell {
+	var cells []Cell
+	for _, rs := range s.RequestSizes {
+		for _, qd := range s.QueueDepths {
+			for _, wf := range s.WriteFracs {
+				for _, rnd := range s.Random {
+					c := Cell{RequestSize: rs, QueueDepth: qd, WriteFrac: wf, Random: rnd}
+					c.Result = run(len(cells), c)
+					cells = append(cells, c)
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// label names a cell's random stream.
+func (c Cell) label(level string) string {
+	return fmt.Sprintf("%s-%d-%d-%f-%v", level, c.RequestSize, c.QueueDepth, c.WriteFrac, c.Random)
+}
+
 // RunBlockLevel sweeps the grid against a raw RAID group.
 func RunBlockLevel(eng *sim.Engine, g *raid.Group, sweep Sweep, src *rng.Source) []Cell {
-	var cells []Cell
-	for _, rs := range sweep.RequestSizes {
-		for _, qd := range sweep.QueueDepths {
-			for _, wf := range sweep.WriteFracs {
-				for _, rnd := range sweep.Random {
-					res := workload.RunFairLIOGroup(eng, g, workload.FairLIOConfig{
-						RequestSize: rs, QueueDepth: qd, WriteFrac: wf, Random: rnd,
-						RandomSpan: blockRandomSpan, Duration: sweep.CellDuration,
-					}, src.Split(fmt.Sprintf("blk-%d-%d-%f-%v", rs, qd, wf, rnd)))
-					cells = append(cells, Cell{
-						RequestSize: rs, QueueDepth: qd, WriteFrac: wf, Random: rnd,
-						MBps: res.MBps, IOPS: res.IOPS, MeanLatMs: res.LatencyMs.Mean,
-					})
-				}
-			}
-		}
-	}
-	return cells
+	return sweep.walk(func(_ int, c Cell) workload.Result {
+		return workload.RunFairLIOGroup(eng, g, workload.FairLIOConfig{
+			RequestSize: c.RequestSize, QueueDepth: c.QueueDepth, WriteFrac: c.WriteFrac, Random: c.Random,
+			RandomSpan: blockRandomSpan, Duration: sweep.CellDuration,
+		}, src.Split(c.label("blk")))
+	})
 }
-
-// ostDriver adapts a lustre object to the survey driver.
-type ostDriver struct{ obj *lustre.Object }
-
-func (d ostDriver) Write(size int64, done func())             { d.obj.Write(size, done) }
-func (d ostDriver) Read(size int64, random bool, done func()) { d.obj.Read(size, random, done) }
 
 // RunFSLevel sweeps the same grid through the OST stack (controller +
-// RAID + obdfilter-equivalent overheads) of the given namespace.
+// RAID + obdfilter-equivalent overheads) of the given namespace. Each
+// cell writes a fresh one-stripe file; a request draws its direction,
+// then passes through the OSS software path and synchronously through
+// controller and RAID (survey semantics: the ack means data reached
+// disk).
 func RunFSLevel(fs *lustre.FS, sweep Sweep, src *rng.Source) []Cell {
 	eng := fs.Engine()
-	var cells []Cell
-	cellIdx := 0
-	for _, rs := range sweep.RequestSizes {
-		for _, qd := range sweep.QueueDepths {
-			for _, wf := range sweep.WriteFracs {
-				for _, rnd := range sweep.Random {
-					var file *lustre.File
-					fs.Create(fmt.Sprintf("suite/cell%05d", cellIdx), 1, func(f *lustre.File) { file = f })
-					cellIdx++
-					eng.Run()
-					// Pre-size the OST toward 25% fill so random accesses
-					// span a realistic extent (matching the block
-					// benchmark's whole-LUN randomness) without pushing
-					// the OST into the high-fill fragmentation regime.
-					ost := fs.OSTs[file.OSTIndices[0]]
-					if target := ost.Capacity() / 4; ost.Used() < target {
-						file.Objects[0].Preload(target - ost.Used())
-					}
-					cells = append(cells, runFSCell(fs, file, rs, qd, wf, rnd, sweep.CellDuration, src))
-				}
-			}
+	return sweep.walk(func(i int, c Cell) workload.Result {
+		var file *lustre.File
+		fs.Create(fmt.Sprintf("suite/cell%05d", i), 1, func(f *lustre.File) { file = f })
+		eng.Run()
+		obj := file.Objects[0]
+		// Pre-size the OST toward 25% fill so random accesses span a
+		// realistic extent (matching the block benchmark's whole-LUN
+		// randomness) without pushing the OST into the high-fill
+		// fragmentation regime.
+		ost := fs.OSTs[file.OSTIndices[0]]
+		if target := ost.Capacity() / 4; ost.Used() < target {
+			obj.Preload(target - ost.Used())
 		}
-	}
-	return cells
-}
-
-func runFSCell(fs *lustre.FS, file *lustre.File, rs int64, qd int, wf float64, rnd bool, dur sim.Time, src *rng.Source) Cell {
-	eng := fs.Engine()
-	obj := file.Objects[0]
-	oss := fs.OSSes[fs.OSSOf(file.OSTIndices[0])]
-	cell := Cell{RequestSize: rs, QueueDepth: qd, WriteFrac: wf, Random: rnd}
-	var moved int64
-	var ops uint64
-	var latSum sim.Time
-	end := eng.Now() + dur
-	outstanding := 0
-	lsrc := src.Split(fmt.Sprintf("fs-%d-%d-%f-%v", rs, qd, wf, rnd))
-	var issue func()
-	issue = func() {
-		for outstanding < qd && eng.Now() < end {
-			outstanding++
-			t0 := eng.Now()
-			done := func() {
-				outstanding--
-				moved += rs
-				ops++
-				latSum += eng.Now() - t0
-				issue()
-			}
-			// FS-level requests pass through the OSS software path, then
-			// synchronously through controller and RAID (survey
-			// semantics: the ack means data reached disk).
-			if lsrc.Bool(wf) {
-				oss.Service(rs, func() { obj.WriteSync(rs, rnd, done) })
+		oss := fs.OSSes[fs.OSSOf(file.OSTIndices[0])]
+		lsrc := src.Split(c.label("fs"))
+		return workload.Drive(eng, func(n int64, done func()) {
+			if lsrc.Bool(c.WriteFrac) {
+				oss.Service(n, func() { obj.WriteSync(n, c.Random, done) })
 			} else {
-				oss.Service(rs, func() { obj.Read(rs, rnd, done) })
+				oss.Service(n, func() { obj.Read(n, c.Random, done) })
 			}
-		}
-	}
-	start := eng.Now()
-	issue()
-	eng.Run()
-	durAct := eng.Now() - start
-	if durAct > 0 {
-		cell.MBps = float64(moved) / 1e6 / durAct.Seconds()
-		cell.IOPS = float64(ops) / durAct.Seconds()
-	}
-	if ops > 0 {
-		cell.MeanLatMs = (latSum / sim.Time(ops)).Millis()
-	}
-	return cell
+		}, workload.Loop{Depth: c.QueueDepth, Size: c.RequestSize, Duration: sweep.CellDuration})
+	})
 }
 
 // Overhead pairs block- and FS-level cells and reports the software
@@ -197,12 +157,12 @@ func CompareLevels(block, fs []Cell) []Overhead {
 	var out []Overhead
 	for _, f := range fs {
 		b, ok := idx[f.Key()]
-		if !ok || b.MBps == 0 {
+		if !ok || b.MBps() == 0 {
 			continue
 		}
 		out = append(out, Overhead{
-			Cell: f.Key(), BlockMBps: b.MBps, FSMBps: f.MBps,
-			Frac: 1 - f.MBps/b.MBps,
+			Cell: f.Key(), BlockMBps: b.MBps(), FSMBps: f.MBps(),
+			Frac: 1 - f.MBps()/b.MBps(),
 		})
 	}
 	return out
@@ -213,7 +173,7 @@ func Render(cells []Cell) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %10s %10s %10s\n", "cell", "MB/s", "IOPS", "lat(ms)")
 	for _, c := range cells {
-		fmt.Fprintf(&b, "%-24s %10.1f %10.0f %10.2f\n", c.Key(), c.MBps, c.IOPS, c.MeanLatMs)
+		fmt.Fprintf(&b, "%-24s %10.1f %10.0f %10.2f\n", c.Key(), c.MBps(), c.IOPS(), c.LatencyMs.Mean)
 	}
 	return b.String()
 }

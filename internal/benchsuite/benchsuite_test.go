@@ -9,6 +9,7 @@ import (
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
+	"spiderfs/internal/workload"
 )
 
 // tinySweep keeps unit-test event counts small.
@@ -43,15 +44,15 @@ func TestBlockLevelSweepShape(t *testing.T) {
 	// sequential 1M >> random 1M reads.
 	seqR := get(1<<20, 0, false)
 	rndR := get(1<<20, 0, true)
-	if seqR.MBps <= rndR.MBps {
-		t.Fatalf("sequential read (%.0f) should beat random (%.0f)", seqR.MBps, rndR.MBps)
+	if seqR.MBps() <= rndR.MBps() {
+		t.Fatalf("sequential read (%.0f) should beat random (%.0f)", seqR.MBps(), rndR.MBps())
 	}
-	ratio := rndR.MBps / seqR.MBps
+	ratio := rndR.MBps() / seqR.MBps()
 	if ratio < 0.1 || ratio > 0.5 {
 		t.Fatalf("random/seq read ratio = %.2f", ratio)
 	}
 	// 1M requests should move more data than 64K at the same depth.
-	if get(1<<20, 1, false).MBps <= get(64<<10, 1, false).MBps {
+	if get(1<<20, 1, false).MBps() <= get(64<<10, 1, false).MBps() {
 		t.Fatal("large sequential writes should beat small ones")
 	}
 }
@@ -81,8 +82,13 @@ func TestFSLevelSweepAndOverhead(t *testing.T) {
 	}
 }
 
+// rate is a one-second result that moved mbps decimal MB.
+func rate(mbps int64) workload.Result {
+	return workload.Result{Bytes: mbps * 1e6, Elapsed: sim.Second}
+}
+
 func TestCellKeyAndRender(t *testing.T) {
-	c := Cell{RequestSize: 1 << 20, QueueDepth: 4, WriteFrac: 0.6, Random: true, MBps: 123}
+	c := Cell{RequestSize: 1 << 20, QueueDepth: 4, WriteFrac: 0.6, Random: true, Result: rate(123)}
 	if c.Key() != "1M-qd4-w60%-rnd" {
 		t.Fatalf("key = %q", c.Key())
 	}
@@ -93,8 +99,8 @@ func TestCellKeyAndRender(t *testing.T) {
 }
 
 func TestCompareLevelsSkipsUnmatched(t *testing.T) {
-	block := []Cell{{RequestSize: 1 << 20, QueueDepth: 4, WriteFrac: 1, MBps: 100}}
-	fs := []Cell{{RequestSize: 64 << 10, QueueDepth: 4, WriteFrac: 1, MBps: 50}}
+	block := []Cell{{RequestSize: 1 << 20, QueueDepth: 4, WriteFrac: 1, Result: rate(100)}}
+	fs := []Cell{{RequestSize: 64 << 10, QueueDepth: 4, WriteFrac: 1, Result: rate(50)}}
 	if got := CompareLevels(block, fs); len(got) != 0 {
 		t.Fatalf("unmatched cells compared: %v", got)
 	}

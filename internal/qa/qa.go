@@ -13,6 +13,7 @@ import (
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/stats"
+	"spiderfs/internal/workload"
 )
 
 // EliminationConfig tunes a slow-disk campaign.
@@ -82,32 +83,15 @@ func benchGroups(eng *sim.Engine, groups []*raid.Group, benchBytes int64) []floa
 		}
 	}
 	for i, g := range groups {
-		var moved int64
-		outstanding := 0
-		issue := func() {}
 		off := int64(benchRequestSize) // continue where the warm-up left the heads
-		issue = func() {
-			for outstanding < benchQueueDepth && moved+int64(outstanding)*benchRequestSize < benchBytes {
-				outstanding++
-				if off+benchRequestSize > g.Capacity() {
-					off = 0
-				}
-				o := off
-				off += benchRequestSize
-				g.Write(o, benchRequestSize, func() {
-					outstanding--
-					moved += benchRequestSize
-					issue()
-				})
+		out[i] = workload.Drive(eng, func(n int64, done func()) {
+			if off+n > g.Capacity() {
+				off = 0
 			}
-		}
-		start := eng.Now()
-		issue()
-		eng.Run()
-		dur := eng.Now() - start
-		if dur > 0 {
-			out[i] = float64(moved) / 1e6 / dur.Seconds()
-		}
+			o := off
+			off += n
+			g.Write(o, n, done)
+		}, workload.Loop{Depth: benchQueueDepth, Size: benchRequestSize, Budget: benchBytes}).MBps()
 	}
 	return out
 }

@@ -2,10 +2,10 @@ package workload
 
 import (
 	"spiderfs/internal/disk"
+	"spiderfs/internal/lustre"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
-	"spiderfs/internal/stats"
 )
 
 // FairLIOConfig parameterizes the block-level benchmark OLCF developed
@@ -25,17 +25,6 @@ type FairLIOConfig struct {
 	Duration   sim.Time
 }
 
-// FairLIOResult reports one benchmark cell.
-type FairLIOResult struct {
-	Cfg        FairLIOConfig
-	BytesMoved int64
-	Ops        uint64
-	Duration   sim.Time
-	MBps       float64 // decimal MB/s
-	IOPS       float64
-	LatencyMs  stats.Summary
-}
-
 // randomSpan bounds random offsets to frac of the addressable range.
 func randomSpan(max int64, frac float64) int64 {
 	if frac <= 0 || frac >= 1 {
@@ -48,108 +37,56 @@ func randomSpan(max int64, frac float64) int64 {
 	return s
 }
 
-// RunFairLIODisk drives one raw disk for the configured duration.
-func RunFairLIODisk(eng *sim.Engine, d *disk.Disk, cfg FairLIOConfig, src *rng.Source) FairLIOResult {
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 1
+// offsets returns the offset source cfg asks for on a target of the
+// given capacity: uniform draws over the random span, or a sequential
+// cursor that wraps to 0 at the end of the target.
+func (cfg FairLIOConfig) offsets(capacity int64, src *rng.Source) func() int64 {
+	if cfg.Random {
+		span := randomSpan(capacity-cfg.RequestSize, cfg.RandomSpan)
+		return func() int64 { return src.Int63n(span) }
 	}
-	res := FairLIOResult{Cfg: cfg}
-	start := eng.Now()
-	end := start + cfg.Duration
-	var seqPos int64
-	capacity := d.Config().Capacity
-	span := randomSpan(capacity-cfg.RequestSize, cfg.RandomSpan)
+	var pos int64
+	return func() int64 {
+		if pos+cfg.RequestSize > capacity {
+			pos = 0
+		}
+		off := pos
+		pos += cfg.RequestSize
+		return off
+	}
+}
 
-	var issue func()
-	issue = func() {
-		if eng.Now() >= end {
-			return
-		}
-		op := disk.Op{Write: src.Bool(cfg.WriteFrac), Size: cfg.RequestSize}
-		if cfg.Random {
-			op.LBA = src.Int63n(span)
-		} else {
-			if seqPos+cfg.RequestSize > capacity {
-				seqPos = 0
-			}
-			op.LBA = seqPos
-			seqPos += cfg.RequestSize
-		}
-		t0 := eng.Now()
-		d.Submit(op, func() {
-			res.Ops++
-			res.BytesMoved += cfg.RequestSize
-			res.LatencyMs.Add((eng.Now() - t0).Millis())
-			issue()
-		})
-	}
-	for i := 0; i < cfg.QueueDepth; i++ {
-		issue()
-	}
-	eng.Run()
-	res.Duration = eng.Now() - start
-	if res.Duration > 0 {
-		sec := res.Duration.Seconds()
-		res.MBps = float64(res.BytesMoved) / 1e6 / sec
-		res.IOPS = float64(res.Ops) / sec
-	}
-	return res
+func (cfg FairLIOConfig) loop() Loop {
+	return Loop{Depth: cfg.QueueDepth, Size: cfg.RequestSize, Duration: cfg.Duration}
+}
+
+// RunFairLIODisk drives one raw disk for the configured duration. Each
+// request draws its direction, then its LBA.
+func RunFairLIODisk(eng *sim.Engine, d *disk.Disk, cfg FairLIOConfig, src *rng.Source) Result {
+	next := cfg.offsets(d.Config().Capacity, src)
+	return Drive(eng, func(n int64, done func()) {
+		write := src.Bool(cfg.WriteFrac)
+		d.Submit(disk.Op{Write: write, LBA: next(), Size: n}, done)
+	}, cfg.loop())
 }
 
 // RunFairLIOGroup drives one RAID group (the unit OLCF benchmarked and
-// binned during slow-disk elimination). Offsets address the LUN.
-func RunFairLIOGroup(eng *sim.Engine, g *raid.Group, cfg FairLIOConfig, src *rng.Source) FairLIOResult {
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 1
-	}
-	res := FairLIOResult{Cfg: cfg}
-	start := eng.Now()
-	end := start + cfg.Duration
-	var seqPos int64
-	capacity := g.Capacity()
-	span := randomSpan(capacity-cfg.RequestSize, cfg.RandomSpan)
-
-	var issue func()
-	issue = func() {
-		if eng.Now() >= end {
-			return
-		}
-		var off int64
+// binned during slow-disk elimination). Offsets address the LUN; each
+// request draws its offset, then its direction.
+func RunFairLIOGroup(eng *sim.Engine, g *raid.Group, cfg FairLIOConfig, src *rng.Source) Result {
+	next := cfg.offsets(g.Capacity(), src)
+	return Drive(eng, func(n int64, done func()) {
+		off := next()
 		if cfg.Random {
-			off = src.Int63n(span)
 			// Align to the stripe for apples-to-apples random 1 MiB I/O.
 			off -= off % cfg.RequestSize
-		} else {
-			if seqPos+cfg.RequestSize > capacity {
-				seqPos = 0
-			}
-			off = seqPos
-			seqPos += cfg.RequestSize
-		}
-		t0 := eng.Now()
-		done := func() {
-			res.Ops++
-			res.BytesMoved += cfg.RequestSize
-			res.LatencyMs.Add((eng.Now() - t0).Millis())
-			issue()
 		}
 		if src.Bool(cfg.WriteFrac) {
-			g.Write(off, cfg.RequestSize, done)
+			g.Write(off, n, done)
 		} else {
-			g.Read(off, cfg.RequestSize, done)
+			g.Read(off, n, done)
 		}
-	}
-	for i := 0; i < cfg.QueueDepth; i++ {
-		issue()
-	}
-	eng.Run()
-	res.Duration = eng.Now() - start
-	if res.Duration > 0 {
-		sec := res.Duration.Seconds()
-		res.MBps = float64(res.BytesMoved) / 1e6 / sec
-		res.IOPS = float64(res.Ops) / sec
-	}
-	return res
+	}, cfg.loop())
 }
 
 // ObdSurveyResult mirrors obdfilter-survey: object write/rewrite/read
@@ -161,56 +98,20 @@ type ObdSurveyResult struct {
 	ReadMBps    float64
 }
 
-// OSTDriver abstracts the piece of the OST stack obdfilter-survey
-// exercises; implemented by *lustre.Object-backed helpers in callers to
-// avoid an import cycle. Each call moves size bytes and invokes done.
-type OSTDriver interface {
-	Write(size int64, done func())
-	Read(size int64, random bool, done func())
-}
-
-// RunObdSurvey measures streaming write, rewrite, and read through an
-// OST driver with the given concurrency, moving total bytes per phase.
-func RunObdSurvey(eng *sim.Engine, drv OSTDriver, total, rpc int64, threads int) ObdSurveyResult {
-	if threads < 1 {
-		threads = 1
+// RunObdSurvey measures streaming write, rewrite, and read of one
+// object with threads depth-1 streams, each moving its share of total
+// bytes per phase. Writes are synchronous (survey semantics: the ack
+// means data reached disk); reads are sequential.
+func RunObdSurvey(eng *sim.Engine, obj *lustre.Object, total, rpc int64, threads int) ObdSurveyResult {
+	streams := make([]Loop, threads)
+	for i := range streams {
+		streams[i] = Loop{Depth: 1, Size: rpc, Budget: total / int64(threads)}
 	}
-	phase := func(write, random bool) float64 {
-		start := eng.Now()
-		var moved int64
-		var worker func(remaining int64)
-		worker = func(remaining int64) {
-			if remaining <= 0 {
-				return
-			}
-			n := rpc
-			if n > remaining {
-				n = remaining
-			}
-			done := func() {
-				moved += n
-				worker(remaining - n)
-			}
-			if write {
-				drv.Write(n, done)
-			} else {
-				drv.Read(n, random, done)
-			}
-		}
-		per := total / int64(threads)
-		for i := 0; i < threads; i++ {
-			worker(per)
-		}
-		eng.Run()
-		d := eng.Now() - start
-		if d <= 0 {
-			return 0
-		}
-		return float64(moved) / 1e6 / d.Seconds()
-	}
+	write := func(n int64, done func()) { obj.WriteSync(n, false, done) }
+	read := func(n int64, done func()) { obj.Read(n, false, done) }
 	return ObdSurveyResult{
-		WriteMBps:   phase(true, false),
-		RewriteMBps: phase(true, false),
-		ReadMBps:    phase(false, false),
+		WriteMBps:   Drive(eng, write, streams...).MBps(),
+		RewriteMBps: Drive(eng, write, streams...).MBps(),
+		ReadMBps:    Drive(eng, read, streams...).MBps(),
 	}
 }

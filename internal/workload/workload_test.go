@@ -207,12 +207,12 @@ func TestFairLIODiskSweepShape(t *testing.T) {
 		RequestSize: 1 << 20, QueueDepth: 4, WriteFrac: 0, Random: true,
 		Duration: 2 * sim.Second,
 	}, src.Split("b"))
-	if seq.MBps <= 0 || rnd.MBps <= 0 {
+	if seq.MBps() <= 0 || rnd.MBps() <= 0 {
 		t.Fatal("no throughput measured")
 	}
-	ratio := rnd.MBps / seq.MBps
+	ratio := rnd.MBps() / seq.MBps()
 	if ratio < 0.15 || ratio > 0.35 {
-		t.Fatalf("random/seq = %.3f (%.0f/%.0f MB/s), want ~0.2-0.25", ratio, rnd.MBps, seq.MBps)
+		t.Fatalf("random/seq = %.3f (%.0f/%.0f MB/s), want ~0.2-0.25", ratio, rnd.MBps(), seq.MBps())
 	}
 	if seq.LatencyMs.N == 0 || rnd.LatencyMs.Mean <= seq.LatencyMs.Mean {
 		t.Fatalf("random latency (%.2f) should exceed sequential (%.2f)",
@@ -230,8 +230,8 @@ func TestFairLIOGroupSequentialWrite(t *testing.T) {
 	}, src.Split("w"))
 	// Full-stripe sequential writes across 8 data disks: several hundred
 	// MB/s.
-	if res.MBps < 300 || res.MBps > 1200 {
-		t.Fatalf("group sequential write = %.0f MB/s, want ~500-1000", res.MBps)
+	if res.MBps() < 300 || res.MBps() > 1200 {
+		t.Fatalf("group sequential write = %.0f MB/s, want ~500-1000", res.MBps())
 	}
 }
 
@@ -241,14 +241,8 @@ func TestObdSurveyPhases(t *testing.T) {
 	var file *lustre.File
 	fs.Create("survey", 1, func(f *lustre.File) { file = f })
 	eng.Run()
-	drv := objDriver{obj: file.Objects[0]}
-	res := RunObdSurvey(eng, drv, 32<<20, 1<<20, 4)
+	res := RunObdSurvey(eng, file.Objects[0], 32<<20, 1<<20, 4)
 	if res.WriteMBps <= 0 || res.ReadMBps <= 0 || res.RewriteMBps <= 0 {
 		t.Fatalf("survey produced zeros: %+v", res)
 	}
 }
-
-type objDriver struct{ obj *lustre.Object }
-
-func (d objDriver) Write(size int64, done func())             { d.obj.Write(size, done) }
-func (d objDriver) Read(size int64, random bool, done func()) { d.obj.Read(size, random, done) }

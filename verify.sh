@@ -8,7 +8,8 @@
 #   ./verify.sh lint    — simlint invariant suite + suppression-debt gate
 #   ./verify.sh test    — shuffled full test run + determinism double-run
 #   ./verify.sh race    — race-mode runs of the concurrency-adjacent packages
-#   ./verify.sh bench   — one-iteration benchmark smoke
+#   ./verify.sh bench   — one-iteration benchmark smoke, then one run
+#                         of each example and the default benchsuite
 #   ./verify.sh benchcheck — regenerate the BENCH_*.json goldens into
 #                         fresh-bench/ and byte-compare them
 #   ./verify.sh all     — all of the above, in order
@@ -80,6 +81,13 @@ stage_bench() {
 	# II-scale congestion wave untraced and 1-in-64 traced, so no
 	# benchmark harness can rot silently.
 	go test -bench . -benchtime=1x -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/lustre/ ./internal/raid/ ./internal/spantrace/
+	# Run what go build only compiles: every examples/ program and the
+	# default benchsuite §III-B block-vs-FS sweep, once each with stdout
+	# discarded, so a runtime panic on those paths fails here.
+	for ex in examples/*/; do
+		go run "./${ex%/}" >/dev/null
+	done
+	go run ./cmd/benchsuite >/dev/null
 	set +x
 }
 
