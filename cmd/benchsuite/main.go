@@ -67,8 +67,13 @@ var suites = []suite{
 		func(seed uint64) (artifact, error) { return chaos.RunLedgerSuite(seed) }},
 }
 
+// maxCell caps -cell at one simulated hour: the sweep runs 216 cells,
+// so that is already nine simulated days of closed-loop I/O, and
+// sim.FromSeconds saturates a huge value at sim.MaxTime.
+const maxCell = sim.Hour
+
 func main() {
-	cellSec := flag.Float64("cell", 1.0, "seconds per sweep cell (simulated)")
+	cellSec := flag.Float64("cell", 1.0, "seconds per sweep cell (simulated, at most 3600)")
 	seed := flag.Uint64("seed", 42, "random seed")
 	out := flag.String("out", "", "with a suite flag, write the suite JSON to this file")
 	chosen := make([]*bool, len(suites))
@@ -88,13 +93,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	cell := sim.FromSeconds(*cellSec)
+	if cell <= 0 || cell > maxCell {
+		fmt.Fprintf(os.Stderr, "benchsuite: -cell must be in (0, %g] seconds\n", maxCell.Seconds())
+		os.Exit(2)
+	}
 	if len(picked) == 1 {
 		runSuite(picked[0], *seed, *out)
 		return
 	}
 
 	sweep := benchsuite.DefaultSweep()
-	sweep.CellDuration = sim.FromSeconds(*cellSec)
+	sweep.CellDuration = cell
 
 	eng := sim.NewEngine()
 	src := rng.New(*seed)

@@ -16,13 +16,18 @@ import (
 	"spiderfs/internal/workload"
 )
 
+// maxDuration caps -seconds at one simulated hour, 720 times the default
+// run. sim.FromSeconds saturates a huge value at sim.MaxTime, a run that
+// would never finish.
+const maxDuration = sim.Hour
+
 func main() {
 	target := flag.String("target", "group", "benchmark target: disk | group")
 	reqSize := flag.Int64("size", 1<<20, "request size in bytes")
 	depth := flag.Int("depth", 8, "queue depth")
 	writeFrac := flag.Float64("write", 1.0, "write fraction (0=read, 1=write)")
 	random := flag.Bool("random", false, "random offsets instead of sequential")
-	duration := flag.Float64("seconds", 5, "benchmark duration (simulated seconds)")
+	duration := flag.Float64("seconds", 5, "benchmark duration (simulated seconds, at most 3600)")
 	seed := flag.Uint64("seed", 42, "random seed")
 	flag.Parse()
 
@@ -50,6 +55,8 @@ func main() {
 		fail("-write must be a fraction in [0, 1]")
 	case dur <= 0:
 		fail("-seconds must be positive")
+	case dur > maxDuration:
+		fail("-seconds must be at most %g", maxDuration.Seconds())
 	}
 
 	eng := sim.NewEngine()

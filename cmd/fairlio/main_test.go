@@ -49,6 +49,7 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		{"-depth", "0"}, {"-depth", "-3"},
 		{"-write", "1.7"}, {"-write", "-0.1"}, {"-write", "NaN"},
 		{"-seconds", "0"}, {"-seconds", "-1"},
+		{"-seconds", "3601"}, {"-seconds", "1e300"},
 	} {
 		code, stdout, stderr := run(t, args...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "fairlio: ") || strings.Count(stderr, "\n") != 1 {

@@ -92,7 +92,7 @@ func oneRun(seed uint64, periodSec float64, burstBytes int64, bursts int, noise 
 	fs.Create("other/data", 1, func(f *lustre.File) { bgFile = f })
 	eng.Run()
 
-	sampler := iosi.NewSampler(fs, 100*sim.Millisecond)
+	sampler := iosi.NewSampler(fs)
 	endAt := sim.FromSeconds(periodSec * float64(bursts+1))
 
 	// Background noise: intermittent writes from another job.

@@ -276,13 +276,7 @@ func runSpans(seed uint64, scenario string, every int, out string) {
 }
 
 func runChaos(seed uint64, days int, full bool, ledgerOut string) {
-	cfg := chaos.QuickConfig(seed)
-	if full {
-		cfg = chaos.DefaultConfig(seed)
-	}
-	if days > 0 {
-		cfg.Duration = sim.Time(days) * sim.Day
-	}
+	cfg := chaos.CampaignConfig(seed, full, days)
 	fmt.Println("center-wide chaos campaign: correlated faults vs the Sec. IV resilience features")
 	feat := chaos.Run(cfg)
 	fmt.Print(feat)

@@ -34,9 +34,9 @@ func main() {
 		sched.Add(c)
 	}
 	sched.Start()
-	store := monitor.NewStore(100000)
+	store := monitor.NewStore()
 	poller := monitor.NewControllerPoller(eng, store, fs.Ctrls, 10*sim.Second)
-	coal := monitor.NewCoalescer(30 * sim.Second)
+	coal := &monitor.Coalescer{}
 
 	// Fault injection: an aggressive failure rate so a day shows action,
 	// plus one cable flap.

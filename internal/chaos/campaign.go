@@ -192,6 +192,20 @@ func QuickConfig(seed uint64) Config {
 	return c
 }
 
+// CampaignConfig is the campaign `spidersim chaos` and a service chaos
+// session run: QuickConfig, or DefaultConfig when full, with the window
+// set to days when days is positive.
+func CampaignConfig(seed uint64, full bool, days int) Config {
+	c := QuickConfig(seed)
+	if full {
+		c = DefaultConfig(seed)
+	}
+	if days > 0 {
+		c.Duration = sim.Time(days) * sim.Day
+	}
+	return c
+}
+
 // Ablated returns the configuration with both funded resilience
 // features disarmed — the baseline for the outage-ledger comparison.
 func (c Config) Ablated() Config {
@@ -250,7 +264,7 @@ func Run(cfg Config) *Report {
 	p := &campaign{
 		cfg: cfg, c: cc, eng: eng, graph: graph, ledger: downLedger,
 		ops:      ledger.New(ledger.Config{}),
-		coal:     monitor.NewCoalescer(30 * sim.Second),
+		coal:     &monitor.Coalescer{},
 		grpName:  map[*raid.Group]string{},
 		degraded: map[int]bool{},
 		uplinks:  cc.Fabric.RouterUpLinks(),

@@ -166,7 +166,7 @@ func E4(seed uint64) Result {
 		src := rng.New(seed)
 		for i := 0; i < 48; i++ {
 			c := torus.CoordOf((i * 7) % torus.Nodes())
-			f.Net.StartFlow(f.ClientPath(c, i%32, mode, src), 1e9, nil)
+			f.StartClientFlow(c, i%32, mode, 1e9, src, nil)
 		}
 		eng.Run()
 		return eng.Now(), f.Congestion(eng.Now())
@@ -429,25 +429,7 @@ func E12(seed uint64) Result {
 // §IV-C 14-day purge policy on a namespace at seed. Headline: the files
 // resident at the end.
 func E13(seed uint64) Result {
-	eng := sim.NewEngine()
-	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(seed))
-	p := purge.New(fs, purge.Spider2Policy())
-	p.Start()
-	day := 0
-	var producer func()
-	producer = func() {
-		if day >= 25 {
-			return
-		}
-		tools.Populate(fs, tools.TreeSpec{Dirs: 1, FilesPerDir: 20, FileSize: 8 << 20,
-			Root: fmt.Sprintf("day%02d", day)})
-		day++
-		eng.After(sim.Day, producer)
-	}
-	producer()
-	eng.RunUntil(25 * sim.Day)
-	p.Stop()
-	eng.Run()
+	p, fs := purge.Residency(seed, func() int { return 20 })
 	return Result{"E13 purge policy (paper Sec. IV-C)", fmt.Sprintf(
 		"25 days at 20 files/day under the 14-day policy: %d sweeps, %d deleted, %d resident (~15 days of production)\n",
 		len(p.Sweeps), p.Deleted, fs.NumFiles), float64(fs.NumFiles)}
@@ -479,7 +461,7 @@ func E15(seed uint64) Result {
 		sched.Add(c)
 	}
 	sched.Start()
-	coal := monitor.NewCoalescer(30 * sim.Second)
+	coal := &monitor.Coalescer{}
 	groups := make([]*raid.Group, 0, len(fs.OSTs))
 	for _, o := range fs.OSTs {
 		groups = append(groups, o.Group())

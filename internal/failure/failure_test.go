@@ -133,7 +133,7 @@ func TestInjectorQuietAtZeroRate(t *testing.T) {
 
 func TestCableFlapFeedsCoalescer(t *testing.T) {
 	eng := sim.NewEngine()
-	c := monitor.NewCoalescer(10 * sim.Second)
+	c := &monitor.Coalescer{}
 	CableFlap(eng, c.Ingest, "ib-leaf3-port7", sim.Minute)
 	eng.Run()
 	c.Close()

@@ -83,7 +83,6 @@ func RunScenario(seed uint64, scrubEvery sim.Time) ScenarioResult {
 		members[i] = disk.New(eng, i, dcfg, disk.Nominal(), src.Split(fmt.Sprintf("disk-%d", i)))
 	}
 	g := raid.NewGroup(eng, 0, geom, members)
-	g.Verify = raid.VerifyOnSuspect
 	g.RebuildChunk = rebuildChunk
 	g.RebuildPause = rebuildPause
 	for i, d := range members {

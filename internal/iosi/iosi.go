@@ -22,23 +22,27 @@ type Series struct {
 	Samples  []float64
 }
 
+// sampleInterval is the Sampler's logging period: tens of samples per
+// checkpoint period of a few seconds, so burst edges resolve to a tenth
+// of a second.
+const sampleInterval = 100 * sim.Millisecond
+
 // Sampler collects a Series from a live namespace by sampling the delta
-// of bytes written to all OSTs each interval — exactly what the DDN
-// controller pollers gave OLCF.
+// of bytes written to all OSTs every sampleInterval — exactly what the
+// DDN controller pollers gave OLCF.
 type Sampler struct {
-	fs       *lustre.FS
-	interval sim.Time
-	series   Series
-	last     int64
-	stop     bool
-	pending  sim.Event
+	fs      *lustre.FS
+	series  Series
+	last    int64
+	stop    bool
+	pending sim.Event
 }
 
 // NewSampler starts sampling immediately and runs until Stop. The
 // sampler keeps one event pending, so call Stop before expecting the
 // engine's queue to drain.
-func NewSampler(fs *lustre.FS, interval sim.Time) *Sampler {
-	s := &Sampler{fs: fs, interval: interval, series: Series{Interval: interval}}
+func NewSampler(fs *lustre.FS) *Sampler {
+	s := &Sampler{fs: fs, series: Series{Interval: sampleInterval}}
 	s.last = s.total()
 	s.schedule()
 	return s
@@ -53,12 +57,12 @@ func (s *Sampler) total() int64 {
 }
 
 func (s *Sampler) schedule() {
-	s.pending = s.fs.Engine().After(s.interval, func() {
+	s.pending = s.fs.Engine().After(sampleInterval, func() {
 		if s.stop {
 			return
 		}
 		cur := s.total()
-		s.series.Samples = append(s.series.Samples, float64(cur-s.last)/s.interval.Seconds())
+		s.series.Samples = append(s.series.Samples, float64(cur-s.last)/sampleInterval.Seconds())
 		s.last = cur
 		s.schedule()
 	})

@@ -107,7 +107,7 @@ func TestSamplerCapturesCheckpointBursts(t *testing.T) {
 	fs.Create("app/ckpt", 4, func(f *lustre.File) { file = f })
 	eng.Run()
 
-	sampler := NewSampler(fs, 100*sim.Millisecond)
+	sampler := NewSampler(fs)
 	// App: burst of 64 MiB every 2 simulated seconds, 8 checkpoints.
 	var burst func(n int)
 	burst = func(n int) {

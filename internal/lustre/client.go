@@ -31,15 +31,6 @@ type Client struct {
 	FS    *FS
 	TR    Transport
 
-	// Window is the number of RPCs kept in flight (Lustre's
-	// max_rpcs_in_flight, default 8).
-	Window int
-
-	// MaxRPC caps the wire RPC size (1 MiB in Lustre of the Spider II
-	// era): application transfers larger than this are split, which is
-	// why Fig. 3 plateaus past 1 MiB rather than improving.
-	MaxRPC int64
-
 	// Tracer, when set, samples issued RPCs as spantrace root spans;
 	// every layer the request crosses attaches child spans under them.
 	Tracer *spantrace.Tracer
@@ -73,6 +64,17 @@ type Client struct {
 	BackoffWait  sim.Time
 }
 
+// Every client runs Lustre's stock RPC pipeline.
+const (
+	// rpcWindow is the number of RPCs a stream keeps in flight (Lustre's
+	// max_rpcs_in_flight, default 8).
+	rpcWindow = 8
+	// maxRPC caps the wire RPC size (1 MiB in Lustre of the Spider II
+	// era): application transfers larger than this are split, which is
+	// why Fig. 3 plateaus past 1 MiB rather than improving.
+	maxRPC = 1 << 20
+)
+
 // backoffCapFactor bounds the exponential watchdog backoff: each
 // consecutive expiration of the same RPC doubles the re-arm delay up to
 // backoffCapFactor x RPCTimeout, so a long server outage costs O(log)
@@ -81,7 +83,7 @@ const backoffCapFactor = 8
 
 // NewClient builds a client at the given torus coordinate.
 func NewClient(id int, coord topology.Coord, fs *FS, tr Transport) *Client {
-	return &Client{ID: id, Coord: coord, FS: fs, TR: tr, Window: 8, MaxRPC: 1 << 20}
+	return &Client{ID: id, Coord: coord, FS: fs, TR: tr}
 }
 
 // stream drives one pipelined RPC stream.
@@ -105,7 +107,7 @@ type stream struct {
 
 func (s *stream) pump() {
 	eng := s.c.FS.eng
-	for s.inFlight < s.c.Window && !s.stopped {
+	for s.inFlight < rpcWindow && !s.stopped {
 		if s.total > 0 && s.issued >= s.total {
 			break
 		}
@@ -113,10 +115,7 @@ func (s *stream) pump() {
 			s.stopped = true
 			break
 		}
-		size := s.xfer
-		if max := s.c.MaxRPC; max > 0 && size > max {
-			size = max
-		}
+		size := min(s.xfer, maxRPC)
 		if s.total > 0 && s.issued+size > s.total {
 			size = s.total - s.issued
 		}
@@ -237,7 +236,7 @@ func (s *stream) issue(size int64) {
 }
 
 // WriteStream writes total bytes to f in xfer-sized RPCs, round-robin
-// across the file's stripes, keeping Window RPCs in flight. done (may be
+// across the file's stripes, keeping rpcWindow RPCs in flight. done (may be
 // nil) receives the bytes acknowledged.
 func (c *Client) WriteStream(f *File, total, xfer int64, done func(int64)) {
 	if xfer <= 0 || total <= 0 {

@@ -160,7 +160,7 @@ func TestObjectFlushTimerForcesResidual(t *testing.T) {
 	// A partial write smaller than a stripe stays buffered until the
 	// flush timer forces it out.
 	obj.Write(256<<10, nil)
-	eng.RunUntil(eng.Now() + ost.FlushDelay + 200*sim.Millisecond)
+	eng.RunUntil(eng.Now() + flushDelay + 200*sim.Millisecond)
 	if ost.Controller().Dirty() != 0 {
 		t.Fatalf("residual not flushed: dirty=%d", ost.Controller().Dirty())
 	}

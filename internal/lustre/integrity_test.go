@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spiderfs/internal/disk"
-	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/topology"
@@ -104,9 +103,10 @@ func TestOSTReadSurfacesRepairAndCorruption(t *testing.T) {
 	client.ReadStream(file, 1<<20, 1<<20, false, nil)
 	eng.Run()
 	if ost.CorruptReads == 0 {
-		t.Fatalf("verify-on-suspect OST served %d corrupt reads, want the planted rot surfaced", ost.CorruptReads)
+		t.Fatalf("OST served %d corrupt reads, want the planted rot surfaced", ost.CorruptReads)
 	}
-	// Same fault under verify-always repairs inline instead.
+	// A drive-reported URE at the same spot is verified and repaired
+	// inline instead.
 	eng2 := sim.NewEngine()
 	fs2 := Build(eng2, TestNamespace(), rng.New(92))
 	ost2 := fs2.OSTs[0]
@@ -115,12 +115,11 @@ func TestOSTReadSurfacesRepairAndCorruption(t *testing.T) {
 	fs2.CreateOn("app/f", []int{0}, func(f *File) { file2 = f })
 	eng2.Run()
 	g2 := ost2.Group()
-	g2.Verify = raid.VerifyAlways
-	g2.Disks()[g2.ChunkMember(0, 0)].InjectError(0, disk.Silent)
+	g2.Disks()[g2.ChunkMember(0, 0)].InjectError(0, disk.URE)
 	client2.ReadStream(file2, 1<<20, 1<<20, false, nil)
 	eng2.Run()
 	if ost2.RepairedReads == 0 || ost2.CorruptReads != 0 {
-		t.Fatalf("verify-always OST: repaired=%d corrupt=%d, want inline repair",
+		t.Fatalf("URE under OST read: repaired=%d corrupt=%d, want inline repair",
 			ost2.RepairedReads, ost2.CorruptReads)
 	}
 }

@@ -33,6 +33,14 @@ const journalReserve int64 = 128 << 20
 // ldiskfs journaling (transaction close + flush barrier).
 const journalSyncBarrier = 10 * sim.Millisecond
 
+// journalBatch is how many flushes share one synchronous journal commit
+// (jbd2 groups transactions).
+const journalBatch = 4
+
+// flushDelay bounds how long a residual partial-stripe buffer may sit
+// in the controller cache before being forced to disk.
+const flushDelay = 50 * sim.Millisecond
+
 // OST is one object storage target: a RAID-6 LUN behind a shared
 // controller, exported through an OSS. Object writes accumulate in the
 // controller's write-back cache per object and flush to disk as full
@@ -46,10 +54,6 @@ type OST struct {
 	src    *rng.Source
 	tracer *spantrace.Tracer
 
-	// FlushDelay bounds how long a residual partial-stripe buffer may
-	// sit before being forced to disk.
-	FlushDelay sim.Time
-
 	// Journal selects the commit mode (§IV-D ablation).
 	Journal JournalMode
 
@@ -57,9 +61,6 @@ type OST struct {
 	allocPtr    int64 // next sequential allocation LBA
 	journalPtr  int64 // offset within the journal region (SyncJournal)
 	uncommitted int   // flushes since the last journal commit
-	// JournalBatch is how many flushes share one synchronous journal
-	// commit (jbd2 groups transactions); 1 commits on every flush.
-	JournalBatch int
 
 	// Counters.
 	WriteRPCs, ReadRPCs uint64
@@ -78,11 +79,7 @@ type OST struct {
 
 // NewOST wires an OST over a RAID group and its SSU controller.
 func NewOST(eng *sim.Engine, id int, group *raid.Group, ctrl *Controller, src *rng.Source) *OST {
-	return &OST{
-		ID: id, eng: eng, group: group, ctrl: ctrl, src: src,
-		FlushDelay:   50 * sim.Millisecond,
-		JournalBatch: 4,
-	}
+	return &OST{ID: id, eng: eng, group: group, ctrl: ctrl, src: src}
 }
 
 // SetTracer attaches the tracing plane to this OST and everything
@@ -219,7 +216,7 @@ func (o *OST) flushToDisk(lba, n int64, after func()) {
 	}
 	if o.Journal == SyncJournal {
 		o.uncommitted++
-		if batch := o.JournalBatch; batch < 1 || o.uncommitted >= batch {
+		if o.uncommitted >= journalBatch {
 			o.uncommitted = 0
 			o.JournalCommits++
 			// The journal record itself lands in the controller cache
@@ -359,7 +356,7 @@ func (obj *Object) armFlushTimer() {
 		return
 	}
 	o := obj.ost
-	obj.flushTimer = o.eng.After(o.FlushDelay, func() {
+	obj.flushTimer = o.eng.After(flushDelay, func() {
 		if obj.buffered > 0 {
 			n := obj.buffered
 			obj.buffered = 0

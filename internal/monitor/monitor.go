@@ -164,26 +164,22 @@ type Incident struct {
 	Components []string
 }
 
-// Coalescer groups events arriving within Window of each other into one
-// incident.
-type Coalescer struct {
-	Window sim.Time
+// coalesceWindow is how close in time two events must be to belong to
+// one incident: long enough for a disk timeout's Lustre fallout (OST
+// I/O errors, client evictions) to land seconds later, short enough
+// that unrelated faults stay apart.
+const coalesceWindow = 30 * sim.Second
 
+// Coalescer groups events arriving within coalesceWindow of each other
+// into one incident. The zero value is ready to use.
+type Coalescer struct {
 	open      *Incident
 	Incidents []Incident
 }
 
-// NewCoalescer builds a coalescer with the given association window.
-func NewCoalescer(window sim.Time) *Coalescer {
-	if window <= 0 {
-		panic("monitor: coalescer window must be positive") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	return &Coalescer{Window: window}
-}
-
 // Ingest adds an event; events must arrive in time order.
 func (c *Coalescer) Ingest(ev Event) {
-	if c.open != nil && ev.At-c.open.End <= c.Window {
+	if c.open != nil && ev.At-c.open.End <= coalesceWindow {
 		c.open.Events = append(c.open.Events, ev)
 		c.open.End = ev.At
 		if ev.Class == Hardware {

@@ -66,7 +66,7 @@ func TestCoalescerGroupsAssociatedEvents(t *testing.T) {
 	// The §IV-A scenario: a disk timeout cascades into Lustre errors
 	// seconds later; the tooling must present one incident with a
 	// hardware root cause.
-	c := NewCoalescer(10 * sim.Second)
+	c := &Coalescer{}
 	c.Ingest(Event{At: 0, Component: "enc3", Class: Hardware, Kind: "disk-timeout"})
 	c.Ingest(Event{At: 2 * sim.Second, Component: "ost41", Class: Software, Kind: "ost-io-error"})
 	c.Ingest(Event{At: 4 * sim.Second, Component: "oss5", Class: Software, Kind: "client-evict"})
@@ -95,7 +95,7 @@ func TestCoalescerGroupsAssociatedEvents(t *testing.T) {
 
 func TestCoalescerChainExtension(t *testing.T) {
 	// Events each within window of the previous extend one incident.
-	c := NewCoalescer(5 * sim.Second)
+	c := &Coalescer{}
 	for i := 0; i < 10; i++ {
 		c.Ingest(Event{At: sim.Time(i) * 4 * sim.Second, Component: "x", Class: Software, Kind: "e"})
 	}
@@ -106,14 +106,14 @@ func TestCoalescerChainExtension(t *testing.T) {
 }
 
 func TestTimeSeriesBounded(t *testing.T) {
-	ts := &TimeSeries{Name: "x", Max: 5}
-	for i := 0; i < 10; i++ {
+	ts := &TimeSeries{Name: "x"}
+	for i := 0; i < maxSeriesPoints+5; i++ {
 		ts.Add(sim.Time(i), float64(i))
 	}
-	if len(ts.Points) != 5 {
+	if len(ts.Points) != maxSeriesPoints {
 		t.Fatalf("series len = %d", len(ts.Points))
 	}
-	if ts.Last() != 9 {
+	if ts.Last() != maxSeriesPoints+4 {
 		t.Fatalf("last = %f", ts.Last())
 	}
 	if v := ts.Points[0].Value; v != 5 {
@@ -124,7 +124,7 @@ func TestTimeSeriesBounded(t *testing.T) {
 func TestControllerPollerRecordsRates(t *testing.T) {
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(1))
-	store := NewStore(1000)
+	store := NewStore()
 	p := NewControllerPoller(eng, store, fs.Ctrls, 100*sim.Millisecond)
 
 	client := lustre.NewClient(0, topology.Coord{}, fs, lustre.NullTransport{Eng: eng})

@@ -14,19 +14,22 @@ type Point struct {
 	Value float64
 }
 
+// maxSeriesPoints bounds each series' memory: more than eleven days of
+// samples at a 10 s polling interval.
+const maxSeriesPoints = 100000
+
 // TimeSeries is a bounded in-memory series (the MySQL store of the DDN
 // tool, reduced to what the analyses need).
 type TimeSeries struct {
 	Name   string
-	Max    int
 	Points []Point
 }
 
-// Add appends a sample, evicting the oldest beyond Max.
+// Add appends a sample, evicting the oldest beyond maxSeriesPoints.
 func (ts *TimeSeries) Add(at sim.Time, v float64) {
 	ts.Points = append(ts.Points, Point{At: at, Value: v})
-	if ts.Max > 0 && len(ts.Points) > ts.Max {
-		ts.Points = ts.Points[len(ts.Points)-ts.Max:]
+	if len(ts.Points) > maxSeriesPoints {
+		ts.Points = ts.Points[len(ts.Points)-maxSeriesPoints:]
 	}
 }
 
@@ -42,20 +45,19 @@ func (ts *TimeSeries) Last() float64 {
 
 // Store holds named series.
 type Store struct {
-	MaxPerSeries int
-	series       map[string]*TimeSeries
+	series map[string]*TimeSeries
 }
 
-// NewStore builds a store; maxPerSeries bounds memory (0 = unbounded).
-func NewStore(maxPerSeries int) *Store {
-	return &Store{MaxPerSeries: maxPerSeries, series: map[string]*TimeSeries{}}
+// NewStore builds an empty store.
+func NewStore() *Store {
+	return &Store{series: map[string]*TimeSeries{}}
 }
 
 // Series returns (creating if needed) the named series.
 func (s *Store) Series(name string) *TimeSeries {
 	ts, ok := s.series[name]
 	if !ok {
-		ts = &TimeSeries{Name: name, Max: s.MaxPerSeries}
+		ts = &TimeSeries{Name: name}
 		s.series[name] = ts
 	}
 	return ts

@@ -118,6 +118,6 @@ func BenchmarkClientPathFGR(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := cfg.Torus.CoordOf(i % cfg.Torus.Nodes())
-		_ = f.ClientPath(c, i%144, RouteFGR, src)
+		_ = clientPath(f, c, i%144, RouteFGR, src)
 	}
 }

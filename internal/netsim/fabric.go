@@ -3,7 +3,6 @@ package netsim
 import (
 	"strconv"
 
-	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
 	"spiderfs/internal/topology"
@@ -309,18 +308,6 @@ const (
 	// leaf differs from the destination leaf crosses the core switches.
 	RouteNaive
 )
-
-// ClientPath computes the end-to-end link path from a compute client at
-// coordinate c to OSS oss: injection, Gemini hops to the chosen router,
-// router forwarding, router->leaf, (core crossing if leaves differ),
-// leaf->OSS port.
-func (f *Fabric) ClientPath(c topology.Coord, oss int, mode RouteMode, src *rng.Source) []*Link {
-	rid := f.selectRouter(c, f.ossLeaf[oss], mode, src, nil)
-	if rid < 0 {
-		panic("netsim: no eligible router") //simlint:allow no-library-panic healthy-fabric query; failure-aware sends go through Send, which counts drops
-	}
-	return f.pathVia(nil, c, oss, rid)
-}
 
 // CongestionReport summarizes fabric hot spots after a run.
 type CongestionReport struct {

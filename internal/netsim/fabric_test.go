@@ -49,12 +49,18 @@ func TestRouterSwitchMapping(t *testing.T) {
 	}
 }
 
+// clientPath is the link path a healthy fabric gives a send from client
+// c to OSS oss: the router selectRouter picks, then pathVia through it.
+func clientPath(f *Fabric, c topology.Coord, oss int, mode RouteMode, src *rng.Source) []*Link {
+	return f.pathVia(nil, c, oss, f.selectRouter(c, f.ossLeaf[oss], mode, src, nil))
+}
+
 func TestFGRPathAvoidsCore(t *testing.T) {
 	eng := sim.NewEngine()
 	f := smallFabric(eng)
 	src := rng.New(1)
 	for oss := 0; oss < 32; oss++ {
-		path := f.ClientPath(topology.Coord{X: 1, Y: 1, Z: 1}, oss, RouteFGR, src)
+		path := clientPath(f, topology.Coord{X: 1, Y: 1, Z: 1}, oss, RouteFGR, src)
 		for _, l := range path {
 			for _, cu := range f.coreUp {
 				if l == cu {
@@ -71,7 +77,7 @@ func TestNaivePathsSometimesCrossCore(t *testing.T) {
 	src := rng.New(2)
 	crossings := 0
 	for i := 0; i < 200; i++ {
-		path := f.ClientPath(topology.Coord{X: 1, Y: 1, Z: 1}, i%32, RouteNaive, src)
+		path := clientPath(f, topology.Coord{X: 1, Y: 1, Z: 1}, i%32, RouteNaive, src)
 		for _, l := range path {
 			for _, cu := range f.coreUp {
 				if l == cu {
@@ -97,8 +103,8 @@ func TestFGRPathShorterOnAverage(t *testing.T) {
 		for z := 0; z < 4; z++ {
 			c := topology.Coord{X: x, Y: 2, Z: z}
 			for oss := 0; oss < 8; oss++ {
-				fgrLen += len(f.ClientPath(c, oss, RouteFGR, src))
-				naiveLen += len(f.ClientPath(c, oss, RouteNaive, src))
+				fgrLen += len(clientPath(f, c, oss, RouteFGR, src))
+				naiveLen += len(clientPath(f, c, oss, RouteNaive, src))
 				n++
 			}
 		}
@@ -162,7 +168,7 @@ func TestEndToEndFlowThroughFabric(t *testing.T) {
 	done := 0
 	for i := 0; i < 10; i++ {
 		c := f.Cfg.Torus.CoordOf(src.Intn(f.Cfg.Torus.Nodes()))
-		path := f.ClientPath(c, i%32, RouteFGR, src)
+		path := clientPath(f, c, i%32, RouteFGR, src)
 		f.Net.StartFlow(path, 100e6, func() { done++ })
 	}
 	eng.Run()
@@ -189,7 +195,7 @@ func TestFGRBeatsNaiveThroughput(t *testing.T) {
 		for i := 0; i < nClients; i++ {
 			c := f.Cfg.Torus.CoordOf((i * 7) % f.Cfg.Torus.Nodes())
 			oss := i % 32
-			f.Net.StartFlow(f.ClientPath(c, oss, mode, src), 1e9, nil)
+			f.Net.StartFlow(clientPath(f, c, oss, mode, src), 1e9, nil)
 		}
 		eng.Run()
 		return eng.Now()

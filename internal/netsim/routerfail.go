@@ -85,7 +85,9 @@ func (f *Fabric) selectRouter(c topology.Coord, destLeaf int, mode RouteMode, sr
 }
 
 // pathVia appends the full client->OSS link path through router rid to
-// dst. A flow start passes the flow's own recycled path buffer, so
+// dst: injection, Gemini hops to the router's module, router
+// forwarding, router->leaf, (core crossing if leaves differ), leaf->OSS
+// port. A flow start passes the flow's own recycled path buffer, so
 // building the path allocates nothing once that buffer has reached a
 // Titan path's length.
 func (f *Fabric) pathVia(dst []*Link, c topology.Coord, oss, rid int) []*Link {

@@ -10,47 +10,57 @@ import (
 	"spiderfs/internal/tools"
 )
 
-// E13 residency replica: residencyDays of production at a
-// Poisson-distributed daily file rate under the 14-day Spider policy.
-// The stochastic production is what makes a seed sweep informative —
-// each replica sees a different arrival schedule, and the merged report
-// shows how tightly the policy bounds residency across them.
+// The E13 production campaign: residencyDays of daily output under the
+// 14-day Spider policy, residencyFilesPerDay files of residencyFileSize
+// a day on average.
 const (
 	residencyDays        = 25
-	residencyFilesPerDay = 20 // mean of the daily Poisson draw
+	residencyFilesPerDay = 20
 	residencyFileSize    = 8 << 20
 )
 
+// Residency runs the E13 campaign (§IV-C) on a test namespace built
+// from seed: each simulated day writes filesToday() files into a fresh
+// day directory while the periodic purger enforces the Spider policy.
+// It returns once the campaign has drained, with the purger's record
+// and the namespace's steady-state residency.
+func Residency(seed uint64, filesToday func() int) (*Purger, *lustre.FS) {
+	eng := sim.NewEngine()
+	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(seed))
+	p := New(fs, Spider2Policy())
+	p.Start()
+	day := 0
+	var producer func()
+	producer = func() {
+		if day >= residencyDays {
+			return
+		}
+		if files := filesToday(); files > 0 {
+			tools.Populate(fs, tools.TreeSpec{
+				Dirs: 1, FilesPerDir: files, FileSize: residencyFileSize,
+				Root: fmt.Sprintf("day%02d", day),
+			})
+		}
+		day++
+		eng.After(sim.Day, producer)
+	}
+	producer()
+	eng.RunUntil(residencyDays * sim.Day)
+	p.Stop()
+	eng.Run()
+	return p, fs
+}
+
 // ResidencyReplica returns a sweep body that runs one independent E13
-// residency campaign (§IV-C): a namespace built from the replica seed,
-// daily production, the periodic purger, and the steady-state residency
-// and fill recorded as metrics.
+// residency campaign from the replica seed at a Poisson-distributed
+// daily file count, and records the steady-state residency and fill.
+// The stochastic production is what makes a seed sweep informative —
+// each replica sees a different arrival schedule, and the merged report
+// shows how tightly the policy bounds residency across them.
 func ResidencyReplica() sweep.Body {
 	return func(r *sweep.Rep) error {
-		eng := sim.NewEngine()
-		fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(r.Seed))
-		p := New(fs, Spider2Policy())
-		p.Start()
 		arrivals := r.Src.Split("production")
-		day := 0
-		var producer func()
-		producer = func() {
-			if day >= residencyDays {
-				return
-			}
-			if files := arrivals.Poisson(residencyFilesPerDay); files > 0 {
-				tools.Populate(fs, tools.TreeSpec{
-					Dirs: 1, FilesPerDir: files, FileSize: residencyFileSize,
-					Root: fmt.Sprintf("day%02d", day),
-				})
-			}
-			day++
-			eng.After(sim.Day, producer)
-		}
-		producer()
-		eng.RunUntil(residencyDays * sim.Day)
-		p.Stop()
-		eng.Run()
+		p, fs := Residency(r.Seed, func() int { return arrivals.Poisson(residencyFilesPerDay) })
 		if len(p.Sweeps) == 0 {
 			return fmt.Errorf("purge: no sweeps ran in %d days", residencyDays)
 		}

@@ -10,32 +10,13 @@ import (
 
 // Read-time verification and repair. The controller checksums every
 // chunk (T10-DIF-style), so a read *can* verify a stripe against
-// parity — the policy knob below decides when it does. Drive-reported
-// UREs are always visible (the drive says so); silent bit rot is caught
-// only when a read verifies or the scrubber walks the stripe. Every
-// defect outcome is counted, never panicked: data corruption is a
-// first-class, observable event, not an assertion failure.
-
-// VerifyPolicy selects when reads verify stripe checksums.
-type VerifyPolicy int
-
-const (
-	// VerifyOnSuspect (default) verifies only when there is reason for
-	// suspicion: the stripe is degraded, or a member drive reports a URE
-	// on a needed chunk. Clean-looking reads pay no extra I/O — and
-	// silent bit rot under them reaches the caller undetected.
-	VerifyOnSuspect VerifyPolicy = iota
-	// VerifyAlways verifies every read at full-stripe fan-out cost: no
-	// silent corruption is ever served, foreground reads pay for it.
-	VerifyAlways
-)
-
-func (v VerifyPolicy) String() string {
-	if v == VerifyAlways {
-		return "verify-always"
-	}
-	return "verify-on-suspect"
-}
+// parity; it does so only when there is reason for suspicion: the
+// stripe is degraded, or a member drive reports a URE on a needed
+// chunk. Clean-looking reads pay no extra I/O, and silent bit rot under
+// them reaches the caller undetected: it is caught only when the
+// scrubber walks the stripe. Every defect outcome is counted, never
+// panicked: data corruption is a first-class, observable event, not an
+// assertion failure.
 
 // ReadOutcome reports what a checked read actually delivered — the
 // EIO-vs-repaired distinction the file-system layer surfaces to
@@ -94,7 +75,7 @@ func (g *Group) ReadChecked(off, size int64, done func(ReadOutcome)) {
 }
 
 // readStripe reads one stripe's chunk range, deciding between the
-// direct path and the verify path per policy.
+// direct path and the verify path.
 func (g *Group) readStripe(stripe, chunkFirst, chunkLast int64, b *sim.Barrier, oc *ReadOutcome, sp spantrace.SpanID) {
 	if g.lost[stripe] {
 		// Already escalated as unrecoverable: EIO without disk I/O.
@@ -105,7 +86,7 @@ func (g *Group) readStripe(stripe, chunkFirst, chunkLast int64, b *sim.Barrier, 
 	ck := g.cfg.ChunkSize
 	stripeOff := g.diskOffset(stripe)
 	degraded := g.stripeDegraded(stripe)
-	verify := degraded || g.Verify == VerifyAlways
+	verify := degraded
 	if !verify {
 		// A drive-reported URE on any needed chunk makes the stripe
 		// suspect: escalate to the verify path and repair inline.

@@ -34,25 +34,6 @@ func corruptChunk(g *Group, stripe int64, dataIdx int, kind disk.CorruptKind) in
 	return m
 }
 
-func TestVerifyAlwaysRepairsSilentCorruption(t *testing.T) {
-	eng, g := smallGroup(t, 21)
-	g.Verify = VerifyAlways
-	m := corruptChunk(g, 0, 0, disk.Silent)
-	var oc ReadOutcome
-	g.ReadChecked(0, g.cfg.StripeDataSize(), func(o ReadOutcome) { oc = o })
-	eng.Run()
-	if oc.Undetected != 0 || oc.Repaired != 1 || oc.EIO {
-		t.Fatalf("outcome = %+v, want 1 inline repair", oc)
-	}
-	if g.ChecksumMismatches != 1 || g.RepairedChunks != 1 || g.UndetectedCorruptReads != 0 {
-		t.Fatalf("counters mismatch/repair/undetected = %d/%d/%d",
-			g.ChecksumMismatches, g.RepairedChunks, g.UndetectedCorruptReads)
-	}
-	if g.dsks[m].CorruptSectors() != 0 {
-		t.Fatal("repair write did not heal the member")
-	}
-}
-
 func TestVerifyOnSuspectServesSilentCorruption(t *testing.T) {
 	eng, g := smallGroup(t, 22)
 	corruptChunk(g, 0, 0, disk.Silent)
@@ -73,8 +54,8 @@ func TestDriveReportedURERepairsInline(t *testing.T) {
 	var oc ReadOutcome
 	g.ReadChecked(0, g.cfg.StripeDataSize(), func(o ReadOutcome) { oc = o })
 	eng.Run()
-	// A URE is drive-reported, so even verify-on-suspect escalates to
-	// the verify path and reconstructs-and-rewrites.
+	// A URE is drive-reported, so the read escalates to the verify path
+	// and reconstructs-and-rewrites.
 	if oc.Repaired != 1 || oc.Undetected != 0 || oc.EIO {
 		t.Fatalf("outcome = %+v, want inline repair", oc)
 	}

@@ -77,11 +77,6 @@ type Group struct {
 	offline map[int]bool // member index -> offline
 	tracer  *spantrace.Tracer
 
-	// Verify selects the read-time checksum-verification policy
-	// (integrity.go): VerifyOnSuspect verifies degraded stripes and
-	// stripes with a drive-reported URE; VerifyAlways verifies every
-	// read at full-stripe fan-out cost.
-	Verify VerifyPolicy
 	// lost tracks stripes escalated as unrecoverable (defects beyond
 	// parity), so repeat encounters don't re-escalate the same loss.
 	lost map[int64]bool
@@ -243,8 +238,8 @@ func (g *Group) submitTo(member int, op disk.Op, b *sim.Barrier) {
 
 // Read issues a logical read of size bytes at offset off and calls done
 // when the slowest involved member completes. Reads from degraded
-// stripes fan out to all surviving members (reconstruction); checksum
-// verification and inline repair follow the Verify policy. ReadChecked
+// stripes fan out to all surviving members (reconstruction); degraded
+// or URE-suspect stripes are verified and repaired inline. ReadChecked
 // (integrity.go) is the same path with the integrity outcome surfaced.
 func (g *Group) Read(off, size int64, done func()) {
 	g.ReadChecked(off, size, func(ReadOutcome) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"math"
 
 	"spiderfs/internal/ledger"
 )
@@ -45,31 +44,4 @@ func (r *Report) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(out, '\n'), nil
-}
-
-// fingerprinter folds 64-bit words into an FNV-1a fingerprint (the
-// same offset/prime as hash/fnv and sim.TraceHash).
-type fingerprinter struct{ h uint64 }
-
-func newFingerprinter() *fingerprinter { return &fingerprinter{h: 14695981039346656037} }
-
-func (f *fingerprinter) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		f.h ^= (v >> (8 * i)) & 0xff
-		f.h *= 1099511628211
-	}
-}
-
-func (f *fingerprinter) float(v float64) { f.word(math.Float64bits(v)) }
-
-func (f *fingerprinter) sum() uint64 { return f.h }
-
-// hex renders a fingerprint the way every artifact in the repo does.
-func hex(v uint64) string {
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	for i := range b {
-		b[i] = digits[(v>>(60-4*i))&0xf]
-	}
-	return string(b[:])
 }

@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Session states, in lifecycle order.
 const (
@@ -114,7 +117,7 @@ func (s *Session) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Snapshot{
-		ID: s.ID, Token: hex(s.Token), Key: s.Spec.Key(),
+		ID: s.ID, Token: fmt.Sprintf("%016x", s.Token), Key: s.Spec.Key(),
 		State: s.state, Events: len(s.events),
 		Cached: s.cached, Warm: s.warm, Error: s.errmsg, Report: s.report,
 	}

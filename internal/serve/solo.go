@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 
 	"spiderfs/internal/chaos"
 	"spiderfs/internal/ledger"
@@ -93,16 +96,19 @@ func runWorkload(eng *sim.Engine, fab *netsim.Fabric, spec Spec, note func(strin
 	ops.Close()
 	eng.SetTrace(nil)
 
-	fp := newFingerprinter()
-	fp.word(th.Sum())
-	fp.word(eng.Fired())
-	fp.word(fab.Net.FlowsCompleted)
-	fp.float(fab.Net.BytesDelivered)
-	fp.word(fab.StalledSends)
-	fp.word(fab.DroppedFlows)
+	// The fingerprint is FNV-1a over the outcome words in little-endian
+	// order, as the sweep and chaos fingerprints are.
+	outcome := [...]uint64{th.Sum(), eng.Fired(), fab.Net.FlowsCompleted,
+		math.Float64bits(fab.Net.BytesDelivered), fab.StalledSends, fab.DroppedFlows}
+	words := make([]byte, 0, 8*len(outcome))
+	for _, v := range outcome {
+		words = binary.LittleEndian.AppendUint64(words, v)
+	}
+	fp := fnv.New64a()
+	fp.Write(words)
 	return &Report{
 		Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
-		Fingerprint: hex(fp.sum()),
+		Fingerprint: fmt.Sprintf("%016x", fp.Sum64()),
 		Metrics: []Metric{
 			{Name: "events", Value: float64(eng.Fired())},
 			{Name: "flows_completed", Value: float64(fab.Net.FlowsCompleted)},
@@ -118,17 +124,10 @@ func runWorkload(eng *sim.Engine, fab *netsim.Fabric, spec Spec, note func(strin
 // configures it: the quick 1-day small center, or the 7-day full-scale
 // campaign with Full, with an optional day-count override.
 func runChaos(spec Spec) *Report {
-	cfg := chaos.QuickConfig(spec.Seed)
-	if spec.Full {
-		cfg = chaos.DefaultConfig(spec.Seed)
-	}
-	if spec.Days > 0 {
-		cfg.Duration = sim.Time(spec.Days) * sim.Day
-	}
-	rep := chaos.Run(cfg)
+	rep := chaos.Run(chaos.CampaignConfig(spec.Seed, spec.Full, spec.Days))
 	return &Report{
 		Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
-		Fingerprint: hex(rep.Fingerprint()),
+		Fingerprint: fmt.Sprintf("%016x", rep.Fingerprint()),
 		Metrics: []Metric{
 			{Name: "availability", Value: rep.Availability},
 			{Name: "ost_downtime_s", Value: rep.OSTDowntime.Seconds()},
@@ -157,7 +156,7 @@ func runSweepEntry(spec Spec, catalog []sweep.Entry) (*Report, error) {
 		}
 		return &Report{
 			Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
-			Fingerprint: hex(res.Fingerprint()),
+			Fingerprint: fmt.Sprintf("%016x", res.Fingerprint()),
 			Metrics: []Metric{
 				{Name: "replicas", Value: float64(len(res.Replicas))},
 				{Name: "errors", Value: float64(res.Errors)},

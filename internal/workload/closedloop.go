@@ -61,6 +61,9 @@ func Drive(eng *sim.Engine, issue Issue, loops ...Loop) Result {
 			continue // unbounded: issues nothing
 		}
 		end := start + l.Duration
+		if end < start { // overflow: saturate at the end of representable time
+			end = sim.MaxTime
+		}
 		var issued int64
 		var next func()
 		next = func() {

@@ -78,24 +78,29 @@ func TestDriveLittlesLaw(t *testing.T) {
 // TestDriveByteBudget: a budget of k requests' bytes issues exactly k
 // requests; a budget that is not a multiple of the size cuts the last
 // request to fit. Parallel streams each spend their own budget. A loop
-// with neither a budget nor a deadline issues nothing.
+// with neither a budget nor a deadline issues nothing. A deadline so far
+// away that start+Duration overflows, on a loop started after t = 0,
+// still leaves the budget to stop the loop.
 func TestDriveByteBudget(t *testing.T) {
 	for _, c := range []struct {
 		depth, streams int
 		budget         int64
 		wantOps        uint64
+		start, dur     sim.Time
 	}{
-		{1, 1, 10 * 4096, 10},
-		{4, 1, 10 * 4096, 10},
-		{16, 1, 10 * 4096, 10},
-		{4, 1, 10*4096 + 100, 11},
-		{1, 3, 5 * 4096, 15},
-		{4, 1, 0, 0},
+		{1, 1, 10 * 4096, 10, 0, 0},
+		{4, 1, 10 * 4096, 10, 0, 0},
+		{16, 1, 10 * 4096, 10, 0, 0},
+		{4, 1, 10*4096 + 100, 11, 0, 0},
+		{1, 3, 5 * 4096, 15, 0, 0},
+		{4, 1, 0, 0, 0, 0},
+		{4, 1, 10 * 4096, 10, sim.Second, sim.MaxTime},
 	} {
 		tgt := newServerTarget(sim.Millisecond, 0)
+		tgt.eng.RunUntil(c.start)
 		streams := make([]Loop, c.streams)
 		for i := range streams {
-			streams[i] = Loop{Depth: c.depth, Size: 4096, Budget: c.budget}
+			streams[i] = Loop{Depth: c.depth, Size: 4096, Budget: c.budget, Duration: c.dur}
 		}
 		res := Drive(tgt.eng, tgt.issue, streams...)
 		if res.Ops != c.wantOps || tgt.issued != int(c.wantOps) || res.Bytes != int64(c.streams)*c.budget {
