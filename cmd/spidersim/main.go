@@ -75,6 +75,10 @@ func main() {
 	}
 	switch cmd {
 	case "chaos":
+		if *days < 0 || *days > chaos.MaxDays {
+			fmt.Fprintf(os.Stderr, "spidersim: chaos -days %d outside [0, %d]\n", *days, chaos.MaxDays)
+			os.Exit(2)
+		}
 		runChaos(*seed, *days, *full, *ledgerOut)
 	case "spans":
 		runSpans(*seed, *scenario, *every, *out)

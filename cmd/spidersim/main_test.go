@@ -1,11 +1,73 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"os/exec"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"spiderfs/internal/experiment"
 )
+
+// TestMain runs the command itself when run starts the test binary as
+// a child, so the tests see main's real exit code and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("SPIDERSIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// run executes spidersim with args in a child process and returns its
+// exit code, stdout and stderr. The child is killed after a minute, so
+// a flag that starts a centuries-long campaign fails the test instead
+// of hanging it.
+func run(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SPIDERSIM_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("%v: still running after a minute", args)
+	}
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stdout.String(), stderr.String()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return 0, stdout.String(), stderr.String()
+}
+
+// TestChaosDaysBound: a campaign window outside [0, chaos.MaxDays]
+// exits 2 with one line on stderr before anything is built, where it
+// used to run for centuries of simulated time (or overflow the window)
+// or, when negative, be ignored; 0 (the default window) and 1 run.
+func TestChaosDaysBound(t *testing.T) {
+	for _, days := range []string{"-1", "32", "106751", "300000"} {
+		code, stdout, stderr := run(t, "chaos", "-days", days)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "spidersim: ") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("-days %s: exit %d, %d bytes of stdout, stderr %q; want exit 2 and one spidersim: line", days, code, len(stdout), stderr)
+		}
+	}
+	for _, days := range []string{"0", "1"} {
+		code, stdout, stderr := run(t, "chaos", "-days", days)
+		if code != 0 || stderr != "" || !strings.Contains(stdout, "center-wide chaos campaign") {
+			t.Errorf("-days %s: exit %d, stderr %q, stdout:\n%s", days, code, stderr, stdout)
+		}
+	}
+}
 
 // TestStudiesDoNotShadowCommands guards main's dispatch order: a study
 // is looked up before the command switch, so a study named after a

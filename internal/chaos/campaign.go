@@ -192,9 +192,17 @@ func QuickConfig(seed uint64) Config {
 	return c
 }
 
+// MaxDays bounds the campaign window a caller may ask for, in simulated
+// days: a month of incidents. `spidersim chaos -days` and a service
+// chaos session refuse a window outside [0, MaxDays] before building
+// anything, since a far longer one would run for hours (and
+// sim.Time(days)*sim.Day overflows past ~106,751 days).
+const MaxDays = 31
+
 // CampaignConfig is the campaign `spidersim chaos` and a service chaos
 // session run: QuickConfig, or DefaultConfig when full, with the window
-// set to days when days is positive.
+// set to days when days is positive. Callers keep days within
+// [0, MaxDays].
 func CampaignConfig(seed uint64, full bool, days int) Config {
 	c := QuickConfig(seed)
 	if full {

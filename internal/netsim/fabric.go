@@ -47,7 +47,7 @@ type Fabric struct {
 	Placement topology.Placement
 
 	// gem[nodeIdx][dir] with dir 0..5 = +x,-x,+y,-y,+z,-z.
-	gem    [][]*Link
+	gem    [][6]*Link
 	inject []*Link
 
 	routerFwd []*Link // per router ID
@@ -178,11 +178,10 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 	}
 	t := cfg.Torus
 	n := t.Nodes()
-	f.gem = make([][]*Link, n)
+	f.gem = make([][6]*Link, n)
 	f.inject = make([]*Link, n)
 	for i := 0; i < n; i++ {
 		c := t.CoordOf(i)
-		f.gem[i] = make([]*Link, 6)
 		at := linkName{a: int32(c.X), b: int32(c.Y), c: int32(c.Z)}
 		// Capacities in direction order, dirXPlus through dirZMinus.
 		for dir, bps := range [6]float64{geminiXBps, geminiXBps, geminiYBps, geminiYBps, geminiZBps, geminiZBps} {
@@ -262,38 +261,38 @@ func (f *Fabric) routerSwitch(rid int) int {
 
 // geminiPath appends the dimension-ordered torus links from a to b to
 // dst and allocates nothing beyond dst's own growth; pathVia builds
-// client->OSS paths, once per flow start, on top of it.
+// client->OSS paths, once per flow start, on top of it. Each axis is
+// one loop over its signed hop count from Torus.Hops, which owns the
+// wraparound tie rule.
 func (f *Fabric) geminiPath(dst []*Link, a, b topology.Coord) []*Link {
 	t := f.Cfg.Torus
-	cur := a
-	t.Walk(a, b, func(next topology.Coord) {
-		dst = append(dst, f.gem[t.Index(cur)][stepDir(t, cur, next)])
-		cur = next
-	})
+	h := t.Hops(a, b)
+	i := t.Index(a)
+	dst, i = f.axisPath(dst, i, a.X, h.X, t.NX, t.NY*t.NZ, dirXPlus)
+	dst, i = f.axisPath(dst, i, a.Y, h.Y, t.NY, t.NZ, dirYPlus)
+	dst, _ = f.axisPath(dst, i, a.Z, h.Z, t.NZ, 1, dirZPlus)
 	return dst
 }
 
-// stepDir returns the torus link direction (0..5: +x,-x,+y,-y,+z,-z —
-// the per-node link ordering NewFabric builds) for the unit hop
-// cur->next produced by Torus.Walk.
-func stepDir(t topology.Torus, cur, next topology.Coord) int {
-	switch {
-	case next.X != cur.X:
-		if (cur.X+1)%t.NX == next.X {
-			return dirXPlus
-		}
-		return dirXMinus
-	case next.Y != cur.Y:
-		if (cur.Y+1)%t.NY == next.Y {
-			return dirYPlus
-		}
-		return dirYMinus
-	default:
-		if (cur.Z+1)%t.NZ == next.Z {
-			return dirZPlus
-		}
-		return dirZMinus
+// axisPath appends the links of h signed hops along one axis of n
+// positions, starting at node index i whose coordinate on that axis is
+// p, and returns dst and the node index it ends on. stride is the
+// index distance between neighbours on the axis; plus is the axis's +
+// direction, whose - direction is plus+1.
+func (f *Fabric) axisPath(dst []*Link, i, p, h, n, stride, plus int) ([]*Link, int) {
+	dir, step, wrap, edge := plus, stride, (1-n)*stride, n-1-p
+	if h < 0 {
+		h, dir, step, wrap, edge = -h, plus+1, -stride, (n-1)*stride, p
 	}
+	for k := 0; k < h; k++ {
+		dst = append(dst, f.gem[i][dir])
+		if k == edge {
+			i += wrap
+		} else {
+			i += step
+		}
+	}
+	return dst, i
 }
 
 // RouteMode selects the routing discipline.

@@ -8,6 +8,7 @@ import (
 
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
+	"spiderfs/internal/topology"
 )
 
 // refFlow is one transfer of the reference workload: it arrives at
@@ -218,4 +219,111 @@ func TestStartFinishAllocationCeiling(t *testing.T) {
 	if perSend != 0 {
 		t.Errorf("Spider II StartClientFlow allocates %.4f per send, want 0", perSend)
 	}
+}
+
+// refWalk visits the dimension-ordered route from a to b one unit hop
+// at a time (excluding a, including b): all X hops, then Y, then Z,
+// each axis the short way round, a tie going the + way.
+func refWalk(t topology.Torus, a, b topology.Coord, visit func(topology.Coord)) {
+	cur := a
+	for _, ax := range []struct {
+		pos   *int
+		to, n int
+	}{{&cur.X, b.X, t.NX}, {&cur.Y, b.Y, t.NY}, {&cur.Z, b.Z, t.NZ}} {
+		fwd := (ax.to - *ax.pos + ax.n) % ax.n
+		dist, step := fwd, +1
+		if fwd > ax.n-fwd {
+			dist, step = ax.n-fwd, -1
+		}
+		for ; dist > 0; dist-- {
+			*ax.pos = (*ax.pos + step + ax.n) % ax.n
+			visit(cur)
+		}
+	}
+}
+
+// refStepDir returns the link direction (0..5: +x,-x,+y,-y,+z,-z, the
+// per-node order NewFabric builds) of the unit hop cur->next.
+func refStepDir(t topology.Torus, cur, next topology.Coord) int {
+	switch {
+	case next.X != cur.X:
+		if (cur.X+1)%t.NX == next.X {
+			return dirXPlus
+		}
+		return dirXMinus
+	case next.Y != cur.Y:
+		if (cur.Y+1)%t.NY == next.Y {
+			return dirYPlus
+		}
+		return dirYMinus
+	default:
+		if (cur.Z+1)%t.NZ == next.Z {
+			return dirZPlus
+		}
+		return dirZMinus
+	}
+}
+
+// refGeminiPath appends the hop-by-hop oracle's route from a to b to
+// dst: each hop's link is looked up by the node it leaves and the
+// direction its coordinates change in.
+func refGeminiPath(dst []*Link, f *Fabric, a, b topology.Coord) []*Link {
+	t := f.Cfg.Torus
+	cur := a
+	refWalk(t, a, b, func(next topology.Coord) {
+		dst = append(dst, f.gem[t.Index(cur)][refStepDir(t, cur, next)])
+		cur = next
+	})
+	return dst
+}
+
+// geminiPath must emit, link for link, the route the hop-by-hop oracle
+// walks: from every Titan torus node to every I/O module of the
+// Spider II placement (every route a Spider II flow can take), and
+// between every pair of MiniTitan nodes. Both tori have even axes, so
+// the half-way tie is crossed on every one of them.
+func TestGeminiPathMatchesReference(t *testing.T) {
+	mini, miniPl := topology.MiniTitan()
+	miniNodes := make([]topology.Coord, mini.Nodes())
+	for i := range miniNodes {
+		miniNodes[i] = mini.CoordOf(i)
+	}
+	titan := Spider2Fabric()
+	titanPl := placementForBench(titan)
+	var modules []topology.Coord
+	for _, m := range titanPl.Modules {
+		modules = append(modules, m.Coord)
+	}
+	if len(modules) != 110 {
+		t.Fatalf("Spider II placement has %d modules, want 110", len(modules))
+	}
+	for _, tc := range []struct {
+		name    string
+		f       *Fabric
+		targets []topology.Coord
+	}{
+		{"titan", NewFabric(sim.NewEngine(), titan, titanPl, 1), modules},
+		{"mini", NewFabric(sim.NewEngine(), FabricConfig{Torus: mini}, miniPl, 1), miniNodes},
+	} {
+		tor := tc.f.Cfg.Torus
+		var got, want []*Link
+		for i := 0; i < tor.Nodes(); i++ {
+			a := tor.CoordOf(i)
+			for _, b := range tc.targets {
+				got = tc.f.geminiPath(got[:0], a, b)
+				want = refGeminiPath(want[:0], tc.f, a, b)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %v -> %v: geminiPath %v, reference %v", tc.name, a, b, linkNames(got), linkNames(want))
+				}
+			}
+		}
+	}
+}
+
+func linkNames(path []*Link) []string {
+	names := make([]string, len(path))
+	for i, l := range path {
+		names[i] = l.Name()
+	}
+	return names
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"spiderfs/internal/chaos"
 )
 
 // FuzzSpecNormalize feeds arbitrary JSON through the decoder the
@@ -36,7 +38,7 @@ func FuzzSpecNormalize(f *testing.F) {
 			return
 		}
 		if s.Waves < 0 || s.Waves > maxWaves || s.Flows < 0 || s.Flows > maxFlows ||
-			s.Bytes < 0 || s.Bytes > maxBytes || s.Days < 0 || s.Days > maxDays ||
+			s.Bytes < 0 || s.Bytes > maxBytes || s.Days < 0 || s.Days > chaos.MaxDays ||
 			s.Replicas < 0 || s.Replicas > maxReplicas {
 			t.Fatalf("accepted spec outside the work caps: %+v", s)
 		}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"spiderfs/internal/chaos"
 	"spiderfs/internal/sweep"
 )
 
@@ -64,7 +65,7 @@ func TestSpecNormalizeAndKey(t *testing.T) {
 		{Kind: "workload", Seed: 1, Waves: maxWaves + 1},
 		{Kind: "workload", Seed: 1, Flows: maxFlows + 1},
 		{Kind: "workload", Seed: 1, Bytes: 2 * maxBytes},
-		{Kind: "chaos", Seed: 1, Days: maxDays + 1},
+		{Kind: "chaos", Seed: 1, Days: chaos.MaxDays + 1},
 		{Kind: "sweep", Seed: 1, Sweep: "toy", Replicas: maxReplicas + 1},
 	} {
 		bad := bad

@@ -28,6 +28,8 @@ package serve
 import (
 	"fmt"
 	"strings"
+
+	"spiderfs/internal/chaos"
 )
 
 // Spec declares one scenario session. The zero fields of the chosen
@@ -78,7 +80,6 @@ const (
 	maxWaves    = 64
 	maxFlows    = 8192
 	maxBytes    = 1e12
-	maxDays     = 31
 	maxReplicas = 256
 )
 
@@ -102,8 +103,8 @@ func (s *Spec) Normalize() error {
 		}
 		s.Days, s.Sweep, s.Replicas = 0, "", 0
 	case "chaos":
-		if s.Days < 0 || s.Days > maxDays {
-			return fmt.Errorf("serve: days %d outside [0, %d]", s.Days, maxDays)
+		if s.Days < 0 || s.Days > chaos.MaxDays {
+			return fmt.Errorf("serve: days %d outside [0, %d]", s.Days, chaos.MaxDays)
 		}
 		s.Waves, s.Flows, s.Bytes, s.Sweep, s.Replicas = 0, 0, 0, "", 0
 	case "sweep":

@@ -43,30 +43,66 @@ func TestDistanceSymmetric(t *testing.T) {
 	}
 }
 
-// Property: the dimension-ordered path has length equal to the torus
-// distance, each step moves exactly one hop, and it ends at the target.
-func TestPathProperty(t *testing.T) {
-	tor := Torus{NX: 7, NY: 5, NZ: 6}
-	f := func(a, b uint16) bool {
-		ca := tor.CoordOf(int(a) % tor.Nodes())
-		cb := tor.CoordOf(int(b) % tor.Nodes())
-		var path []Coord
-		tor.Walk(ca, cb, func(c Coord) { path = append(path, c) })
-		if len(path) != tor.Distance(ca, cb) {
-			return false
-		}
-		prev := ca
-		for _, c := range path {
-			if tor.Distance(prev, c) != 1 {
-				return false
+// bruteHop steps from a round a ring of n positions, one hop at a time
+// each way, and returns the signed hop count of the shorter way to b (a
+// tie going +).
+func bruteHop(a, b, n int) int {
+	fwd, bwd := 0, 0
+	for p := a; p != b; p = (p + 1) % n {
+		fwd++
+	}
+	for p := a; p != b; p = (p + n - 1) % n {
+		bwd++
+	}
+	if fwd <= bwd {
+		return fwd
+	}
+	return -bwd
+}
+
+// Hops and Distance on every pair of nodes of every cubic torus up to
+// 8 on a side (odd and even, including the 1- and 2-position rings),
+// checked against brute-force stepping along each axis.
+func TestHopsMatchBruteForce(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		tor := Torus{NX: n, NY: n, NZ: n}
+		for i := 0; i < tor.Nodes(); i++ {
+			a := tor.CoordOf(i)
+			for j := 0; j < tor.Nodes(); j++ {
+				b := tor.CoordOf(j)
+				want := Coord{bruteHop(a.X, b.X, n), bruteHop(a.Y, b.Y, n), bruteHop(a.Z, b.Z, n)}
+				if h := tor.Hops(a, b); h != want {
+					t.Fatalf("n=%d: Hops(%v, %v) = %v, want %v", n, a, b, h, want)
+				}
+				if d, want := tor.Distance(a, b), abs(want.X)+abs(want.Y)+abs(want.Z); d != want {
+					t.Fatalf("n=%d: Distance(%v, %v) = %d, want %d", n, a, b, d, want)
+				}
 			}
-			prev = c
 		}
-		return len(path) == 0 || path[len(path)-1] == cb
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+// FuzzTorusHops: on any ring of 1 to 64 positions, the signed hop count
+// from a lands on b, is no longer than the other way round, and takes
+// the + way on a tie.
+func FuzzTorusHops(f *testing.F) {
+	for _, seed := range [][3]uint8{{0, 0, 0}, {1, 0, 1}, {23, 0, 12}, {24, 13, 1}, {63, 5, 40}} {
+		f.Add(seed[0], seed[1], seed[2])
 	}
+	f.Fuzz(func(t *testing.T, rawN, rawA, rawB uint8) {
+		n := 1 + int(rawN)%64
+		a, b := int(rawA)%n, int(rawB)%n
+		h := Torus{NX: n, NY: 1, NZ: 1}.Hops(Coord{X: a}, Coord{X: b})
+		if h.Y != 0 || h.Z != 0 {
+			t.Fatalf("n=%d: %d -> %d moves along a 1-position axis: %v", n, a, b, h)
+		}
+		if ((a+h.X)%n+n)%n != b {
+			t.Fatalf("n=%d: %d + %d hops does not land on %d", n, a, h.X, b)
+		}
+		if m := abs(h.X); 2*m > n || (2*m == n && h.X < 0) {
+			t.Fatalf("n=%d: %d -> %d takes %d hops, not the short way (+ on a tie)", n, a, b, h.X)
+		}
+	})
 }
 
 func TestTitanDims(t *testing.T) {

@@ -46,60 +46,37 @@ func (t Torus) CoordOf(i int) Coord {
 	return Coord{x, y, z}
 }
 
-// axisDist returns the wraparound distance and step direction (+1/-1)
-// along one axis of length n.
-func axisDist(a, b, n int) (dist, dir int) {
-	fwd := (b - a + n) % n
-	bwd := n - fwd
-	if fwd == 0 {
-		return 0, 0
+// hop returns the signed minimal hop count from a to b on a ring of n
+// positions. A tie (b exactly half-way round) goes the + way: the
+// dimension-order rule fwd <= n-fwd that Titan's routes and distances
+// share, and the one place it is written.
+func hop(a, b, n int) int {
+	fwd := b - a
+	if fwd < 0 {
+		fwd += n
 	}
-	if fwd <= bwd {
-		return fwd, +1
+	if 2*fwd > n {
+		return fwd - n
 	}
-	return bwd, -1
+	return fwd
+}
+
+// Hops returns the signed per-axis hop counts of the minimal
+// dimension-ordered route from a to b: stepping a by h.X along X (with
+// wraparound), then h.Y along Y, then h.Z along Z, lands on b.
+func (t Torus) Hops(a, b Coord) Coord {
+	return Coord{hop(a.X, b.X, t.NX), hop(a.Y, b.Y, t.NY), hop(a.Z, b.Z, t.NZ)}
 }
 
 // Distance returns the minimal hop count between a and b (wraparound
-// Manhattan distance).
+// Manhattan distance): the length of the route Hops describes.
 func (t Torus) Distance(a, b Coord) int {
-	dx, _ := axisDist(a.X, b.X, t.NX)
-	dy, _ := axisDist(a.Y, b.Y, t.NY)
-	dz, _ := axisDist(a.Z, b.Z, t.NZ)
-	return dx + dy + dz
+	return abs(hop(a.X, b.X, t.NX)) + abs(hop(a.Y, b.Y, t.NY)) + abs(hop(a.Z, b.Z, t.NZ))
 }
 
-// Walk visits the dimension-ordered route from a to b (excluding a,
-// including b) without allocating — the form hot path construction in
-// netsim uses, where a []Coord per transfer would dominate allocations.
-func (t Torus) Walk(a, b Coord, visit func(Coord)) {
-	cur := a
-	step := func(axis byte) {
-		var n, dist, dir int
-		switch axis {
-		case 'x':
-			n = t.NX
-			dist, dir = axisDist(cur.X, b.X, n)
-		case 'y':
-			n = t.NY
-			dist, dir = axisDist(cur.Y, b.Y, n)
-		case 'z':
-			n = t.NZ
-			dist, dir = axisDist(cur.Z, b.Z, n)
-		}
-		for i := 0; i < dist; i++ {
-			switch axis {
-			case 'x':
-				cur.X = (cur.X + dir + n) % n
-			case 'y':
-				cur.Y = (cur.Y + dir + n) % n
-			case 'z':
-				cur.Z = (cur.Z + dir + n) % n
-			}
-			visit(cur)
-		}
+func abs(v int) int {
+	if v < 0 {
+		return -v
 	}
-	step('x')
-	step('y')
-	step('z')
+	return v
 }

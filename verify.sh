@@ -14,9 +14,9 @@
 #                         fresh-bench/ and byte-compare them
 #   ./verify.sh all     — all of the above, in order
 #   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API,
-#                         the ledger auditor, the flow solver, the disk
-#                         defect index, the service spec normalizer and
-#                         the two trace file readers
+#                         the ledger auditor, the flow solver, the torus
+#                         hop rule, the disk defect index, the service
+#                         spec normalizer and the two trace file readers
 #                         (not part of all: its inputs differ from run
 #                         to run)
 set -eu
@@ -115,6 +115,8 @@ stage_fuzz() {
 	# Resume, which must never panic; FuzzFlowOps checks the incremental
 	# flow solver's rates bitwise against a from-scratch recomputation
 	# after arbitrary start/complete/Degrade/Restore/Reset sequences;
+	# FuzzTorusHops checks that the signed hop count on any ring of 1 to
+	# 64 positions lands on its target the short way (+ on a tie);
 	# FuzzMediaOps checks a drive's sorted defect index against a
 	# map-based reference after arbitrary InjectError/Repair/Scan/
 	# ScanChunks sequences; FuzzSpecNormalize decodes arbitrary JSON
@@ -133,6 +135,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzEngineOps -fuzztime 30s ./internal/sim
 	go test -run '^$' -fuzz FuzzLedgerAudit -fuzztime 30s -fuzzminimizetime 2s ./internal/ledger
 	go test -run '^$' -fuzz FuzzFlowOps -fuzztime 30s -fuzzminimizetime 2s ./internal/netsim
+	go test -run '^$' -fuzz FuzzTorusHops -fuzztime 30s ./internal/topology
 	go test -run '^$' -fuzz FuzzMediaOps -fuzztime 30s ./internal/disk
 	go test -run '^$' -fuzz FuzzSpecNormalize -fuzztime 30s ./internal/serve
 	go test -run '^$' -fuzz FuzzTraceRead -fuzztime 30s ./internal/trace
