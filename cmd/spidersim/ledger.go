@@ -27,7 +27,7 @@ import (
 func runLedger(args []string) {
 	if len(args) == 0 {
 		ledgerUsage()
-		os.Exit(2)
+		exit(2)
 	}
 	verb := args[0]
 	fs := flag.NewFlagSet("ledger "+verb, flag.ExitOnError)
@@ -42,16 +42,18 @@ func runLedger(args []string) {
 	action := fs.String("action", "", "append: action kind (required)")
 	detail := fs.String("detail", "", "append: free-form detail")
 	out := fs.String("out", "", "append: write the extended export here (default: overwrite -in)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	_ = fs.Parse(args[1:])
+	startProfile(*cpuprofile)
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "ledger: -in FILE required")
 		ledgerUsage()
-		os.Exit(2)
+		exit(2)
 	}
 	exp, err := readExport(*in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ledger:", err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	switch verb {
@@ -62,7 +64,7 @@ func runLedger(args []string) {
 	case "append":
 		if *action == "" {
 			fmt.Fprintln(os.Stderr, "ledger append: -action required")
-			os.Exit(2)
+			exit(2)
 		}
 		dst := *out
 		if dst == "" {
@@ -72,12 +74,12 @@ func runLedger(args []string) {
 	default:
 		fmt.Fprintf(os.Stderr, "ledger: unknown verb %q\n", verb)
 		ledgerUsage()
-		os.Exit(2)
+		exit(2)
 	}
 }
 
 func ledgerUsage() {
-	fmt.Fprintln(os.Stderr, `usage: spidersim ledger <verify|replay|append> -in FILE
+	fmt.Fprintln(os.Stderr, `usage: spidersim ledger <verify|replay|append> -in FILE [-cpuprofile FILE]
   verify  [-trust FILE]                                  audit; nonzero exit on findings
   replay  [-spans FILE] [-from DUR] [-to DUR]            render an incident window
   append  -at DUR -action KIND [-actor A] [-class C] [-detail D] [-out FILE]`)
@@ -89,7 +91,7 @@ func ledgerVerify(exp *ledger.Export, trustFile string) {
 		trusted, err := readTrust(trustFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ledger verify:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("auditing against %d trusted roots from %s\n", len(trusted), trustFile)
 		findings = ledger.AuditAgainst(exp, trusted)
@@ -106,7 +108,7 @@ func ledgerVerify(exp *ledger.Export, trustFile string) {
 	for _, f := range findings {
 		fmt.Printf("  %v\n", f)
 	}
-	os.Exit(1)
+	exit(1)
 }
 
 func ledgerReplay(exp *ledger.Export, spansFile string, from, to sim.Time) {
@@ -115,13 +117,13 @@ func ledgerReplay(exp *ledger.Export, spansFile string, from, to sim.Time) {
 		f, err := os.Open(spansFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ledger replay:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		spans, err = trace.ReadSpans(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ledger replay:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if to <= 0 {
@@ -144,16 +146,16 @@ func ledgerAppend(exp *ledger.Export, at sim.Time, actor, class, action, detail,
 	l, err := ledger.Resume(exp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ledger append:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	if err := l.Append(at, actor, class, action, detail); err != nil {
 		fmt.Fprintln(os.Stderr, "ledger append:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	l.Close()
 	if err := writeLedger(dst, l.Export()); err != nil {
 		fmt.Fprintln(os.Stderr, "ledger append:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Printf("appended %s/%s at %v: now %d entries, %d anchors, head %.16s..; wrote %s\n",
 		actor, action, at, l.Len(), l.AnchorCount(), l.Head(), dst)

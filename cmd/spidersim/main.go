@@ -17,6 +17,9 @@
 //	spidersim scrub       — background scrub vs latent-corruption exposure (E19), off vs default
 //	spidersim session     — one-shot run of a service session spec (the cmd/spidersimd reference)
 //	spidersim ledger      — verify, replay, or extend an exported operations ledger
+//
+// Every subcommand takes -cpuprofile FILE, which writes a runtime/pprof
+// CPU profile of the run (go tool pprof -top FILE reads it).
 package main
 
 import (
@@ -24,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -47,6 +51,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	defer func() { stopProfile() }()
 	cmd := os.Args[1]
 	if cmd == "ledger" {
 		// The ledger subcommand takes a verb (verify|replay|append)
@@ -66,7 +71,9 @@ func main() {
 	workers := fs.Int("workers", 0, "sweep: parallel worker count (0 = GOMAXPROCS)")
 	spec := fs.String("spec", "", "session: the scenario spec as JSON, e.g. '{\"kind\":\"workload\",\"seed\":7}'")
 	ledgerOut := fs.String("ledger", "", "chaos: export the campaign's operations ledger as JSON to this file")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	_ = fs.Parse(os.Args[2:])
+	startProfile(*cpuprofile)
 
 	if s, ok := experiment.Lookup(cmd); ok {
 		r := s.Run(*seed)
@@ -77,7 +84,7 @@ func main() {
 	case "chaos":
 		if *days < 0 || *days > chaos.MaxDays {
 			fmt.Fprintf(os.Stderr, "spidersim: chaos -days %d outside [0, %d]\n", *days, chaos.MaxDays)
-			os.Exit(2)
+			exit(2)
 		}
 		runChaos(*seed, *days, *full, *ledgerOut)
 	case "spans":
@@ -93,7 +100,7 @@ func main() {
 		fmt.Print(c.RenderArchitecture())
 	default:
 		usage()
-		os.Exit(2)
+		exit(2)
 	}
 }
 
@@ -107,8 +114,42 @@ func usage() {
 		cmds = append(cmds, s.Name)
 	}
 	cmds = append(cmds, commands...)
-	fmt.Fprintf(os.Stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp %s] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE]\n", strings.Join(cmds, "|"), sweepChoices())
+	fmt.Fprintf(os.Stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp %s] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE] [-cpuprofile FILE]\n", strings.Join(cmds, "|"), sweepChoices())
 	fmt.Fprintln(os.Stderr, "       spidersim ledger <verify|replay|append> -in FILE [...]")
+}
+
+// stopProfile flushes and closes the -cpuprofile file; it is a no-op
+// until startProfile starts one.
+var stopProfile = func() {}
+
+// startProfile starts a CPU profile into path, if one is asked for.
+// main's deferred stopProfile flushes it on return, and exit on every
+// other way out.
+func startProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spidersim: -cpuprofile:", err)
+		os.Exit(1)
+	}
+	stopProfile = func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "spidersim: -cpuprofile:", err)
+		}
+	}
+}
+
+// exit flushes any CPU profile, then exits with code: os.Exit runs no
+// deferred calls.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
 }
 
 // runSession executes one service session spec solo and prints the
@@ -119,22 +160,22 @@ func usage() {
 func runSession(specJSON string) {
 	if specJSON == "" {
 		fmt.Fprintln(os.Stderr, `session: -spec required, e.g. -spec '{"kind":"workload","seed":7}'`)
-		os.Exit(2)
+		exit(2)
 	}
 	var spec serve.Spec
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
 		fmt.Fprintln(os.Stderr, "session: bad -spec:", err)
-		os.Exit(2)
+		exit(2)
 	}
 	rep, err := serve.RunSolo(spec, experiment.Catalog())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "session:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	data, err := rep.JSON()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "session:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	os.Stdout.Write(data)
 }
@@ -172,7 +213,7 @@ func runSweep(seed uint64, exp string, replicas, workers int) {
 	entries := selectSweeps(exp)
 	if len(entries) == 0 {
 		fmt.Fprintf(os.Stderr, "sweep: unknown experiment %q (want %s)\n", exp, sweepChoices())
-		os.Exit(2)
+		exit(2)
 	}
 	for _, e := range entries {
 		if replicas > 0 {
@@ -182,7 +223,7 @@ func runSweep(seed uint64, exp string, replicas, workers int) {
 		res, err := sweep.Run(e, seed, workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Print(res.Report())
 		fmt.Printf("  (%d replicas in %v)\n", e.Replicas, time.Since(t0).Round(time.Millisecond))
@@ -241,7 +282,7 @@ func runSpans(seed uint64, scenario string, every int, out string) {
 		fmt.Printf("availability %.5f over %v\n\n", rep.Availability, cfg.Duration)
 	default:
 		fmt.Fprintf(os.Stderr, "spans: unknown scenario %q (want fig3 or chaos)\n", scenario)
-		os.Exit(2)
+		exit(2)
 	}
 
 	spans := tr.Spans()
@@ -268,12 +309,12 @@ func runSpans(seed uint64, scenario string, every int, out string) {
 		f, err := os.Create(out)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spans: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		defer f.Close()
 		if err := trace.WriteSpans(f, spans); err != nil {
 			fmt.Fprintf(os.Stderr, "spans: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("\nwrote %d spans to %s\n", len(spans), out)
 	}
@@ -287,7 +328,7 @@ func runChaos(seed uint64, days int, full bool, ledgerOut string) {
 	if ledgerOut != "" {
 		if err := writeLedger(ledgerOut, feat.Ops); err != nil {
 			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("wrote operations ledger (%d entries, %d anchors) to %s\n",
 			feat.LedgerEntries, feat.LedgerAnchors, ledgerOut)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -67,6 +70,40 @@ func TestChaosDaysBound(t *testing.T) {
 			t.Errorf("-days %s: exit %d, stderr %q, stdout:\n%s", days, code, stderr, stdout)
 		}
 	}
+}
+
+// TestCPUProfile: -cpuprofile writes a runtime/pprof CPU profile (a
+// gzipped protocol buffer) of a study run, and still flushes it when
+// the command exits 2, which runs no deferred calls.
+func TestCPUProfile(t *testing.T) {
+	checkProfile := func(path string) {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s is not a gzipped profile: %v", path, err)
+		}
+		data, err := io.ReadAll(zr)
+		if err != nil || len(data) == 0 {
+			t.Fatalf("%s: %d profile bytes, error %v", path, len(data), err)
+		}
+	}
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "fig3.prof")
+	code, stdout, stderr := run(t, "fig3", "-cpuprofile", prof)
+	if code != 0 || stderr != "" || !strings.Contains(stdout, "--- ") {
+		t.Fatalf("fig3 -cpuprofile: exit %d, stderr %q, stdout:\n%s", code, stderr, stdout)
+	}
+	checkProfile(prof)
+	prof = filepath.Join(dir, "exit2.prof")
+	if code, _, _ := run(t, "chaos", "-days", "-1", "-cpuprofile", prof); code != 2 {
+		t.Fatalf("chaos -days -1 -cpuprofile: exit %d, want 2", code)
+	}
+	checkProfile(prof)
 }
 
 // TestStudiesDoNotShadowCommands guards main's dispatch order: a study

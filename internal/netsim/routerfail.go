@@ -44,25 +44,16 @@ func (f *Fabric) RouterFailed(rid int) bool { return f.failedRouters[rid] }
 // given mode, excluding any router in skip. It returns -1 when no
 // eligible router remains.
 func (f *Fabric) selectRouter(c topology.Coord, destLeaf int, mode RouteMode, src *rng.Source, skip map[int]bool) int {
-	eligible := func(rid int) bool {
-		if skip[rid] {
-			return false
-		}
-		// With ARN, failures are public knowledge.
-		if f.arn && f.failedRouters[rid] {
-			return false
-		}
-		return true
-	}
 	switch mode {
 	case RouteFGR:
 		group := destLeaf / topology.SwitchesPerGroup
 		mods := f.groupMods[group]
 		// Nearest module whose router for this leaf is eligible.
 		best, bestD := -1, 0
-		for _, m := range mods {
+		for i := range mods {
+			m := &mods[i]
 			rid := m.RouterIDs[destLeaf%topology.SwitchesPerGroup]
-			if !eligible(rid) {
+			if !f.eligible(rid, skip) {
 				continue
 			}
 			d := f.Placement.Torus.Distance(c, m.Coord)
@@ -74,7 +65,7 @@ func (f *Fabric) selectRouter(c topology.Coord, destLeaf int, mode RouteMode, sr
 	case RouteNaive:
 		for tries := 0; tries < 4*f.NumRouters(); tries++ {
 			rid := src.Intn(f.NumRouters())
-			if eligible(rid) {
+			if f.eligible(rid, skip) {
 				return rid
 			}
 		}
@@ -82,6 +73,16 @@ func (f *Fabric) selectRouter(c topology.Coord, destLeaf int, mode RouteMode, sr
 	default:
 		panic("netsim: unknown route mode") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
+}
+
+// eligible reports whether a sender may pick router rid: it is not on
+// the sender's skip list and, with ARN, not known dead (failures are
+// public knowledge). An empty map costs no lookup.
+func (f *Fabric) eligible(rid int, skip map[int]bool) bool {
+	if len(skip) > 0 && skip[rid] {
+		return false
+	}
+	return !f.arn || len(f.failedRouters) == 0 || !f.failedRouters[rid]
 }
 
 // pathVia appends the full client->OSS link path through router rid to

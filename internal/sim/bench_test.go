@@ -59,3 +59,29 @@ func BenchmarkCancelChurn(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkEngineSameInstant measures the controller's re-admission
+// shape: a chain of After(0) events fires through an engine whose heap
+// holds 100 future events, as Controller.Flushed's per-waiter readmits
+// do. One op is one same-instant event scheduled and fired.
+func BenchmarkEngineSameInstant(b *testing.B) {
+	e := NewEngine()
+	const standing = 100
+	for i := 0; i < standing; i++ {
+		e.At(Hour+Time(i), func() {})
+	}
+	n := 0
+	var next func()
+	next = func() {
+		if n < b.N {
+			n++
+			e.After(0, next)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	next()
+	for e.Pending() > standing {
+		e.Step()
+	}
+}

@@ -28,8 +28,17 @@ type event struct {
 	service  Time
 	eng      *Engine
 	gen      uint64 // bumped each time the event is recycled
-	idx      int32  // position in the heap
-	canceled bool   // a tombstone awaiting removal from the heap
+	idx      int32  // position in the heap, or -1 in the same-instant lane
+	canceled bool   // a tombstone awaiting removal from the heap or lane
+}
+
+// laneSlot is one entry of the same-instant lane: an event and the
+// sequence number it was queued under. Reschedule gives the event a new
+// seq, so an entry whose seq no longer matches its event's is stale and
+// is dropped when it reaches the front.
+type laneSlot struct {
+	ev  *event
+	seq uint64
 }
 
 // live returns the handle's event if it is still pending, else nil.
@@ -55,7 +64,9 @@ func (h Event) Time() Time {
 // already-canceled event is a no-op. Cancel reports whether the event was
 // still pending. The canceled event stays in the heap as a tombstone
 // (lazy deletion); the engine's live-event accounting and tombstone
-// reaping keep Pending and heap size honest regardless.
+// reaping keep Pending and heap size honest regardless. A canceled
+// same-instant lane event is no heap tombstone: it leaves the lane
+// before the clock moves on.
 func (h Event) Cancel() bool {
 	ev := h.live()
 	if ev == nil {
@@ -65,8 +76,10 @@ func (h Event) Cancel() bool {
 	ev.fn = nil
 	e := ev.eng
 	e.live--
-	e.tomb++
-	e.maybeReap()
+	if ev.idx >= 0 {
+		e.tomb++
+		e.maybeReap()
+	}
 	return true
 }
 
@@ -136,6 +149,17 @@ func (h *eventHeap) push(ev *event) {
 	h.up(len(*h) - 1)
 }
 
+// remove takes h[i] out of the heap.
+func (h *eventHeap) remove(i int) {
+	old := *h
+	n := len(old) - 1
+	*h = old[:n]
+	if i < n {
+		old.set(i, old[n])
+		(*h).fix(i)
+	}
+}
+
 // pop removes and returns the earliest event.
 func (h *eventHeap) pop() *event {
 	old := *h
@@ -155,6 +179,13 @@ func (h *eventHeap) pop() *event {
 // deterministic order (in particular, never from Go map iteration; see
 // the determinism contract in DESIGN.md).
 //
+// An event scheduled for the current instant skips the heap and waits
+// in the same-instant lane, a FIFO ring. The pop order is still (t,
+// seq): an event enters the heap at time T only while now < T and the
+// lane only while now == T, and seq only grows, so every heap event at
+// now precedes every lane event, and every lane event precedes every
+// later heap event.
+//
 // Engine is not safe for concurrent use; all model code must run on the
 // goroutine driving Run/Step. Parallel harnesses (internal/sweep) give
 // each worker engines of its own.
@@ -162,8 +193,9 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	heap  eventHeap
+	lane  Queue[laneSlot] // events scheduled for the instant now
 	fired uint64
-	live  int // scheduled, uncanceled, unfired events in the heap
+	live  int // scheduled, uncanceled, unfired events in the heap and lane
 	tomb  int // canceled tombstones still occupying heap slots
 	trace func(at Time, seq uint64)
 	free  []*event // recycled events, reused by schedule
@@ -293,8 +325,19 @@ func (e *Engine) schedule(t Time, fn func(), srv *Server, service Time) Event {
 	ev.t, ev.seq, ev.fn, ev.srv, ev.service = t, e.seq, fn, srv, service
 	e.seq++
 	e.live++
-	e.heap.push(ev)
+	e.enqueue(ev)
 	return Event{ev: ev, gen: ev.gen}
+}
+
+// enqueue puts ev in the same-instant lane when it is due now, else in
+// the heap.
+func (e *Engine) enqueue(ev *event) {
+	if ev.t == e.now {
+		ev.idx = -1
+		e.lane.Push(laneSlot{ev: ev, seq: ev.seq})
+		return
+	}
+	e.heap.push(ev)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
@@ -316,10 +359,19 @@ func (e *Engine) Reschedule(h Event, t Time) bool {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", t, e.now)) //simlint:allow no-library-panic causality assertion: scheduling into the past is a model bug
 	}
-	ev.t = t
 	ev.seq = e.seq
 	e.seq++
-	e.heap.fix(int(ev.idx))
+	if ev.idx >= 0 {
+		if t != e.now {
+			ev.t = t
+			e.heap.fix(int(ev.idx))
+			return true
+		}
+		e.heap.remove(int(ev.idx))
+	}
+	// A lane event leaves its old ring entry behind, stale on the new seq.
+	ev.t = t
+	e.enqueue(ev)
 	return true
 }
 
@@ -338,29 +390,29 @@ func (e *Engine) After(d Time, fn func()) Event {
 // the callback's own handle is already stale and its new schedules may
 // reuse the event.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ev := e.heap.pop()
-		if ev.canceled {
-			e.tomb--
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.t
-		seq, fn, srv, service := ev.seq, ev.fn, ev.srv, ev.service
-		e.recycle(ev)
-		e.live--
-		e.fired++
-		if e.trace != nil {
-			e.trace(e.now, seq)
-		}
-		if srv != nil {
-			srv.finish(service, fn)
-		} else {
-			fn()
-		}
-		return true
+	ev := e.peek()
+	if ev == nil {
+		return false
 	}
-	return false
+	if ev.idx < 0 {
+		e.lane.Pop()
+	} else {
+		e.heap.pop()
+	}
+	e.now = ev.t
+	seq, fn, srv, service := ev.seq, ev.fn, ev.srv, ev.service
+	e.recycle(ev)
+	e.live--
+	e.fired++
+	if e.trace != nil {
+		e.trace(e.now, seq)
+	}
+	if srv != nil {
+		srv.finish(service, fn)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -407,19 +459,27 @@ func (e *Engine) RunFor(d Time) {
 // reset engine must reproduce a fresh engine's event-trace fingerprint
 // bit for bit, because nothing — sequence numbers included — survives.
 //
-// Events still in the heap are recycled, so a stale Event handle held by
-// old model code is permanently non-pending and its Cancel a no-op,
-// rather than a corruption of the next run's live/tomb accounting. Up
-// to resetKeep recycled events survive for the next run: they hold no
-// callbacks and change no event order. The rest are released, so a
-// pooled engine that once ran a deep queue does not keep that depth's
-// events for the rest of its life.
+// Events still in the heap or lane are recycled, so a stale Event
+// handle held by old model code is permanently non-pending and its
+// Cancel a no-op, rather than a corruption of the next run's live/tomb
+// accounting. Up to resetKeep recycled events survive for the next run:
+// they hold no callbacks and change no event order. The rest are
+// released, so a pooled engine that once ran a deep queue does not keep
+// that depth's events for the rest of its life.
 func (e *Engine) Reset() {
 	for _, ev := range e.heap {
 		e.recycle(ev)
 	}
 	clear(e.heap[:cap(e.heap)])
 	e.heap = e.heap[:0]
+	// Pop zeroes each slot it empties. A stale entry's event sits in
+	// the heap or the free list already, so only current entries recycle.
+	for e.lane.Len() > 0 {
+		s, _ := e.lane.Pop()
+		if s.seq == s.ev.seq {
+			e.recycle(s.ev)
+		}
+	}
 	if len(e.free) > resetKeep {
 		e.free = append([]*event(nil), e.free[:resetKeep]...)
 	}
@@ -438,11 +498,28 @@ func (e *Engine) Reset() {
 const resetKeep = 1024
 
 // peek returns the earliest live event, popping and recycling any
-// tombstones ahead of it, or nil when none is scheduled.
+// tombstones and stale lane entries ahead of it, or nil when none is
+// scheduled. The heap's events at now come first, then the lane's, then
+// the heap's later ones.
 func (e *Engine) peek() *event {
 	for len(e.heap) > 0 && e.heap[0].canceled {
 		e.recycle(e.heap.pop())
 		e.tomb--
+	}
+	if len(e.heap) > 0 && e.heap[0].t == e.now {
+		return e.heap[0]
+	}
+	for e.lane.Len() > 0 {
+		s, _ := e.lane.Front()
+		if s.seq != s.ev.seq { // rescheduled since it was queued
+			e.lane.Pop()
+			continue
+		}
+		if !s.ev.canceled {
+			return s.ev
+		}
+		e.lane.Pop()
+		e.recycle(s.ev)
 	}
 	if len(e.heap) == 0 {
 		return nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -503,6 +504,177 @@ func TestEngineStaleHandles(t *testing.T) {
 	})
 }
 
+// TestEngineSameInstantLane covers the same-instant lane: an event due
+// at the current instant waits in a FIFO ring instead of the heap, and
+// the engine must still fire every event in (time, seq) order, keep
+// handles and counters exact, and leave nothing behind on Reset.
+func TestEngineSameInstantLane(t *testing.T) {
+	// logger returns a log of fired names and a callback factory for it.
+	logger := func() (*[]string, func(string) func()) {
+		var got []string
+		return &got, func(name string) func() { return func() { got = append(got, name) } }
+	}
+	wantOrder := func(t *testing.T, got []string, want ...string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+
+	t.Run("heap-at-now-first", func(t *testing.T) {
+		// a and b wait in the heap for t=10; a's child, scheduled at
+		// t=10 for t=10, has a larger seq than b, so b fires first.
+		e := NewEngine()
+		got, rec := logger()
+		e.At(10, func() {
+			*got = append(*got, "a")
+			e.After(0, rec("a-child"))
+		})
+		e.At(10, rec("b"))
+		e.At(11, rec("c"))
+		e.Run()
+		wantOrder(t, *got, "a", "b", "a-child", "c")
+	})
+
+	t.Run("heap-rescheduled-to-now", func(t *testing.T) {
+		e := NewEngine()
+		got, rec := logger()
+		var moved Event
+		e.At(10, func() {
+			*got = append(*got, "a")
+			if !e.Reschedule(moved, e.Now()) {
+				t.Error("Reschedule of a heap event to now failed")
+			}
+			if !moved.Pending() || moved.Time() != 10 || len(e.heap) != 1 {
+				t.Errorf("moved: pending %v at %v, heap %d; want true at 10, heap 1", moved.Pending(), moved.Time(), len(e.heap))
+			}
+		})
+		e.At(10, rec("b"))
+		moved = e.At(50, rec("moved"))
+		e.Run()
+		wantOrder(t, *got, "a", "b", "moved")
+		if e.Now() != 10 || e.Pending() != 0 {
+			t.Fatalf("now %v, pending %d; want 10, 0", e.Now(), e.Pending())
+		}
+	})
+
+	t.Run("lane-rescheduled", func(t *testing.T) {
+		e := NewEngine()
+		got, rec := logger()
+		e.At(10, func() {
+			l1 := e.After(0, rec("l1"))
+			l2 := e.After(0, rec("l2"))
+			e.After(0, rec("l3"))
+			if !e.Reschedule(l1, e.Now()) || !e.Reschedule(l2, e.Now()+5) {
+				t.Error("Reschedule of a lane event failed")
+			}
+			if l1.Time() != 10 || l2.Time() != 15 || e.Pending() != 3 {
+				t.Errorf("l1 at %v, l2 at %v, pending %d; want 10, 15, 3", l1.Time(), l2.Time(), e.Pending())
+			}
+		})
+		e.Run()
+		// l1 moved behind l3; l2 left the instant. Their stale ring
+		// entries fire nothing.
+		wantOrder(t, *got, "l3", "l1", "l2")
+		if e.Fired() != 4 || e.Now() != 15 || e.lane.Len() != 0 {
+			t.Fatalf("fired %d, now %v, lane %d; want 4, 15, 0", e.Fired(), e.Now(), e.lane.Len())
+		}
+	})
+
+	t.Run("canceled-lane-event", func(t *testing.T) {
+		// A canceled lane event is no heap tombstone: it must not count
+		// in tomb, or tombstones would seem to outnumber the live
+		// events and reap a heap that holds none.
+		e := NewEngine()
+		got, rec := logger()
+		for i := 0; i < 2*reapFloor; i++ {
+			e.At(Time(100+i), func() {})
+		}
+		heapDead := e.At(99, rec("heap-dead"))
+		heapDead.Cancel()
+		var lane []Event
+		for i := 0; i < 4*reapFloor; i++ {
+			lane = append(lane, e.At(0, rec("lane-dead")))
+		}
+		keep := e.At(0, rec("keep"))
+		for _, h := range lane {
+			if !h.Cancel() || h.Pending() || h.Time() != 0 || h.Cancel() {
+				t.Fatal("a canceled lane event is still pending")
+			}
+		}
+		if e.tomb != 1 || len(e.heap) != 2*reapFloor+1 || e.Pending() != 2*reapFloor+1 {
+			t.Fatalf("tomb %d, heap %d, pending %d; want 1, %d, %d", e.tomb, len(e.heap), e.Pending(), 2*reapFloor+1, 2*reapFloor+1)
+		}
+		if !keep.Pending() || keep.Time() != 0 {
+			t.Fatal("a live lane event behind canceled ones is not pending")
+		}
+		e.Run()
+		wantOrder(t, *got, "keep")
+		if e.tomb != 0 || len(e.heap) != 0 || e.lane.Len() != 0 || e.Fired() != 2*reapFloor+1 {
+			t.Fatalf("after Run: tomb %d, heap %d, lane %d, fired %d", e.tomb, len(e.heap), e.lane.Len(), e.Fired())
+		}
+	})
+
+	t.Run("run-until", func(t *testing.T) {
+		e := NewEngine()
+		got, rec := logger()
+		e.At(0, rec("now"))
+		e.At(0, rec("dead")).Cancel()
+		e.At(5, rec("later"))
+		e.RunUntil(3)
+		wantOrder(t, *got, "now")
+		if e.Now() != 3 || e.lane.Len() != 0 {
+			t.Fatalf("now %v, lane %d; want 3, 0", e.Now(), e.lane.Len())
+		}
+		e.At(3, rec("at-3"))
+		e.RunUntil(3)
+		wantOrder(t, *got, "now", "at-3")
+		e.RunUntil(5)
+		wantOrder(t, *got, "now", "at-3", "later")
+	})
+
+	t.Run("reset", func(t *testing.T) {
+		e := NewEngine()
+		live := e.At(0, func() { t.Error("pre-Reset lane event fired") })
+		dead := e.At(0, func() {})
+		dead.Cancel()
+		again := e.At(0, func() {})
+		e.Reschedule(again, 0) // lane to lane: a stale entry stays behind
+		away := e.At(0, func() {})
+		e.Reschedule(away, 7) // lane to heap: a stale entry stays behind
+		e.At(9, func() {})
+		e.Reset()
+		for _, h := range []Event{live, dead, again, away} {
+			if h.Pending() || h.Cancel() || e.Reschedule(h, 1) {
+				t.Fatal("a pre-Reset lane handle came back to life")
+			}
+		}
+		if e.lane.Len() != 0 {
+			t.Fatalf("lane holds %d entries after Reset", e.lane.Len())
+		}
+		for _, s := range e.lane.buf {
+			if s.ev != nil {
+				t.Fatal("a lane slot still pins an event after Reset")
+			}
+		}
+		// Each event was recycled once: the stale entries added none.
+		seen := map[*event]bool{}
+		for _, ev := range e.free {
+			if seen[ev] {
+				t.Fatal("Reset recycled an event twice")
+			}
+			seen[ev] = true
+		}
+		if len(e.free) != 5 {
+			t.Fatalf("free list %d after Reset, want 5", len(e.free))
+		}
+		got, rec := logger()
+		e.At(0, rec("fresh"))
+		e.Run()
+		wantOrder(t, *got, "fresh")
+	})
+}
+
 // Reset bounds what a pooled engine keeps: after a run whose heap held
 // far more than resetKeep events, only resetKeep recycled events survive,
 // handles to the released ones stay stale, and the next run still
@@ -515,13 +687,21 @@ func TestEngineResetReleasesDeepFreeList(t *testing.T) {
 		hs[i] = e.At(Time(i), func() {})
 	}
 	e.RunUntil(deep / 2)
+	for i := 0; i < resetKeep; i++ {
+		hs = append(hs, e.After(0, func() {}))
+	}
 	e.Reset()
-	if len(e.free) != resetKeep || len(e.heap) != 0 {
-		t.Fatalf("after Reset: free %d, heap %d; want %d, 0", len(e.free), len(e.heap), resetKeep)
+	if len(e.free) != resetKeep || len(e.heap) != 0 || e.lane.Len() != 0 {
+		t.Fatalf("after Reset: free %d, heap %d, lane %d; want %d, 0, 0", len(e.free), len(e.heap), e.lane.Len(), resetKeep)
 	}
 	for _, s := range e.heap[:cap(e.heap)] {
 		if s != nil {
 			t.Fatal("a heap slot past the end still pins an event")
+		}
+	}
+	for _, s := range e.lane.buf {
+		if s.ev != nil {
+			t.Fatal("a lane slot still pins an event")
 		}
 	}
 	for _, h := range hs {
@@ -567,6 +747,26 @@ func TestEngineAllocationCeiling(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("At+Reschedule+Cancel allocates %.2f, want 0", n)
 	}
+	// The same-instant lane: warm its ring past the 1,001 stale entries
+	// the Reschedule row leaves until the next Step drains them.
+	for i := 0; i < 2000; i++ {
+		e.After(0, fn)
+	}
+	e.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(0, fn)
+		e.Step()
+	}); n > 0 {
+		t.Errorf("After(0)+Step allocates %.2f, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		h := e.After(0, fn)
+		e.Reschedule(h, e.Now()+Millisecond)
+		h.Cancel()
+	}); n > 0 {
+		t.Errorf("After(0)+Reschedule(now+1ms)+Cancel allocates %.2f, want 0", n)
+	}
+	e.Run()
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d, want 0", e.Pending())
 	}

@@ -299,6 +299,21 @@ func FuzzEngineOps(f *testing.F) {
 	}
 	deep = append(deep, opRunUntil, 254, 0)
 	f.Add(deep)
+	// Same-instant children under a deep heap: at t=10 three events
+	// schedule a child for now while two more wait in the heap for
+	// t=10, which must fire before the children.
+	var chain []byte
+	for i := 0; i < 40; i++ {
+		chain = append(chain, opAt, byte(20+5*i), 0)
+	}
+	chain = append(chain, opAt, 10, 1, opAt, 10, 1, opAt, 10, 1, opAt, 10, 0, opAt, 10, 0, opRunUntil, 255, 0)
+	f.Add(chain)
+	// Reschedules to now: a heap event due now and a future one move
+	// into the lane, a lane event moves behind them and another out
+	// to later, while a heap event due now still fires first.
+	f.Add([]byte{opAt, 10, 0, opAt, 10, 0, opAt, 10, 0, opAt, 40, 0, opStep, 0, 0,
+		opAt, 0, 0, opReschedule, 1, 0, opReschedule, 3, 0, opReschedule, 4, 0, opStep, 0, 0,
+		opAt, 0, 1, opReschedule, 5, 9, opCancel, 3, 0, opStep, 0, 0, opStep, 0, 0, opRunUntil, 50, 0})
 	// Random mixes, short and long.
 	rnd := rand.New(rand.NewSource(1))
 	for _, n := range []int{30, 300, 3000} {
