@@ -19,8 +19,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"spiderfs/internal/benchsuite"
@@ -73,14 +75,25 @@ var suites = []suite{
 const maxCell = sim.Hour
 
 func main() {
-	cellSec := flag.Float64("cell", 1.0, "seconds per sweep cell (simulated, at most 3600)")
-	seed := flag.Uint64("seed", 42, "random seed")
-	out := flag.String("out", "", "with a suite flag, write the suite JSON to this file")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	cellSec := flags.Float64("cell", 1.0, "seconds per sweep cell (simulated, at most 3600)")
+	seed := flags.Uint64("seed", 42, "random seed")
+	out := flags.String("out", "", "with a suite flag, write the suite JSON to this file")
 	chosen := make([]*bool, len(suites))
 	for i, s := range suites {
-		chosen[i] = flag.Bool(s.flag, false, "run the suite behind "+s.file+": "+s.about)
+		chosen[i] = flags.Bool(s.flag, false, "run the suite behind "+s.file+": "+s.about)
 	}
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var picked []suite
 	for i, on := range chosen {
@@ -89,18 +102,21 @@ func main() {
 		}
 	}
 	if len(picked) > 1 {
-		fmt.Fprintln(os.Stderr, "benchsuite: choose at most one suite flag")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchsuite: choose at most one suite flag")
+		flags.Usage()
+		return 2
 	}
 	cell := sim.FromSeconds(*cellSec)
 	if cell <= 0 || cell > maxCell {
-		fmt.Fprintf(os.Stderr, "benchsuite: -cell must be in (0, %g] seconds\n", maxCell.Seconds())
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchsuite: -cell must be in (0, %g] seconds\n", maxCell.Seconds())
+		return 2
 	}
 	if len(picked) == 1 {
-		runSuite(picked[0], *seed, *out)
-		return
+		if err := runSuite(picked[0], *seed, *out, stdout); err != nil {
+			fmt.Fprintln(stderr, "benchsuite:", err)
+			return 1
+		}
+		return 0
 	}
 
 	sweep := benchsuite.DefaultSweep()
@@ -109,50 +125,46 @@ func main() {
 	eng := sim.NewEngine()
 	src := rng.New(*seed)
 	g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("grp"))[0]
-	fmt.Println("== block level (fair-lio over one RAID-6 8+2 LUN) ==")
+	fmt.Fprintln(stdout, "== block level (fair-lio over one RAID-6 8+2 LUN) ==")
 	block := benchsuite.RunBlockLevel(eng, g, sweep, src.Split("blk"))
-	fmt.Print(benchsuite.Render(block))
+	fmt.Fprint(stdout, benchsuite.Render(block))
 
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(*seed+1))
-	fmt.Println("\n== file system level (obdfilter-style over the OST stack) ==")
+	fmt.Fprintln(stdout, "\n== file system level (obdfilter-style over the OST stack) ==")
 	fsCells := benchsuite.RunFSLevel(fs, sweep, src.Split("fs"))
-	fmt.Print(benchsuite.Render(fsCells))
+	fmt.Fprint(stdout, benchsuite.Render(fsCells))
 
-	fmt.Println("\n== software overhead (1 - fs/block) ==")
-	fmt.Printf("%-24s %12s %12s %10s\n", "cell", "block MB/s", "fs MB/s", "overhead")
+	fmt.Fprintln(stdout, "\n== software overhead (1 - fs/block) ==")
+	fmt.Fprintf(stdout, "%-24s %12s %12s %10s\n", "cell", "block MB/s", "fs MB/s", "overhead")
 	for _, o := range benchsuite.CompareLevels(block, fsCells) {
-		fmt.Printf("%-24s %12.1f %12.1f %9.1f%%\n", o.Cell, o.BlockMBps, o.FSMBps, o.Frac*100)
+		fmt.Fprintf(stdout, "%-24s %12.1f %12.1f %9.1f%%\n", o.Cell, o.BlockMBps, o.FSMBps, o.Frac*100)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchsuite:", err)
-	os.Exit(1)
+	return 0
 }
 
 // runSuite is the one generation path: run, render, check the
 // producer's invariants, write. An artifact that fails its own Check is
 // never written.
-func runSuite(s suite, seed uint64, out string) {
-	fmt.Printf("== %s ==\n", s.about)
+func runSuite(s suite, seed uint64, out string, stdout io.Writer) error {
+	fmt.Fprintf(stdout, "== %s ==\n", s.about)
 	a, err := s.run(seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(a.Render())
+	fmt.Fprint(stdout, a.Render())
 	if err := a.Check(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", s.file, err)
-		fatal(fmt.Errorf("%s failed its own invariants; not written", s.file))
+		return fmt.Errorf("%s failed its own invariants; not written: %w", s.file, err)
 	}
 	if out == "" {
-		return
+		return nil
 	}
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("wrote", out)
+	fmt.Fprintln(stdout, "wrote", out)
+	return nil
 }

@@ -3,9 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -72,35 +70,6 @@ func TestSuiteTableMatchesCommittedArtifacts(t *testing.T) {
 	}
 }
 
-// TestMain runs the command itself when run starts the test binary as
-// a child, so the tests see main's real exit code and output.
-func TestMain(m *testing.M) {
-	if os.Getenv("BENCHSUITE_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// run executes benchsuite with args in a child process and returns its
-// exit code, stdout and stderr.
-func run(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "BENCHSUITE_RUN_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	switch {
-	case errors.As(err, &exit):
-		return exit.ExitCode(), stdout.String(), stderr.String()
-	case err != nil:
-		t.Fatal(err)
-	}
-	return 0, stdout.String(), stderr.String()
-}
-
 // TestRejectsOutOfRangeFlags: a cell time that is not positive once
 // converted to simulated time, or above an hour, exits 2 with one line
 // on stderr before anything runs, instead of a table of zero-throughput
@@ -110,9 +79,10 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		{"-cell", "0"}, {"-cell", "-1"}, {"-cell", "1e-12"}, {"-cell", "NaN"},
 		{"-cell", "3601"}, {"-cell", "1e300"},
 	} {
-		code, stdout, stderr := run(t, args...)
-		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "benchsuite: ") || strings.Count(stderr, "\n") != 1 {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one benchsuite: line", args, code, stdout, stderr)
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "benchsuite: ") || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one benchsuite: line", args, code, &stdout, &stderr)
 		}
 	}
 }

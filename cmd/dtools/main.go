@@ -4,8 +4,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
 	"spiderfs/internal/lustre"
@@ -14,14 +17,44 @@ import (
 	"spiderfs/internal/tools"
 )
 
-func main() {
-	dirs := flag.Int("dirs", 8, "directories")
-	filesPer := flag.Int("files", 16, "files per directory")
-	fileMB := flag.Int64("filemb", 8, "file size in MiB")
-	workers := flag.Int("workers", 8, "parallel tool worker count")
-	seed := flag.Uint64("seed", 42, "random seed")
-	flag.Parse()
+// Bounds on the populated tree: at most maxFiles files of at most
+// maxFileMB MiB each, so every size and the tree's byte total fit in an
+// int64. -workers is bounded by maxFiles too: a worker beyond the file
+// count has nothing to do.
+const (
+	maxFiles  = 1 << 20
+	maxFileMB = 1 << 22
+)
 
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("dtools", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	dirs := flags.Int("dirs", 8, "directories")
+	filesPer := flags.Int("files", 16, "files per directory")
+	fileMB := flags.Int64("filemb", 8, "file size in MiB")
+	workers := flags.Int("workers", 8, "parallel tool worker count")
+	seed := flags.Uint64("seed", 42, "random seed")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	switch {
+	case *dirs < 1 || *filesPer < 1:
+		return fail(stderr, "-dirs and -files must be at least 1")
+	case *filesPer > maxFiles / *dirs:
+		return fail(stderr, "-dirs x -files must be at most %d files", maxFiles)
+	case *fileMB < 1 || *fileMB > maxFileMB:
+		return fail(stderr, "-filemb must be in [1, %d]", maxFileMB)
+	case *workers < 1 || *workers > maxFiles:
+		return fail(stderr, "-workers must be in [1, %d]", maxFiles)
+	}
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(*seed))
 	tools.Populate(fs, tools.TreeSpec{
@@ -30,8 +63,8 @@ func main() {
 	eng.Run()
 	var files []*lustre.File
 	fs.Walk(nil, func(f *lustre.File) { files = append(files, f) })
-	fmt.Printf("namespace: %d files, %.1f GiB\n\n", len(files), float64(fs.TotalUsed())/(1<<30))
-	fmt.Printf("%-8s %14s %14s %9s\n", "tool", "serial", fmt.Sprintf("parallel(x%d)", *workers), "speedup")
+	fmt.Fprintf(stdout, "namespace: %d files, %.1f GiB\n\n", len(files), float64(fs.TotalUsed())/(1<<30))
+	fmt.Fprintf(stdout, "%-8s %14s %14s %9s\n", "tool", "serial", fmt.Sprintf("parallel(x%d)", *workers), "speedup")
 
 	// find
 	pred := func(f *lustre.File) bool { return strings.HasSuffix(f.Path, "1") }
@@ -40,7 +73,7 @@ func main() {
 	eng.Run()
 	tools.DFind(fs, nil, pred, *workers, func(r tools.FindResult) { pf = r })
 	eng.Run()
-	row("find", sf.Duration, pf.Duration)
+	row(stdout, "find", sf.Duration, pf.Duration)
 
 	// cp
 	var sc, pc tools.CopyResult
@@ -48,7 +81,7 @@ func main() {
 	eng.Run()
 	tools.DCP(fs, files, "dst-dcp", *workers, func(r tools.CopyResult) { pc = r })
 	eng.Run()
-	row("cp", sc.Duration, pc.Duration)
+	row(stdout, "cp", sc.Duration, pc.Duration)
 
 	// tar
 	var st, pt tools.TarResult
@@ -56,10 +89,17 @@ func main() {
 	eng.Run()
 	tools.DTar(fs, files, "arch/par.tar", *workers, func(r tools.TarResult) { pt = r })
 	eng.Run()
-	row("tar", st.Duration, pt.Duration)
+	row(stdout, "tar", st.Duration, pt.Duration)
+	return 0
 }
 
-func row(name string, serial, parallel sim.Time) {
-	fmt.Printf("%-8s %14v %14v %8.1fx\n", name, serial, parallel,
+func row(stdout io.Writer, name string, serial, parallel sim.Time) {
+	fmt.Fprintf(stdout, "%-8s %14v %14v %8.1fx\n", name, serial, parallel,
 		float64(serial)/float64(parallel))
+}
+
+// fail reports a flag the benchmark cannot honour and returns its exit code, 2.
+func fail(stderr io.Writer, format string, args ...any) int {
+	fmt.Fprintf(stderr, "dtools: "+format+"\n", args...)
+	return 2
 }

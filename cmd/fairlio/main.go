@@ -5,8 +5,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"spiderfs/internal/disk"
@@ -22,14 +24,25 @@ import (
 const maxDuration = sim.Hour
 
 func main() {
-	target := flag.String("target", "group", "benchmark target: disk | group")
-	reqSize := flag.Int64("size", 1<<20, "request size in bytes")
-	depth := flag.Int("depth", 8, "queue depth")
-	writeFrac := flag.Float64("write", 1.0, "write fraction (0=read, 1=write)")
-	random := flag.Bool("random", false, "random offsets instead of sequential")
-	duration := flag.Float64("seconds", 5, "benchmark duration (simulated seconds, at most 3600)")
-	seed := flag.Uint64("seed", 42, "random seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("fairlio", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	target := flags.String("target", "group", "benchmark target: disk | group")
+	reqSize := flags.Int64("size", 1<<20, "request size in bytes")
+	depth := flags.Int("depth", 8, "queue depth")
+	writeFrac := flags.Float64("write", 1.0, "write fraction (0=read, 1=write)")
+	random := flags.Bool("random", false, "random offsets instead of sequential")
+	duration := flags.Float64("seconds", 5, "benchmark duration (simulated seconds, at most 3600)")
+	seed := flags.Uint64("seed", 42, "random seed")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	dcfg := disk.NLSAS2TB()
 	var capacity int64
@@ -41,22 +54,22 @@ func main() {
 		gcfg := raid.Spider2Group()
 		capacity = dcfg.Capacity / gcfg.ChunkSize * gcfg.StripeDataSize()
 	default:
-		fail("unknown target %q", *target)
+		return fail(stderr, "unknown target %q", *target)
 	}
 	dur := sim.FromSeconds(*duration)
 	switch {
 	case *reqSize < 1:
-		fail("-size must be positive")
+		return fail(stderr, "-size must be positive")
 	case *reqSize >= capacity:
-		fail("-size must be below the %s capacity of %d bytes", *target, capacity)
+		return fail(stderr, "-size must be below the %s capacity of %d bytes", *target, capacity)
 	case *depth < 1:
-		fail("-depth must be at least 1")
+		return fail(stderr, "-depth must be at least 1")
 	case !(*writeFrac >= 0 && *writeFrac <= 1):
-		fail("-write must be a fraction in [0, 1]")
+		return fail(stderr, "-write must be a fraction in [0, 1]")
 	case dur <= 0:
-		fail("-seconds must be positive")
+		return fail(stderr, "-seconds must be positive")
 	case dur > maxDuration:
-		fail("-seconds must be at most %g", maxDuration.Seconds())
+		return fail(stderr, "-seconds must be at most %g", maxDuration.Seconds())
 	}
 
 	eng := sim.NewEngine()
@@ -81,16 +94,17 @@ func main() {
 	if *random {
 		mode = "random"
 	}
-	fmt.Printf("fair-lio %s %s size=%d qd=%d write=%.0f%%\n",
+	fmt.Fprintf(stdout, "fair-lio %s %s size=%d qd=%d write=%.0f%%\n",
 		*target, mode, *reqSize, *depth, *writeFrac*100)
-	fmt.Printf("  throughput: %8.1f MB/s\n", res.MBps())
-	fmt.Printf("  IOPS:       %8.0f\n", res.IOPS())
-	fmt.Printf("  latency:    mean %.2f ms, min %.2f, max %.2f (n=%d)\n",
+	fmt.Fprintf(stdout, "  throughput: %8.1f MB/s\n", res.MBps())
+	fmt.Fprintf(stdout, "  IOPS:       %8.0f\n", res.IOPS())
+	fmt.Fprintf(stdout, "  latency:    mean %.2f ms, min %.2f, max %.2f (n=%d)\n",
 		res.LatencyMs.Mean, res.LatencyMs.Min, res.LatencyMs.Max, res.LatencyMs.N)
+	return 0
 }
 
-// fail reports a flag the benchmark cannot honour and exits 2.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fairlio: "+format+"\n", args...)
-	os.Exit(2)
+// fail reports a flag the benchmark cannot honour and returns its exit code, 2.
+func fail(stderr io.Writer, format string, args ...any) int {
+	fmt.Fprintf(stderr, "fairlio: "+format+"\n", args...)
+	return 2
 }

@@ -5,8 +5,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"spiderfs/internal/iosi"
@@ -17,34 +19,66 @@ import (
 	"spiderfs/internal/trace"
 )
 
+// Bounds on a simulated run: its window, -period x (-bursts + 1), is at
+// most one simulated hour (sim.FromSeconds saturates a huge value at
+// sim.MaxTime, a run that would never finish), and its checkpoints,
+// -bursts x -burst, at most maxRunMB MiB, the test namespace's 64 GiB.
+const (
+	maxWindow = sim.Hour
+	maxRunMB  = 64 << 10
+)
+
 func main() {
-	runs := flag.Int("runs", 4, "application runs to observe")
-	period := flag.Float64("period", 3, "checkpoint period (simulated seconds)")
-	burstMB := flag.Int64("burst", 96, "checkpoint size in MiB")
-	bursts := flag.Int("bursts", 6, "checkpoints per run")
-	noise := flag.Float64("noise", 0.2, "background noise intensity 0..1")
-	seed := flag.Uint64("seed", 42, "random seed")
-	importPath := flag.String("import", "", "read server logs from a JSON trace file instead of simulating")
-	exportPath := flag.String("export", "", "write the collected server logs to a JSON trace file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("iosi", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	runs := flags.Int("runs", 4, "application runs to observe")
+	period := flags.Float64("period", 3, "checkpoint period (simulated seconds)")
+	burstMB := flags.Int64("burst", 96, "checkpoint size in MiB")
+	bursts := flags.Int("bursts", 6, "checkpoints per run")
+	noise := flags.Float64("noise", 0.2, "background noise intensity 0..1")
+	seed := flags.Uint64("seed", 42, "random seed")
+	importPath := flags.String("import", "", "read server logs from a JSON trace file instead of simulating")
+	exportPath := flags.String("export", "", "write the collected server logs to a JSON trace file")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var series []iosi.Series
 	if *importPath != "" {
 		f, err := os.Open(*importPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "iosi:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "iosi:", err)
+			return 1
 		}
 		logs, err := trace.Read(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "iosi:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "iosi:", err)
+			return 1
 		}
 		for _, l := range logs {
 			series = append(series, l.Series())
 		}
 	} else {
+		switch {
+		case *runs < 1:
+			return fail(stderr, "-runs must be at least 1")
+		case *burstMB < 1 || *bursts < 1 || int64(*bursts) > maxRunMB / *burstMB:
+			return fail(stderr, "-burst and -bursts must be at least 1, with -bursts x -burst at most %d MiB", maxRunMB)
+		case sim.FromSeconds(*period) <= 0:
+			return fail(stderr, "-period must be positive")
+		case sim.FromSeconds(*period*float64(*bursts+1)) > maxWindow:
+			return fail(stderr, "-period x (-bursts + 1) must be at most %g seconds", maxWindow.Seconds())
+		case !(*noise >= 0 && *noise <= 1):
+			return fail(stderr, "-noise must be in [0, 1]")
+		}
 		for r := 0; r < *runs; r++ {
 			series = append(series, oneRun(uint64(r)+*seed, *period, *burstMB<<20, *bursts, *noise))
 		}
@@ -55,29 +89,38 @@ func main() {
 			logs[i] = trace.FromSeries(fmt.Sprintf("run-%d", i), s)
 		}
 		f, err := os.Create(*exportPath)
+		if err == nil {
+			err = trace.Write(f, logs)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "iosi:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "iosi:", err)
+			return 1
 		}
-		if err := trace.Write(f, logs); err != nil {
-			fmt.Fprintln(os.Stderr, "iosi:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("exported %d server logs to %s\n", len(logs), *exportPath)
+		fmt.Fprintf(stdout, "exported %d server logs to %s\n", len(logs), *exportPath)
 	}
 	for i, s := range series {
 		sig := iosi.ExtractRun(s, 4)
-		fmt.Printf("run %d: %d bursts, period %v, burst volume %.1f MiB\n",
+		fmt.Fprintf(stdout, "run %d: %d bursts, period %v, burst volume %.1f MiB\n",
 			i, sig.BurstsPerRun, sig.Period, sig.BurstVolume/(1<<20))
 	}
 	sig := iosi.Extract(series, 4)
-	fmt.Printf("\nsignature across %d runs:\n", len(series))
-	fmt.Printf("  period:       %v\n", sig.Period)
-	fmt.Printf("  burst volume: %.1f MiB\n", sig.BurstVolume/(1<<20))
-	fmt.Printf("  burst length: %v\n", sig.BurstDuration)
-	fmt.Printf("  bursts/run:   %d\n", sig.BurstsPerRun)
-	fmt.Printf("  confidence:   %.2f\n", sig.Confidence)
+	fmt.Fprintf(stdout, "\nsignature across %d runs:\n", len(series))
+	fmt.Fprintf(stdout, "  period:       %v\n", sig.Period)
+	fmt.Fprintf(stdout, "  burst volume: %.1f MiB\n", sig.BurstVolume/(1<<20))
+	fmt.Fprintf(stdout, "  burst length: %v\n", sig.BurstDuration)
+	fmt.Fprintf(stdout, "  bursts/run:   %d\n", sig.BurstsPerRun)
+	fmt.Fprintf(stdout, "  confidence:   %.2f\n", sig.Confidence)
+	return 0
+}
+
+// fail reports a flag the simulation cannot honour and returns its exit
+// code, 2.
+func fail(stderr io.Writer, format string, args ...any) int {
+	fmt.Fprintf(stderr, "iosi: "+format+"\n", args...)
+	return 2
 }
 
 func oneRun(seed uint64, periodSec float64, burstBytes int64, bursts int, noise float64) iosi.Series {

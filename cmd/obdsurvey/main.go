@@ -4,8 +4,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"spiderfs/internal/lustre"
@@ -15,19 +17,30 @@ import (
 )
 
 func main() {
-	total := flag.Int64("total", 256<<20, "bytes per phase")
-	rpc := flag.Int64("rpc", 1<<20, "object RPC size")
-	threads := flag.Int("threads", 8, "concurrent object threads")
-	seed := flag.Uint64("seed", 42, "random seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("obdsurvey", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	total := flags.Int64("total", 256<<20, "bytes per phase")
+	rpc := flags.Int64("rpc", 1<<20, "object RPC size")
+	threads := flags.Int("threads", 8, "concurrent object threads")
+	seed := flags.Uint64("seed", 42, "random seed")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	switch {
 	case *rpc < 1:
-		fail("-rpc must be positive")
+		return fail(stderr, "-rpc must be positive")
 	case *threads < 1:
-		fail("-threads must be at least 1")
+		return fail(stderr, "-threads must be at least 1")
 	case *total < int64(*threads):
-		fail("-total must give each of the %d threads at least one byte", *threads)
+		return fail(stderr, "-total must give each of the %d threads at least one byte", *threads)
 	}
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(*seed))
@@ -36,15 +49,16 @@ func main() {
 	eng.Run()
 
 	res := workload.RunObdSurvey(eng, file.Objects[0], *total, *rpc, *threads)
-	fmt.Printf("obdfilter-survey: total=%d MiB rpc=%d KiB threads=%d\n",
+	fmt.Fprintf(stdout, "obdfilter-survey: total=%d MiB rpc=%d KiB threads=%d\n",
 		*total>>20, *rpc>>10, *threads)
-	fmt.Printf("  write:   %8.1f MB/s\n", res.WriteMBps)
-	fmt.Printf("  rewrite: %8.1f MB/s\n", res.RewriteMBps)
-	fmt.Printf("  read:    %8.1f MB/s\n", res.ReadMBps)
+	fmt.Fprintf(stdout, "  write:   %8.1f MB/s\n", res.WriteMBps)
+	fmt.Fprintf(stdout, "  rewrite: %8.1f MB/s\n", res.RewriteMBps)
+	fmt.Fprintf(stdout, "  read:    %8.1f MB/s\n", res.ReadMBps)
+	return 0
 }
 
-// fail reports a flag the survey cannot honour and exits 2.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "obdsurvey: "+format+"\n", args...)
-	os.Exit(2)
+// fail reports a flag the survey cannot honour and returns its exit code, 2.
+func fail(stderr io.Writer, format string, args ...any) int {
+	fmt.Fprintf(stderr, "obdsurvey: "+format+"\n", args...)
+	return 2
 }

@@ -2,41 +2,9 @@ package main
 
 import (
 	"bytes"
-	"errors"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 )
-
-// TestMain runs the command itself when run starts the test binary as
-// a child, so the tests see main's real exit code and output.
-func TestMain(m *testing.M) {
-	if os.Getenv("OBDSURVEY_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// run executes obdsurvey with args in a child process and returns its exit
-// code, stdout and stderr.
-func run(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "OBDSURVEY_RUN_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	switch {
-	case errors.As(err, &exit):
-		return exit.ExitCode(), stdout.String(), stderr.String()
-	case err != nil:
-		t.Fatal(err)
-	}
-	return 0, stdout.String(), stderr.String()
-}
 
 // TestRejectsOutOfRangeFlags: each value exits 2 with one line on
 // stderr before anything is built, instead of a panic from deep inside
@@ -47,17 +15,23 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		{"-threads", "0"}, {"-threads", "-2"},
 		{"-total", "0"}, {"-total", "7"},
 	} {
-		code, stdout, stderr := run(t, args...)
-		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "obdsurvey: ") || strings.Count(stderr, "\n") != 1 {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one obdsurvey: line", args, code, stdout, stderr)
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "obdsurvey: ") || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one obdsurvey: line", args, code, &stdout, &stderr)
 		}
 	}
 }
 
-// TestDefaults: the default flags run to completion.
+// TestDefaults: the default flags run to completion, and -h prints the
+// flags and exits 0.
 func TestDefaults(t *testing.T) {
-	code, stdout, stderr := run(t)
-	if code != 0 || stderr != "" || !strings.Contains(stdout, "obdfilter-survey: total=256 MiB rpc=1024 KiB threads=8") {
-		t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, stderr, stdout)
+	var stdout, stderr bytes.Buffer
+	if code := run(nil, &stdout, &stderr); code != 0 || stderr.Len() != 0 || !strings.Contains(stdout.String(), "obdfilter-survey: total=256 MiB rpc=1024 KiB threads=8") {
+		t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, &stderr, &stdout)
+	}
+	stdout.Reset()
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "-seed") {
+		t.Fatalf("-h: exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
 	}
 }

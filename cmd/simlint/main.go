@@ -23,8 +23,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,7 +38,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	root := fs.String("C", ".", "module root directory to analyze")
@@ -47,6 +49,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	baseline := fs.String("baseline", ".simlint-baseline.json", "debt baseline file, relative to the module root")
 	update := fs.Bool("update", false, "with -debt: rewrite the baseline from the fresh report")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 
@@ -111,7 +116,7 @@ func run(args []string, stdout, stderr *os.File) int {
 
 // runDebt implements the -debt mode: inventory, optional baseline
 // rewrite, and the growth/reason/staleness gate.
-func runDebt(mod *lint.Module, checks []*lint.Check, baselinePath string, update, asJSON bool, stdout, stderr *os.File) int {
+func runDebt(mod *lint.Module, checks []*lint.Check, baselinePath string, update, asJSON bool, stdout, stderr io.Writer) int {
 	report := mod.Debt(checks)
 
 	if update {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"spiderfs/internal/ledger"
@@ -24,13 +26,14 @@ import (
 // incident window, joining ledger entries with spans exported by
 // `spidersim spans -out`. append extends an audited history — a
 // tampered one is refused — and writes the new export.
-func runLedger(args []string) {
+func runLedger(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		ledgerUsage()
-		exit(2)
+		ledgerUsage(stderr)
+		return 2
 	}
 	verb := args[0]
-	fs := flag.NewFlagSet("ledger "+verb, flag.ExitOnError)
+	fs := flag.NewFlagSet("ledger "+verb, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	in := fs.String("in", "", "ledger export JSON (required; spidersim chaos -ledger FILE writes one)")
 	trust := fs.String("trust", "", "verify: trusted export or JSON root-ref array to audit against")
 	spansFile := fs.String("spans", "", "replay: spans JSON (spidersim spans -out FILE) to join")
@@ -43,87 +46,97 @@ func runLedger(args []string) {
 	detail := fs.String("detail", "", "append: free-form detail")
 	out := fs.String("out", "", "append: write the extended export here (default: overwrite -in)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	_ = fs.Parse(args[1:])
-	startProfile(*cpuprofile)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	stop, err := startProfile(*cpuprofile, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "spidersim: -cpuprofile:", err)
+		return 1
+	}
+	defer stop()
 	if *in == "" {
-		fmt.Fprintln(os.Stderr, "ledger: -in FILE required")
-		ledgerUsage()
-		exit(2)
+		fmt.Fprintln(stderr, "ledger: -in FILE required")
+		ledgerUsage(stderr)
+		return 2
 	}
 	exp, err := readExport(*in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ledger:", err)
-		exit(1)
+		fmt.Fprintln(stderr, "ledger:", err)
+		return 1
 	}
 
 	switch verb {
 	case "verify":
-		ledgerVerify(exp, *trust)
+		return ledgerVerify(exp, *trust, stdout, stderr)
 	case "replay":
-		ledgerReplay(exp, *spansFile, sim.Time(*from), sim.Time(*to))
+		return ledgerReplay(exp, *spansFile, sim.Time(*from), sim.Time(*to), stdout, stderr)
 	case "append":
 		if *action == "" {
-			fmt.Fprintln(os.Stderr, "ledger append: -action required")
-			exit(2)
+			fmt.Fprintln(stderr, "ledger append: -action required")
+			return 2
 		}
 		dst := *out
 		if dst == "" {
 			dst = *in
 		}
-		ledgerAppend(exp, sim.Time(*at), *actor, *class, *action, *detail, dst)
+		return ledgerAppend(exp, sim.Time(*at), *actor, *class, *action, *detail, dst, stdout, stderr)
 	default:
-		fmt.Fprintf(os.Stderr, "ledger: unknown verb %q\n", verb)
-		ledgerUsage()
-		exit(2)
+		fmt.Fprintf(stderr, "ledger: unknown verb %q\n", verb)
+		ledgerUsage(stderr)
+		return 2
 	}
 }
 
-func ledgerUsage() {
-	fmt.Fprintln(os.Stderr, `usage: spidersim ledger <verify|replay|append> -in FILE [-cpuprofile FILE]
+func ledgerUsage(stderr io.Writer) {
+	fmt.Fprintln(stderr, `usage: spidersim ledger <verify|replay|append> -in FILE [-cpuprofile FILE]
   verify  [-trust FILE]                                  audit; nonzero exit on findings
   replay  [-spans FILE] [-from DUR] [-to DUR]            render an incident window
   append  -at DUR -action KIND [-actor A] [-class C] [-detail D] [-out FILE]`)
 }
 
-func ledgerVerify(exp *ledger.Export, trustFile string) {
+func ledgerVerify(exp *ledger.Export, trustFile string, stdout, stderr io.Writer) int {
 	var findings []ledger.Finding
 	if trustFile != "" {
 		trusted, err := readTrust(trustFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ledger verify:", err)
-			exit(1)
+			fmt.Fprintln(stderr, "ledger verify:", err)
+			return 1
 		}
-		fmt.Printf("auditing against %d trusted roots from %s\n", len(trusted), trustFile)
+		fmt.Fprintf(stdout, "auditing against %d trusted roots from %s\n", len(trusted), trustFile)
 		findings = ledger.AuditAgainst(exp, trusted)
 	} else {
 		findings = ledger.Audit(exp)
 	}
-	fmt.Printf("ledger: %d entries, %d anchored batches, head %.16s..\n",
+	fmt.Fprintf(stdout, "ledger: %d entries, %d anchored batches, head %.16s..\n",
 		len(exp.Entries), len(exp.Anchors), exp.Head)
 	if len(findings) == 0 {
-		fmt.Println("verify: clean — hash chains, anchor coverage, and Merkle roots all hold")
-		return
+		fmt.Fprintln(stdout, "verify: clean — hash chains, anchor coverage, and Merkle roots all hold")
+		return 0
 	}
-	fmt.Printf("verify: %d findings\n", len(findings))
+	fmt.Fprintf(stdout, "verify: %d findings\n", len(findings))
 	for _, f := range findings {
-		fmt.Printf("  %v\n", f)
+		fmt.Fprintf(stdout, "  %v\n", f)
 	}
-	exit(1)
+	return 1
 }
 
-func ledgerReplay(exp *ledger.Export, spansFile string, from, to sim.Time) {
+func ledgerReplay(exp *ledger.Export, spansFile string, from, to sim.Time, stdout, stderr io.Writer) int {
 	var spans []trace.SpanRecord
 	if spansFile != "" {
 		f, err := os.Open(spansFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ledger replay:", err)
-			exit(1)
+			fmt.Fprintln(stderr, "ledger replay:", err)
+			return 1
 		}
 		spans, err = trace.ReadSpans(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ledger replay:", err)
-			exit(1)
+			fmt.Fprintln(stderr, "ledger replay:", err)
+			return 1
 		}
 	}
 	if to <= 0 {
@@ -137,28 +150,30 @@ func ledgerReplay(exp *ledger.Export, spansFile string, from, to sim.Time) {
 		}
 	}
 	items := ledger.Replay(exp, spans, from, to)
-	fmt.Printf("replay [%v, %v]: %d ledger entries + spans -> %d items\n",
+	fmt.Fprintf(stdout, "replay [%v, %v]: %d ledger entries + spans -> %d items\n",
 		from, to, len(exp.Entries), len(items))
-	fmt.Print(ledger.RenderReplay(items))
+	fmt.Fprint(stdout, ledger.RenderReplay(items))
+	return 0
 }
 
-func ledgerAppend(exp *ledger.Export, at sim.Time, actor, class, action, detail, dst string) {
+func ledgerAppend(exp *ledger.Export, at sim.Time, actor, class, action, detail, dst string, stdout, stderr io.Writer) int {
 	l, err := ledger.Resume(exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ledger append:", err)
-		exit(1)
+		fmt.Fprintln(stderr, "ledger append:", err)
+		return 1
 	}
 	if err := l.Append(at, actor, class, action, detail); err != nil {
-		fmt.Fprintln(os.Stderr, "ledger append:", err)
-		exit(1)
+		fmt.Fprintln(stderr, "ledger append:", err)
+		return 1
 	}
 	l.Close()
 	if err := writeLedger(dst, l.Export()); err != nil {
-		fmt.Fprintln(os.Stderr, "ledger append:", err)
-		exit(1)
+		fmt.Fprintln(stderr, "ledger append:", err)
+		return 1
 	}
-	fmt.Printf("appended %s/%s at %v: now %d entries, %d anchors, head %.16s..; wrote %s\n",
+	fmt.Fprintf(stdout, "appended %s/%s at %v: now %d entries, %d anchors, head %.16s..; wrote %s\n",
 		actor, action, at, l.Len(), l.AnchorCount(), l.Head(), dst)
+	return 0
 }
 
 func readExport(path string) (*ledger.Export, error) {

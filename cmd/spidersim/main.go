@@ -24,8 +24,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"slices"
@@ -47,19 +49,22 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
-	defer func() { stopProfile() }()
-	cmd := os.Args[1]
+	cmd := args[0]
 	if cmd == "ledger" {
 		// The ledger subcommand takes a verb (verify|replay|append)
 		// before its flags; it parses its own argument list.
-		runLedger(os.Args[2:])
-		return
+		return runLedger(args[1:], stdout, stderr)
 	}
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	seed := fs.Uint64("seed", 42, "random seed")
 	days := fs.Int("days", 0, "chaos: override the campaign length in simulated days")
 	full := fs.Bool("full", false, "chaos: 7-day full-scale campaign instead of the 1-day small center")
@@ -72,35 +77,47 @@ func main() {
 	spec := fs.String("spec", "", "session: the scenario spec as JSON, e.g. '{\"kind\":\"workload\",\"seed\":7}'")
 	ledgerOut := fs.String("ledger", "", "chaos: export the campaign's operations ledger as JSON to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	_ = fs.Parse(os.Args[2:])
-	startProfile(*cpuprofile)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	stop, err := startProfile(*cpuprofile, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "spidersim: -cpuprofile:", err)
+		return 1
+	}
+	defer stop()
 
 	if s, ok := experiment.Lookup(cmd); ok {
 		r := s.Run(*seed)
-		fmt.Printf("--- %s ---\n%s", r.Title, r.Body)
-		return
+		fmt.Fprintf(stdout, "--- %s ---\n%s", r.Title, r.Body)
+		return 0
 	}
 	switch cmd {
 	case "chaos":
 		if *days < 0 || *days > chaos.MaxDays {
-			fmt.Fprintf(os.Stderr, "spidersim: chaos -days %d outside [0, %d]\n", *days, chaos.MaxDays)
-			exit(2)
+			fmt.Fprintf(stderr, "spidersim: chaos -days %d outside [0, %d]\n", *days, chaos.MaxDays)
+			return 2
 		}
-		runChaos(*seed, *days, *full, *ledgerOut)
+		return runChaos(*seed, *days, *full, *ledgerOut, stdout, stderr)
 	case "spans":
-		runSpans(*seed, *scenario, *every, *out)
+		return runSpans(*seed, *scenario, *every, *out, stdout, stderr)
 	case "sweep":
-		runSweep(*seed, *exp, *replicas, *workers)
+		return runSweep(*seed, *exp, *replicas, *workers, stdout, stderr)
 	case "scrub":
-		runScrub(*seed)
+		runScrub(*seed, stdout)
+		return 0
 	case "session":
-		runSession(*spec)
+		return runSession(*spec, stdout, stderr)
 	case "arch":
 		c := center.New(center.Config{Scale: 1, Namespaces: 2, Seed: *seed})
-		fmt.Print(c.RenderArchitecture())
+		fmt.Fprint(stdout, c.RenderArchitecture())
+		return 0
 	default:
-		usage()
-		exit(2)
+		usage(stderr)
+		return 2
 	}
 }
 
@@ -108,48 +125,37 @@ func main() {
 // a study up first, so no study may take one of these names.
 var commands = []string{"arch", "chaos", "spans", "sweep", "scrub", "session", "ledger"}
 
-func usage() {
+func usage(stderr io.Writer) {
 	var cmds []string
 	for _, s := range experiment.Studies {
 		cmds = append(cmds, s.Name)
 	}
 	cmds = append(cmds, commands...)
-	fmt.Fprintf(os.Stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp %s] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE] [-cpuprofile FILE]\n", strings.Join(cmds, "|"), sweepChoices())
-	fmt.Fprintln(os.Stderr, "       spidersim ledger <verify|replay|append> -in FILE [...]")
+	fmt.Fprintf(stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp %s] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE] [-cpuprofile FILE]\n", strings.Join(cmds, "|"), sweepChoices())
+	fmt.Fprintln(stderr, "       spidersim ledger <verify|replay|append> -in FILE [...]")
 }
 
-// stopProfile flushes and closes the -cpuprofile file; it is a no-op
-// until startProfile starts one.
-var stopProfile = func() {}
-
-// startProfile starts a CPU profile into path, if one is asked for.
-// main's deferred stopProfile flushes it on return, and exit on every
-// other way out.
-func startProfile(path string) {
+// startProfile starts a CPU profile into path, if one is asked for, and
+// returns the call that flushes and closes it; run defers that call, so
+// the profile is flushed on every exit path.
+func startProfile(path string, stderr io.Writer) (stop func(), err error) {
 	if path == "" {
-		return
+		return func() {}, nil
 	}
 	f, err := os.Create(path)
-	if err == nil {
-		err = pprof.StartCPUProfile(f)
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spidersim: -cpuprofile:", err)
-		os.Exit(1)
+		return nil, err
 	}
-	stopProfile = func() {
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
 		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "spidersim: -cpuprofile:", err)
+			fmt.Fprintln(stderr, "spidersim: -cpuprofile:", err)
 		}
-	}
-}
-
-// exit flushes any CPU profile, then exits with code: os.Exit runs no
-// deferred calls.
-func exit(code int) {
-	stopProfile()
-	os.Exit(code)
+	}, nil
 }
 
 // runSession executes one service session spec solo and prints the
@@ -157,27 +163,28 @@ func exit(code int) {
 // reference side of the spidersimd determinism contract. The sweep
 // catalog is the same one the daemon registers, so "sweep"-kind specs
 // resolve identically; every model stream comes from the spec's seed.
-func runSession(specJSON string) {
+func runSession(specJSON string, stdout, stderr io.Writer) int {
 	if specJSON == "" {
-		fmt.Fprintln(os.Stderr, `session: -spec required, e.g. -spec '{"kind":"workload","seed":7}'`)
-		exit(2)
+		fmt.Fprintln(stderr, `session: -spec required, e.g. -spec '{"kind":"workload","seed":7}'`)
+		return 2
 	}
 	var spec serve.Spec
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
-		fmt.Fprintln(os.Stderr, "session: bad -spec:", err)
-		exit(2)
+		fmt.Fprintln(stderr, "session: bad -spec:", err)
+		return 2
 	}
 	rep, err := serve.RunSolo(spec, experiment.Catalog())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "session:", err)
-		exit(1)
+		fmt.Fprintln(stderr, "session:", err)
+		return 1
 	}
 	data, err := rep.JSON()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "session:", err)
-		exit(1)
+		fmt.Fprintln(stderr, "session:", err)
+		return 1
 	}
-	os.Stdout.Write(data)
+	stdout.Write(data)
+	return 0
 }
 
 // sweepChoices lists the -exp values: each catalog label's first word
@@ -209,11 +216,11 @@ func selectSweeps(exp string) []sweep.Entry {
 // runSweep fans the catalog's seed sweeps across a worker pool and
 // prints each merged report — the same replica bodies and merge path
 // that `benchsuite -sweep` uses for BENCH_sweep.json, interactively.
-func runSweep(seed uint64, exp string, replicas, workers int) {
+func runSweep(seed uint64, exp string, replicas, workers int, stdout, stderr io.Writer) int {
 	entries := selectSweeps(exp)
 	if len(entries) == 0 {
-		fmt.Fprintf(os.Stderr, "sweep: unknown experiment %q (want %s)\n", exp, sweepChoices())
-		exit(2)
+		fmt.Fprintf(stderr, "sweep: unknown experiment %q (want %s)\n", exp, sweepChoices())
+		return 2
 	}
 	for _, e := range entries {
 		if replicas > 0 {
@@ -222,24 +229,25 @@ func runSweep(seed uint64, exp string, replicas, workers int) {
 		t0 := time.Now()
 		res, err := sweep.Run(e, seed, workers)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			exit(1)
+			fmt.Fprintln(stderr, "sweep:", err)
+			return 1
 		}
-		fmt.Print(res.Report())
-		fmt.Printf("  (%d replicas in %v)\n", e.Replicas, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprint(stdout, res.Report())
+		fmt.Fprintf(stdout, "  (%d replicas in %v)\n", e.Replicas, time.Since(t0).Round(time.Millisecond))
 	}
+	return 0
 }
 
 // runScrub replays the E19 scenario twice under the same seed — scrub
 // off versus the default pass interval — and prints the exposure delta:
 // what the background scrubber buys in undetected corrupt reads, latent
 // rebuild hits, and lost stripes, and what it costs in read latency.
-func runScrub(seed uint64) {
-	fmt.Println("E19: background scrub vs latent-corruption exposure (same storm + disk failure, same seed)")
+func runScrub(seed uint64, stdout io.Writer) {
+	fmt.Fprintln(stdout, "E19: background scrub vs latent-corruption exposure (same storm + disk failure, same seed)")
 	every := integrity.DefaultScrubInterval
 	a, b := integrity.RunScenario(seed, 0), integrity.RunScenario(seed, every)
-	fmt.Printf("%-28s %14s %14s\n", "", "scrub off", fmt.Sprintf("every %v", every))
-	row := func(name string, x, y any) { fmt.Printf("%-28s %14v %14v\n", name, x, y) }
+	fmt.Fprintf(stdout, "%-28s %14s %14s\n", "", "scrub off", fmt.Sprintf("every %v", every))
+	row := func(name string, x, y any) { fmt.Fprintf(stdout, "%-28s %14v %14v\n", name, x, y) }
 	row("reads served", a.Reads, b.Reads)
 	row("undetected corrupt reads", a.UndetectedReads, b.UndetectedReads)
 	row("repaired on read", a.RepairedChunks, b.RepairedChunks)
@@ -253,19 +261,19 @@ func runScrub(seed uint64) {
 	row("mean read latency (ms)",
 		fmt.Sprintf("%.2f", a.MeanReadMs), fmt.Sprintf("%.2f", b.MeanReadMs))
 	if a.MeanReadMs > 0 {
-		fmt.Printf("scrub read-latency overhead: %.1f%%\n", (b.MeanReadMs/a.MeanReadMs-1)*100)
+		fmt.Fprintf(stdout, "scrub read-latency overhead: %.1f%%\n", (b.MeanReadMs/a.MeanReadMs-1)*100)
 	}
-	fmt.Println("(paper Sec. V: latent sector errors surface during rebuilds; periodic scrub closes the double-failure window)")
+	fmt.Fprintln(stdout, "(paper Sec. V: latent sector errors surface during rebuilds; periodic scrub closes the double-failure window)")
 }
 
 // runSpans traces a scenario end to end with the spantrace plane and
 // renders the per-layer bandwidth waterfall, the critical-path
 // attribution, the operation census, and a small flame view.
-func runSpans(seed uint64, scenario string, every int, out string) {
+func runSpans(seed uint64, scenario string, every int, out string, stdout, stderr io.Writer) int {
 	tr := spantrace.New(rng.New(seed^0x5a9_70ce), every)
 	switch scenario {
 	case "fig3":
-		fmt.Printf("spans: Fig. 3 point (32 clients, 1 MiB transfers, full fabric), sampling 1-in-%d\n", every)
+		fmt.Fprintf(stdout, "spans: Fig. 3 point (32 clients, 1 MiB transfers, full fabric), sampling 1-in-%d\n", every)
 		c := center.New(center.Config{Small: true, Namespaces: 1, Seed: seed,
 			UseFabric: true, RouteMode: netsim.RouteFGR})
 		c.AttachTracer(tr)
@@ -273,25 +281,25 @@ func runSpans(seed uint64, scenario string, every int, out string) {
 			Clients: 32, TransferSize: 1 << 20, StoneWall: 300 * sim.Millisecond,
 			Tracer: tr,
 		})
-		fmt.Printf("%v\n\n", res)
+		fmt.Fprintf(stdout, "%v\n\n", res)
 	case "chaos":
-		fmt.Printf("spans: 1-day chaos campaign under injected faults, sampling 1-in-%d\n", every)
+		fmt.Fprintf(stdout, "spans: 1-day chaos campaign under injected faults, sampling 1-in-%d\n", every)
 		cfg := chaos.QuickConfig(seed)
 		cfg.Tracer = tr
 		rep := chaos.Run(cfg)
-		fmt.Printf("availability %.5f over %v\n\n", rep.Availability, cfg.Duration)
+		fmt.Fprintf(stdout, "availability %.5f over %v\n\n", rep.Availability, cfg.Duration)
 	default:
-		fmt.Fprintf(os.Stderr, "spans: unknown scenario %q (want fig3 or chaos)\n", scenario)
-		exit(2)
+		fmt.Fprintf(stderr, "spans: unknown scenario %q (want fig3 or chaos)\n", scenario)
+		return 2
 	}
 
 	spans := tr.Spans()
-	fmt.Printf("sampled %d root requests -> %d spans\n\n", tr.Sampled(), len(spans))
-	fmt.Print(spantrace.RenderWaterfall(spantrace.Waterfall(spans)))
-	fmt.Println()
-	fmt.Print(spantrace.RenderCritical(spantrace.CriticalPaths(spans)))
-	fmt.Println()
-	fmt.Println("operation census (fault-path ops marked *):")
+	fmt.Fprintf(stdout, "sampled %d root requests -> %d spans\n\n", tr.Sampled(), len(spans))
+	fmt.Fprint(stdout, spantrace.RenderWaterfall(spantrace.Waterfall(spans)))
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, spantrace.RenderCritical(spantrace.CriticalPaths(spans)))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "operation census (fault-path ops marked *):")
 	faulty := map[string]bool{"rpc-retry": true, "router-stall": true, "reroute": true,
 		"oss-stall": true, "drop": true, "degraded-read": true, "rmw": true, "rebuild-batch": true}
 	for _, oc := range spantrace.CountOps(spans) {
@@ -299,59 +307,61 @@ func runSpans(seed uint64, scenario string, every int, out string) {
 		if faulty[oc.Op] {
 			mark = "*"
 		}
-		fmt.Printf("  %s %-16s %8d spans %14d bytes\n", mark, oc.Op, oc.N, oc.Bytes)
+		fmt.Fprintf(stdout, "  %s %-16s %8d spans %14d bytes\n", mark, oc.Op, oc.N, oc.Bytes)
 	}
-	fmt.Println()
-	fmt.Println("flame view (first traced requests):")
-	fmt.Print(spantrace.RenderFlame(spans, 3))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "flame view (first traced requests):")
+	fmt.Fprint(stdout, spantrace.RenderFlame(spans, 3))
 
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "spans: %v\n", err)
-			exit(1)
+			fmt.Fprintf(stderr, "spans: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := trace.WriteSpans(f, spans); err != nil {
-			fmt.Fprintf(os.Stderr, "spans: %v\n", err)
-			exit(1)
+			fmt.Fprintf(stderr, "spans: %v\n", err)
+			return 1
 		}
-		fmt.Printf("\nwrote %d spans to %s\n", len(spans), out)
+		fmt.Fprintf(stdout, "\nwrote %d spans to %s\n", len(spans), out)
 	}
+	return 0
 }
 
-func runChaos(seed uint64, days int, full bool, ledgerOut string) {
+func runChaos(seed uint64, days int, full bool, ledgerOut string, stdout, stderr io.Writer) int {
 	cfg := chaos.CampaignConfig(seed, full, days)
-	fmt.Println("center-wide chaos campaign: correlated faults vs the Sec. IV resilience features")
+	fmt.Fprintln(stdout, "center-wide chaos campaign: correlated faults vs the Sec. IV resilience features")
 	feat := chaos.Run(cfg)
-	fmt.Print(feat)
+	fmt.Fprint(stdout, feat)
 	if ledgerOut != "" {
 		if err := writeLedger(ledgerOut, feat.Ops); err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			exit(1)
+			fmt.Fprintln(stderr, "chaos:", err)
+			return 1
 		}
-		fmt.Printf("wrote operations ledger (%d entries, %d anchors) to %s\n",
+		fmt.Fprintf(stdout, "wrote operations ledger (%d entries, %d anchors) to %s\n",
 			feat.LedgerEntries, feat.LedgerAnchors, ledgerOut)
 	}
 	if len(feat.Timeline) > 0 {
-		fmt.Println("first faults on the timeline:")
+		fmt.Fprintln(stdout, "first faults on the timeline:")
 		for i, line := range feat.Timeline {
 			if i == 6 {
 				break
 			}
-			fmt.Printf("  %s\n", line)
+			fmt.Fprintf(stdout, "  %s\n", line)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	abl := chaos.Run(cfg.Ablated())
-	fmt.Print(abl)
-	fmt.Println()
-	fmt.Printf("resilience delta under the identical fault schedule (seed %d):\n", seed)
-	fmt.Printf("  OST downtime:  %v ablated -> %v with imperative recovery + ARN\n",
+	fmt.Fprint(stdout, abl)
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "resilience delta under the identical fault schedule (seed %d):\n", seed)
+	fmt.Fprintf(stdout, "  OST downtime:  %v ablated -> %v with imperative recovery + ARN\n",
 		abl.OSTDowntime, feat.OSTDowntime)
-	fmt.Printf("  availability:  %.5f -> %.5f\n", abl.Availability, feat.Availability)
-	fmt.Printf("  router stalls: %d sends (%v stalled) -> %d sends (%v)\n",
+	fmt.Fprintf(stdout, "  availability:  %.5f -> %.5f\n", abl.Availability, feat.Availability)
+	fmt.Fprintf(stdout, "  router stalls: %d sends (%v stalled) -> %d sends (%v)\n",
 		abl.StalledSends, abl.StallTime, feat.StalledSends, feat.StallTime)
-	fmt.Printf("  probe rate:    mean %.1f MB/s -> %.1f MB/s\n",
+	fmt.Fprintf(stdout, "  probe rate:    mean %.1f MB/s -> %.1f MB/s\n",
 		abl.MeanProbeMBps, feat.MeanProbeMBps)
+	return 0
 }

@@ -17,21 +17,20 @@ import (
 	"spiderfs/internal/experiment"
 )
 
-// TestMain runs the command itself when run starts the test binary as
-// a child, so the tests see main's real exit code and output.
+// TestMain runs the command itself when runChild starts the test binary
+// as a child.
 func TestMain(m *testing.M) {
 	if os.Getenv("SPIDERSIM_RUN_MAIN") == "1" {
 		main()
-		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
 
-// run executes spidersim with args in a child process and returns its
-// exit code, stdout and stderr. The child is killed after a minute, so
-// a flag that starts a centuries-long campaign fails the test instead
-// of hanging it.
-func run(t *testing.T, args ...string) (int, string, string) {
+// runChild executes spidersim with args in a child process and returns
+// its exit code, stdout and stderr. The child is killed after a minute,
+// so a flag that starts a centuries-long campaign fails the test
+// instead of hanging it.
+func runChild(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -59,22 +58,23 @@ func run(t *testing.T, args ...string) (int, string, string) {
 // or, when negative, be ignored; 0 (the default window) and 1 run.
 func TestChaosDaysBound(t *testing.T) {
 	for _, days := range []string{"-1", "32", "106751", "300000"} {
-		code, stdout, stderr := run(t, "chaos", "-days", days)
+		code, stdout, stderr := runChild(t, "chaos", "-days", days)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "spidersim: ") || strings.Count(stderr, "\n") != 1 {
 			t.Errorf("-days %s: exit %d, %d bytes of stdout, stderr %q; want exit 2 and one spidersim: line", days, code, len(stdout), stderr)
 		}
 	}
 	for _, days := range []string{"0", "1"} {
-		code, stdout, stderr := run(t, "chaos", "-days", days)
-		if code != 0 || stderr != "" || !strings.Contains(stdout, "center-wide chaos campaign") {
-			t.Errorf("-days %s: exit %d, stderr %q, stdout:\n%s", days, code, stderr, stdout)
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"chaos", "-days", days}, &stdout, &stderr)
+		if code != 0 || stderr.Len() != 0 || !strings.Contains(stdout.String(), "center-wide chaos campaign") {
+			t.Errorf("-days %s: exit %d, stderr %q, stdout:\n%s", days, code, &stderr, &stdout)
 		}
 	}
 }
 
 // TestCPUProfile: -cpuprofile writes a runtime/pprof CPU profile (a
 // gzipped protocol buffer) of a study run, and still flushes it when
-// the command exits 2, which runs no deferred calls.
+// the command exits 2.
 func TestCPUProfile(t *testing.T) {
 	checkProfile := func(path string) {
 		t.Helper()
@@ -94,16 +94,50 @@ func TestCPUProfile(t *testing.T) {
 	}
 	dir := t.TempDir()
 	prof := filepath.Join(dir, "fig3.prof")
-	code, stdout, stderr := run(t, "fig3", "-cpuprofile", prof)
-	if code != 0 || stderr != "" || !strings.Contains(stdout, "--- ") {
-		t.Fatalf("fig3 -cpuprofile: exit %d, stderr %q, stdout:\n%s", code, stderr, stdout)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"fig3", "-cpuprofile", prof}, &stdout, &stderr); code != 0 || stderr.Len() != 0 || !strings.Contains(stdout.String(), "--- ") {
+		t.Fatalf("fig3 -cpuprofile: exit %d, stderr %q, stdout:\n%s", code, &stderr, &stdout)
 	}
 	checkProfile(prof)
 	prof = filepath.Join(dir, "exit2.prof")
-	if code, _, _ := run(t, "chaos", "-days", "-1", "-cpuprofile", prof); code != 2 {
+	if code := run([]string{"chaos", "-days", "-1", "-cpuprofile", prof}, &stdout, &stderr); code != 2 {
 		t.Fatalf("chaos -days -1 -cpuprofile: exit %d, want 2", code)
 	}
 	checkProfile(prof)
+}
+
+// TestLedgerVerbs drives the ledger verbs in-process on a campaign's
+// export: verify passes a clean history and fails a forged entry with
+// exit 1, append extends a clean history, and a missing -in or an
+// unknown verb exits 2.
+func TestLedgerVerbs(t *testing.T) {
+	spidersim := func(want int, args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != want {
+			t.Fatalf("%v: exit %d, want %d; stderr %q", args, code, want, &stderr)
+		}
+		return stdout.String()
+	}
+	dir := t.TempDir()
+	clean, forged, appended := filepath.Join(dir, "clean.json"), filepath.Join(dir, "forged.json"), filepath.Join(dir, "appended.json")
+	spidersim(0, "chaos", "-ledger", clean)
+	if out := spidersim(0, "ledger", "verify", "-in", clean); !strings.Contains(out, "verify: clean") {
+		t.Fatalf("verify of the campaign's export:\n%s", out)
+	}
+	spidersim(0, "ledger", "append", "-in", clean, "-at", "25h", "-action", "drill", "-out", appended)
+	spidersim(0, "ledger", "verify", "-in", appended)
+	exp, err := readExport(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.Entries[0].Actor = "forged"
+	if err := writeLedger(forged, exp); err != nil {
+		t.Fatal(err)
+	}
+	spidersim(1, "ledger", "verify", "-in", forged)
+	spidersim(2, "ledger", "verify")
+	spidersim(2, "ledger", "rewind", "-in", clean)
 }
 
 // TestStudiesDoNotShadowCommands guards main's dispatch order: a study

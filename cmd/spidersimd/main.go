@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -32,14 +34,29 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	seed := flag.Uint64("seed", 42, "service-plane seed: session tokens only (every model stream, sweeps included, comes from each spec's own seed)")
-	workers := flag.Int("workers", 2, "concurrent session executors")
-	queue := flag.Int("queue", 64, "admission queue depth; submits past it are shed with 429")
-	pool := flag.Int("pool", 2, "warm engine/fabric instances retained per shape (0 = always cold)")
-	cache := flag.Int("cache", 128, "result cache entries (0 = disabled)")
-	prewarm := flag.Bool("prewarm", true, "build the warm pool before listening")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("spidersimd", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	addr := flags.String("addr", ":8080", "listen address")
+	seed := flags.Uint64("seed", 42, "service-plane seed: session tokens only (every model stream, sweeps included, comes from each spec's own seed)")
+	workers := flags.Int("workers", 2, "concurrent session executors")
+	queue := flags.Int("queue", 64, "admission queue depth; submits past it are shed with 429")
+	pool := flags.Int("pool", 2, "warm engine/fabric instances retained per shape (0 = always cold)")
+	cache := flags.Int("cache", 128, "result cache entries (0 = disabled)")
+	prewarm := flags.Bool("prewarm", true, "build the warm pool before listening")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *workers < 1 || *queue < 1 || *pool < 0 || *cache < 0 {
+		fmt.Fprintln(stderr, "spidersimd: -workers and -queue must be at least 1, -pool and -cache at least 0")
+		return 2
+	}
 
 	svc := serve.New(serve.Config{
 		Seed:       *seed,
@@ -55,10 +72,11 @@ func main() {
 		svc.Prewarm(*pool, false)
 	}
 
-	fmt.Printf("spidersimd listening on %s (workers %d, queue %d, pool %d, cache %d)\n",
+	fmt.Fprintf(stdout, "spidersimd listening on %s (workers %d, queue %d, pool %d, cache %d)\n",
 		*addr, *workers, *queue, *pool, *cache)
 	if err := http.ListenAndServe(*addr, svc.Handler()); err != nil {
-		fmt.Fprintln(os.Stderr, "spidersimd:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "spidersimd:", err)
+		return 1
 	}
+	return 0
 }

@@ -136,7 +136,7 @@ func RunBench() Suite {
 	warmSvc.Close()
 
 	// Cache: one priming miss, then the same spec repeatedly — hits.
-	cacheSvc := New(Config{Workers: workers, PoolSize: workers, QueueDepth: benchSessions + 1})
+	cacheSvc := New(Config{Workers: workers, PoolSize: workers, QueueDepth: benchSessions + 1, CacheSize: 128})
 	prime := make([]uint64, 1, benchSessions+1)
 	prime[0] = seeds[0]
 	_, _, primeErrs := runPhase(cacheSvc, "prime", prime)

@@ -195,7 +195,7 @@ func TestHTTPErrors(t *testing.T) {
 // TestHTTPBackpressure429 overflows the admission queue over HTTP and
 // demands 429 with a Retry-After header — the shedding contract.
 func TestHTTPBackpressure429(t *testing.T) {
-	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 1, CacheSize: -1})
+	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 1, CacheSize: 0})
 	gate := make(chan struct{})
 	svc.testGate = gate
 	defer svc.Close()

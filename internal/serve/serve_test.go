@@ -176,7 +176,7 @@ func TestSweepSessionFollowsSpecSeed(t *testing.T) {
 // TestServicePoolReuseFingerprint drives sessions through one retained
 // warm instance and demands each matches its solo-run fingerprint.
 func TestServicePoolReuseFingerprint(t *testing.T) {
-	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 8, CacheSize: -1})
+	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 8, CacheSize: 0})
 	defer svc.Close()
 	for i, seed := range []uint64{301, 302, 303, 304} {
 		spec := workloadSpec(seed)
@@ -243,6 +243,25 @@ func TestServiceCacheHit(t *testing.T) {
 	}
 }
 
+// TestServiceCacheDisabled: CacheSize 0 disables the cache, as its doc
+// says, so a resubmitted spec runs again.
+func TestServiceCacheDisabled(t *testing.T) {
+	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 8, CacheSize: 0})
+	defer svc.Close()
+	for range 2 {
+		sess, err := svc.Submit(workloadSpec(55))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if sess.Snapshot().Cached {
+			t.Fatal("resubmitted spec served from a disabled cache")
+		}
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	c := newCache(2)
 	a, b, d := &Report{Kind: "a"}, &Report{Kind: "b"}, &Report{Kind: "d"}
@@ -269,7 +288,7 @@ func TestCacheEviction(t *testing.T) {
 // the worker between pickup and execution so the queue state at each
 // submit is exact, not a race against a fast worker.
 func TestServiceBackpressure(t *testing.T) {
-	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 1, CacheSize: -1})
+	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 1, CacheSize: 0})
 	gate := make(chan struct{})
 	svc.testGate = gate
 	defer svc.Close()
@@ -341,7 +360,7 @@ func TestServeConcurrentSessionsDeterministic(t *testing.T) {
 		want[i] = rep.Fingerprint
 	}
 
-	svc := New(Config{Workers: 4, PoolSize: 3, QueueDepth: total, CacheSize: -1})
+	svc := New(Config{Workers: 4, PoolSize: 3, QueueDepth: total, CacheSize: 0})
 	defer svc.Close()
 
 	// Phase 1: all 64 sessions submitted before any result is consumed,

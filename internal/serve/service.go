@@ -20,10 +20,10 @@ type Config struct {
 	// shed with ErrBusy rather than queued (default 64).
 	QueueDepth int
 	// PoolSize is the number of warm instances retained per fabric shape
-	// (default 2; 0 disables warm reuse — every workload runs cold).
+	// (0 disables warm reuse — every workload runs cold).
 	PoolSize int
-	// CacheSize bounds the LRU result cache in entries (default 128;
-	// 0 disables caching).
+	// CacheSize bounds the LRU result cache in entries (0 disables
+	// caching).
 	CacheSize int
 	// Sweeps is the catalog "sweep"-kind specs may name (typically
 	// experiment.Catalog(); nil leaves the kind unavailable). A sweep
@@ -44,12 +44,6 @@ func (c *Config) fill() {
 	}
 	if c.PoolSize < 0 {
 		c.PoolSize = 0
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 128
-	}
-	if c.CacheSize < 0 {
-		c.CacheSize = 0
 	}
 }
 

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"spiderfs/internal/rng"
 )
@@ -71,103 +70,6 @@ func TestFitParetoAutoXm(t *testing.T) {
 	}
 }
 
-func TestLinearHistogram(t *testing.T) {
-	h := NewLinearHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(10)
-	for i := 0; i < 10; i++ {
-		if h.Count(i) != 1 {
-			t.Fatalf("bucket %d count = %d", i, h.Count(i))
-		}
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Fatalf("under=%d over=%d", h.Underflow(), h.Overflow())
-	}
-	if h.Total() != 12 {
-		t.Fatalf("total=%d", h.Total())
-	}
-}
-
-func TestLogHistogramBucketsGrow(t *testing.T) {
-	h := NewLogHistogram(1, 1<<20, 20)
-	prevWidth := 0.0
-	for i := 0; i < h.Buckets(); i++ {
-		lo, hi := h.BucketBounds(i)
-		if hi-lo <= prevWidth {
-			t.Fatalf("log buckets not growing at %d", i)
-		}
-		prevWidth = hi - lo
-	}
-	h.Add(4096)
-	found := false
-	for i := 0; i < h.Buckets(); i++ {
-		lo, hi := h.BucketBounds(i)
-		if 4096 >= lo && 4096 < hi && h.Count(i) == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("4096 not placed in correct bucket")
-	}
-}
-
-func TestHistogramFractionBelow(t *testing.T) {
-	h := NewLinearHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if f := h.FractionBelow(50); !almost(f, 0.5, 0.02) {
-		t.Fatalf("FractionBelow(50) = %f", f)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewLinearHistogram(0, 10, 5)
-	b := NewLinearHistogram(0, 10, 5)
-	a.Add(1)
-	b.Add(1)
-	b.Add(9)
-	a.Merge(b)
-	if a.Total() != 3 {
-		t.Fatalf("merged total = %d", a.Total())
-	}
-	if a.Count(0) != 2 {
-		t.Fatalf("bucket0 = %d", a.Count(0))
-	}
-}
-
-func TestHistogramMergeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewLinearHistogram(0, 10, 5).Merge(NewLinearHistogram(0, 10, 6))
-}
-
-// Property: histogram total equals adds, and every in-range value lands
-// in the bucket whose bounds contain it.
-func TestHistogramPlacementProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		h := NewLogHistogram(1, 1e6, 30)
-		for i := 0; i < 500; i++ {
-			h.Add(r.Pareto(1.1, 1))
-		}
-		var sum uint64
-		for i := 0; i < h.Buckets(); i++ {
-			sum += h.Count(i)
-		}
-		return sum+h.Underflow()+h.Overflow() == h.Total() && h.Total() == 500
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuantileBins(t *testing.T) {
 	values := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	bins := QuantileBins(values, 5)
@@ -189,16 +91,5 @@ func TestQuantileBins(t *testing.T) {
 	}
 	if total != len(values) {
 		t.Fatalf("bins cover %d of %d", total, len(values))
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewLinearHistogram(0, 10, 2)
-	h.Add(1)
-	h.Add(6)
-	h.Add(-1)
-	out := h.Render(20)
-	if out == "" || len(out) < 10 {
-		t.Fatalf("render too short: %q", out)
 	}
 }
