@@ -57,6 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(*seed))
+	if tree := int64(*dirs) * int64(*filesPer) * (*fileMB << 20); tree > fs.TotalCapacity() {
+		return fail(stderr, "-dirs x -files x -filemb is %.1f GiB, more than the namespace's %.1f GiB",
+			float64(tree)/(1<<30), float64(fs.TotalCapacity())/(1<<30))
+	}
 	tools.Populate(fs, tools.TreeSpec{
 		Dirs: *dirs, FilesPerDir: *filesPer, FileSize: *fileMB << 20, StripeCount: 2,
 	})

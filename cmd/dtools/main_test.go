@@ -33,3 +33,14 @@ func TestSmallestTree(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, &stderr, &stdout)
 	}
 }
+
+// TestRejectsTreeBeyondCapacity: a tree larger than the 64 GiB test
+// namespace exits 2 with one line instead of preloading past its
+// capacity.
+func TestRejectsTreeBeyondCapacity(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-dirs", "64", "-files", "128", "-filemb", "16"}, &stdout, &stderr)
+	if code != 2 || stdout.Len() != 0 || stderr.String() != "dtools: -dirs x -files x -filemb is 128.0 GiB, more than the namespace's 64.0 GiB\n" {
+		t.Errorf("exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
+	}
+}

@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags.SetOutput(stderr)
 	dirs := flags.Int("dirs", 50, "directories to populate")
 	filesPer := flags.Int("files", 100, "files per directory")
-	fileMB := flags.Int64("filemb", 16, "file size in MiB")
+	fileMB := flags.Int64("filemb", 8, "file size in MiB")
 	seed := flags.Uint64("seed", 42, "random seed")
 	if err := flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -52,6 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(*seed))
+	if tree := int64(*dirs) * int64(*filesPer) * (*fileMB << 20); tree > fs.TotalCapacity() {
+		return fail(stderr, "-dirs x -files x -filemb is %.1f GiB, more than the namespace's %.1f GiB",
+			float64(tree)/(1<<30), float64(fs.TotalCapacity())/(1<<30))
+	}
 	tools.Populate(fs, tools.TreeSpec{
 		Dirs: *dirs, FilesPerDir: *filesPer, FileSize: *fileMB << 20, StripeCount: 2,
 	})

@@ -21,3 +21,20 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsTreeBeyondCapacity: a tree larger than the 64 GiB test
+// namespace exits 2 with one line, where -filemb 16 at the other
+// defaults used to preload 78.1 GiB into it; the default tree fits.
+func TestRejectsTreeBeyondCapacity(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-filemb", "16"}, &stdout, &stderr)
+	if code != 2 || stdout.Len() != 0 || stderr.String() != "lustredu: -dirs x -files x -filemb is 78.1 GiB, more than the namespace's 64.0 GiB\n" {
+		t.Errorf("-filemb 16: exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	code = run(nil, &stdout, &stderr)
+	if code != 0 || stderr.Len() != 0 || !strings.HasPrefix(stdout.String(), "namespace: 5000 files, 39.1 GiB used\n") {
+		t.Errorf("defaults: exit %d, stderr %q, stdout:\n%s", code, &stderr, &stdout)
+	}
+}

@@ -62,6 +62,8 @@ type Client struct {
 	// beyond RPCTimeout.
 	BackoffWaits uint64
 	BackoffWait  sim.Time
+
+	idle []*rpc // reusable RPC records, at most rpcWindow
 }
 
 // Every client runs Lustre's stock RPC pipeline.
@@ -137,102 +139,160 @@ func (s *stream) pump() {
 func (s *stream) issue(size int64) {
 	s.issued += size
 	s.inFlight++
-	s.c.RPCsSent++
-	oi := s.f.OSTIndices[s.stripeIdx%len(s.f.OSTIndices)]
-	obj := s.f.Objects[s.stripeIdx%len(s.f.OSTIndices)]
+	c := s.c
+	c.RPCsSent++
+	i := s.stripeIdx % len(s.f.OSTIndices)
 	s.stripeIdx++
-	ossIdx := s.c.FS.ostOSS[oi]
-	oss := s.c.FS.OSSes[ossIdx]
-	fs := s.c.FS
+	r := c.takeRPC()
+	r.s, r.size, r.obj = s, size, s.f.Objects[i]
+	r.ossIdx = c.FS.ostOSS[s.f.OSTIndices[i]]
+	r.oss = c.FS.OSSes[r.ossIdx]
 	// Sample the RPC as a spantrace root. ctx is the request context
 	// threaded to deeper layers: the root span when sampled, NoSpan when
 	// this request was considered and skipped (suppresses fabric
 	// self-sampling), 0 when tracing is off entirely.
-	tr := s.c.Tracer
-	var rpcSpan, ctx spantrace.SpanID
+	tr := c.Tracer
+	r.span, r.ctx = 0, 0
 	if tr != nil {
 		op := "rpc-read"
 		if s.write {
 			op = "rpc-write"
 		}
-		rpcSpan = tr.SampleRoot(spantrace.Client, op, size)
-		ctx = rpcSpan
-		if ctx == 0 {
-			ctx = spantrace.NoSpan
+		r.span = tr.SampleRoot(spantrace.Client, op, size)
+		r.ctx = r.span
+		if r.ctx == 0 {
+			r.ctx = spantrace.NoSpan
 		}
 	}
-	var watchdog sim.Event
-	if cl := s.c; cl.RPCTimeout > 0 {
-		delay := cl.RPCTimeout
-		var arm func()
-		arm = func() {
-			d := delay
-			if d > cl.RPCTimeout && cl.BackoffSrc != nil {
-				// ±25% deterministic jitter, drawn only on backed-off
-				// arms so unstalled clients touch no rng stream.
-				d = d - d/4 + sim.Time(cl.BackoffSrc.Float64()*float64(d/2))
-			}
-			armed := d
-			watchdog = fs.eng.After(d, func() {
-				cl.RPCTimeouts++
-				cl.RPCRetries++
-				if armed > cl.RPCTimeout {
-					cl.BackoffWaits++
-					cl.BackoffWait += armed - cl.RPCTimeout
-				}
-				tr.Mark(spantrace.Client, "rpc-retry", rpcSpan, size, "")
-				if delay *= 2; delay > backoffCapFactor*cl.RPCTimeout {
-					delay = backoffCapFactor * cl.RPCTimeout
-				}
-				arm()
-			})
-		}
-		arm()
-	}
-	complete := func() {
-		watchdog.Cancel()
-		tr.End(rpcSpan)
-		s.inFlight--
-		s.acked += size
-		if s.write {
-			s.c.BytesWritten += size
-			s.f.MTime = fs.eng.Now()
-		} else {
-			s.c.BytesRead += size
-			s.f.ATime = fs.eng.Now()
-		}
-		s.pump()
+	r.watchdog = sim.Event{}
+	if c.RPCTimeout > 0 {
+		r.delay = c.RPCTimeout
+		r.arm()
 	}
 	// Each synchronous call boundary is bracketed with Swap so deeper
 	// layers see this RPC as their parent context; deferred callbacks
 	// re-install the captured context before descending further.
+	old := tr.Swap(r.ctx)
 	if s.write {
-		old := tr.Swap(ctx)
-		s.c.TR.Send(s.c.Coord, ossIdx, size, func() {
-			o1 := tr.Swap(ctx)
-			oss.Service(size, func() {
-				o2 := tr.Swap(ctx)
-				obj.Write(size, complete)
-				tr.Swap(o2)
-			})
-			tr.Swap(o1)
-		})
-		tr.Swap(old)
+		c.TR.Send(c.Coord, r.ossIdx, size, r.onSent)
 	} else {
 		// Read: request travels to the OSS, data is produced, and the
 		// payload returns over the same fabric path class.
-		old := tr.Swap(ctx)
-		oss.Service(size, func() {
-			o1 := tr.Swap(ctx)
-			obj.Read(size, s.random, func() {
-				o2 := tr.Swap(ctx)
-				s.c.TR.Send(s.c.Coord, ossIdx, size, complete)
-				tr.Swap(o2)
-			})
-			tr.Swap(o1)
-		})
-		tr.Swap(old)
+		r.oss.Service(size, r.onServed)
 	}
+	tr.Swap(old)
+}
+
+// rpc is one RPC in flight: its stream, size, target, trace context,
+// watchdog and backoff delay. A client keeps up to rpcWindow idle
+// records and reuses them; each record's callbacks are bound once, so
+// a steady-state RPC allocates nothing.
+type rpc struct {
+	c      *Client
+	s      *stream
+	size   int64
+	obj    *Object
+	ossIdx int
+	oss    *OSS
+	span   spantrace.SpanID
+	ctx    spantrace.SpanID
+
+	watchdog sim.Event
+	delay    sim.Time // base delay of the next watchdog arm
+	armed    sim.Time // delay of the armed watchdog, jitter included
+
+	// r.sent, r.served, r.fetched, r.complete and r.expire, bound once.
+	onSent, onServed, onFetched, onComplete, onExpire func()
+}
+
+// takeRPC returns an idle record of c, or a new one.
+func (c *Client) takeRPC() *rpc {
+	if n := len(c.idle); n > 0 {
+		r := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return r
+	}
+	r := &rpc{c: c}
+	r.onSent, r.onServed, r.onFetched, r.onComplete, r.onExpire = r.sent, r.served, r.fetched, r.complete, r.expire
+	return r
+}
+
+// arm schedules the watchdog at the current backoff delay.
+func (r *rpc) arm() {
+	c := r.c
+	d := r.delay
+	if d > c.RPCTimeout && c.BackoffSrc != nil {
+		// ±25% deterministic jitter, drawn only on backed-off arms so
+		// unstalled clients touch no rng stream.
+		d = d - d/4 + sim.Time(c.BackoffSrc.Float64()*float64(d/2))
+	}
+	r.armed = d
+	r.watchdog = c.FS.eng.After(d, r.onExpire)
+}
+
+// expire counts a stalled send and re-arms with a doubled delay.
+func (r *rpc) expire() {
+	c := r.c
+	c.RPCTimeouts++
+	c.RPCRetries++
+	if r.armed > c.RPCTimeout {
+		c.BackoffWaits++
+		c.BackoffWait += r.armed - c.RPCTimeout
+	}
+	c.Tracer.Mark(spantrace.Client, "rpc-retry", r.span, r.size, "")
+	if r.delay *= 2; r.delay > backoffCapFactor*c.RPCTimeout {
+		r.delay = backoffCapFactor * c.RPCTimeout
+	}
+	r.arm()
+}
+
+// sent runs a write's OSS service once its payload has arrived.
+func (r *rpc) sent() {
+	old := r.c.Tracer.Swap(r.ctx)
+	r.oss.Service(r.size, r.onServed)
+	r.c.Tracer.Swap(old)
+}
+
+// served hands the RPC to its object: a write acks from the write-back
+// cache, a read returns its payload over the transport once fetched.
+func (r *rpc) served() {
+	old := r.c.Tracer.Swap(r.ctx)
+	if r.s.write {
+		r.obj.Write(r.size, r.onComplete)
+	} else {
+		r.obj.Read(r.size, r.s.random, r.onFetched)
+	}
+	r.c.Tracer.Swap(old)
+}
+
+// fetched sends a read's payload back to the client.
+func (r *rpc) fetched() {
+	c := r.c
+	old := c.Tracer.Swap(r.ctx)
+	c.TR.Send(c.Coord, r.ossIdx, r.size, r.onComplete)
+	c.Tracer.Swap(old)
+}
+
+// complete acknowledges the RPC, returns the record to its client's
+// idle list and refills the stream's window.
+func (r *rpc) complete() {
+	r.watchdog.Cancel()
+	c, s, size := r.c, r.s, r.size
+	c.Tracer.End(r.span)
+	if len(c.idle) < rpcWindow {
+		r.s, r.obj, r.oss = nil, nil, nil
+		c.idle = append(c.idle, r)
+	}
+	s.inFlight--
+	s.acked += size
+	if s.write {
+		c.BytesWritten += size
+		s.f.MTime = c.FS.eng.Now()
+	} else {
+		c.BytesRead += size
+		s.f.ATime = c.FS.eng.Now()
+	}
+	s.pump()
 }
 
 // WriteStream writes total bytes to f in xfer-sized RPCs, round-robin

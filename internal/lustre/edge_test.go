@@ -153,6 +153,70 @@ func TestControllerStallAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestObjectWriteAllocationCeiling pins the OST write path: an
+// Object.Write, its admission, its write-back ack and its flush to the
+// RAID group, full-stripe or fragmented, allocate nothing once the
+// OST's records exist. The OST reuses its write records and binds its
+// one-stripe flush callback once.
+func TestObjectWriteAllocationCeiling(t *testing.T) {
+	eng, fs := testFS(t, 96)
+	ost := fs.OSTs[0]
+	obj := ost.NewObject()
+	acked := 0
+	done := func() { acked++ }
+	cycle := func() {
+		obj.Write(1<<20, done)
+		eng.Run()
+	}
+	// Warm up until both flush kinds have run: every queue and idle
+	// list at size.
+	for ost.SequentialFlushes == 0 || ost.FragmentedFlushes == 0 {
+		cycle()
+	}
+	before := acked
+	perWrite := testing.AllocsPerRun(100, cycle)
+	if acked-before != 101 || ost.Controller().Dirty() != 0 {
+		t.Fatalf("%d writes acked, %d bytes dirty; want 101, 0", acked-before, ost.Controller().Dirty())
+	}
+	if perWrite > 0 {
+		t.Errorf("Object.Write plus its flush allocates %.2f, want 0", perWrite)
+	}
+}
+
+// TestClientWriteAllocationCeiling pins the whole write path, client
+// RPC to disk, over NullTransport: once the write-back depth has
+// levelled off, a stream 16 times longer allocates almost exactly what
+// a short one does, where one allocation per RPC anywhere on the path
+// would add 960. The 16 MiB cache keeps the group's writes in flight
+// within its idle list. What a longer stream may still add is a queue
+// or idle list reaching a new peak depth when fragmented flushes
+// happen to overlap.
+func TestClientWriteAllocationCeiling(t *testing.T) {
+	eng := sim.NewEngine()
+	p := TestNamespace()
+	p.CtrlCfg.CacheBytes = 16 << 20
+	fs := Build(eng, p, rng.New(97))
+	client := NewClient(0, topology.Coord{}, fs, NullTransport{Eng: eng})
+	var file *File
+	fs.Create("app/f", 1, func(f *File) { file = f })
+	eng.Run()
+	stream := func(mib int64) func() {
+		return func() {
+			client.WriteStream(file, mib<<20, 1<<20, nil)
+			eng.Run()
+		}
+	}
+	stream(256)() // the depth levels off
+	short := testing.AllocsPerRun(1, stream(64))
+	long := testing.AllocsPerRun(1, stream(1024))
+	if want := int64(256+2*64+2*1024) << 20; client.BytesWritten != want {
+		t.Fatalf("wrote %d bytes, want %d", client.BytesWritten, want)
+	}
+	if long > short+32 {
+		t.Errorf("a 1024 MiB stream allocates %.0f, a 64 MiB one %.0f; want at most 32 more", long, short)
+	}
+}
+
 func TestObjectFlushTimerForcesResidual(t *testing.T) {
 	eng, fs := testFS(t, 92)
 	ost := fs.OSTs[0]

@@ -64,6 +64,43 @@ func TestBackoffCapBoundsRetrySpacing(t *testing.T) {
 	}
 }
 
+// TestWatchdogCountsOnlyStalledStream runs a healthy stream to
+// completion, then a second one on the same client into an OSS
+// outage: the retry counters count the second stream's stalls alone,
+// so a reused RPC record carries no watchdog or backoff state over
+// from the RPC it last served.
+func TestWatchdogCountsOnlyStalledStream(t *testing.T) {
+	eng := sim.NewEngine()
+	fs := Build(eng, TestNamespace(), rng.New(90))
+	client := NewClient(0, topology.Coord{}, fs, NullTransport{Eng: eng})
+	client.RPCTimeout = backoffTimeout
+	client.BackoffSrc = rng.New(3).Split("backoff")
+	var file *File
+	fs.CreateOn("app/f", []int{0}, func(f *File) { file = f })
+	eng.Run()
+	client.WriteStream(file, 16<<20, 1<<20, nil)
+	eng.Run()
+	if client.RPCTimeouts != 0 {
+		t.Fatalf("healthy stream tripped %d watchdogs", client.RPCTimeouts)
+	}
+	if err := FailOSS(fs, 0, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	client.WriteStream(file, 4<<20, 1<<20, nil)
+	eng.Run()
+	if client.BytesWritten != 20<<20 {
+		t.Fatalf("wrote %d bytes, want %d", client.BytesWritten, 20<<20)
+	}
+	// Four RPCs stall through the 345 s outage, and each one's watchdog
+	// expires four times, after 20, 40, 80 and 160 s (the backed-off
+	// three jittered by up to ±25%).
+	if client.RPCTimeouts != 16 || client.RPCRetries != 16 ||
+		client.BackoffWaits != 12 || client.BackoffWait != 951001438215 {
+		t.Fatalf("timeouts %d, retries %d, backoff waits %d (%d ns); want 16, 16, 12 (951001438215 ns)",
+			client.RPCTimeouts, client.RPCRetries, client.BackoffWaits, client.BackoffWait)
+	}
+}
+
 func TestHealthyClientDrawsNoBackoffRandomness(t *testing.T) {
 	// Stream isolation: a client that never stalls must not consume its
 	// backoff stream, so twin sources stay in lockstep.

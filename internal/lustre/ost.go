@@ -62,6 +62,9 @@ type OST struct {
 	journalPtr  int64 // offset within the journal region (SyncJournal)
 	uncommitted int   // flushes since the last journal commit
 
+	idleWrites    []*ostWrite // reusable Object.Write records
+	stripeFlushed func()      // releases one full stripe's dirty bytes
+
 	// Counters.
 	WriteRPCs, ReadRPCs uint64
 	BytesWritten        int64
@@ -79,7 +82,9 @@ type OST struct {
 
 // NewOST wires an OST over a RAID group and its SSU controller.
 func NewOST(eng *sim.Engine, id int, group *raid.Group, ctrl *Controller, src *rng.Source) *OST {
-	return &OST{ID: id, eng: eng, group: group, ctrl: ctrl, src: src}
+	o := &OST{ID: id, eng: eng, group: group, ctrl: ctrl, src: src}
+	o.stripeFlushed = func() { o.ctrl.Flushed(o.stripe()) }
+	return o
 }
 
 // SetTracer attaches the tracing plane to this OST and everything
@@ -256,27 +261,67 @@ func (obj *Object) Write(size int64, done func()) {
 		panic("lustre: object write of non-positive size") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
 	o.WriteRPCs++
-	sp := o.tracer.Begin(spantrace.OST, "ost-write", o.tracer.Cur(), size)
-	o.ctrl.AdmitWrite(size, func() {
-		o.BytesWritten += size
-		o.used += size
-		obj.Size += size
-		obj.buffered += size
-		old := o.tracer.Swap(sp)
-		if o.src.Bool(o.FragmentProb()) {
-			obj.flushFragmented()
-		} else {
-			obj.flushFullStripes()
-		}
-		obj.armFlushTimer()
-		o.tracer.Swap(old)
-		// The span covers admission through the write-back ack; the
-		// flush continues underneath as the "flush" child.
-		o.tracer.End(sp)
-		if done != nil {
-			done()
-		}
-	})
+	w := o.takeWrite()
+	w.obj, w.size, w.done = obj, size, done
+	w.sp = o.tracer.Begin(spantrace.OST, "ost-write", o.tracer.Cur(), size)
+	o.ctrl.AdmitWrite(size, w.onAdmit)
+}
+
+// ostWrite is one Object.Write waiting for write-back admission. An
+// OST keeps up to maxIdleWrites idle records and reuses them; each
+// record's admission callback is bound once.
+type ostWrite struct {
+	obj     *Object
+	size    int64
+	sp      spantrace.SpanID
+	done    func()
+	onAdmit func() // w.admitted, bound once
+}
+
+// maxIdleWrites bounds an OST's idle ostWrite records. A completion
+// frees a record before the next write takes one, so a few suffice,
+// and a namespace kept alive after its run pins no more than these.
+const maxIdleWrites = 16
+
+// takeWrite returns an idle record of o, or a new one.
+func (o *OST) takeWrite() *ostWrite {
+	if n := len(o.idleWrites); n > 0 {
+		w := o.idleWrites[n-1]
+		o.idleWrites = o.idleWrites[:n-1]
+		return w
+	}
+	w := &ostWrite{}
+	w.onAdmit = w.admitted
+	return w
+}
+
+// admitted buffers the admitted bytes, flushes what the stream allows
+// and acks the write; the record goes back to its OST before done runs.
+func (w *ostWrite) admitted() {
+	obj, size, sp, done := w.obj, w.size, w.sp, w.done
+	o := obj.ost
+	if len(o.idleWrites) < maxIdleWrites {
+		w.obj, w.done = nil, nil
+		o.idleWrites = append(o.idleWrites, w)
+	}
+	o.BytesWritten += size
+	o.used += size
+	obj.Size += size
+	obj.buffered += size
+	old := o.tracer.Swap(sp)
+	if o.src.Bool(o.FragmentProb()) {
+		obj.flushFragmented()
+	} else {
+		obj.flushFullStripes()
+	}
+	obj.armFlushTimer()
+	o.tracer.Swap(old)
+	// The span covers admission through the write-back ack; the flush
+	// continues underneath as the "flush" child.
+	o.tracer.End(sp)
+	if done != nil {
+		done()
+	}
 }
 
 // WriteSync ingests a write RPC that acknowledges only after the data
@@ -325,9 +370,18 @@ func (obj *Object) flushFullStripes() {
 		obj.buffered -= s
 		lba := o.seqAlloc(s)
 		o.SequentialFlushes++
-		n := s
-		o.flushToDisk(lba, n, func() { o.ctrl.Flushed(n) })
+		o.flushToDisk(lba, s, o.stripeFlushed)
 	}
+}
+
+// flushed returns the completion of a flush of n bytes, which frees
+// them in the controller cache: the OST's bound one-stripe callback
+// when n is a stripe, else a new closure.
+func (o *OST) flushed(n int64) func() {
+	if n == o.stripe() {
+		return o.stripeFlushed
+	}
+	return func() { o.ctrl.Flushed(n) }
 }
 
 // flushFragmented forces everything buffered to a random location as a
@@ -342,7 +396,7 @@ func (obj *Object) flushFragmented() {
 	obj.buffered = 0
 	lba := o.randAlloc(n)
 	o.FragmentedFlushes++
-	o.flushToDisk(lba, n, func() { o.ctrl.Flushed(n) })
+	o.flushToDisk(lba, n, o.flushed(n))
 }
 
 // armFlushTimer (re)schedules the forced flush of a residual partial
@@ -366,7 +420,7 @@ func (obj *Object) armFlushTimer() {
 			// request context so the flush is not misattributed to
 			// whatever span happens to be current when the timer fires.
 			old := o.tracer.Swap(0)
-			o.flushToDisk(lba, n, func() { o.ctrl.Flushed(n) })
+			o.flushToDisk(lba, n, o.flushed(n))
 			o.tracer.Swap(old)
 		}
 	})

@@ -86,6 +86,9 @@ type Group struct {
 	// scrub is the reusable record of a ScrubStripes call (integrity.go),
 	// built on the first one.
 	scrub *scrubBatch
+	// idleWrites and idleRMWs hold reusable Write records.
+	idleWrites []*writeOp
+	idleRMWs   []*rmwStripe
 
 	// rebuild bookkeeping
 	rebuild       *rebuildBatch // reusable batch record, built on the first rebuild
@@ -260,71 +263,139 @@ func (g *Group) Write(off, size int64, done func()) {
 	g.Writes++
 	g.BytesWritten += size
 	sp := g.tracer.Begin(spantrace.RAID, "raid-write", g.tracer.Cur(), size)
-	if sp != 0 {
-		inner := done
-		done = func() {
-			g.tracer.End(sp)
-			if inner != nil {
-				inner()
-			}
-		}
-	}
-	b := sim.NewBarrier(done)
+	op := g.takeWrite()
+	op.sp, op.done = sp, done
+	b := &op.b
+	b.Reset(op.fire)
 	old := g.tracer.Swap(sp)
 	g.forEachStripe(off, size, func(stripe, chunkFirst, chunkLast int64) {
-		full := chunkFirst == 0 && chunkLast == int64(g.cfg.DataDisks-1)
-		p0, p1 := g.parityLocations(stripe)
-		stripeOff := g.diskOffset(stripe)
-		if full {
+		if chunkFirst == 0 && chunkLast == int64(g.cfg.DataDisks-1) {
 			g.FullStripeWrite++
-			for k := int64(0); k < int64(g.cfg.DataDisks); k++ {
-				m := g.chunkLocation(stripe, int(k))
-				g.submitTo(m, disk.Op{Write: true, LBA: stripeOff, Size: g.cfg.ChunkSize}, b)
-			}
-			g.submitTo(p0, disk.Op{Write: true, LBA: stripeOff, Size: g.cfg.ChunkSize}, b)
-			g.submitTo(p1, disk.Op{Write: true, LBA: stripeOff, Size: g.cfg.ChunkSize}, b)
+			g.submitStripe(stripe, chunkFirst, chunkLast, true, b)
 			return
 		}
 		// Read-modify-write: phase 1 reads old chunks + parity, phase 2
-		// writes the new versions. Chain the phases with a nested barrier.
+		// writes the new versions.
 		g.PartialWrite++
-		rmw := g.tracer.Begin(spantrace.RAID, "rmw", sp, (chunkLast-chunkFirst+1)*g.cfg.ChunkSize)
+		r := g.takeRMW()
+		r.b, r.stripe, r.first, r.last = b, stripe, chunkFirst, chunkLast
+		r.sp = g.tracer.Begin(spantrace.RAID, "rmw", sp, (chunkLast-chunkFirst+1)*g.cfg.ChunkSize)
+		r.parent = sp
+		if r.sp != 0 {
+			r.parent = r.sp
+		}
 		b.Add(1)
-		stripeDone := b.DoneFunc()
-		if rmw != 0 {
-			stripeDone = func() {
-				g.tracer.End(rmw)
-				b.Done()
-			}
-		}
-		p2parent := sp
-		if rmw != 0 {
-			p2parent = rmw
-		}
-		phase1 := sim.NewBarrier(func() {
-			phase2 := sim.NewBarrier(stripeDone)
-			old2 := g.tracer.Swap(p2parent)
-			for k := chunkFirst; k <= chunkLast; k++ {
-				m := g.chunkLocation(stripe, int(k))
-				g.submitTo(m, disk.Op{Write: true, LBA: stripeOff, Size: g.cfg.ChunkSize}, phase2)
-			}
-			g.submitTo(p0, disk.Op{Write: true, LBA: stripeOff, Size: g.cfg.ChunkSize}, phase2)
-			g.submitTo(p1, disk.Op{Write: true, LBA: stripeOff, Size: g.cfg.ChunkSize}, phase2)
-			g.tracer.Swap(old2)
-			phase2.Arm()
-		})
-		old1 := g.tracer.Swap(p2parent)
-		for k := chunkFirst; k <= chunkLast; k++ {
-			m := g.chunkLocation(stripe, int(k))
-			g.submitTo(m, disk.Op{LBA: stripeOff, Size: g.cfg.ChunkSize}, phase1)
-		}
-		g.submitTo(p0, disk.Op{LBA: stripeOff, Size: g.cfg.ChunkSize}, phase1)
-		g.submitTo(p1, disk.Op{LBA: stripeOff, Size: g.cfg.ChunkSize}, phase1)
+		r.read.Reset(r.onRead)
+		old1 := g.tracer.Swap(r.parent)
+		g.submitStripe(stripe, chunkFirst, chunkLast, false, &r.read)
 		g.tracer.Swap(old1)
-		phase1.Arm()
+		r.read.Arm()
 	})
 	g.tracer.Swap(old)
 	b.Arm()
+}
+
+// submitStripe issues one chunk op for each of the stripe's data
+// chunks first..last, then one for each parity chunk, all on barrier b.
+func (g *Group) submitStripe(stripe, first, last int64, write bool, b *sim.Barrier) {
+	op := disk.Op{Write: write, LBA: g.diskOffset(stripe), Size: g.cfg.ChunkSize}
+	for k := first; k <= last; k++ {
+		g.submitTo(g.chunkLocation(stripe, int(k)), op, b)
+	}
+	p0, p1 := g.parityLocations(stripe)
+	g.submitTo(p0, op, b)
+	g.submitTo(p1, op, b)
+}
+
+// writeOp is one Write's fan-out: its barrier, span and done. A group
+// keeps up to maxIdleWrites idle records and reuses them; the barrier
+// and its DoneFunc are bound once per record, so a full-stripe write
+// allocates nothing.
+type writeOp struct {
+	g    *Group
+	b    sim.Barrier
+	sp   spantrace.SpanID
+	done func()
+	fire func() // op.finish, bound once
+}
+
+// maxIdleWrites bounds a group's idle writeOp and rmwStripe records. A
+// completion frees a record before the next write takes one, so a few
+// suffice, and a group kept alive after its run pins no more than these.
+const maxIdleWrites = 16
+
+// takeWrite returns an idle record of g, or a new one.
+func (g *Group) takeWrite() *writeOp {
+	if n := len(g.idleWrites); n > 0 {
+		op := g.idleWrites[n-1]
+		g.idleWrites = g.idleWrites[:n-1]
+		return op
+	}
+	op := &writeOp{g: g}
+	op.fire = op.finish
+	return op
+}
+
+// finish ends the write's span and calls its done; the record goes
+// back to its group first.
+func (op *writeOp) finish() {
+	g, sp, done := op.g, op.sp, op.done
+	if len(g.idleWrites) < maxIdleWrites {
+		op.done = nil
+		g.idleWrites = append(g.idleWrites, op)
+	}
+	g.tracer.End(sp)
+	if done != nil {
+		done()
+	}
+}
+
+// rmwStripe is one partial stripe of a write: its phase barriers, read
+// then write, and its "rmw" span. A group reuses these records as it
+// does writeOps.
+type rmwStripe struct {
+	g           *Group
+	b           *sim.Barrier // the write's barrier, done when phase 2 is
+	stripe      int64
+	first, last int64 // data chunks written
+	sp, parent  spantrace.SpanID
+	read, write sim.Barrier
+	// r.readDone and r.writeDone, bound once.
+	onRead, onWrite func()
+}
+
+// takeRMW returns an idle rmwStripe record of g, or a new one.
+func (g *Group) takeRMW() *rmwStripe {
+	if n := len(g.idleRMWs); n > 0 {
+		r := g.idleRMWs[n-1]
+		g.idleRMWs = g.idleRMWs[:n-1]
+		return r
+	}
+	r := &rmwStripe{g: g}
+	r.onRead, r.onWrite = r.readDone, r.writeDone
+	return r
+}
+
+// readDone starts phase 2 once the old chunks and parity are read.
+func (r *rmwStripe) readDone() {
+	g := r.g
+	r.write.Reset(r.onWrite)
+	old := g.tracer.Swap(r.parent)
+	g.submitStripe(r.stripe, r.first, r.last, true, &r.write)
+	g.tracer.Swap(old)
+	r.write.Arm()
+}
+
+// writeDone ends the stripe's span and completes its share of the
+// write; the record goes back to its group first.
+func (r *rmwStripe) writeDone() {
+	g, b, sp := r.g, r.b, r.sp
+	if len(g.idleRMWs) < maxIdleWrites {
+		r.b = nil
+		g.idleRMWs = append(g.idleRMWs, r)
+	}
+	g.tracer.End(sp)
+	b.Done()
 }
 
 // ioError completes an I/O against a Failed group: the controller

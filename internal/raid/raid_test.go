@@ -118,6 +118,53 @@ func TestPartialWriteIsRMWAndSlower(t *testing.T) {
 	}
 }
 
+// TestWriteAllocationCeiling pins the write path at a constant depth
+// of eight writes in flight: a write, its ten member commands, its
+// barrier and its completion allocate nothing, whether it covers a
+// full stripe or, unaligned, two partial stripes by read-modify-write.
+// The group reuses its write and RMW records, callbacks bound once.
+func TestWriteAllocationCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		shift    int64 // offset of each write past its stripe boundary
+		full, rw uint64
+	}{
+		{"full-stripe", 0, 1, 0},
+		{"rmw", 128 << 10, 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, g := newTestGroup(t, 8)
+			sds := g.cfg.StripeDataSize()
+			completed, next := 0, int64(0)
+			done := func() { completed++ }
+			write := func() {
+				g.Write(next*sds+tc.shift, sds, done)
+				next++
+			}
+			for i := 0; i < 8; i++ {
+				write()
+			}
+			cycle := func() { // one write in, one completion out
+				write()
+				for want := completed + 1; completed < want && eng.Step(); {
+				}
+			}
+			for i := 0; i < 64; i++ { // every queue and free list at size
+				cycle()
+			}
+			full, partial := g.FullStripeWrite, g.PartialWrite
+			perWrite := testing.AllocsPerRun(100, cycle)
+			if g.FullStripeWrite-full != 101*tc.full || g.PartialWrite-partial != 101*tc.rw {
+				t.Fatalf("101 writes made %d full-stripe and %d partial writes, want %d and %d",
+					g.FullStripeWrite-full, g.PartialWrite-partial, 101*tc.full, 101*tc.rw)
+			}
+			if perWrite > 0 {
+				t.Errorf("write at depth 8 allocates %.2f, want 0", perWrite)
+			}
+		})
+	}
+}
+
 func TestMultiStripeWrite(t *testing.T) {
 	eng, g := newTestGroup(t, 6)
 	n := int64(4)

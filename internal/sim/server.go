@@ -27,6 +27,11 @@ type Server struct {
 	lastChange Time
 }
 
+// maxDrainedRing is the largest ring a drained Server keeps. A queue
+// that empties out of a deeper burst drops its ring and grows a new
+// one if another burst comes.
+const maxDrainedRing = 1024
+
 type serverJob struct {
 	arrive  Time
 	service Time
@@ -99,6 +104,11 @@ func (s *Server) finish(service Time, done func()) {
 	s.ServiceTime += service
 	if next, ok := s.queue.Pop(); ok {
 		s.start(next)
+		if s.queue.n == 0 && len(s.queue.buf) > maxDrainedRing {
+			// A drained burst leaves its ring at peak depth; a model kept
+			// alive after its run (to read counters) should not pin it.
+			s.queue = Queue[serverJob]{}
+		}
 	}
 	if done != nil {
 		done()

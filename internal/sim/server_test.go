@@ -87,6 +87,33 @@ func TestServerAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestServerReleasesDrainedRing checks that a queue drained from a
+// burst whose ring grew past maxDrainedRing slots drops that ring, so a
+// server kept alive after its run does not pin its peak depth, while
+// one drained from a shallower burst keeps its ring for the next.
+func TestServerReleasesDrainedRing(t *testing.T) {
+	for _, depth := range []int{64, maxDrainedRing / 2, 4 * maxDrainedRing} {
+		e := NewEngine()
+		s := NewServer(e, "burst", 1)
+		done := 0
+		for i := 0; i <= depth; i++ { // one in service, depth queued
+			s.Submit(Microsecond, func() { done++ })
+		}
+		ring := len(s.queue.buf)
+		e.Run()
+		if done != depth+1 || s.QueueLen() != 0 {
+			t.Fatalf("depth %d: %d jobs done, %d queued; want %d, 0", depth, done, s.QueueLen(), depth+1)
+		}
+		want := ring
+		if ring > maxDrainedRing {
+			want = 0
+		}
+		if got := len(s.queue.buf); got != want {
+			t.Errorf("depth %d: drained ring of %d slots holds %d, want %d", depth, ring, got, want)
+		}
+	}
+}
+
 func TestServerParallelSlots(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "oss", 2)
