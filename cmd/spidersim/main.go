@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	every := fs.Int("every", 1, "spans: sample 1-in-N root requests (0 disables tracing)")
 	out := fs.String("out", "", "spans: also export the raw spans as JSON to this file")
 	exp := fs.String("exp", "all", "sweep: which sweep to run ("+sweepChoices()+")")
-	replicas := fs.Int("replicas", 0, "sweep: override the replica count per sweep")
+	replicas := fs.Int("replicas", 0, fmt.Sprintf("sweep: override the replica count per sweep (0 keeps each sweep's; at most %d)", sweep.MaxReplicas))
 	workers := fs.Int("workers", 0, "sweep: parallel worker count (0 = GOMAXPROCS)")
 	spec := fs.String("spec", "", "session: the scenario spec as JSON, e.g. '{\"kind\":\"workload\",\"seed\":7}'")
 	ledgerOut := fs.String("ledger", "", "chaos: export the campaign's operations ledger as JSON to this file")
@@ -103,8 +103,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return runChaos(*seed, *days, *full, *ledgerOut, stdout, stderr)
 	case "spans":
+		if *every < 0 {
+			fmt.Fprintf(stderr, "spidersim: spans -every %d is negative (0 disables tracing)\n", *every)
+			return 2
+		}
 		return runSpans(*seed, *scenario, *every, *out, stdout, stderr)
 	case "sweep":
+		if *replicas < 0 || *replicas > sweep.MaxReplicas {
+			fmt.Fprintf(stderr, "spidersim: sweep -replicas %d outside [0, %d]\n", *replicas, sweep.MaxReplicas)
+			return 2
+		}
+		if *workers < 0 {
+			fmt.Fprintf(stderr, "spidersim: sweep -workers %d is negative (0 means GOMAXPROCS)\n", *workers)
+			return 2
+		}
 		return runSweep(*seed, *exp, *replicas, *workers, stdout, stderr)
 	case "scrub":
 		runScrub(*seed, stdout)

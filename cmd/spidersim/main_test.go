@@ -72,6 +72,41 @@ func TestChaosDaysBound(t *testing.T) {
 	}
 }
 
+// TestSweepAndSpansFlagBounds: a sweep -replicas outside [0,
+// sweep.MaxReplicas], a negative sweep -workers and a negative spans
+// -every exit 2 with one spidersim: line before anything is built.
+// An unbounded -replicas used to size the sweep's replica table (a
+// huge value panics in makeslice or allocates without bound), and the
+// negative values were silently ignored. The sweep cases run in a
+// child, killed after a minute, since a build that ignores a bound
+// starts the sweep.
+func TestSweepAndSpansFlagBounds(t *testing.T) {
+	wantRefused := func(args []string, code int, stdout, stderr string) {
+		t.Helper()
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "spidersim: ") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%v: exit %d, %d bytes of stdout, stderr %q; want exit 2 and one spidersim: line", args, code, len(stdout), stderr)
+		}
+	}
+	for _, args := range [][]string{
+		{"sweep", "-exp", "e13", "-replicas", "257"},
+		{"sweep", "-exp", "e13", "-replicas", "-5"},
+		{"sweep", "-exp", "e13", "-workers", "-3"},
+	} {
+		code, stdout, stderr := runChild(t, args...)
+		wantRefused(args, code, stdout, stderr)
+	}
+	args := []string{"spans", "-every", "-1"}
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	wantRefused(args, code, stdout.String(), stderr.String())
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"sweep", "-exp", "e13", "-replicas", "1", "-workers", "1"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 || !strings.Contains(stdout.String(), "(1 replicas in ") {
+		t.Errorf("sweep -replicas 1 -workers 1: exit %d, stderr %q, stdout:\n%s", code, &stderr, &stdout)
+	}
+}
+
 // TestCPUProfile: -cpuprofile writes a runtime/pprof CPU profile (a
 // gzipped protocol buffer) of a study run, and still flushes it when
 // the command exits 2.

@@ -18,17 +18,19 @@ import (
 	"spiderfs/internal/topology"
 )
 
-// Config declares a chaos campaign: which center to build, which
-// resilience features are armed, and the composition of scripted and
-// stochastic fault processes to drive against it. Every process draws
-// from its own named split of the seed, so the fault schedule is
+// Config declares a chaos campaign: which center to build and which
+// resilience features are armed. The fault and probe menu driven
+// against it is a schedule picked by Small: the full schedule for the
+// full-scale center, the quick one for the small center. Every process
+// draws from its own named split of the seed, so the fault schedule is
 // identical between a featured and an ablated run of the same seed —
 // the property the outage-ledger comparison relies on.
 type Config struct {
 	Seed     uint64
 	Duration sim.Time
 
-	// Center shape (see center.Config).
+	// Center shape (see center.Config). Small also selects the quick
+	// fault schedule.
 	Scale      int
 	Namespaces int
 	Small      bool
@@ -36,57 +38,6 @@ type Config struct {
 	// Resilience features under test. Ablated() clears both.
 	Imperative bool // imperative recovery (§IV-D)
 	ARN        bool // asymmetric router notification (§IV-D)
-
-	// Stochastic disk failures with replace-and-rebuild.
-	DiskAFR      float64
-	ReplaceDelay sim.Time
-	RebuildChunk int64
-	RebuildPause sim.Time
-
-	// OSS crash + failover process (Poisson, mean interval per center).
-	OSSCrashInterval sim.Time
-
-	// LNET router death bursts; cableCutFraction of the kills are
-	// attributed to a cut IB cable.
-	RouterBurstInterval sim.Time
-	RouterBurstSize     int
-	RouterRepair        sim.Time
-
-	// In-place cable degradation (§IV-A): a router uplink drops to
-	// cableDegradeFrac of nominal bandwidth until repaired.
-	CableDegradeInterval sim.Time
-	CableRepair          sim.Time
-
-	// Data-integrity plane (§IV-E). MediaFaults arms rate-driven latent
-	// media errors (drive-reported UREs and silent bit rot) on every
-	// member disk; CorruptionStormAt sprays CorruptionStormErrors silent
-	// sectors uniformly across the fleet (a firmware-bug-class event); a
-	// positive ScrubInterval runs a background scrubber over every RAID
-	// group with the rebuild-style batch/pause throttle. Foreground
-	// reads verify stripe checksums under raid's default policy.
-	MediaFaults           disk.FaultConfig
-	CorruptionStormAt     sim.Time
-	CorruptionStormErrors int
-	ScrubInterval         sim.Time
-	ScrubBatch            int64
-	ScrubPause            sim.Time
-
-	// Scripted MDS outage against namespace 0 (zero At disables).
-	MDSOutageAt       sim.Time
-	MDSOutageDuration sim.Time
-
-	// Scripted enclosure loss during rebuild against namespace 0's first
-	// couplet (zero At disables): a disk is replaced and rebuilding when
-	// an enclosure housing one member of every group drops — the §IV-E
-	// compounding, survivable under the Spider II 10x1 layout.
-	EnclosureLossAt sim.Time
-	EnclosureRepair sim.Time
-
-	// Probe pulses measure delivered write throughput through the full
-	// client -> fabric -> OSS -> RAID path at a fixed cadence, so the
-	// report can quantify degraded operation, not just downtime.
-	ProbeInterval sim.Time
-	ProbeBytes    int64
 
 	// TraceEvents arms the engine's event-trace audit: the report's
 	// EventTrace/TraceEvents fields then fingerprint every fired event's
@@ -102,6 +53,135 @@ type Config struct {
 	Tracer *spantrace.Tracer
 }
 
+// schedule is the composition of scripted and stochastic fault
+// processes, and the probe cadence, a campaign drives against its
+// center.
+type schedule struct {
+	// Stochastic disk failures with replace-and-rebuild.
+	disks        failure.DiskFailureConfig
+	rebuildChunk int64
+	rebuildPause sim.Time
+
+	// OSS crash + failover process (Poisson, mean interval per center).
+	ossCrashInterval sim.Time
+
+	// LNET router death bursts; cableCutFraction of the kills are
+	// attributed to a cut IB cable.
+	routerBurstInterval sim.Time
+	routerBurstSize     int
+	routerRepair        sim.Time
+
+	// In-place cable degradation (§IV-A): a router uplink drops to
+	// cableDegradeFrac of nominal bandwidth until repaired.
+	cableDegradeInterval sim.Time
+	cableRepair          sim.Time
+
+	// Data-integrity plane (§IV-E). mediaFaults arms rate-driven latent
+	// media errors (drive-reported UREs and silent bit rot) on every
+	// member disk; corruptionStormAt sprays corruptionStormErrors silent
+	// sectors uniformly across the fleet (a firmware-bug-class event); a
+	// positive scrub.PassInterval runs a background scrubber over every
+	// RAID group with the rebuild-style batch/pause throttle. Foreground
+	// reads verify stripe checksums under raid's default policy.
+	mediaFaults           disk.FaultConfig
+	corruptionStormAt     sim.Time
+	corruptionStormErrors int
+	scrub                 integrity.Config
+
+	// Scripted MDS outage against namespace 0.
+	mdsOutageAt       sim.Time
+	mdsOutageDuration sim.Time
+
+	// Scripted enclosure loss during rebuild against namespace 0's first
+	// couplet: a disk is replaced and rebuilding when an enclosure
+	// housing one member of every group drops — the §IV-E compounding,
+	// survivable under the Spider II 10x1 layout.
+	enclosureLossAt sim.Time
+	enclosureRepair sim.Time
+
+	// Probe pulses measure delivered write throughput through the full
+	// client -> fabric -> OSS -> RAID path at a fixed cadence, so the
+	// report can quantify degraded operation, not just downtime.
+	probeInterval sim.Time
+	probeBytes    int64
+}
+
+// fullSchedule is the 7-day full-scale campaign's menu.
+var fullSchedule = schedule{
+	disks:        failure.DiskFailureConfig{AnnualFailureRate: 0.03, ReplaceDelay: 4 * sim.Hour},
+	rebuildChunk: 1 << 16,
+	rebuildPause: 10 * sim.Second,
+
+	ossCrashInterval: 12 * sim.Hour,
+
+	mediaFaults:           disk.FaultConfig{UREPerGBRead: 0.0005, SilentPerGBWritten: 0.001},
+	corruptionStormAt:     4 * sim.Day,
+	corruptionStormErrors: 400,
+	// Scrub quanta sized for 2 TB members (~15M stripes per group,
+	// 2,016 groups): 8 GiB batches every 30 min walk a full device
+	// in ~5 days — the realistic background-scrub duty cycle — while
+	// keeping the campaign's event count bounded. The quick schedule
+	// below re-tightens all three for its 2 GiB members.
+	scrub: integrity.Config{
+		PassInterval: 12 * sim.Hour,
+		BatchStripes: 1 << 16,
+		BatchPause:   30 * sim.Minute,
+	},
+
+	routerBurstInterval: 24 * sim.Hour,
+	routerBurstSize:     3,
+	routerRepair:        2 * sim.Hour,
+
+	cableDegradeInterval: 12 * sim.Hour,
+	cableRepair:          6 * sim.Hour,
+
+	mdsOutageAt:       3*sim.Day + 5*sim.Hour,
+	mdsOutageDuration: 20 * sim.Minute,
+
+	enclosureLossAt: 2 * sim.Day,
+	enclosureRepair: 4 * sim.Hour,
+
+	probeInterval: 2 * sim.Hour,
+	probeBytes:    64 << 20,
+}
+
+// quickSchedule is dense enough that every fault process fires within
+// one day on the small test center.
+var quickSchedule = schedule{
+	// The small center has ~320 drives; the production AFR would deliver
+	// roughly zero failures per simulated day, so run it absurdly hot (as
+	// the operations example does) to see the whole menu in one day.
+	disks:               failure.DiskFailureConfig{AnnualFailureRate: 8, ReplaceDelay: 30 * sim.Minute},
+	ossCrashInterval:    3 * sim.Hour,
+	routerBurstInterval: 6 * sim.Hour,
+	// A quarter of the 64-router fleet per burst, so probe traffic
+	// reliably lands on dead routers and the ARN ablation has teeth.
+	routerBurstSize:      16,
+	routerRepair:         90 * sim.Minute,
+	cableDegradeInterval: 5 * sim.Hour,
+	cableRepair:          2 * sim.Hour,
+	mdsOutageAt:          14 * sim.Hour,
+	mdsOutageDuration:    10 * sim.Minute,
+	// Media wear hot enough that scrub passes find and repair real
+	// defects within the single simulated day.
+	mediaFaults:           disk.FaultConfig{UREPerGBRead: 0.02, SilentPerGBWritten: 0.05},
+	corruptionStormAt:     8 * sim.Hour,
+	corruptionStormErrors: 300,
+	scrub: integrity.Config{
+		PassInterval: 2 * sim.Hour,
+		BatchStripes: 512,
+		BatchPause:   500 * sim.Millisecond,
+	},
+	enclosureLossAt: 5 * sim.Hour,
+	enclosureRepair: 2 * sim.Hour,
+	probeInterval:   sim.Hour,
+	probeBytes:      16 << 20,
+	// The small center's 2 GB disks still take a while to rebuild; keep
+	// batches small so rebuilds interleave with probe traffic.
+	rebuildChunk: 1 << 12,
+	rebuildPause: 5 * sim.Second,
+}
+
 // DefaultConfig is the 7-day full-scale campaign over both namespaces
 // with the funded resilience features armed.
 func DefaultConfig(seed uint64) Config {
@@ -114,81 +194,15 @@ func DefaultConfig(seed uint64) Config {
 
 		Imperative: true,
 		ARN:        true,
-
-		DiskAFR:      0.03,
-		ReplaceDelay: 4 * sim.Hour,
-		RebuildChunk: 1 << 16,
-		RebuildPause: 10 * sim.Second,
-
-		OSSCrashInterval: 12 * sim.Hour,
-
-		MediaFaults:           disk.FaultConfig{UREPerGBRead: 0.0005, SilentPerGBWritten: 0.001},
-		CorruptionStormAt:     4 * sim.Day,
-		CorruptionStormErrors: 400,
-		// Scrub quanta sized for 2 TB members (~15M stripes per group,
-		// 2,016 groups): 8 GiB batches every 30 min walk a full device
-		// in ~5 days — the realistic background-scrub duty cycle — while
-		// keeping the campaign's event count bounded. The quick config
-		// below re-tightens all three for its 2 GiB members.
-		ScrubInterval: 12 * sim.Hour,
-		ScrubBatch:    1 << 16,
-		ScrubPause:    30 * sim.Minute,
-
-		RouterBurstInterval: 24 * sim.Hour,
-		RouterBurstSize:     3,
-		RouterRepair:        2 * sim.Hour,
-
-		CableDegradeInterval: 12 * sim.Hour,
-		CableRepair:          6 * sim.Hour,
-
-		MDSOutageAt:       3*sim.Day + 5*sim.Hour,
-		MDSOutageDuration: 20 * sim.Minute,
-
-		EnclosureLossAt: 2 * sim.Day,
-		EnclosureRepair: 4 * sim.Hour,
-
-		ProbeInterval: 2 * sim.Hour,
-		ProbeBytes:    64 << 20,
 	}
 }
 
-// QuickConfig is a one-day campaign over the small test center, dense
-// enough that every fault process fires — examples and tests use it.
+// QuickConfig is a one-day campaign over the small test center, under
+// the quick schedule — examples and tests use it.
 func QuickConfig(seed uint64) Config {
 	c := DefaultConfig(seed)
 	c.Duration = sim.Day
 	c.Small = true
-	// The small center has ~320 drives; the production AFR would deliver
-	// roughly zero failures per simulated day, so run it absurdly hot (as
-	// the operations example does) to see the whole menu in one day.
-	c.DiskAFR = 8
-	c.ReplaceDelay = 30 * sim.Minute
-	c.OSSCrashInterval = 3 * sim.Hour
-	c.RouterBurstInterval = 6 * sim.Hour
-	// A quarter of the 64-router fleet per burst, so probe traffic
-	// reliably lands on dead routers and the ARN ablation has teeth.
-	c.RouterBurstSize = 16
-	c.RouterRepair = 90 * sim.Minute
-	c.CableDegradeInterval = 5 * sim.Hour
-	c.CableRepair = 2 * sim.Hour
-	c.MDSOutageAt = 14 * sim.Hour
-	c.MDSOutageDuration = 10 * sim.Minute
-	// Media wear hot enough that scrub passes find and repair real
-	// defects within the single simulated day.
-	c.MediaFaults = disk.FaultConfig{UREPerGBRead: 0.02, SilentPerGBWritten: 0.05}
-	c.CorruptionStormAt = 8 * sim.Hour
-	c.CorruptionStormErrors = 300
-	c.ScrubInterval = 2 * sim.Hour
-	c.ScrubBatch = 512
-	c.ScrubPause = 500 * sim.Millisecond
-	c.EnclosureLossAt = 5 * sim.Hour
-	c.EnclosureRepair = 2 * sim.Hour
-	c.ProbeInterval = sim.Hour
-	c.ProbeBytes = 16 << 20
-	// The small center's 2 GB disks still take a while to rebuild; keep
-	// batches small so rebuilds interleave with probe traffic.
-	c.RebuildChunk = 1 << 12
-	c.RebuildPause = 5 * sim.Second
 	return c
 }
 
@@ -225,6 +239,7 @@ func (c Config) Ablated() Config {
 // campaign is the run state.
 type campaign struct {
 	cfg    Config
+	sched  schedule
 	c      *center.Center
 	eng    *sim.Engine
 	graph  *Graph
@@ -245,10 +260,19 @@ type campaign struct {
 	rep *Report
 }
 
-// Run executes the campaign and returns its report. The run is
-// deterministic: the same configuration (seed included) produces a
-// bit-identical report.
+// Run executes the campaign under the quick schedule when cfg.Small,
+// else the full one, and returns its report. The run is deterministic:
+// the same configuration (seed included) produces a bit-identical
+// report.
 func Run(cfg Config) *Report {
+	if cfg.Small {
+		return run(cfg, quickSchedule)
+	}
+	return run(cfg, fullSchedule)
+}
+
+// run executes the campaign under sched.
+func run(cfg Config, sched schedule) *Report {
 	if cfg.Duration <= 0 {
 		panic("chaos: campaign needs a positive duration") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
@@ -270,7 +294,7 @@ func Run(cfg Config) *Report {
 	downLedger := NewLedger(eng)
 	graph := NewGraph(eng, downLedger)
 	p := &campaign{
-		cfg: cfg, c: cc, eng: eng, graph: graph, ledger: downLedger,
+		cfg: cfg, sched: sched, c: cc, eng: eng, graph: graph, ledger: downLedger,
 		ops:      ledger.New(ledger.Config{}),
 		coal:     &monitor.Coalescer{},
 		grpName:  map[*raid.Group]string{},
@@ -368,12 +392,10 @@ func (p *campaign) buildGraph() {
 			p.grpName[g] = gn
 			p.graph.Add(gn, KindGroup)
 			p.graph.Add(ostName(fs, i), KindOST, gn, ossName(fs, fs.OSSOf(i)), mdsName(fs))
-			g.RebuildChunk = p.cfg.RebuildChunk
-			g.RebuildPause = p.cfg.RebuildPause
-			if p.cfg.MediaFaults.Enabled() {
-				for j, d := range g.Disks() {
-					d.SetFaultInjection(p.cfg.MediaFaults, media.Split(fmt.Sprintf("%s-d%d", gn, j)))
-				}
+			g.RebuildChunk = p.sched.rebuildChunk
+			g.RebuildPause = p.sched.rebuildPause
+			for j, d := range g.Disks() {
+				d.SetFaultInjection(p.sched.mediaFaults, media.Split(fmt.Sprintf("%s-d%d", gn, j)))
 			}
 			g.OnStripeLoss = func(int64) {
 				// A stripe whose defects exceeded parity: latent data
@@ -389,13 +411,9 @@ func (p *campaign) buildGraph() {
 }
 
 func (p *campaign) startDiskFailures() {
-	if p.cfg.DiskAFR <= 0 {
-		return
-	}
 	for ns := range p.c.Namespaces {
-		in := failure.NewInjector(p.eng, p.c.GroupsOf(ns), failure.DiskFailureConfig{
-			AnnualFailureRate: p.cfg.DiskAFR, ReplaceDelay: p.cfg.ReplaceDelay,
-		}, rng.New(p.cfg.Seed).Split(fmt.Sprintf("chaos-disks-%d", ns)))
+		in := failure.NewInjector(p.eng, p.c.GroupsOf(ns), p.sched.disks,
+			rng.New(p.cfg.Seed).Split(fmt.Sprintf("chaos-disks-%d", ns)))
 		in.Events = p.ingest
 		in.OnGroupFailed = func(g *raid.Group) {
 			p.note("%v %s raid group lost (data loss)", p.eng.Now(), p.grpName[g])
@@ -410,13 +428,10 @@ func (p *campaign) startDiskFailures() {
 // draw landing on a server already down is a skipped fault (counted),
 // not a panic: FailOSS reports the condition as an error.
 func (p *campaign) startOSSCrashes() {
-	if p.cfg.OSSCrashInterval <= 0 {
-		return
-	}
 	src := rng.New(p.cfg.Seed).Split("chaos-oss")
 	var next func()
 	next = func() {
-		p.eng.After(sim.FromSeconds(src.Exp(1/p.cfg.OSSCrashInterval.Seconds())), func() {
+		p.eng.After(sim.FromSeconds(src.Exp(1/p.sched.ossCrashInterval.Seconds())), func() {
 			ns := src.Intn(len(p.c.Namespaces))
 			fs := p.c.Namespaces[ns]
 			i := src.Intn(len(fs.OSSes))
@@ -445,16 +460,13 @@ const cableCutFraction = 0.3
 // cascade; the rest are direct router deaths (LBUG-class). Either way
 // the fabric stops routing through them until the repair.
 func (p *campaign) startRouterBursts() {
-	if p.cfg.RouterBurstInterval <= 0 || p.cfg.RouterBurstSize <= 0 {
-		return
-	}
 	f := p.c.Fabric
 	src := rng.New(p.cfg.Seed).Split("chaos-routers")
 	var next func()
 	next = func() {
-		p.eng.After(sim.FromSeconds(src.Exp(1/p.cfg.RouterBurstInterval.Seconds())), func() {
+		p.eng.After(sim.FromSeconds(src.Exp(1/p.sched.routerBurstInterval.Seconds())), func() {
 			p.rep.RouterBursts++
-			for k := 0; k < p.cfg.RouterBurstSize; k++ {
+			for k := 0; k < p.sched.routerBurstSize; k++ {
 				rid := -1
 				for tries := 0; tries < 4*f.NumRouters(); tries++ {
 					cand := src.Intn(f.NumRouters())
@@ -478,7 +490,7 @@ func (p *campaign) startRouterBursts() {
 				}
 				p.graph.Fail(root)
 				deadRID, deadRoot := rid, root
-				p.eng.After(p.cfg.RouterRepair, func() {
+				p.eng.After(p.sched.routerRepair, func() {
 					f.RecoverRouter(deadRID)
 					p.graph.Recover(deadRoot)
 					p.opAppend(p.eng.Now(), deadRoot, "operator", "router-repaired", "")
@@ -498,14 +510,14 @@ const cableDegradeFrac = 0.25
 // nominal bandwidth (the §IV-A degraded-cable failure mode). The
 // link stays up — this degrades throughput without downtime.
 func (p *campaign) startCableDegradation() {
-	if p.cfg.CableDegradeInterval <= 0 || len(p.uplinks) == 0 {
+	if len(p.uplinks) == 0 {
 		return
 	}
 	net := p.c.Fabric.Net
 	src := rng.New(p.cfg.Seed).Split("chaos-cables")
 	var next func()
 	next = func() {
-		p.eng.After(sim.FromSeconds(src.Exp(1/p.cfg.CableDegradeInterval.Seconds())), func() {
+		p.eng.After(sim.FromSeconds(src.Exp(1/p.sched.cableDegradeInterval.Seconds())), func() {
 			idx := src.Intn(len(p.uplinks))
 			if !p.degraded[idx] {
 				p.degraded[idx] = true
@@ -513,7 +525,7 @@ func (p *campaign) startCableDegradation() {
 				net.Degrade(l, cableDegradeFrac)
 				p.rep.CableDegradations++
 				p.emit(l.Name(), monitor.Hardware, "hca-symbol-errors")
-				p.eng.After(p.cfg.CableRepair, func() {
+				p.eng.After(p.sched.cableRepair, func() {
 					net.Restore(l)
 					delete(p.degraded, idx)
 				})
@@ -525,15 +537,12 @@ func (p *campaign) startCableDegradation() {
 }
 
 func (p *campaign) scheduleMDSOutage() {
-	if p.cfg.MDSOutageAt <= 0 || p.cfg.MDSOutageDuration <= 0 {
-		return
-	}
 	fs := p.c.Namespaces[0]
-	p.eng.At(p.cfg.MDSOutageAt, func() {
+	p.eng.At(p.sched.mdsOutageAt, func() {
 		p.rep.MDSOutages++
 		p.emit(mdsName(fs), monitor.Software, "mds-outage")
 		p.graph.Fail(mdsName(fs))
-		p.eng.After(p.cfg.MDSOutageDuration, func() {
+		p.eng.After(p.sched.mdsOutageDuration, func() {
 			p.graph.Recover(mdsName(fs))
 			p.opAppend(p.eng.Now(), mdsName(fs), "operator", "mds-recovered", "")
 		})
@@ -546,12 +555,9 @@ func (p *campaign) scheduleMDSOutage() {
 // Each group degrades but survives (10x1 housing), and repair crews
 // restore the lost members with fresh drives.
 func (p *campaign) scheduleEnclosureLoss() {
-	if p.cfg.EnclosureLossAt <= 0 {
-		return
-	}
 	layout := raid.Spider2Layout()
 	src := rng.New(p.cfg.Seed).Split("chaos-enclosure")
-	p.eng.At(p.cfg.EnclosureLossAt, func() {
+	p.eng.At(p.sched.enclosureLossAt, func() {
 		cp := p.c.CoupletsOf(0, layout)[0]
 		groups := cp.Groups()
 		g0 := groups[0]
@@ -596,8 +602,8 @@ func (p *campaign) scheduleEnclosureLoss() {
 						fmt.Sprintf("%d degraded groups restocked", restocked))
 				}
 			}
-			p.eng.After(p.cfg.EnclosureRepair, repair("r1"))
-			p.eng.After(2*p.cfg.EnclosureRepair+6*sim.Hour, repair("r2"))
+			p.eng.After(p.sched.enclosureRepair, repair("r1"))
+			p.eng.After(2*p.sched.enclosureRepair+6*sim.Hour, repair("r2"))
 		})
 	})
 }
@@ -606,18 +612,15 @@ func (p *campaign) scheduleEnclosureLoss() {
 // member disk in the fleet — the firmware-bug-class event that seeds
 // the latent errors scrubbing exists to find before rebuilds do.
 func (p *campaign) scheduleCorruptionStorm() {
-	if p.cfg.CorruptionStormAt <= 0 || p.cfg.CorruptionStormErrors <= 0 {
-		return
-	}
 	src := rng.New(p.cfg.Seed).Split("chaos-corruption")
-	p.eng.At(p.cfg.CorruptionStormAt, func() {
+	p.eng.At(p.sched.corruptionStormAt, func() {
 		var dsks []*disk.Disk
 		for ns := range p.c.Namespaces {
 			for _, g := range p.c.GroupsOf(ns) {
 				dsks = append(dsks, g.Disks()...)
 			}
 		}
-		for k := 0; k < p.cfg.CorruptionStormErrors; k++ {
+		for k := 0; k < p.sched.corruptionStormErrors; k++ {
 			d := dsks[src.Intn(len(dsks))]
 			d.InjectError(src.Int63n(d.Config().Capacity), disk.Silent)
 		}
@@ -630,16 +633,12 @@ func (p *campaign) scheduleCorruptionStorm() {
 // scrubber draws no randomness, so enabling it perturbs no fault
 // schedule — only the I/O it issues and the repairs it makes.
 func (p *campaign) startScrubbers() {
-	if p.cfg.ScrubInterval <= 0 {
+	if p.sched.scrub.PassInterval <= 0 {
 		return
 	}
 	for ns := range p.c.Namespaces {
 		for _, g := range p.c.GroupsOf(ns) {
-			s := integrity.New(p.eng, g, integrity.Config{
-				BatchStripes: p.cfg.ScrubBatch,
-				BatchPause:   p.cfg.ScrubPause,
-				PassInterval: p.cfg.ScrubInterval,
-			})
+			s := integrity.New(p.eng, g, p.sched.scrub)
 			gn := p.grpName[g]
 			s.Escalate = func(lost int) {
 				p.opAppend(p.eng.Now(), gn, "integrity", "scrub-escalation",
@@ -658,9 +657,6 @@ func (p *campaign) startScrubbers() {
 // recovery pending, or its flow dropped by a dead router fleet) counts
 // as stalled.
 func (p *campaign) startProbes() {
-	if p.cfg.ProbeInterval <= 0 || p.cfg.ProbeBytes <= 0 {
-		return
-	}
 	for ns, fs := range p.c.Namespaces {
 		ns, fs := ns, fs
 		cl := lustre.NewClient(9000+ns, topology.Coord{X: 1, Y: 1, Z: 1}, fs, p.c.Transport(ns))
@@ -680,7 +676,7 @@ func (p *campaign) startProbes() {
 				start := p.eng.Now()
 				path := fmt.Sprintf("chaos-probe/ns%d/p%05d", ns, k)
 				fs.Create(path, 4, func(f *lustre.File) {
-					cl.WriteStream(f, p.cfg.ProbeBytes, 1<<20, func(n int64) {
+					cl.WriteStream(f, p.sched.probeBytes, 1<<20, func(n int64) {
 						dur := p.eng.Now() - start
 						if dur > 0 {
 							p.rep.probeSamples = append(p.rep.probeSamples,
@@ -691,7 +687,7 @@ func (p *campaign) startProbes() {
 					})
 				})
 			}
-			p.eng.After(p.cfg.ProbeInterval, tick)
+			p.eng.After(p.sched.probeInterval, tick)
 		}
 		tick()
 	}

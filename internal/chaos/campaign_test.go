@@ -53,9 +53,10 @@ func TestCampaignEventTraceDeterministic(t *testing.T) {
 	cfg.TraceEvents = true
 	// Congestion-heavy: probe every 15 minutes so striped writes from
 	// every namespace overlap in the fabric for most of the window.
-	cfg.ProbeInterval = 15 * sim.Minute
-	r1 := Run(cfg)
-	r2 := Run(cfg)
+	sched := quickSchedule
+	sched.probeInterval = 15 * sim.Minute
+	r1 := run(cfg, sched)
+	r2 := run(cfg, sched)
 	if r1.TraceEvents == 0 {
 		t.Fatal("trace observed no events")
 	}
@@ -205,5 +206,28 @@ func TestReportRendersAndRollsUp(t *testing.T) {
 	}
 	if len(r.Timeline) == 0 {
 		t.Fatal("no timeline entries recorded")
+	}
+}
+
+// TestCampaignFingerprintsPinned pins the report fingerprints of both
+// schedules, so a mistyped schedule value fails here rather than only
+// in a full 7-day benchmark run. The full-schedule window of 4 days
+// and 2 hours reaches the enclosure loss, the MDS outage and the
+// corruption storm.
+func TestCampaignFingerprintsPinned(t *testing.T) {
+	full := DefaultConfig(testSeed)
+	full.Duration = 4*sim.Day + 2*sim.Hour
+	for _, c := range []struct {
+		name string
+		rep  *Report
+		want uint64
+	}{
+		{"quick featured", featured(t), 0x706382bb0b385557},
+		{"quick ablated", Run(QuickConfig(testSeed).Ablated()), 0x5c32c979d6215a66},
+		{"full 4d2h", Run(full), 0xdd41e54e535f9783},
+	} {
+		if got := c.rep.Fingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }

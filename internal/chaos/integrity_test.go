@@ -36,8 +36,9 @@ func TestScrubEscalatedDataLossInReport(t *testing.T) {
 	cfg := QuickConfig(11)
 	// Dense enough that some stripes exceed parity during rebuild
 	// windows: real latent data loss, counted rather than panicked.
-	cfg.CorruptionStormErrors = 30000
-	r1 := Run(cfg)
+	sched := quickSchedule
+	sched.corruptionStormErrors = 30000
+	r1 := run(cfg, sched)
 	if r1.LatentDataLoss == 0 {
 		t.Fatal("dense storm escalated no stripes beyond parity")
 	}
@@ -49,7 +50,7 @@ func TestScrubEscalatedDataLossInReport(t *testing.T) {
 	if !strings.Contains(s, want) {
 		t.Fatalf("availability report missing %q:\n%s", want, s)
 	}
-	r2 := Run(cfg)
+	r2 := run(cfg, sched)
 	if r1.Fingerprint() != r2.Fingerprint() {
 		t.Fatalf("fingerprints with scrubber + storm diverged: %x vs %x",
 			r1.Fingerprint(), r2.Fingerprint())
@@ -65,9 +66,9 @@ func TestScrubEscalatedDataLossInReport(t *testing.T) {
 // must leave the storm's corruption in place for rebuilds to trip over.
 func TestScrubberAblationKeepsFaultSchedule(t *testing.T) {
 	on := featured(t)
-	cfg := QuickConfig(testSeed)
-	cfg.ScrubInterval = 0
-	off := Run(cfg)
+	sched := quickSchedule
+	sched.scrub.PassInterval = 0
+	off := run(QuickConfig(testSeed), sched)
 	if on.DiskFailures != off.DiskFailures || on.RoutersKilled != off.RoutersKilled ||
 		on.OSSCrashes+on.SkippedFaults != off.OSSCrashes+off.SkippedFaults {
 		t.Fatalf("fault schedules diverged with scrubber off: disks %d/%d routers %d/%d",

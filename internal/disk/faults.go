@@ -43,11 +43,6 @@ type FaultConfig struct {
 	UREPerGBRead float64
 }
 
-// Enabled reports whether any injection rate is non-zero.
-func (fc FaultConfig) Enabled() bool {
-	return fc.SilentPerGBWritten > 0 || fc.UREPerGBRead > 0
-}
-
 // ScanResult summarizes the latent defects in a scanned extent.
 type ScanResult struct {
 	UREs   int // drive-detectable sectors

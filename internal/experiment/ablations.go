@@ -162,9 +162,7 @@ func A7(seed uint64) Result {
 		eng := sim.NewEngine()
 		fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(seed))
 		if withCompile {
-			workload.RunCompile(fs, workload.CompileConfig{
-				SourceFiles: 3000, StatsPerFile: 8, Parallelism: 32,
-			}, nil)
+			workload.RunCompile(fs, nil)
 		}
 		var mean sim.Time
 		workload.MetadataLatencyProbe(fs, "user/data", 50, func(m sim.Time) { mean = m })

@@ -135,9 +135,7 @@ func E2(seed uint64) Result {
 // (fleet at seed, campaign at seed+1). Headline: the fraction of
 // drives replaced.
 func E3(seed uint64) Result {
-	cfg := qa.DefaultElimination()
-	cfg.BenchBytes = 32 << 20
-	rep, drives := qa.SlowDiskCampaign(32, cfg, rng.New(seed), rng.New(seed+1))
+	rep, drives := qa.SlowDiskCampaign(32, 32<<20, rng.New(seed), rng.New(seed+1))
 	body := ""
 	for _, r := range rep.Rounds {
 		body += fmt.Sprintf("round %d: mean %.0f MB/s, spread %.1f%%, replaced %d\n",

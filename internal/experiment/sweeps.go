@@ -16,10 +16,8 @@ import (
 // independent full simulation seeded from the sweep stream.
 // BENCH_sweep.json is this list's artifact.
 func Sweeps() []sweep.Entry {
-	e3 := qa.DefaultElimination()
-	e3.BenchBytes = 16 << 20
 	return []sweep.Entry{
-		{Label: "e3-slowdisk", Replicas: 16, Body: qa.SlowDiskReplica(16, e3)},
+		{Label: "e3-slowdisk", Replicas: 16, Body: qa.SlowDiskReplica(16, 16<<20)},
 		{Label: "e13-purge", Replicas: 16, Body: purge.ResidencyReplica()},
 		{Label: "e18-chaos", Replicas: 32, Body: chaos.CampaignReplica(chaos.QuickConfig(0))},
 	}

@@ -16,23 +16,10 @@ import (
 	"spiderfs/internal/workload"
 )
 
-// EliminationConfig tunes a slow-disk campaign.
-type EliminationConfig struct {
-	// BenchBytes is the data written per group per round's measurement.
-	BenchBytes int64
-	// SpreadTarget is the acceptance envelope: (mean-min)/mean across
-	// groups must fall at or below it. Spider II's contract started at
-	// 5% and was relaxed to 7.5% in production.
-	SpreadTarget float64
-}
-
-// DefaultElimination mirrors the Spider II acceptance campaign.
-func DefaultElimination() EliminationConfig {
-	return EliminationConfig{
-		BenchBytes:   64 << 20,
-		SpreadTarget: 0.05,
-	}
-}
+// spreadTarget is the acceptance envelope of the Spider II campaign:
+// (mean-min)/mean across groups must fall at or below it. Spider II's
+// contract started at 5% and was relaxed to 7.5% in production.
+const spreadTarget = 0.05
 
 // Round reports one benchmark/replace cycle.
 type Round struct {
@@ -156,18 +143,19 @@ func spreadOf(mbps []float64) (mean, min, spread float64) {
 // maxRounds bounds the campaign.
 const maxRounds = 8
 
-// RunElimination executes the campaign and returns the report.
-func RunElimination(eng *sim.Engine, groups []*raid.Group, cfg EliminationConfig, src *rng.Source) Report {
+// RunElimination executes the campaign, writing benchBytes per group
+// per round's measurement, and returns the report.
+func RunElimination(eng *sim.Engine, groups []*raid.Group, benchBytes int64, src *rng.Source) Report {
 	var rep Report
 	for round := 0; round < maxRounds; round++ {
-		mbps := benchGroups(eng, groups, cfg.BenchBytes)
+		mbps := benchGroups(eng, groups, benchBytes)
 		mean, min, spread := spreadOf(mbps)
 		r := Round{Index: round, GroupMBps: mbps, MeanMBps: mean, MinMBps: min, Spread: spread}
 		if round == 0 {
 			rep.BeforeMBps = mean * float64(len(groups))
 		}
 		rep.AfterMBps = mean * float64(len(groups))
-		if spread <= cfg.SpreadTarget {
+		if spread <= spreadTarget {
 			rep.Rounds = append(rep.Rounds, r)
 			rep.Converged = true
 			return rep
@@ -177,7 +165,7 @@ func RunElimination(eng *sim.Engine, groups []*raid.Group, cfg EliminationConfig
 		rep.Rounds = append(rep.Rounds, r)
 		if r.Replaced == 0 {
 			// Nothing left to swap in the slowest bin; declare done.
-			rep.Converged = spread <= cfg.SpreadTarget
+			rep.Converged = spread <= spreadTarget
 			return rep
 		}
 	}

@@ -21,10 +21,7 @@ func buildFleet(eng *sim.Engine, nGroups int, seed uint64) []*raid.Group {
 func TestEliminationTightensSpread(t *testing.T) {
 	eng := sim.NewEngine()
 	groups := buildFleet(eng, 24, 1)
-	cfg := DefaultElimination()
-	cfg.BenchBytes = 16 << 20
-	cfg.SpreadTarget = 0.075 // production contract value
-	rep := RunElimination(eng, groups, cfg, rng.New(2))
+	rep := RunElimination(eng, groups, 16<<20, rng.New(2))
 	if len(rep.Rounds) == 0 {
 		t.Fatal("no rounds ran")
 	}
@@ -47,9 +44,7 @@ func TestEliminationReplacedFractionPlausible(t *testing.T) {
 	// ~15% fraction, not zero and not half the fleet.
 	eng := sim.NewEngine()
 	groups := buildFleet(eng, 24, 3)
-	cfg := DefaultElimination()
-	cfg.BenchBytes = 16 << 20
-	rep := RunElimination(eng, groups, cfg, rng.New(4))
+	rep := RunElimination(eng, groups, 16<<20, rng.New(4))
 	total := 24 * 10
 	frac := float64(rep.TotalReplaced) / float64(total)
 	if frac < 0.01 || frac > 0.25 {
@@ -76,10 +71,7 @@ func TestEliminationConvergesOnCleanFleet(t *testing.T) {
 		}
 		groups[g] = raid.NewGroup(eng, g, gcfg, members)
 	}
-	cfg := DefaultElimination()
-	cfg.BenchBytes = 16 << 20
-	cfg.SpreadTarget = 0.10
-	rep := RunElimination(eng, groups, cfg, rng.New(6))
+	rep := RunElimination(eng, groups, 16<<20, rng.New(6))
 	if !rep.Converged {
 		t.Fatalf("clean fleet failed to converge: %+v", rep.Rounds[len(rep.Rounds)-1])
 	}

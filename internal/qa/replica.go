@@ -13,9 +13,10 @@ import (
 // SlowDiskCampaign runs one E3 slow-disk elimination campaign (§V-A):
 // a fresh engine and a fleet of Spider II RAID groups on 1 GiB NL-SAS
 // members drawn from fleet, then the full multi-round
-// benchmark/bin/replace loop driven by elim. It returns the campaign
-// report and the fleet's drive count.
-func SlowDiskCampaign(groups int, cfg EliminationConfig, fleet, elim *rng.Source) (Report, int) {
+// benchmark/bin/replace loop, writing benchBytes per group per round,
+// driven by elim. It returns the campaign report and the fleet's drive
+// count.
+func SlowDiskCampaign(groups int, benchBytes int64, fleet, elim *rng.Source) (Report, int) {
 	eng := sim.NewEngine()
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 1 << 30
@@ -24,16 +25,16 @@ func SlowDiskCampaign(groups int, cfg EliminationConfig, fleet, elim *rng.Source
 	for _, g := range gs {
 		drives += len(g.Disks())
 	}
-	return RunElimination(eng, gs, cfg, elim), drives
+	return RunElimination(eng, gs, benchBytes, elim), drives
 }
 
 // SlowDiskReplica returns a sweep body that runs one independent
 // SlowDiskCampaign seeded from the replica stream and records the
 // campaign's headline numbers as metrics. Replicas share nothing, so
 // the sweep runner can fan them across workers.
-func SlowDiskReplica(groups int, cfg EliminationConfig) sweep.Body {
+func SlowDiskReplica(groups int, benchBytes int64) sweep.Body {
 	return func(r *sweep.Rep) error {
-		rep, drives := SlowDiskCampaign(groups, cfg, rng.New(r.Seed), r.Src.Split("elim"))
+		rep, drives := SlowDiskCampaign(groups, benchBytes, rng.New(r.Seed), r.Src.Split("elim"))
 		if len(rep.Rounds) == 0 {
 			return fmt.Errorf("qa: elimination produced no rounds")
 		}

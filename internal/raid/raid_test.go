@@ -311,6 +311,68 @@ func TestTotalStripesSurvivesRebuild(t *testing.T) {
 	}
 }
 
+// TestRebuildTimeMatchesThrottle checks what a rebuild's two throttle
+// values mean against closed-form bounds. On an idle group whose
+// members never stall, every batch reads RebuildChunk stripes from
+// each survivor where the last batch ended and then waits RebuildPause,
+// so the rebuild lasts between
+//
+//	lower: batches × RebuildPause + the bytes rebuilt per member at
+//	       the fastest (outer) zone rate
+//	upper: batches × (RebuildPause + positioning) + those bytes at
+//	       the slowest (inner) zone rate
+//
+// with the zone rates and positioning taken from disk.ServiceTime, the
+// drive's analytic service model, on fresh drives of the same product.
+// Four 16 MiB batches per member keep the positioning slack small, so
+// a pause skipped or added, or a member's bytes moved twice or not at
+// all, falls outside the bounds.
+func TestRebuildTimeMatchesThrottle(t *testing.T) {
+	const (
+		chunk = 128
+		pause = 500 * sim.Millisecond
+	)
+	eng := sim.NewEngine()
+	src := rng.New(16)
+	cfg := Spider2Group()
+	dcfg := disk.Config{Capacity: 64 << 20}
+	steady := disk.Health{SpeedFactor: 1} // no long-tail excursions
+	probe := func() *disk.Disk { return disk.New(eng, 100, dcfg, steady, src.Split("probe")) }
+	members := make([]*disk.Disk, cfg.Width())
+	for i := range members {
+		members[i] = disk.New(eng, i, dcfg, steady, src.Split("d"))
+	}
+	g := NewGroup(eng, 0, cfg, members)
+	g.RebuildChunk = chunk
+	g.RebuildPause = pause
+	g.FailDisk(0)
+
+	stripes := g.TotalStripes()
+	batches := (stripes + chunk - 1) / chunk
+	perMember := stripes * cfg.ChunkSize
+	// From the outer edge with the head already there: one command's
+	// overhead plus the whole member at the fastest rate.
+	fastest := probe().ServiceTime(disk.Op{LBA: 0, Size: perMember})
+	// From the outer edge to the inner one: overhead, a full-stroke
+	// seek, rotation, and the whole member at the slowest rate.
+	slowest := probe().ServiceTime(disk.Op{LBA: dcfg.Capacity, Size: perMember})
+	positioning := probe().ServiceTime(disk.Op{LBA: dcfg.Capacity, Size: 1})
+	lower := sim.Time(batches)*pause + fastest
+	upper := sim.Time(batches)*(pause+positioning) + slowest
+
+	start := eng.Now()
+	var took sim.Time
+	g.StartRebuild(0, disk.New(eng, 99, dcfg, steady, src.Split("r")), func() { took = eng.Now() - start })
+	eng.Run()
+	if g.State() != Healthy || took == 0 {
+		t.Fatalf("rebuild did not complete: state %v after %v", g.State(), took)
+	}
+	if took < lower || took > upper {
+		t.Fatalf("%d batches of %d stripes with %v pauses took %v, want within [%v, %v]",
+			batches, chunk, pause, took, lower, upper)
+	}
+}
+
 // TestRebuildBatchAllocationCeiling pins the steady-state rebuild path:
 // one batch cycle (the pause timer, nine survivor reads, the
 // replacement write, the barrier and its completion) allocates

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spiderfs/internal/chaos"
+	"spiderfs/internal/sweep"
 )
 
 // FuzzSpecNormalize feeds arbitrary JSON through the decoder the
@@ -39,7 +40,7 @@ func FuzzSpecNormalize(f *testing.F) {
 		}
 		if s.Waves < 0 || s.Waves > maxWaves || s.Flows < 0 || s.Flows > maxFlows ||
 			s.Bytes < 0 || s.Bytes > maxBytes || s.Days < 0 || s.Days > chaos.MaxDays ||
-			s.Replicas < 0 || s.Replicas > maxReplicas {
+			s.Replicas < 0 || s.Replicas > sweep.MaxReplicas {
 			t.Fatalf("accepted spec outside the work caps: %+v", s)
 		}
 		if s.Kind == "workload" && (s.Waves == 0 || s.Flows == 0 || s.Bytes == 0) {

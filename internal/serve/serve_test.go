@@ -66,7 +66,7 @@ func TestSpecNormalizeAndKey(t *testing.T) {
 		{Kind: "workload", Seed: 1, Flows: maxFlows + 1},
 		{Kind: "workload", Seed: 1, Bytes: 2 * maxBytes},
 		{Kind: "chaos", Seed: 1, Days: chaos.MaxDays + 1},
-		{Kind: "sweep", Seed: 1, Sweep: "toy", Replicas: maxReplicas + 1},
+		{Kind: "sweep", Seed: 1, Sweep: "toy", Replicas: sweep.MaxReplicas + 1},
 	} {
 		bad := bad
 		if err := bad.Normalize(); err == nil {

@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"spiderfs/internal/chaos"
+	"spiderfs/internal/sweep"
 )
 
 // Spec declares one scenario session. The zero fields of the chosen
@@ -77,10 +78,9 @@ const (
 // can hold a worker for hours. Every documented and benchmarked spec
 // sits far below them.
 const (
-	maxWaves    = 64
-	maxFlows    = 8192
-	maxBytes    = 1e12
-	maxReplicas = 256
+	maxWaves = 64
+	maxFlows = 8192
+	maxBytes = 1e12
 )
 
 // Normalize validates the spec and fills kind-appropriate defaults,
@@ -114,8 +114,8 @@ func (s *Spec) Normalize() error {
 		if strings.ContainsAny(s.Sweep, "/ \t\n") {
 			return fmt.Errorf("serve: invalid sweep label %q", s.Sweep)
 		}
-		if s.Replicas < 0 || s.Replicas > maxReplicas {
-			return fmt.Errorf("serve: replicas %d outside [0, %d]", s.Replicas, maxReplicas)
+		if s.Replicas < 0 || s.Replicas > sweep.MaxReplicas {
+			return fmt.Errorf("serve: replicas %d outside [0, %d]", s.Replicas, sweep.MaxReplicas)
 		}
 		s.Full, s.Waves, s.Flows, s.Bytes, s.Days = false, 0, 0, 0, 0
 	default:

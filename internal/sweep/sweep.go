@@ -61,6 +61,13 @@ func (r *Rep) Record(name string, v float64) {
 // error) marks the replica failed without aborting the sweep.
 type Body func(r *Rep) error
 
+// MaxReplicas caps the replica count of one sweep: Run refuses more,
+// and `spidersim sweep -replicas` and a service sweep session refuse a
+// larger override before building anything, so no request can hold
+// the worker pool for hours or allocate a replica table without bound.
+// Every catalog entry sits far below it.
+const MaxReplicas = 256
+
 // Entry is one named sweep: a label, a replica count and a body. It
 // carries no seed — Run takes one — so a catalog of entries serves
 // every seed.
@@ -95,8 +102,8 @@ type Result struct {
 // the worker count.
 func Run(e Entry, seed uint64, workers int) (*Result, error) {
 	n := e.Replicas
-	if n <= 0 {
-		return nil, fmt.Errorf("sweep: entry %q needs Replicas > 0", e.Label)
+	if n <= 0 || n > MaxReplicas {
+		return nil, fmt.Errorf("sweep: entry %q needs Replicas in [1, %d], has %d", e.Label, MaxReplicas, n)
 	}
 	if e.Body == nil {
 		return nil, fmt.Errorf("sweep: entry %q has a nil body", e.Label)

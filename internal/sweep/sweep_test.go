@@ -99,6 +99,9 @@ func TestSweepConfigValidation(t *testing.T) {
 	if _, err := Run(Entry{Label: "x", Body: simBody}, 1, 0); err == nil {
 		t.Error("zero replicas should error")
 	}
+	if _, err := Run(Entry{Label: "x", Replicas: MaxReplicas + 1, Body: simBody}, 1, 0); err == nil {
+		t.Error("replicas over MaxReplicas should error")
+	}
 	if _, err := Run(Entry{Label: "x", Replicas: 1}, 1, 0); err == nil {
 		t.Error("nil body should error")
 	}

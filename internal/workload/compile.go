@@ -7,20 +7,16 @@ import (
 	"spiderfs/internal/sim"
 )
 
-// CompileConfig models the §VII anti-pattern the paper warns users
-// about: building code on the scratch file system. A compile is a storm
-// of metadata operations — lookups, creates of tiny objects, stats —
-// that lands on the namespace's single MDS and degrades every other
-// user's metadata latency.
-type CompileConfig struct {
-	// SourceFiles to "compile": each costs a lookup + stat; each emits
-	// an object file (create + tiny write) and intermediate stats.
-	SourceFiles int
-	// StatsPerFile models header lookups per compilation unit.
-	StatsPerFile int
-	// Parallelism is the make -j width.
-	Parallelism int
-}
+// The compile RunCompile models: a make -j32 of 3,000 sources.
+const (
+	// compileSources to "compile": each costs a lookup + stat; each
+	// emits an object file (create + tiny write) and intermediate stats.
+	compileSources = 3000
+	// compileStatsPerFile models header lookups per compilation unit.
+	compileStatsPerFile = 8
+	// compileParallelism is the make -j width.
+	compileParallelism = 32
+)
 
 // CompileResult reports the build and its collateral damage.
 type CompileResult struct {
@@ -28,17 +24,12 @@ type CompileResult struct {
 	MDSOps   uint64
 }
 
-// RunCompile executes the metadata storm against fs under build/.
-func RunCompile(fs *lustre.FS, cfg CompileConfig, done func(CompileResult)) {
-	if cfg.SourceFiles <= 0 {
-		panic("workload: compile needs source files") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	if cfg.Parallelism < 1 {
-		cfg.Parallelism = 1
-	}
-	if cfg.StatsPerFile < 1 {
-		cfg.StatsPerFile = 8
-	}
+// RunCompile models the §VII anti-pattern the paper warns users about:
+// building code on the scratch file system. A compile is a storm of
+// metadata operations — lookups, creates of tiny objects, stats — that
+// lands on the namespace's single MDS and degrades every other user's
+// metadata latency. It executes the storm against fs under build/.
+func RunCompile(fs *lustre.FS, done func(CompileResult)) {
 	eng := fs.Engine()
 	start := eng.Now()
 	opsBefore := fs.MetadataOps()
@@ -50,14 +41,14 @@ func RunCompile(fs *lustre.FS, cfg CompileConfig, done func(CompileResult)) {
 	})
 	var worker func()
 	worker = func() {
-		if next >= cfg.SourceFiles {
+		if next >= compileSources {
 			b.Done()
 			return
 		}
 		i := next
 		next++
 		// Header stats, then emit the object file.
-		remainingStats := cfg.StatsPerFile
+		remainingStats := compileStatsPerFile
 		var statPhase func()
 		statPhase = func() {
 			if remainingStats == 0 {
@@ -72,7 +63,7 @@ func RunCompile(fs *lustre.FS, cfg CompileConfig, done func(CompileResult)) {
 		}
 		statPhase()
 	}
-	for w := 0; w < cfg.Parallelism; w++ {
+	for w := 0; w < compileParallelism; w++ {
 		b.Add(1)
 		worker()
 	}

@@ -9,17 +9,16 @@ import (
 func TestRunCompileCompletes(t *testing.T) {
 	fs := mkTestFS(60)
 	var res CompileResult
-	RunCompile(fs, CompileConfig{SourceFiles: 100, StatsPerFile: 4, Parallelism: 8},
-		func(r CompileResult) { res = r })
+	RunCompile(fs, func(r CompileResult) { res = r })
 	fs.Engine().Run()
 	if res.Duration <= 0 {
 		t.Fatal("compile never finished")
 	}
-	// 100 files x (4 lookups + 1 create) = 500 metadata ops minimum.
-	if res.MDSOps < 500 {
-		t.Fatalf("MDS ops = %d, want >=500", res.MDSOps)
+	// Every source costs its header lookups plus one create.
+	if want := uint64(compileSources * (compileStatsPerFile + 1)); res.MDSOps < want {
+		t.Fatalf("MDS ops = %d, want >=%d", res.MDSOps, want)
 	}
-	if fs.NumFiles < 100 {
+	if fs.NumFiles < compileSources {
 		t.Fatalf("object files = %d", fs.NumFiles)
 	}
 }
@@ -31,7 +30,7 @@ func TestCompileDegradesOtherUsersMetadataLatency(t *testing.T) {
 		fs := mkTestFS(61)
 		eng := fs.Engine()
 		if withCompile {
-			RunCompile(fs, CompileConfig{SourceFiles: 3000, StatsPerFile: 8, Parallelism: 32}, nil)
+			RunCompile(fs, nil)
 		}
 		var mean sim.Time
 		MetadataLatencyProbe(fs, "user/data", 50, func(m sim.Time) { mean = m })
@@ -47,14 +46,4 @@ func TestCompileDegradesOtherUsersMetadataLatency(t *testing.T) {
 	if ratio < 3 {
 		t.Fatalf("compile inflated stat latency only %.1fx (%v -> %v); the MDS storm should hurt", ratio, quiet, busy)
 	}
-}
-
-func TestCompileInvalidPanics(t *testing.T) {
-	fs := mkTestFS(62)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	RunCompile(fs, CompileConfig{SourceFiles: 0}, nil)
 }
