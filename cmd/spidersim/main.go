@@ -375,5 +375,7 @@ func runChaos(seed uint64, days int, full bool, ledgerOut string, stdout, stderr
 		abl.StalledSends, abl.StallTime, feat.StalledSends, feat.StallTime)
 	fmt.Fprintf(stdout, "  probe rate:    mean %.1f MB/s -> %.1f MB/s\n",
 		abl.MeanProbeMBps, feat.MeanProbeMBps)
+	fmt.Fprintf(stdout, "engine: at most %d events pending at once (%d ablated)\n",
+		feat.PeakPending, abl.PeakPending)
 	return 0
 }

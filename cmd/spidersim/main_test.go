@@ -66,7 +66,8 @@ func TestChaosDaysBound(t *testing.T) {
 	for _, days := range []string{"0", "1"} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"chaos", "-days", days}, &stdout, &stderr)
-		if code != 0 || stderr.Len() != 0 || !strings.Contains(stdout.String(), "center-wide chaos campaign") {
+		out := stdout.String()
+		if code != 0 || stderr.Len() != 0 || !strings.Contains(out, "center-wide chaos campaign") || !strings.Contains(out, "events pending at once") {
 			t.Errorf("-days %s: exit %d, stderr %q, stdout:\n%s", days, code, &stderr, &stdout)
 		}
 	}

@@ -330,6 +330,7 @@ func run(cfg Config, sched schedule) *Report {
 	p.ops.Close()
 	p.coal.Close()
 	p.finishReport()
+	p.rep.PeakPending = eng.PeakPending()
 	if th != nil {
 		p.rep.EventTrace = th.Sum()
 		p.rep.TraceEvents = th.Events()

@@ -41,6 +41,21 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// PeakPending is the engine's high-water mark, a cost of the simulator
+// and not a result: the report fingerprints the same with it as without
+// it, so reporting it moves no pinned fingerprint.
+func TestPeakPendingOutsideFingerprint(t *testing.T) {
+	r := *featured(t)
+	if r.PeakPending <= 0 {
+		t.Fatalf("PeakPending = %d, want the engine's depth", r.PeakPending)
+	}
+	fp := r.Fingerprint()
+	r.PeakPending = 0
+	if r.Fingerprint() != fp {
+		t.Fatal("the fingerprint moves with PeakPending")
+	}
+}
+
 // The event-granular determinism contract: two in-process runs of a
 // congestion-heavy full-center campaign (dense probe pulses drive many
 // same-instant flow completions through the shared fabric) must produce

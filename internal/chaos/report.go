@@ -104,6 +104,11 @@ type Report struct {
 	EventTrace  uint64
 	TraceEvents uint64
 
+	// PeakPending is the most events the campaign's engine held pending
+	// at once (sim.Engine.PeakPending): a cost of the simulator, not a
+	// result of the model, so Fingerprint leaves it out.
+	PeakPending int
+
 	Components []ComponentStats
 	Timeline   []string
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -83,5 +84,41 @@ func BenchmarkEngineSameInstant(b *testing.B) {
 	next()
 	for e.Pending() > standing {
 		e.Step()
+	}
+}
+
+// BenchmarkEngineHold is the hold model: n events stand in the engine,
+// and each fired event schedules one successor at an exponential delay
+// (mean 1 ms), so the depth stays at n. One op is one event fired and
+// one scheduled. The three depths are paper-storage's, fabric-waves'
+// and chaos-week's deepest pending sets (DESIGN.md, "Engine events,
+// handles and tombstones").
+func BenchmarkEngineHold(b *testing.B) {
+	for _, n := range []int{400, 2048, 20000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			delays := make([]Time, 1<<12)
+			for i := range delays {
+				delays[i] = 1 + Time(r.ExpFloat64()*float64(Millisecond))
+			}
+			e := NewEngine()
+			k := 0
+			var fire func()
+			fire = func() {
+				k++
+				e.After(delays[k&(len(delays)-1)], fire)
+			}
+			for i := 0; i < n; i++ {
+				fire()
+			}
+			for i := 0; i < 4*n; i++ { // reach the steady-state spread
+				e.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

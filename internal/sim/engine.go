@@ -19,17 +19,19 @@ type Event struct {
 // event is the engine's recycled record of one scheduled callback. A
 // sim.Server completion is data, not a closure: the server and the job's
 // service time ride in srv and service, and fn is the job's own done.
-// The fields fit a 64-byte allocation class.
+// The fields fit an 80-byte allocation class.
 type event struct {
-	t        Time
-	seq      uint64
-	fn       func()
-	srv      *Server
-	service  Time
-	eng      *Engine
-	gen      uint64 // bumped each time the event is recycled
-	idx      int32  // position in the heap, or -1 in the same-instant lane
-	canceled bool   // a tombstone awaiting removal from the heap or lane
+	t          Time
+	seq        uint64
+	fn         func()
+	srv        *Server
+	service    Time
+	eng        *Engine
+	gen        uint64 // bumped each time the event is recycled
+	next, prev *event // neighbours in a ring bucket
+	idx        int32  // position in the near or far heap
+	tier       tier   // where the event waits (pending.go)
+	canceled   bool   // a tombstone awaiting removal from a heap or the lane
 }
 
 // laneSlot is one entry of the same-instant lane: an event and the
@@ -62,11 +64,11 @@ func (h Event) Time() Time {
 
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op. Cancel reports whether the event was
-// still pending. The canceled event stays in the heap as a tombstone
-// (lazy deletion); the engine's live-event accounting and tombstone
-// reaping keep Pending and heap size honest regardless. A canceled
-// same-instant lane event is no heap tombstone: it leaves the lane
-// before the clock moves on.
+// still pending. A canceled event in the near or far heap stays there as
+// a tombstone (lazy deletion); the engine's live-event accounting and
+// tombstone reaping keep Pending and heap size honest regardless. A
+// canceled ring event leaves its bucket at once, and a canceled
+// same-instant lane event leaves the lane before the clock moves on.
 func (h Event) Cancel() bool {
 	ev := h.live()
 	if ev == nil {
@@ -76,8 +78,12 @@ func (h Event) Cancel() bool {
 	ev.fn = nil
 	e := ev.eng
 	e.live--
-	if ev.idx >= 0 {
-		e.tomb++
+	switch ev.tier {
+	case inRing:
+		e.set.unlink(ev)
+		e.recycle(ev)
+	case inNear, inFar:
+		e.set.tomb++
 		e.maybeReap()
 	}
 	return true
@@ -90,101 +96,18 @@ func (a *event) before(b *event) bool {
 	return a.t < b.t || a.t == b.t && a.seq < b.seq
 }
 
-// eventHeap is a binary min-heap on (t, seq). The key is a strict total
-// order, so every correct heap pops the same sequence of events.
-type eventHeap []*event
-
-func (h eventHeap) set(i int, ev *event) {
-	h[i] = ev
-	ev.idx = int32(i)
-}
-
-// up moves h[j] toward the root until its parent is before it.
-func (h eventHeap) up(j int) {
-	ev := h[j]
-	for j > 0 {
-		i := (j - 1) / 2
-		if !ev.before(h[i]) {
-			break
-		}
-		h.set(j, h[i])
-		j = i
-	}
-	h.set(j, ev)
-}
-
-// down moves h[i] toward the leaves until both children are after it,
-// and reports whether it moved.
-func (h eventHeap) down(i int) bool {
-	ev := h[i]
-	i0, n := i, len(h)
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h[r].before(h[j]) {
-			j = r
-		}
-		if !h[j].before(ev) {
-			break
-		}
-		h.set(i, h[j])
-		i = j
-	}
-	h.set(i, ev)
-	return i > i0
-}
-
-// fix restores heap order after h[i]'s key changed.
-func (h eventHeap) fix(i int) {
-	if !h.down(i) {
-		h.up(i)
-	}
-}
-
-// push adds ev to the heap.
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	h.up(len(*h) - 1)
-}
-
-// remove takes h[i] out of the heap.
-func (h *eventHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	*h = old[:n]
-	if i < n {
-		old.set(i, old[n])
-		(*h).fix(i)
-	}
-}
-
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old) - 1
-	ev := old[0]
-	old[0] = old[n]
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	return ev
-}
-
 // Engine is a discrete-event simulation executive. Events scheduled for
 // the same instant fire in scheduling order (FIFO tie-break), which makes
 // runs deterministic — provided model code schedules events in a
 // deterministic order (in particular, never from Go map iteration; see
 // the determinism contract in DESIGN.md).
 //
-// An event scheduled for the current instant skips the heap and waits
-// in the same-instant lane, a FIFO ring. The pop order is still (t,
-// seq): an event enters the heap at time T only while now < T and the
-// lane only while now == T, and seq only grows, so every heap event at
+// An event scheduled for the current instant skips the pending set and
+// waits in the same-instant lane, a FIFO ring. The pop order is still
+// (t, seq): an event enters the set at time T only while now < T and the
+// lane only while now == T, and seq only grows, so every set event at
 // now precedes every lane event, and every lane event precedes every
-// later heap event.
+// later set event.
 //
 // Engine is not safe for concurrent use; all model code must run on the
 // goroutine driving Run/Step. Parallel harnesses (internal/sweep) give
@@ -192,11 +115,11 @@ func (h *eventHeap) pop() *event {
 type Engine struct {
 	now   Time
 	seq   uint64
-	heap  eventHeap
+	set   pendingSet      // events due after now, or at now but scheduled before it
 	lane  Queue[laneSlot] // events scheduled for the instant now
 	fired uint64
-	live  int // scheduled, uncanceled, unfired events in the heap and lane
-	tomb  int // canceled tombstones still occupying heap slots
+	live  int // scheduled, uncanceled, unfired events in the set and lane
+	peak  int // the most events live at once
 	trace func(at Time, seq uint64)
 	free  []*event // recycled events, reused by schedule
 }
@@ -269,20 +192,35 @@ func (e *Engine) Fired() uint64 { return e.fired }
 //simlint:allow test-only-export read-only accessor the engine tests assert a drained queue with
 func (e *Engine) Pending() int { return e.live }
 
-// reapFloor is the heap size below which tombstone reaping is not worth
-// the heapify; lazy deletion handles small heaps fine.
+// PeakPending returns the most events that were pending at once since
+// the engine was built or last Reset: the depth its pending set had to
+// hold. It observes and changes nothing.
+func (e *Engine) PeakPending() int { return e.peak }
+
+// reapFloor is the size of the near and far heaps together below which
+// tombstone reaping is not worth the heapify; lazy deletion handles
+// small heaps fine.
 const reapFloor = 64
 
-// maybeReap compacts the heap when canceled tombstones outnumber live
-// events and the heap is large enough to matter. Compaction preserves
-// each surviving event's (time, seq) key, so the pop order — and with
-// it every trace fingerprint — is unchanged.
+// maybeReap compacts the near and far heaps when their canceled
+// tombstones outnumber their live events and they are large enough to
+// matter. Compaction preserves each surviving event's (time, seq) key,
+// so the pop order — and with it every trace fingerprint — is unchanged.
 func (e *Engine) maybeReap() {
-	if e.tomb <= e.live || len(e.heap) < reapFloor {
+	s := &e.set
+	n := len(s.near) + len(s.far)
+	if 2*s.tomb <= n || n < reapFloor {
 		return
 	}
-	kept := e.heap[:0]
-	for _, ev := range e.heap {
+	s.near = e.reap(s.near)
+	s.far = e.reap(s.far)
+	s.tomb = 0
+}
+
+// reap recycles h's tombstones and re-heapifies the survivors.
+func (e *Engine) reap(h eventHeap) eventHeap {
+	kept := h[:0]
+	for _, ev := range h {
 		if ev.canceled {
 			e.recycle(ev)
 			continue
@@ -290,17 +228,17 @@ func (e *Engine) maybeReap() {
 		ev.idx = int32(len(kept))
 		kept = append(kept, ev)
 	}
-	e.heap = kept
-	e.tomb = 0
+	clear(h[len(kept):])
 	for i := len(kept)/2 - 1; i >= 0; i-- {
 		kept.down(i)
 	}
+	return kept
 }
 
 // recycle retires ev: the generation bump turns every handle to it
 // stale, and the event joins the free list for reuse. Within a run the
-// heap and the free list together hold at most the deepest heap's
-// events, so stale heap slots pin nothing that is not already kept.
+// set and the free list together hold at most the deepest set's events,
+// so stale heap slots pin nothing that is not already kept.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
@@ -325,19 +263,25 @@ func (e *Engine) schedule(t Time, fn func(), srv *Server, service Time) Event {
 	ev.t, ev.seq, ev.fn, ev.srv, ev.service = t, e.seq, fn, srv, service
 	e.seq++
 	e.live++
+	if e.live > e.peak {
+		e.peak = e.live
+	}
 	e.enqueue(ev)
 	return Event{ev: ev, gen: ev.gen}
 }
 
 // enqueue puts ev in the same-instant lane when it is due now, else in
-// the heap.
+// the pending set, resizing the set's ring when it outgrows it.
 func (e *Engine) enqueue(ev *event) {
 	if ev.t == e.now {
-		ev.idx = -1
+		ev.tier = inLane
 		e.lane.Push(laneSlot{ev: ev, seq: ev.seq})
 		return
 	}
-	e.heap.push(ev)
+	e.set.add(ev)
+	if e.set.size() > e.set.grow {
+		e.rebuild()
+	}
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
@@ -347,10 +291,10 @@ func (e *Engine) At(t Time, fn func()) Event { return e.schedule(t, fn, nil, 0) 
 // Reschedule moves a still-pending event to absolute time t, keeping
 // its callback. The event receives a fresh sequence number, so FIFO
 // tie-breaking behaves exactly as if the event had been canceled and
-// newly scheduled — but without leaving a canceled tombstone in the
-// heap. It reports whether the move happened; a fired or canceled event
-// is left untouched (schedule a new one instead). Like At, moving an
-// event into the past panics.
+// newly scheduled — but without leaving a canceled tombstone behind.
+// It reports whether the move happened; a fired or canceled event is
+// left untouched (schedule a new one instead). Like At, moving an event
+// into the past panics.
 func (e *Engine) Reschedule(h Event, t Time) bool {
 	ev := h.live()
 	if ev == nil {
@@ -361,13 +305,13 @@ func (e *Engine) Reschedule(h Event, t Time) bool {
 	}
 	ev.seq = e.seq
 	e.seq++
-	if ev.idx >= 0 {
-		if t != e.now {
+	if ev.tier != inLane {
+		if ev.tier != inRing && t != e.now && e.set.tierOf(t) == ev.tier {
 			ev.t = t
-			e.heap.fix(int(ev.idx))
+			e.set.heap(ev.tier).fix(int(ev.idx))
 			return true
 		}
-		e.heap.remove(int(ev.idx))
+		e.set.remove(ev)
 	}
 	// A lane event leaves its old ring entry behind, stale on the new seq.
 	ev.t = t
@@ -394,10 +338,13 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	if ev.idx < 0 {
+	if ev.tier == inLane {
 		e.lane.Pop()
 	} else {
-		e.heap.pop()
+		e.set.near.pop()
+	}
+	if e.set.size() < e.set.shrink {
+		e.rebuild()
 	}
 	e.now = ev.t
 	seq, fn, srv, service := ev.seq, ev.fn, ev.srv, ev.service
@@ -459,25 +406,40 @@ func (e *Engine) RunFor(d Time) {
 // reset engine must reproduce a fresh engine's event-trace fingerprint
 // bit for bit, because nothing — sequence numbers included — survives.
 //
-// Events still in the heap or lane are recycled, so a stale Event
-// handle held by old model code is permanently non-pending and its
+// Events still in the pending set or lane are recycled, so a stale
+// Event handle held by old model code is permanently non-pending and its
 // Cancel a no-op, rather than a corruption of the next run's live/tomb
-// accounting. Up to resetKeep recycled events survive for the next run:
-// they hold no callbacks and change no event order. The rest are
-// released, so a pooled engine that once ran a deep queue does not keep
-// that depth's events for the rest of its life.
+// accounting. Up to resetKeep recycled events, and a ring of up to
+// resetKeep buckets, survive for the next run: they hold no callbacks
+// and change no event order. The rest are released, so a pooled engine
+// that once ran a deep queue does not keep that depth's events or
+// buckets for the rest of its life.
 func (e *Engine) Reset() {
-	for _, ev := range e.heap {
-		e.recycle(ev)
+	s := &e.set
+	for _, h := range [...]*eventHeap{&s.near, &s.far} {
+		for _, ev := range *h {
+			e.recycle(ev)
+		}
+		clear((*h)[:cap(*h)])
+		*h = (*h)[:0]
 	}
-	clear(e.heap[:cap(e.heap)])
-	e.heap = e.heap[:0]
+	for ev := s.takeRing(); ev != nil; {
+		next := ev.next
+		ev.next = nil
+		e.recycle(ev)
+		ev = next
+	}
+	ring, occ := s.ring[:0], s.occ[:0]
+	if cap(ring) > resetKeep {
+		ring, occ = nil, nil
+	}
+	e.set = pendingSet{near: s.near, far: s.far, ring: ring, occ: occ}
 	// Pop zeroes each slot it empties. A stale entry's event sits in
-	// the heap or the free list already, so only current entries recycle.
+	// the set or the free list already, so only current entries recycle.
 	for e.lane.Len() > 0 {
-		s, _ := e.lane.Pop()
-		if s.seq == s.ev.seq {
-			e.recycle(s.ev)
+		sl, _ := e.lane.Pop()
+		if sl.seq == sl.ev.seq {
+			e.recycle(sl.ev)
 		}
 	}
 	if len(e.free) > resetKeep {
@@ -487,7 +449,7 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.fired = 0
 	e.live = 0
-	e.tomb = 0
+	e.peak = 0
 	e.trace = nil
 }
 
@@ -499,15 +461,15 @@ const resetKeep = 1024
 
 // peek returns the earliest live event, popping and recycling any
 // tombstones and stale lane entries ahead of it, or nil when none is
-// scheduled. The heap's events at now come first, then the lane's, then
-// the heap's later ones.
+// scheduled. The set's events at now come first, then the lane's, then
+// the set's later ones.
 func (e *Engine) peek() *event {
-	for len(e.heap) > 0 && e.heap[0].canceled {
-		e.recycle(e.heap.pop())
-		e.tomb--
+	next := e.set.first()
+	if next == nil {
+		next = e.settle()
 	}
-	if len(e.heap) > 0 && e.heap[0].t == e.now {
-		return e.heap[0]
+	if next != nil && next.t == e.now {
+		return next
 	}
 	for e.lane.Len() > 0 {
 		s, _ := e.lane.Front()
@@ -521,8 +483,5 @@ func (e *Engine) peek() *event {
 		e.lane.Pop()
 		e.recycle(s.ev)
 	}
-	if len(e.heap) == 0 {
-		return nil
-	}
-	return e.heap[0]
+	return next
 }

@@ -126,8 +126,8 @@ func TestEnginePendingExcludesCanceled(t *testing.T) {
 	}
 	// Tombstones dominate (1000 canceled vs 1 live): reaping must have
 	// compacted the heap rather than leaving lazy deletion to Run.
-	if len(e.heap) > reapFloor {
-		t.Fatalf("heap holds %d entries after cancels, want <= %d (reaped)", len(e.heap), reapFloor)
+	if e.set.size() > reapFloor {
+		t.Fatalf("heap holds %d entries after cancels, want <= %d (reaped)", e.set.size(), reapFloor)
 	}
 	if !keep.Pending() {
 		t.Fatal("live event lost by reaping")
@@ -472,8 +472,8 @@ func TestEngineStaleHandles(t *testing.T) {
 		for _, h := range dead {
 			h.Cancel()
 		}
-		if e.tomb != 0 || len(e.heap) != 40 {
-			t.Fatalf("heap %d with %d tombstones after mass cancel, want 40 and 0 (reaped)", len(e.heap), e.tomb)
+		if e.set.tomb != 0 || e.set.size() != 40 {
+			t.Fatalf("heap %d with %d tombstones after mass cancel, want 40 and 0 (reaped)", e.set.size(), e.set.tomb)
 		}
 		cur := e.At(20, func() {})
 		for _, h := range dead {
@@ -545,8 +545,8 @@ func TestEngineSameInstantLane(t *testing.T) {
 			if !e.Reschedule(moved, e.Now()) {
 				t.Error("Reschedule of a heap event to now failed")
 			}
-			if !moved.Pending() || moved.Time() != 10 || len(e.heap) != 1 {
-				t.Errorf("moved: pending %v at %v, heap %d; want true at 10, heap 1", moved.Pending(), moved.Time(), len(e.heap))
+			if !moved.Pending() || moved.Time() != 10 || e.set.size() != 1 {
+				t.Errorf("moved: pending %v at %v, heap %d; want true at 10, heap 1", moved.Pending(), moved.Time(), e.set.size())
 			}
 		})
 		e.At(10, rec("b"))
@@ -602,16 +602,16 @@ func TestEngineSameInstantLane(t *testing.T) {
 				t.Fatal("a canceled lane event is still pending")
 			}
 		}
-		if e.tomb != 1 || len(e.heap) != 2*reapFloor+1 || e.Pending() != 2*reapFloor+1 {
-			t.Fatalf("tomb %d, heap %d, pending %d; want 1, %d, %d", e.tomb, len(e.heap), e.Pending(), 2*reapFloor+1, 2*reapFloor+1)
+		if e.set.tomb != 1 || e.set.size() != 2*reapFloor+1 || e.Pending() != 2*reapFloor+1 {
+			t.Fatalf("tomb %d, heap %d, pending %d; want 1, %d, %d", e.set.tomb, e.set.size(), e.Pending(), 2*reapFloor+1, 2*reapFloor+1)
 		}
 		if !keep.Pending() || keep.Time() != 0 {
 			t.Fatal("a live lane event behind canceled ones is not pending")
 		}
 		e.Run()
 		wantOrder(t, *got, "keep")
-		if e.tomb != 0 || len(e.heap) != 0 || e.lane.Len() != 0 || e.Fired() != 2*reapFloor+1 {
-			t.Fatalf("after Run: tomb %d, heap %d, lane %d, fired %d", e.tomb, len(e.heap), e.lane.Len(), e.Fired())
+		if e.set.tomb != 0 || e.set.size() != 0 || e.lane.Len() != 0 || e.Fired() != 2*reapFloor+1 {
+			t.Fatalf("after Run: tomb %d, heap %d, lane %d, fired %d", e.set.tomb, e.set.size(), e.lane.Len(), e.Fired())
 		}
 	})
 
@@ -675,10 +675,11 @@ func TestEngineSameInstantLane(t *testing.T) {
 	})
 }
 
-// Reset bounds what a pooled engine keeps: after a run whose heap held
-// far more than resetKeep events, only resetKeep recycled events survive,
-// handles to the released ones stay stale, and the next run still
-// reuses the kept events.
+// Reset bounds what a pooled engine keeps: after a run whose pending set
+// held far more than resetKeep events in a ring of as many buckets, only
+// resetKeep recycled events survive and the ring is released, handles to
+// the released events stay stale, and the next run still reuses the kept
+// events and, once it has one, a ring of up to resetKeep buckets.
 func TestEngineResetReleasesDeepFreeList(t *testing.T) {
 	e := NewEngine()
 	const deep = 8 * resetKeep
@@ -690,13 +691,21 @@ func TestEngineResetReleasesDeepFreeList(t *testing.T) {
 	for i := 0; i < resetKeep; i++ {
 		hs = append(hs, e.After(0, func() {}))
 	}
-	e.Reset()
-	if len(e.free) != resetKeep || len(e.heap) != 0 || e.lane.Len() != 0 {
-		t.Fatalf("after Reset: free %d, heap %d, lane %d; want %d, 0, 0", len(e.free), len(e.heap), e.lane.Len(), resetKeep)
+	if len(e.set.ring) <= resetKeep || e.set.inRing == 0 {
+		t.Fatalf("before Reset: the ring has %d buckets holding %d events, want more than %d buckets in use", len(e.set.ring), e.set.inRing, resetKeep)
 	}
-	for _, s := range e.heap[:cap(e.heap)] {
-		if s != nil {
-			t.Fatal("a heap slot past the end still pins an event")
+	e.Reset()
+	if len(e.free) != resetKeep || e.set.size() != 0 || e.lane.Len() != 0 {
+		t.Fatalf("after Reset: free %d, set %d, lane %d; want %d, 0, 0", len(e.free), e.set.size(), e.lane.Len(), resetKeep)
+	}
+	if cap(e.set.ring) != 0 || cap(e.set.occ) != 0 {
+		t.Fatalf("after Reset the engine keeps a ring of %d buckets", cap(e.set.ring))
+	}
+	for _, h := range [...]eventHeap{e.set.near, e.set.far} {
+		for _, s := range h[:cap(h)] {
+			if s != nil {
+				t.Fatal("a heap slot past the end still pins an event")
+			}
 		}
 	}
 	for _, s := range e.lane.buf {
@@ -717,6 +726,9 @@ func TestEngineResetReleasesDeepFreeList(t *testing.T) {
 		e.Reset()
 	}); n != 0 {
 		t.Fatalf("a run within resetKeep events allocated %v times after Reset", n)
+	}
+	if c := cap(e.set.ring); c > resetKeep {
+		t.Fatalf("a pooled engine keeps a ring of %d buckets, want at most %d", c, resetKeep)
 	}
 }
 
@@ -769,6 +781,49 @@ func TestEngineAllocationCeiling(t *testing.T) {
 	e.Run()
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d, want 0", e.Pending())
+	}
+
+	// At chaos-week's depth: 20,000 standing events, most of them in
+	// the ring, with the far heap past a 20 ms span. Each row keeps the
+	// depth: a new event for each one fired or canceled.
+	e = NewEngine()
+	for i := 1; i <= 20000; i++ {
+		e.At(Time(i)*Microsecond, fn)
+	}
+	const d = 20 * Millisecond
+	for i := 0; i < 20000; i++ {
+		e.After(d, fn)
+		e.Step()
+	}
+	if e.set.inRing < 10000 {
+		t.Fatalf("the ring holds %d of 20,000 events", e.set.inRing)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(d, fn)
+		e.Step()
+	}); n > 0 {
+		t.Errorf("At+Step at depth 20,000 allocates %.2f, want 0", n)
+	}
+	// Ring to far to near to lane and back to the ring, then a cancel
+	// in its bucket.
+	var path [5]tier
+	moves := func() {
+		h := e.After(d, fn)
+		path[0] = h.ev.tier
+		for i, at := range [...]Time{e.Now() + Hour, e.Now() + 1, e.Now(), e.Now() + d} {
+			e.Reschedule(h, at)
+			path[i+1] = h.ev.tier
+		}
+		h.Cancel()
+		e.After(d, fn)
+		e.Step()
+	}
+	moves()
+	if want := [...]tier{inRing, inFar, inNear, inLane, inRing}; path != want {
+		t.Fatalf("Reschedule path through the tiers %v, want %v", path, want)
+	}
+	if n := testing.AllocsPerRun(1000, moves); n > 0 {
+		t.Errorf("Reschedule across the tiers and Cancel at depth 20,000 allocates %.2f, want 0", n)
 	}
 }
 

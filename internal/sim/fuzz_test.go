@@ -21,7 +21,8 @@ type refEngine struct {
 	seq     uint64
 	fired   uint64
 	queue   []refEvent
-	pending []bool // by event id
+	pending []bool     // by event id
+	key     []refEvent // by event id: its queue entry while pending
 }
 
 func (r *refEngine) insert(t Time, id int) {
@@ -29,15 +30,22 @@ func (r *refEngine) insert(t Time, id int) {
 	r.seq++
 	for len(r.pending) <= id {
 		r.pending = append(r.pending, false)
+		r.key = append(r.key, refEvent{})
 	}
 	r.pending[id] = true
-	i := sort.Search(len(r.queue), func(i int) bool {
-		q := r.queue[i]
-		return q.t > ev.t || q.t == ev.t && q.seq > ev.seq
-	})
+	r.key[id] = ev
+	i := r.search(ev)
 	r.queue = append(r.queue, refEvent{})
 	copy(r.queue[i+1:], r.queue[i:])
 	r.queue[i] = ev
+}
+
+// search returns the index of the first queued event after ev.
+func (r *refEngine) search(ev refEvent) int {
+	return sort.Search(len(r.queue), func(i int) bool {
+		q := r.queue[i]
+		return q.t > ev.t || q.t == ev.t && q.seq > ev.seq
+	})
 }
 
 // isPending reports whether event id is queued.
@@ -49,12 +57,8 @@ func (r *refEngine) remove(id int) {
 		return
 	}
 	r.pending[id] = false
-	for i, ev := range r.queue {
-		if ev.id == id {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
-			return
-		}
-	}
+	i := r.search(r.key[id]) - 1
+	r.queue = append(r.queue[:i], r.queue[i+1:]...)
 }
 
 // pop removes and returns the earliest pending event.
@@ -83,12 +87,25 @@ const (
 	opStep
 	opRunUntil
 	opReset
+	opBurst
 	numOps
 )
 
 // maxEngineOps bounds one fuzz run; the per-op handle check is linear
 // in the events scheduled so far.
 const maxEngineOps = 1024
+
+// maxBurstEvents bounds the events opBurst schedules over one fuzz run:
+// enough to fill the pending set past ringMin several times over.
+const maxBurstEvents = 8 * ringMin
+
+// burstDelay spreads burst event i over 32 binades of delay, from 1 ns
+// to about 36 minutes, shifted by the op's second byte: the front of a
+// burst lands in the ring's first buckets or the near heap, its tail in
+// the far heap.
+func burstDelay(i int, b byte) Time {
+	return Time(1+(i*7919+int(b)*131)%1000) << ((5*i + int(b)) % 32)
+}
 
 // engineOps is one fuzz run: the real engine, its oracle, and per event
 // id the handle At/After returned and the delay of the child event its
@@ -191,6 +208,7 @@ func runEngineOps(t *testing.T, ops []byte) {
 		ops = ops[:3*maxEngineOps]
 	}
 	o := &engineOps{t: t, e: NewEngine()}
+	burst := 0
 	trace := func(_ Time, seq uint64) { o.seqs = append(o.seqs, seq) }
 	o.e.SetTrace(trace)
 	for i := 0; i+2 < len(ops); i += 3 {
@@ -259,14 +277,29 @@ func runEngineOps(t *testing.T, ops []byte) {
 			o.e.Reset()
 			o.e.SetTrace(trace)
 			o.r = refEngine{}
+		case opBurst:
+			// 64 to 2,048 events at spread delays; odd b gives each a
+			// child 1 ns after it fires.
+			child := Time(-1)
+			if b&1 == 1 {
+				child = 1
+			}
+			n := min(64*(1+int(a)%32), maxBurstEvents-burst)
+			burst += n
+			for i := 0; i < n; i++ {
+				at := o.r.now + burstDelay(i, b)
+				o.add(o.e.At(at, o.callback(len(o.handles))), child)
+				o.r.insert(at, len(o.handles)-1)
+			}
 		}
 		o.check(n, want)
 	}
 }
 
-// FuzzEngineOps drives At, After, Cancel, Reschedule, Step, RunUntil
-// and Reset in arbitrary order, with callbacks that schedule children
-// and probe their own handles, against refEngine. Run it with
+// FuzzEngineOps drives At, After, Cancel, Reschedule, Step, RunUntil,
+// Reset and bursts of spread events in arbitrary order, with callbacks
+// that schedule children and probe their own handles, against
+// refEngine. Run it with
 //
 //	go test -run '^$' -fuzz FuzzEngineOps -fuzztime 30s ./internal/sim
 //
@@ -321,5 +354,17 @@ func FuzzEngineOps(f *testing.F) {
 		rnd.Read(ops)
 		f.Add(ops)
 	}
+	// Bursts past ringMin: the ring gets buckets, then events move
+	// between the tiers by reschedule, leave buckets by cancel, fire
+	// from loaded buckets, and a Reset clears a populated ring.
+	var tiers []byte
+	for _, b := range []byte{0, 7, 19} {
+		tiers = append(tiers, opBurst, 31, b)
+	}
+	for i := 0; i < 60; i++ {
+		tiers = append(tiers, opReschedule, byte(37*i), byte(11*i), opCancel, byte(53*i+1), 0, opStep, 0, 0)
+	}
+	tiers = append(tiers, opRunUntil, 255, 0, opBurst, 15, 3, opReset, 0, 0, opBurst, 20, 1, opRunUntil, 200, 0)
+	f.Add(tiers)
 	f.Fuzz(runEngineOps)
 }

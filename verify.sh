@@ -64,6 +64,10 @@ stage_test() {
 	# ./... never compiles it; test it here so a change to the
 	# simulator's public API cannot break it unnoticed.
 	(cd bench && go test ./...)
+	# The pending-set rung: one hold-model event at each standing depth
+	# (400, 2,048 and 20,000), so the benchmark that sizes the engine's
+	# tiers keeps building and running.
+	go test -run '^$' -bench 'BenchmarkEngineHold' -benchtime 1x ./internal/sim
 	set +x
 }
 
