@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	days := fs.Int("days", 0, "chaos: override the campaign length in simulated days")
 	full := fs.Bool("full", false, "chaos: 7-day full-scale campaign instead of the 1-day small center")
 	scenario := fs.String("scenario", "fig3", "spans: scenario to trace (fig3|chaos)")
-	every := fs.Int("every", 1, "spans: sample 1-in-N root requests (0 disables tracing)")
+	every := fs.Int("every", 1, "spans: sample 1-in-N root requests (N >= 1)")
 	out := fs.String("out", "", "spans: also export the raw spans as JSON to this file")
 	exp := fs.String("exp", "all", "sweep: which sweep to run ("+sweepChoices()+")")
 	replicas := fs.Int("replicas", 0, fmt.Sprintf("sweep: override the replica count per sweep (0 keeps each sweep's; at most %d)", sweep.MaxReplicas))
@@ -103,8 +103,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return runChaos(*seed, *days, *full, *ledgerOut, stdout, stderr)
 	case "spans":
-		if *every < 0 {
-			fmt.Fprintf(stderr, "spidersim: spans -every %d is negative (0 disables tracing)\n", *every)
+		if *every < 1 {
+			fmt.Fprintf(stderr, "spidersim: spans -every %d is below 1 (it samples 1-in-N root requests)\n", *every)
 			return 2
 		}
 		return runSpans(*seed, *scenario, *every, *out, stdout, stderr)

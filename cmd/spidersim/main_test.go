@@ -74,13 +74,14 @@ func TestChaosDaysBound(t *testing.T) {
 }
 
 // TestSweepAndSpansFlagBounds: a sweep -replicas outside [0,
-// sweep.MaxReplicas], a negative sweep -workers and a negative spans
-// -every exit 2 with one spidersim: line before anything is built.
+// sweep.MaxReplicas], a negative sweep -workers and a spans -every
+// below 1 exit 2 with one spidersim: line before anything is built.
 // An unbounded -replicas used to size the sweep's replica table (a
-// huge value panics in makeslice or allocates without bound), and the
-// negative values were silently ignored. The sweep cases run in a
-// child, killed after a minute, since a build that ignores a bound
-// starts the sweep.
+// huge value panics in makeslice or allocates without bound), the
+// negative values were silently ignored, and -every 0 ran the whole
+// scenario to print zero spans and empty tables. The sweep cases run
+// in a child, killed after a minute, since a build that ignores a
+// bound starts the sweep.
 func TestSweepAndSpansFlagBounds(t *testing.T) {
 	wantRefused := func(args []string, code int, stdout, stderr string) {
 		t.Helper()
@@ -96,10 +97,14 @@ func TestSweepAndSpansFlagBounds(t *testing.T) {
 		code, stdout, stderr := runChild(t, args...)
 		wantRefused(args, code, stdout, stderr)
 	}
-	args := []string{"spans", "-every", "-1"}
 	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	wantRefused(args, code, stdout.String(), stderr.String())
+	for _, every := range []string{"-1", "0"} {
+		args := []string{"spans", "-every", every}
+		stdout.Reset()
+		stderr.Reset()
+		code := run(args, &stdout, &stderr)
+		wantRefused(args, code, stdout.String(), stderr.String())
+	}
 
 	stdout.Reset()
 	stderr.Reset()

@@ -128,19 +128,20 @@ type Disk struct {
 	RepairedSectors uint64 // defects healed by overwrites and repairs
 }
 
-// New creates a disk with the given personality. The disk takes over
-// src's stream: it copies the state, so the caller must not draw from
-// src again.
+// New creates a single disk with the given personality, such as a
+// replacement drive; NewPopulation builds a batch in one slab. The disk
+// takes over src's stream: it copies the state, so the caller must not
+// draw from src again.
 func New(eng *sim.Engine, id int, cfg Config, health Health, src *rng.Source) *Disk {
-	d := &Disk{
-		ID:     id,
-		cfg:    cfg,
-		health: health,
-		eng:    eng,
-		src:    *src,
-	}
-	d.srv.Init(eng, 1)
+	d := new(Disk)
+	d.init(eng, id, cfg, health, *src)
 	return d
+}
+
+// init readies a zero Disk in place, wherever it is held.
+func (d *Disk) init(eng *sim.Engine, id int, cfg Config, health Health, src rng.Source) {
+	d.ID, d.cfg, d.health, d.eng, d.src = id, cfg, health, eng, src
+	d.srv.Init(eng, 1)
 }
 
 // Config returns the disk's product configuration.
@@ -295,10 +296,14 @@ const (
 )
 
 // NewPopulation manufactures n drives with personalities drawn from the
-// Spider II batch spread.
+// Spider II batch spread. The drives live in one slab, and drive i's
+// stream is src.Split("disk-<i>"), so a population costs the same two
+// allocations at any n. A pointer to any drive keeps the whole slab
+// alive.
 func NewPopulation(eng *sim.Engine, n int, cfg Config, src *rng.Source) []*Disk {
+	slab := make([]Disk, n)
 	disks := make([]*Disk, n)
-	for i := 0; i < n; i++ {
+	for i := range slab {
 		h := Nominal()
 		h.SpeedFactor = src.TruncNormal(1.0, speedSigma, 0.9, 1.08)
 		switch {
@@ -308,7 +313,8 @@ func NewPopulation(eng *sim.Engine, n int, cfg Config, src *rng.Source) []*Disk 
 			h.TailProb = weakTailPr
 			h.TailScale = weakTailDur
 		}
-		disks[i] = New(eng, i, cfg, h, src.Split(fmt.Sprintf("disk-%d", i)))
+		slab[i].init(eng, i, cfg, h, src.SplitIndex("disk-", i))
+		disks[i] = &slab[i]
 	}
 	return disks
 }

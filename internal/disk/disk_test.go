@@ -1,6 +1,8 @@
 package disk
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"spiderfs/internal/rng"
@@ -214,6 +216,60 @@ func TestPopulationDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("population not deterministic at disk %d", i)
 		}
+	}
+}
+
+// referencePopulation is NewPopulation as it was before the slab: one
+// New per drive, each stream split from a formatted label.
+func referencePopulation(eng *sim.Engine, n int, cfg Config, src *rng.Source) []*Disk {
+	disks := make([]*Disk, n)
+	for i := range disks {
+		h := Nominal()
+		h.SpeedFactor = src.TruncNormal(1.0, speedSigma, 0.9, 1.08)
+		switch {
+		case src.Bool(slowFrac):
+			h.SpeedFactor = src.TruncNormal(slowFactor, slowSigma, 0.6, 0.95)
+		case src.Bool(weakFrac / (1 - slowFrac)):
+			h.TailProb = weakTailPr
+			h.TailScale = weakTailDur
+		}
+		disks[i] = New(eng, i, cfg, h, src.Split(fmt.Sprintf("disk-%d", i)))
+	}
+	return disks
+}
+
+// TestPopulationStreamsGolden checks that every slab-built drive has the
+// identity, personality and stream the one-drive-at-a-time build gave
+// it, and that both builds leave the parent stream at the same place.
+func TestPopulationStreamsGolden(t *testing.T) {
+	eng := sim.NewEngine()
+	src, ref := rng.New(42), rng.New(42)
+	got := NewPopulation(eng, 1200, NLSAS2TB(), src)
+	want := referencePopulation(eng, 1200, NLSAS2TB(), ref)
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || g.health != w.health || g.src != w.src {
+			t.Fatalf("disk %d: (id %d, %+v, %v), want (id %d, %+v, %v)", i, g.ID, g.health, g.src, w.ID, w.health, w.src)
+		}
+	}
+	if g, w := src.Uint64(), ref.Uint64(); g != w {
+		t.Fatalf("parent's next draw = %#x, want %#x", g, w)
+	}
+}
+
+// TestPopulationAllocationsFlat pins the slab: a population of 1,000
+// drives costs as many allocations as one of 10. The collection up front
+// starts the runtime's mark workers, whose first start would otherwise
+// count against whichever measurement triggers it.
+func TestPopulationAllocationsFlat(t *testing.T) {
+	eng := sim.NewEngine()
+	src := rng.New(3)
+	runtime.GC()
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() { NewPopulation(eng, n, NLSAS2TB(), src) })
+	}
+	if small, large := allocs(10), allocs(1000); large != small {
+		t.Fatalf("NewPopulation allocates %v times at n = 1,000, %v at n = 10; want equal", large, small)
 	}
 }
 

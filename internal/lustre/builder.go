@@ -1,8 +1,6 @@
 package lustre
 
 import (
-	"fmt"
-
 	"spiderfs/internal/disk"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
@@ -67,29 +65,33 @@ func TestNamespace() Params {
 }
 
 // Build manufactures the namespace: disks, RAID groups, controllers,
-// OSTs, OSSes, and MDS, wired together on eng.
+// OSTs, OSSes, and MDS, wired together on eng. The OSTs live in one
+// slab; SSU ssu's drives are split from src as "ssu-<ssu>" and OST i's
+// stream as "ost-<i>".
 func Build(eng *sim.Engine, p Params, src *rng.Source) *FS {
 	if p.NumSSU < 1 || p.OSTsPerSSU < 1 || p.OSSPerSSU < 1 {
 		panic("lustre: invalid namespace shape") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	var osts []*OST
-	var osses []*OSS
-	var ctrls []*Controller
-	var ostOSS []int
-	ostID := 0
-	for ssu := 0; ssu < p.NumSSU; ssu++ {
+	nOST := p.NumSSU * p.OSTsPerSSU
+	slab := make([]OST, nOST)
+	osts := make([]*OST, nOST)
+	osses := make([]*OSS, 0, p.NumSSU*p.OSSPerSSU)
+	ctrls := make([]*Controller, p.NumSSU)
+	ostOSS := make([]int, nOST)
+	for ssu := range ctrls {
 		ctrl := NewController(eng, ssu, p.CtrlCfg)
-		ctrls = append(ctrls, ctrl)
-		groups := raid.BuildGroups(eng, p.OSTsPerSSU, p.DiskCfg, src.Split(fmt.Sprintf("ssu-%d", ssu)))
+		ctrls[ssu] = ctrl
+		ssuSrc := src.SplitIndex("ssu-", ssu)
+		groups := raid.BuildGroups(eng, p.OSTsPerSSU, p.DiskCfg, &ssuSrc)
 		ssuOSSBase := len(osses)
 		for i := 0; i < p.OSSPerSSU; i++ {
 			osses = append(osses, NewOSS(eng, ssuOSSBase+i, p.OSSCfg))
 		}
 		for i, g := range groups {
-			ost := NewOST(eng, ostID, g, ctrl, src.Split(fmt.Sprintf("ost-%d", ostID)))
-			osts = append(osts, ost)
-			ostOSS = append(ostOSS, ssuOSSBase+i%p.OSSPerSSU)
-			ostID++
+			id := ssu*p.OSTsPerSSU + i
+			slab[id].init(eng, id, g, ctrl, src.SplitIndex("ost-", id))
+			osts[id] = &slab[id]
+			ostOSS[id] = ssuOSSBase + i%p.OSSPerSSU
 		}
 	}
 	return NewFS(eng, p.Name, NewMDS(eng, p.MDSCfg), osts, osses, ctrls, ostOSS)

@@ -1,8 +1,10 @@
 package lustre
 
 import (
+	"fmt"
 	"testing"
 
+	"spiderfs/internal/disk"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
@@ -343,4 +345,38 @@ func TestRoundRobinAllocatorRotates(t *testing.T) {
 
 func pathN(i int) string {
 	return string(rune('a'+i)) + "/f"
+}
+
+// TestBuildStreamsGolden checks Build's slab against the labels it
+// splits: each SSU's drives come from src.Split("ssu-<k>") and each
+// OST's stream is src.Split("ost-<i>"), drawn in the order the
+// one-record-at-a-time build drew them.
+func TestBuildStreamsGolden(t *testing.T) {
+	p := TestNamespace()
+	p.NumSSU = 3
+	eng := sim.NewEngine()
+	fs := Build(eng, p, rng.New(9))
+	ref := rng.New(9)
+	probe := disk.Op{LBA: 1 << 20, Size: 1 << 20}
+	for ssu := 0; ssu < p.NumSSU; ssu++ {
+		want := raid.BuildGroups(eng, p.OSTsPerSSU, p.DiskCfg, ref.Split(fmt.Sprintf("ssu-%d", ssu)))
+		for i, wg := range want {
+			id := ssu*p.OSTsPerSSU + i
+			o := fs.OSTs[id]
+			for m, wd := range wg.Disks() {
+				gd := o.Group().Disks()[m]
+				for k := 0; k < 4; k++ {
+					if g, w := gd.ServiceTime(probe), wd.ServiceTime(probe); gd.Health() != wd.Health() || g != w {
+						t.Fatalf("ssu %d ost %d member %d draw %d: service %v, want %v", ssu, id, m, k, g, w)
+					}
+				}
+			}
+		}
+		for i := 0; i < p.OSTsPerSSU; i++ {
+			id := ssu*p.OSTsPerSSU + i
+			if want := ref.Split(fmt.Sprintf("ost-%d", id)); fs.OSTs[id].src != *want {
+				t.Fatalf("ost %d stream differs from Split(\"ost-%d\")", id, id)
+			}
+		}
+	}
 }

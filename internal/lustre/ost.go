@@ -45,13 +45,14 @@ const flushDelay = 50 * sim.Millisecond
 // controller, exported through an OSS. Object writes accumulate in the
 // controller's write-back cache per object and flush to disk as full
 // stripes when the stream is sequential, or as partial-stripe (RMW)
-// writes when fragmentation forces it.
+// writes when fragmentation forces it. An OST must not be copied once
+// built: its controller callbacks and write records point to it.
 type OST struct {
 	ID     int
 	eng    *sim.Engine
 	group  *raid.Group
 	ctrl   *Controller
-	src    *rng.Source
+	src    rng.Source
 	tracer *spantrace.Tracer
 
 	// Journal selects the commit mode (§IV-D ablation).
@@ -80,11 +81,11 @@ type OST struct {
 	CorruptReads  uint64
 }
 
-// NewOST wires an OST over a RAID group and its SSU controller.
-func NewOST(eng *sim.Engine, id int, group *raid.Group, ctrl *Controller, src *rng.Source) *OST {
-	o := &OST{ID: id, eng: eng, group: group, ctrl: ctrl, src: src}
+// init wires a zero OST, held in Build's slab, over a RAID group and
+// its SSU controller. The OST takes over src's stream.
+func (o *OST) init(eng *sim.Engine, id int, group *raid.Group, ctrl *Controller, src rng.Source) {
+	o.ID, o.eng, o.group, o.ctrl, o.src = id, eng, group, ctrl, src
 	o.stripeFlushed = func() { o.ctrl.Flushed(o.stripe()) }
-	return o
 }
 
 // SetTracer attaches the tracing plane to this OST and everything

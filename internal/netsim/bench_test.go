@@ -106,6 +106,23 @@ func spider2Congestion(b *testing.B, every int) {
 	}
 }
 
+// BenchmarkNewFabric is the fabric-construction rung: one Spider II
+// build (18,688 clients on the 25x16x24 torus, 440 routers, 288 OSSes,
+// 68,440 links) per op.
+func BenchmarkNewFabric(b *testing.B) {
+	eng := sim.NewEngine()
+	cfg := Spider2Fabric()
+	pl := placementForBench(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fabricSink = NewFabric(eng, cfg, pl, 288)
+	}
+}
+
+// fabricSink keeps BenchmarkNewFabric's build from being optimized away.
+var fabricSink *Fabric
+
 // BenchmarkClientPathFGR measures route computation on the full Titan
 // fabric.
 func BenchmarkClientPathFGR(b *testing.B) {

@@ -178,6 +178,10 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 	}
 	t := cfg.Torus
 	n := t.Nodes()
+	nRouters := 4 * len(placement.Modules)
+	// Six Gemini directions and one injection link per node, two links
+	// per router and per leaf, and one port per OSS.
+	f.Net.reserve(7*n + 2*nRouters + 2*f.nLeaves + nOSS)
 	f.gem = make([][6]*Link, n)
 	f.inject = make([]*Link, n)
 	for i := 0; i < n; i++ {
@@ -192,7 +196,6 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 		f.inject[i] = f.Net.newLink(at, injectBps, geminiLatency)
 	}
 
-	nRouters := 4 * len(placement.Modules)
 	f.routerFwd = make([]*Link, nRouters)
 	f.routerUp = make([]*Link, nRouters)
 	for _, m := range placement.Modules {

@@ -222,3 +222,38 @@ func TestSpider2LinkNames(t *testing.T) {
 		t.Fatalf("NewLink name renders %q", got)
 	}
 }
+
+// TestSpider2FabricBuildAllocations pins the slab build: the 68,440
+// links of a Spider II fabric come from one presized chunk, so the
+// whole build costs a few dozen allocations (one per per-kind index
+// slice and per placement group), not one per link.
+func TestSpider2FabricBuildAllocations(t *testing.T) {
+	cfg := Spider2Fabric()
+	pl := placementForBench(cfg)
+	eng := sim.NewEngine()
+	allocs := testing.AllocsPerRun(2, func() { NewFabric(eng, cfg, pl, 288) })
+	if allocs > 64 {
+		t.Fatalf("NewFabric makes %v allocations, want at most 64", allocs)
+	}
+}
+
+// TestPlainNetworkLinksOutliveChunks checks that links made one at a
+// time on a plain network, across several slab chunks, stay distinct
+// and keep their names and capacities.
+func TestPlainNetworkLinksOutliveChunks(t *testing.T) {
+	n := NewNetwork(sim.NewEngine())
+	const k = 3*linkChunk + 5
+	for i := 0; i < k; i++ {
+		n.NewLink(fmt.Sprint("l", i), float64(i+1), 0)
+	}
+	seen := map[*Link]bool{}
+	for i, l := range n.Links() {
+		if seen[l] || l.Name() != fmt.Sprint("l", i) || l.Cap != float64(i+1) {
+			t.Fatalf("link %d: %q cap %v (repeat %v)", i, l.Name(), l.Cap, seen[l])
+		}
+		seen[l] = true
+	}
+	if len(n.Links()) != k {
+		t.Fatalf("%d links, want %d", len(n.Links()), k)
+	}
+}

@@ -49,7 +49,8 @@ type linkSlot struct {
 }
 
 // Link is a unidirectional channel with fixed capacity shared equally by
-// the flows crossing it.
+// the flows crossing it. A Link lives in its network's slab and must not
+// be copied: flows and fabric tables point to it.
 type Link struct {
 	name    linkName // rendered by Name
 	Cap     float64  // bytes per second; change it only through Degrade/Restore
@@ -189,8 +190,13 @@ func (f *Flow) pathRate() float64 {
 
 // Network owns links and flows for one engine.
 type Network struct {
-	eng    *sim.Engine
-	links  []*Link
+	eng   *sim.Engine
+	links []*Link
+	// slab is the chunk newLink carves links from: NewFabric sizes one
+	// chunk for its whole topology, a plain network takes linkChunk at a
+	// time. A pointer to one link keeps its whole chunk alive.
+	slab []Link
+
 	active []*Flow // insertion-ordered; swap-remove via Flow.activeIdx
 	free   []*Flow // finished flows awaiting reuse
 
@@ -225,11 +231,27 @@ func (n *Network) NewLink(name string, capBps float64, latency sim.Time) *Link {
 	return n.newLink(linkName{s: name}, capBps, latency)
 }
 
+// linkChunk is how many links a plain network's slab chunk holds.
+const linkChunk = 64
+
+// reserve presizes the link registry and the slab for k more links.
+func (n *Network) reserve(k int) {
+	n.links = append(make([]*Link, 0, len(n.links)+k), n.links...)
+	n.slab = make([]Link, 0, k)
+}
+
+// newLink makes a link in the next slot of the current slab chunk,
+// starting a chunk of linkChunk when that one is full.
 func (n *Network) newLink(name linkName, capBps float64, latency sim.Time) *Link {
 	if capBps <= 0 {
 		panic(fmt.Sprintf("netsim: link %q with non-positive capacity", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	l := &Link{name: name, Cap: capBps, Latency: latency, capSince: n.eng.Now()}
+	if len(n.slab) == cap(n.slab) {
+		n.slab = make([]Link, 0, linkChunk)
+	}
+	n.slab = n.slab[:len(n.slab)+1]
+	l := &n.slab[len(n.slab)-1]
+	l.name, l.Cap, l.Latency, l.capSince = name, capBps, latency, n.eng.Now()
 	l.setShare()
 	n.links = append(n.links, l)
 	return l

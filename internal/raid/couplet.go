@@ -163,13 +163,18 @@ func (c *Couplet) RecoverFiles(src *rng.Source, successRate float64) (recovered,
 
 // BuildGroups is a convenience that manufactures the disks for n Spider
 // II groups under one couplet and returns the groups. Disk personalities
-// are drawn from the Spider II batch spread (disk.NewPopulation).
+// are drawn from the Spider II batch spread (disk.NewPopulation). The
+// groups live in one slab, as the disks do in theirs; a pointer to any
+// group keeps the whole slab alive.
 func BuildGroups(eng *sim.Engine, n int, dcfg disk.Config, src *rng.Source) []*Group {
 	gcfg := Spider2Group()
+	w := gcfg.Width()
+	slab := make([]Group, n)
 	groups := make([]*Group, n)
-	disks := disk.NewPopulation(eng, n*gcfg.Width(), dcfg, src)
-	for i := range groups {
-		groups[i] = NewGroup(eng, i, gcfg, disks[i*gcfg.Width():(i+1)*gcfg.Width()])
+	disks := disk.NewPopulation(eng, n*w, dcfg, src)
+	for i := range slab {
+		slab[i].init(eng, i, gcfg, disks[i*w:(i+1)*w])
+		groups[i] = &slab[i]
 	}
 	return groups
 }

@@ -63,7 +63,9 @@ func (s State) String() string {
 }
 
 // Group is one RAID-6 array exported as a LUN (one Lustre OST sits on
-// each group). All I/O is asynchronous against the owning engine.
+// each group). All I/O is asynchronous against the owning engine. A
+// Group must not be copied once built: its write records and batches
+// point to it.
 type Group struct {
 	ID   int
 	cfg  GroupConfig
@@ -74,7 +76,7 @@ type Group struct {
 	stripes int64
 
 	state   State
-	offline map[int]bool // member index -> offline
+	offline map[int]bool // member index -> offline; nil until a member fails
 	tracer  *spantrace.Tracer
 
 	// lost tracks stripes escalated as unrecoverable (defects beyond
@@ -148,20 +150,21 @@ type pendingRebuild struct {
 // NewGroup builds a group over the given member disks. len(members) must
 // equal cfg.Width().
 func NewGroup(eng *sim.Engine, id int, cfg GroupConfig, members []*disk.Disk) *Group {
+	g := new(Group)
+	g.init(eng, id, cfg, members)
+	return g
+}
+
+// init readies a zero Group in place, wherever it is held.
+func (g *Group) init(eng *sim.Engine, id int, cfg GroupConfig, members []*disk.Disk) {
 	if len(members) != cfg.Width() {
 		panic(fmt.Sprintf("raid: group wants %d disks, got %d", cfg.Width(), len(members))) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	return &Group{
-		ID:            id,
-		cfg:           cfg,
-		eng:           eng,
-		dsks:          members,
-		stripes:       members[0].Config().Capacity / cfg.ChunkSize,
-		state:         Healthy,
-		offline:       map[int]bool{},
-		rebuildMember: -1,
-		RebuildChunk:  64,
-	}
+	g.ID, g.cfg, g.eng, g.dsks = id, cfg, eng, members
+	g.stripes = members[0].Config().Capacity / cfg.ChunkSize
+	g.state = Healthy
+	g.rebuildMember = -1
+	g.RebuildChunk = 64
 }
 
 // SetTracer attaches the tracing plane to the group and its member
@@ -449,6 +452,9 @@ func (g *Group) FailDisk(m int) State {
 	}
 	if g.offline[m] {
 		return g.state
+	}
+	if g.offline == nil {
+		g.offline = map[int]bool{}
 	}
 	g.offline[m] = true
 	if len(g.offline) > g.cfg.ParityDisks {

@@ -8,8 +8,8 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
+	"strconv"
 )
 
 // Source is an xoshiro256** generator. It is not safe for concurrent use;
@@ -33,6 +33,12 @@ func splitmix64(x *uint64) uint64 {
 
 // New returns a source seeded from seed via SplitMix64 state expansion.
 func New(seed uint64) *Source {
+	src := seeded(seed)
+	return &src
+}
+
+// seeded is New by value.
+func seeded(seed uint64) Source {
 	var src Source
 	x := seed
 	for i := range src.s {
@@ -42,15 +48,41 @@ func New(seed uint64) *Source {
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
+	return src
+}
+
+// FNV-1a, 64-bit: the label hash Split mixes into the parent's draw.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv64a folds b into the running FNV-1a hash h.
+func fnv64a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // Split derives an independent source labeled by name. Splitting the same
 // parent with the same label always yields the same child stream.
 func (r *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return New(r.Uint64() ^ h.Sum64())
+	src := seeded(r.Uint64() ^ fnv64a(fnvOffset64, label))
+	return &src
+}
+
+// SplitIndex returns, by value, the child Split(prefix + decimal i)
+// would: the same draw from r and the same stream, without building the
+// label string or a heap Source. Builders that split one stream per
+// component ("disk-<i>", "ost-<i>") use it to fill records held by
+// value in a slab.
+func (r *Source) SplitIndex(prefix string, i int) Source {
+	var digits [20]byte
+	h := fnv64a(fnvOffset64, prefix)
+	h = fnv64a(h, strconv.AppendInt(digits[:0], int64(i), 10))
+	return seeded(r.Uint64() ^ h)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -68,3 +68,37 @@ func TestSplitSiblingsPrefixDisjoint(t *testing.T) {
 		t.Fatalf("%d distinct values, want %d", len(seen), siblings*prefix)
 	}
 }
+
+// TestSplitIndexMatchesSplit pins SplitIndex to Split over the labels
+// the slab builders use: for each prefix and index, the child stream
+// and the parent's next draw are those of Split(fmt.Sprintf("%s%d")).
+func TestSplitIndexMatchesSplit(t *testing.T) {
+	for _, prefix := range []string{"disk-", "ost-", "ssu-"} {
+		for _, i := range []int{0, 1, 9, 10, 55, 1007, 20159, -3} {
+			a, b := New(42), New(42)
+			want := a.Split(fmt.Sprintf("%s%d", prefix, i))
+			got := b.SplitIndex(prefix, i)
+			for j := 0; j < 8; j++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("%s%d draw %d = %#016x, want %#016x", prefix, i, j, g, w)
+				}
+			}
+			if g, w := b.Uint64(), a.Uint64(); g != w {
+				t.Fatalf("%s%d: parent's next draw = %#016x, want %#016x", prefix, i, g, w)
+			}
+		}
+	}
+}
+
+func TestSplitIndexAllocatesNothing(t *testing.T) {
+	src := New(1)
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		c := src.SplitIndex("disk-", 20159)
+		sink += c.Uint64()
+	})
+	if allocs != 0 {
+		t.Fatalf("SplitIndex allocates %v times per call, want 0", allocs)
+	}
+	_ = sink
+}

@@ -68,6 +68,9 @@ stage_test() {
 	# (400, 2,048 and 20,000), so the benchmark that sizes the engine's
 	# tiers keeps building and running.
 	go test -run '^$' -bench 'BenchmarkEngineHold' -benchtime 1x ./internal/sim
+	# The fabric-construction rung: one slab-built Spider II fabric
+	# (68,440 links), with its allocations reported.
+	go test -run '^$' -bench 'BenchmarkNewFabric' -benchtime 1x -benchmem ./internal/netsim
 	set +x
 }
 
