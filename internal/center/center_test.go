@@ -215,3 +215,16 @@ func TestStaggeredCheckpointsBeatAligned(t *testing.T) {
 			aligned/staggered, aligned, staggered)
 	}
 }
+
+// TestFullCenterBuildAllocations pins what a full-scale two-namespace
+// center with its fabric costs to build, the build a chaos campaign runs
+// twice: the fabric links, drives, RAID groups and OSTs come from slabs,
+// and an OST binds its stripe-flush callback on its first flush, not at
+// build time (2,016 OSTs would otherwise cost one closure each).
+func TestFullCenterBuildAllocations(t *testing.T) {
+	cfg := Config{Scale: 1, Namespaces: 2, UseFabric: true, Seed: 42}
+	n := testing.AllocsPerRun(1, func() { New(cfg) })
+	if n > 1000 {
+		t.Errorf("a full two-namespace center build allocates %.0f times, want at most 1,000", n)
+	}
+}

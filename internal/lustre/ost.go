@@ -64,7 +64,7 @@ type OST struct {
 	uncommitted int   // flushes since the last journal commit
 
 	idleWrites    []*ostWrite // reusable Object.Write records
-	stripeFlushed func()      // releases one full stripe's dirty bytes
+	stripeFlushed func()      // one-stripe flush completion, bound by stripeDone
 
 	// Counters.
 	WriteRPCs, ReadRPCs uint64
@@ -85,7 +85,6 @@ type OST struct {
 // its SSU controller. The OST takes over src's stream.
 func (o *OST) init(eng *sim.Engine, id int, group *raid.Group, ctrl *Controller, src rng.Source) {
 	o.ID, o.eng, o.group, o.ctrl, o.src = id, eng, group, ctrl, src
-	o.stripeFlushed = func() { o.ctrl.Flushed(o.stripe()) }
 }
 
 // SetTracer attaches the tracing plane to this OST and everything
@@ -371,8 +370,18 @@ func (obj *Object) flushFullStripes() {
 		obj.buffered -= s
 		lba := o.seqAlloc(s)
 		o.SequentialFlushes++
-		o.flushToDisk(lba, s, o.stripeFlushed)
+		o.flushToDisk(lba, s, o.stripeDone())
 	}
+}
+
+// stripeDone returns the completion of a one-stripe flush, which frees
+// a stripe's bytes in the controller cache. It is bound on the OST's
+// first stripe flush: most OSTs of a center never flush one.
+func (o *OST) stripeDone() func() {
+	if o.stripeFlushed == nil {
+		o.stripeFlushed = func() { o.ctrl.Flushed(o.stripe()) }
+	}
+	return o.stripeFlushed
 }
 
 // flushed returns the completion of a flush of n bytes, which frees
@@ -380,7 +389,7 @@ func (obj *Object) flushFullStripes() {
 // when n is a stripe, else a new closure.
 func (o *OST) flushed(n int64) func() {
 	if n == o.stripe() {
-		return o.stripeFlushed
+		return o.stripeDone()
 	}
 	return func() { o.ctrl.Flushed(n) }
 }

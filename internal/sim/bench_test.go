@@ -46,6 +46,25 @@ func BenchmarkServerPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkServerBurst is the queue-growth rung: one op submits a
+// 2,000-deep burst to a single-slot server and runs it until the queue
+// drains, as an S3D dump or an IOR sweep floods a drive's FIFO. The
+// drained queue held more than maxDrainedRing slots and is released, so
+// every op grows it again from empty: B/op and allocs/op are the cost
+// of that growth.
+func BenchmarkServerBurst(b *testing.B) {
+	const depth = 2000
+	e := NewEngine()
+	s := NewServer(e, "burst", 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j <= depth; j++ { // one in service, depth queued
+			s.Submit(Microsecond, nil)
+		}
+		e.Run()
+	}
+}
+
 // BenchmarkCancelChurn measures schedule+cancel cycles (the network
 // layer's completion-event rescheduling pattern).
 func BenchmarkCancelChurn(b *testing.B) {

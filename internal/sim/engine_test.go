@@ -652,7 +652,7 @@ func TestEngineSameInstantLane(t *testing.T) {
 		if e.lane.Len() != 0 {
 			t.Fatalf("lane holds %d entries after Reset", e.lane.Len())
 		}
-		for _, s := range e.lane.buf {
+		for _, s := range slotsOf(&e.lane) {
 			if s.ev != nil {
 				t.Fatal("a lane slot still pins an event after Reset")
 			}
@@ -708,7 +708,7 @@ func TestEngineResetReleasesDeepFreeList(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range e.lane.buf {
+	for _, s := range slotsOf(&e.lane) {
 		if s.ev != nil {
 			t.Fatal("a lane slot still pins an event")
 		}

@@ -27,9 +27,9 @@ type Server struct {
 	lastChange Time
 }
 
-// maxDrainedRing is the largest ring a drained Server keeps. A queue
-// that empties out of a deeper burst drops its ring and grows a new
-// one if another burst comes.
+// maxDrainedRing is the most queue slots a drained Server keeps. A
+// queue that empties out of a deeper burst drops its ring and segments
+// and grows new ones if another burst comes.
 const maxDrainedRing = 1024
 
 type serverJob struct {
@@ -104,9 +104,10 @@ func (s *Server) finish(service Time, done func()) {
 	s.ServiceTime += service
 	if next, ok := s.queue.Pop(); ok {
 		s.start(next)
-		if s.queue.n == 0 && len(s.queue.buf) > maxDrainedRing {
-			// A drained burst leaves its ring at peak depth; a model kept
-			// alive after its run (to read counters) should not pin it.
+		if s.queue.Len() == 0 && s.queue.slots() > maxDrainedRing {
+			// A drained burst leaves its queue holding its peak depth; a
+			// model kept alive after its run (to read counters) should
+			// not pin it.
 			s.queue = Queue[serverJob]{}
 		}
 	}

@@ -87,29 +87,40 @@ func TestServerAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestServerReleasesDrainedRing checks that a queue drained from a
-// burst whose ring grew past maxDrainedRing slots drops that ring, so a
-// server kept alive after its run does not pin its peak depth, while
-// one drained from a shallower burst keeps its ring for the next.
+// TestServerReleasesDrainedRing checks the retention rule: a queue
+// drained from a burst that held more than maxDrainedRing slots (its
+// ring, segments and spares) releases all of them, so a server kept
+// alive after its run does not pin its peak depth, while one drained
+// from a shallower burst keeps them, and the next burst of that depth
+// allocates nothing.
 func TestServerReleasesDrainedRing(t *testing.T) {
-	for _, depth := range []int{64, maxDrainedRing / 2, 4 * maxDrainedRing} {
+	for _, depth := range []int{64, maxDrainedRing / 2, maxDrainedRing, 4 * maxDrainedRing} {
 		e := NewEngine()
 		s := NewServer(e, "burst", 1)
-		done := 0
-		for i := 0; i <= depth; i++ { // one in service, depth queued
-			s.Submit(Microsecond, func() { done++ })
+		held := 0
+		burst := func() {
+			for i := 0; i <= depth; i++ { // one in service, depth queued
+				s.Submit(Microsecond, nil)
+			}
+			held = s.queue.slots()
+			e.Run()
 		}
-		ring := len(s.queue.buf)
-		e.Run()
-		if done != depth+1 || s.QueueLen() != 0 {
-			t.Fatalf("depth %d: %d jobs done, %d queued; want %d, 0", depth, done, s.QueueLen(), depth+1)
+		burst()
+		if s.Completed != uint64(depth+1) || s.QueueLen() != 0 {
+			t.Fatalf("depth %d: %d jobs done, %d queued; want %d, 0", depth, s.Completed, s.QueueLen(), depth+1)
 		}
-		want := ring
-		if ring > maxDrainedRing {
+		want := held
+		if held > maxDrainedRing {
 			want = 0
 		}
-		if got := len(s.queue.buf); got != want {
-			t.Errorf("depth %d: drained ring of %d slots holds %d, want %d", depth, ring, got, want)
+		if got := s.queue.slots(); got != want {
+			t.Fatalf("depth %d: drained queue of %d slots holds %d, want %d", depth, held, got, want)
+		}
+		if want == 0 {
+			continue
+		}
+		if n := testing.AllocsPerRun(5, burst); n > 0 {
+			t.Errorf("depth %d: a burst into a kept queue of %d slots allocates %.1f, want 0", depth, held, n)
 		}
 	}
 }

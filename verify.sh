@@ -14,11 +14,11 @@
 #                         fresh-bench/ and byte-compare them
 #   ./verify.sh all     — all of the above, in order
 #   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API,
-#                         the ledger auditor, the flow solver, the torus
-#                         hop rule, the disk defect index, the service
-#                         spec normalizer and the two trace file readers
-#                         (not part of all: its inputs differ from run
-#                         to run)
+#                         the FIFO queue, the ledger auditor, the flow
+#                         solver, the torus hop rule, the disk defect
+#                         index, the service spec normalizer and the two
+#                         trace file readers (not part of all: its
+#                         inputs differ from run to run)
 set -eu
 
 stage="${1:-all}"
@@ -68,6 +68,10 @@ stage_test() {
 	# (400, 2,048 and 20,000), so the benchmark that sizes the engine's
 	# tiers keeps building and running.
 	go test -run '^$' -bench 'BenchmarkEngineHold' -benchtime 1x ./internal/sim
+	# The queue-growth rung: a single-slot server driven through a
+	# 2,000-deep burst until it drains, with its bytes and allocations
+	# reported (the segmented sim.Queue's growth cost).
+	go test -run '^$' -bench 'BenchmarkServerBurst' -benchtime 1x -benchmem ./internal/sim
 	# The fabric-construction rung: one slab-built Spider II fabric
 	# (68,440 links), with its allocations reported.
 	go test -run '^$' -bench 'BenchmarkNewFabric' -benchtime 1x -benchmem ./internal/netsim
@@ -118,6 +122,9 @@ stage_fuzz() {
 	set -x
 	# FuzzEngineOps replays arbitrary At/After/Cancel/Reschedule/Step/
 	# RunUntil/Reset sequences against a sorted-slice reference queue;
+	# FuzzQueueOps checks sim.Queue's Push/Pop/Front/Len against a
+	# plain-slice FIFO and that no slot outside the live window pins a
+	# pointer;
 	# FuzzLedgerAudit feeds arbitrary export bytes to the auditor and
 	# Resume, which must never panic; FuzzFlowOps checks the incremental
 	# flow solver's rates bitwise against a from-scratch recomputation
@@ -140,6 +147,7 @@ stage_fuzz() {
 	# minimizing each new interesting input that large under the default
 	# 60 s cap stalls the whole 30 s run, so minimization is capped at 2 s.
 	go test -run '^$' -fuzz FuzzEngineOps -fuzztime 30s ./internal/sim
+	go test -run '^$' -fuzz FuzzQueueOps -fuzztime 30s ./internal/sim
 	go test -run '^$' -fuzz FuzzLedgerAudit -fuzztime 30s -fuzzminimizetime 2s ./internal/ledger
 	go test -run '^$' -fuzz FuzzFlowOps -fuzztime 30s -fuzzminimizetime 2s ./internal/netsim
 	go test -run '^$' -fuzz FuzzTorusHops -fuzztime 30s ./internal/topology
