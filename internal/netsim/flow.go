@@ -413,8 +413,8 @@ func (n *Network) reassign(flows []*Flow) {
 			at = sim.MaxTime
 		}
 		// Move the existing completion event when possible: same FIFO
-		// semantics as cancel+reschedule (fresh sequence number), but no
-		// canceled tombstone left in the event heap.
+		// semantics as cancel+reschedule (fresh sequence number), but the
+		// event and its handle stay, and a heap event is fixed in place.
 		if n.eng.Reschedule(f.completion, at) {
 			continue
 		}

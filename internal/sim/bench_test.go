@@ -66,18 +66,37 @@ func BenchmarkServerBurst(b *testing.B) {
 }
 
 // BenchmarkCancelChurn measures schedule+cancel cycles (the network
-// layer's completion-event rescheduling pattern).
+// layer's completion-event rescheduling pattern, the lustre watchdogs'
+// arm-and-cancel) against a standing set of n events that never fires.
+// At n = 400 the set is one binary heap, so each canceled event leaves
+// the near heap (paper-storage's and serve-mix's shape); at n = 20,000
+// it has a ring, and one op's event lands in a bucket, the next in the
+// far heap an hour out (chaos-week's shape). A canceled event is
+// recycled at once, so the next op reuses it: 0 allocs/op.
 func BenchmarkCancelChurn(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev := e.After(Second, func() {})
-		ev.Cancel()
-		if e.Pending() > 10000 {
-			e.Run()
-		}
+	for _, n := range []int{400, 20000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			delays := make([]Time, 1<<12)
+			for i := range delays {
+				delays[i] = 1 + Time(r.ExpFloat64()*float64(Millisecond))
+				if i%2 == 1 {
+					delays[i] += Hour
+				}
+			}
+			e := NewEngine()
+			fn := func() {}
+			for i := 0; i < n; i++ {
+				e.After(delays[2*i&(len(delays)-1)], fn)
+			}
+			e.After(Millisecond, fn).Cancel()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.After(delays[i&(len(delays)-1)], fn).Cancel()
+			}
+		})
 	}
-	e.Run()
 }
 
 // BenchmarkEngineSameInstant measures the controller's re-admission
@@ -111,7 +130,7 @@ func BenchmarkEngineSameInstant(b *testing.B) {
 // (mean 1 ms), so the depth stays at n. One op is one event fired and
 // one scheduled. The three depths are paper-storage's, fabric-waves'
 // and chaos-week's deepest pending sets (DESIGN.md, "Engine events,
-// handles and tombstones").
+// handles and cancels").
 func BenchmarkEngineHold(b *testing.B) {
 	for _, n := range []int{400, 2048, 20000} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {

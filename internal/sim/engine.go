@@ -4,13 +4,13 @@ import "fmt"
 
 // Event is a handle to a scheduled callback, returned by Engine.At and
 // Engine.After. It is a small value: copy it freely. The engine recycles
-// the event behind a handle once it fires, once its canceled tombstone
-// leaves the heap, and on Reset; a generation number in the handle tells
-// the uses of one event apart, so a handle outlives its event safely:
-// Cancel, Reschedule and Pending on a fired, canceled or pre-Reset
-// handle are no-ops that report false, even when the engine has since
-// reused the event for another callback. The zero Event is a valid
-// handle that is never pending.
+// the event behind a handle once it fires, is canceled, or is dropped by
+// Reset; a generation number in the handle tells the uses of one event
+// apart, so a handle outlives its event safely: Cancel, Reschedule and
+// Pending on a fired, canceled or pre-Reset handle are no-ops that
+// report false, even when the engine has since reused the event for
+// another callback. The zero Event is a valid handle that is never
+// pending.
 type Event struct {
 	ev  *event
 	gen uint64
@@ -30,22 +30,26 @@ type event struct {
 	gen        uint64 // bumped each time the event is recycled
 	next, prev *event // neighbours in a ring bucket
 	idx        int32  // position in the near or far heap
-	tier       tier   // where the event waits (pending.go)
-	canceled   bool   // a tombstone awaiting removal from a heap or the lane
+	tier       tier   // where the event waits (pending.go), or inFree
 }
 
 // laneSlot is one entry of the same-instant lane: an event and the
 // sequence number it was queued under. Reschedule gives the event a new
-// seq, so an entry whose seq no longer matches its event's is stale and
-// is dropped when it reaches the front.
+// seq and Cancel recycles it, so an entry is stale unless its event still
+// waits in the lane under its seq; a stale entry is dropped when it
+// reaches the front.
 type laneSlot struct {
 	ev  *event
 	seq uint64
 }
 
+// current reports whether the entry's event still waits in the lane
+// under the entry's seq.
+func (sl laneSlot) current() bool { return sl.ev.tier == inLane && sl.ev.seq == sl.seq }
+
 // live returns the handle's event if it is still pending, else nil.
 func (h Event) live() *event {
-	if h.ev == nil || h.ev.gen != h.gen || h.ev.canceled {
+	if h.ev == nil || h.ev.gen != h.gen {
 		return nil
 	}
 	return h.ev
@@ -64,28 +68,21 @@ func (h Event) Time() Time {
 
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op. Cancel reports whether the event was
-// still pending. A canceled event in the near or far heap stays there as
-// a tombstone (lazy deletion); the engine's live-event accounting and
-// tombstone reaping keep Pending and heap size honest regardless. A
-// canceled ring event leaves its bucket at once, and a canceled
-// same-instant lane event leaves the lane before the clock moves on.
+// still pending. A canceled event leaves the pending set at once, O(1)
+// from a ring bucket and O(log n) from the near or far heap, and is
+// recycled; a canceled same-instant lane event is recycled too, and its
+// lane entry, now stale, is dropped when it reaches the front.
 func (h Event) Cancel() bool {
 	ev := h.live()
 	if ev == nil {
 		return false
 	}
-	ev.canceled = true
-	ev.fn = nil
 	e := ev.eng
-	e.live--
-	switch ev.tier {
-	case inRing:
-		e.set.unlink(ev)
-		e.recycle(ev)
-	case inNear, inFar:
-		e.set.tomb++
-		e.maybeReap()
+	if ev.tier != inLane {
+		e.set.remove(ev)
 	}
+	e.live--
+	e.recycle(ev)
 	return true
 }
 
@@ -185,9 +182,8 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of live events still scheduled. Canceled
-// tombstones awaiting lazy deletion are not counted, so Pending() == 0
-// means the engine truly has no work.
+// Pending returns the number of events still scheduled: neither fired
+// nor canceled. Pending() == 0 means the engine has no work.
 //
 //simlint:allow test-only-export read-only accessor the engine tests assert a drained queue with
 func (e *Engine) Pending() int { return e.live }
@@ -197,53 +193,16 @@ func (e *Engine) Pending() int { return e.live }
 // hold. It observes and changes nothing.
 func (e *Engine) PeakPending() int { return e.peak }
 
-// reapFloor is the size of the near and far heaps together below which
-// tombstone reaping is not worth the heapify; lazy deletion handles
-// small heaps fine.
-const reapFloor = 64
-
-// maybeReap compacts the near and far heaps when their canceled
-// tombstones outnumber their live events and they are large enough to
-// matter. Compaction preserves each surviving event's (time, seq) key,
-// so the pop order — and with it every trace fingerprint — is unchanged.
-func (e *Engine) maybeReap() {
-	s := &e.set
-	n := len(s.near) + len(s.far)
-	if 2*s.tomb <= n || n < reapFloor {
-		return
-	}
-	s.near = e.reap(s.near)
-	s.far = e.reap(s.far)
-	s.tomb = 0
-}
-
-// reap recycles h's tombstones and re-heapifies the survivors.
-func (e *Engine) reap(h eventHeap) eventHeap {
-	kept := h[:0]
-	for _, ev := range h {
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		ev.idx = int32(len(kept))
-		kept = append(kept, ev)
-	}
-	clear(h[len(kept):])
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		kept.down(i)
-	}
-	return kept
-}
-
 // recycle retires ev: the generation bump turns every handle to it
-// stale, and the event joins the free list for reuse. Within a run the
-// set and the free list together hold at most the deepest set's events,
-// so stale heap slots pin nothing that is not already kept.
+// stale, inFree makes every lane entry for it stale, and the event joins
+// the free list for reuse. Within a run the set and the free list
+// together hold at most the deepest set's events, so stale heap slots
+// pin nothing that is not already kept.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.srv = nil
-	ev.canceled = false
+	ev.tier = inFree
 	e.free = append(e.free, ev)
 }
 
@@ -291,10 +250,9 @@ func (e *Engine) At(t Time, fn func()) Event { return e.schedule(t, fn, nil, 0) 
 // Reschedule moves a still-pending event to absolute time t, keeping
 // its callback. The event receives a fresh sequence number, so FIFO
 // tie-breaking behaves exactly as if the event had been canceled and
-// newly scheduled — but without leaving a canceled tombstone behind.
-// It reports whether the move happened; a fired or canceled event is
-// left untouched (schedule a new one instead). Like At, moving an event
-// into the past panics.
+// newly scheduled, but the handle stays valid. It reports whether the
+// move happened; a fired or canceled event is left untouched (schedule a
+// new one instead). Like At, moving an event into the past panics.
 func (e *Engine) Reschedule(h Event, t Time) bool {
 	ev := h.live()
 	if ev == nil {
@@ -400,16 +358,16 @@ func (e *Engine) RunFor(d Time) {
 }
 
 // Reset returns the engine to its just-constructed state: the clock at
-// zero, no scheduled events, no canceled-tombstone debt, counters
-// cleared, and any trace hook removed.
+// zero, no scheduled events, counters cleared, and any trace hook
+// removed.
 // This is the warm-pool seam (internal/serve): a model stack built on a
 // reset engine must reproduce a fresh engine's event-trace fingerprint
 // bit for bit, because nothing — sequence numbers included — survives.
 //
 // Events still in the pending set or lane are recycled, so a stale
 // Event handle held by old model code is permanently non-pending and its
-// Cancel a no-op, rather than a corruption of the next run's live/tomb
-// accounting. Up to resetKeep recycled events, and a ring of up to
+// Cancel a no-op, rather than a corruption of the next run's live-event
+// count. Up to resetKeep recycled events, and a ring of up to
 // resetKeep buckets, survive for the next run: they hold no callbacks
 // and change no event order. The rest are released, so a pooled engine
 // that once ran a deep queue does not keep that depth's events or
@@ -435,10 +393,9 @@ func (e *Engine) Reset() {
 	}
 	e.set = pendingSet{near: s.near, far: s.far, ring: ring, occ: occ}
 	// Pop zeroes each slot it empties. A stale entry's event sits in
-	// the set or the free list already, so only current entries recycle.
+	// the free list already, so only current entries recycle.
 	for e.lane.Len() > 0 {
-		sl, _ := e.lane.Pop()
-		if sl.seq == sl.ev.seq {
+		if sl, _ := e.lane.Pop(); sl.current() {
 			e.recycle(sl.ev)
 		}
 	}
@@ -455,33 +412,23 @@ func (e *Engine) Reset() {
 
 // resetKeep is how many recycled events Reset keeps. A warm-pooled
 // serve session ends with about 128 (DESIGN.md, "Engine events, handles
-// and tombstones"), so the cap never costs a pooled session an
+// and cancels"), so the cap never costs a pooled session an
 // allocation.
 const resetKeep = 1024
 
-// peek returns the earliest live event, popping and recycling any
-// tombstones and stale lane entries ahead of it, or nil when none is
-// scheduled. The set's events at now come first, then the lane's, then
-// the set's later ones.
+// peek returns the earliest pending event, dropping any stale lane
+// entries ahead of it, or nil when none is scheduled. The set's events
+// at now come first, then the lane's, then the set's later ones.
 func (e *Engine) peek() *event {
 	next := e.set.first()
-	if next == nil {
-		next = e.settle()
-	}
 	if next != nil && next.t == e.now {
 		return next
 	}
 	for e.lane.Len() > 0 {
-		s, _ := e.lane.Front()
-		if s.seq != s.ev.seq { // rescheduled since it was queued
-			e.lane.Pop()
-			continue
-		}
-		if !s.ev.canceled {
+		if s, _ := e.lane.Front(); s.current() {
 			return s.ev
 		}
 		e.lane.Pop()
-		e.recycle(s.ev)
 	}
 	return next
 }

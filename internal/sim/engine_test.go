@@ -106,43 +106,92 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-// Pending counts live events only; canceled tombstones are excluded and
-// eventually reaped so the heap cannot grow without bound.
+// Cancel takes an event out of its tier at once: after 10 of 100
+// events are canceled in the near heap, and then in the far heap, the
+// heap holds exactly the 90 live events and Pending counts them.
 func TestEnginePendingExcludesCanceled(t *testing.T) {
-	e := NewEngine()
-	keep := e.At(100, func() {})
-	var canceled []Event
-	for i := 0; i < 1000; i++ {
-		canceled = append(canceled, e.At(Time(i+1), func() {}))
+	// checkHeap asserts h holds exactly the events behind live.
+	checkHeap := func(t *testing.T, e *Engine, h eventHeap, live []Event) {
+		t.Helper()
+		in := map[*event]bool{}
+		for _, ev := range h {
+			in[ev] = true
+		}
+		for _, l := range live {
+			if !l.Pending() || !in[l.ev] {
+				t.Fatal("a live event left the heap")
+			}
+		}
+		if len(h) != len(live) || len(in) != len(live) {
+			t.Fatalf("the heap holds %d events, want the %d live ones", len(h), len(live))
+		}
 	}
-	if e.Pending() != 1001 {
-		t.Fatalf("pending = %d, want 1001", e.Pending())
+	// cancelTenth cancels every tenth of hs, which must all wait in tr,
+	// and returns the others.
+	cancelTenth := func(t *testing.T, hs []Event, tr tier) []Event {
+		t.Helper()
+		var live []Event
+		for i, h := range hs {
+			if h.ev.tier != tr {
+				t.Fatalf("event %d waits in tier %d, want %d", i, h.ev.tier, tr)
+			}
+			if i%10 == 0 {
+				if !h.Cancel() {
+					t.Fatalf("Cancel of pending event %d failed", i)
+				}
+				continue
+			}
+			live = append(live, h)
+		}
+		return live
 	}
-	for _, ev := range canceled {
-		ev.Cancel()
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d after cancels, want 1", e.Pending())
-	}
-	// Tombstones dominate (1000 canceled vs 1 live): reaping must have
-	// compacted the heap rather than leaving lazy deletion to Run.
-	if e.set.size() > reapFloor {
-		t.Fatalf("heap holds %d entries after cancels, want <= %d (reaped)", e.set.size(), reapFloor)
-	}
-	if !keep.Pending() {
-		t.Fatal("live event lost by reaping")
-	}
-	e.Run()
-	if e.Pending() != 0 || e.Now() != 100 {
-		t.Fatalf("after run: pending=%d now=%v, want 0 100", e.Pending(), e.Now())
-	}
+
+	t.Run("near", func(t *testing.T) {
+		e := NewEngine()
+		hs := make([]Event, 100)
+		for i := range hs {
+			hs[i] = e.At(Time(i+1), func() {})
+		}
+		live := cancelTenth(t, hs, inNear)
+		checkHeap(t, e, e.set.near, live)
+		if e.Pending() != 90 || e.set.size() != 90 {
+			t.Fatalf("pending %d, set %d after cancels; want 90, 90", e.Pending(), e.set.size())
+		}
+		e.Run()
+		if e.Fired() != 90 || e.Now() != 100 {
+			t.Fatalf("fired %d, now %v; want 90, 100", e.Fired(), e.Now())
+		}
+	})
+
+	t.Run("far", func(t *testing.T) {
+		// 2,000 events a microsecond apart give the set a ring; events
+		// an hour out wait past it in far.
+		e := NewEngine()
+		for i := 1; i <= 2000; i++ {
+			e.At(Time(i)*Microsecond, func() {})
+		}
+		hs := make([]Event, 100)
+		for i := range hs {
+			hs[i] = e.At(Hour+Time(i), func() {})
+		}
+		live := cancelTenth(t, hs, inFar)
+		checkHeap(t, e, e.set.far, live)
+		if e.Pending() != 2090 || e.set.size() != 2090 {
+			t.Fatalf("pending %d, set %d after cancels; want 2090, 2090", e.Pending(), e.set.size())
+		}
+		e.Run()
+		if e.Fired() != 2090 || e.Now() != Hour+99 {
+			t.Fatalf("fired %d, now %v; want 2090, %v", e.Fired(), e.Now(), Hour+99)
+		}
+	})
 }
 
-// Reaping must not disturb pop order: interleave schedules and cancels
-// so compaction happens mid-stream, then check the survivors fire in
-// (time, seq) order with the same trace as an unreaped twin.
-func TestEngineReapPreservesOrder(t *testing.T) {
-	run := func(forceReap bool) (order []Time, trace uint64) {
+// A burst of cancels must not disturb pop order: interleave schedules
+// and cancels, then cancel a burst that outnumbers the live events, and
+// check the survivors fire in (time, seq) order with the same trace as
+// a twin without the burst.
+func TestEngineCancelBurstPreservesOrder(t *testing.T) {
+	run := func(burst bool) (order []Time, trace uint64) {
 		e := NewEngine()
 		th := NewTraceHash()
 		e.SetTrace(th.Observe)
@@ -153,8 +202,8 @@ func TestEngineReapPreservesOrder(t *testing.T) {
 				e.At(at+1, func() {}).Cancel()
 			}
 		}
-		if forceReap {
-			// Cancel a burst so tombstones outnumber live events.
+		if burst {
+			// Cancel more events than stay live.
 			var evs []Event
 			for i := 0; i < 2000; i++ {
 				evs = append(evs, e.At(Time(i), func() {}))
@@ -169,7 +218,7 @@ func TestEngineReapPreservesOrder(t *testing.T) {
 	gotOrder, gotTrace := run(true)
 	wantOrder, wantTrace := run(false)
 	if gotTrace != wantTrace {
-		t.Fatalf("trace diverged under reaping: %x vs %x", gotTrace, wantTrace)
+		t.Fatalf("trace diverged under a cancel burst: %x vs %x", gotTrace, wantTrace)
 	}
 	if len(gotOrder) != len(wantOrder) {
 		t.Fatalf("fired %d events, want %d", len(gotOrder), len(wantOrder))
@@ -345,7 +394,7 @@ func TestEngineResetDeterministicReuse(t *testing.T) {
 	fresh := runTracedModel(NewEngine(), 7)
 
 	// Dirty an engine thoroughly — a run halted mid-queue, pending
-	// events, trace hook, tombstones — then Reset and rerun the same model.
+	// events, trace hook, canceled events — then Reset and rerun the same model.
 	e := NewEngine()
 	e.SetTrace(func(Time, uint64) {})
 	for i := 0; i < 100; i++ {
@@ -413,9 +462,9 @@ func TestEngineRunForOverflowSaturates(t *testing.T) {
 	}
 }
 
-// A handle outlives its event: once the event fired, or was canceled and
-// its tombstone reaped or popped, or was dropped by Reset, the engine
-// reuses it for a new callback. The old handle must then neither cancel,
+// A handle outlives its event: once the event fired, was canceled from
+// any tier, or was dropped by Reset, the engine reuses it for the next
+// callback scheduled. The old handle must then neither cancel,
 // reschedule nor report pending on the event now behind it.
 func TestEngineStaleHandles(t *testing.T) {
 	// checkStale asserts old is dead while cur, scheduled on the same
@@ -448,45 +497,38 @@ func TestEngineStaleHandles(t *testing.T) {
 		checkStale(t, e, fired, cur, 20)
 	})
 
-	t.Run("popped-tombstone", func(t *testing.T) {
-		e := NewEngine()
-		dead := e.At(10, func() {})
-		dead.Cancel()
-		e.At(15, func() {})
-		e.RunUntil(12) // pops and recycles the tombstone, fires nothing
-		cur := e.At(20, func() {})
-		checkStale(t, e, dead, cur, 20)
-	})
-
-	t.Run("reaped-tombstone", func(t *testing.T) {
-		// 41 tombstones against 40 live events: the last cancel tips
-		// tombstones past live events in a heap above reapFloor.
-		e := NewEngine()
-		for i := 0; i < 40; i++ {
-			e.At(1000, func() {})
-		}
-		dead := make([]Event, 41)
-		for i := range dead {
-			dead[i] = e.At(Time(i+1), func() {})
-		}
-		for _, h := range dead {
-			h.Cancel()
-		}
-		if e.set.tomb != 0 || e.set.size() != 40 {
-			t.Fatalf("heap %d with %d tombstones after mass cancel, want 40 and 0 (reaped)", e.set.size(), e.set.tomb)
-		}
-		cur := e.At(20, func() {})
-		for _, h := range dead {
-			if h.ev == cur.ev {
-				checkStale(t, e, h, cur, 20)
-			} else if h.Pending() || h.Cancel() || e.Reschedule(h, 30) {
-				t.Fatal("a reaped tombstone's handle came back to life")
+	// Canceled from each tier, the event is recycled at once: the next
+	// At reuses it. 2,000 standing events a microsecond apart give the
+	// set a ring; in the lane, the reused event queues behind the
+	// canceled one's stale entry, which must fire nothing.
+	for _, c := range []struct {
+		name      string
+		standing  int
+		at, reuse Time
+		tr        tier
+	}{
+		{"canceled-near", 0, 10, 20, inNear},
+		{"canceled-ring", 2000, 1000 * Microsecond, 1500 * Microsecond, inRing},
+		{"canceled-far", 2000, Hour, 2 * Hour, inFar},
+		{"canceled-lane", 0, 0, 0, inLane},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			for i := 1; i <= c.standing; i++ {
+				e.At(Time(i)*Microsecond, func() {})
 			}
-		}
-		if e.Pending() != 41 {
-			t.Fatalf("pending = %d, want 41", e.Pending())
-		}
-	})
+			dead := e.At(c.at, func() { t.Error("canceled event fired") })
+			if dead.ev.tier != c.tr || !dead.Cancel() {
+				t.Fatalf("could not cancel an event in tier %d", c.tr)
+			}
+			cur := e.At(c.reuse, func() {})
+			checkStale(t, e, dead, cur, c.reuse)
+			e.Run()
+			if e.Fired() != uint64(c.standing+1) || e.lane.Len() != 0 {
+				t.Fatalf("fired %d, lane %d; want %d, 0", e.Fired(), e.lane.Len(), c.standing+1)
+			}
+		})
+	}
 
 	t.Run("reset", func(t *testing.T) {
 		e := NewEngine()
@@ -582,18 +624,17 @@ func TestEngineSameInstantLane(t *testing.T) {
 	})
 
 	t.Run("canceled-lane-event", func(t *testing.T) {
-		// A canceled lane event is no heap tombstone: it must not count
-		// in tomb, or tombstones would seem to outnumber the live
-		// events and reap a heap that holds none.
+		// A canceled lane event is recycled at Cancel and leaves a stale
+		// entry behind, which fires nothing; the heap keeps its events.
 		e := NewEngine()
 		got, rec := logger()
-		for i := 0; i < 2*reapFloor; i++ {
+		for i := 0; i < 128; i++ {
 			e.At(Time(100+i), func() {})
 		}
 		heapDead := e.At(99, rec("heap-dead"))
 		heapDead.Cancel()
 		var lane []Event
-		for i := 0; i < 4*reapFloor; i++ {
+		for i := 0; i < 256; i++ {
 			lane = append(lane, e.At(0, rec("lane-dead")))
 		}
 		keep := e.At(0, rec("keep"))
@@ -602,16 +643,16 @@ func TestEngineSameInstantLane(t *testing.T) {
 				t.Fatal("a canceled lane event is still pending")
 			}
 		}
-		if e.set.tomb != 1 || e.set.size() != 2*reapFloor+1 || e.Pending() != 2*reapFloor+1 {
-			t.Fatalf("tomb %d, heap %d, pending %d; want 1, %d, %d", e.set.tomb, e.set.size(), e.Pending(), 2*reapFloor+1, 2*reapFloor+1)
+		if e.set.size() != 128 || e.Pending() != 129 || len(e.free) != 256 || e.lane.Len() != 257 {
+			t.Fatalf("heap %d, pending %d, free %d, lane %d; want 128, 129, 256, 257", e.set.size(), e.Pending(), len(e.free), e.lane.Len())
 		}
 		if !keep.Pending() || keep.Time() != 0 {
 			t.Fatal("a live lane event behind canceled ones is not pending")
 		}
 		e.Run()
 		wantOrder(t, *got, "keep")
-		if e.set.tomb != 0 || e.set.size() != 0 || e.lane.Len() != 0 || e.Fired() != 2*reapFloor+1 {
-			t.Fatalf("after Run: tomb %d, heap %d, lane %d, fired %d", e.set.tomb, e.set.size(), e.lane.Len(), e.Fired())
+		if e.set.size() != 0 || e.lane.Len() != 0 || e.Fired() != 129 {
+			t.Fatalf("after Run: heap %d, lane %d, fired %d", e.set.size(), e.lane.Len(), e.Fired())
 		}
 	})
 
@@ -665,8 +706,9 @@ func TestEngineSameInstantLane(t *testing.T) {
 			}
 			seen[ev] = true
 		}
-		if len(e.free) != 5 {
-			t.Fatalf("free list %d after Reset, want 5", len(e.free))
+		// dead was recycled at Cancel and reused by again.
+		if len(e.free) != 4 {
+			t.Fatalf("free list %d after Reset, want 4", len(e.free))
 		}
 		got, rec := logger()
 		e.At(0, rec("fresh"))
@@ -739,7 +781,7 @@ func TestEngineAllocationCeiling(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
 	warm := func() {
-		for i := 0; i < 4*reapFloor; i++ {
+		for i := 0; i < 256; i++ {
 			e.After(Time(i), fn)
 		}
 		e.Run()

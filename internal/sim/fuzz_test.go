@@ -184,10 +184,18 @@ func (o *engineOps) check(n int, want []refEvent) {
 	for _, ev := range r.queue {
 		at[ev.id] = ev.t
 	}
+	lane := 0
 	for id, h := range o.handles {
 		if h.Pending() != r.isPending(id) || h.Time() != at[id] {
 			t.Fatalf("op %d: event %d pending %v at %v, want %v at %v", n, id, h.Pending(), h.Time(), r.isPending(id), at[id])
 		}
+		if h.Pending() && h.ev.tier == inLane {
+			lane++
+		}
+	}
+	// The set holds exactly the pending events outside the lane.
+	if e.set.size() != len(r.queue)-lane {
+		t.Fatalf("op %d: the pending set holds %d events, want %d", n, e.set.size(), len(r.queue)-lane)
 	}
 }
 
@@ -312,16 +320,17 @@ func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{opAt, 1, 0, opStep, 0, 0, opAt, 2, 0, opCancel, 0, 0, opReschedule, 0, 9, opRunUntil, 50, 0})
 	// Past-scheduling panics, and a Reset with events still queued.
 	f.Add([]byte{opAt, 10, 0, opRunUntil, 5, 0, opAt, 255, 0, opReschedule, 0, 255, opAt, 7, 3, opReset, 0, 0, opCancel, 0, 0, opAt, 1, 0, opStep, 0, 0})
-	// Mass cancel past reapFloor, so tombstones are reaped and recycled.
-	var reap []byte
+	// Mass cancel: 80 of 90 heap events leave the heap and are
+	// recycled, then reused.
+	var mass []byte
 	for i := 0; i < 90; i++ {
-		reap = append(reap, opAt, byte(i), byte(i%3))
+		mass = append(mass, opAt, byte(i), byte(i%3))
 	}
 	for i := 0; i < 80; i++ {
-		reap = append(reap, opCancel, byte(i), 0)
+		mass = append(mass, opCancel, byte(i), 0)
 	}
-	reap = append(reap, opAfter, 0x90, 5, opRunUntil, 255, 0)
-	f.Add(reap)
+	mass = append(mass, opAfter, 0x90, 5, opRunUntil, 255, 0)
+	f.Add(mass)
 	// Reschedules inside a deep heap, later and earlier, then a drain.
 	var deep []byte
 	for i := 0; i < 40; i++ {

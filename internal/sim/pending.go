@@ -97,6 +97,7 @@ const (
 	inNear             // the near heap: t < top
 	inRing             // a ring bucket: top <= t < top+span
 	inFar              // the far heap: t >= top+span
+	inFree             // not scheduled: fired, canceled or reset
 )
 
 // pendingSet holds every scheduled event not in the same-instant lane,
@@ -130,7 +131,6 @@ type pendingSet struct {
 	base   int64    // the first bucket number the ring covers
 	shift  uint     // log2 of the bucket width in ns
 	inRing int      // events linked into the ring
-	tomb   int      // canceled tombstones still in near or far
 	grow   int      // rebuild when the set grows past this size
 	shrink int      // rebuild when the set shrinks below this size
 }
@@ -147,7 +147,7 @@ const ringMin = 1024
 // bucket number, as the bucket width is at least 2 ns.
 const noRing = math.MaxInt64
 
-// size counts the events in the set, canceled tombstones included.
+// size counts the events in the set.
 func (s *pendingSet) size() int { return len(s.near) + s.inRing + len(s.far) }
 
 // tierOf returns the tier an event at t belongs in.
@@ -185,7 +185,7 @@ func (s *pendingSet) add(ev *event) {
 	}
 }
 
-// remove takes a live event out of its tier.
+// remove takes a pending event out of its tier.
 func (s *pendingSet) remove(ev *event) {
 	if ev.tier == inRing {
 		s.unlink(ev)
@@ -276,62 +276,39 @@ func (s *pendingSet) takeRing() *event {
 	return chain
 }
 
-// first returns near's first event when it is live, else nil: the
-// set's earliest live event on the common path, with no call.
+// first returns the set's earliest event, or nil when it holds none.
+// On the common path near's first event is it, with no call.
 func (s *pendingSet) first() *event {
-	if len(s.near) > 0 && !s.near[0].canceled {
+	if len(s.near) > 0 {
 		return s.near[0]
 	}
-	return nil
+	return s.settle()
 }
 
-// settle pops and recycles the tombstones at near's front and loads ring
-// buckets into near until near's first event is live, then returns it:
-// the set's earliest live event, or nil when the set holds none.
-func (e *Engine) settle() *event {
-	s := &e.set
-	for {
-		if len(s.near) > 0 {
-			ev := s.near[0]
-			if !ev.canceled {
-				return ev
-			}
-			s.near.pop()
-			s.tomb--
-			e.recycle(ev)
-			continue
-		}
+// settle loads ring buckets into the empty near heap until it holds an
+// event, then returns near's first: the set's earliest event, or nil
+// when the set holds none.
+func (s *pendingSet) settle() *event {
+	for len(s.near) == 0 {
 		if s.inRing == 0 {
 			if len(s.far) == 0 {
 				return nil
 			}
 			// The ring is empty: move its window up to far's first event.
 			s.base = int64(s.far[0].t) >> s.shift
-			e.migrate()
-			continue
+		} else {
+			s.load()
 		}
-		s.load()
-		e.migrate()
+		s.migrate()
 	}
+	return s.near[0]
 }
 
 // migrate moves the far events the ring's window now covers into the
-// ring, or into near when they are due before top, recycling the
-// tombstones among them.
-func (e *Engine) migrate() {
-	s := &e.set
-	for len(s.far) > 0 {
-		ev := s.far[0]
-		if int64(ev.t)>>s.shift-s.base >= int64(len(s.ring)) {
-			return
-		}
-		s.far.pop()
-		if ev.canceled {
-			s.tomb--
-			e.recycle(ev)
-			continue
-		}
-		s.add(ev)
+// ring, or into near when they are due before top.
+func (s *pendingSet) migrate() {
+	for len(s.far) > 0 && int64(s.far[0].t)>>s.shift-s.base < int64(len(s.ring)) {
+		s.add(s.far.pop())
 	}
 }
 
@@ -357,11 +334,6 @@ func (e *Engine) rebuild() {
 	chain := s.takeRing()
 	if s.base == noRing && nb > 0 {
 		for _, ev := range s.near {
-			if ev.canceled {
-				s.tomb--
-				e.recycle(ev)
-				continue
-			}
 			ev.next = chain
 			chain = ev
 		}
@@ -400,7 +372,7 @@ func (e *Engine) rebuild() {
 		s.add(chain)
 		chain = next
 	}
-	e.migrate()
+	s.migrate()
 	s.grow, s.shrink = ringMin-1, 0
 	if nb > 0 {
 		s.grow, s.shrink = 2*n, n/2

@@ -24,7 +24,6 @@ type deepRun struct {
 	moved    map[[2]tier]int // Reschedule moves by (from, to) tier
 	seen     map[[2]tier]int // tier changes between two scans
 	canceled map[tier]int    // cancels by tier
-	reaps    int             // cancels after which the tombstones were reaped
 	geoms    int             // ring geometry changes
 	ringOff  int             // rebuilds that took the ring's buckets away
 	geom     [2]int          // the ring's buckets and bucket width at the last op
@@ -94,14 +93,14 @@ func (d *deepRun) reschedule(id int, t Time) {
 
 // cancel cancels pending event id on both engines.
 func (d *deepRun) cancel(id int) {
-	from, tomb := d.tierOf(id), d.e.set.tomb
+	from, size := d.tierOf(id), d.e.set.size()
 	if !d.h[id].Cancel() {
 		d.t.Fatalf("Cancel(%d) of a pending event failed", id)
 	}
-	d.canceled[from]++
-	if (from == inNear || from == inFar) && d.e.set.tomb < tomb+1 {
-		d.reaps++
+	if from != inLane && d.e.set.size() != size-1 {
+		d.t.Fatalf("Cancel(%d) from tier %d left the set at %d events, want %d", id, from, d.e.set.size(), size-1)
 	}
+	d.canceled[from]++
 	d.r.remove(id)
 	d.after("Cancel")
 }
@@ -189,8 +188,8 @@ func (d *deepRun) hold(n int) {
 // TestPendingSetMatchesReference checks the tiered pending set against
 // refEngine's sorted slice at chaos-week's depth: about 20,000 pending
 // events at chaos-like delays, fabric-like reschedule storms, a
-// Reschedule across every pair of tiers and into the lane, cancels in
-// buckets and reaped heaps, and a Reset with a populated ring. Every
+// Reschedule across every pair of tiers and into the lane, cancels from
+// the near heap, the buckets and the far heap, and a Reset with a populated ring. Every
 // step must fire the same event with the same sequence number, and every
 // handle must agree on Pending and Time.
 func TestPendingSetMatchesReference(t *testing.T) {
@@ -248,8 +247,8 @@ func TestPendingSetMatchesReference(t *testing.T) {
 	}
 	d.scan()
 
-	// Cancels inside buckets, then every near and far event, so the
-	// heaps' tombstones outnumber their live events and are reaped.
+	// Cancels inside buckets, then every near and far event: each
+	// leaves its tier at once.
 	for id := range d.h {
 		if d.tierOf(id) == inRing && d.canceled[inRing] < 500 {
 			d.cancel(id)
@@ -306,7 +305,8 @@ func TestPendingSetMatchesReference(t *testing.T) {
 		{"bucket loads (ring -> near)", d.seen[[2]tier{inRing, inNear}]},
 		{"far-to-ring migrations", d.seen[[2]tier{inFar, inRing}]},
 		{"cancels in a bucket", d.canceled[inRing]},
-		{"reaps", d.reaps},
+		{"cancels from near", d.canceled[inNear]},
+		{"cancels from far", d.canceled[inFar]},
 		{"geometry rebuilds", d.geoms},
 		{"rebuilds that emptied the ring", d.ringOff},
 	} {

@@ -58,11 +58,6 @@ func (s *Server) Init(eng *Engine, capacity int) {
 	s.eng, s.capacity = eng, capacity
 }
 
-// Capacity returns the number of parallel service slots.
-//
-//simlint:allow test-only-export read-only accessor the server tests assert
-func (s *Server) Capacity() int { return s.capacity }
-
 // QueueLen returns the number of jobs waiting (not in service).
 func (s *Server) QueueLen() int { return s.queue.Len() }
 

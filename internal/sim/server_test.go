@@ -186,8 +186,8 @@ func TestServerZeroService(t *testing.T) {
 func TestServerMinCapacity(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "c", 0)
-	if s.Capacity() != 1 {
-		t.Fatalf("capacity clamped to %d, want 1", s.Capacity())
+	if s.capacity != 1 {
+		t.Fatalf("capacity clamped to %d, want 1", s.capacity)
 	}
 }
 

@@ -68,6 +68,10 @@ stage_test() {
 	# (400, 2,048 and 20,000), so the benchmark that sizes the engine's
 	# tiers keeps building and running.
 	go test -run '^$' -bench 'BenchmarkEngineHold' -benchtime 1x ./internal/sim
+	# The cancel rung: schedule+cancel against 400 standing events (the
+	# near heap) and 20,000 (ring buckets and the far heap), with its
+	# allocations reported (0 per op: a canceled event is reused).
+	go test -run '^$' -bench 'BenchmarkCancelChurn' -benchtime 1x -benchmem ./internal/sim
 	# The queue-growth rung: a single-slot server driven through a
 	# 2,000-deep burst until it drains, with its bytes and allocations
 	# reported (the segmented sim.Queue's growth cost).
@@ -75,6 +79,10 @@ stage_test() {
 	# The fabric-construction rung: one slab-built Spider II fabric
 	# (68,440 links), with its allocations reported.
 	go test -run '^$' -bench 'BenchmarkNewFabric' -benchtime 1x -benchmem ./internal/netsim
+	# The quick-campaign rung: one featured one-day small-center chaos
+	# campaign, the work a serve-mix cold session does, with its
+	# allocations reported.
+	go test -run '^$' -bench 'BenchmarkQuickCampaign' -benchtime 1x ./internal/chaos
 	set +x
 }
 
