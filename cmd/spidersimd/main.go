@@ -17,7 +17,9 @@
 // matter how many tenants share the daemon or whether the session ran
 // on a cold, pooled, or cached path. When the admission queue is full
 // the daemon sheds immediately with 429 and a Retry-After hint; it
-// never queues unboundedly.
+// never queues unboundedly. Nor does it keep every session: once 1,024
+// newer sessions have finished, a finished session's endpoints answer
+// 404, and resubmitting its spec gets the report from the result cache.
 package main
 
 import (

@@ -218,13 +218,14 @@ func TestStaggeredCheckpointsBeatAligned(t *testing.T) {
 
 // TestFullCenterBuildAllocations pins what a full-scale two-namespace
 // center with its fabric costs to build, the build a chaos campaign runs
-// twice: the fabric links, drives, RAID groups and OSTs come from slabs,
-// and an OST binds its stripe-flush callback on its first flush, not at
-// build time (2,016 OSTs would otherwise cost one closure each).
+// twice: the fabric links, drives, RAID groups, OSTs, OSSes and
+// controllers come from slabs, and an OST binds its stripe-flush
+// callback (a controller its readmit event) on first use, not at build
+// time (2,016 OSTs would otherwise cost one closure each).
 func TestFullCenterBuildAllocations(t *testing.T) {
 	cfg := Config{Scale: 1, Namespaces: 2, UseFabric: true, Seed: 42}
 	n := testing.AllocsPerRun(1, func() { New(cfg) })
-	if n > 1000 {
-		t.Errorf("a full two-namespace center build allocates %.0f times, want at most 1,000", n)
+	if n > 400 {
+		t.Errorf("a full two-namespace center build allocates %.0f times, want at most 400", n)
 	}
 }

@@ -65,32 +65,34 @@ func TestNamespace() Params {
 }
 
 // Build manufactures the namespace: disks, RAID groups, controllers,
-// OSTs, OSSes, and MDS, wired together on eng. The OSTs live in one
-// slab; SSU ssu's drives are split from src as "ssu-<ssu>" and OST i's
-// stream as "ost-<i>".
+// OSTs, OSSes, and MDS, wired together on eng. The controllers, OSTs
+// and OSSes each live in one slab; SSU ssu's drives are split from src
+// as "ssu-<ssu>" and OST i's stream as "ost-<i>".
 func Build(eng *sim.Engine, p Params, src *rng.Source) *FS {
 	if p.NumSSU < 1 || p.OSTsPerSSU < 1 || p.OSSPerSSU < 1 {
 		panic("lustre: invalid namespace shape") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
 	nOST := p.NumSSU * p.OSTsPerSSU
-	slab := make([]OST, nOST)
-	osts := make([]*OST, nOST)
-	osses := make([]*OSS, 0, p.NumSSU*p.OSSPerSSU)
-	ctrls := make([]*Controller, p.NumSSU)
+	nOSS := p.NumSSU * p.OSSPerSSU
+	ostSlab, ossSlab, ctrlSlab := make([]OST, nOST), make([]OSS, nOSS), make([]Controller, p.NumSSU)
+	osts, osses, ctrls := make([]*OST, nOST), make([]*OSS, nOSS), make([]*Controller, p.NumSSU)
 	ostOSS := make([]int, nOST)
 	for ssu := range ctrls {
-		ctrl := NewController(eng, ssu, p.CtrlCfg)
+		ctrl := &ctrlSlab[ssu]
+		ctrl.init(eng, ssu, p.CtrlCfg)
 		ctrls[ssu] = ctrl
 		ssuSrc := src.SplitIndex("ssu-", ssu)
 		groups := raid.BuildGroups(eng, p.OSTsPerSSU, p.DiskCfg, &ssuSrc)
-		ssuOSSBase := len(osses)
+		ssuOSSBase := ssu * p.OSSPerSSU
 		for i := 0; i < p.OSSPerSSU; i++ {
-			osses = append(osses, NewOSS(eng, ssuOSSBase+i, p.OSSCfg))
+			id := ssuOSSBase + i
+			ossSlab[id].init(eng, id, p.OSSCfg)
+			osses[id] = &ossSlab[id]
 		}
 		for i, g := range groups {
 			id := ssu*p.OSTsPerSSU + i
-			slab[id].init(eng, id, g, ctrl, src.SplitIndex("ost-", id))
-			osts[id] = &slab[id]
+			ostSlab[id].init(eng, id, g, ctrl, src.SplitIndex("ost-", id))
+			osts[id] = &ostSlab[id]
 			ostOSS[id] = ssuOSSBase + i%p.OSSPerSSU
 		}
 	}

@@ -50,13 +50,13 @@ type Controller struct {
 	ID  int
 	cfg ControllerConfig
 	eng *sim.Engine
-	srv *sim.Server
+	srv sim.Server
 
 	dirty int64 // bytes admitted but not yet flushed to disk
 	// waiters holds writes stalled on a full cache. Flushed moves the
 	// ones it releases into released, in order, and schedules one
 	// readmit event for each; readmit pops released and re-runs the
-	// admission.
+	// admission. readmit is bound by readmitted on the first release.
 	waiters  sim.Queue[ctrlWaiter]
 	released sim.Queue[ctrlWaiter]
 	readmit  func()
@@ -76,15 +76,33 @@ type ctrlWaiter struct {
 
 // NewController builds a controller couplet on eng.
 func NewController(eng *sim.Engine, id int, cfg ControllerConfig) *Controller {
+	c := new(Controller)
+	c.init(eng, id, cfg)
+	return c
+}
+
+// init readies a zero Controller, such as one held in Build's slab, on
+// eng. The controller must not be copied afterwards: its server's
+// scheduled events point to it.
+func (c *Controller) init(eng *sim.Engine, id int, cfg ControllerConfig) {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	c := &Controller{ID: id, cfg: cfg, eng: eng, srv: sim.NewServer(eng, "ctrl", cfg.Slots)}
-	c.readmit = func() {
-		w, _ := c.released.Pop()
-		c.AdmitWrite(w.size, w.done)
+	c.ID, c.cfg, c.eng = id, cfg, eng
+	c.srv.Init(eng, cfg.Slots)
+}
+
+// readmitted returns the event that pops the next released waiter and
+// re-runs its admission. It is bound on the controller's first release:
+// most controllers of a center never stall a write.
+func (c *Controller) readmitted() func() {
+	if c.readmit == nil {
+		c.readmit = func() {
+			w, _ := c.released.Pop()
+			c.AdmitWrite(w.size, w.done)
+		}
 	}
-	return c
+	return c.readmit
 }
 
 // Config returns the controller configuration.
@@ -159,6 +177,6 @@ func (c *Controller) Flushed(size int64) {
 		c.waiters.Pop()
 		c.released.Push(w)
 		// Re-run the admission on a fresh event to keep stack depth flat.
-		c.eng.After(0, c.readmit)
+		c.eng.After(0, c.readmitted())
 	}
 }

@@ -28,7 +28,7 @@ func Spider2OSS() OSSConfig {
 type OSS struct {
 	ID     int
 	cfg    OSSConfig
-	cpu    *sim.Server
+	cpu    sim.Server
 	tracer *spantrace.Tracer
 
 	RPCs  uint64
@@ -44,12 +44,14 @@ type OSS struct {
 	DoubleFaults uint64
 }
 
-// NewOSS builds an OSS on eng.
-func NewOSS(eng *sim.Engine, id int, cfg OSSConfig) *OSS {
+// init readies a zero OSS, held in Build's slab, on eng. The OSS must
+// not be copied afterwards: its CPU's scheduled events point to it.
+func (s *OSS) init(eng *sim.Engine, id int, cfg OSSConfig) {
 	if cfg.Cores < 1 {
 		cfg.Cores = 1
 	}
-	return &OSS{ID: id, cfg: cfg, cpu: sim.NewServer(eng, "oss", cfg.Cores)}
+	s.ID, s.cfg = id, cfg
+	s.cpu.Init(eng, cfg.Cores)
 }
 
 // Utilization reports CPU busy fraction.

@@ -18,10 +18,15 @@ import (
 //	GET  /v1/sessions/{id}/ledger  session operations-ledger export
 //	                               (202 while running, 404 for kinds
 //	                               that keep none)
-//	GET  /v1/stats                 service counters; ?sessions=1 lists all
+//	GET  /v1/stats                 service counters; ?sessions=1 lists
+//	                               the retained sessions
 //
 // Every response is JSON; no handler blocks past its own session's
-// bounded execution (submission itself never blocks at all).
+// bounded execution (submission itself never blocks at all). A finished
+// session's endpoints answer 404, like an unknown ID's, once
+// retainFinished (1,024) newer sessions have finished; resubmitting its
+// spec answers the report from the result cache while the cache holds
+// it.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.handleSubmit)

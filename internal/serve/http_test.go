@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"spiderfs/internal/ledger"
@@ -197,7 +198,7 @@ func TestHTTPErrors(t *testing.T) {
 func TestHTTPBackpressure429(t *testing.T) {
 	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 1, CacheSize: 0})
 	gate := make(chan struct{})
-	svc.testGate = gate
+	svc.testGate = func(*Session) { gate <- struct{}{}; <-gate }
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -305,5 +306,121 @@ func TestHTTPLedgerEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("sweep ledger status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServiceRetiresFinishedSessions checks the retention rule: a
+// finished session stays reachable until retainFinished newer sessions
+// have finished, then answers 404 like an unknown ID, while a session
+// held at pickup is never retired however many finish after it. Every
+// session runs one spec, so all but the first executed one are cache
+// hits.
+func TestServiceRetiresFinishedSessions(t *testing.T) {
+	const retired = 64
+	const n = retainFinished + retired
+	svc := New(Config{Workers: 2, PoolSize: 1, CacheSize: 4})
+	held, release := make(chan struct{}), make(chan struct{})
+	// The first session admitted is held at pickup; its worker parks
+	// until release while the other worker runs the rest.
+	svc.testGate = func(sess *Session) {
+		if sess.ID == "s-000001" {
+			held <- struct{}{}
+			<-release
+		}
+	}
+	defer svc.Close()
+	// Release runs before Close, so a failing check does not leave
+	// Close waiting on the parked worker.
+	releaseHeld := sync.OnceFunc(func() { close(release) })
+	defer releaseHeld()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	spec := workloadSpec(500)
+	ids := make([]string, n)
+	for i := range ids {
+		sess, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids[i] = sess.ID
+		if i == 0 {
+			<-held
+			continue
+		}
+		if _, err := sess.Wait(); err != nil {
+			t.Fatalf("session %s: %v", sess.ID, err)
+		}
+	}
+	// n-1 sessions admitted after the held one have finished: the held
+	// one is still reachable, and what the service keeps is the bound
+	// plus that one unfinished session.
+	if sess, ok := svc.Session(ids[0]); !ok {
+		t.Fatalf("held session %s retired while unfinished", ids[0])
+	} else if st := sess.Snapshot().State; st != StateQueued {
+		t.Fatalf("held session %s is %s, want %s", ids[0], st, StateQueued)
+	}
+	if got := len(svc.Stats(true).Sessions); got != retainFinished+1 {
+		t.Fatalf("service keeps %d sessions with one held, want %d", got, retainFinished+1)
+	}
+	sess, _ := svc.Session(ids[0])
+	releaseHeld()
+	if _, err := sess.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The held session finished last, so in completion order the oldest
+	// are ids[1:1+retired] and the newest retainFinished are the rest.
+	kept := append([]string{ids[0]}, ids[1+retired:]...)
+	gone := ids[1 : 1+retired]
+	for _, id := range kept {
+		if _, ok := svc.Session(id); !ok {
+			t.Fatalf("session %s retired among the newest %d finished", id, retainFinished)
+		}
+		if code := status("/v1/sessions/" + id + "/report"); code != http.StatusOK {
+			t.Fatalf("report of retained %s: status %d, want 200", id, code)
+		}
+	}
+	for _, id := range gone {
+		if _, ok := svc.Session(id); ok {
+			t.Fatalf("session %s still reachable after %d newer finished", id, retainFinished)
+		}
+		for _, path := range []string{"", "/events", "/report", "/ledger"} {
+			if code := status("/v1/sessions/" + id + path); code != http.StatusNotFound {
+				t.Fatalf("retired %s%s: status %d, want 404", id, path, code)
+			}
+		}
+	}
+
+	st := svc.Stats(true)
+	if st.Submitted != n || st.Completed != n {
+		t.Fatalf("submitted %d, completed %d; want %d each", st.Submitted, st.Completed, n)
+	}
+	if len(st.Sessions) != len(kept) {
+		t.Fatalf("stats lists %d sessions, want the %d retained", len(st.Sessions), len(kept))
+	}
+	for i, snap := range st.Sessions {
+		if snap.ID != kept[i] {
+			t.Fatalf("stats session %d is %s, want %s (admission order)", i, snap.ID, kept[i])
+		}
+	}
+	// The admission-order listing keeps retired sessions only until they
+	// are half of it, so it is bounded by what the service retains.
+	svc.mu.Lock()
+	mapped, listed := len(svc.sessions), len(svc.admitted)
+	svc.mu.Unlock()
+	if mapped != retainFinished || listed > 2*mapped+1 {
+		t.Fatalf("service holds %d sessions in its map and %d in its admission list, want %d and at most %d",
+			mapped, listed, retainFinished, 2*mapped+1)
 	}
 }

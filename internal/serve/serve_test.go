@@ -290,7 +290,7 @@ func TestCacheEviction(t *testing.T) {
 func TestServiceBackpressure(t *testing.T) {
 	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 1, CacheSize: 0})
 	gate := make(chan struct{})
-	svc.testGate = gate
+	svc.testGate = func(*Session) { gate <- struct{}{}; <-gate }
 	defer svc.Close()
 	// passGate lets the parked worker run one session: consume its
 	// pickup announcement, then release it.

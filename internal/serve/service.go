@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"spiderfs/internal/rng"
@@ -58,9 +59,19 @@ func (e ErrBusy) Error() string {
 	return fmt.Sprintf("serve: admission queue full, retry after %ds", e.RetryAfter)
 }
 
+// retainFinished is how many finished (done or failed) sessions stay
+// reachable. A finished session leaves the service once this many newer
+// sessions have finished; its report stays in the (spec, seed) result
+// cache, so resubmitting the spec answers it again. The bound counts
+// completions and never reads a clock.
+const retainFinished = 1024
+
 // Service executes scenario sessions from a bounded admission queue on
 // a fixed worker pool, reusing warm engine/fabric instances and
-// answering repeated (spec, seed) submissions from the result cache.
+// answering repeated (spec, seed) submissions from the result cache. It
+// keeps every queued and running session and the newest retainFinished
+// finished ones, so what it holds does not grow with the number of
+// sessions served.
 type Service struct {
 	cfg   Config
 	pool  *pool
@@ -69,22 +80,31 @@ type Service struct {
 
 	mu       sync.Mutex
 	closed   bool
-	sessions map[string]*Session
-	order    []string // session IDs in admission order (maps are lookup-only)
+	sessions map[string]*Session // the retained sessions, by ID
+	// admitted lists the retained sessions in admission order. A retired
+	// session stays in it, skipped, until the retired ones are half of
+	// it; holes counts them.
+	admitted []*Session
+	holes    int
 	nextID   uint64
 	cache    *cache
+	// finished is a ring of the retained finished sessions in completion
+	// order; finishedNext is the slot the next completion takes, whose
+	// previous occupant then retires.
+	finished     [retainFinished]*Session
+	finishedNext int
 
 	submitted uint64
 	rejected  uint64
 	completed uint64
 	failed    uint64
 
-	// testGate, when set (by tests, before the first Submit), makes each
-	// worker announce a pickup with a send and park until the test
-	// releases it with a send back — the deterministic seam the
-	// backpressure tests use to hold the queue full while they overflow
-	// it. Nil in production; the channel handoff orders the accesses.
-	testGate chan struct{}
+	// testGate, when set (by tests, before the first Submit), is called
+	// by a worker with each session it picks up, before running it. A
+	// test blocks in it to hold a session at pickup — the deterministic
+	// seam the backpressure tests use to hold the queue full while they
+	// overflow it. Nil in production.
+	testGate func(*Session)
 }
 
 // New starts a service. Close releases its workers.
@@ -146,7 +166,7 @@ func (s *Service) Submit(spec Spec) (*Session, error) {
 	case s.queue <- sess:
 		s.submitted++
 		s.sessions[id] = sess
-		s.order = append(s.order, id)
+		s.admitted = append(s.admitted, sess)
 		s.mu.Unlock()
 		return sess, nil
 	default:
@@ -161,7 +181,9 @@ func (s *Service) Submit(spec Spec) (*Session, error) {
 	}
 }
 
-// Session looks a session up by ID.
+// Session looks a session up by ID. A finished session is found until
+// retainFinished newer sessions have finished; after that, like an
+// unknown ID, it is not.
 func (s *Service) Session(id string) (*Session, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -175,9 +197,8 @@ func (s *Service) Session(id string) (*Session, bool) {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for sess := range s.queue {
-		if g := s.testGate; g != nil {
-			g <- struct{}{} // announce pickup
-			<-g             // wait for release
+		if s.testGate != nil {
+			s.testGate(sess)
 		}
 		s.run(sess)
 	}
@@ -224,10 +245,12 @@ func (s *Service) run(sess *Session) {
 		rep, err = RunSolo(sess.Spec, s.cfg.Sweeps)
 	}
 	if err != nil {
+		latNs := elapsed()
 		s.mu.Lock()
 		s.failed++
+		sess.fail(err.Error(), latNs)
+		s.retire(sess)
 		s.mu.Unlock()
-		sess.fail(err.Error(), elapsed())
 		return
 	}
 	s.mu.Lock()
@@ -239,9 +262,31 @@ func (s *Service) run(sess *Session) {
 func (s *Service) finish(sess *Session, rep *Report, cached, warm bool, latNs int64) {
 	s.mu.Lock()
 	s.completed++
-	s.mu.Unlock()
 	sess.finish(rep, cached, warm, latNs)
+	s.retire(sess)
+	s.mu.Unlock()
 }
+
+// retire files a session that has just finished among the retained
+// finished sessions, and drops the one that has now had retainFinished
+// newer completions. Only finished sessions enter the ring, so a queued
+// or running session is never dropped. The caller holds s.mu across the
+// session's terminal transition and this call, so whoever has seen the
+// session finish also sees the service's counters and retention settled.
+func (s *Service) retire(sess *Session) {
+	if old := s.finished[s.finishedNext]; old != nil {
+		delete(s.sessions, old.ID)
+		if s.holes++; 2*s.holes > len(s.admitted) {
+			s.admitted = slices.DeleteFunc(s.admitted, func(a *Session) bool { return !s.retains(a) })
+			s.holes = 0
+		}
+	}
+	s.finished[s.finishedNext] = sess
+	s.finishedNext = (s.finishedNext + 1) % retainFinished
+}
+
+// retains reports whether sess is still kept. The caller holds s.mu.
+func (s *Service) retains(sess *Session) bool { return s.sessions[sess.ID] == sess }
 
 // Stats is the service-wide counter snapshot /v1/stats serves.
 type Stats struct {
@@ -263,9 +308,11 @@ type Stats struct {
 	Sessions []Snapshot `json:"sessions,omitempty"`
 }
 
-// Stats snapshots the counters. withSessions additionally lists every
-// session in admission order (the ordered ID slice, not map iteration,
-// so the listing is deterministic).
+// Stats snapshots the counters, which count every session served.
+// withSessions additionally lists the retained sessions (every queued
+// and running one and the newest retainFinished finished ones) in
+// admission order: the admitted slice, not map iteration, so the
+// listing is deterministic.
 func (s *Service) Stats(withSessions bool) Stats {
 	s.mu.Lock()
 	st := Stats{
@@ -278,8 +325,11 @@ func (s *Service) Stats(withSessions bool) Stats {
 	}
 	var listed []*Session
 	if withSessions {
-		for _, id := range s.order {
-			listed = append(listed, s.sessions[id])
+		listed = make([]*Session, 0, len(s.sessions))
+		for _, sess := range s.admitted {
+			if s.retains(sess) {
+				listed = append(listed, sess)
+			}
 		}
 	}
 	s.mu.Unlock()

@@ -22,7 +22,10 @@
 //
 // Load is shed, never queued unboundedly: admission is a bounded queue,
 // and an overflowing submit is refused immediately with a Retry-After
-// hint (HTTP 429 at the API layer).
+// hint (HTTP 429 at the API layer). Nor is history kept unboundedly: a
+// finished session stays reachable until 1,024 newer sessions have
+// finished, then leaves the service; its report lives on in the (spec,
+// seed) result cache, which answers a resubmission of the spec.
 package serve
 
 import (

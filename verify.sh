@@ -34,6 +34,8 @@ stage_build() {
 	set -x
 	go build ./...
 	go vet ./...
+	# The benchmark (bench/) is a module of its own: the root vet skips it.
+	(cd bench && go vet ./...)
 	set +x
 }
 
