@@ -29,7 +29,6 @@ import (
 	"spiderfs/internal/chaos"
 	"spiderfs/internal/disk"
 	"spiderfs/internal/experiment"
-	"spiderfs/internal/integrity"
 	"spiderfs/internal/lustre"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
@@ -57,10 +56,12 @@ type suite struct {
 var suites = []suite{
 	{"sweep", "BENCH_sweep.json",
 		"seed sweeps E3/E13/E18 (deterministic parallel replica runner, serial vs parallel double-run)",
-		func(seed uint64) (artifact, error) { return sweep.RunSuite(seed, experiment.Sweeps()) }},
+		func(seed uint64) (artifact, error) {
+			return sweep.RunSuite(seed, experiment.SelectSweeps("e3", "e13", "e18"))
+		}},
 	{"integrity", "BENCH_integrity.json",
 		"E19 data-integrity sweep (scrub interval vs undetected corrupt reads)",
-		func(seed uint64) (artifact, error) { return integrity.RunSuite(seed) }},
+		func(seed uint64) (artifact, error) { return experiment.RunIntegritySuite(seed) }},
 	{"serve", "BENCH_serve.json",
 		"session service (warm-engine pool + result cache, cold vs warm vs cache-hit)",
 		func(uint64) (artifact, error) { return serve.RunBench(), nil }},

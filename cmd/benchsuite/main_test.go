@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"spiderfs/internal/chaos"
-	"spiderfs/internal/integrity"
+	"spiderfs/internal/experiment"
 	"spiderfs/internal/serve"
 	"spiderfs/internal/sweep"
 )
@@ -26,7 +26,7 @@ func TestSuiteTableMatchesCommittedArtifacts(t *testing.T) {
 		into   artifact
 	}{
 		"BENCH_sweep.json":     {sweep.Schema, &sweep.Suite{}},
-		"BENCH_integrity.json": {integrity.Schema, &integrity.Suite{}},
+		"BENCH_integrity.json": {experiment.IntegritySchema, &experiment.IntegritySuite{}},
 		"BENCH_serve.json":     {serve.Schema, &serve.Suite{}},
 		"BENCH_ledger.json":    {chaos.LedgerSchema, &chaos.LedgerSuite{}},
 	}

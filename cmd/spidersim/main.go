@@ -30,7 +30,6 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scenario := fs.String("scenario", "fig3", "spans: scenario to trace (fig3|chaos)")
 	every := fs.Int("every", 1, "spans: sample 1-in-N root requests (N >= 1)")
 	out := fs.String("out", "", "spans: also export the raw spans as JSON to this file")
-	exp := fs.String("exp", "all", "sweep: which sweep to run ("+sweepChoices()+")")
+	exp := fs.String("exp", "all", "sweep: which sweep to run ("+experiment.SweepChoices()+")")
 	replicas := fs.Int("replicas", 0, fmt.Sprintf("sweep: override the replica count per sweep (0 keeps each sweep's; at most %d)", sweep.MaxReplicas))
 	workers := fs.Int("workers", 0, "sweep: parallel worker count (0 = GOMAXPROCS)")
 	spec := fs.String("spec", "", "session: the scenario spec as JSON, e.g. '{\"kind\":\"workload\",\"seed\":7}'")
@@ -143,7 +142,7 @@ func usage(stderr io.Writer) {
 		cmds = append(cmds, s.Name)
 	}
 	cmds = append(cmds, commands...)
-	fmt.Fprintf(stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp %s] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE] [-cpuprofile FILE]\n", strings.Join(cmds, "|"), sweepChoices())
+	fmt.Fprintf(stderr, "usage: spidersim <%s> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp %s] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE] [-cpuprofile FILE]\n", strings.Join(cmds, "|"), experiment.SweepChoices())
 	fmt.Fprintln(stderr, "       spidersim ledger <verify|replay|append> -in FILE [...]")
 }
 
@@ -185,7 +184,7 @@ func runSession(specJSON string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "session: bad -spec:", err)
 		return 2
 	}
-	rep, err := serve.RunSolo(spec, experiment.Catalog())
+	rep, err := serve.RunSolo(spec, experiment.Sweeps())
 	if err != nil {
 		fmt.Fprintln(stderr, "session:", err)
 		return 1
@@ -199,39 +198,13 @@ func runSession(specJSON string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sweepChoices lists the -exp values: each catalog label's first word
-// (before its first "-"), once, in catalog order, then "all".
-func sweepChoices() string {
-	var names []string
-	for _, e := range experiment.Catalog() {
-		name, _, _ := strings.Cut(e.Label, "-")
-		if !slices.Contains(names, name) {
-			names = append(names, name)
-		}
-	}
-	return strings.Join(append(names, "all"), "|")
-}
-
-// selectSweeps returns the catalog entries -exp names: every entry for
-// "all", else those whose label is exp or starts with exp + "-", so
-// "e19" selects all three scrub-interval sweeps.
-func selectSweeps(exp string) []sweep.Entry {
-	var out []sweep.Entry
-	for _, e := range experiment.Catalog() {
-		if exp == "all" || e.Label == exp || strings.HasPrefix(e.Label, exp+"-") {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // runSweep fans the catalog's seed sweeps across a worker pool and
 // prints each merged report — the same replica bodies and merge path
 // that `benchsuite -sweep` uses for BENCH_sweep.json, interactively.
 func runSweep(seed uint64, exp string, replicas, workers int, stdout, stderr io.Writer) int {
-	entries := selectSweeps(exp)
+	entries := experiment.SelectSweeps(exp)
 	if len(entries) == 0 {
-		fmt.Fprintf(stderr, "sweep: unknown experiment %q (want %s)\n", exp, sweepChoices())
+		fmt.Fprintf(stderr, "sweep: unknown experiment %q (want %s)\n", exp, experiment.SweepChoices())
 		return 2
 	}
 	for _, e := range entries {

@@ -207,14 +207,14 @@ func TestSelectSweeps(t *testing.T) {
 		"e1":        nil,
 	} {
 		var got []string
-		for _, e := range selectSweeps(exp) {
+		for _, e := range experiment.SelectSweeps(exp) {
 			got = append(got, e.Label)
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("-exp %s selects %v, want %v", exp, got, want)
 		}
 	}
-	if got := sweepChoices(); got != "e3|e13|e18|e19|all" {
+	if got := experiment.SweepChoices(); got != "e3|e13|e18|e19|all" {
 		t.Errorf("-exp choices %q", got)
 	}
 }

@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		QueueDepth: *queue,
 		PoolSize:   *pool,
 		CacheSize:  *cache,
-		Sweeps:     experiment.Catalog(),
+		Sweeps:     experiment.Sweeps(),
 		Clock:      func() int64 { return time.Now().UnixNano() },
 	})
 	defer svc.Close()

@@ -423,14 +423,19 @@ func E12(seed uint64) Result {
 	return Result{"E12 block vs FS level (paper Sec. III-B)", body, float64(len(over))}
 }
 
+// e13FilesPerDay is E13's production rate: the study writes exactly
+// this many files a day, and the e13-purge sweep draws each day's count
+// from a Poisson distribution with this mean.
+const e13FilesPerDay = 20
+
 // E13 runs 25 days of production (20 files of 8 MiB a day) under the
 // §IV-C 14-day purge policy on a namespace at seed. Headline: the files
 // resident at the end.
 func E13(seed uint64) Result {
-	p, fs := purge.Residency(seed, func() int { return 20 })
+	p, fs := purge.Residency(seed, func() int { return e13FilesPerDay })
 	return Result{"E13 purge policy (paper Sec. IV-C)", fmt.Sprintf(
-		"25 days at 20 files/day under the 14-day policy: %d sweeps, %d deleted, %d resident (~15 days of production)\n",
-		len(p.Sweeps), p.Deleted, fs.NumFiles), float64(fs.NumFiles)}
+		"%d days at %d files/day under the 14-day policy: %d sweeps, %d deleted, %d resident (~15 days of production)\n",
+		purge.ResidencyDays, e13FilesPerDay, len(p.Sweeps), p.Deleted, fs.NumFiles), float64(fs.NumFiles)}
 }
 
 // E14 runs 32 IOR clients against a small center at seed before and

@@ -1,6 +1,11 @@
 package experiment
 
 import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,8 +23,8 @@ func small() []sweep.Entry {
 	return entries
 }
 
-// TestSweepSuiteDeterministic runs the real E3/E13/E18 replica bodies
-// through the suite harness, which itself double-runs each sweep
+// TestSweepSuiteDeterministic runs every entry of Sweeps on its real
+// replica bodies through the suite harness, which itself double-runs each sweep
 // serially and in parallel and fails on any divergence. Then the whole
 // suite is run twice to check the rendered artifact is reproducible.
 func TestSweepSuiteDeterministic(t *testing.T) {
@@ -31,8 +36,13 @@ func TestSweepSuiteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Sweeps) != 3 {
-		t.Fatalf("%d sweeps, want 3", len(a.Sweeps))
+	var labels []string
+	for _, r := range a.Sweeps {
+		labels = append(labels, r.Label)
+	}
+	want := []string{"e3-slowdisk", "e13-purge", "e18-chaos", "e19-scrub-off", "e19-scrub-default", "e19-scrub-slow"}
+	if !slices.Equal(labels, want) {
+		t.Fatalf("suite ran %v, want %v", labels, want)
 	}
 	for i, r := range a.Sweeps {
 		if !r.Deterministic {
@@ -49,9 +59,40 @@ func TestSweepSuiteDeterministic(t *testing.T) {
 			t.Errorf("%s: no merged metrics", r.Label)
 		}
 	}
-	for _, label := range []string{"e3-slowdisk", "e13-purge", "e18-chaos"} {
+	for _, label := range want {
 		if !strings.Contains(a.Render(), label) {
 			t.Errorf("render omits %s", label)
+		}
+	}
+}
+
+// TestModelPackagesDoNotImportSweep keeps the sweep definitions in this
+// package: the models the sweep bodies run (qa, purge, chaos,
+// integrity) expose plain entry points and never import the sweep
+// runner themselves.
+func TestModelPackagesDoNotImportSweep(t *testing.T) {
+	const runner = "spiderfs/internal/sweep"
+	for _, pkg := range []string{"qa", "purge", "chaos", "integrity"} {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Fatalf("internal/%s: no Go files found", pkg)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			parsed, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range parsed.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path == runner {
+					t.Errorf("%s imports %s: seed sweeps belong in internal/experiment", f, runner)
+				}
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
-	"spiderfs/internal/sweep"
 )
 
 // E19 scenario: one RAID-6 group under a foreground reader, rate-driven
@@ -170,25 +169,4 @@ func RunScenario(seed uint64, scrubEvery sim.Time) ScenarioResult {
 		res.MeanReadMs = latSum / float64(res.Reads)
 	}
 	return res
-}
-
-// e19Replica returns a sweep body running the scenario with the given
-// scrub pass interval (0 = scrubbing off), one fresh seed per replica.
-func e19Replica(scrubEvery sim.Time) sweep.Body {
-	return func(r *sweep.Rep) error {
-		res := RunScenario(r.Seed, scrubEvery)
-		r.Record("reads", float64(res.Reads))
-		r.Record("undetected_reads", float64(res.UndetectedReads))
-		r.Record("repaired_chunks", float64(res.RepairedChunks))
-		r.Record("scrub_repairs", float64(res.ScrubRepairs))
-		r.Record("ures_detected", float64(res.UREsDetected))
-		r.Record("mismatches", float64(res.Mismatches))
-		r.Record("lost_stripes", float64(res.LostStripes))
-		r.Record("rebuild_latent_hits", float64(res.RebuildHits))
-		r.Record("rebuild_window_s", res.RebuildWindow.Seconds())
-		r.Record("scrub_passes", float64(res.ScrubPasses))
-		r.Record("mean_read_ms", res.MeanReadMs)
-		r.Record("eio_reads", float64(res.EIOReads))
-		return nil
-	}
 }

@@ -338,6 +338,45 @@ func TestServiceBackpressure(t *testing.T) {
 	}
 }
 
+// TestServicePanicFailsSession: a panic while a worker holds a session
+// fails that session with a "panic" error and leaves the worker
+// serving. With one worker, the sessions after it can only run if the
+// panic was recovered.
+func TestServicePanicFailsSession(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 8, CacheSize: 4, Sweeps: toyCatalog()})
+	svc.testGate = func(sess *Session) {
+		if sess.ID == "s-000001" {
+			panic("gate refused " + sess.ID)
+		}
+	}
+	defer svc.Close()
+	submit := func(seed uint64) *Session {
+		t.Helper()
+		sess, err := svc.Submit(Spec{Kind: "sweep", Sweep: "toy", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+
+	first, second := submit(1), submit(2)
+	if _, err := first.Wait(); err == nil || !strings.Contains(err.Error(), "panic: gate refused s-000001") {
+		t.Fatalf("panicking session: Wait() error %v, want the panic", err)
+	}
+	if snap := first.Snapshot(); snap.State != StateFailed || !strings.Contains(snap.Error, "panic") {
+		t.Fatalf("panicking session is %s with error %q, want failed with a panic", snap.State, snap.Error)
+	}
+	if _, err := second.Wait(); err != nil {
+		t.Fatalf("session after the panic: %v", err)
+	}
+	if st := svc.Stats(false); st.Failed != 1 || st.Completed != 1 {
+		t.Fatalf("stats: %d failed, %d completed; want 1 and 1", st.Failed, st.Completed)
+	}
+	if _, err := submit(3).Wait(); err != nil {
+		t.Fatalf("later submit: %v", err)
+	}
+}
+
 // TestServeConcurrentSessionsDeterministic is the tenancy contract: 64
 // sessions submitted from 8 goroutines onto a small warm pool — so
 // instances are reused across tenants while sessions interleave — with

@@ -27,7 +27,7 @@ type Config struct {
 	// caching).
 	CacheSize int
 	// Sweeps is the catalog "sweep"-kind specs may name (typically
-	// experiment.Catalog(); nil leaves the kind unavailable). A sweep
+	// experiment.Sweeps(); nil leaves the kind unavailable). A sweep
 	// session runs its entry at the spec's seed.
 	Sweeps []sweep.Entry
 	// Clock, when set, timestamps session latencies (wall nanoseconds).
@@ -197,25 +197,29 @@ func (s *Service) Session(id string) (*Session, bool) {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for sess := range s.queue {
-		if s.testGate != nil {
-			s.testGate(sess)
-		}
 		s.run(sess)
 	}
 }
 
 // run executes one session: result cache first, then the warm pool for
-// workloads, cold execution otherwise.
+// workloads, cold execution otherwise. A panic anywhere in it, the test
+// gate included, fails the session with "panic: <value>" instead of
+// killing the process; a workload that panics never releases its
+// pooled instance, so a half-run engine is dropped, not shelved.
 func (s *Service) run(sess *Session) {
-	var t0 int64
-	if s.cfg.Clock != nil {
-		t0 = s.cfg.Clock()
+	clock := s.cfg.Clock
+	if clock == nil {
+		clock = func() int64 { return 0 }
 	}
-	elapsed := func() int64 {
-		if s.cfg.Clock == nil {
-			return 0
+	t0 := clock()
+	elapsed := func() int64 { return clock() - t0 }
+	defer func() {
+		if v := recover(); v != nil {
+			s.fail(sess, fmt.Sprintf("panic: %v", v), elapsed())
 		}
-		return s.cfg.Clock() - t0
+	}()
+	if s.testGate != nil {
+		s.testGate(sess)
 	}
 
 	key := sess.Spec.Key()
@@ -245,12 +249,7 @@ func (s *Service) run(sess *Session) {
 		rep, err = RunSolo(sess.Spec, s.cfg.Sweeps)
 	}
 	if err != nil {
-		latNs := elapsed()
-		s.mu.Lock()
-		s.failed++
-		sess.fail(err.Error(), latNs)
-		s.retire(sess)
-		s.mu.Unlock()
+		s.fail(sess, err.Error(), elapsed())
 		return
 	}
 	s.mu.Lock()
@@ -263,6 +262,15 @@ func (s *Service) finish(sess *Session, rep *Report, cached, warm bool, latNs in
 	s.mu.Lock()
 	s.completed++
 	sess.finish(rep, cached, warm, latNs)
+	s.retire(sess)
+	s.mu.Unlock()
+}
+
+// fail ends a session failed with msg, counted and retired like finish.
+func (s *Service) fail(sess *Session, msg string, latNs int64) {
+	s.mu.Lock()
+	s.failed++
+	sess.fail(msg, latNs)
 	s.retire(sess)
 	s.mu.Unlock()
 }

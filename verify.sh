@@ -60,8 +60,9 @@ stage_test() {
 	# Determinism double-run: the event-trace regression tests compare
 	# two in-process runs already; -count=2 additionally reruns each
 	# comparison in a fresh map-randomization schedule. The sweep
-	# runner's serial-vs-parallel double-runs ride the same gate.
-	go test -count=2 -run 'Deterministic' ./internal/netsim/ ./internal/chaos/ ./internal/sweep/ ./internal/integrity/ ./internal/serve/ ./internal/ledger/ ./internal/experiment/
+	# runner's serial-vs-parallel double-runs ride the same gate. Every
+	# package is included, so a new Deterministic test needs no list.
+	go test -count=2 -run 'Deterministic' ./...
 	# The benchmark (bench/) is a module of its own, so the root
 	# ./... never compiles it; test it here so a change to the
 	# simulator's public API cannot break it unnoticed.
@@ -91,6 +92,9 @@ stage_test() {
 stage_race() {
 	set -x
 	go test -race ./internal/chaos/... ./internal/failure/... ./internal/sim/... ./internal/disk/... ./internal/raid/... ./internal/lustre/... ./internal/netsim/... ./internal/spantrace/... ./internal/sweep/... ./internal/integrity/... ./internal/serve/... ./internal/ledger/...
+	# The real sweep bodies on the 4-worker replica pool: every
+	# experiment.Sweeps entry and the E19 suite.
+	go test -race -run 'SuiteDeterministic' ./internal/experiment/
 	set +x
 }
 
