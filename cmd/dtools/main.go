@@ -1,6 +1,8 @@
 // Command dtools benchmarks the parallel file tools (dcp, dfind, dtar)
 // against their single-threaded baselines on a populated namespace
-// (§VI-C: "standard Linux tools do not work well at scale").
+// (§VI-C: "standard Linux tools do not work well at scale"), then the
+// standard du (a stat per file through the MDS) against the server-side
+// LustreDU scan of the same tree (Lesson 19).
 package main
 
 import (
@@ -65,6 +67,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Dirs: *dirs, FilesPerDir: *filesPer, FileSize: *fileMB << 20, StripeCount: 2,
 	})
 	eng.Run()
+	// du runs first, on the populated tree alone, and prints last.
+	var du, ldu tools.DUResult
+	tools.SerialDU(fs, nil, func(r tools.DUResult) { du = r })
+	eng.Run()
+	tools.LustreDU(fs, nil, func(r tools.DUResult) { ldu = r })
+	eng.Run()
 	var files []*lustre.File
 	fs.Walk(nil, func(f *lustre.File) { files = append(files, f) })
 	fmt.Fprintf(stdout, "namespace: %d files, %.1f GiB\n\n", len(files), float64(fs.TotalUsed())/(1<<30))
@@ -73,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// find
 	pred := func(f *lustre.File) bool { return strings.HasSuffix(f.Path, "1") }
 	var sf, pf tools.FindResult
-	tools.SerialFind(fs, nil, pred, func(r tools.FindResult) { sf = r })
+	tools.DFind(fs, nil, pred, 1, func(r tools.FindResult) { sf = r })
 	eng.Run()
 	tools.DFind(fs, nil, pred, *workers, func(r tools.FindResult) { pf = r })
 	eng.Run()
@@ -81,19 +89,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// cp
 	var sc, pc tools.CopyResult
-	tools.SerialCopy(fs, files, "dst-serial", func(r tools.CopyResult) { sc = r })
+	tools.DCP(fs, files, "dst-serial", 1, func(r tools.CopyResult) { sc = r })
 	eng.Run()
 	tools.DCP(fs, files, "dst-dcp", *workers, func(r tools.CopyResult) { pc = r })
 	eng.Run()
 	row(stdout, "cp", sc.Duration, pc.Duration)
 
 	// tar
-	var st, pt tools.TarResult
-	tools.SerialTar(fs, files, "arch/serial.tar", func(r tools.TarResult) { st = r })
+	var st, pt tools.CopyResult
+	tools.DTar(fs, files, "arch/serial.tar", 1, func(r tools.CopyResult) { st = r })
 	eng.Run()
-	tools.DTar(fs, files, "arch/par.tar", *workers, func(r tools.TarResult) { pt = r })
+	tools.DTar(fs, files, "arch/par.tar", *workers, func(r tools.CopyResult) { pt = r })
 	eng.Run()
 	row(stdout, "tar", st.Duration, pt.Duration)
+
+	fmt.Fprintf(stdout, "%-8s %14v %14v %8.1fx  (LustreDU; MDS ops %d -> %d)\n", "du",
+		du.Duration, ldu.Duration, float64(du.Duration)/float64(ldu.Duration), du.MDSOps, ldu.MDSOps)
 	return 0
 }
 

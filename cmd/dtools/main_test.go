@@ -44,3 +44,39 @@ func TestRejectsTreeBeyondCapacity(t *testing.T) {
 		t.Errorf("exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
 	}
 }
+
+// TestRejectsOutOfRangeTreeFlags: the tree flags alone (no -workers),
+// each out of range, exit 2 with one line on stderr before anything is
+// built, where they used to panic on a negative preload or scan an
+// empty namespace and exit 0.
+func TestRejectsOutOfRangeTreeFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-filemb", "-1"}, {"-filemb", "0"}, {"-filemb", "9000000000000"},
+		{"-dirs", "0"}, {"-files", "-5"}, {"-dirs", "2", "-files", "524289"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "dtools: ") || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one dtools: line", args, code, &stdout, &stderr)
+		}
+	}
+}
+
+// TestDURow: a 5,000-file tree of 16 MiB files (78.1 GiB) exits 2 with
+// one line; at 1 MiB it fits, and the du row scans that tree alone (one
+// MDS stat per file), before the copies exist.
+func TestDURow(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-dirs", "50", "-files", "100", "-filemb", "16"}, &stdout, &stderr)
+	if code != 2 || stdout.Len() != 0 || stderr.String() != "dtools: -dirs x -files x -filemb is 78.1 GiB, more than the namespace's 64.0 GiB\n" {
+		t.Errorf("-filemb 16: exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	code = run([]string{"-dirs", "50", "-files", "100", "-filemb", "1"}, &stdout, &stderr)
+	out := stdout.String()
+	if code != 0 || stderr.Len() != 0 || !strings.HasPrefix(out, "namespace: 5000 files, 4.9 GiB\n") ||
+		!strings.HasSuffix(out, "\ndu            825.000ms       15.000us  55000.0x  (LustreDU; MDS ops 5000 -> 0)\n") {
+		t.Errorf("5,000 files: exit %d, stderr %q, stdout:\n%s", code, &stderr, out)
+	}
+}

@@ -320,25 +320,12 @@ type MetadataLoadResult struct {
 func MetadataStorm(namespaces []*lustre.FS, files int, concurrency int) MetadataLoadResult {
 	eng := namespaces[0].Engine()
 	start := eng.Now()
-	issued := 0
-	var worker func(w int)
-	worker = func(w int) {
-		if issued >= files {
-			return
-		}
-		i := issued
-		issued++
+	sim.Workers(files, concurrency, func(w, i int, next func()) {
 		fs := namespaces[i%len(namespaces)]
 		fs.Create(fmt.Sprintf("storm/w%d/f%07d", w, i), 1, func(f *lustre.File) {
-			fs.Stat(f, func() { worker(w) })
+			fs.Stat(f, next)
 		})
-	}
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	for w := 0; w < concurrency; w++ {
-		worker(w)
-	}
+	}, nil)
 	eng.Run()
 	dur := eng.Now() - start
 	res := MetadataLoadResult{}

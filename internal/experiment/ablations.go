@@ -92,19 +92,9 @@ func A4(seed uint64) Result {
 			fs.EnableDNE(mdts)
 		}
 		start := eng.Now()
-		issued := 0
-		var worker func()
-		worker = func() {
-			if issued >= 4000 {
-				return
-			}
-			i := issued
-			issued++
-			fs.Create(fmt.Sprintf("dir%03d/f%06d", i%64, i), 1, func(*lustre.File) { worker() })
-		}
-		for w := 0; w < 64; w++ {
-			worker()
-		}
+		sim.Workers(4000, 64, func(_, i int, next func()) {
+			fs.Create(fmt.Sprintf("dir%03d/f%06d", i%64, i), 1, func(*lustre.File) { next() })
+		}, nil)
 		eng.Run()
 		return eng.Now() - start
 	}

@@ -365,7 +365,7 @@ func E10(seed uint64) Result {
 	var files []*lustre.File
 	fs.Walk(nil, func(f *lustre.File) { files = append(files, f) })
 	files = files[:64]
-	tools.SerialCopy(fs, files, "cp-s", func(r tools.CopyResult) { cpS = r })
+	tools.DCP(fs, files, "cp-s", 1, func(r tools.CopyResult) { cpS = r })
 	eng.Run()
 	tools.DCP(fs, files, "cp-p", 8, func(r tools.CopyResult) { cpP = r })
 	eng.Run()

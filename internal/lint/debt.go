@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -25,6 +26,10 @@ type DebtSite struct {
 	Checks []string `json:"checks"`
 	Reason string   `json:"reason,omitempty"`
 	Used   bool     `json:"used"` // suppressed at least one diagnostic
+	// Untested lists the functions a test-only-export site keeps that
+	// no file mentions by name, test files included: the reason such a
+	// directive gives (a test calls it) no longer holds.
+	Untested []string `json:"untested,omitempty"`
 }
 
 // CheckDebt is the per-check slice of the inventory, kept as a sorted
@@ -81,6 +86,19 @@ func (m *Module) debtOver(pkgs []*Package, checks []*Check) DebtReport {
 		line int
 	}
 	index := map[key]int{} // directive position -> sites index
+	// Test files are parsed syntax-only, so a mention is checked by
+	// name; a name clash can only make an untested export look tested.
+	mentioned := map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.TestFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					mentioned[id.Name] = true
+				}
+				return true
+			})
+		}
+	}
 	for _, p := range pkgs {
 		files := append(append([]*ast.File(nil), p.Files...), p.TestFiles...)
 		for _, f := range files {
@@ -112,8 +130,12 @@ func (m *Module) debtOver(pkgs []*Package, checks []*Check) DebtReport {
 					continue
 				}
 				for _, name := range sites[i].Checks {
-					if name == d.Check {
-						sites[i].Used = true
+					if name != d.Check {
+						continue
+					}
+					sites[i].Used = true
+					if fn := funcNameAt(m, p, pos); d.Check == "test-only-export" && !mentioned[fn] {
+						sites[i].Untested = append(sites[i].Untested, fn)
 					}
 				}
 			}
@@ -137,6 +159,19 @@ func (m *Module) debtOver(pkgs []*Package, checks []*Check) DebtReport {
 	}
 	sort.Slice(per, func(i, j int) bool { return per[i].Check < per[j].Check })
 	return DebtReport{Total: len(sites), PerCheck: per, Sites: sites}
+}
+
+// funcNameAt returns the name of the function p declares at pos, the
+// position test-only-export reports.
+func funcNameAt(m *Module, p *Package, pos token.Position) string {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && m.Fset.Position(fd.Name.Pos()) == pos {
+				return fd.Name.Name
+			}
+		}
+	}
+	return ""
 }
 
 // relPath rewrites a fileset position filename relative to the module
@@ -170,6 +205,8 @@ func (m *Module) runPackageUnfiltered(p *Package, checks []*Check) []Diagnostic 
 //     reviewable half of the escape hatch),
 //   - a stale directive that suppresses nothing (dead weight that hides
 //     real future violations on its line),
+//   - a test-only-export directive on a function no file mentions, test
+//     files included (its tests are gone, so the function is dead),
 //   - total or per-check growth beyond the baseline.
 //
 // Shrinking debt passes; Tighten reports when the pin can be lowered.
@@ -183,6 +220,10 @@ func GateDebt(base Baseline, r DebtReport) []string {
 		if !s.Used {
 			fails = append(fails, fmt.Sprintf("%s:%d: stale //simlint:allow %s suppresses nothing; delete it",
 				s.File, s.Line, strings.Join(s.Checks, ",")))
+		}
+		for _, fn := range s.Untested {
+			fails = append(fails, fmt.Sprintf("%s:%d: //simlint:allow test-only-export keeps %s, which no file mentions, test files included; delete it",
+				s.File, s.Line, fn))
 		}
 	}
 	if r.Total > base.Total {

@@ -3,6 +3,7 @@ package lint
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -119,6 +120,46 @@ func calm() int {
 	}
 	if fails := GateDebt(Baseline{Total: 2, PerCheck: report.PerCheck}, report); len(fails) != 1 || !strings.Contains(fails[0], "stale") {
 		t.Errorf("gate should flag exactly the stale site, got %v", fails)
+	}
+}
+
+// TestDebtUntestedOracle runs the gate over the testdata/debt pair: a
+// test-only-export directive on a function no file mentions, test
+// files included, fails it by name; the same directive with a test
+// that calls the function passes.
+func TestDebtUntestedOracle(t *testing.T) {
+	m := loadRepo(t)
+	for _, c := range []struct{ dir, want string }{
+		{"untested", "keeps Settle, which no file mentions"},
+		{"untested_ok", ""},
+	} {
+		dir := filepath.Join("testdata/debt", c.dir)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range entries {
+			src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[filepath.Join(dir, e.Name())] = string(src)
+		}
+		pkg, err := m.TypecheckSource("spiderfs/internal/"+c.dir, files)
+		if err != nil {
+			t.Fatalf("%s: TypecheckSource: %v", c.dir, err)
+		}
+		report := m.debtOver([]*Package{pkg}, Checks())
+		fails := GateDebt(report.Baseline(), report)
+		switch {
+		case report.Total != 1 || !report.Sites[0].Used:
+			t.Errorf("%s: want one used site, got %+v", c.dir, report.Sites)
+		case c.want == "" && len(fails) != 0:
+			t.Errorf("%s: gate should pass, got %v", c.dir, fails)
+		case c.want != "" && (len(fails) != 1 || !strings.Contains(fails[0], c.want)):
+			t.Errorf("%s: gate should fail once with %q, got %v", c.dir, c.want, fails)
+		}
 	}
 }
 

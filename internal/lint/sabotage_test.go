@@ -307,3 +307,57 @@ func report(xs []float64) string { return fmt.Sprintf("band %.1f", Spread(xs)) }
 		t.Fatalf("Spread with a non-test caller should be clean, got %v", diags)
 	}
 }
+
+// TestSabotageUntestedOracle replays how netsim's Network.Sync outlived
+// its tests: a test-only-export directive says the solver tests call
+// it, then those tests stop calling it. The allow still suppresses a
+// real diagnostic, so only the debt gate's by-name check can name it.
+func TestSabotageUntestedOracle(t *testing.T) {
+	m := loadRepo(t)
+	const network = `package sabotage
+
+type Network struct{ active []int }
+
+func (n *Network) Start(f int) { n.active = append(n.active, f) }
+
+// Sync brings every active flow's accounting up to date.
+//
+//simlint:allow test-only-export settles counters so the solver tests can read them mid-transfer
+func (n *Network) Sync() { n.active = n.active[:0] }
+
+func run() { (&Network{}).Start(1) }
+`
+	gate := func(test string) []string {
+		t.Helper()
+		pkg, err := m.TypecheckSource("spiderfs/internal/sabotage", map[string]string{
+			"flow.go":      network,
+			"flow_test.go": test,
+		})
+		if err != nil {
+			t.Fatalf("TypecheckSource: %v", err)
+		}
+		report := m.debtOver([]*Package{pkg}, Checks())
+		return GateDebt(report.Baseline(), report)
+	}
+	if fails := gate(`package sabotage
+
+import "testing"
+
+func TestMidTransfer(t *testing.T) {
+	n := &Network{}
+	n.Start(1)
+	n.Sync()
+}
+`); len(fails) != 0 {
+		t.Fatalf("Sync with a test that calls it should pass the gate, got %v", fails)
+	}
+	fails := gate(`package sabotage
+
+import "testing"
+
+func TestStart(t *testing.T) { (&Network{}).Start(1) }
+`)
+	if len(fails) != 1 || !strings.Contains(fails[0], "flow.go") || !strings.Contains(fails[0], "keeps Sync") {
+		t.Fatalf("Sync with no test left should fail the gate once, naming it, got %v", fails)
+	}
+}

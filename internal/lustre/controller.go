@@ -62,11 +62,10 @@ type Controller struct {
 	readmit  func()
 
 	// Counters.
-	RPCs         uint64
-	BytesIn      int64
-	CacheStalls  uint64
-	PeakDirty    int64
-	FlushedBytes int64
+	RPCs        uint64
+	BytesIn     int64
+	CacheStalls uint64
+	PeakDirty   int64
 }
 
 type ctrlWaiter struct {
@@ -162,7 +161,6 @@ func (c *Controller) ServiceRead(size int64, done func()) {
 // freeing cache space and admitting stalled writers.
 func (c *Controller) Flushed(size int64) {
 	c.dirty -= size
-	c.FlushedBytes += size
 	if c.dirty < 0 {
 		c.dirty = 0
 	}

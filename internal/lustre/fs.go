@@ -13,7 +13,6 @@ import (
 // StripeCount OSTs.
 type File struct {
 	Path       string
-	StripeSize int64
 	OSTIndices []int
 	Objects    []*Object
 	ATime      sim.Time
@@ -67,12 +66,9 @@ type FS struct {
 	NumFiles int64
 }
 
-// The namespace default layout: a file created with stripe count 0 is
-// striped 4 wide in 1 MiB stripes, one full RAID stripe per OST.
-const (
-	defaultStripeCount = 4
-	defaultStripeSize  = 1 << 20
-)
+// defaultStripeCount is the namespace default layout: a file created
+// with stripe count 0 is striped 4 wide.
+const defaultStripeCount = 4
 
 // NewFS assembles a namespace from prebuilt components. ostOSS maps each
 // OST to its serving OSS.
@@ -259,7 +255,6 @@ func (fs *FS) CreateOn(path string, osts []int, done func(*File)) {
 	}
 	f := &File{
 		Path:       path,
-		StripeSize: defaultStripeSize,
 		OSTIndices: append([]int(nil), osts...),
 		CTime:      fs.eng.Now(),
 		MTime:      fs.eng.Now(),

@@ -67,12 +67,11 @@ type OST struct {
 	stripeFlushed func()      // one-stripe flush completion, bound by stripeDone
 
 	// Counters.
-	WriteRPCs, ReadRPCs uint64
-	BytesWritten        int64
-	BytesRead           int64
-	FragmentedFlushes   uint64
-	SequentialFlushes   uint64
-	JournalCommits      uint64
+	BytesWritten      int64
+	BytesRead         int64
+	FragmentedFlushes uint64
+	SequentialFlushes uint64
+	JournalCommits    uint64
 	// Integrity outcomes of read RPCs, as surfaced by the RAID layer:
 	// EIO (unrecoverable stripe — the client gets an error, not data),
 	// repaired-inline, and silently-corrupt-served.
@@ -260,7 +259,6 @@ func (obj *Object) Write(size int64, done func()) {
 	if size <= 0 {
 		panic("lustre: object write of non-positive size") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	o.WriteRPCs++
 	w := o.takeWrite()
 	w.obj, w.size, w.done = obj, size, done
 	w.sp = o.tracer.Begin(spantrace.OST, "ost-write", o.tracer.Cur(), size)
@@ -335,7 +333,6 @@ func (obj *Object) WriteSync(size int64, random bool, done func()) {
 	if size <= 0 {
 		panic("lustre: object write of non-positive size") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	o.WriteRPCs++
 	sp := o.tracer.Begin(spantrace.OST, "ost-writesync", o.tracer.Cur(), size)
 	o.ctrl.AdmitWrite(size, func() {
 		o.BytesWritten += size
@@ -444,7 +441,6 @@ func (obj *Object) Read(size int64, random bool, done func()) {
 	if size <= 0 {
 		panic("lustre: object read of non-positive size") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	o.ReadRPCs++
 	sp := o.tracer.Begin(spantrace.OST, "ost-read", o.tracer.Cur(), size)
 	o.ctrl.ServiceRead(size, func() {
 		o.BytesRead += size

@@ -216,16 +216,6 @@ func NewNetwork(eng *sim.Engine) *Network {
 // ActiveFlows returns the number of in-flight transfers.
 func (n *Network) ActiveFlows() int { return len(n.active) }
 
-// Sync brings every active flow's progress accounting up to the current
-// time, so link counters can be read mid-transfer.
-//
-//simlint:allow test-only-export settles counters so the solver tests can read them mid-transfer
-func (n *Network) Sync() {
-	for _, f := range n.active {
-		n.advance(f)
-	}
-}
-
 // NewLink creates and registers a link.
 func (n *Network) NewLink(name string, capBps float64, latency sim.Time) *Link {
 	return n.newLink(linkName{s: name}, capBps, latency)

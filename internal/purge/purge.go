@@ -83,36 +83,23 @@ func (p *Purger) Sweep(done func(SweepReport)) {
 			victims = append(victims, f)
 		}
 	})
-	next := 0
-	b := sim.NewBarrier(func() {
-		rep.FillAfter = p.fs.Fill()
-		p.Sweeps = append(p.Sweeps, rep)
-		if done != nil {
-			done(rep)
-		}
-	})
-	var worker func()
-	worker = func() {
-		if next >= len(victims) {
-			b.Done()
-			return
-		}
-		f := victims[next]
-		next++
+	sim.Workers(len(victims), p.policy.Concurrency, func(_, i int, next func()) {
+		f := victims[i]
 		size := f.Size()
 		p.fs.Unlink(f.Path, func() {
 			rep.Deleted++
 			rep.BytesFreed += size
 			p.Deleted++
 			p.Freed += size
-			worker()
+			next()
 		})
-	}
-	for i := 0; i < p.policy.Concurrency; i++ {
-		b.Add(1)
-		worker()
-	}
-	b.Arm()
+	}, func() {
+		rep.FillAfter = p.fs.Fill()
+		p.Sweeps = append(p.Sweeps, rep)
+		if done != nil {
+			done(rep)
+		}
+	})
 }
 
 // Start schedules periodic sweeps; Stop cancels them.

@@ -151,7 +151,7 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 4})
+	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 4, Sweeps: toyCatalog()})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -164,6 +164,14 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if resp, _ := postSpec(t, ts, `{"kind":"workload","seed":7,"waves":1000000}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-cap spec: status %d, want 400", resp.StatusCode)
+	}
+	// A sweep the catalog does not hold is refused at submission, not
+	// admitted for a worker to fail.
+	if resp, _ := postSpec(t, ts, `{"kind":"sweep","sweep":"nope"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unregistered sweep: status %d, want 400", resp.StatusCode)
+	}
+	if n := svc.Stats(false).Submitted; n != 0 {
+		t.Fatalf("refused specs counted as submitted: %d", n)
 	}
 	for _, path := range []string{"/v1/sessions/s-999999", "/v1/sessions/s-999999/events", "/v1/sessions/s-999999/report"} {
 		resp, err := http.Get(ts.URL + path)

@@ -27,8 +27,9 @@ type Config struct {
 	// caching).
 	CacheSize int
 	// Sweeps is the catalog "sweep"-kind specs may name (typically
-	// experiment.Sweeps(); nil leaves the kind unavailable). A sweep
-	// session runs its entry at the spec's seed.
+	// experiment.Sweeps(); nil leaves the kind unavailable). Submit
+	// refuses a sweep spec whose label is not in it. A sweep session
+	// runs its entry at the spec's seed.
 	Sweeps []sweep.Entry
 	// Clock, when set, timestamps session latencies (wall nanoseconds).
 	// The simulation plane never reads it — leaving it nil (as tests do)
@@ -142,13 +143,19 @@ func (s *Service) Close() {
 // the first sessions already reuse instead of building.
 func (s *Service) Prewarm(n int, full bool) { s.pool.prewarm(n, full) }
 
-// Submit validates and admits a spec. It never blocks: when the
-// admission queue is full the spec is shed with ErrBusy carrying the
-// Retry-After hint. The returned session is already registered and
-// observable via Session/Wait/EventsSince.
+// Submit validates and admits a spec; a sweep spec must name an entry
+// of Config.Sweeps. It never blocks: when the admission queue is full
+// the spec is shed with ErrBusy carrying the Retry-After hint. The
+// returned session is already registered and observable via
+// Session/Wait/EventsSince.
 func (s *Service) Submit(spec Spec) (*Session, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
+	}
+	if spec.Kind == "sweep" {
+		if _, err := catalogEntry(s.cfg.Sweeps, spec.Sweep); err != nil {
+			return nil, err
+		}
 	}
 	s.mu.Lock()
 	if s.closed {

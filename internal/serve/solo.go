@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"spiderfs/internal/chaos"
 	"spiderfs/internal/ledger"
@@ -143,25 +144,32 @@ func runChaos(spec Spec) *Report {
 // parallel replica runner at the spec's seed. The catalog supplies the
 // body and the default replica count; the spec may scale the latter.
 func runSweepEntry(spec Spec, catalog []sweep.Entry) (*Report, error) {
-	for _, e := range catalog {
-		if e.Label != spec.Sweep {
-			continue
-		}
-		if spec.Replicas > 0 {
-			e.Replicas = spec.Replicas
-		}
-		res, err := sweep.Run(e, spec.Seed, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &Report{
-			Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
-			Fingerprint: fmt.Sprintf("%016x", res.Fingerprint()),
-			Metrics: []Metric{
-				{Name: "replicas", Value: float64(len(res.Replicas))},
-				{Name: "errors", Value: float64(res.Errors)},
-			},
-		}, nil
+	e, err := catalogEntry(catalog, spec.Sweep)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("serve: sweep %q not in the registered catalog", spec.Sweep)
+	if spec.Replicas > 0 {
+		e.Replicas = spec.Replicas
+	}
+	res, err := sweep.Run(e, spec.Seed, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Report{
+		Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
+		Fingerprint: fmt.Sprintf("%016x", res.Fingerprint()),
+		Metrics: []Metric{
+			{Name: "replicas", Value: float64(len(res.Replicas))},
+			{Name: "errors", Value: float64(res.Errors)},
+		},
+	}, nil
+}
+
+// catalogEntry finds the sweep labeled label in catalog.
+func catalogEntry(catalog []sweep.Entry, label string) (sweep.Entry, error) {
+	i := slices.IndexFunc(catalog, func(e sweep.Entry) bool { return e.Label == label })
+	if i < 0 {
+		return sweep.Entry{}, fmt.Errorf("serve: sweep %q not in the registered catalog", label)
+	}
+	return catalog[i], nil
 }

@@ -62,3 +62,34 @@ func (b *Barrier) fireIfReady() {
 		fn()
 	}
 }
+
+// Workers runs a closed population of k workers (at least one) over the
+// items 0..n-1: the shape of a parallel tree walk, a purge sweep or
+// make -j. Workers start in order 0..k-1; each takes the next untaken
+// item i and calls step(w, i, next), and calling next hands worker w
+// its following item. done (which may be nil) runs once every worker
+// has found the list empty. A worker beyond the n-th would find it
+// empty at once, so at most n are started.
+func Workers(n, k int, step func(w, i int, next func()), done func()) {
+	k = min(max(k, 1), n)
+	taken := 0
+	b := NewBarrier(done)
+	nexts := make([]func(), k)
+	take := func(w int) {
+		if taken >= n {
+			b.Done()
+			return
+		}
+		i := taken
+		taken++
+		step(w, i, nexts[w])
+	}
+	for w := range nexts {
+		nexts[w] = func() { take(w) }
+	}
+	b.Add(k)
+	for w := range nexts {
+		take(w)
+	}
+	b.Arm()
+}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestServerFIFO(t *testing.T) {
 	e := NewEngine()
@@ -235,4 +238,92 @@ func TestBarrierOverDonePanics(t *testing.T) {
 		}
 	}()
 	b.Done()
+}
+
+// TestWorkers pins sim.Workers' edge cases and checks it against the
+// hand-written next-index-and-barrier loop it replaced.
+func TestWorkers(t *testing.T) {
+	type visit struct{ w, i int }
+	runSync := func(n, k int) (visits []visit, doneAfter int) {
+		doneAfter = -1
+		Workers(n, k, func(w, i int, next func()) {
+			visits = append(visits, visit{w, i})
+			next()
+		}, func() { doneAfter = len(visits) })
+		return visits, doneAfter
+	}
+
+	if visits, doneAfter := runSync(0, 4); len(visits) != 0 || doneAfter != 0 {
+		t.Fatalf("n = 0: visits %v, done after %d; want no step and done at once", visits, doneAfter)
+	}
+	Workers(0, 3, func(int, int, func()) { t.Fatal("step called with n = 0") }, nil)
+	for _, k := range []int{-2, 0, 1} {
+		visits, doneAfter := runSync(5, k)
+		if doneAfter != 5 {
+			t.Fatalf("k = %d: done after %d steps, want 5", k, doneAfter)
+		}
+		for j, v := range visits {
+			if v != (visit{0, j}) {
+				t.Fatalf("k = %d: visit %d = %+v, want worker 0 on item %d", k, j, v, j)
+			}
+		}
+	}
+	// Synchronous steps: the first worker drains the whole list before
+	// the others start, so they stay idle, as every worker beyond n does.
+	for _, k := range []int{3, 9} {
+		visits, doneAfter := runSync(3, k)
+		if want := []visit{{0, 0}, {0, 1}, {0, 2}}; doneAfter != 3 || !slices.Equal(visits, want) {
+			t.Fatalf("k = %d: visits %v, done after %d; want %v, done after 3", k, visits, doneAfter, want)
+		}
+	}
+
+	// Per-item delays on an engine: the (w, i) order and the finish time
+	// must match the hand-written loop's.
+	delay := func(i int) Time { return Time(1 + (i*7)%5) }
+	type trace struct {
+		visits []visit
+		at     []Time
+		done   Time
+	}
+	reference := func(n, k int) (tr trace) {
+		e := NewEngine()
+		next := 0
+		b := NewBarrier(func() { tr.done = e.Now() })
+		var worker func(w int)
+		worker = func(w int) {
+			if next >= n {
+				b.Done()
+				return
+			}
+			i := next
+			next++
+			tr.visits = append(tr.visits, visit{w, i})
+			tr.at = append(tr.at, e.Now())
+			e.After(delay(i), func() { worker(w) })
+		}
+		for w := 0; w < k; w++ {
+			b.Add(1)
+			worker(w)
+		}
+		b.Arm()
+		e.Run()
+		return tr
+	}
+	workers := func(n, k int) (tr trace) {
+		e := NewEngine()
+		Workers(n, k, func(w, i int, next func()) {
+			tr.visits = append(tr.visits, visit{w, i})
+			tr.at = append(tr.at, e.Now())
+			e.After(delay(i), next)
+		}, func() { tr.done = e.Now() })
+		e.Run()
+		return tr
+	}
+	for _, c := range []struct{ n, k int }{{1, 1}, {12, 1}, {12, 3}, {40, 7}, {5, 8}} {
+		want, got := reference(c.n, c.k), workers(c.n, c.k)
+		if !slices.Equal(got.visits, want.visits) || !slices.Equal(got.at, want.at) || got.done != want.done {
+			t.Fatalf("n = %d, k = %d: Workers ran %v at %v, done %v; the loop ran %v at %v, done %v",
+				c.n, c.k, got.visits, got.at, got.done, want.visits, want.at, want.done)
+		}
+	}
 }

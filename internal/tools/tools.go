@@ -1,8 +1,9 @@
 // Package tools implements the scalable file system utilities of §VI-C:
 // LustreDU (server-side disk usage that spares the MDS the stat storm a
 // standard du causes), and the parallel dcp/dfind/dtar developed with
-// LLNL/LANL/DDN, each next to its single-threaded baseline so the
-// scaling argument is measurable.
+// LLNL/LANL/DDN. Each parallel tool runs on sim.Workers, and at one
+// worker it is its single-threaded baseline, so the scaling argument is
+// measurable.
 package tools
 
 import (
@@ -61,26 +62,21 @@ type DUResult struct {
 // the result when the scan completes.
 func SerialDU(fs *lustre.FS, dir *lustre.Dir, done func(DUResult)) {
 	eng := fs.Engine()
-	var files []*lustre.File
-	fs.Walk(dir, func(f *lustre.File) { files = append(files, f) })
+	files := walk(fs, dir)
 	start := eng.Now()
 	mdsBefore := fs.MDS.Ops()
 	res := DUResult{Files: len(files)}
-	var next func(i int)
-	next = func(i int) {
-		if i == len(files) {
-			res.Duration = eng.Now() - start
-			res.MDSOps = fs.MDS.Ops() - mdsBefore
-			done(res)
-			return
-		}
+	sim.Workers(len(files), 1, func(_, i int, next func()) {
 		f := files[i]
 		fs.Stat(f, func() {
 			res.Bytes += f.Size()
-			next(i + 1)
+			next()
 		})
-	}
-	next(0)
+	}, func() {
+		res.Duration = eng.Now() - start
+		res.MDSOps = fs.MDS.Ops() - mdsBefore
+		done(res)
+	})
 }
 
 // LustreDU is the server-side scan: usage is aggregated from the OSTs
@@ -107,6 +103,14 @@ func LustreDU(fs *lustre.FS, dir *lustre.Dir, done func(DUResult)) {
 	b.Arm()
 }
 
+// walk lists the files under dir (the whole namespace when dir is
+// nil) in path order.
+func walk(fs *lustre.FS, dir *lustre.Dir) []*lustre.File {
+	var files []*lustre.File
+	fs.Walk(dir, func(f *lustre.File) { files = append(files, f) })
+	return files
+}
+
 // FindResult reports a tree search.
 type FindResult struct {
 	Matches  int
@@ -114,178 +118,84 @@ type FindResult struct {
 	Duration sim.Time
 }
 
-// SerialFind walks the tree issuing one MDS lookup per entry,
-// sequentially — the standard find.
-func SerialFind(fs *lustre.FS, dir *lustre.Dir, pred func(*lustre.File) bool, done func(FindResult)) {
-	runFind(fs, dir, pred, 1, done)
-}
-
 // DFind is the parallel find: workers consume the entry list
-// concurrently, overlapping MDS latency.
+// concurrently, issuing one MDS lookup per entry and overlapping MDS
+// latency. At one worker it is the standard find.
 func DFind(fs *lustre.FS, dir *lustre.Dir, pred func(*lustre.File) bool, workers int, done func(FindResult)) {
-	if workers < 1 {
-		workers = 1
-	}
-	runFind(fs, dir, pred, workers, done)
-}
-
-func runFind(fs *lustre.FS, dir *lustre.Dir, pred func(*lustre.File) bool, workers int, done func(FindResult)) {
 	eng := fs.Engine()
-	var files []*lustre.File
-	fs.Walk(dir, func(f *lustre.File) { files = append(files, f) })
+	files := walk(fs, dir)
 	start := eng.Now()
 	res := FindResult{Visited: len(files)}
-	next := 0
-	b := sim.NewBarrier(func() {
-		res.Duration = eng.Now() - start
-		done(res)
-	})
-	var worker func()
-	worker = func() {
-		if next >= len(files) {
-			b.Done()
-			return
-		}
-		f := files[next]
-		next++
-		fs.Open(f.Path, func(got *lustre.File) {
+	sim.Workers(len(files), workers, func(_, i int, next func()) {
+		fs.Open(files[i].Path, func(got *lustre.File) {
 			if got != nil && pred(got) {
 				res.Matches++
 			}
-			worker()
+			next()
 		})
-	}
-	for i := 0; i < workers; i++ {
-		b.Add(1)
-		worker()
-	}
-	b.Arm()
+	}, func() {
+		res.Duration = eng.Now() - start
+		done(res)
+	})
 }
 
-// CopyResult reports a copy job.
+// CopyResult reports a copy or archive job.
 type CopyResult struct {
 	Files    int
 	Bytes    int64
 	Duration sim.Time
 }
 
-// SerialCopy copies files one at a time (read source, write
-// destination) — the standard cp -r.
-func SerialCopy(fs *lustre.FS, files []*lustre.File, destPrefix string, done func(CopyResult)) {
-	runCopy(fs, files, destPrefix, 1, done)
-}
-
-// DCP is the parallel copy: workers move files concurrently.
+// DCP is the parallel copy: workers move files concurrently (read
+// source, write destination). At one worker it is the standard cp -r.
 func DCP(fs *lustre.FS, files []*lustre.File, destPrefix string, workers int, done func(CopyResult)) {
-	if workers < 1 {
-		workers = 1
-	}
-	runCopy(fs, files, destPrefix, workers, done)
-}
-
-func runCopy(fs *lustre.FS, files []*lustre.File, destPrefix string, workers int, done func(CopyResult)) {
 	eng := fs.Engine()
 	client := lustre.NewClient(-1, topology.Coord{}, fs, lustre.NullTransport{Eng: eng})
 	start := eng.Now()
 	res := CopyResult{}
-	next := 0
-	b := sim.NewBarrier(func() {
+	sim.Workers(len(files), workers, func(_, i int, next func()) {
+		src := files[i]
+		fs.Create(destPrefix+"/"+strings.ReplaceAll(src.Path, "/", "_"), src.StripeCount(), func(dst *lustre.File) {
+			copyFile(client, &res, src, dst, next)
+		})
+	}, func() {
 		res.Duration = eng.Now() - start
 		done(res)
 	})
-	var worker func()
-	worker = func() {
-		if next >= len(files) {
-			b.Done()
-			return
-		}
-		src := files[next]
-		next++
-		size := src.Size()
-		destPath := destPrefix + "/" + sanitize(src.Path)
-		fs.Create(destPath, src.StripeCount(), func(dst *lustre.File) {
-			if size == 0 {
-				res.Files++
-				worker()
-				return
-			}
-			client.ReadStream(src, size, 1<<20, false, func(int64) {
-				client.WriteStream(dst, size, 1<<20, func(int64) {
-					res.Files++
-					res.Bytes += size
-					worker()
-				})
-			})
-		})
-	}
-	for i := 0; i < workers; i++ {
-		b.Add(1)
-		worker()
-	}
-	b.Arm()
-}
-
-func sanitize(p string) string { return strings.ReplaceAll(p, "/", "_") }
-
-// TarResult reports an archive job.
-type TarResult struct {
-	Files    int
-	Bytes    int64
-	Duration sim.Time
-}
-
-// SerialTar reads each file and appends it to one archive stream,
-// sequentially — the standard tar.
-func SerialTar(fs *lustre.FS, files []*lustre.File, archivePath string, done func(TarResult)) {
-	runTar(fs, files, archivePath, 1, done)
 }
 
 // DTar overlaps file reads with archive writing using parallel readers;
-// the archive itself remains a single append stream.
-func DTar(fs *lustre.FS, files []*lustre.File, archivePath string, readers int, done func(TarResult)) {
-	if readers < 1 {
-		readers = 1
-	}
-	runTar(fs, files, archivePath, readers, done)
-}
-
-func runTar(fs *lustre.FS, files []*lustre.File, archivePath string, readers int, done func(TarResult)) {
+// the archive itself remains a single append stream. At one reader it
+// is the standard tar.
+func DTar(fs *lustre.FS, files []*lustre.File, archivePath string, readers int, done func(CopyResult)) {
 	eng := fs.Engine()
 	client := lustre.NewClient(-2, topology.Coord{}, fs, lustre.NullTransport{Eng: eng})
-	res := TarResult{}
+	res := CopyResult{}
 	fs.Create(archivePath, 4, func(archive *lustre.File) {
 		start := eng.Now()
-		next := 0
-		b := sim.NewBarrier(func() {
+		sim.Workers(len(files), readers, func(_, i int, next func()) {
+			copyFile(client, &res, files[i], archive, next)
+		}, func() {
 			res.Duration = eng.Now() - start
 			done(res)
 		})
-		var worker func()
-		worker = func() {
-			if next >= len(files) {
-				b.Done()
-				return
-			}
-			src := files[next]
-			next++
-			size := src.Size()
-			if size == 0 {
-				res.Files++
-				worker()
-				return
-			}
-			client.ReadStream(src, size, 1<<20, false, func(int64) {
-				client.WriteStream(archive, size, 1<<20, func(int64) {
-					res.Files++
-					res.Bytes += size
-					worker()
-				})
-			})
-		}
-		for i := 0; i < readers; i++ {
-			b.Add(1)
-			worker()
-		}
-		b.Arm()
+	})
+}
+
+// copyFile is the step cp and tar share: read src whole, write it to
+// dst in 1 MiB RPCs, count the file into res and call next.
+func copyFile(client *lustre.Client, res *CopyResult, src, dst *lustre.File, next func()) {
+	size := src.Size()
+	if size == 0 {
+		res.Files++
+		next()
+		return
+	}
+	client.ReadStream(src, size, 1<<20, false, func(int64) {
+		client.WriteStream(dst, size, 1<<20, func(int64) {
+			res.Files++
+			res.Bytes += size
+			next()
+		})
 	})
 }

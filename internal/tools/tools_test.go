@@ -68,7 +68,7 @@ func TestDFindSpeedupAndSameAnswer(t *testing.T) {
 	eng, fs := populated(t, 3, 10, 20)
 	pred := func(f *lustre.File) bool { return strings.HasSuffix(f.Path, "3") }
 	var serial, parallel FindResult
-	SerialFind(fs, nil, pred, func(r FindResult) { serial = r })
+	DFind(fs, nil, pred, 1, func(r FindResult) { serial = r })
 	eng.Run()
 	DFind(fs, nil, pred, 8, func(r FindResult) { parallel = r })
 	eng.Run()
@@ -90,7 +90,7 @@ func TestDCPSpeedupAndIntegrity(t *testing.T) {
 	fs.Walk(nil, func(f *lustre.File) { files = append(files, f) })
 
 	var serial CopyResult
-	SerialCopy(fs, files, "copy-serial", func(r CopyResult) { serial = r })
+	DCP(fs, files, "copy-serial", 1, func(r CopyResult) { serial = r })
 	eng.Run()
 	var parallel CopyResult
 	DCP(fs, files, "copy-dcp", 8, func(r CopyResult) { parallel = r })
@@ -113,11 +113,11 @@ func TestDTarSpeedup(t *testing.T) {
 	var files []*lustre.File
 	fs.Walk(nil, func(f *lustre.File) { files = append(files, f) })
 
-	var serial TarResult
-	SerialTar(fs, files, "arch/serial.tar", func(r TarResult) { serial = r })
+	var serial CopyResult
+	DTar(fs, files, "arch/serial.tar", 1, func(r CopyResult) { serial = r })
 	eng.Run()
-	var parallel TarResult
-	DTar(fs, files, "arch/dtar.tar", 8, func(r TarResult) { parallel = r })
+	var parallel CopyResult
+	DTar(fs, files, "arch/dtar.tar", 8, func(r CopyResult) { parallel = r })
 	eng.Run()
 
 	if serial.Files != parallel.Files || serial.Bytes != parallel.Bytes {
@@ -131,7 +131,7 @@ func TestDTarSpeedup(t *testing.T) {
 func TestCopyEmptyList(t *testing.T) {
 	eng, fs := populated(t, 6, 1, 1)
 	ran := false
-	SerialCopy(fs, nil, "dst", func(r CopyResult) { ran = r.Files == 0 })
+	DCP(fs, nil, "dst", 1, func(r CopyResult) { ran = r.Files == 0 })
 	eng.Run()
 	if !ran {
 		t.Fatal("empty copy never completed")

@@ -33,20 +33,7 @@ func RunCompile(fs *lustre.FS, done func(CompileResult)) {
 	eng := fs.Engine()
 	start := eng.Now()
 	opsBefore := fs.MetadataOps()
-	next := 0
-	b := sim.NewBarrier(func() {
-		if done != nil {
-			done(CompileResult{Duration: eng.Now() - start, MDSOps: fs.MetadataOps() - opsBefore})
-		}
-	})
-	var worker func()
-	worker = func() {
-		if next >= compileSources {
-			b.Done()
-			return
-		}
-		i := next
-		next++
+	sim.Workers(compileSources, compileParallelism, func(_, i int, next func()) {
 		// Header stats, then emit the object file.
 		remainingStats := compileStatsPerFile
 		var statPhase func()
@@ -54,7 +41,7 @@ func RunCompile(fs *lustre.FS, done func(CompileResult)) {
 			if remainingStats == 0 {
 				fs.Create(fmt.Sprintf("build/obj%06d.o", i), 1, func(f *lustre.File) {
 					f.Objects[0].Preload(32 << 10)
-					worker()
+					next()
 				})
 				return
 			}
@@ -62,12 +49,11 @@ func RunCompile(fs *lustre.FS, done func(CompileResult)) {
 			fs.Open(fmt.Sprintf("build/src%06d.c", i%16), func(*lustre.File) { statPhase() })
 		}
 		statPhase()
-	}
-	for w := 0; w < compileParallelism; w++ {
-		b.Add(1)
-		worker()
-	}
-	b.Arm()
+	}, func() {
+		if done != nil {
+			done(CompileResult{Duration: eng.Now() - start, MDSOps: fs.MetadataOps() - opsBefore})
+		}
+	})
 }
 
 // MetadataLatencyProbe measures the mean latency of n sequential stat
