@@ -11,3 +11,13 @@ func BenchmarkQuickCampaign(b *testing.B) {
 		Run(QuickConfig(testSeed))
 	}
 }
+
+// TestQuickCampaignAllocationCeiling holds one quick campaign to at
+// most 7,000 allocations (about 6,150 today): a campaign allocates per
+// RAID group, not per drive, per defect or per ledger hash (DESIGN.md
+// "Slab-built components").
+func TestQuickCampaignAllocationCeiling(t *testing.T) {
+	if n := testing.AllocsPerRun(2, func() { Run(QuickConfig(testSeed)) }); n > 7000 {
+		t.Errorf("quick campaign allocates %.0f, want at most 7,000", n)
+	}
+}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"runtime"
 
 	"spiderfs/internal/center"
 	"spiderfs/internal/disk"
@@ -329,6 +330,18 @@ func run(cfg Config, sched schedule) *Report {
 	downLedger.Close()
 	p.ops.Close()
 	p.coal.Close()
+	if !cfg.Small {
+		// A full-scale campaign ends holding its center and ledgers
+		// (about 28 MB live). Collect once here, while they are still
+		// reachable, so the next heap goal comes from that live set.
+		// Otherwise the collector's one cycle per campaign lands where
+		// its pacer puts it, sometimes across the return, where the
+		// next campaign (the ablated run after the funded one) builds
+		// its center inside that cycle and both centers are marked
+		// live. The collection costs under 1% of a full-scale campaign;
+		// a quick one is too short for it to pay.
+		runtime.GC()
+	}
 	p.finishReport()
 	p.rep.PeakPending = eng.PeakPending()
 	if th != nil {
@@ -379,24 +392,33 @@ func cableName(rid int) string                { return fmt.Sprintf("cable%d", ri
 // MDS, the namespace depending on it, every OSS, and every OST
 // depending on its RAID group, its serving OSS, and the MDS; plus one
 // cable -> router chain per LNET router.
+//
+// A drive's media stream, SplitIndex(gn+"-d", j), must stay the stream
+// of Split(fmt.Sprintf("%s-d%d", gn, j)): the campaign fingerprints pin
+// it.
 func (p *campaign) buildGraph() {
 	media := rng.New(p.cfg.Seed).Split("chaos-media")
 	for ns, fs := range p.c.Namespaces {
-		p.graph.Add(mdsName(fs), KindMDS)
-		p.graph.Add(nsName(fs), KindNamespace, mdsName(fs))
-		for i := range fs.OSSes {
-			p.graph.Add(ossName(fs, i), KindOSS)
+		mds := mdsName(fs)
+		p.graph.Add(mds, KindMDS)
+		p.graph.Add(nsName(fs), KindNamespace, mds)
+		oss := make([]string, len(fs.OSSes))
+		for i := range oss {
+			oss[i] = ossName(fs, i)
+			p.graph.Add(oss[i], KindOSS)
 		}
 		groups := p.c.GroupsOf(ns)
 		for i, g := range groups {
 			gn := grpNodeName(fs, i)
 			p.grpName[g] = gn
 			p.graph.Add(gn, KindGroup)
-			p.graph.Add(ostName(fs, i), KindOST, gn, ossName(fs, fs.OSSOf(i)), mdsName(fs))
+			p.graph.Add(ostName(fs, i), KindOST, gn, oss[fs.OSSOf(i)], mds)
 			g.RebuildChunk = p.sched.rebuildChunk
 			g.RebuildPause = p.sched.rebuildPause
+			drive := gn + "-d"
 			for j, d := range g.Disks() {
-				d.SetFaultInjection(p.sched.mediaFaults, media.Split(fmt.Sprintf("%s-d%d", gn, j)))
+				src := media.SplitIndex(drive, j)
+				d.SetFaultInjection(p.sched.mediaFaults, &src)
 			}
 			g.OnStripeLoss = func(int64) {
 				// A stripe whose defects exceeded parity: latent data
@@ -406,8 +428,9 @@ func (p *campaign) buildGraph() {
 		}
 	}
 	for rid := 0; rid < p.c.Fabric.NumRouters(); rid++ {
-		p.graph.Add(cableName(rid), KindCable)
-		p.graph.Add(routerName(rid), KindRouter, cableName(rid))
+		cable := cableName(rid)
+		p.graph.Add(cable, KindCable)
+		p.graph.Add(routerName(rid), KindRouter, cable)
 	}
 }
 

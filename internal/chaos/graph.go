@@ -64,8 +64,9 @@ type Node struct {
 	Name string
 	Kind Kind
 
-	dependents []*Node // nodes that depend on this one, insertion order
-	causes     map[string]bool
+	dependents []*Node         // nodes that depend on this one, insertion order
+	causes     map[string]bool // made on the node's first fault
+	stats      *ComponentStats // the node's downtime record; nil without a ledger
 }
 
 // Down reports whether the node is currently unavailable.
@@ -99,7 +100,7 @@ func (g *Graph) Add(name string, kind Kind, deps ...string) *Node {
 	if _, dup := g.nodes[name]; dup {
 		panic(fmt.Sprintf("chaos: duplicate node %q", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	n := &Node{Name: name, Kind: kind, causes: map[string]bool{}}
+	n := &Node{Name: name, Kind: kind}
 	for _, d := range deps {
 		dn := g.nodes[d]
 		if dn == nil {
@@ -110,7 +111,7 @@ func (g *Graph) Add(name string, kind Kind, deps ...string) *Node {
 	g.nodes[name] = n
 	g.order = append(g.order, n)
 	if g.ledger != nil {
-		g.ledger.register(name, kind)
+		n.stats = g.ledger.register(name, kind)
 	}
 	return n
 }
@@ -151,10 +152,13 @@ func (g *Graph) addCause(n *Node, cause string, root bool) {
 		return
 	}
 	wasDown := n.Down()
+	if n.causes == nil {
+		n.causes = map[string]bool{}
+	}
 	n.causes[cause] = true
 	if !wasDown {
 		if g.ledger != nil {
-			g.ledger.down(n.Name)
+			g.ledger.down(n.stats)
 		}
 		if !root {
 			g.Cascades++
@@ -177,7 +181,7 @@ func (g *Graph) removeCause(n *Node, cause string) {
 	}
 	delete(n.causes, cause)
 	if !n.Down() && g.ledger != nil {
-		g.ledger.up(n.Name)
+		g.ledger.up(n.stats)
 	}
 	for _, d := range n.dependents {
 		g.removeCause(d, cause)

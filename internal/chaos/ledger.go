@@ -1,10 +1,6 @@
 package chaos
 
-import (
-	"fmt"
-
-	"spiderfs/internal/sim"
-)
+import "spiderfs/internal/sim"
 
 // ComponentStats is one component's availability record over a campaign
 // window: how often it failed and how long it was out of service.
@@ -22,28 +18,26 @@ type ComponentStats struct {
 // feeds it down/up transitions; Close settles components still down at
 // the end of the window so their open outage is charged.
 type Ledger struct {
-	eng    *sim.Engine
-	order  []*ComponentStats
-	byName map[string]*ComponentStats
+	eng   *sim.Engine
+	order []*ComponentStats
 }
 
 // NewLedger builds an empty ledger on eng.
 func NewLedger(eng *sim.Engine) *Ledger {
-	return &Ledger{eng: eng, byName: map[string]*ComponentStats{}}
+	return &Ledger{eng: eng}
 }
 
-func (l *Ledger) register(name string, kind Kind) {
-	if _, dup := l.byName[name]; dup {
-		panic(fmt.Sprintf("chaos: ledger already tracks %q", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
+// register starts a component's record. The graph refuses a duplicate
+// node name, and each node keeps the record it gets here, so the ledger
+// needs no index by name.
+func (l *Ledger) register(name string, kind Kind) *ComponentStats {
 	s := &ComponentStats{Name: name, Kind: kind}
-	l.byName[name] = s
 	l.order = append(l.order, s)
+	return s
 }
 
-func (l *Ledger) down(name string) {
-	s := l.byName[name]
-	if s == nil || s.down {
+func (l *Ledger) down(s *ComponentStats) {
+	if s.down {
 		return
 	}
 	s.down = true
@@ -51,9 +45,8 @@ func (l *Ledger) down(name string) {
 	s.Failures++
 }
 
-func (l *Ledger) up(name string) {
-	s := l.byName[name]
-	if s == nil || !s.down {
+func (l *Ledger) up(s *ComponentStats) {
+	if !s.down {
 		return
 	}
 	s.down = false

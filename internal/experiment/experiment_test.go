@@ -82,3 +82,31 @@ func TestStudiesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// seedInvariant names the studies that print the same table at every
+// seed (ROADMAP item 2 ran each at its Seed plus k·7919, k = 0..11).
+// Their Seed column in EXPERIMENTS.md records where the benchmark runs
+// them, not a sample.
+var seedInvariant = []string{
+	"fig2", "fig3", "fig4", "checkpoint", "libpio", "iosi", "namespaces",
+	"purge", "upgrade", "recovery", "notification", "dne", "stripecount",
+	"compile", "bursts",
+}
+
+// TestSeedInvariantStudies requires each seed-invariant study to print
+// the same Body at its Seed and at Seed+7919, so a change that makes
+// one of them seed-dependent is seen, and a paper claim over such a
+// study needs no seed sweep.
+func TestSeedInvariantStudies(t *testing.T) {
+	for _, name := range seedInvariant {
+		s, ok := Lookup(name)
+		if !ok {
+			t.Errorf("no study %q", name)
+			continue
+		}
+		a, b := s.Run(s.Seed), s.Run(s.Seed+7919)
+		if a.Body != b.Body {
+			t.Errorf("%s: Body at seed %d differs from seed %d:\n%s\n%s", name, s.Seed, s.Seed+7919, a.Body, b.Body)
+		}
+	}
+}

@@ -49,7 +49,7 @@ func Audit(exp *Export) []Finding {
 	var out []Finding
 	epochOf := entryEpochFunc(exp)
 
-	prev := hexDigest([32]byte{})
+	prev := genesis
 	for i := range exp.Entries {
 		e := &exp.Entries[i]
 		seq := int64(i)
@@ -70,7 +70,7 @@ func Audit(exp *Export) []Finding {
 		prev = e.Hash
 	}
 
-	prevAnchor := hexDigest([32]byte{})
+	prevAnchor := genesis
 	cover := uint64(0)
 	for j := range exp.Anchors {
 		a := &exp.Anchors[j]

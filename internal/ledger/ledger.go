@@ -18,6 +18,7 @@ package ledger
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 
@@ -139,10 +140,14 @@ func (l *Ledger) Append(at sim.Time, actor, class, action, detail string) error 
 		l.batchEpoch = epoch
 	}
 	seq := uint64(len(l.entries))
+	prev := genesis
+	if seq > 0 {
+		prev = l.entries[seq-1].Hash
+	}
 	d := entryDigest(l.prevEntry, seq, at, actor, class, action, detail)
 	l.entries = append(l.entries, Entry{
 		Seq: seq, At: at, Actor: actor, Class: class, Action: action, Detail: detail,
-		Prev: hexDigest(l.prevEntry), Hash: hexDigest(d),
+		Prev: prev, Hash: hexDigest(d),
 	})
 	l.prevEntry = d
 	l.leaves = append(l.leaves, d)
@@ -176,7 +181,7 @@ func (l *Ledger) seal() {
 	root := merkleRoot(l.leaves)
 	a := Anchor{
 		Epoch: l.batchEpoch, FirstSeq: l.batchFirst, Entries: len(l.leaves),
-		Root: hexDigest(root), Prev: hexDigest(l.prevAnchor),
+		Root: hexDigest(root), Prev: l.Head(),
 	}
 	d := anchorDigest(l.prevAnchor, a.Epoch, a.FirstSeq, a.Entries, root)
 	a.Hash = hexDigest(d)
@@ -193,7 +198,12 @@ func (l *Ledger) AnchorCount() int { return len(l.anchors) }
 
 // Head returns the anchor-chain head: the hash of the last anchor, or
 // the genesis (all-zero) hash while nothing has been sealed.
-func (l *Ledger) Head() string { return hexDigest(l.prevAnchor) }
+func (l *Ledger) Head() string {
+	if n := len(l.anchors); n > 0 {
+		return l.anchors[n-1].Hash
+	}
+	return genesis
+}
 
 // Roots returns the anchored Merkle roots in seal order.
 func (l *Ledger) Roots() []string {
@@ -277,32 +287,35 @@ const (
 	tagNode   = 0x03
 )
 
+// digestBuf sizes the stack buffer a digest's bytes are laid out in:
+// an anchor (89 bytes), a node (65) and an entry whose four strings
+// total up to 175 bytes fit; a longer entry grows onto the heap.
+const digestBuf = 256
+
+// entryDigest hashes tagEntry, prev, seq and at little-endian, then
+// each string length-prefixed (so "ab"+"c" never hashes like "a"+"bc").
 func entryDigest(prev [32]byte, seq uint64, at sim.Time, actor, class, action, detail string) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{tagEntry})
-	h.Write(prev[:])
-	writeU64(h.Write, seq)
-	writeU64(h.Write, uint64(at))
-	writeString(h.Write, actor)
-	writeString(h.Write, class)
-	writeString(h.Write, action)
-	writeString(h.Write, detail)
-	var d [32]byte
-	h.Sum(d[:0])
-	return d
+	var buf [digestBuf]byte
+	b := append(buf[:0], tagEntry)
+	b = append(b, prev[:]...)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint64(b, uint64(at))
+	for _, s := range [4]string{actor, class, action, detail} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return sha256.Sum256(b)
 }
 
 func anchorDigest(prev [32]byte, epoch int, firstSeq uint64, entries int, root [32]byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{tagAnchor})
-	h.Write(prev[:])
-	writeU64(h.Write, uint64(int64(epoch)))
-	writeU64(h.Write, firstSeq)
-	writeU64(h.Write, uint64(int64(entries)))
-	h.Write(root[:])
-	var d [32]byte
-	h.Sum(d[:0])
-	return d
+	var buf [digestBuf]byte
+	b := append(buf[:0], tagAnchor)
+	b = append(b, prev[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(epoch)))
+	b = binary.LittleEndian.AppendUint64(b, firstSeq)
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(entries)))
+	b = append(b, root[:]...)
+	return sha256.Sum256(b)
 }
 
 // merkleRoot folds leaf digests into a binary Merkle root; an odd node
@@ -332,33 +345,23 @@ func merkleRoot(leaves [][32]byte) [32]byte {
 }
 
 func nodeDigest(a, b [32]byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{tagNode})
-	h.Write(a[:])
-	h.Write(b[:])
-	var d [32]byte
-	h.Sum(d[:0])
-	return d
+	var buf [1 + 2*32]byte
+	buf[0] = tagNode
+	copy(buf[1:], a[:])
+	copy(buf[33:], b[:])
+	return sha256.Sum256(buf[:])
 }
 
-// writeU64 feeds v little-endian into a hash's Write (which never
-// returns an error).
-func writeU64(w func([]byte) (int, error), v uint64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	_, _ = w(b[:])
-}
+// genesis is the hex all-zero hash the first entry and the first anchor
+// chain from. Every later Prev is its predecessor's Hash string, shared
+// rather than encoded again.
+var genesis = hexDigest([32]byte{})
 
-// writeString length-prefixes s so adjacent fields cannot alias
-// ("ab"+"c" never hashes like "a"+"bc").
-func writeString(w func([]byte) (int, error), s string) {
-	writeU64(w, uint64(len(s)))
-	_, _ = w([]byte(s))
+func hexDigest(d [32]byte) string {
+	var buf [2 * 32]byte
+	hex.Encode(buf[:], d[:])
+	return string(buf[:])
 }
-
-func hexDigest(d [32]byte) string { return hex.EncodeToString(d[:]) }
 
 func decodeDigest(s string) ([32]byte, error) {
 	var d [32]byte

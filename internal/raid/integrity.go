@@ -1,7 +1,8 @@
 package raid
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"spiderfs/internal/disk"
 	"spiderfs/internal/sim"
@@ -215,9 +216,15 @@ type stripeHit struct {
 // escalates what it cannot. The caller has already submitted the reads
 // covering the range; repair writes join the same barrier. Returns the
 // chunks repaired and the stripes newly lost.
+//
+// The defects are gathered in the group's hits buffer, taken for the
+// call and given back after it, so a warmed group's scan allocates
+// nothing (a check nested in a stripe-loss hook starts a buffer of its
+// own).
 func (g *Group) checkRange(off, size int64, scrub bool, b *sim.Barrier) (repaired, lost int) {
 	ck := g.cfg.ChunkSize
-	var hits []stripeHit
+	hits := g.hits[:0]
+	g.hits = nil
 	for m := 0; m < g.cfg.Width(); m++ {
 		if g.offline[m] {
 			continue
@@ -228,14 +235,12 @@ func (g *Group) checkRange(off, size int64, scrub bool, b *sim.Barrier) (repaire
 			hits = append(hits, stripeHit{stripe: chunkLBA / ck, member: m})
 		})
 	}
-	if len(hits) == 0 {
-		return 0, 0
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].stripe != hits[j].stripe {
-			return hits[i].stripe < hits[j].stripe
+	// Each (stripe, member) key occurs once, so any sort gives one order.
+	slices.SortFunc(hits, func(x, y stripeHit) int {
+		if c := cmp.Compare(x.stripe, y.stripe); c != 0 {
+			return c
 		}
-		return hits[i].member < hits[j].member
+		return cmp.Compare(x.member, y.member)
 	})
 	i := 0
 	for i < len(hits) {
@@ -270,6 +275,7 @@ func (g *Group) checkRange(off, size int64, scrub bool, b *sim.Barrier) (repaire
 			repaired++
 		}
 	}
+	g.hits = hits[:0]
 	return repaired, lost
 }
 

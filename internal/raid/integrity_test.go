@@ -369,3 +369,28 @@ func TestDiskTracingHasNoObserverEffect(t *testing.T) {
 		t.Fatal("no tail excursions: SlowCmds is not exercised")
 	}
 }
+
+// TestCheckRangeAllocationCeiling holds a warmed group's range check
+// to zero allocations for the scan and the sort: the defects go into
+// the group's reused hits buffer. The defects sit in stripes already
+// escalated as lost, so the check issues no repair writes.
+func TestCheckRangeAllocationCeiling(t *testing.T) {
+	_, g := smallGroup(t, 31)
+	ck := g.cfg.ChunkSize
+	for _, stripe := range []int64{9, 3, 7} {
+		for k := 0; k <= g.cfg.ParityDisks; k++ {
+			corruptChunk(g, stripe, k, disk.Silent)
+		}
+	}
+	var b sim.Barrier
+	if _, lost := g.checkRange(0, 16*ck, true, &b); lost != 3 {
+		t.Fatalf("warming check lost %d stripes, want 3", lost)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if repaired, lost := g.checkRange(0, 16*ck, true, &b); repaired != 0 || lost != 0 {
+			t.Fatalf("repeat check repaired/lost %d/%d, want 0/0", repaired, lost)
+		}
+	}); n > 0 {
+		t.Errorf("checkRange allocates %.2f per call, want 0", n)
+	}
+}

@@ -86,8 +86,9 @@ type Group struct {
 	// unrecoverable — the chaos ledger's data-loss accounting hook.
 	OnStripeLoss func(stripe int64)
 	// scrub is the reusable record of a ScrubStripes call (integrity.go),
-	// built on the first one.
+	// built on the first one; hits is checkRange's reusable defect list.
 	scrub *scrubBatch
+	hits  []stripeHit
 	// idleWrites and idleRMWs hold reusable Write records.
 	idleWrites []*writeOp
 	idleRMWs   []*rmwStripe

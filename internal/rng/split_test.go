@@ -70,11 +70,22 @@ func TestSplitSiblingsPrefixDisjoint(t *testing.T) {
 }
 
 // TestSplitIndexMatchesSplit pins SplitIndex to Split over the labels
-// the slab builders use: for each prefix and index, the child stream
-// and the parent's next draw are those of Split(fmt.Sprintf("%s%d")).
+// the slab builders and the chaos campaign use: for each prefix and
+// index, the child stream and the parent's next draw are those of
+// Split(fmt.Sprintf("%s%d")). The campaign splits one media stream per
+// drive of a group, "<ns>-grp<i>-d<j>" for its members j.
 func TestSplitIndexMatchesSplit(t *testing.T) {
-	for _, prefix := range []string{"disk-", "ost-", "ssu-"} {
-		for _, i := range []int{0, 1, 9, 10, 55, 1007, 20159, -3} {
+	builders := []int{0, 1, 9, 10, 55, 1007, 20159, -3}
+	members := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for _, c := range []struct {
+		prefix  string
+		indices []int
+	}{
+		{"disk-", builders}, {"ost-", builders}, {"ssu-", builders},
+		{"atlas1-grp1007-d", members},
+	} {
+		prefix := c.prefix
+		for _, i := range c.indices {
 			a, b := New(42), New(42)
 			want := a.Split(fmt.Sprintf("%s%d", prefix, i))
 			got := b.SplitIndex(prefix, i)

@@ -85,7 +85,7 @@ stage_test() {
 	# The quick-campaign rung: one featured one-day small-center chaos
 	# campaign, the work a serve-mix cold session does, with its
 	# allocations reported.
-	go test -run '^$' -bench 'BenchmarkQuickCampaign' -benchtime 1x ./internal/chaos
+	go test -run '^$' -bench 'BenchmarkQuickCampaign' -benchtime 1x -benchmem ./internal/chaos
 	set +x
 }
 
