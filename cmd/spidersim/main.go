@@ -200,7 +200,7 @@ func runSession(specJSON string, stdout, stderr io.Writer) int {
 
 // runSweep fans the catalog's seed sweeps across a worker pool and
 // prints each merged report — the same replica bodies and merge path
-// that `benchsuite -sweep` uses for BENCH_sweep.json, interactively.
+// whose fingerprints experiment's TestSweepsPinnedDeterministic pins.
 func runSweep(seed uint64, exp string, replicas, workers int, stdout, stderr io.Writer) int {
 	entries := experiment.SelectSweeps(exp)
 	if len(entries) == 0 {

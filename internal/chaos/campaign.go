@@ -362,7 +362,8 @@ func (p *campaign) ingest(ev monitor.Event) {
 // opAppend records one ledger entry. The ledger refuses out-of-order
 // or post-close appends as errors, never panics; on one engine those
 // cannot happen, so a refusal is counted and surfaced in the report
-// (and would trip the BENCH_ledger gate) rather than dropped silently.
+// (and fails the ledger pins in TestCampaignLedgerDeterministic)
+// rather than dropped silently.
 func (p *campaign) opAppend(at sim.Time, actor, class, action, detail string) {
 	if err := p.ops.Append(at, actor, class, action, detail); err != nil {
 		p.rep.LedgerDrops++

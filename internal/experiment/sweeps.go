@@ -38,8 +38,7 @@ func Sweeps() []sweep.Entry {
 // SelectSweeps returns, in Sweeps order, the entries any of names
 // selects: every entry for "all", else those whose label is a name or
 // starts with a name + "-", so "e19" selects all three scrub-interval
-// sweeps. `spidersim sweep -exp` and both sweep BENCH_*.json producers
-// select with it.
+// sweeps. `spidersim sweep -exp` selects with it.
 func SelectSweeps(names ...string) []sweep.Entry {
 	var out []sweep.Entry
 	for _, e := range Sweeps() {

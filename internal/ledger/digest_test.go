@@ -18,7 +18,7 @@ func pattern(start byte) [32]byte {
 
 // TestLedgerDigestsPinned pins the entry, anchor and Merkle-node digests
 // and the Merkle roots to literals. Every committed ledger root, the
-// campaign fingerprints and BENCH_ledger.json derive from these bytes,
+// campaign fingerprints and the ledger pins derive from these bytes,
 // so a rewrite of the digest code must reproduce them exactly. The
 // inputs cover empty fields, a negative epoch, an odd leaf count at
 // each level and a detail longer than any fixed-size buffer.

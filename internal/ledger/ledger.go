@@ -12,8 +12,8 @@
 // and its payload strings — never from wallclock time (which simlint
 // forbids in this tree anyway). Two runs of the same campaign
 // configuration therefore produce byte-identical root sequences, and
-// the campaign fingerprint extends over them; BENCH_ledger.json gates
-// the roots exactly.
+// the campaign fingerprint extends over them; chaos's
+// TestCampaignLedgerDeterministic pins the roots exactly.
 package ledger
 
 import (

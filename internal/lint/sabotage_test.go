@@ -174,13 +174,23 @@ func (t *trig) flush(pending map[string]sim.Time) {
 // cannot be bypassed silently, even by code living inside the package.
 func TestSabotageShardIsolation(t *testing.T) {
 	m := loadRepo(t)
+	paths, err := filepath.Glob("../sweep/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
 	files := map[string]string{}
-	for _, name := range []string{"sweep.go", "merge.go", "suite.go"} {
-		src, err := os.ReadFile(filepath.Join("../sweep", name))
+	for _, p := range paths {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatalf("reading real sweep source: %v", err)
 		}
-		files[name] = string(src)
+		files[filepath.Base(p)] = string(src)
+	}
+	if len(files) == 0 {
+		t.Fatal("no internal/sweep sources found")
 	}
 
 	// The unmodified copy must be clean: the real worker pool writes

@@ -64,7 +64,7 @@ func soloPerEntry(specs map[string]serve.Spec) []*serve.Report {
 // goroutine may write only its own session's state under its lock (or
 // its own slot); accumulating into shared captured state is the seam
 // bypass, mutex or not.
-func waitAll(sessions []*serve.Session) int {
+func doneCount(sessions []*serve.Session) int {
 	done := 0
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -72,7 +72,7 @@ func waitAll(sessions []*serve.Session) int {
 		wg.Add(1)
 		go func(sess *serve.Session) {
 			defer wg.Done()
-			if _, err := sess.Wait(); err == nil {
+			if _, ok := sess.Report(); ok {
 				mu.Lock()
 				done++ // want shard-isolation
 				mu.Unlock()

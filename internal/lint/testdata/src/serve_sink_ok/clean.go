@@ -47,17 +47,16 @@ func submitNamed(svc *serve.Service, specs map[string]serve.Spec, name string) (
 	return svc.Submit(specs[name])
 }
 
-// own-slot parallel wait: each goroutine writes only out[i] with a
-// goroutine-local index — the sanctioned fan-in shape.
-func waitAll(sessions []*serve.Session) []*serve.Report {
+// own-slot parallel fan-in: each goroutine writes only out[i] with a
+// goroutine-local index — the sanctioned shape.
+func reportAll(sessions []*serve.Session) []*serve.Report {
 	out := make([]*serve.Report, len(sessions))
 	var wg sync.WaitGroup
 	for i, sess := range sessions {
 		wg.Add(1)
 		go func(i int, sess *serve.Session) {
 			defer wg.Done()
-			rep, err := sess.Wait()
-			if err == nil {
+			if rep, ok := sess.Report(); ok {
 				out[i] = rep
 			}
 		}(i, sess)

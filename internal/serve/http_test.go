@@ -197,7 +197,7 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("bad seq: status %d, want 400", resp.StatusCode)
 	}
 	if sess, ok := svc.Session(snap.ID); ok {
-		_, _ = sess.Wait()
+		_, _ = sess.wait()
 	}
 }
 
@@ -234,7 +234,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 	<-gate
 	gate <- struct{}{}
 	if sess, ok := svc.Session(blocker.ID); ok {
-		_, _ = sess.Wait()
+		_, _ = sess.wait()
 	}
 }
 
@@ -253,7 +253,7 @@ func TestHTTPLedgerEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("session vanished")
 	}
-	if _, err := sess.Wait(); err != nil {
+	if _, err := sess.wait(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,7 +302,7 @@ func TestHTTPLedgerEndpoint(t *testing.T) {
 	// Sweep sessions keep no ledger: 404.
 	_, sw := postSpec(t, ts, `{"kind":"sweep","seed":11,"sweep":"toy"}`)
 	if sess, ok := svc.Session(sw.ID); ok {
-		if _, err := sess.Wait(); err != nil {
+		if _, err := sess.wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func TestServiceRetiresFinishedSessions(t *testing.T) {
 			<-held
 			continue
 		}
-		if _, err := sess.Wait(); err != nil {
+		if _, err := sess.wait(); err != nil {
 			t.Fatalf("session %s: %v", sess.ID, err)
 		}
 	}
@@ -383,7 +383,7 @@ func TestServiceRetiresFinishedSessions(t *testing.T) {
 	}
 	sess, _ := svc.Session(ids[0])
 	releaseHeld()
-	if _, err := sess.Wait(); err != nil {
+	if _, err := sess.wait(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -147,7 +147,7 @@ func (s *Service) Prewarm(n int, full bool) { s.pool.prewarm(n, full) }
 // of Config.Sweeps. It never blocks: when the admission queue is full
 // the spec is shed with ErrBusy carrying the Retry-After hint. The
 // returned session is already registered and observable via
-// Session/Wait/EventsSince.
+// Session/EventsSince.
 func (s *Service) Submit(spec Spec) (*Session, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err

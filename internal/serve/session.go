@@ -139,22 +139,6 @@ func (s *Session) Report() (*Report, bool) {
 	return s.report, s.report != nil
 }
 
-// Wait blocks until the session is terminal and returns its report (nil
-// when failed). Sessions always terminate — the worker pool drains the
-// admission queue and every scenario run is finite — so Wait is bounded
-// by execution, never by other tenants' streams.
-func (s *Session) Wait() (*Report, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.state != StateDone && s.state != StateFailed {
-		s.cond.Wait()
-	}
-	if s.state == StateFailed {
-		return nil, errSessionFailed(s.errmsg)
-	}
-	return s.report, nil
-}
-
 // EventsSince blocks until the session has events past seq (or is
 // terminal), then returns the new tail and whether the session is
 // terminal. A progress stream calls this in a loop: each call returns
@@ -175,7 +159,3 @@ func (s *Session) EventsSince(seq int) ([]Event, bool) {
 	copy(tail, s.events[seq:])
 	return tail, s.state == StateDone || s.state == StateFailed
 }
-
-type errSessionFailed string
-
-func (e errSessionFailed) Error() string { return "serve: session failed: " + string(e) }

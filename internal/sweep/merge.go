@@ -11,14 +11,14 @@ import (
 // moments, extremes, median, and the 95% confidence-interval half-width
 // of the mean (Student-t, so small replica counts are honest).
 type MetricStats struct {
-	Name   string  `json:"name"`
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	Stddev float64 `json:"stddev"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	P50    float64 `json:"p50"`
-	CI95   float64 `json:"ci95_half"`
+	Name   string
+	N      int
+	Mean   float64
+	Stddev float64
+	Min    float64
+	Max    float64
+	P50    float64
+	CI95   float64
 }
 
 // Aggregate merges same-named metrics across replicas. Metric names
@@ -72,11 +72,11 @@ func (res *Result) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sweep %s: %d replicas, seed %d, %d failed (fingerprint %016x)\n",
 		res.Label, len(res.Replicas), res.Seed, res.Errors, res.Fingerprint())
-	fmt.Fprintf(&b, "  %-24s %4s %12s %12s %12s %12s %12s\n",
-		"metric", "n", "mean", "ci95±", "stddev", "min", "max")
+	fmt.Fprintf(&b, "  %-24s %4s %12s %12s %12s %12s %12s %12s\n",
+		"metric", "n", "mean", "ci95±", "stddev", "min", "p50", "max")
 	for _, m := range res.Aggregate() {
-		fmt.Fprintf(&b, "  %-24s %4d %12.4f %12.4f %12.4f %12.4f %12.4f\n",
-			m.Name, m.N, m.Mean, m.CI95, m.Stddev, m.Min, m.Max)
+		fmt.Fprintf(&b, "  %-24s %4d %12.4f %12.4f %12.4f %12.4f %12.4f %12.4f\n",
+			m.Name, m.N, m.Mean, m.CI95, m.Stddev, m.Min, m.P50, m.Max)
 	}
 	for _, r := range res.Replicas {
 		if r.Err != "" {

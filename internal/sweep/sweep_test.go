@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -132,67 +131,5 @@ func TestAggregateStatsAndOrder(t *testing.T) {
 	}
 	if a := agg[1]; a.Stddev != 0 || a.CI95 != 0 || a.Mean != 10 {
 		t.Errorf("alpha stats = %+v, want constant", a)
-	}
-}
-
-func TestRunSuiteDoubleRunAndClock(t *testing.T) {
-	s, err := RunSuite(11, []Entry{
-		{Label: "a", Replicas: 6, Body: simBody},
-		{Label: "b", Replicas: 4, Body: simBody},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Sweeps) != 2 {
-		t.Fatalf("%d records, want 2", len(s.Sweeps))
-	}
-	for _, r := range s.Sweeps {
-		if !r.Deterministic {
-			t.Errorf("%s: double-run not deterministic", r.Label)
-		}
-		if len(r.Fingerprint) != 16 {
-			t.Errorf("%s: fingerprint %q", r.Label, r.Fingerprint)
-		}
-		if len(r.Metrics) == 0 {
-			t.Errorf("%s: no merged metrics", r.Label)
-		}
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := json.Marshal(s); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s.Render(), "deterministic=true") {
-		t.Error("render omits determinism evidence")
-	}
-}
-
-// TestSuiteCheck is the sabotage table for the sweep invariants: each
-// broken record must fail Check on its own, with no committed copy to
-// compare against.
-func TestSuiteCheck(t *testing.T) {
-	good := Record{Label: "e18-chaos", Replicas: 32, Deterministic: true, Fingerprint: "64bbdc892ff233d8"}
-	for _, c := range []struct {
-		name   string
-		mutate func(*Record)
-		want   string
-	}{
-		{"clean", func(*Record) {}, ""},
-		{"diverged", func(r *Record) { r.Deterministic = false }, "diverged"},
-		{"failed replicas", func(r *Record) { r.Errors = 3 }, "3 replicas failed"},
-	} {
-		r := good
-		c.mutate(&r)
-		err := Suite{Schema: Schema, Sweeps: []Record{good, r}}.Check()
-		if c.want == "" {
-			if err != nil {
-				t.Errorf("%s: %v", c.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Check() = %v, want %q", c.name, err, c.want)
-		}
 	}
 }
