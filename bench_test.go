@@ -3,8 +3,9 @@
 // E* = embedded claims, HERO, A* = ablations), named after the study
 // and run at its Seed. Each prints its table once per process, so `go
 // test -run '^$' -bench . -benchtime 1x .` emits the reproduction
-// tables alongside the timings, and reports the study's headline.
-// `spidersim <study> -seed <Seed>` prints the same table; DESIGN.md
+// tables alongside the timings, and reports each of the study's
+// metrics under its own name. `spidersim <study> -seed <Seed>` prints
+// the same table; DESIGN.md
 // defines the row ids and EXPERIMENTS.md records paper-vs-measured
 // values.
 package spiderfs_test
@@ -28,7 +29,9 @@ func BenchmarkPaper(b *testing.B) {
 				printed[s.Name] = true
 				fmt.Printf("\n--- %s ---\n%s", r.Title, r.Body)
 			}
-			b.ReportMetric(r.Headline, s.Unit)
+			for _, m := range r.Metrics {
+				b.ReportMetric(m.Value, m.Name)
+			}
 		})
 	}
 }

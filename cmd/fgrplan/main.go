@@ -46,12 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p.MeanClientRouterDistance(true))
 
 	// Contrast with a clumped placement to show what the optimization buys.
-	clumped := p
-	clumped.Modules = append([]topology.IOModule(nil), p.Modules...)
-	for i := range clumped.Modules {
-		clumped.Modules[i].Coord = topology.Coord{X: 0, Y: 0, Z: i % 24}
-	}
 	fmt.Fprintf(stdout, "clumped placement (all modules in one cabinet column): %.2f hops\n",
-		clumped.MeanClientRouterDistance(false))
+		p.Clumped().MeanClientRouterDistance(false))
 	return 0
 }

@@ -8,9 +8,15 @@ import (
 
 // TestRejectsOutOfRangeFlags: each value exits 2 with one line on
 // stderr before anything is built, instead of a panic from deep inside
-// the model.
+// the model, a stonewall deadline that overflows into a run that moves
+// nothing, a client table past Titan's node count, or a scale that
+// silently means another.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
-	for _, args := range [][]string{{"-clients", "0"}, {"-xfer", "0"}, {"-clients", "-1"}, {"-stonewall", "0"}} {
+	for _, args := range [][]string{
+		{"-clients", "0"}, {"-xfer", "0"}, {"-clients", "-1"}, {"-stonewall", "0"},
+		{"-stonewall", "1e300"}, {"-stonewall", "3600.001"}, {"-clients", "18689"},
+		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "19"},
+	} {
 		var stdout, stderr bytes.Buffer
 		code := run(args, &stdout, &stderr)
 		if code != 2 || stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "iorsim: ") || strings.Count(stderr.String(), "\n") != 1 {

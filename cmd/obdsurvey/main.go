@@ -16,6 +16,13 @@ import (
 	"spiderfs/internal/workload"
 )
 
+// maxRequests caps the synchronous object requests of one phase at
+// 4,096 times the default run's 256. At the cap the three phases take
+// about 4 s on a 2-vCPU Xeon host (1 GiB in 1 KiB requests); -rpc 1 at
+// the default -total would ask for 268,435,456 requests per phase, 256
+// times as many.
+const maxRequests = 1 << 20
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -41,6 +48,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, "-threads must be at least 1")
 	case *total < int64(*threads):
 		return fail(stderr, "-total must give each of the %d threads at least one byte", *threads)
+	}
+	// Each thread writes total/threads bytes in requests of at most rpc.
+	perThread := *total / int64(*threads)
+	if n := int64(*threads) * ((perThread-1) / *rpc + 1); n > maxRequests {
+		return fail(stderr, "-total %d at -rpc %d is %d requests per phase, above %d", *total, *rpc, n, maxRequests)
 	}
 	eng := sim.NewEngine()
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(*seed))

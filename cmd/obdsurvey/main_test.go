@@ -8,12 +8,14 @@ import (
 
 // TestRejectsOutOfRangeFlags: each value exits 2 with one line on
 // stderr before anything is built, instead of a panic from deep inside
-// the model.
+// the model or a phase of more than maxRequests synchronous requests.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-rpc", "0"}, {"-rpc", "-1"},
 		{"-threads", "0"}, {"-threads", "-2"},
 		{"-total", "0"}, {"-total", "7"},
+		{"-rpc", "1"}, {"-total", "1099511627776", "-rpc", "1048575"},
+		{"-threads", "1048577", "-total", "1048577"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(args, &stdout, &stderr)

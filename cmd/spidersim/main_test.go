@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -145,6 +146,27 @@ func TestCPUProfile(t *testing.T) {
 		t.Fatalf("chaos -days -1 -cpuprofile: exit %d, want 2", code)
 	}
 	checkProfile(prof)
+}
+
+// TestStudyPrintsRunBytes holds the CLI half of the same-bytes
+// contract EXPERIMENTS.md states: `spidersim <study> -seed S` prints
+// exactly "--- Title ---\n" and the Body of the study's Run(S), the
+// block BenchmarkPaper prints, at the study's own seed and another.
+func TestStudyPrintsRunBytes(t *testing.T) {
+	for _, name := range []string{"fig2", "checkpoint"} {
+		s, ok := experiment.Lookup(name)
+		if !ok {
+			t.Fatalf("no study %q", name)
+		}
+		for _, seed := range []uint64{s.Seed, 7} {
+			r := s.Run(seed)
+			want := "--- " + r.Title + " ---\n" + r.Body
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{name, "-seed", strconv.FormatUint(seed, 10)}, &stdout, &stderr); code != 0 || stderr.Len() != 0 || stdout.String() != want {
+				t.Errorf("%s -seed %d: exit %d, stderr %q, stdout:\n%s\nwant:\n%s", name, seed, code, &stderr, &stdout, want)
+			}
+		}
+	}
 }
 
 // TestLedgerVerbs drives the ledger verbs in-process on a campaign's

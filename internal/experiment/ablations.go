@@ -8,6 +8,7 @@ import (
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/stats"
+	"spiderfs/internal/sweep"
 	"spiderfs/internal/topology"
 	"spiderfs/internal/workload"
 )
@@ -27,7 +28,7 @@ func A1(seed uint64) Result {
 	hp, sync := journal(lustre.HPJournal), journal(lustre.SyncJournal)
 	return Result{"A1 ablation: high-performance journaling (paper Sec. IV-D)", fmt.Sprintf(
 		"sustained write: sync journal %.0f MB/s -> async (funded) %.0f MB/s = %.2fx\n",
-		sync, hp, hp/sync), hp / sync}
+		sync, hp, hp/sync), []sweep.Metric{{Name: "hp_over_sync", Value: hp / sync}}}
 }
 
 // A2 measures the application stall across an OSS failover without and
@@ -38,7 +39,7 @@ func A2(seed uint64) Result {
 	return Result{"A2 ablation: imperative recovery (paper Sec. IV-D)", fmt.Sprintf(
 		"application stall across an OSS failover: %v without IR -> %v with IR (%.1fx shorter)\n",
 		without, with, float64(without)/float64(with)),
-		float64(without) / float64(with)}
+		[]sweep.Metric{{Name: "stall_reduction", Value: float64(without) / float64(with)}}}
 }
 
 func recoveryStall(seed uint64, imperative bool) sim.Time {
@@ -78,7 +79,7 @@ func A3(seed uint64) Result {
 	withT, withS := run(true)
 	return Result{"A3 ablation: asymmetric router notification (paper Sec. IV-D)", fmt.Sprintf(
 		"24 transfers with a dead router: without ARN %v (%d senders stalled on LNET timeouts) -> with ARN %v (%d stalls)\n",
-		withoutT, withoutS, withT, withS), float64(withoutT) / float64(withT)}
+		withoutT, withoutS, withT, withS), []sweep.Metric{{Name: "completion_speedup", Value: float64(withoutT) / float64(withT)}}}
 }
 
 // A4 runs a 4,000-create storm from 64 workers against one MDT and
@@ -101,7 +102,7 @@ func A4(seed uint64) Result {
 	t1, t4 := storm(1), storm(4)
 	return Result{"A4 ablation: DNE metadata sharding (paper Sec. IV-C)", fmt.Sprintf(
 		"4,000 creates: 1 MDT %v -> 4 MDTs %v (%.1fx); the paper recommends DNE + multiple namespaces together\n",
-		t1, t4, float64(t1)/float64(t4)), float64(t1) / float64(t4)}
+		t1, t4, float64(t1)/float64(t4)), []sweep.Metric{{Name: "dne_speedup", Value: float64(t1) / float64(t4)}}}
 }
 
 // A5 stats one small file 2,000 times at stripe count 1 and 4 on a
@@ -128,7 +129,7 @@ func A5(seed uint64) Result {
 	s1, s4 := storm(1), storm(4)
 	return Result{"A5 ablation: small-file stripe count (paper Sec. VII best practices)", fmt.Sprintf(
 		"2,000 stats: stripe-1 %v vs stripe-4 %v (%.1fx) — why the paper says to keep small files at stripe count 1\n",
-		s1, s4, float64(s4)/float64(s1)), float64(s4) / float64(s1)}
+		s1, s4, float64(s4)/float64(s1)), []sweep.Metric{{Name: "stripe4_over_stripe1", Value: float64(s4) / float64(s1)}}}
 }
 
 // A6 streams 64 MiB onto a 1-stripe file on a namespace at seed in
@@ -141,7 +142,7 @@ func A6(seed uint64) Result {
 	aligned, small := write(1<<20), write(68<<10)
 	return Result{"A6 ablation: stripe-aligned I/O (paper Sec. VII best practices)", fmt.Sprintf(
 		"64 MiB stream: 1 MiB aligned RPCs %.0f MB/s vs 68 KiB RPCs %.0f MB/s (%.1fx)\n",
-		aligned, small, aligned/small), aligned / small}
+		aligned, small, aligned/small), []sweep.Metric{{Name: "aligned_gain", Value: aligned / small}}}
 }
 
 // A7 probes another user's mean stat latency on a namespace at seed,
@@ -162,7 +163,7 @@ func A7(seed uint64) Result {
 	quiet, busy := probe(false), probe(true)
 	return Result{"A7 ablation: building code on the scratch FS (paper Sec. VII)", fmt.Sprintf(
 		"another user's mean stat latency: %v quiet -> %v during a make -j32 (%.0fx) — why the paper tells users not to compile on Lustre\n",
-		quiet, busy, float64(busy)/float64(quiet)), float64(busy) / float64(quiet)}
+		quiet, busy, float64(busy)/float64(quiet)), []sweep.Metric{{Name: "latency_inflation", Value: float64(busy) / float64(quiet)}}}
 }
 
 // A8 runs two periodic checkpointers on one namespace at seed, in phase
@@ -173,7 +174,7 @@ func A8(seed uint64) Result {
 	aligned, staggered := staggerP95(seed, 0), staggerP95(seed, sim.Second)
 	return Result{"A8 ablation: IOSI-driven burst scheduling (paper Sec. VI-B, Lesson 18)", fmt.Sprintf(
 		"two periodic checkpointers on one namespace, p95 dump time: aligned %.3fs -> signature-staggered %.3fs (%.1fx)\n",
-		aligned, staggered, aligned/staggered), aligned / staggered}
+		aligned, staggered, aligned/staggered), []sweep.Metric{{Name: "stagger_gain", Value: aligned / staggered}}}
 }
 
 // staggerP95 is A8's run: the p95 of five 96 MiB dumps per application

@@ -2,14 +2,18 @@ package experiment
 
 import (
 	"hash/fnv"
+	"slices"
 	"testing"
+
+	"spiderfs/internal/sweep"
 )
 
 // TestStudyHeadlinesPinned runs every study at its benchmark seed and
-// requires the exact headline EXPERIMENTS.md records and the FNV-64a
-// hash of the rendered Title+Body: a refactor that moves one of them is
-// a model change, even when a headline (E12's is a cell count) does not
-// see it.
+// requires the exact headline EXPERIMENTS.md records, read by the
+// study's Headline name, every other metric in record order
+// (metricPins), and the FNV-64a hash of the rendered Title+Body: a
+// refactor that moves one of them is a model change, even when a
+// headline (E12's is a cell count) does not see it.
 func TestStudyHeadlinesPinned(t *testing.T) {
 	want := map[string]struct {
 		headline float64
@@ -55,8 +59,23 @@ func TestStudyHeadlinesPinned(t *testing.T) {
 			continue
 		}
 		r := s.Run(s.Seed)
-		if r.Headline != w.headline {
-			t.Errorf("%s at seed %d: headline %v %s, want %v", s.Name, s.Seed, r.Headline, s.Unit, w.headline)
+		var others []sweep.Metric
+		headlines := 0
+		for _, m := range r.Metrics {
+			if m.Name != s.Headline {
+				others = append(others, m)
+				continue
+			}
+			headlines++
+			if m.Value != w.headline {
+				t.Errorf("%s at seed %d: headline %s %v, want %v", s.Name, s.Seed, s.Headline, m.Value, w.headline)
+			}
+		}
+		if headlines != 1 {
+			t.Errorf("%s: %d metrics named %s, want exactly one", s.Name, headlines, s.Headline)
+		}
+		if !slices.Equal(others, metricPins[s.Name]) {
+			t.Errorf("%s at seed %d: metrics beside the headline %v, want %v", s.Name, s.Seed, others, metricPins[s.Name])
 		}
 		h := fnv.New64a()
 		h.Write([]byte(r.Title + r.Body))
@@ -64,6 +83,31 @@ func TestStudyHeadlinesPinned(t *testing.T) {
 			t.Errorf("%s at seed %d: Title+Body hash %#016x, want %#016x:\n%s\n%s", s.Name, s.Seed, got, w.body, r.Title, r.Body)
 		}
 	}
+}
+
+// metricPins are each study's metrics other than its headline, in
+// record order, at its Seed.
+var metricPins = map[string][]sweep.Metric{
+	"fig2":       {{Name: "zoned_hops", Value: 4.817083333333334}, {Name: "clumped_hops", Value: 10.24}},
+	"fig3":       {{Name: "peak_xfer_bytes", Value: 1 << 20}},
+	"checkpoint": {{Name: "random_gbps", Value: 240}},
+	"slowdisk": {
+		{Name: "rounds", Value: 4},
+		{Name: "initial_spread", Value: 0.8575959669905425},
+		{Name: "final_spread", Value: 0.08335952552432388},
+		{Name: "converged", Value: 0},
+		{Name: "aggregate_gain", Value: 0.09975023407826145},
+	},
+	"libpio":   {{Name: "s3d_gain_pct", Value: 19.282359922668867}},
+	"incident": {{Name: "spider1_groups_failed", Value: 1}, {Name: "spider2_groups_failed", Value: 0}},
+	"iosi":     {{Name: "burst_volume_gb", Value: 16.596698090830685}, {Name: "confidence", Value: 0.9980319833482524}},
+	"purge": {
+		{Name: "resident_days", Value: 14},
+		{Name: "deleted_files", Value: 220},
+		{Name: "purge_sweeps", Value: 24},
+		{Name: "freed_gib", Value: 1.71875},
+		{Name: "final_fill", Value: 0.0341796875},
+	},
 }
 
 func TestStudiesDeterministic(t *testing.T) {
@@ -74,7 +118,7 @@ func TestStudiesDeterministic(t *testing.T) {
 		}
 		seen[s.Name] = true
 		a, b := s.Run(s.Seed), s.Run(s.Seed)
-		if a != b {
+		if a.Title != b.Title || a.Body != b.Body || !slices.Equal(a.Metrics, b.Metrics) {
 			t.Errorf("%s: two runs at seed %d differ:\n%s\n%s", s.Name, s.Seed, a.Body, b.Body)
 		}
 		if a.Title == "" || a.Body == "" || a.Body[len(a.Body)-1] != '\n' {

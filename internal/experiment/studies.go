@@ -21,6 +21,7 @@ import (
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
 	"spiderfs/internal/stats"
+	"spiderfs/internal/sweep"
 	"spiderfs/internal/tools"
 	"spiderfs/internal/topology"
 	"spiderfs/internal/workload"
@@ -45,14 +46,11 @@ func Fig2(uint64) Result {
 	p := topology.PlaceRouters(topology.TitanCabinets(), topology.TitanTorus(), 110, 9)
 	spread := p.MeanClientRouterDistance(false)
 	zoned := p.MeanClientRouterDistance(true)
-	clumped := p
-	clumped.Modules = append([]topology.IOModule(nil), p.Modules...)
-	for j := range clumped.Modules {
-		clumped.Modules[j].Coord = topology.Coord{X: 0, Y: 0, Z: j % 24}
-	}
+	clumped := p.Clumped().MeanClientRouterDistance(false)
 	return Result{"F2 router placement (Fig. 2)", p.RenderXYMap() +
 		fmt.Sprintf("mean client->router hops: %.2f spread / %.2f FGR-zoned / %.2f clumped\n",
-			spread, zoned, clumped.MeanClientRouterDistance(false)), spread}
+			spread, zoned, clumped), []sweep.Metric{
+		{Name: "spread_hops", Value: spread}, {Name: "zoned_hops", Value: zoned}, {Name: "clumped_hops", Value: clumped}}}
 }
 
 // Fig3 sweeps the IOR transfer size at 32 clients (Fig. 3, §V-C); point
@@ -69,7 +67,8 @@ func Fig3(seed uint64) Result {
 		}
 	}
 	body += fmt.Sprintf("knee at %d bytes; plateau beyond the 1 MiB wire-RPC cap (paper: best at 1 MiB, mild decline after)\n", peakAt)
-	return Result{"F3 IOR bandwidth vs transfer size (Fig. 3)", body, peak / 1e9}
+	return Result{"F3 IOR bandwidth vs transfer size (Fig. 3)", body, []sweep.Metric{
+		{Name: "peak_gbps", Value: peak / 1e9}, {Name: "peak_xfer_bytes", Value: float64(peakAt)}}}
 }
 
 // Fig4 sweeps the IOR client count at 1 MiB transfers (Fig. 4, §V-C);
@@ -85,7 +84,7 @@ func Fig4(seed uint64) Result {
 		}
 	}
 	body += "shape: near-linear scaling then a controller-bound plateau (paper: linear to ~6,000 clients, then steady)\n"
-	return Result{"F4 IOR bandwidth vs client count (Fig. 4)", body, plateau / 1e9}
+	return Result{"F4 IOR bandwidth vs client count (Fig. 4)", body, []sweep.Metric{{Name: "plateau_gbps", Value: plateau / 1e9}}}
 }
 
 // E1 characterizes 3 s of the §II mixed center-wide workload (namespace
@@ -112,8 +111,7 @@ func E1(seed uint64) Result {
 	n := float64(len(tr.Sizes))
 	return Result{"E1 workload characterization (paper Sec. II)", fmt.Sprintf(
 		"write fraction: %.2f (paper: 0.60)\nsize modality: %.0f%% <=16KiB, %.0f%% >=1MiB (paper: bimodal)\ninter-arrival Pareto tail alpha: %.2f over %d tail gaps (paper: long-tail Pareto)\n",
-		tr.WriteFraction(), 100*float64(small)/n, 100*float64(large)/n, fit.Alpha, fit.N),
-		tr.WriteFraction()}
+		tr.WriteFraction(), 100*float64(small)/n, 100*float64(large)/n, fit.Alpha, fit.N), []sweep.Metric{{Name: "write_frac", Value: tr.WriteFraction()}}}
 }
 
 // E2 works the §III-A checkpoint sizing arithmetic and runs a miniature
@@ -128,7 +126,8 @@ func E2(seed uint64) Result {
 	})
 	return Result{"E2 checkpoint sizing (paper Sec. III-A)", fmt.Sprintf(
 		"75%% of 600 TB in 6 min -> %.2f TB/s (paper: the 1 TB/s class requirement)\nrandom derate at 24%% -> %.0f GB/s (paper: 240 GB/s)\nsimulated miniature checkpoint: %.2f GB/s on 2/56-scale controllers\n",
-		seq/1e12, rnd/1e9, res.AggregateBps/1e9), seq / 1e12}
+		seq/1e12, rnd/1e9, res.AggregateBps/1e9), []sweep.Metric{
+		{Name: "seq_tbps", Value: seq / 1e12}, {Name: "random_gbps", Value: rnd / 1e9}}}
 }
 
 // E3 runs the §V-A slow-disk elimination campaign on 32 RAID groups
@@ -142,8 +141,28 @@ func E3(seed uint64) Result {
 			r.Index, r.MeanMBps, r.Spread*100, r.Replaced)
 	}
 	body += fmt.Sprintf("%v\n(paper: ~1,500 + ~500 of 20,160 drives replaced; 5%%->7.5%% envelope)\n", rep)
-	return Result{"E3 slow-disk elimination (paper Sec. V-A)", body,
-		float64(rep.TotalReplaced) / float64(drives)}
+	return Result{"E3 slow-disk elimination (paper Sec. V-A)", body, slowDiskMetrics(rep, drives)}
+}
+
+// slowDiskMetrics is E3's metric list, which the point run and every
+// e3-slowdisk replica report: aggregate_gain only when the first round
+// measured a positive aggregate.
+func slowDiskMetrics(rep qa.Report, drives int) []sweep.Metric {
+	converged := 0.0
+	if rep.Converged {
+		converged = 1
+	}
+	ms := []sweep.Metric{
+		{Name: "rounds", Value: float64(len(rep.Rounds))},
+		{Name: "replaced_frac", Value: float64(rep.TotalReplaced) / float64(drives)},
+		{Name: "initial_spread", Value: rep.Rounds[0].Spread},
+		{Name: "final_spread", Value: rep.Rounds[len(rep.Rounds)-1].Spread},
+		{Name: "converged", Value: converged},
+	}
+	if rep.BeforeMBps > 0 {
+		ms = append(ms, sweep.Metric{Name: "aggregate_gain", Value: rep.AfterMBps/rep.BeforeMBps - 1})
+	}
+	return ms
 }
 
 // miniFabric builds the Spider II fabric E4 and A3 route over, scaled
@@ -176,7 +195,7 @@ func E4(seed uint64) Result {
 		"48 streams x 1 GB each:\n  FGR:   %v, hottest link %.2f (%s), core bytes %.1e\n  naive: %v, hottest link %.2f (%s), core bytes %.1e\nFGR finishes %.2fx sooner and keeps traffic off the core\n",
 		fgrT, fgrRep.MaxUtilization, fgrRep.HotLink, fgrRep.CoreBytes,
 		naiveT, naiveRep.MaxUtilization, naiveRep.HotLink, naiveRep.CoreBytes,
-		speedup), speedup}
+		speedup), []sweep.Metric{{Name: "speedup", Value: speedup}}}
 }
 
 // noisyNamespace builds E5's heavily contended 2-SSU namespace at seed:
@@ -214,7 +233,8 @@ func E5(seed uint64) Result {
 	return Result{"E5 libPIO balanced placement (paper Sec. VI-A)", fmt.Sprintf(
 		"synthetic job under contention: default %.0f MB/s, libPIO %.0f MB/s -> +%.0f%% (paper: >70%%)\nS3D dumps in production noise: default %.0f MB/s, libPIO %.0f MB/s -> +%.0f%% (paper: ~24%%)\n",
 		def/1e6, bal/1e6, (bal/def-1)*100,
-		s3dDef/1e6, s3dBal/1e6, (s3dBal/s3dDef-1)*100), (bal/def - 1) * 100}
+		s3dDef/1e6, s3dBal/1e6, (s3dBal/s3dDef-1)*100), []sweep.Metric{
+		{Name: "job_gain_pct", Value: (bal/def - 1) * 100}, {Name: "s3d_gain_pct", Value: (s3dBal/s3dDef - 1) * 100}}}
 }
 
 // libPIOJob is E5's synthetic job: the write rate of one 2-stripe
@@ -273,7 +293,7 @@ func E6(seed uint64) Result {
 	return Result{"E6 data-centric vs machine-exclusive (paper Secs. II, VII)", fmt.Sprintf(
 		"workflow: data-centric %v vs exclusive %v (transfer %v, %d MiB moved)\nacquisition: %v\n",
 		dc.Total, ex.Total, ex.TransferTime, ex.BytesMoved>>20, cmp),
-		float64(ex.Total) / float64(dc.Total)}
+		[]sweep.Metric{{Name: "exclusive_over_dc", Value: float64(ex.Total) / float64(dc.Total)}}}
 }
 
 // streamMBps writes total bytes in xfer-sized requests through one
@@ -309,7 +329,7 @@ func E7(seed uint64) Result {
 		body += fmt.Sprintf("%-8.0f%% %12.1f\n", fill*100, rates[j])
 	}
 	body += "(paper: severe degradation past 70% full; visible effects past 50%)\n"
-	return Result{"E7 fill-level degradation (paper Secs. IV-C, VI-C)", body, rates[0] / rates[len(rates)-1]}
+	return Result{"E7 fill-level degradation (paper Secs. IV-C, VI-C)", body, []sweep.Metric{{Name: "empty_over_full", Value: rates[0] / rates[len(rates)-1]}}}
 }
 
 // E8 replays the §IV-E human-error incident under the Spider I layout at
@@ -321,7 +341,8 @@ func E8(seed uint64) Result {
 	rate := 100 * float64(s1.FilesRecovered) / float64(s1.FilesRecovered+s1.FilesLost)
 	return Result{"E8 human-error incident (paper Sec. IV-E)", fmt.Sprintf(
 		"spider1 5x2 layout:  %d groups failed, %d journal entries lost, %.1f%% recovered (paper: >1M files, 95%%, two weeks)\nspider2 10x1 layout: %d groups failed (same operator actions tolerated)\n",
-		s1.GroupsFailed, s1.JournalLost, rate, s2.GroupsFailed), rate}
+		s1.GroupsFailed, s1.JournalLost, rate, s2.GroupsFailed), []sweep.Metric{{Name: "recovered_pct", Value: rate},
+		{Name: "spider1_groups_failed", Value: float64(s1.GroupsFailed)}, {Name: "spider2_groups_failed", Value: float64(s2.GroupsFailed)}}}
 }
 
 // E9 extracts an I/O signature (§VI-B) from four noisy server-side logs
@@ -346,7 +367,8 @@ func E9(seed uint64) Result {
 	sig := iosi.Extract(runs, 4)
 	return Result{"E9 IOSI signature extraction (paper Sec. VI-B)", fmt.Sprintf(
 		"true period 3 s -> extracted %v; burst volume %.1f GB; confidence %.2f\n",
-		sig.Period, sig.BurstVolume/1e9, sig.Confidence), sig.Period.Seconds() / truePeriod}
+		sig.Period, sig.BurstVolume/1e9, sig.Confidence), []sweep.Metric{{Name: "period_ratio", Value: sig.Period.Seconds() / truePeriod},
+		{Name: "burst_volume_gb", Value: sig.BurstVolume / 1e9}, {Name: "confidence", Value: sig.Confidence}}}
 }
 
 // E10 runs du against LustreDU and cp against dcp(8) over a 200-file
@@ -373,7 +395,7 @@ func E10(seed uint64) Result {
 	return Result{"E10 scalable tools (paper Sec. VI-C)", fmt.Sprintf(
 		"du: %v with %d MDS ops -> LustreDU: %v with %d MDS ops (%.0fx)\ncp: %v -> dcp(8): %v (%.1fx)\n",
 		duS.Duration, duS.MDSOps, duP.Duration, duP.MDSOps, duSpeedup,
-		cpS.Duration, cpP.Duration, float64(cpS.Duration)/float64(cpP.Duration)), duSpeedup}
+		cpS.Duration, cpP.Duration, float64(cpS.Duration)/float64(cpP.Duration)), []sweep.Metric{{Name: "du_speedup", Value: duSpeedup}}}
 }
 
 // E11 runs a 3,000-op metadata storm against one namespace and against
@@ -393,15 +415,14 @@ func E11(seed uint64) Result {
 	one, two := run(1), run(2)
 	return Result{"E11 single vs multiple namespaces (paper Sec. IV-C)", fmt.Sprintf(
 		"1 namespace:  %.0f metadata ops/s (MDS util %.2f), blast radius 100%%\n2 namespaces: %.0f metadata ops/s (MDS util %.2f), blast radius 50%%\n",
-		one.OpsPerSec, one.Utilization, two.OpsPerSec, two.Utilization),
-		two.OpsPerSec / one.OpsPerSec}
+		one.OpsPerSec, one.Utilization, two.OpsPerSec, two.Utilization), []sweep.Metric{{Name: "split_gain", Value: two.OpsPerSec / one.OpsPerSec}}}
 }
 
 // E12 runs the §III-B benchmark suite's matched sweep at the block level
 // (one RAID group from seed) and the file system level (a namespace at
 // seed+1). Headline: the number of compared cells.
 func E12(seed uint64) Result {
-	sweep := benchsuite.Sweep{
+	grid := benchsuite.Sweep{
 		RequestSizes: []int64{64 << 10, 1 << 20},
 		QueueDepths:  []int{8},
 		WriteFracs:   []float64{0, 1},
@@ -411,16 +432,16 @@ func E12(seed uint64) Result {
 	eng := sim.NewEngine()
 	src := rng.New(seed)
 	g := raid.BuildGroups(eng, 1, disk.NLSAS2TB(), src.Split("g"))[0]
-	block := benchsuite.RunBlockLevel(eng, g, sweep, src.Split("b"))
+	block := benchsuite.RunBlockLevel(eng, g, grid, src.Split("b"))
 	fs := lustre.Build(eng, lustre.TestNamespace(), rng.New(seed+1))
-	fsc := benchsuite.RunFSLevel(fs, sweep, src.Split("f"))
+	fsc := benchsuite.RunFSLevel(fs, grid, src.Split("f"))
 	over := benchsuite.CompareLevels(block, fsc)
 	body := fmt.Sprintf("%-24s %12s %12s %10s\n", "cell", "block MB/s", "fs MB/s", "overhead")
 	for _, o := range over {
 		body += fmt.Sprintf("%-24s %12.1f %12.1f %9.1f%%\n", o.Cell, o.BlockMBps, o.FSMBps, o.Frac*100)
 	}
 	body += "(the suite's purpose: comparing levels isolates file system software overhead)\n"
-	return Result{"E12 block vs FS level (paper Sec. III-B)", body, float64(len(over))}
+	return Result{"E12 block vs FS level (paper Sec. III-B)", body, []sweep.Metric{{Name: "cells", Value: float64(len(over))}}}
 }
 
 // e13FilesPerDay is E13's production rate: the study writes exactly
@@ -435,7 +456,20 @@ func E13(seed uint64) Result {
 	p, fs := purge.Residency(seed, func() int { return e13FilesPerDay })
 	return Result{"E13 purge policy (paper Sec. IV-C)", fmt.Sprintf(
 		"%d days at %d files/day under the 14-day policy: %d sweeps, %d deleted, %d resident (~15 days of production)\n",
-		purge.ResidencyDays, e13FilesPerDay, len(p.Sweeps), p.Deleted, fs.NumFiles), float64(fs.NumFiles)}
+		purge.ResidencyDays, e13FilesPerDay, len(p.Sweeps), p.Deleted, fs.NumFiles), purgeMetrics(p, fs)}
+}
+
+// purgeMetrics is E13's metric list, which the point run and every
+// e13-purge replica report.
+func purgeMetrics(p *purge.Purger, fs *lustre.FS) []sweep.Metric {
+	return []sweep.Metric{
+		{Name: "resident_files", Value: float64(fs.NumFiles)},
+		{Name: "resident_days", Value: float64(fs.NumFiles) / e13FilesPerDay},
+		{Name: "deleted_files", Value: float64(p.Deleted)},
+		{Name: "purge_sweeps", Value: float64(len(p.Sweeps))},
+		{Name: "freed_gib", Value: float64(p.Freed) / (1 << 30)},
+		{Name: "final_fill", Value: p.Sweeps[len(p.Sweeps)-1].FillAfter},
+	}
 }
 
 // E14 runs 32 IOR clients against a small center at seed before and
@@ -450,7 +484,7 @@ func E14(seed uint64) Result {
 	before, after := run(false), run(true)
 	return Result{"E14 controller upgrade (paper Sec. V-C)", fmt.Sprintf(
 		"pre-upgrade %.2f GB/s -> post-upgrade %.2f GB/s = %.2fx\n(paper: 320 -> 510 GB/s per namespace = 1.59x)\n",
-		before/1e9, after/1e9, after/before), after / before}
+		before/1e9, after/1e9, after/before), []sweep.Metric{{Name: "upgrade_ratio", Value: after / before}}}
 }
 
 // E15 runs 12 h of the §IV-A monitoring pipeline on a namespace at seed
@@ -491,7 +525,7 @@ func E15(seed uint64) Result {
 	}
 	return Result{"E15 monitoring pipeline (paper Sec. IV-A)", fmt.Sprintf(
 		"12 h with fault injection: %d coalesced incidents (%d hardware-rooted), %d check alerts\n",
-		len(coal.Incidents), hwRoot, len(sched.Alerts)), float64(len(coal.Incidents))}
+		len(coal.Incidents), hwRoot, len(sched.Alerts)), []sweep.Metric{{Name: "incidents", Value: float64(len(coal.Incidents))}}}
 }
 
 // E16 boots a 288-node fleet diskless and disk-full (boot draws at
@@ -506,7 +540,7 @@ func E16(seed uint64) Result {
 	return Result{"E16 diskless provisioning (paper Sec. IV-A)", fmt.Sprintf(
 		"288-node fleet boot: diskless %v vs disk-full %v\nconfig converge: diskless %v (%d failures) vs disk-full %v (%d failures)\nhardware saving: $%.0f/node x 728 server+router nodes = $%.1fM\n",
 		dlTime, dfTime, dlConv.Duration, dlConv.Failures, dfConv.Duration, dfConv.Failures,
-		saving, saving*728/1e6), float64(dfTime) / float64(dlTime)}
+		saving, saving*728/1e6), []sweep.Metric{{Name: "boot_speedup", Value: float64(dfTime) / float64(dlTime)}}}
 }
 
 // E17 derives the §V / Lesson 12 bottom-up layer ladder from the span
@@ -528,7 +562,7 @@ func E17(seed uint64) Result {
 			"the \"lost performance in traversing from one layer to the next\" the methodology hunts\n" +
 			"(paper ladder: disk 94% -> RAID 78% -> OST stack 62% -> client 84%; the RAID transition\n" +
 			"reproduces as the parity-overhead rung, the client rung reflects the write-back ack)\n",
-		worst}
+		[]sweep.Metric{{Name: "worst_layer_eff", Value: worst}}}
 }
 
 // Hero is the end-to-end showcase: the full Titan torus (9,600 Gemini
@@ -546,5 +580,5 @@ func Hero(seed uint64) Result {
 	return Result{"HERO full-fabric run (Titan torus -> FGR -> 1/6-scale namespace)", fmt.Sprintf(
 		"512 clients, 1 MiB stonewall: %.1f GB/s at 1/6 scale -> %.0f GB/s namespace extrapolation\n"+
 			"(paper: 320 GB/s per namespace pre-upgrade); hottest link %.2f (%s), core bytes %.1e (FGR keeps the core dark)\n",
-		agg/1e9, agg*6/1e9, rep.MaxUtilization, rep.HotLink, rep.CoreBytes), agg * 6 / 1e9}
+		agg/1e9, agg*6/1e9, rep.MaxUtilization, rep.HotLink, rep.CoreBytes), []sweep.Metric{{Name: "namespace_gbps", Value: agg * 6 / 1e9}}}
 }

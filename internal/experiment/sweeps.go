@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -68,23 +67,7 @@ func SweepChoices() string {
 // slowDiskReplica runs one E3 campaign: 16 groups, 16 MiB per group per
 // round.
 func slowDiskReplica(r *sweep.Rep) error {
-	rep, drives := qa.SlowDiskCampaign(16, 16<<20, rng.New(r.Seed), r.Src.Split("elim"))
-	if len(rep.Rounds) == 0 {
-		return fmt.Errorf("qa: elimination produced no rounds")
-	}
-	first, last := rep.Rounds[0], rep.Rounds[len(rep.Rounds)-1]
-	r.Record("rounds", float64(len(rep.Rounds)))
-	r.Record("replaced_frac", float64(rep.TotalReplaced)/float64(drives))
-	r.Record("initial_spread", first.Spread)
-	r.Record("final_spread", last.Spread)
-	if rep.Converged {
-		r.Record("converged", 1)
-	} else {
-		r.Record("converged", 0)
-	}
-	if rep.BeforeMBps > 0 {
-		r.Record("aggregate_gain", rep.AfterMBps/rep.BeforeMBps-1)
-	}
+	record(r, slowDiskMetrics(qa.SlowDiskCampaign(16, 16<<20, rng.New(r.Seed), r.Src.Split("elim"))))
 	return nil
 }
 
@@ -93,18 +76,15 @@ func slowDiskReplica(r *sweep.Rep) error {
 // report shows how tightly the policy bounds residency.
 func purgeReplica(r *sweep.Rep) error {
 	arrivals := r.Src.Split("production")
-	p, fs := purge.Residency(r.Seed, func() int { return arrivals.Poisson(e13FilesPerDay) })
-	if len(p.Sweeps) == 0 {
-		return fmt.Errorf("purge: no sweeps ran in %d days", purge.ResidencyDays)
-	}
-	last := p.Sweeps[len(p.Sweeps)-1]
-	r.Record("resident_files", float64(fs.NumFiles))
-	r.Record("resident_days", float64(fs.NumFiles)/e13FilesPerDay)
-	r.Record("deleted_files", float64(p.Deleted))
-	r.Record("purge_sweeps", float64(len(p.Sweeps)))
-	r.Record("freed_gib", float64(p.Freed)/(1<<30))
-	r.Record("final_fill", last.FillAfter)
+	record(r, purgeMetrics(purge.Residency(r.Seed, func() int { return arrivals.Poisson(e13FilesPerDay) })))
 	return nil
+}
+
+// record feeds a study's metric list to a replica, in order.
+func record(r *sweep.Rep, ms []sweep.Metric) {
+	for _, m := range ms {
+		r.Record(m.Name, m.Value)
+	}
 }
 
 // chaosReplica runs one one-day small-center E18 campaign at the

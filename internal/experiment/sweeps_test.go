@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/binary"
 	"go/parser"
 	"go/token"
 	"hash/fnv"
@@ -23,12 +24,7 @@ import (
 func aggregateHash(ms []sweep.MetricStats) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	w64 := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
+	w64 := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(b[:0], v)) }
 	for _, m := range ms {
 		h.Write([]byte(m.Name))
 		w64(uint64(m.N))

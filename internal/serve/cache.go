@@ -21,11 +21,8 @@ type cacheEntry struct {
 	rep *Report
 }
 
-func newCache(max int) *cache {
-	if max < 0 {
-		max = 0
-	}
-	return &cache{max: max, order: list.New(), entries: make(map[string]*list.Element)}
+func newCache(n int) *cache {
+	return &cache{max: max(n, 0), order: list.New(), entries: make(map[string]*list.Element)}
 }
 
 // get returns the cached report for key, refreshing its recency. The

@@ -19,12 +19,7 @@ type pool struct {
 	discards uint64
 }
 
-func newPool(max int) *pool {
-	if max < 0 {
-		max = 0
-	}
-	return &pool{max: max}
-}
+func newPool(n int) *pool { return &pool{max: max(n, 0)} }
 
 func (p *pool) shelf(full bool) *[]*instance {
 	if full {

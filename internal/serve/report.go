@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 
 	"spiderfs/internal/ledger"
+	"spiderfs/internal/sweep"
 )
 
 // Metric is one named scalar of a session report, kept in a fixed
-// record order so the marshaled report is byte-stable.
-type Metric struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
+// record order so the marshaled report is byte-stable. It is the sweep
+// runner's type under the name the benchmark harness uses.
+type Metric = sweep.Metric
 
 // Report is the final result of a session. Two runs of the same
 // normalized spec — solo or pooled, alone or among 64 concurrent

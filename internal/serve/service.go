@@ -44,9 +44,6 @@ func (c *Config) fill() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.PoolSize < 0 {
-		c.PoolSize = 0
-	}
 }
 
 // ErrBusy is returned by Submit when the admission queue is full. The
@@ -179,10 +176,7 @@ func (s *Service) Submit(spec Spec) (*Session, error) {
 	default:
 		s.rejected++
 		s.nextID-- // shed sessions don't consume IDs
-		retry := (s.cfg.QueueDepth + s.cfg.Workers - 1) / s.cfg.Workers
-		if retry < 1 {
-			retry = 1
-		}
+		retry := max(1, (s.cfg.QueueDepth+s.cfg.Workers-1)/s.cfg.Workers)
 		s.mu.Unlock()
 		return nil, ErrBusy{RetryAfter: retry}
 	}

@@ -146,15 +146,11 @@ func (s *Session) Report() (*Report, bool) {
 func (s *Session) EventsSince(seq int) ([]Event, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
+	seq = max(seq, 0)
 	for len(s.events) <= seq && s.state != StateDone && s.state != StateFailed {
 		s.cond.Wait()
 	}
-	if seq > len(s.events) {
-		seq = len(s.events)
-	}
+	seq = min(seq, len(s.events))
 	tail := make([]Event, len(s.events)-seq)
 	copy(tail, s.events[seq:])
 	return tail, s.state == StateDone || s.state == StateFailed

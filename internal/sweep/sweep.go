@@ -19,6 +19,7 @@
 package sweep
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -122,9 +123,7 @@ func Run(e Entry, seed uint64, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 
 	// Shared-nothing pool: each worker claims indices from the channel
 	// and writes only its own result slots; the merge below never looks
@@ -180,13 +179,8 @@ func runReplica(r *Rep, body Body) (out Replica) {
 // parallel runs of the same entry and seed must agree.
 func (res *Result) Fingerprint() uint64 {
 	h := fnv.New64a()
-	w64 := func(v uint64) {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
+	var b [8]byte
+	w64 := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(b[:0], v)) }
 	h.Write([]byte(res.Label))
 	w64(res.Seed)
 	for _, r := range res.Replicas {

@@ -159,6 +159,18 @@ func (p Placement) MeanClientRouterDistance(restrictToGroup bool) float64 {
 	return float64(sum) / float64(n)
 }
 
+// Clumped returns a copy of p with every module moved into one cabinet
+// column (module i to X=0, Y=0, Z=i mod NZ): the placement Fig. 2's
+// spread one is compared against.
+func (p Placement) Clumped() Placement {
+	c := p
+	c.Modules = append([]IOModule(nil), p.Modules...)
+	for i := range c.Modules {
+		c.Modules[i].Coord = Coord{X: 0, Y: 0, Z: i % p.Torus.NZ}
+	}
+	return c
+}
+
 // RenderXYMap renders the Fig.2-style XY cabinet map: one cell per
 // cabinet, '.' for cabinets without I/O modules and the group letter for
 // cabinets containing at least one module of that group.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,11 +177,14 @@ func TestGroupZonesAreColumnBands(t *testing.T) {
 
 func TestPlacementReducesDistance(t *testing.T) {
 	good := PlaceRouters(TitanCabinets(), TitanTorus(), 110, 9)
-	// A clumped placement: all modules in the first few cabinets.
-	clumped := good
-	clumped.Modules = append([]IOModule(nil), good.Modules...)
-	for i := range clumped.Modules {
-		clumped.Modules[i].Coord = Coord{X: 0, Y: 0, Z: i % 24}
+	clumped := good.Clumped()
+	for i, m := range clumped.Modules {
+		if want := (Coord{X: 0, Y: 0, Z: i % 24}); m.Coord != want {
+			t.Fatalf("clumped module %d at %v, want %v", i, m.Coord, want)
+		}
+	}
+	if !reflect.DeepEqual(good, PlaceRouters(TitanCabinets(), TitanTorus(), 110, 9)) {
+		t.Fatal("Clumped moved the modules of the placement it copies")
 	}
 	dGood := good.MeanClientRouterDistance(false)
 	dClumped := clumped.MeanClientRouterDistance(false)
