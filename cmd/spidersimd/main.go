@@ -1,7 +1,10 @@
 // Command spidersimd is the multi-tenant simulation service: a
 // stdlib-only net/http daemon serving concurrent scenario sessions from
 // a warm pool of engine/fabric instances, with a fingerprint-keyed
-// result cache and bounded-admission backpressure.
+// cost-aware result cache and bounded-admission backpressure. The cache
+// evicts by GreedyDual on each report's run time: the reports costliest
+// to recompute (chaos campaigns, sweeps) outlive cheap ones, and every
+// entry ages out eventually.
 //
 //	spidersimd -addr :8080 -seed 42 -pool 2 -workers 2 -queue 64 -cache 128
 //
@@ -47,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := flags.Int("workers", 2, "concurrent session executors")
 	queue := flags.Int("queue", 64, "admission queue depth; submits past it are shed with 429")
 	pool := flags.Int("pool", 2, "warm engine/fabric instances retained per shape (0 = always cold)")
-	cache := flags.Int("cache", 128, "result cache entries (0 = disabled)")
+	cache := flags.Int("cache", 128, "result cache entries, evicting the cheapest to recompute first (0 = disabled)")
 	prewarm := flags.Bool("prewarm", true, "build the warm pool before listening")
 	if err := flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

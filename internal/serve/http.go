@@ -89,7 +89,8 @@ func (s *Service) handleSession(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the session's progress events as
 // newline-delimited JSON, flushing each chunk, until the terminal
-// event has been delivered. ?seq=N skips the first N events (resume).
+// event has been delivered. ?seq=N skips the first N events (resume);
+// a seq that is not a count of events, 0 or more, is a 400.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(w, r)
 	if !ok {
@@ -98,6 +99,11 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	seq := 0
 	if q := r.URL.Query().Get("seq"); q != "" {
 		n, err := strconv.Atoi(q)
+		if err == nil && n < 0 {
+			// The stream counts delivered events from seq, so a negative
+			// start would resend the first ones until the count caught up.
+			err = errors.New("negative")
+		}
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad seq: " + err.Error()})
 			return

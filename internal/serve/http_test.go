@@ -185,16 +185,18 @@ func TestHTTPErrors(t *testing.T) {
 		}
 	}
 
-	// A real session with a garbage seq parameter is a 400.
+	// A real session with a garbage or negative seq parameter is a 400.
 	_, snap := postSpec(t, ts, `{"kind":"workload","seed":7,"waves":1,"flows":16,"bytes":1e6}`)
-	resp, err := http.Get(ts.URL + "/v1/sessions/" + snap.ID + "/events?seq=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad seq: status %d, want 400", resp.StatusCode)
+	for _, seq := range []string{"banana", "-1"} {
+		resp, err := http.Get(ts.URL + "/v1/sessions/" + snap.ID + "/events?seq=" + seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("seq=%s: status %d, want 400", seq, resp.StatusCode)
+		}
 	}
 	if sess, ok := svc.Session(snap.ID); ok {
 		_, _ = sess.wait()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spiderfs/internal/chaos"
@@ -351,23 +352,89 @@ func TestServiceCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestCacheEviction drives a two-entry cache: x is put at xCost and
+// y at cost 1, x is read back, then cheap (cost 1) reports arrive.
+// Equal costs evict in exact LRU order; a costlier x outlives many
+// cheaper insertions, but not forever, because each eviction raises the
+// floor that new credits start from. At xCost 1,000 the floor reaches
+// x's credit on the 1,000th cheap put, which then evicts x, the older
+// of the two tied entries.
 func TestCacheEviction(t *testing.T) {
-	c := newCache(2)
-	a, b, d := &Report{Kind: "a"}, &Report{Kind: "b"}, &Report{Kind: "d"}
-	c.put("a", a)
-	c.put("b", b)
-	if _, ok := c.get("a"); !ok { // refresh a: b is now LRU
-		t.Fatal("a should be cached")
+	const size = 2
+	for _, tc := range []struct {
+		name      string
+		xCost     int64
+		cheap     int
+		wantX     bool
+		evictions uint64
+	}{
+		{"equal costs evict least recently used", 1, 1, true, 1},
+		{"costly entry survives 10x capacity of cheap puts", 1000, 10 * size, true, 10 * size},
+		{"raised floor evicts the costly entry", 1000, 1000, false, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCache(size)
+			x := &Report{Kind: "x"}
+			c.put("x", x, tc.xCost)
+			c.put("y", &Report{Kind: "y"}, 1)
+			if got, ok := c.get("x"); !ok || got != x { // refresh x: y is now LRU
+				t.Fatal("x should be cached")
+			}
+			for i := range tc.cheap {
+				c.put(fmt.Sprint("cheap", i), &Report{}, 1)
+			}
+			if c.evictions != tc.evictions {
+				t.Fatalf("evictions = %d, want %d", c.evictions, tc.evictions)
+			}
+			if _, ok := c.get("y"); ok {
+				t.Fatal("y should have been evicted first")
+			}
+			if _, ok := c.get("x"); ok != tc.wantX {
+				t.Fatalf("x cached = %v, want %v", ok, tc.wantX)
+			}
+		})
 	}
-	c.put("d", d)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b should have been evicted")
+}
+
+// TestServiceCacheKeepsCostlyReports wires the cache's costs to
+// Config.Clock: the test gate advances the clock by 1,000 for one spec
+// and by 1 for every other, so that spec's report outlives 3x the
+// cache's capacity of cheaper fresh specs and its resubmission is a hit.
+func TestServiceCacheKeepsCostlyReports(t *testing.T) {
+	const size = 4
+	var now atomic.Int64
+	costly := workloadSpec(600)
+	svc := New(Config{Workers: 1, PoolSize: 1, CacheSize: size, Clock: now.Load})
+	svc.testGate = func(sess *Session) {
+		if sess.Spec == costly {
+			now.Add(1000)
+		} else {
+			now.Add(1)
+		}
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a should have survived eviction")
+	defer svc.Close()
+	run := func(spec Spec) Snapshot {
+		sess, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.wait(); err != nil {
+			t.Fatal(err)
+		}
+		return sess.Snapshot()
 	}
-	if c.evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.evictions)
+	if run(costly).Cached {
+		t.Fatal("first run of the costly spec marked cached")
+	}
+	for i := range 3 * size {
+		run(workloadSpec(uint64(601 + i)))
+	}
+	if !run(costly).Cached {
+		t.Fatalf("costly spec evicted by %d cheaper ones", 3*size)
+	}
+	// 1+3*size reports through size slots: the rest were evicted.
+	if st := svc.Stats(false); st.CacheHits != 1 || st.CacheEvictions != 2*size+1 {
+		t.Fatalf("cache counters: %d hits, %d evictions; want 1, %d", st.CacheHits, st.CacheEvictions, 2*size+1)
 	}
 }
 

@@ -23,17 +23,22 @@ type Config struct {
 	// PoolSize is the number of warm instances retained per fabric shape
 	// (0 disables warm reuse — every workload runs cold).
 	PoolSize int
-	// CacheSize bounds the LRU result cache in entries (0 disables
-	// caching).
+	// CacheSize bounds the result cache in entries (0 disables caching).
+	// Past capacity the cache evicts cost-aware (GreedyDual): an entry's
+	// cost is its run's latency on Clock, and the cheapest to recompute
+	// goes first, aged by a floor that each eviction raises so that no
+	// entry stays forever. Without a Clock every cost is 0 and the order
+	// is least recently used.
 	CacheSize int
 	// Sweeps is the catalog "sweep"-kind specs may name (typically
 	// experiment.Sweeps(); nil leaves the kind unavailable). Submit
 	// refuses a sweep spec whose label is not in it. A sweep session
 	// runs its entry at the spec's seed.
 	Sweeps []sweep.Entry
-	// Clock, when set, timestamps session latencies (wall nanoseconds).
-	// The simulation plane never reads it — leaving it nil (as tests do)
-	// only zeroes the recorded latencies.
+	// Clock, when set, timestamps session latencies (wall nanoseconds),
+	// which are also the result cache's costs. The simulation plane never
+	// reads it — leaving it nil (as tests do) only zeroes the recorded
+	// latencies and makes the cache least recently used.
 	Clock func() int64
 }
 
@@ -249,14 +254,15 @@ func (s *Service) run(sess *Session) {
 		sess.start("cold")
 		rep, err = RunSolo(sess.Spec, s.cfg.Sweeps)
 	}
+	lat := elapsed()
 	if err != nil {
-		s.fail(sess, err.Error(), elapsed())
+		s.fail(sess, err.Error(), lat)
 		return
 	}
 	s.mu.Lock()
-	s.cache.put(key, rep)
+	s.cache.put(key, rep, lat)
 	s.mu.Unlock()
-	s.finish(sess, rep, false, warm, elapsed())
+	s.finish(sess, rep, false, warm, lat)
 }
 
 func (s *Service) finish(sess *Session, rep *Report, cached, warm bool, latNs int64) {

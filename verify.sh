@@ -14,9 +14,10 @@
 #   ./verify.sh fuzz    — 30 s each of native fuzzing of the engine API,
 #                         the FIFO queue, the ledger auditor, the flow
 #                         solver, the torus hop rule, the disk defect
-#                         index, the service spec normalizer and the two
-#                         trace file readers (not part of all: its
-#                         inputs differ from run to run)
+#                         index, the service spec normalizer, the
+#                         service result cache and the two trace file
+#                         readers (not part of all: its inputs differ
+#                         from run to run)
 set -eu
 
 stage="${1:-all}"
@@ -132,7 +133,10 @@ stage_fuzz() {
 	# ScanChunks sequences; FuzzSpecNormalize decodes arbitrary JSON
 	# into a service Spec and checks that Normalize never panics, keeps
 	# an accepted spec within the work caps, and is idempotent on it
-	# (nil error, unchanged Key); FuzzTraceRead and FuzzReadSpans feed
+	# (nil error, unchanged Key); FuzzCacheOps checks the service's
+	# cost-aware result cache against a linear-scan reference after
+	# arbitrary get/put(cost) sequences: the same hits, eviction counts,
+	# victims and credits; FuzzTraceRead and FuzzReadSpans feed
 	# arbitrary bytes to the throughput-log and span readers that
 	# `iosi -import` and `spidersim ledger replay -spans` cross, which
 	# must never panic: an accepted log yields a positive,
@@ -149,6 +153,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzTorusHops -fuzztime 30s ./internal/topology
 	go test -run '^$' -fuzz FuzzMediaOps -fuzztime 30s ./internal/disk
 	go test -run '^$' -fuzz FuzzSpecNormalize -fuzztime 30s ./internal/serve
+	go test -run '^$' -fuzz FuzzCacheOps -fuzztime 30s ./internal/serve
 	go test -run '^$' -fuzz FuzzTraceRead -fuzztime 30s ./internal/trace
 	go test -run '^$' -fuzz FuzzReadSpans -fuzztime 30s ./internal/trace
 	set +x
