@@ -4,7 +4,7 @@
 // I/O, and the nightly purge — all on one engine, printing the
 // operational picture at the end. A second act hands the center to the
 // chaos campaign engine for a day of correlated, cascading faults and
-// prints the availability ledger it leaves behind.
+// prints the availability report it leaves behind.
 package main
 
 import (
@@ -108,7 +108,7 @@ func main() {
 	// correlated faults — disk failures during rebuilds, OSS crashes with
 	// imperative-recovery failover, router-death bursts absorbed by ARN,
 	// cable degradation, an MDS outage, an enclosure loss — against a
-	// fresh small center and reports the availability ledger. A sampled
+	// fresh small center and reports its availability. A sampled
 	// tracer rides along (1-in-8 probe requests), so afterwards the
 	// critical-path extractor can say which layer the faults actually
 	// pushed the bound into.

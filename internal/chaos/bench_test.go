@@ -13,7 +13,7 @@ func BenchmarkQuickCampaign(b *testing.B) {
 }
 
 // TestQuickCampaignAllocationCeiling holds one quick campaign to at
-// most 7,000 allocations (about 6,150 today): a campaign allocates per
+// most 7,000 allocations (about 5,900 today): a campaign allocates per
 // RAID group, not per drive, per defect or per ledger hash (DESIGN.md
 // "Slab-built components").
 func TestQuickCampaignAllocationCeiling(t *testing.T) {

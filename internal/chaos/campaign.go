@@ -25,7 +25,7 @@ import (
 // full-scale center, the quick one for the small center. Every process
 // draws from its own named split of the seed, so the fault schedule is
 // identical between a featured and an ablated run of the same seed —
-// the property the outage-ledger comparison relies on.
+// the property the featured-vs-ablated outage comparison relies on.
 type Config struct {
 	Seed     uint64
 	Duration sim.Time
@@ -230,7 +230,7 @@ func CampaignConfig(seed uint64, full bool, days int) Config {
 }
 
 // Ablated returns the configuration with both funded resilience
-// features disarmed — the baseline for the outage-ledger comparison.
+// features disarmed — the baseline for the outage comparison.
 func (c Config) Ablated() Config {
 	c.Imperative = false
 	c.ARN = false
@@ -239,12 +239,11 @@ func (c Config) Ablated() Config {
 
 // campaign is the run state.
 type campaign struct {
-	cfg    Config
-	sched  schedule
-	c      *center.Center
-	eng    *sim.Engine
-	graph  *Graph
-	ledger *Ledger // per-component downtime stats (MTBF/MTTR)
+	cfg   Config
+	sched schedule
+	c     *center.Center
+	eng   *sim.Engine
+	graph *Graph // failure domains and each component's downtime
 	// ops is the tamper-evident operations ledger, anchored once per
 	// ledger.DefaultEpoch (a simulated hour). It schedules no events and
 	// draws no randomness; its root sequence extends the fingerprint.
@@ -255,8 +254,6 @@ type campaign struct {
 	injectors []*failure.Injector
 	probers   []*lustre.Client
 	scrubbers []*integrity.Scrubber
-	degraded  map[int]bool // router-uplink index -> currently degraded
-	uplinks   []*netsim.Link
 
 	rep *Report
 }
@@ -292,15 +289,12 @@ func run(cfg Config, sched schedule) *Report {
 		th = sim.NewTraceHash()
 		eng.SetTrace(th.Observe)
 	}
-	downLedger := NewLedger(eng)
-	graph := NewGraph(eng, downLedger)
+	graph := NewGraph(eng)
 	p := &campaign{
-		cfg: cfg, sched: sched, c: cc, eng: eng, graph: graph, ledger: downLedger,
-		ops:      ledger.New(ledger.Config{}),
-		coal:     &monitor.Coalescer{},
-		grpName:  map[*raid.Group]string{},
-		degraded: map[int]bool{},
-		uplinks:  cc.Fabric.RouterUpLinks(),
+		cfg: cfg, sched: sched, c: cc, eng: eng, graph: graph,
+		ops:     ledger.New(ledger.Config{}),
+		coal:    &monitor.Coalescer{},
+		grpName: map[*raid.Group]string{},
 		rep: &Report{
 			Seed: cfg.Seed, Window: cfg.Duration,
 			Imperative: cfg.Imperative, ARN: cfg.ARN,
@@ -327,7 +321,7 @@ func run(cfg Config, sched schedule) *Report {
 	for _, s := range p.scrubbers {
 		s.Stop()
 	}
-	downLedger.Close()
+	graph.Close()
 	p.ops.Close()
 	p.coal.Close()
 	if !cfg.Small {
@@ -535,24 +529,26 @@ const cableDegradeFrac = 0.25
 // nominal bandwidth (the §IV-A degraded-cable failure mode). The
 // link stays up — this degrades throughput without downtime.
 func (p *campaign) startCableDegradation() {
-	if len(p.uplinks) == 0 {
+	uplinks := p.c.Fabric.RouterUpLinks()
+	if len(uplinks) == 0 {
 		return
 	}
+	degraded := make([]bool, len(uplinks)) // indexed like uplinks
 	net := p.c.Fabric.Net
 	src := rng.New(p.cfg.Seed).Split("chaos-cables")
 	var next func()
 	next = func() {
 		p.eng.After(sim.FromSeconds(src.Exp(1/p.sched.cableDegradeInterval.Seconds())), func() {
-			idx := src.Intn(len(p.uplinks))
-			if !p.degraded[idx] {
-				p.degraded[idx] = true
-				l := p.uplinks[idx]
+			idx := src.Intn(len(uplinks))
+			if !degraded[idx] {
+				degraded[idx] = true
+				l := uplinks[idx]
 				net.Degrade(l, cableDegradeFrac)
 				p.rep.CableDegradations++
 				p.emit(l.Name(), monitor.Hardware, "hca-symbol-errors")
 				p.eng.After(p.sched.cableRepair, func() {
 					net.Restore(l)
-					delete(p.degraded, idx)
+					degraded[idx] = false
 				})
 			}
 			next()
@@ -771,12 +767,12 @@ func (p *campaign) finishReport() {
 	r.LedgerRoots = p.ops.Roots()
 	r.LedgerHead = p.ops.Head()
 	r.Ops = p.ops.Export()
-	r.Components = p.ledger.Stats()
-	nOST, _, ostDown := p.ledger.KindDowntime(KindOST)
-	r.OSTs = nOST
-	r.OSTDowntime = ostDown
-	if nOST > 0 && r.Window > 0 {
-		r.Availability = 1 - float64(ostDown)/(float64(nOST)*float64(r.Window))
+	r.Components = p.graph.Stats()
+	for _, k := range r.Kinds() { // a kind's row has at least one component
+		if k.Kind == KindOST {
+			r.OSTs, r.OSTDowntime = k.Components, k.Downtime
+			r.Availability = 1 - float64(k.Downtime)/(float64(k.Components)*float64(r.Window))
+		}
 	}
 	r.ProbeStalls = r.ProbesLaunched - r.Probes
 	if n := len(r.probeSamples); n > 0 {

@@ -224,6 +224,35 @@ func TestReportRendersAndRollsUp(t *testing.T) {
 	}
 }
 
+// The availability figures come from the component records: OSTs
+// counts the KindOST entries, OSTDowntime sums their downtime, and
+// Availability is the OST-weighted uptime share of the window.
+func TestAvailabilityMatchesComponents(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rep  *Report
+	}{
+		{"featured", featured(t)},
+		{"ablated", Run(QuickConfig(testSeed).Ablated())},
+	} {
+		r := c.rep
+		osts, down := 0, sim.Time(0)
+		for _, s := range r.Components {
+			if s.Kind == KindOST {
+				osts++
+				down += s.Downtime
+			}
+		}
+		if osts == 0 || r.OSTs != osts || r.OSTDowntime != down {
+			t.Errorf("%s: report OSTs %d downtime %v, components say %d and %v",
+				c.name, r.OSTs, r.OSTDowntime, osts, down)
+		}
+		if want := 1 - float64(down)/(float64(osts)*float64(r.Window)); r.Availability != want {
+			t.Errorf("%s: availability %v, want %v", c.name, r.Availability, want)
+		}
+	}
+}
+
 // TestCampaignFingerprintsPinned pins the report fingerprints of both
 // schedules, so a mistyped schedule value fails here rather than only
 // in a full 7-day benchmark run. The full-schedule window of 4 days

@@ -2,13 +2,13 @@
 // failure-domain graph over the assembled facility (disks, RAID groups,
 // OSTs, OSSes, metadata servers, cables, LNET routers), a declarative
 // campaign specification composing scripted and stochastic fault
-// processes, and the availability accounting — per-component
-// downtime/MTBF/MTTR ledgers rolled up into a center-availability and
-// degraded-throughput report. The campaign replays, at once, the whole
-// fault menu of §IV: correlated enclosure losses during rebuild, OSS
-// crashes with or without imperative recovery, LNET router death bursts
-// with or without asymmetric router notification, in-place cable
-// degradation, and metadata-server outages.
+// processes, and the availability accounting — each graph node's
+// failures and downtime, rolled up into per-kind MTBF/MTTR, center
+// availability and a degraded-throughput report. The campaign replays,
+// at once, the whole fault menu of §IV: correlated enclosure losses
+// during rebuild, OSS crashes with or without imperative recovery, LNET
+// router death bursts with or without asymmetric router notification,
+// in-place cable degradation, and metadata-server outages.
 package chaos
 
 import (
@@ -53,20 +53,29 @@ func (k Kind) String() string {
 	}
 }
 
+// ComponentStats is one component's availability record over a campaign
+// window: how often it failed and how long it was out of service.
+type ComponentStats struct {
+	Name     string
+	Kind     Kind
+	Failures int
+	Downtime sim.Time
+}
+
 // Node is one component in the failure-domain graph. A node is down
 // while it has at least one active root cause: itself (a direct fault)
 // or any failed node it transitively depends on. Tracking the full
 // cause set, rather than a boolean, makes overlapping faults compose
 // correctly — an OST whose OSS crashed while its RAID group was lost
 // stays down until both causes clear — and handles diamond-shaped
-// dependency patterns without double counting.
+// dependency patterns without double counting. Each down transition is
+// one failure, and the time until the cause set empties is downtime.
 type Node struct {
-	Name string
-	Kind Kind
+	ComponentStats
 
 	dependents []*Node         // nodes that depend on this one, insertion order
 	causes     map[string]bool // made on the node's first fault
-	stats      *ComponentStats // the node's downtime record; nil without a ledger
+	downSince  sim.Time        // start of the current outage, while down
 }
 
 // Down reports whether the node is currently unavailable.
@@ -74,10 +83,9 @@ func (n *Node) Down() bool { return len(n.causes) > 0 }
 
 // Graph is the failure-domain graph for one simulated center.
 type Graph struct {
-	eng    *sim.Engine
-	nodes  map[string]*Node
-	order  []*Node
-	ledger *Ledger
+	eng   *sim.Engine
+	nodes map[string]*Node
+	order []*Node
 
 	// Events, when set, receives one cascade event for every node taken
 	// down by a fault in a component it depends on (the injected fault
@@ -88,19 +96,18 @@ type Graph struct {
 	Cascades int
 }
 
-// NewGraph builds an empty graph. The ledger (may be nil) receives
-// down/up transitions for every node.
-func NewGraph(eng *sim.Engine, ledger *Ledger) *Graph {
-	return &Graph{eng: eng, nodes: map[string]*Node{}, ledger: ledger}
+// NewGraph builds an empty graph on eng, whose clock times outages.
+func NewGraph(eng *sim.Engine) *Graph {
+	return &Graph{eng: eng, nodes: map[string]*Node{}}
 }
 
 // Add registers a node depending on the named, previously added nodes.
 // Dependencies must form a DAG (enforced by the add-before-use order).
-func (g *Graph) Add(name string, kind Kind, deps ...string) *Node {
+func (g *Graph) Add(name string, kind Kind, deps ...string) {
 	if _, dup := g.nodes[name]; dup {
 		panic(fmt.Sprintf("chaos: duplicate node %q", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	n := &Node{Name: name, Kind: kind}
+	n := &Node{ComponentStats: ComponentStats{Name: name, Kind: kind}}
 	for _, d := range deps {
 		dn := g.nodes[d]
 		if dn == nil {
@@ -110,10 +117,6 @@ func (g *Graph) Add(name string, kind Kind, deps ...string) *Node {
 	}
 	g.nodes[name] = n
 	g.order = append(g.order, n)
-	if g.ledger != nil {
-		n.stats = g.ledger.register(name, kind)
-	}
-	return n
 }
 
 // Down reports whether the named node is currently unavailable. Unknown
@@ -125,7 +128,7 @@ func (g *Graph) Down(name string) bool {
 
 // Fail injects a direct fault into the named node. The fault cascades:
 // every transitive dependent gains this node as an active root cause
-// and, if it was up, goes down — surfaced through the ledger and as a
+// and, if it was up, goes down — charged a failure and surfaced as a
 // cascade event. Failing an already-failed node is a no-op.
 func (g *Graph) Fail(name string) {
 	n := g.nodes[name]
@@ -157,9 +160,8 @@ func (g *Graph) addCause(n *Node, cause string, root bool) {
 	}
 	n.causes[cause] = true
 	if !wasDown {
-		if g.ledger != nil {
-			g.ledger.down(n.stats)
-		}
+		n.Failures++
+		n.downSince = g.eng.Now()
 		if !root {
 			g.Cascades++
 			if g.Events != nil {
@@ -180,18 +182,39 @@ func (g *Graph) removeCause(n *Node, cause string) {
 		return
 	}
 	delete(n.causes, cause)
-	if !n.Down() && g.ledger != nil {
-		g.ledger.up(n.stats)
+	if !n.Down() {
+		n.Downtime += g.eng.Now() - n.downSince
 	}
 	for _, d := range n.dependents {
 		g.removeCause(d, cause)
 	}
 }
 
-// DownCount returns how many nodes of the given kind are currently down.
-//
-//simlint:allow test-only-export read-only accessor the cascade tests assert
-func (g *Graph) DownCount(kind Kind) int {
+// Close settles open outages at the current time (the end of the
+// campaign window). Nodes still down stay down; calling Close again
+// later accrues only the additional time.
+func (g *Graph) Close() {
+	now := g.eng.Now()
+	for _, n := range g.order {
+		if n.Down() {
+			n.Downtime += now - n.downSince
+			n.downSince = now
+		}
+	}
+}
+
+// Stats returns a copy of every node's record, in insertion order
+// (deterministic).
+func (g *Graph) Stats() []ComponentStats {
+	out := make([]ComponentStats, len(g.order))
+	for i, n := range g.order {
+		out[i] = n.ComponentStats
+	}
+	return out
+}
+
+// downCount returns how many nodes of the given kind are currently down.
+func (g *Graph) downCount(kind Kind) int {
 	c := 0
 	for _, n := range g.order {
 		if n.Kind == kind && n.Down() {

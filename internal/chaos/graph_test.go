@@ -14,8 +14,8 @@ import (
 //	   ns           |   +-- ost0 -+     |
 //	    \           +------- ost1 ------+
 //	     (ost0, ost1 also depend on mds)
-func buildTestGraph(eng *sim.Engine, led *Ledger) *Graph {
-	g := NewGraph(eng, led)
+func buildTestGraph(eng *sim.Engine) *Graph {
+	g := NewGraph(eng)
 	g.Add("mds", KindMDS)
 	g.Add("ns", KindNamespace, "mds")
 	g.Add("oss0", KindOSS)
@@ -28,7 +28,7 @@ func buildTestGraph(eng *sim.Engine, led *Ledger) *Graph {
 
 func TestGraphCascadeDownAndUp(t *testing.T) {
 	eng := sim.NewEngine()
-	g := buildTestGraph(eng, nil)
+	g := buildTestGraph(eng)
 	var events []monitor.Event
 	g.Events = func(ev monitor.Event) { events = append(events, ev) }
 
@@ -55,7 +55,7 @@ func TestGraphCascadeDownAndUp(t *testing.T) {
 // stays down until BOTH causes clear — the cause-set semantics.
 func TestGraphOverlappingCauses(t *testing.T) {
 	eng := sim.NewEngine()
-	g := buildTestGraph(eng, nil)
+	g := buildTestGraph(eng)
 	g.Fail("grp0")
 	g.Fail("oss0")
 	g.Recover("oss0")
@@ -76,8 +76,7 @@ func TestGraphOverlappingCauses(t *testing.T) {
 // not one per path, and double-Fail must be idempotent.
 func TestGraphDiamondAndIdempotence(t *testing.T) {
 	eng := sim.NewEngine()
-	led := NewLedger(eng)
-	g := buildTestGraph(eng, led)
+	g := buildTestGraph(eng)
 
 	g.Fail("mds")
 	g.Fail("mds") // idempotent
@@ -86,7 +85,7 @@ func TestGraphDiamondAndIdempotence(t *testing.T) {
 	}
 	eng.RunFor(10 * sim.Minute)
 	g.Recover("mds")
-	for _, s := range led.Stats() {
+	for _, s := range g.Stats() {
 		switch s.Name {
 		case "mds", "ns", "ost0", "ost1":
 			if s.Failures != 1 {
@@ -105,20 +104,21 @@ func TestGraphDiamondAndIdempotence(t *testing.T) {
 
 func TestGraphDownCount(t *testing.T) {
 	eng := sim.NewEngine()
-	g := buildTestGraph(eng, nil)
+	g := buildTestGraph(eng)
 	g.Fail("oss0")
-	if n := g.DownCount(KindOST); n != 2 {
+	if n := g.downCount(KindOST); n != 2 {
 		t.Fatalf("down OSTs = %d, want 2", n)
 	}
-	if n := g.DownCount(KindGroup); n != 0 {
+	if n := g.downCount(KindGroup); n != 0 {
 		t.Fatalf("down groups = %d, want 0", n)
 	}
 }
 
-func TestLedgerAccrualAndClose(t *testing.T) {
+// Close charges an open outage up to the close point and leaves the
+// node down, so closing again at once adds nothing.
+func TestGraphCloseSettlesOpenOutage(t *testing.T) {
 	eng := sim.NewEngine()
-	led := NewLedger(eng)
-	g := NewGraph(eng, led)
+	g := NewGraph(eng)
 	g.Add("oss", KindOSS)
 
 	g.Fail("oss")
@@ -127,9 +127,9 @@ func TestLedgerAccrualAndClose(t *testing.T) {
 	eng.RunFor(sim.Minute)
 	g.Fail("oss")
 	eng.RunFor(30 * sim.Second)
-	led.Close() // open outage settles at the close point
+	g.Close() // open outage settles at the close point
 
-	s := led.Stats()[0]
+	s := g.Stats()[0]
 	if s.Failures != 2 {
 		t.Fatalf("failures = %d", s.Failures)
 	}
@@ -137,23 +137,26 @@ func TestLedgerAccrualAndClose(t *testing.T) {
 		t.Fatalf("downtime = %v, want 1.5min", s.Downtime)
 	}
 	// Close is idempotent-ish: closing again immediately adds nothing.
-	led.Close()
-	if got := led.Stats()[0].Downtime; got != s.Downtime {
+	g.Close()
+	if got := g.Stats()[0].Downtime; got != s.Downtime {
 		t.Fatalf("second Close changed downtime: %v -> %v", s.Downtime, got)
 	}
 }
 
-func TestLedgerKindDowntime(t *testing.T) {
+func TestReportKindsOverGraphStats(t *testing.T) {
 	eng := sim.NewEngine()
-	led := NewLedger(eng)
-	g := NewGraph(eng, led)
+	g := NewGraph(eng)
 	g.Add("ost0", KindOST)
 	g.Add("ost1", KindOST)
 	g.Fail("ost0")
 	eng.RunFor(sim.Minute)
 	g.Recover("ost0")
-	n, fails, down := led.KindDowntime(KindOST)
-	if n != 2 || fails != 1 || down != sim.Minute {
-		t.Fatalf("kind rollup = (%d, %d, %v)", n, fails, down)
+	r := &Report{Window: sim.Hour, Components: g.Stats()}
+	ks := r.Kinds()
+	if len(ks) != 1 || ks[0].Kind != KindOST {
+		t.Fatalf("kinds = %+v, want one OST row", ks)
+	}
+	if k := ks[0]; k.Components != 2 || k.Failures != 1 || k.Downtime != sim.Minute {
+		t.Fatalf("kind rollup = (%d, %d, %v)", k.Components, k.Failures, k.Downtime)
 	}
 }

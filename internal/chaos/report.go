@@ -14,8 +14,8 @@ import (
 const maxTimeline = 40
 
 // Report is the outcome of one campaign: fault counts, resilience
-// counters, the per-component availability ledger, and the delivered
-// (possibly degraded) probe throughput.
+// counters, every failure-domain node's failures and downtime, and the
+// delivered (possibly degraded) probe throughput.
 type Report struct {
 	Seed            uint64
 	Window          sim.Time
@@ -48,8 +48,8 @@ type Report struct {
 
 	// Data-integrity plane: what the scrubber and read-time verification
 	// found, fixed, and could not fix. LatentDataLoss counts stripes
-	// whose defects exceeded parity — escalated to the ledger as
-	// data-loss events, never panicked.
+	// whose defects exceeded parity — escalated to the operations
+	// ledger as data-loss events, never panicked.
 	CorruptionStorms       int
 	ScrubPasses            int
 	ScrubbedStripes        int64
@@ -115,7 +115,7 @@ type Report struct {
 	probeSamples []float64
 }
 
-// KindSummary is a per-kind rollup of the component ledger.
+// KindSummary is a per-kind rollup of the component records.
 type KindSummary struct {
 	Kind       Kind
 	Components int
@@ -125,7 +125,8 @@ type KindSummary struct {
 	MTTR       sim.Time
 }
 
-// Kinds rolls the component ledger up by kind, in kind order.
+// Kinds rolls Components up by kind, in kind order: the one per-kind
+// rollup, which the OST availability figures are also read from.
 func (r *Report) Kinds() []KindSummary {
 	var out []KindSummary
 	for k := KindGroup; k <= KindRouter; k++ {

@@ -24,7 +24,8 @@ func fixture(t *testing.T) (*Export, []RootRef) {
 	if n := l.AnchorCount(); n != 3 {
 		t.Fatalf("fixture anchored %d batches, want 3", n)
 	}
-	return l.Export(), l.RootRefs()
+	exp := l.Export()
+	return exp, exp.RootRefs()
 }
 
 // clone deep-copies an export so each tamper starts from pristine state.

@@ -214,17 +214,6 @@ func (l *Ledger) Roots() []string {
 	return out
 }
 
-// RootRefs returns the trusted-memory view of the anchor sequence.
-//
-//simlint:allow test-only-export trusted anchor view the audit tests check AuditAgainst with
-func (l *Ledger) RootRefs() []RootRef {
-	out := make([]RootRef, len(l.anchors))
-	for i, a := range l.anchors {
-		out[i] = RootRef{Epoch: a.Epoch, Root: a.Root}
-	}
-	return out
-}
-
 // RootRefs returns the export's anchor sequence as trusted memory —
 // what a verifier extracts from a history it has already audited and
 // keeps to check later presentations against.

@@ -224,7 +224,7 @@ func TestExportRoundTripAndResume(t *testing.T) {
 	}
 	// Against the original trusted roots the extension is visible but
 	// nothing diverges.
-	fs := AuditAgainst(r.Export(), l.RootRefs())
+	fs := AuditAgainst(r.Export(), l.Export().RootRefs())
 	if len(fs) != 1 || fs[0].Class != ClassUntrustedTail {
 		t.Fatalf("extension audit = %v, want exactly one %s", fs, ClassUntrustedTail)
 	}
