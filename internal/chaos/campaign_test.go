@@ -9,16 +9,23 @@ import (
 
 const testSeed = 7
 
-// The featured quick campaign is used by several tests; run it once.
+// The featured and ablated quick campaigns are each used by several
+// tests; run each once.
 var (
-	quickOnce sync.Once
-	quickRep  *Report
+	quickOnce, ablatedOnce sync.Once
+	quickRep, ablatedRep   *Report
 )
 
 func featured(t *testing.T) *Report {
 	t.Helper()
 	quickOnce.Do(func() { quickRep = Run(QuickConfig(testSeed)) })
 	return quickRep
+}
+
+func ablated(t *testing.T) *Report {
+	t.Helper()
+	ablatedOnce.Do(func() { ablatedRep = Run(QuickConfig(testSeed).Ablated()) })
+	return ablatedRep
 }
 
 // The campaign-level determinism contract: the same configuration,
@@ -155,7 +162,7 @@ func TestFeaturedCampaignHasNoRouterStalls(t *testing.T) {
 // stalls — while the featured run shrinks all three.
 func TestAblationGrowsOutageLedger(t *testing.T) {
 	feat := featured(t)
-	abl := Run(QuickConfig(testSeed).Ablated())
+	abl := ablated(t)
 
 	// Same fault schedule delivered: the processes draw from the same
 	// named splits regardless of the feature flags.
@@ -233,7 +240,7 @@ func TestAvailabilityMatchesComponents(t *testing.T) {
 		rep  *Report
 	}{
 		{"featured", featured(t)},
-		{"ablated", Run(QuickConfig(testSeed).Ablated())},
+		{"ablated", ablated(t)},
 	} {
 		r := c.rep
 		osts, down := 0, sim.Time(0)
@@ -267,7 +274,7 @@ func TestCampaignFingerprintsPinned(t *testing.T) {
 		want uint64
 	}{
 		{"quick featured", featured(t), 0x706382bb0b385557},
-		{"quick ablated", Run(QuickConfig(testSeed).Ablated()), 0x5c32c979d6215a66},
+		{"quick ablated", ablated(t), 0x5c32c979d6215a66},
 		{"full 4d2h", Run(full), 0xdd41e54e535f9783},
 	} {
 		if got := c.rep.Fingerprint(); got != c.want {

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // Handler returns the service's HTTP API:
@@ -38,15 +40,58 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// maxPooledBuffer bounds the buffer an encoder may keep in the pool. A
+// quick chaos report is 23–132 KB of indented JSON and reuses its
+// buffer; a rarer, larger document is encoded into a buffer that is
+// then dropped, so the pool never pins its size between requests.
+const maxPooledBuffer = 1 << 20
+
+// encoder is one reusable pair of JSON encoders over one buffer: doc
+// writes an indented document, exactly json.MarshalIndent(v, "", "  ")
+// plus "\n" (both escape HTML, and indenting keeps the newline), and
+// line writes one compact ndjson line.
+type encoder struct {
+	buf       bytes.Buffer
+	doc, line *json.Encoder
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.doc = json.NewEncoder(&e.buf)
+	e.doc.SetIndent("", "  ")
+	e.line = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// getEncoder returns a pooled encoder with an empty buffer. The bytes it
+// encodes are valid until putEncoder: a caller that keeps them copies
+// them out first.
+func getEncoder() *encoder {
+	e := encoders.Get().(*encoder)
+	e.buf.Reset()
+	return e
+}
+
+func putEncoder(e *encoder) {
+	if e.buf.Cap() <= maxPooledBuffer {
+		encoders.Put(e)
+	}
+}
+
+// writeJSON is the one encode path of every JSON document the API
+// serves: v is encoded into a pooled buffer and written with one Write.
+// A value that does not encode answers 500 with a JSON apiError.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
-		return
+	e := getEncoder()
+	defer putEncoder(e)
+	if err := e.doc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		// An apiError always encodes, and a failed Encode writes nothing.
+		_ = e.doc.Encode(apiError{Error: "encoding failure: " + err.Error()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(append(data, '\n'))
+	_, _ = w.Write(e.buf.Bytes())
 }
 
 type apiError struct {
@@ -113,13 +158,10 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	for {
 		tail, terminal := sess.EventsSince(seq)
-		for _, ev := range tail {
-			if err := enc.Encode(ev); err != nil {
-				return // client went away
-			}
+		if err := writeLines(w, tail); err != nil {
+			return // client went away
 		}
 		seq += len(tail)
 		if flusher != nil {
@@ -133,6 +175,20 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeLines writes a batch of events as ndjson lines with one Write,
+// encoded into a pooled buffer.
+func writeLines(w http.ResponseWriter, events []Event) error {
+	e := getEncoder()
+	defer putEncoder(e)
+	for i := range events {
+		// An Event always encodes. Passing a pointer to the element
+		// puts no copy of the Event on the heap.
+		_ = e.line.Encode(&events[i])
+	}
+	_, err := w.Write(e.buf.Bytes())
+	return err
+}
+
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(w, r)
 	if !ok {
@@ -142,14 +198,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	switch snap.State {
 	case StateDone:
 		rep, _ := sess.Report()
-		data, err := rep.JSON()
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
+		writeJSON(w, http.StatusOK, rep)
 	case StateFailed:
 		writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: snap.Error})
 	default:

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -432,5 +433,194 @@ func TestServiceRetiresFinishedSessions(t *testing.T) {
 	if mapped != retainFinished || listed > 2*mapped+1 {
 		t.Fatalf("service holds %d sessions in its map and %d in its admission list, want %d and at most %d",
 			mapped, listed, retainFinished, 2*mapped+1)
+	}
+}
+
+// response is one served response: status, content type and body.
+type response struct {
+	status int
+	ctype  string
+	body   []byte
+}
+
+func mustJSON(t *testing.T, r *Report) []byte {
+	t.Helper()
+	data, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func fetch(t *testing.T, ts *httptest.Server, method, path, body string) response {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return response{resp.StatusCode, resp.Header.Get("Content-Type"), data}
+}
+
+// expectJSON checks the byte contract of every JSON document the API
+// serves: the body is json.MarshalIndent(v, "", "  ") plus a newline,
+// typed application/json.
+func expectJSON(t *testing.T, what string, got response, status int, v any) {
+	t.Helper()
+	want, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if got.status != status || got.ctype != "application/json" {
+		t.Errorf("%s: status %d, content type %q; want %d, application/json", what, got.status, got.ctype, status)
+	}
+	if !bytes.Equal(got.body, want) {
+		t.Errorf("%s: served %d bytes, want the %d of MarshalIndent plus a newline:\n%s\nvs\n%s",
+			what, len(got.body), len(want), got.body, want)
+	}
+}
+
+// TestHTTPJSONByteContract holds every JSON endpoint, its error bodies
+// included, to the bytes of MarshalIndent plus a newline of the value
+// it serves. The chaos report (31 KB) is served before the small
+// workload one, so a pooled buffer that the first grew must carry no
+// bytes into the second.
+func TestHTTPJSONByteContract(t *testing.T) {
+	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 1, CacheSize: 4})
+	held, release, refuse := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	svc.testGate = func(sess *Session) {
+		switch sess.ID {
+		case "s-000001":
+			held <- struct{}{}
+			<-release
+		case "s-000003":
+			<-refuse
+			panic("refused")
+		}
+	}
+	defer svc.Close()
+	// Both gates open before Close, so a failing check does not leave
+	// Close waiting on a parked worker.
+	releaseHeld := sync.OnceFunc(func() { close(release) })
+	defer releaseHeld()
+	refuseHeld := sync.OnceFunc(func() { close(refuse) })
+	defer refuseHeld()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	session := func(id string) *Session {
+		t.Helper()
+		sess, ok := svc.Session(id)
+		if !ok {
+			t.Fatalf("session %s not found", id)
+		}
+		return sess
+	}
+
+	// Submit (202) while the worker holds the chaos session at pickup,
+	// so its snapshot is still the one served.
+	got := fetch(t, ts, "POST", "/v1/sessions", `{"kind":"chaos","seed":7}`)
+	<-held
+	chaosSess := session("s-000001")
+	expectJSON(t, "submit", got, http.StatusAccepted, chaosSess.Snapshot())
+	got = fetch(t, ts, "POST", "/v1/sessions", `{"kind":"workload","seed":7,"waves":1,"flows":16,"bytes":1e6}`)
+	small := session("s-000002")
+	expectJSON(t, "submit", got, http.StatusAccepted, small.Snapshot())
+
+	// The queue holds one session: a third submit is shed with 429.
+	got = fetch(t, ts, "POST", "/v1/sessions", `{"kind":"workload","seed":8}`)
+	expectJSON(t, "busy", got, http.StatusTooManyRequests, apiError{Error: ErrBusy{RetryAfter: 1}.Error()})
+	bad := Spec{Kind: "nonsense"}
+	got = fetch(t, ts, "POST", "/v1/sessions", `{"kind":"nonsense"}`)
+	expectJSON(t, "bad spec", got, http.StatusBadRequest, apiError{Error: bad.Normalize().Error()})
+	got = fetch(t, ts, "GET", "/v1/sessions/s-999999/report", "")
+	expectJSON(t, "unknown session", got, http.StatusNotFound, apiError{Error: "unknown session s-999999"})
+
+	releaseHeld()
+	for _, sess := range []*Session{chaosSess, small} {
+		rep, err := sess.wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := "/v1/sessions/" + sess.ID
+		expectJSON(t, sess.ID+" report", fetch(t, ts, "GET", path+"/report", ""), http.StatusOK, rep)
+		expectJSON(t, sess.ID+" poll", fetch(t, ts, "GET", path, ""), http.StatusOK, sess.Snapshot())
+		expectJSON(t, sess.ID+" ledger", fetch(t, ts, "GET", path+"/ledger", ""), http.StatusOK, rep.Ledger)
+
+		// The event stream is compact ndjson, one json.Marshal line each.
+		events, _ := sess.EventsSince(0)
+		var want []byte
+		for _, ev := range events {
+			line, _ := json.Marshal(ev)
+			want = append(append(want, line...), '\n')
+		}
+		if got := fetch(t, ts, "GET", path+"/events", ""); !bytes.Equal(got.body, want) {
+			t.Errorf("%s events: served\n%s\nwant\n%s", sess.ID, got.body, want)
+		}
+	}
+	big, _ := chaosSess.Report()
+	little, _ := small.Report()
+	if b, l := mustJSON(t, big), mustJSON(t, little); len(b) < 8*len(l) {
+		t.Fatalf("chaos report is %d bytes and workload report %d: too close to show a carry-over", len(b), len(l))
+	}
+
+	// A failed session answers 422 on its report and its ledger. It
+	// fails only once its submit is checked.
+	got = fetch(t, ts, "POST", "/v1/sessions", `{"kind":"workload","seed":9,"waves":1,"flows":16,"bytes":1e6}`)
+	failed := session("s-000003")
+	expectJSON(t, "submit", got, http.StatusAccepted, failed.Snapshot())
+	refuseHeld()
+	if _, err := failed.wait(); err == nil {
+		t.Fatal("s-000003 did not fail")
+	}
+	errBody := apiError{Error: failed.Snapshot().Error}
+	expectJSON(t, "failed report", fetch(t, ts, "GET", "/v1/sessions/s-000003/report", ""), http.StatusUnprocessableEntity, errBody)
+	expectJSON(t, "failed ledger", fetch(t, ts, "GET", "/v1/sessions/s-000003/ledger", ""), http.StatusUnprocessableEntity, errBody)
+
+	expectJSON(t, "stats", fetch(t, ts, "GET", "/v1/stats", ""), http.StatusOK, svc.Stats(false))
+	expectJSON(t, "stats with sessions", fetch(t, ts, "GET", "/v1/stats?sessions=1", ""), http.StatusOK, svc.Stats(true))
+}
+
+// TestHTTPEncodingFailureIsJSON500: a report that does not encode (a
+// NaN metric) answers 500 with a JSON apiError, from the report
+// endpoint and from the poll endpoint that embeds the report alike.
+func TestHTTPEncodingFailureIsJSON500(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheSize: 4})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	spec := workloadSpec(9)
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	nan := &Report{Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
+		Metrics: []Metric{{Name: "broken", Value: math.NaN()}}}
+	_, encErr := json.Marshal(nan)
+	if encErr == nil {
+		t.Fatal("a NaN metric encoded")
+	}
+	// The cache answers the spec with the broken report.
+	svc.mu.Lock()
+	svc.cache.put(spec.Key(), nan, 0)
+	svc.mu.Unlock()
+	sess, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := apiError{Error: "encoding failure: " + encErr.Error()}
+	for _, path := range []string{"/v1/sessions/" + sess.ID + "/report", "/v1/sessions/" + sess.ID} {
+		expectJSON(t, path, fetch(t, ts, "GET", path, ""), http.StatusInternalServerError, want)
 	}
 }

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
+	"bytes"
 
 	"spiderfs/internal/ledger"
 	"spiderfs/internal/sweep"
@@ -34,13 +34,16 @@ type Report struct {
 	Ledger *ledger.Export `json:"ledger,omitempty"`
 }
 
-// JSON marshals the report with a trailing newline — the exact bytes
-// the /v1/sessions/{id}/report endpoint serves, and what the CLI
-// prints, so the byte-identity contract is testable end to end.
+// JSON encodes the report with a trailing newline through the API's
+// one encode path — the exact bytes the /v1/sessions/{id}/report
+// endpoint serves, and what the CLI prints, so the byte-identity
+// contract is testable end to end. The bytes are a copy the caller
+// owns.
 func (r *Report) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
+	e := getEncoder()
+	defer putEncoder(e)
+	if err := e.doc.Encode(r); err != nil {
 		return nil, err
 	}
-	return append(out, '\n'), nil
+	return bytes.Clone(e.buf.Bytes()), nil
 }

@@ -228,9 +228,8 @@ func (s *Service) run(sess *Session) {
 		s.testGate(sess)
 	}
 
-	key := sess.Spec.Key()
 	s.mu.Lock()
-	rep, hit := s.cache.get(key)
+	rep, hit := s.cache.get(sess.key)
 	s.mu.Unlock()
 	if hit {
 		sess.start("cache")
@@ -248,7 +247,7 @@ func (s *Service) run(sess *Session) {
 		} else {
 			sess.start("cold")
 		}
-		rep = runWorkload(inst.eng, inst.fab, sess.Spec, sess.note)
+		rep = runWorkload(inst.eng, inst.fab, sess.Spec, sess.key, sess.note)
 		s.pool.release(inst)
 	} else {
 		sess.start("cold")
@@ -260,7 +259,7 @@ func (s *Service) run(sess *Session) {
 		return
 	}
 	s.mu.Lock()
-	s.cache.put(key, rep, lat)
+	s.cache.put(sess.key, rep, lat)
 	s.mu.Unlock()
 	s.finish(sess, rep, false, warm, lat)
 }

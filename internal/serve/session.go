@@ -34,6 +34,9 @@ type Session struct {
 	Token uint64
 	// Spec is the normalized spec (canonical; Spec.Key() is the cache key).
 	Spec Spec
+	// key is Spec.Key(), computed once at admission: the cache lookup,
+	// the report and every snapshot read it.
+	key string
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -47,7 +50,7 @@ type Session struct {
 }
 
 func newSession(id string, token uint64, spec Spec) *Session {
-	s := &Session{ID: id, Token: token, Spec: spec, state: StateQueued}
+	s := &Session{ID: id, Token: token, Spec: spec, key: spec.Key(), state: StateQueued}
 	s.cond = sync.NewCond(&s.mu)
 	s.append(StateQueued, "")
 	return s
@@ -117,7 +120,7 @@ func (s *Session) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Snapshot{
-		ID: s.ID, Token: fmt.Sprintf("%016x", s.Token), Key: s.Spec.Key(),
+		ID: s.ID, Token: fmt.Sprintf("%016x", s.Token), Key: s.key,
 		State: s.state, Events: len(s.events),
 		Cached: s.cached, Warm: s.warm, Error: s.errmsg, Report: s.report,
 	}

@@ -54,7 +54,7 @@ func RunSolo(spec Spec, catalog []sweep.Entry) (*Report, error) {
 	switch spec.Kind {
 	case "workload":
 		inst := buildInstance(spec.Full)
-		return runWorkload(inst.eng, inst.fab, spec, nil), nil
+		return runWorkload(inst.eng, inst.fab, spec, spec.Key(), nil), nil
 	case "chaos":
 		return runChaos(spec), nil
 	default:
@@ -66,8 +66,9 @@ func RunSolo(spec Spec, catalog []sweep.Entry) (*Report, error) {
 // engine/fabric — cold or pooled, the code path is identical, which is
 // what makes warm reuse fingerprint-safe. All randomness comes from a
 // named split of the spec seed; the engine trace plus the fabric's
-// outcome counters form the fingerprint.
-func runWorkload(eng *sim.Engine, fab *netsim.Fabric, spec Spec, note func(string)) *Report {
+// outcome counters form the fingerprint. key is spec.Key(), which the
+// ledger entries and the report carry.
+func runWorkload(eng *sim.Engine, fab *netsim.Fabric, spec Spec, key string, note func(string)) *Report {
 	th := sim.NewTraceHash()
 	eng.SetTrace(th.Observe)
 	src := rng.New(spec.Seed).Split("serve/workload")
@@ -86,7 +87,7 @@ func runWorkload(eng *sim.Engine, fab *netsim.Fabric, spec Spec, note func(strin
 			fab.StartClientFlow(c, src.Intn(nOSS), netsim.RouteFGR, spec.Bytes, src, nil)
 		}
 		eng.Run()
-		_ = ops.Append(eng.Now(), spec.Key(), "workload",
+		_ = ops.Append(eng.Now(), key, "workload",
 			fmt.Sprintf("wave-%d-drained", w+1),
 			fmt.Sprintf("%d flows, %d total events fired", spec.Flows, eng.Fired()))
 		ops.Seal()
@@ -108,7 +109,7 @@ func runWorkload(eng *sim.Engine, fab *netsim.Fabric, spec Spec, note func(strin
 	fp := fnv.New64a()
 	fp.Write(words)
 	return &Report{
-		Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
+		Kind: spec.Kind, Key: key, Seed: spec.Seed,
 		Fingerprint: fmt.Sprintf("%016x", fp.Sum64()),
 		Metrics: []Metric{
 			{Name: "events", Value: float64(eng.Fired())},

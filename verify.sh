@@ -101,10 +101,11 @@ stage_bench() {
 	set -x
 	# Benchmark smoke: one iteration of every BenchmarkPaper study
 	# (Figs. 2-4, E1-E17, HERO, ablations A1-A8) and every
-	# netsim/sim/lustre/raid/spantrace benchmark, including the Spider
-	# II-scale congestion wave untraced and 1-in-64 traced, so no
-	# benchmark harness can rot silently.
-	go test -bench . -benchtime=1x -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/lustre/ ./internal/raid/ ./internal/spantrace/
+	# netsim/sim/lustre/raid/spantrace/serve benchmark, including the
+	# Spider II-scale congestion wave untraced and 1-in-64 traced and
+	# the service's report encode path, so no benchmark harness can rot
+	# silently.
+	go test -bench . -benchtime=1x -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/lustre/ ./internal/raid/ ./internal/spantrace/ ./internal/serve/
 	# Run what go build only compiles: every examples/ program and the
 	# default benchsuite §III-B block-vs-FS sweep, once each with stdout
 	# discarded, so a runtime panic on those paths fails here.
