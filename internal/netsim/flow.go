@@ -14,7 +14,10 @@
 // intrusive sets (per-link slices with swap-remove, a per-flow epoch
 // stamp for affected-set collection), never Go maps, so completion
 // events are scheduled — and their seq-based FIFO tie-breaks assigned —
-// in an order independent of map randomization.
+// in an order independent of map randomization. A registry entry holds
+// the flow's id (its index in the network's flow table, given in build
+// order) and the link's slot in the flow's path; walks read a registry
+// in insertion order, never in id order.
 //
 // Hot path. At Spider II scale (tens of thousands of concurrent flows)
 // the solver is incremental and allocation-free. It rests on one
@@ -30,8 +33,12 @@
 // the flow itself, then its path order, then each link's registry in
 // insertion order — and a flow whose rate did not change keeps its
 // completion event. Flows are recycled through a per-network free list
-// with their path buffers and completion callbacks, so a start/finish
-// performs no allocation and no map operation.
+// with their path buffers, completion callbacks and flow-table ids, so a
+// start/finish performs no allocation and no map operation. A registry
+// entry is 8 bytes of (id, slot) with no pointer: registry growth
+// allocates half of what a (*Flow, int) entry would, and the garbage
+// collector never scans a registry; the walks read each flow through
+// the table.
 package netsim
 
 import (
@@ -40,41 +47,45 @@ import (
 	"spiderfs/internal/sim"
 )
 
-// linkSlot is one entry of a link's intrusive flow registry. slot is the
+// linkSlot is one entry of a link's intrusive flow registry: id is the
+// flow's index in its network's flow table (Network.tab), slot the
 // index of this link within the flow's path, so swap-remove can repair
-// the moved flow's back-pointer in O(1).
+// the moved flow's back-pointer in O(1). An entry is 8 bytes and holds
+// no pointer, so registry growth is cheap and the garbage collector
+// never scans a registry.
 type linkSlot struct {
-	f    *Flow
-	slot int
+	id   int32
+	slot int32
 }
 
 // Link is a unidirectional channel with fixed capacity shared equally by
 // the flows crossing it. A Link lives in its network's slab and must not
-// be copied: flows and fabric tables point to it.
+// be copied: flows and fabric tables point to it. The fields the
+// solver's walks read come first, so they share the record's first
+// cache line.
 type Link struct {
-	name    linkName // rendered by Name
-	Cap     float64  // bytes per second; change it only through Degrade/Restore
-	Latency sim.Time // propagation/forwarding delay added once per flow
-
-	// nominal remembers pre-degradation capacity (see cable.go).
-	nominal float64
-
 	// flows is the insertion-ordered registry of flows crossing the
 	// link; flowIdx back-pointers live in each flow's linkIdx.
 	flows []linkSlot
 	// share is Cap/len(flows), refreshed on every change to either, so
 	// re-rating reads it instead of dividing (+Inf on an idle link).
 	share float64
+	Cap   float64 // bytes per second; change it only through Degrade/Restore
+
+	BytesCarried float64  // congestion accounting
+	Latency      sim.Time // propagation/forwarding delay added once per flow
+	MaxFlows     int      // congestion accounting: the registry's peak length
+
+	name linkName // rendered by Name
+
+	// nominal remembers pre-degradation capacity (see cable.go).
+	nominal float64
 
 	// Capacity-seconds integration across Degrade/Restore, so
 	// Utilization reports against the capacity that was actually
 	// available over the window rather than the instantaneous Cap.
 	capSecs  float64  // integral of Cap dt over [creation, capSince]
 	capSince sim.Time // last capacity change (or creation) time
-
-	// Congestion accounting.
-	BytesCarried float64
-	MaxFlows     int
 }
 
 // Name returns the link's name. A fabric link renders it from its
@@ -123,7 +134,7 @@ func (l *Link) setShare() { l.share = l.Cap / float64(len(l.flows)) }
 // attach appends f (whose path index is slot) to the link's registry.
 func (l *Link) attach(f *Flow, slot int) {
 	f.linkIdx[slot] = int32(len(l.flows))
-	l.flows = append(l.flows, linkSlot{f: f, slot: slot})
+	l.flows = append(l.flows, linkSlot{id: f.id, slot: int32(slot)})
 	if len(l.flows) > l.MaxFlows {
 		l.MaxFlows = len(l.flows)
 	}
@@ -131,12 +142,12 @@ func (l *Link) attach(f *Flow, slot int) {
 }
 
 // detach swap-removes the registry entry at index idx, repairing the
-// moved flow's back-pointer.
-func (l *Link) detach(idx int32) {
+// moved flow's back-pointer through the flow table tab.
+func (l *Link) detach(tab []*Flow, idx int32) {
 	last := len(l.flows) - 1
 	moved := l.flows[last]
 	l.flows[idx] = moved
-	moved.f.linkIdx[moved.slot] = idx
+	tab[moved.id].linkIdx[moved.slot] = idx
 	l.flows[last] = linkSlot{}
 	l.flows = l.flows[:last]
 	l.setShare()
@@ -149,26 +160,29 @@ func (l *Link) detach(idx int32) {
 const linkIdxInline = 40
 
 // Flow is one in-flight transfer. Flows are recycled: a *Flow returned
-// by StartFlow is valid only until its done callback runs.
+// by StartFlow is valid only until its done callback runs. The fields
+// the registry walks and reassign read come first; the inline index
+// buffer, read only through linkIdx, comes last.
 type Flow struct {
+	stamp      uint64  // epoch marker for affected-set collection
+	rate       float64 // current share in bytes/second
+	next       float64 // rate the pending reassign applies; < 0: recompute from the path
+	remaining  float64
+	lastUpdate sim.Time
+	completion sim.Event
 	// path is owned by the flow and reused when it is recycled; callers'
 	// slices are copied in, never retained.
 	path []*Link
 	// linkIdx[k] is this flow's index in path[k].flows — the intrusive
 	// half of the link registries. It aliases idxBuf for the path
 	// lengths any real fabric produces.
-	linkIdx    []int32
-	idxBuf     [linkIdxInline]int32
-	size       float64
-	remaining  float64
-	rate       float64
-	next       float64 // rate the pending reassign applies; < 0: recompute from the path
-	lastUpdate sim.Time
-	completion sim.Event
-	done       func()
-	finishFn   func() // n.finish(f), bound once per Flow object
-	activeIdx  int    // index in Network.active, -1 once finished
-	stamp      uint64 // epoch marker for affected-set collection
+	linkIdx   []int32
+	id        int32 // index in Network.tab, fixed for the object's life
+	activeIdx int   // index in Network.active, -1 once finished
+	size      float64
+	done      func()
+	finishFn  func() // n.finish(f), bound once per Flow object
+	idxBuf    [linkIdxInline]int32
 }
 
 // Rate returns the flow's current share in bytes/second.
@@ -197,6 +211,9 @@ type Network struct {
 	// time. A pointer to one link keeps its whole chunk alive.
 	slab []Link
 
+	// tab is the flow table: every Flow the network has built, indexed
+	// by Flow.id, so a registry entry names its flow in 4 bytes.
+	tab    []*Flow
 	active []*Flow // insertion-ordered; swap-remove via Flow.activeIdx
 	free   []*Flow // finished flows awaiting reuse
 
@@ -261,7 +278,8 @@ func (n *Network) StartFlow(path []*Link, size float64, done func()) *Flow {
 }
 
 // newFlow takes a flow from the free list, or builds one with its
-// completion callback bound and its path buffer sized for a Titan path.
+// completion callback bound, its path buffer sized for a Titan path and
+// its id, the next slot of the flow table. A recycled flow keeps its id.
 func (n *Network) newFlow() *Flow {
 	if k := len(n.free) - 1; k >= 0 {
 		f := n.free[k]
@@ -269,8 +287,9 @@ func (n *Network) newFlow() *Flow {
 		n.free = n.free[:k]
 		return f
 	}
-	f := &Flow{path: make([]*Link, 0, linkIdxInline)}
+	f := &Flow{path: make([]*Link, 0, linkIdxInline), id: int32(len(n.tab))}
 	f.finishFn = func() { n.finish(f) }
+	n.tab = append(n.tab, f)
 	return f
 }
 
@@ -305,14 +324,17 @@ func (n *Network) start(f *Flow, size float64, done func()) *Flow {
 	n.epoch++
 	f.stamp = n.epoch
 	f.next = -1
-	aff := append(n.scratch[:0], f)
 	var latency sim.Time
+	for _, l := range f.path {
+		latency += l.Latency
+	}
+	aff := append(n.scratch[:0], f)
+	tab := n.tab
 	for k, l := range f.path {
 		l.attach(f, k)
-		latency += l.Latency
 		share := l.share
 		for _, e := range l.flows {
-			g := e.f
+			g := tab[e.id]
 			if g.stamp != n.epoch {
 				g.stamp = n.epoch
 				g.next = g.rate
@@ -342,10 +364,10 @@ func (n *Network) affectedLink(l *Link) []*Flow {
 	n.epoch++
 	s := n.scratch[:0]
 	for _, e := range l.flows {
-		if e.f.stamp != n.epoch {
-			e.f.stamp = n.epoch
-			e.f.next = -1
-			s = append(s, e.f)
+		if g := n.tab[e.id]; g.stamp != n.epoch {
+			g.stamp = n.epoch
+			g.next = -1
+			s = append(s, g)
 		}
 	}
 	n.scratch = s
@@ -427,10 +449,11 @@ func (n *Network) finish(f *Flow) {
 	n.epoch++
 	f.stamp = n.epoch
 	aff := n.scratch[:0]
+	tab := n.tab
 	for _, l := range f.path {
 		share := l.share
 		for _, e := range l.flows {
-			g := e.f
+			g := tab[e.id]
 			if g.stamp != n.epoch {
 				g.stamp = n.epoch
 				g.next = g.rate
@@ -443,7 +466,7 @@ func (n *Network) finish(f *Flow) {
 	}
 	n.scratch = aff
 	for k, l := range f.path {
-		l.detach(f.linkIdx[k])
+		l.detach(tab, f.linkIdx[k])
 	}
 	f.rate = 0
 	if f.activeIdx >= 0 {

@@ -9,14 +9,19 @@ import (
 )
 
 // checkRegistries validates every intrusive invariant the ordered sets
-// rely on: each active flow's linkIdx back-pointers land on its own
-// registry entries, every registry entry points back at a live flow,
-// and the active list's swap-remove indices are consistent.
+// rely on: each active flow sits at its id in the flow table, its
+// linkIdx back-pointers land on its own registry entries, every
+// registry entry names a live flow through the table with a slot
+// inside that flow's path and points back at itself, and the active
+// list's swap-remove indices are consistent.
 func checkRegistries(t *testing.T, n *Network) {
 	t.Helper()
 	for i, f := range n.active {
 		if f.activeIdx != i {
 			t.Fatalf("active[%d].activeIdx = %d", i, f.activeIdx)
+		}
+		if f.id < 0 || int(f.id) >= len(n.tab) || n.tab[f.id] != f {
+			t.Fatalf("active[%d] has id %d, not its slot in a flow table of %d", i, f.id, len(n.tab))
 		}
 		if len(f.linkIdx) != len(f.path) {
 			t.Fatalf("flow has %d links but %d indices", len(f.path), len(f.linkIdx))
@@ -27,17 +32,24 @@ func checkRegistries(t *testing.T, n *Network) {
 				t.Fatalf("linkIdx[%d] = %d out of range [0,%d)", k, idx, len(l.flows))
 			}
 			e := l.flows[idx]
-			if e.f != f || e.slot != k {
-				t.Fatalf("registry entry mismatch: got (%p,%d), want (%p,%d)", e.f, e.slot, f, k)
+			if e.id != f.id || int(e.slot) != k {
+				t.Fatalf("registry entry mismatch: got (%d,%d), want (%d,%d)", e.id, e.slot, f.id, k)
 			}
 		}
 	}
 	for _, l := range n.links {
 		for i, e := range l.flows {
-			if e.f.linkIdx[e.slot] != int32(i) {
-				t.Fatalf("link %q entry %d back-pointer = %d", l.Name(), i, e.f.linkIdx[e.slot])
+			if e.id < 0 || int(e.id) >= len(n.tab) {
+				t.Fatalf("link %q entry %d names flow %d outside a table of %d", l.Name(), i, e.id, len(n.tab))
 			}
-			if e.f.activeIdx < 0 {
+			g := n.tab[e.id]
+			if e.slot < 0 || int(e.slot) >= len(g.path) {
+				t.Fatalf("link %q entry %d slot %d outside a path of %d links", l.Name(), i, e.slot, len(g.path))
+			}
+			if g.linkIdx[e.slot] != int32(i) {
+				t.Fatalf("link %q entry %d back-pointer = %d", l.Name(), i, g.linkIdx[e.slot])
+			}
+			if g.activeIdx < 0 {
 				t.Fatalf("link %q holds finished flow", l.Name())
 			}
 		}

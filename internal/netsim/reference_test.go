@@ -3,6 +3,7 @@ package netsim
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -219,6 +220,44 @@ func TestStartFinishAllocationCeiling(t *testing.T) {
 	if perSend != 0 {
 		t.Errorf("Spider II StartClientFlow allocates %.4f per send, want 0", perSend)
 	}
+}
+
+// TestCongestionWaveBytesCeiling holds the bytes the solver allocates
+// under congestion once its flow pool is built: three seeded 2,048-flow
+// Spider II waves after the first. What remains is registry growth as
+// links see more concurrent flows than before, and the flow table, so
+// the ceiling pins the 8-byte, pointer-free registry entry; 16-byte
+// entries holding a *Flow cost about twice as much.
+func TestCongestionWaveBytesCeiling(t *testing.T) {
+	const (
+		clients = 18688
+		nOSS    = 288
+		wave    = 2048
+		ceiling = 640 << 10
+	)
+	eng := sim.NewEngine()
+	cfg := Spider2Fabric()
+	fab := NewFabric(eng, cfg, placementForBench(cfg), nOSS)
+	src := rng.New(3)
+	runWave := func() {
+		for i := 0; i < wave; i++ {
+			c := cfg.Torus.CoordOf(src.Intn(clients) % cfg.Torus.Nodes())
+			fab.StartClientFlow(c, src.Intn(nOSS), RouteFGR, 32e6, src, nil)
+		}
+		eng.Run()
+	}
+	runWave() // builds the flow pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for w := 0; w < 3; w++ {
+		runWave()
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > ceiling {
+		t.Fatalf("waves 2-4 allocate %d bytes, want at most %d", got, ceiling)
+	}
+	t.Logf("waves 2-4 allocate %d bytes", got)
 }
 
 // refWalk visits the dimension-ordered route from a to b one unit hop

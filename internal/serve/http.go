@@ -194,16 +194,27 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	snap := sess.Snapshot()
-	switch snap.State {
-	case StateDone:
-		rep, _ := sess.Report()
+	rep, snap := result(sess)
+	switch {
+	case rep != nil:
 		writeJSON(w, http.StatusOK, rep)
-	case StateFailed:
+	case snap.State == StateFailed:
 		writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: snap.Error})
 	default:
 		writeJSON(w, http.StatusAccepted, snap)
 	}
+}
+
+// result reads a session's report or, while it has none, the snapshot
+// a 202 or 422 answers with. The snapshot is one locked read, so a
+// session that finishes in between answers with its report. A finished
+// session, the common GET, builds no snapshot.
+func result(sess *Session) (*Report, Snapshot) {
+	if rep, ok := sess.Report(); ok {
+		return rep, Snapshot{}
+	}
+	snap := sess.Snapshot()
+	return snap.Report, snap
 }
 
 // handleLedger serves the finished session's tamper-evident
@@ -215,17 +226,16 @@ func (s *Service) handleLedger(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	snap := sess.Snapshot()
-	switch snap.State {
-	case StateDone:
-		rep, _ := sess.Report()
+	rep, snap := result(sess)
+	switch {
+	case rep != nil:
 		if rep.Ledger == nil {
 			writeJSON(w, http.StatusNotFound,
 				apiError{Error: rep.Kind + " sessions keep no operations ledger"})
 			return
 		}
 		writeJSON(w, http.StatusOK, rep.Ledger)
-	case StateFailed:
+	case snap.State == StateFailed:
 		writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: snap.Error})
 	default:
 		writeJSON(w, http.StatusAccepted, snap)

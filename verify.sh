@@ -81,6 +81,9 @@ stage_test() {
 	# The fabric-construction rung: one slab-built Spider II fabric
 	# (68,440 links), with its allocations reported.
 	go test -run '^$' -bench 'BenchmarkNewFabric' -benchtime 1x -benchmem ./internal/netsim
+	# The congestion-wave rung: one untraced 2,048-flow Spider II wave,
+	# with its bytes reported (flow-pool and link-registry growth).
+	go test -run '^$' -bench 'BenchmarkSpider2Congestion/untraced' -benchtime 1x -benchmem ./internal/netsim
 	# The quick-campaign rung: one featured one-day small-center chaos
 	# campaign, the work a serve-mix cold session does, with its
 	# allocations reported.
