@@ -545,7 +545,7 @@ func (p *campaign) startCableDegradation() {
 				l := uplinks[idx]
 				net.Degrade(l, cableDegradeFrac)
 				p.rep.CableDegradations++
-				p.emit(l.Name(), monitor.Hardware, "hca-symbol-errors")
+				p.emit(net.LinkName(l), monitor.Hardware, "hca-symbol-errors")
 				p.eng.After(p.sched.cableRepair, func() {
 					net.Restore(l)
 					degraded[idx] = false

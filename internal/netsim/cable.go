@@ -9,27 +9,29 @@ package netsim
 
 // Degrade reduces the link's capacity to frac of nominal (0 < frac <=
 // 1). Flows currently on the link are re-rated in insertion order;
-// capacity-seconds are settled first so Utilization keeps reporting
-// against the historically available bandwidth.
+// capacity-seconds are settled first, in the link's cold record, so
+// utilization keeps reporting against the historically available
+// bandwidth.
 func (n *Network) Degrade(l *Link, frac float64) {
 	if frac <= 0 || frac > 1 {
 		panic("netsim: degrade fraction out of range") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	if l.nominal == 0 {
-		l.nominal = l.Cap
+	r := n.coldFor(l)
+	if r.nominal == 0 {
+		r.nominal = l.Cap
 	}
-	l.accrueCap(n.eng.Now())
-	l.Cap = l.nominal * frac
+	r.accrue(l.Cap, n.eng.Now())
+	l.Cap = r.nominal * frac
 	l.setShare()
 	n.reassign(n.affectedLink(l))
 }
 
 // Restore returns a degraded link to nominal capacity.
 func (n *Network) Restore(l *Link) {
-	if l.nominal != 0 {
-		l.accrueCap(n.eng.Now())
-		l.Cap = l.nominal
-		l.nominal = 0
+	if r := n.coldOf(l); r != nil && r.nominal != 0 {
+		r.accrue(l.Cap, n.eng.Now())
+		l.Cap = r.nominal
+		r.nominal = 0
 		l.setShare()
 		n.reassign(n.affectedLink(l))
 	}

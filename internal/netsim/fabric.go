@@ -40,15 +40,20 @@ func Spider2Fabric() FabricConfig {
 
 // Fabric is the built network: torus links, injection links, router
 // forwarding links, and the two-tier InfiniBand SAN. OSS endpoints are
-// identified by index; each OSS attaches to one leaf switch.
+// identified by index; each OSS attaches to one leaf switch. All its
+// links come from one slab chunk, torus links first: node i's six
+// Gemini links, then its injection link, are torus[7i] to torus[7i+6]
+// and ids 7i to 7i+6, so routes index the slab and names render from
+// the id. The fabric's other links are named from a presized table of
+// compact descriptors in the network.
 type Fabric struct {
 	Cfg       FabricConfig
 	Net       *Network
 	Placement topology.Placement
 
-	// gem[nodeIdx][dir] with dir 0..5 = +x,-x,+y,-y,+z,-z.
-	gem    [][6]*Link
-	inject []*Link
+	// torus is the first linksPerNode*Nodes records of the slab: node
+	// i's links in direction order dirXPlus..dirZMinus, then injectSlot.
+	torus []Link
 
 	routerFwd []*Link // per router ID
 	routerUp  []*Link // router -> its leaf switch port
@@ -82,15 +87,15 @@ type Fabric struct {
 	Tracer *spantrace.Tracer
 }
 
-// linkName is a link's name in compact form. A link made by NewLink
-// keeps the string it was given; a fabric link keeps its kind and
-// indices, and String renders the name only when someone reads it, so
-// building a Spider II-scale fabric formats no strings.
+// linkName is the name of a link outside a fabric's torus, in compact
+// form. A link made by NewLink keeps the string it was given; a fabric
+// link keeps its kind and indices, and String renders the name only
+// when someone reads it, so building a Spider II-scale fabric formats
+// no strings.
 type linkName struct {
-	s       string // the name of a linkNamed link
-	kind    linkKind
-	dir     uint8 // linkGemini: dirXPlus..dirZMinus
-	a, b, c int32 // coordinates (x, y, z) or indices, per kind
+	s    string // the name of a linkNamed link
+	kind linkKind
+	a, b int32 // indices, per kind
 }
 
 // linkKind selects a fabric link's name format.
@@ -98,8 +103,6 @@ type linkKind uint8
 
 const (
 	linkNamed     linkKind = iota // s, as given to NewLink
-	linkGemini                    // gem(a,b,c)+x, one per torus direction
-	linkInject                    // inj(a,b,c)
 	linkRouterFwd                 // rtr<a>-fwd
 	linkRouterUp                  // rtr<a>-sw<b>
 	linkLeafCore                  // leaf<a>-core
@@ -122,18 +125,6 @@ func (nm linkName) String() string {
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
 	switch nm.kind {
-	case linkGemini, linkInject:
-		pre := "gem("
-		if nm.kind == linkInject {
-			pre = "inj("
-		}
-		num(pre, nm.a)
-		num(",", nm.b)
-		num(",", nm.c)
-		b = append(b, ')')
-		if nm.kind == linkGemini {
-			b = append(b, dirTags[nm.dir]...)
-		}
 	case linkRouterFwd:
 		num("rtr", nm.a)
 		b = append(b, "-fwd"...)
@@ -159,7 +150,33 @@ const (
 	dirYMinus
 	dirZPlus
 	dirZMinus
+	// injectSlot is a node's injection link, after its six Gemini links.
+	injectSlot
+	// linksPerNode is how many torus links each node owns.
+	linksPerNode
 )
+
+// torusLinkName renders the name of torus link id on t: gem(x,y,z)+x
+// for a Gemini link, inj(x,y,z) for an injection link.
+func torusLinkName(t topology.Torus, id int) string {
+	c, slot := t.CoordOf(id/linksPerNode), id%linksPerNode
+	pre := "gem("
+	if slot == injectSlot {
+		pre = "inj("
+	}
+	var buf [32]byte
+	b := append(buf[:0], pre...)
+	b = strconv.AppendInt(b, int64(c.X), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(c.Y), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(c.Z), 10)
+	b = append(b, ')')
+	if slot != injectSlot {
+		b = append(b, dirTags[slot]...)
+	}
+	return string(b)
+}
 
 // NewFabric builds the full I/O fabric. nOSS object storage servers are
 // attached round-robin to the placement's leaf switches
@@ -179,22 +196,20 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 	t := cfg.Torus
 	n := t.Nodes()
 	nRouters := 4 * len(placement.Modules)
-	// Six Gemini directions and one injection link per node, two links
-	// per router and per leaf, and one port per OSS.
-	f.Net.reserve(7*n + 2*nRouters + 2*f.nLeaves + nOSS)
-	f.gem = make([][6]*Link, n)
-	f.inject = make([]*Link, n)
+	// Six Gemini directions and one injection link per node, named by
+	// id; two links per router and per leaf, and one port per OSS, named
+	// from the table.
+	f.Net.torus, f.Net.torusLinks = t, int32(linksPerNode*n)
+	named := 2*nRouters + 2*f.nLeaves + nOSS
+	f.Net.reserve(linksPerNode*n+named, named)
+	// Capacities in slot order, dirXPlus through injectSlot.
+	caps := [linksPerNode]float64{geminiXBps, geminiXBps, geminiYBps, geminiYBps, geminiZBps, geminiZBps, injectBps}
 	for i := 0; i < n; i++ {
-		c := t.CoordOf(i)
-		at := linkName{a: int32(c.X), b: int32(c.Y), c: int32(c.Z)}
-		// Capacities in direction order, dirXPlus through dirZMinus.
-		for dir, bps := range [6]float64{geminiXBps, geminiXBps, geminiYBps, geminiYBps, geminiZBps, geminiZBps} {
-			at.kind, at.dir = linkGemini, uint8(dir)
-			f.gem[i][dir] = f.Net.newLink(at, bps, geminiLatency)
+		for _, bps := range caps {
+			f.Net.newLink(linkName{}, bps, geminiLatency)
 		}
-		at.kind = linkInject
-		f.inject[i] = f.Net.newLink(at, injectBps, geminiLatency)
 	}
+	f.torus = f.Net.slab[: linksPerNode*n : linksPerNode*n]
 
 	f.routerFwd = make([]*Link, nRouters)
 	f.routerUp = make([]*Link, nRouters)
@@ -225,7 +240,7 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig, placement topology.Placement, 
 
 // Reset returns the fabric to its just-built state without rebuilding
 // the ~68k-link topology: router failures are recovered, ARN disabled,
-// stall/drop counters zeroed, the tracer and drop hook detached, and
+// stall/drop counters zeroed, the tracer detached, and
 // the underlying network reset (degraded cables restored, link and flow
 // counters cleared). Call it after the owning engine has drained and
 // been Reset, so the capacity integrals restart at time zero; a reset
@@ -244,11 +259,6 @@ func (f *Fabric) Reset() error {
 	f.Tracer = nil
 	return nil
 }
-
-// OSSLeaf returns the leaf switch an OSS attaches to.
-//
-//simlint:allow test-only-export read-only accessor the fabric wiring tests assert
-func (f *Fabric) OSSLeaf(oss int) int { return f.ossLeaf[oss] }
 
 // NumOSS returns the number of attached object storage servers.
 func (f *Fabric) NumOSS() int { return len(f.ossPort) }
@@ -288,7 +298,7 @@ func (f *Fabric) axisPath(dst []*Link, i, p, h, n, stride, plus int) ([]*Link, i
 		h, dir, step, wrap, edge = -h, plus+1, -stride, (n-1)*stride, p
 	}
 	for k := 0; k < h; k++ {
-		dst = append(dst, f.gem[i][dir])
+		dst = append(dst, &f.torus[linksPerNode*i+dir])
 		if k == edge {
 			i += wrap
 		} else {
@@ -325,9 +335,9 @@ func (f *Fabric) Congestion(now sim.Time) CongestionReport {
 	r.MaxUtilization, r.HotLink = f.Net.MaxLinkUtilization()
 	var sum float64
 	var n int
-	for _, node := range f.gem {
-		for _, l := range node {
-			sum += l.Utilization(now)
+	for i := range f.torus {
+		if i%linksPerNode != injectSlot {
+			sum += f.Net.utilization(&f.torus[i], now)
 			n++
 		}
 	}

@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
@@ -26,8 +28,8 @@ func TestFabricConstruction(t *testing.T) {
 		t.Fatalf("leaves = %d, want 16", f.nLeaves)
 	}
 	// OSSes round-robin across leaves.
-	if f.OSSLeaf(0) != 0 || f.OSSLeaf(16) != 0 || f.OSSLeaf(17) != 1 {
-		t.Fatalf("oss leaf mapping: %d %d %d", f.OSSLeaf(0), f.OSSLeaf(16), f.OSSLeaf(17))
+	if f.ossLeaf[0] != 0 || f.ossLeaf[16] != 0 || f.ossLeaf[17] != 1 {
+		t.Fatalf("oss leaf mapping: %d %d %d", f.ossLeaf[0], f.ossLeaf[16], f.ossLeaf[17])
 	}
 }
 
@@ -214,11 +216,11 @@ func TestSpider2LinkNames(t *testing.T) {
 		t.Fatalf("%d links, want %d", len(links), len(want))
 	}
 	for i, l := range links {
-		if l.Name() != want[i] {
-			t.Fatalf("link %d renders %q, want %q", i, l.Name(), want[i])
+		if got := f.Net.LinkName(l); got != want[i] {
+			t.Fatalf("link %d renders %q, want %q", i, got, want[i])
 		}
 	}
-	if got := f.Net.NewLink("custom", 1e9, 0).Name(); got != "custom" {
+	if got := f.Net.LinkName(f.Net.NewLink("custom", 1e9, 0)); got != "custom" {
 		t.Fatalf("NewLink name renders %q", got)
 	}
 }
@@ -237,6 +239,36 @@ func TestSpider2FabricBuildAllocations(t *testing.T) {
 	}
 }
 
+// TestLinkRecordSize pins a Link at one 64-byte cache line, and a
+// Spider II fabric's slab at a cache-line boundary, so no link's hot
+// fields straddle two lines.
+func TestLinkRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(Link{}); size != 64 {
+		t.Fatalf("Link is %d bytes, want 64", size)
+	}
+	cfg := Spider2Fabric()
+	f := NewFabric(sim.NewEngine(), cfg, placementForBench(cfg), 288)
+	if at := uintptr(unsafe.Pointer(&f.torus[0])); at%64 != 0 {
+		t.Fatalf("first torus link at %#x, not 64-byte aligned", at)
+	}
+}
+
+// TestSpider2FabricBuildBytes holds one Spider II build to 5.5 MB: the
+// 68,440 one-line links (4.4 MB) and the fabric's small tables, with
+// no per-node route table and no per-link name.
+func TestSpider2FabricBuildBytes(t *testing.T) {
+	cfg := Spider2Fabric()
+	pl := placementForBench(cfg)
+	eng := sim.NewEngine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fabricSink = NewFabric(eng, cfg, pl, 288)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 5.5e6 {
+		t.Fatalf("NewFabric allocates %d bytes, want at most 5.5 MB", got)
+	}
+}
+
 // TestPlainNetworkLinksOutliveChunks checks that links made one at a
 // time on a plain network, across several slab chunks, stay distinct
 // and keep their names and capacities.
@@ -248,8 +280,8 @@ func TestPlainNetworkLinksOutliveChunks(t *testing.T) {
 	}
 	seen := map[*Link]bool{}
 	for i, l := range n.Links() {
-		if seen[l] || l.Name() != fmt.Sprint("l", i) || l.Cap != float64(i+1) {
-			t.Fatalf("link %d: %q cap %v (repeat %v)", i, l.Name(), l.Cap, seen[l])
+		if seen[l] || n.LinkName(l) != fmt.Sprint("l", i) || l.Cap != float64(i+1) {
+			t.Fatalf("link %d: %q cap %v (repeat %v)", i, n.LinkName(l), l.Cap, seen[l])
 		}
 		seen[l] = true
 	}

@@ -39,12 +39,23 @@
 // allocates half of what a (*Flow, int) entry would, and the garbage
 // collector never scans a registry; the walks read each flow through
 // the table.
+//
+// A Link is one 64-byte cache line: its registry, cached share,
+// capacity, congestion counters, latency and its id, the index in
+// Network.links. Nothing the walks never read stays in the record. A
+// name lives in the network, rendered from the id for a fabric's torus
+// links and from a per-network table for every other link
+// (Network.LinkName). The capacity history of a degraded link, or of
+// one built after the network's epoch, lives in a per-network cold
+// record made on first use; every other link's capacity integral runs
+// from the network's epoch (Network.since).
 package netsim
 
 import (
 	"fmt"
 
 	"spiderfs/internal/sim"
+	"spiderfs/internal/topology"
 )
 
 // linkSlot is one entry of a link's intrusive flow registry: id is the
@@ -60,9 +71,11 @@ type linkSlot struct {
 
 // Link is a unidirectional channel with fixed capacity shared equally by
 // the flows crossing it. A Link lives in its network's slab and must not
-// be copied: flows and fabric tables point to it. The fields the
-// solver's walks read come first, so they share the record's first
-// cache line.
+// be copied: flows and fabric paths point to it. The record is exactly
+// one 64-byte cache line and holds only what the solver and the
+// congestion counters read; the link's name and, for a degraded or
+// late-built link, its capacity history live in per-network side
+// tables that id indexes.
 type Link struct {
 	// flows is the insertion-ordered registry of flows crossing the
 	// link; flowIdx back-pointers live in each flow's linkIdx.
@@ -74,53 +87,75 @@ type Link struct {
 
 	BytesCarried float64  // congestion accounting
 	Latency      sim.Time // propagation/forwarding delay added once per flow
-	MaxFlows     int      // congestion accounting: the registry's peak length
+	MaxFlows     int32    // congestion accounting: the registry's peak length
 
-	name linkName // rendered by Name
+	id int32 // index in Network.links
+}
 
-	// nominal remembers pre-degradation capacity (see cable.go).
-	nominal float64
+// coldLink is the capacity history of a link that has one apart from
+// its network's: a link degraded since the network's epoch, or built
+// after it. Every other link has had its Cap since Network.since.
+type coldLink struct {
+	id      int32   // the link's index in Network.links
+	nominal float64 // pre-degradation capacity; 0 while not degraded
 
 	// Capacity-seconds integration across Degrade/Restore, so
-	// Utilization reports against the capacity that was actually
+	// utilization reports against the capacity that was actually
 	// available over the window rather than the instantaneous Cap.
 	capSecs  float64  // integral of Cap dt over [creation, capSince]
 	capSince sim.Time // last capacity change (or creation) time
 }
 
-// Name returns the link's name. A fabric link renders it from its
-// compact descriptor on each call.
-func (l *Link) Name() string { return l.name.String() }
-
-// Flows returns the number of flows currently crossing the link.
-//
-//simlint:allow test-only-export read-only accessor the solver tests assert link occupancy with
-func (l *Link) Flows() int { return len(l.flows) }
-
-// accrueCap integrates capacity-seconds up to now. Called before every
-// capacity change and by Utilization.
-func (l *Link) accrueCap(now sim.Time) {
-	if now > l.capSince {
-		l.capSecs += l.Cap * (now - l.capSince).Seconds()
-		l.capSince = now
+// accrue integrates capacity-seconds of a link at capacity c up to
+// now. Called before every capacity change.
+func (r *coldLink) accrue(c float64, now sim.Time) {
+	if now > r.capSince {
+		r.capSecs += c * (now - r.capSince).Seconds()
+		r.capSince = now
 	}
 }
 
-// capacitySeconds returns the integral of capacity over [creation, now].
-func (l *Link) capacitySeconds(now sim.Time) float64 {
-	cs := l.capSecs
-	if now > l.capSince {
-		cs += l.Cap * (now - l.capSince).Seconds()
+// coldOf returns l's cold record, or nil when l has none.
+func (n *Network) coldOf(l *Link) *coldLink {
+	if i, ok := n.coldIdx[l.id]; ok {
+		return &n.cold[i]
+	}
+	return nil
+}
+
+// coldFor returns l's cold record, making one whose integral starts at
+// the network's epoch when l has none.
+func (n *Network) coldFor(l *Link) *coldLink {
+	if r := n.coldOf(l); r != nil {
+		return r
+	}
+	if n.coldIdx == nil {
+		n.coldIdx = map[int32]int32{}
+	}
+	n.coldIdx[l.id] = int32(len(n.cold))
+	n.cold = append(n.cold, coldLink{id: l.id, capSince: n.since})
+	return &n.cold[len(n.cold)-1]
+}
+
+// capacitySeconds returns the integral of l's capacity over [creation,
+// now], or over [since, now] after a Reset.
+func (n *Network) capacitySeconds(l *Link, now sim.Time) float64 {
+	cs, since := 0.0, n.since
+	if r := n.coldOf(l); r != nil {
+		cs, since = r.capSecs, r.capSince
+	}
+	if now > since {
+		cs += l.Cap * (now - since).Seconds()
 	}
 	return cs
 }
 
-// Utilization returns the fraction of the capacity available over
+// utilization returns the fraction of the capacity available to l over
 // [creation, now] that was actually used. Capacity changes from
 // Degrade/Restore are integrated, so historical utilization stays in
 // [0, 1] instead of being misreported against the instantaneous Cap.
-func (l *Link) Utilization(now sim.Time) float64 {
-	cs := l.capacitySeconds(now)
+func (n *Network) utilization(l *Link, now sim.Time) float64 {
+	cs := n.capacitySeconds(l, now)
 	if cs <= 0 {
 		return 0
 	}
@@ -135,8 +170,8 @@ func (l *Link) setShare() { l.share = l.Cap / float64(len(l.flows)) }
 func (l *Link) attach(f *Flow, slot int) {
 	f.linkIdx[slot] = int32(len(l.flows))
 	l.flows = append(l.flows, linkSlot{id: f.id, slot: int32(slot)})
-	if len(l.flows) > l.MaxFlows {
-		l.MaxFlows = len(l.flows)
+	if k := int32(len(l.flows)); k > l.MaxFlows {
+		l.MaxFlows = k
 	}
 	l.setShare()
 }
@@ -185,11 +220,6 @@ type Flow struct {
 	idxBuf    [linkIdxInline]int32
 }
 
-// Rate returns the flow's current share in bytes/second.
-//
-//simlint:allow test-only-export read-only accessor the solver tests compare against reference rates
-func (f *Flow) Rate() float64 { return f.rate }
-
 // pathRate is the egalitarian rate from scratch: the minimum share over
 // the flow's (non-empty) path.
 func (f *Flow) pathRate() float64 {
@@ -205,11 +235,27 @@ func (f *Flow) pathRate() float64 {
 // Network owns links and flows for one engine.
 type Network struct {
 	eng   *sim.Engine
-	links []*Link
+	links []*Link // indexed by Link.id
 	// slab is the chunk newLink carves links from: NewFabric sizes one
 	// chunk for its whole topology, a plain network takes linkChunk at a
 	// time. A pointer to one link keeps its whole chunk alive.
 	slab []Link
+
+	// torus and torusLinks name a fabric's torus links, ids 0 to
+	// torusLinks-1, from their ids (see torusLinkName); a plain network
+	// has none. names holds every other link's name, indexed by id -
+	// torusLinks.
+	torus      topology.Torus
+	torusLinks int32
+	names      []linkName
+
+	// since is when every link's capacity integral starts unless the
+	// link has a cold record: NewNetwork's time, then each Reset's.
+	// cold holds those records in the order they were made, and
+	// coldIdx finds a link's record by its id.
+	since   sim.Time
+	cold    []coldLink
+	coldIdx map[int32]int32
 
 	// tab is the flow table: every Flow the network has built, indexed
 	// by Flow.id, so a registry entry names its flow in 4 bytes.
@@ -227,7 +273,7 @@ type Network struct {
 
 // NewNetwork creates an empty network on eng.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{eng: eng}
+	return &Network{eng: eng, since: eng.Now()}
 }
 
 // ActiveFlows returns the number of in-flight transfers.
@@ -238,29 +284,53 @@ func (n *Network) NewLink(name string, capBps float64, latency sim.Time) *Link {
 	return n.newLink(linkName{s: name}, capBps, latency)
 }
 
+// LinkName returns the name of l, one of n's links. A fabric link's
+// name is rendered from its id or its descriptor on each call.
+func (n *Network) LinkName(l *Link) string { return n.name(l.id) }
+
+// name renders the name of link id.
+func (n *Network) name(id int32) string {
+	if id < n.torusLinks {
+		return torusLinkName(n.torus, int(id))
+	}
+	return n.names[id-n.torusLinks].String()
+}
+
 // linkChunk is how many links a plain network's slab chunk holds.
 const linkChunk = 64
 
-// reserve presizes the link registry and the slab for k more links.
-func (n *Network) reserve(k int) {
+// reserve presizes the link registry and the slab for k more links,
+// and the names table for named of them.
+func (n *Network) reserve(k, named int) {
 	n.links = append(make([]*Link, 0, len(n.links)+k), n.links...)
 	n.slab = make([]Link, 0, k)
+	n.names = append(make([]linkName, 0, len(n.names)+named), n.names...)
 }
 
 // newLink makes a link in the next slot of the current slab chunk,
-// starting a chunk of linkChunk when that one is full.
-func (n *Network) newLink(name linkName, capBps float64, latency sim.Time) *Link {
+// starting a chunk of linkChunk when that one is full. nm is its name,
+// unless its id falls among a fabric's torus links, which are named by
+// id. A link built after the network's epoch gets a cold record, so its
+// capacity integral starts at its creation.
+func (n *Network) newLink(nm linkName, capBps float64, latency sim.Time) *Link {
+	id := int32(len(n.links))
+	if id >= n.torusLinks {
+		n.names = append(n.names, nm)
+	}
 	if capBps <= 0 {
-		panic(fmt.Sprintf("netsim: link %q with non-positive capacity", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
+		panic(fmt.Sprintf("netsim: link %q with non-positive capacity", n.name(id))) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
 	if len(n.slab) == cap(n.slab) {
 		n.slab = make([]Link, 0, linkChunk)
 	}
 	n.slab = n.slab[:len(n.slab)+1]
 	l := &n.slab[len(n.slab)-1]
-	l.name, l.Cap, l.Latency, l.capSince = name, capBps, latency, n.eng.Now()
+	l.id, l.Cap, l.Latency = id, capBps, latency
 	l.setShare()
 	n.links = append(n.links, l)
+	if now := n.eng.Now(); now != n.since {
+		n.coldFor(l).capSince = now
+	}
 	return l
 }
 
@@ -488,21 +558,6 @@ func (n *Network) finish(f *Flow) {
 	}
 }
 
-// reset returns the link to its as-built state at time now: nominal
-// capacity restored (undoing any Degrade), congestion counters zeroed,
-// and the capacity-seconds integral restarted. The flow registry must
-// already be empty — Network.Reset refuses to run with flows in flight.
-func (l *Link) reset(now sim.Time) {
-	if l.nominal != 0 {
-		l.Cap = l.nominal
-		l.nominal = 0
-	}
-	l.capSecs = 0
-	l.capSince = now
-	l.BytesCarried = 0
-	l.MaxFlows = 0
-}
-
 // Reset returns the network to its just-built state — links keep their
 // topology and capacities (degraded links are restored to nominal) but
 // every counter and utilization integral starts over at the engine's
@@ -519,9 +574,20 @@ func (n *Network) Reset() error {
 	n.BytesDelivered = 0
 	n.epoch = 0
 	n.scratch = n.scratch[:0]
-	now := n.eng.Now()
+	// Degraded links return to nominal capacity; every integral,
+	// degraded or late-built, restarts at the new epoch, so no link
+	// keeps a cold record.
+	for i := range n.cold {
+		if r := &n.cold[i]; r.nominal != 0 {
+			n.links[r.id].Cap = r.nominal
+		}
+	}
+	n.cold = n.cold[:0]
+	clear(n.coldIdx)
+	n.since = n.eng.Now()
 	for _, l := range n.links {
-		l.reset(now)
+		l.BytesCarried = 0
+		l.MaxFlows = 0
 	}
 	return nil
 }
@@ -533,12 +599,12 @@ func (n *Network) MaxLinkUtilization() (float64, string) {
 	best := 0.0
 	var hot *Link
 	for _, l := range n.links {
-		if u := l.Utilization(now); u > best {
+		if u := n.utilization(l, now); u > best {
 			best, hot = u, l
 		}
 	}
 	if hot == nil {
 		return best, ""
 	}
-	return best, hot.Name()
+	return best, n.LinkName(hot)
 }

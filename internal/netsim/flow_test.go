@@ -99,7 +99,7 @@ func TestLinkAccounting(t *testing.T) {
 	if l.MaxFlows != 1 {
 		t.Fatalf("max flows = %d", l.MaxFlows)
 	}
-	u := l.Utilization(eng.Now())
+	u := n.utilization(l, eng.Now())
 	if math.Abs(u-1.0) > 0.01 {
 		t.Fatalf("utilization = %f, want ~1", u)
 	}

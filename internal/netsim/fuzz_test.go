@@ -36,20 +36,59 @@ const maxFlowOps = 512
 func checkRates(t *testing.T, n *Network, op int) {
 	t.Helper()
 	for _, l := range n.links {
-		if want := l.Cap / float64(l.Flows()); l.share != want {
-			t.Fatalf("op %d: link %q share %v, want %v", op, l.Name(), l.share, want)
+		if want := l.Cap / float64(len(l.flows)); l.share != want {
+			t.Fatalf("op %d: link %q share %v, want %v", op, n.LinkName(l), l.share, want)
 		}
 	}
 	for i, f := range n.active {
 		want := math.Inf(1)
 		for _, l := range f.path {
-			want = math.Min(want, l.Cap/float64(l.Flows()))
+			want = math.Min(want, l.Cap/float64(len(l.flows)))
 		}
-		if f.Rate() != want {
-			t.Fatalf("op %d: active flow %d rate %v, from scratch %v", op, i, f.Rate(), want)
+		if f.rate != want {
+			t.Fatalf("op %d: active flow %d rate %v, from scratch %v", op, i, f.rate, want)
 		}
 		if !f.completion.Pending() {
 			t.Fatalf("op %d: active flow %d has no completion scheduled", op, i)
+		}
+	}
+}
+
+// capModel is a fuzz link's capacity-seconds integral, kept by the
+// test the way a link has always kept its own: settled at each Degrade,
+// and at each Restore of a degraded link, and restarted by Reset.
+type capModel struct {
+	secs     float64
+	since    sim.Time
+	degraded bool
+}
+
+// settle integrates l's current capacity into m up to now.
+func (m *capModel) settle(l *Link, now sim.Time) {
+	if now > m.since {
+		m.secs += l.Cap * (now - m.since).Seconds()
+		m.since = now
+	}
+}
+
+// checkUtilization requires every link's utilization to equal, bitwise,
+// its bytes carried over the model's integral. The network settles its
+// integrals at the same instants, in the same arithmetic, whether a
+// link's history sits in the record or in a side table.
+func checkUtilization(t *testing.T, n *Network, links []*Link, model []capModel, op int) {
+	t.Helper()
+	now := n.eng.Now()
+	for i, l := range links {
+		cs := model[i].secs
+		if now > model[i].since {
+			cs += l.Cap * (now - model[i].since).Seconds()
+		}
+		want := 0.0
+		if cs > 0 {
+			want = l.BytesCarried / cs
+		}
+		if got := n.utilization(l, now); got != want {
+			t.Fatalf("op %d: link %q utilization %v, integral gives %v", op, n.LinkName(l), got, want)
 		}
 	}
 }
@@ -70,7 +109,7 @@ func fuzzPath(links []*Link, a, b, c byte) []*Link {
 }
 
 // runFlowOps replays ops on a network of fuzzLinks links and checks the
-// rates and the registries after every op.
+// rates, the registries and every link's utilization after every op.
 func runFlowOps(t *testing.T, ops []byte) {
 	if len(ops) > 4*maxFlowOps {
 		ops = ops[:4*maxFlowOps]
@@ -81,6 +120,7 @@ func runFlowOps(t *testing.T, ops []byte) {
 	for i := range links {
 		links[i] = n.NewLink("l"+string(rune('0'+i)), fuzzCaps[i], 0)
 	}
+	model := make([]capModel, fuzzLinks)
 	started, done := 0, 0
 	for i := 0; i+3 < len(ops); i += 4 {
 		k, op, a, b, c := i/4, ops[i]%numFlowOps, ops[i+1], ops[i+2], ops[i+3]
@@ -105,21 +145,37 @@ func runFlowOps(t *testing.T, ops []byte) {
 		case opStep:
 			eng.Step()
 		case opDegrade:
-			n.Degrade(links[int(a)%fuzzLinks], float64(1+int(b)%8)/8)
+			j := int(a) % fuzzLinks
+			model[j].settle(links[j], eng.Now())
+			model[j].degraded = true
+			n.Degrade(links[j], float64(1+int(b)%8)/8)
 		case opRestore:
-			n.Restore(links[int(a)%fuzzLinks])
+			j := int(a) % fuzzLinks
+			if model[j].degraded {
+				model[j].settle(links[j], eng.Now())
+				model[j].degraded = false
+			}
+			n.Restore(links[j])
 		case opDrainReset:
 			eng.Run()
 			eng.Reset()
 			if err := n.Reset(); err != nil {
 				t.Fatalf("op %d: Reset after drain: %v", k, err)
 			}
+			clear(model)
+			for j, l := range links {
+				if l.Cap != fuzzCaps[j] {
+					t.Fatalf("op %d: link %d at %v after Reset, nominal %v", k, j, l.Cap, fuzzCaps[j])
+				}
+			}
 		}
 		checkRates(t, n, k)
 		checkRegistries(t, n)
+		checkUtilization(t, n, links, model, k)
 	}
 	eng.Run()
 	checkRegistries(t, n)
+	checkUtilization(t, n, links, model, len(ops)/4)
 	if n.ActiveFlows() != 0 || done != started {
 		t.Fatalf("after drain: %d flows active, %d of %d completions ran", n.ActiveFlows(), done, started)
 	}
@@ -128,7 +184,9 @@ func runFlowOps(t *testing.T, ops []byte) {
 // FuzzFlowOps drives flow starts (with and without a follow-up start
 // from the completion), completions, Degrade, Restore and drain+Reset
 // in arbitrary order, and requires the incremental solver's rates to
-// equal a from-scratch recomputation bitwise after every op. Run it with
+// equal a from-scratch recomputation bitwise after every op, and each
+// link's utilization to equal its bytes over the test's own
+// capacity-seconds integral. Run it with
 //
 //	go test -run '^$' -fuzz FuzzFlowOps -fuzztime 30s ./internal/netsim
 //

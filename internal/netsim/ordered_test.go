@@ -40,17 +40,17 @@ func checkRegistries(t *testing.T, n *Network) {
 	for _, l := range n.links {
 		for i, e := range l.flows {
 			if e.id < 0 || int(e.id) >= len(n.tab) {
-				t.Fatalf("link %q entry %d names flow %d outside a table of %d", l.Name(), i, e.id, len(n.tab))
+				t.Fatalf("link %q entry %d names flow %d outside a table of %d", n.LinkName(l), i, e.id, len(n.tab))
 			}
 			g := n.tab[e.id]
 			if e.slot < 0 || int(e.slot) >= len(g.path) {
-				t.Fatalf("link %q entry %d slot %d outside a path of %d links", l.Name(), i, e.slot, len(g.path))
+				t.Fatalf("link %q entry %d slot %d outside a path of %d links", n.LinkName(l), i, e.slot, len(g.path))
 			}
 			if g.linkIdx[e.slot] != int32(i) {
-				t.Fatalf("link %q entry %d back-pointer = %d", l.Name(), i, g.linkIdx[e.slot])
+				t.Fatalf("link %q entry %d back-pointer = %d", n.LinkName(l), i, g.linkIdx[e.slot])
 			}
 			if g.activeIdx < 0 {
-				t.Fatalf("link %q holds finished flow", l.Name())
+				t.Fatalf("link %q holds finished flow", n.LinkName(l))
 			}
 		}
 	}
@@ -89,8 +89,8 @@ func TestOrderedRegistrySwapRemove(t *testing.T) {
 		t.Fatalf("started %d, completed %d", n.FlowsStarted, n.FlowsCompleted)
 	}
 	for _, l := range n.links {
-		if l.Flows() != 0 {
-			t.Fatalf("link %q still has %d registry entries", l.Name(), l.Flows())
+		if len(l.flows) != 0 {
+			t.Fatalf("link %q still has %d registry entries", n.LinkName(l), len(l.flows))
 		}
 	}
 }
@@ -148,17 +148,63 @@ func TestUtilizationIntegratesCapacityChanges(t *testing.T) {
 	n.StartFlow([]*Link{l}, 1e8, nil)
 	eng.Run() // now = 2s
 	// Available capacity over [0,2s] = 1e9 + 1e8; carried = 1.1e9.
-	if u := l.Utilization(eng.Now()); math.Abs(u-1.0) > 1e-9 {
+	if u := n.utilization(l, eng.Now()); math.Abs(u-1.0) > 1e-9 {
 		t.Fatalf("utilization = %v, want 1.0 (old formula: %v)", u, 1.1e9/(1e8*2))
 	}
 	n.Restore(l)
 	eng.RunFor(sim.Second) // 1 idle second at nominal
 	// Available = 1e9 + 1e8 + 1e9 = 2.1e9; carried 1.1e9.
-	if u := l.Utilization(eng.Now()); math.Abs(u-1.1e9/2.1e9) > 1e-9 {
+	if u := n.utilization(l, eng.Now()); math.Abs(u-1.1e9/2.1e9) > 1e-9 {
 		t.Fatalf("post-restore utilization = %v, want %v", u, 1.1e9/2.1e9)
 	}
-	if u := l.Utilization(eng.Now()); u > 1 {
+	if u := n.utilization(l, eng.Now()); u > 1 {
 		t.Fatalf("utilization %v exceeds 1", u)
+	}
+}
+
+// TestUtilizationOverLinkLifetime covers the two capacity histories
+// that are not the network's: a link NewLink builds after the clock has
+// moved reports utilization over its own lifetime, and a link degraded
+// before Network.Reset comes back at nominal capacity with a fresh
+// integral.
+func TestUtilizationOverLinkLifetime(t *testing.T) {
+	eng := sim.NewEngine()
+	n := NewNetwork(eng)
+	early := n.NewLink("early", 1e9, 0)
+	eng.RunFor(sim.Second)
+	late := n.NewLink("late", 1e9, 0)
+	// 1 s at full rate on each link, from t = 1 s.
+	n.StartFlow([]*Link{early, late}, 1e9, nil)
+	eng.Run() // now = 2 s
+	if u := n.utilization(late, eng.Now()); u != 1 {
+		t.Fatalf("late link utilization = %v, want 1 over its own second", u)
+	}
+	if u := n.utilization(early, eng.Now()); u != 0.5 {
+		t.Fatalf("early link utilization = %v, want 0.5 over two seconds", u)
+	}
+
+	n.Degrade(early, 0.25)
+	eng.RunFor(sim.Second)
+	eng.Reset()
+	if err := n.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if early.Cap != 1e9 || late.Cap != 1e9 {
+		t.Fatalf("caps after Reset = %v, %v, want nominal 1e9", early.Cap, late.Cap)
+	}
+	f := n.StartFlow([]*Link{early}, 1e9, nil)
+	if f.rate != 1e9 {
+		t.Fatalf("rate after Reset = %v, want nominal 1e9", f.rate)
+	}
+	eng.Run() // now = 1 s
+	for _, l := range []*Link{early, late} {
+		want := l.BytesCarried / 1e9 // one second at nominal capacity
+		if u := n.utilization(l, eng.Now()); u != want {
+			t.Fatalf("link %q utilization after Reset = %v, want %v", n.LinkName(l), u, want)
+		}
+	}
+	if u := n.utilization(early, eng.Now()); u != 1 {
+		t.Fatalf("reset link utilization = %v, want 1", u)
 	}
 }
 
@@ -173,21 +219,21 @@ func TestDegradeRestoreReRatesOrderedFlows(t *testing.T) {
 		flows = append(flows, n.StartFlow([]*Link{l}, 1e9, nil))
 	}
 	for _, f := range flows {
-		if f.Rate() != 0.25e9 {
-			t.Fatalf("rate = %g, want 250 MB/s", f.Rate())
+		if f.rate != 0.25e9 {
+			t.Fatalf("rate = %g, want 250 MB/s", f.rate)
 		}
 	}
 	n.Degrade(l, 0.5)
 	for _, f := range flows {
-		if f.Rate() != 0.125e9 {
-			t.Fatalf("degraded rate = %g, want 125 MB/s", f.Rate())
+		if f.rate != 0.125e9 {
+			t.Fatalf("degraded rate = %g, want 125 MB/s", f.rate)
 		}
 	}
 	checkRegistries(t, n)
 	n.Restore(l)
 	for _, f := range flows {
-		if f.Rate() != 0.25e9 {
-			t.Fatalf("restored rate = %g, want 250 MB/s", f.Rate())
+		if f.rate != 0.25e9 {
+			t.Fatalf("restored rate = %g, want 250 MB/s", f.rate)
 		}
 	}
 	eng.Run()
@@ -211,7 +257,7 @@ func TestLongPathSpillsIndexBuffer(t *testing.T) {
 		t.Fatal("long-path flow never completed")
 	}
 	for _, l := range n.links {
-		if l.Flows() != 0 {
+		if len(l.flows) != 0 {
 			t.Fatal("long-path flow left registry entries")
 		}
 	}

@@ -310,7 +310,7 @@ func refGeminiPath(dst []*Link, f *Fabric, a, b topology.Coord) []*Link {
 	t := f.Cfg.Torus
 	cur := a
 	refWalk(t, a, b, func(next topology.Coord) {
-		dst = append(dst, f.gem[t.Index(cur)][refStepDir(t, cur, next)])
+		dst = append(dst, &f.torus[linksPerNode*t.Index(cur)+refStepDir(t, cur, next)])
 		cur = next
 	})
 	return dst
@@ -352,17 +352,17 @@ func TestGeminiPathMatchesReference(t *testing.T) {
 				got = tc.f.geminiPath(got[:0], a, b)
 				want = refGeminiPath(want[:0], tc.f, a, b)
 				if !slices.Equal(got, want) {
-					t.Fatalf("%s %v -> %v: geminiPath %v, reference %v", tc.name, a, b, linkNames(got), linkNames(want))
+					t.Fatalf("%s %v -> %v: geminiPath %v, reference %v", tc.name, a, b, linkNames(tc.f.Net, got), linkNames(tc.f.Net, want))
 				}
 			}
 		}
 	}
 }
 
-func linkNames(path []*Link) []string {
+func linkNames(n *Network, path []*Link) []string {
 	names := make([]string, len(path))
 	for i, l := range path {
-		names[i] = l.Name()
+		names[i] = n.LinkName(l)
 	}
 	return names
 }

@@ -94,7 +94,7 @@ func (f *Fabric) eligible(rid int, skip map[int]bool) bool {
 func (f *Fabric) pathVia(dst []*Link, c topology.Coord, oss, rid int) []*Link {
 	destLeaf := f.ossLeaf[oss]
 	mod := f.Placement.Modules[rid/4]
-	dst = append(dst, f.inject[f.Cfg.Torus.Index(c)])
+	dst = append(dst, &f.torus[linksPerNode*f.Cfg.Torus.Index(c)+injectSlot])
 	dst = f.geminiPath(dst, c, mod.Coord)
 	dst = append(dst, f.routerFwd[rid], f.routerUp[rid])
 	if sw := f.routerSwitch(rid); sw != destLeaf {
@@ -191,7 +191,7 @@ func (f *Fabric) attempt(s send) {
 	if sp := tr.Begin(spantrace.Fabric, "flow", s.fparent, int64(s.bytes)); sp != 0 {
 		tr.Annotate(sp, "rtr"+strconv.Itoa(rid)+" hops="+strconv.Itoa(len(fl.path)))
 		for _, l := range fl.path {
-			tr.Mark(spantrace.Fabric, "hop", sp, 0, l.Name())
+			tr.Mark(spantrace.Fabric, "hop", sp, 0, f.Net.LinkName(l))
 		}
 		inner, fparent := s.done, s.fparent
 		done = func() {

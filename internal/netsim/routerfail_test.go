@@ -29,7 +29,7 @@ func TestARNRoutesAroundDeadRouterImmediately(t *testing.T) {
 	c := topology.Coord{X: 1, Y: 1, Z: 1}
 	oss := 0
 	// Kill the FGR-preferred router for this (client, oss) pair.
-	rid := f.selectRouter(c, f.OSSLeaf(oss), RouteFGR, src, nil)
+	rid := f.selectRouter(c, f.ossLeaf[oss], RouteFGR, src, nil)
 	f.FailRouter(rid)
 	done := false
 	f.StartClientFlow(c, oss, RouteFGR, 1e8, src, func() { done = true })
@@ -49,7 +49,7 @@ func TestNoARNStallsThenRetries(t *testing.T) {
 	src := rng.New(2)
 	c := topology.Coord{X: 1, Y: 1, Z: 1}
 	oss := 0
-	rid := f.selectRouter(c, f.OSSLeaf(oss), RouteFGR, src, nil)
+	rid := f.selectRouter(c, f.ossLeaf[oss], RouteFGR, src, nil)
 	f.FailRouter(rid)
 	done := false
 	var doneAt sim.Time
