@@ -169,6 +169,32 @@ func TestStudyPrintsRunBytes(t *testing.T) {
 	}
 }
 
+// TestScrubPrintsPinnedTable pins `spidersim scrub -seed 42` byte for
+// byte: the E19 table's scrub-off and default-interval columns, the
+// "repaired by scrub" and "scrub passes" rows included.
+func TestScrubPrintsPinnedTable(t *testing.T) {
+	const want = `E19: background scrub vs latent-corruption exposure (same storm + disk failure, same seed)
+                                  scrub off  every 30.000s
+reads served                            240            240
+undetected corrupt reads                  6              0
+repaired on read                         33             47
+repaired by scrub                         0             47
+UREs detected                             0              7
+checksum mismatches                      35             40
+stripes lost (beyond parity)              1              0
+latent hits during rebuild               35              0
+rebuild exposure window             16.839s        16.632s
+scrub passes                              0            464
+mean read latency (ms)                26.64          29.66
+scrub read-latency overhead: 11.3%
+(paper Sec. V: latent sector errors surface during rebuilds; periodic scrub closes the double-failure window)
+`
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"scrub", "-seed", "42"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 || stdout.String() != want {
+		t.Errorf("scrub -seed 42: exit %d, stderr %q, stdout:\n%s\nwant:\n%s", code, &stderr, &stdout, want)
+	}
+}
+
 // TestLedgerVerbs drives the ledger verbs in-process on a campaign's
 // export: verify passes a clean history and fails a forged entry with
 // exit 1, append extends a clean history, and a missing -in or an
