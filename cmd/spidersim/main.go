@@ -36,7 +36,6 @@ import (
 	"spiderfs/internal/center"
 	"spiderfs/internal/chaos"
 	"spiderfs/internal/experiment"
-	"spiderfs/internal/integrity"
 	"spiderfs/internal/netsim"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/serve"
@@ -229,8 +228,8 @@ func runSweep(seed uint64, exp string, replicas, workers int, stdout, stderr io.
 // rebuild hits, and lost stripes, and what it costs in read latency.
 func runScrub(seed uint64, stdout io.Writer) {
 	fmt.Fprintln(stdout, "E19: background scrub vs latent-corruption exposure (same storm + disk failure, same seed)")
-	every := integrity.DefaultScrubInterval
-	a, b := integrity.RunScenario(seed, 0), integrity.RunScenario(seed, every)
+	every := experiment.DefaultScrubInterval
+	a, b := experiment.RunScenario(seed, 0), experiment.RunScenario(seed, every)
 	fmt.Fprintf(stdout, "%-28s %14s %14s\n", "", "scrub off", fmt.Sprintf("every %v", every))
 	row := func(name string, x, y any) { fmt.Fprintf(stdout, "%-28s %14v %14v\n", name, x, y) }
 	row("reads served", a.Reads, b.Reads)

@@ -7,7 +7,6 @@ import (
 	"spiderfs/internal/center"
 	"spiderfs/internal/disk"
 	"spiderfs/internal/failure"
-	"spiderfs/internal/integrity"
 	"spiderfs/internal/ledger"
 	"spiderfs/internal/lustre"
 	"spiderfs/internal/monitor"
@@ -87,7 +86,7 @@ type schedule struct {
 	mediaFaults           disk.FaultConfig
 	corruptionStormAt     sim.Time
 	corruptionStormErrors int
-	scrub                 integrity.Config
+	scrub                 raid.ScrubConfig
 
 	// Scripted MDS outage against namespace 0.
 	mdsOutageAt       sim.Time
@@ -123,7 +122,7 @@ var fullSchedule = schedule{
 	// in ~5 days — the realistic background-scrub duty cycle — while
 	// keeping the campaign's event count bounded. The quick schedule
 	// below re-tightens all three for its 2 GiB members.
-	scrub: integrity.Config{
+	scrub: raid.ScrubConfig{
 		PassInterval: 12 * sim.Hour,
 		BatchStripes: 1 << 16,
 		BatchPause:   30 * sim.Minute,
@@ -168,7 +167,7 @@ var quickSchedule = schedule{
 	mediaFaults:           disk.FaultConfig{UREPerGBRead: 0.02, SilentPerGBWritten: 0.05},
 	corruptionStormAt:     8 * sim.Hour,
 	corruptionStormErrors: 300,
-	scrub: integrity.Config{
+	scrub: raid.ScrubConfig{
 		PassInterval: 2 * sim.Hour,
 		BatchStripes: 512,
 		BatchPause:   500 * sim.Millisecond,
@@ -253,7 +252,7 @@ type campaign struct {
 	grpName   map[*raid.Group]string
 	injectors []*failure.Injector
 	probers   []*lustre.Client
-	scrubbers []*integrity.Scrubber
+	scrubbers []*raid.Scrubber
 
 	rep *Report
 }
@@ -448,26 +447,34 @@ func (p *campaign) startDiskFailures() {
 // not a panic: FailOSS reports the condition as an error.
 func (p *campaign) startOSSCrashes() {
 	src := rng.New(p.cfg.Seed).Split("chaos-oss")
-	var next func()
-	next = func() {
-		p.eng.After(sim.FromSeconds(src.Exp(1/p.sched.ossCrashInterval.Seconds())), func() {
-			ns := src.Intn(len(p.c.Namespaces))
-			fs := p.c.Namespaces[ns]
-			i := src.Intn(len(fs.OSSes))
-			name := ossName(fs, i)
-			if err := lustre.FailOSS(fs, i, p.cfg.Imperative, func(outage sim.Time) {
-				p.graph.Recover(name)
-			}); err != nil {
-				p.rep.SkippedFaults++
-			} else {
-				p.rep.OSSCrashes++
-				p.emit(name, monitor.Software, "oss-crash")
-				p.graph.Fail(name)
-			}
-			next()
-		})
+	p.poisson(src, p.sched.ossCrashInterval, func() {
+		ns := src.Intn(len(p.c.Namespaces))
+		fs := p.c.Namespaces[ns]
+		i := src.Intn(len(fs.OSSes))
+		name := ossName(fs, i)
+		if err := lustre.FailOSS(fs, i, p.cfg.Imperative, func(outage sim.Time) {
+			p.graph.Recover(name)
+		}); err != nil {
+			p.rep.SkippedFaults++
+		} else {
+			p.rep.OSSCrashes++
+			p.emit(name, monitor.Software, "oss-crash")
+			p.graph.Fail(name)
+		}
+	})
+}
+
+// poisson runs fire at each arrival of a Poisson process whose gaps,
+// of mean mean, are drawn from src. The gap to the next arrival is
+// drawn after fire returns, so fire's own draws from src come first.
+func (p *campaign) poisson(src *rng.Source, mean sim.Time, fire func()) {
+	rate := 1 / mean.Seconds()
+	var arrive func()
+	arrive = func() {
+		fire()
+		p.eng.After(sim.FromSeconds(src.Exp(rate)), arrive)
 	}
-	next()
+	p.eng.After(sim.FromSeconds(src.Exp(rate)), arrive)
 }
 
 // cableCutFraction of router kills are attributed to a cut IB cable
@@ -481,44 +488,39 @@ const cableCutFraction = 0.3
 func (p *campaign) startRouterBursts() {
 	f := p.c.Fabric
 	src := rng.New(p.cfg.Seed).Split("chaos-routers")
-	var next func()
-	next = func() {
-		p.eng.After(sim.FromSeconds(src.Exp(1/p.sched.routerBurstInterval.Seconds())), func() {
-			p.rep.RouterBursts++
-			for k := 0; k < p.sched.routerBurstSize; k++ {
-				rid := -1
-				for tries := 0; tries < 4*f.NumRouters(); tries++ {
-					cand := src.Intn(f.NumRouters())
-					if !f.RouterFailed(cand) {
-						rid = cand
-						break
-					}
+	p.poisson(src, p.sched.routerBurstInterval, func() {
+		p.rep.RouterBursts++
+		for k := 0; k < p.sched.routerBurstSize; k++ {
+			rid := -1
+			for tries := 0; tries < 4*f.NumRouters(); tries++ {
+				cand := src.Intn(f.NumRouters())
+				if !f.RouterFailed(cand) {
+					rid = cand
+					break
 				}
-				if rid < 0 {
-					break // entire fleet already dead
-				}
-				f.FailRouter(rid)
-				p.rep.RoutersKilled++
-				root := routerName(rid)
-				if src.Bool(cableCutFraction) {
-					root = cableName(rid)
-					p.rep.CableCuts++
-					p.emit(root, monitor.Hardware, "cable-cut")
-				} else {
-					p.emit(root, monitor.Software, "router-lbug")
-				}
-				p.graph.Fail(root)
-				deadRID, deadRoot := rid, root
-				p.eng.After(p.sched.routerRepair, func() {
-					f.RecoverRouter(deadRID)
-					p.graph.Recover(deadRoot)
-					p.opAppend(p.eng.Now(), deadRoot, "operator", "router-repaired", "")
-				})
 			}
-			next()
-		})
-	}
-	next()
+			if rid < 0 {
+				break // entire fleet already dead
+			}
+			f.FailRouter(rid)
+			p.rep.RoutersKilled++
+			root := routerName(rid)
+			if src.Bool(cableCutFraction) {
+				root = cableName(rid)
+				p.rep.CableCuts++
+				p.emit(root, monitor.Hardware, "cable-cut")
+			} else {
+				p.emit(root, monitor.Software, "router-lbug")
+			}
+			p.graph.Fail(root)
+			deadRID, deadRoot := rid, root
+			p.eng.After(p.sched.routerRepair, func() {
+				f.RecoverRouter(deadRID)
+				p.graph.Recover(deadRoot)
+				p.opAppend(p.eng.Now(), deadRoot, "operator", "router-repaired", "")
+			})
+		}
+	})
 }
 
 // cableDegradeFrac is the share of nominal bandwidth a degraded router
@@ -536,25 +538,20 @@ func (p *campaign) startCableDegradation() {
 	degraded := make([]bool, len(uplinks)) // indexed like uplinks
 	net := p.c.Fabric.Net
 	src := rng.New(p.cfg.Seed).Split("chaos-cables")
-	var next func()
-	next = func() {
-		p.eng.After(sim.FromSeconds(src.Exp(1/p.sched.cableDegradeInterval.Seconds())), func() {
-			idx := src.Intn(len(uplinks))
-			if !degraded[idx] {
-				degraded[idx] = true
-				l := uplinks[idx]
-				net.Degrade(l, cableDegradeFrac)
-				p.rep.CableDegradations++
-				p.emit(net.LinkName(l), monitor.Hardware, "hca-symbol-errors")
-				p.eng.After(p.sched.cableRepair, func() {
-					net.Restore(l)
-					degraded[idx] = false
-				})
-			}
-			next()
-		})
-	}
-	next()
+	p.poisson(src, p.sched.cableDegradeInterval, func() {
+		idx := src.Intn(len(uplinks))
+		if !degraded[idx] {
+			degraded[idx] = true
+			l := uplinks[idx]
+			net.Degrade(l, cableDegradeFrac)
+			p.rep.CableDegradations++
+			p.emit(net.LinkName(l), monitor.Hardware, "hca-symbol-errors")
+			p.eng.After(p.sched.cableRepair, func() {
+				net.Restore(l)
+				degraded[idx] = false
+			})
+		}
+	})
 }
 
 func (p *campaign) scheduleMDSOutage() {
@@ -659,7 +656,7 @@ func (p *campaign) startScrubbers() {
 	}
 	for ns := range p.c.Namespaces {
 		for _, g := range p.c.GroupsOf(ns) {
-			s := integrity.New(p.eng, g, p.sched.scrub)
+			s := raid.NewScrubber(g, p.sched.scrub)
 			gn := p.grpName[g]
 			s.Escalate = func(lost int) {
 				p.opAppend(p.eng.Now(), gn, "integrity", "scrub-escalation",
@@ -738,7 +735,6 @@ func (p *campaign) finishReport() {
 			r.UREsDetected += g.UREsDetected
 			r.ChecksumMismatches += g.ChecksumMismatches
 			r.RepairedChunks += g.RepairedChunks
-			r.ScrubRepairs += g.ScrubRepairs
 			r.UndetectedCorruptReads += g.UndetectedCorruptReads
 			r.RebuildLatentHits += g.RebuildLatentHits
 			r.LatentDataLoss += g.UnrecoverableStripes
@@ -752,6 +748,7 @@ func (p *campaign) finishReport() {
 		}
 	}
 	for _, s := range p.scrubbers {
+		r.ScrubRepairs += uint64(s.Repairs)
 		r.ScrubPasses += s.Passes
 		r.ScrubbedStripes += s.ScannedStripes
 		r.ScrubRebuildOverlaps += s.RebuildOverlaps

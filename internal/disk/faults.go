@@ -80,7 +80,7 @@ func (d *Disk) InjectError(lba int64, kind CorruptKind) {
 // CorruptSectors returns the number of latent-corrupt sectors on the
 // platter.
 //
-//simlint:allow test-only-export fault-injection accessor the cross-package integrity tests count planted defects with
+//simlint:allow test-only-export fault-injection accessor the raid scrub tests count planted defects with
 func (d *Disk) CorruptSectors() int { return len(d.defects) }
 
 // Scan reports the latent defects in [lba, lba+size) without performing

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"spiderfs/internal/chaos"
-	"spiderfs/internal/integrity"
 	"spiderfs/internal/purge"
 	"spiderfs/internal/qa"
 	"spiderfs/internal/rng"
@@ -29,7 +28,7 @@ func Sweeps() []sweep.Entry {
 		{Label: "e13-purge", Replicas: 16, Body: purgeReplica},
 		{Label: "e18-chaos", Replicas: 32, Body: chaosReplica},
 		{Label: "e19-scrub-off", Replicas: 8, Body: scrubReplica(0)},
-		{Label: "e19-scrub-default", Replicas: 8, Body: scrubReplica(integrity.DefaultScrubInterval)},
+		{Label: "e19-scrub-default", Replicas: 8, Body: scrubReplica(DefaultScrubInterval)},
 		{Label: "e19-scrub-slow", Replicas: 8, Body: scrubReplica(30 * sim.Minute)},
 	}
 }
@@ -109,7 +108,7 @@ func chaosReplica(r *sweep.Rep) error {
 // scrubbing off).
 func scrubReplica(scrubEvery sim.Time) sweep.Body {
 	return func(r *sweep.Rep) error {
-		res := integrity.RunScenario(r.Seed, scrubEvery)
+		res := RunScenario(r.Seed, scrubEvery)
 		r.Record("reads", float64(res.Reads))
 		r.Record("undetected_reads", float64(res.UndetectedReads))
 		r.Record("repaired_chunks", float64(res.RepairedChunks))

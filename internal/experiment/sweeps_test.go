@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"spiderfs/internal/integrity"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/sweep"
 )
@@ -152,8 +151,8 @@ func TestIntegritySuiteDeterministic(t *testing.T) {
 // most 25%.
 func checkIntegrityPlane(t *testing.T, means map[string]float64) {
 	t.Helper()
-	if integrity.DefaultScrubInterval != 30*sim.Second {
-		t.Errorf("DefaultScrubInterval %v, want 30 s", integrity.DefaultScrubInterval)
+	if DefaultScrubInterval != 30*sim.Second {
+		t.Errorf("DefaultScrubInterval %v, want 30 s", DefaultScrubInterval)
 	}
 	if got := means["e19-scrub-default/undetected_reads"]; got != 0 {
 		t.Errorf("undetected reads at the default interval %v, want exactly 0", got)
@@ -171,12 +170,12 @@ func checkIntegrityPlane(t *testing.T, means map[string]float64) {
 }
 
 // TestModelPackagesDoNotImportSweep keeps the sweep definitions in this
-// package: the models the sweep bodies run (qa, purge, chaos,
-// integrity) expose plain entry points and never import the sweep
-// runner themselves.
+// package: the models the sweep bodies run (qa, purge, chaos, raid)
+// expose plain entry points and never import the sweep runner
+// themselves.
 func TestModelPackagesDoNotImportSweep(t *testing.T) {
 	const runner = "spiderfs/internal/sweep"
-	for _, pkg := range []string{"qa", "purge", "chaos", "integrity"} {
+	for _, pkg := range []string{"qa", "purge", "chaos", "raid"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil {
 			t.Fatal(err)

@@ -1,4 +1,4 @@
-// Sabotage fixture: the integrity package is a scheduling sink — a
+// Sabotage fixture: the scrub plane is a scheduling sink — a
 // scrubber's scan order and an E19 replica's repair sequence feed the
 // campaign and sweep fingerprints, so launching scrubbers or replaying
 // scenarios from a map range bakes Go's random iteration order into
@@ -9,57 +9,59 @@ package integritysink
 import (
 	"sort"
 
-	"spiderfs/internal/integrity"
+	"spiderfs/internal/experiment"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/sim"
 )
 
+var cfg = raid.ScrubConfig{BatchStripes: 128, BatchPause: 500 * sim.Millisecond, PassInterval: experiment.DefaultScrubInterval}
+
 // direct: the range and the scrubber launch live in the same function.
-func startAll(eng *sim.Engine, groups map[string]*raid.Group) []*integrity.Scrubber {
-	var out []*integrity.Scrubber
+func startAll(groups map[string]*raid.Group) []*raid.Scrubber {
+	var out []*raid.Scrubber
 	for _, g := range groups { // want ordered-map-range
-		s := integrity.New(eng, g, integrity.DefaultConfig())
+		s := raid.NewScrubber(g, cfg)
 		s.Start()
 		out = append(out, s)
 	}
 	return out
 }
 
-func launch(eng *sim.Engine, g *raid.Group) *integrity.Scrubber {
-	s := integrity.New(eng, g, integrity.DefaultConfig())
+func launch(g *raid.Group) *raid.Scrubber {
+	s := raid.NewScrubber(g, cfg)
 	s.Start()
 	return s
 }
 
 // one hop: the range feeds launch, which starts scrubbers.
-func startEach(eng *sim.Engine, groups map[string]*raid.Group) []*integrity.Scrubber {
-	var out []*integrity.Scrubber
+func startEach(groups map[string]*raid.Group) []*raid.Scrubber {
+	var out []*raid.Scrubber
 	for _, g := range groups { // want ordered-map-range
-		out = append(out, launch(eng, g))
+		out = append(out, launch(g))
 	}
 	return out
 }
 
 // replaying E19 per map entry is just as nondeterministic: the result
 // order follows iteration order.
-func replay(seeds map[string]uint64) []integrity.ScenarioResult {
-	var out []integrity.ScenarioResult
+func replay(seeds map[string]uint64) []experiment.ScenarioResult {
+	var out []experiment.ScenarioResult
 	for _, seed := range seeds { // want ordered-map-range
-		out = append(out, integrity.RunScenario(seed, integrity.DefaultScrubInterval))
+		out = append(out, experiment.RunScenario(seed, experiment.DefaultScrubInterval))
 	}
 	return out
 }
 
 // sorted-keys rewrite: the deterministic shape the check pushes toward.
-func startSorted(eng *sim.Engine, groups map[string]*raid.Group) []*integrity.Scrubber {
+func startSorted(groups map[string]*raid.Group) []*raid.Scrubber {
 	names := make([]string, 0, len(groups))
 	for name := range groups { //simlint:allow ordered-map-range keys are sorted before any scrubber starts
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make([]*integrity.Scrubber, 0, len(names))
+	out := make([]*raid.Scrubber, 0, len(names))
 	for _, name := range names {
-		out = append(out, launch(eng, groups[name]))
+		out = append(out, launch(groups[name]))
 	}
 	return out
 }

@@ -6,16 +6,18 @@ package integritysinkok
 import (
 	"sort"
 
-	"spiderfs/internal/integrity"
+	"spiderfs/internal/experiment"
 	"spiderfs/internal/raid"
 	"spiderfs/internal/sim"
 )
 
+var cfg = raid.ScrubConfig{BatchStripes: 128, BatchPause: 500 * sim.Millisecond, PassInterval: experiment.DefaultScrubInterval}
+
 // slices are ordered; launching scrubbers from one is fine.
-func startAll(eng *sim.Engine, groups []*raid.Group) []*integrity.Scrubber {
-	out := make([]*integrity.Scrubber, 0, len(groups))
+func startAll(groups []*raid.Group) []*raid.Scrubber {
+	out := make([]*raid.Scrubber, 0, len(groups))
 	for _, g := range groups {
-		s := integrity.New(eng, g, integrity.DefaultConfig())
+		s := raid.NewScrubber(g, cfg)
 		s.Start()
 		out = append(out, s)
 	}
@@ -24,15 +26,15 @@ func startAll(eng *sim.Engine, groups []*raid.Group) []*integrity.Scrubber {
 
 // map used as an index, drained through a sorted key slice before any
 // scrubber is started.
-func startNamed(eng *sim.Engine, byName map[string]*raid.Group) []*integrity.Scrubber {
+func startNamed(byName map[string]*raid.Group) []*raid.Scrubber {
 	names := make([]string, 0, len(byName))
 	for name := range byName { //simlint:allow ordered-map-range keys are sorted before any scrubber starts
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make([]*integrity.Scrubber, 0, len(names))
+	out := make([]*raid.Scrubber, 0, len(names))
 	for _, name := range names {
-		s := integrity.New(eng, byName[name], integrity.DefaultConfig())
+		s := raid.NewScrubber(byName[name], cfg)
 		s.Start()
 		out = append(out, s)
 	}
@@ -40,6 +42,6 @@ func startNamed(eng *sim.Engine, byName map[string]*raid.Group) []*integrity.Scr
 }
 
 // map lookup (no range) feeding a scenario replay stays silent.
-func replayNamed(seeds map[string]uint64, label string) integrity.ScenarioResult {
-	return integrity.RunScenario(seeds[label], integrity.DefaultScrubInterval)
+func replayNamed(seeds map[string]uint64, label string) experiment.ScenarioResult {
+	return experiment.RunScenario(seeds[label], experiment.DefaultScrubInterval)
 }

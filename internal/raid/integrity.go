@@ -15,9 +15,9 @@ import (
 // stripe is degraded, or a member drive reports a URE on a needed
 // chunk. Clean-looking reads pay no extra I/O, and silent bit rot under
 // them reaches the caller undetected: it is caught only when the
-// scrubber walks the stripe. Every defect outcome is counted, never
-// panicked: data corruption is a first-class, observable event, not an
-// assertion failure.
+// scrubber (scrub.go) walks the stripe. Every defect outcome is
+// counted, never panicked: data corruption is a first-class, observable
+// event, not an assertion failure.
 
 // ReadOutcome reports what a checked read actually delivered — the
 // EIO-vs-repaired distinction the file-system layer surfaces to
@@ -32,17 +32,6 @@ type ReadOutcome struct {
 	// the reader cannot see this field in real life; experiments can.
 	Undetected int
 }
-
-// ScrubResult summarizes one scrub batch.
-type ScrubResult struct {
-	Scanned    int64 // stripes covered
-	Repaired   int   // chunks reconstructed and rewritten
-	Lost       int   // stripes newly escalated as unrecoverable
-	Rebuilding bool  // a rebuild was in flight during the batch
-}
-
-// TotalStripes returns the number of stripes in the group.
-func (g *Group) TotalStripes() int64 { return g.stripes }
 
 // ReadChecked issues a logical read and reports the integrity outcome
 // to done when the slowest involved member completes. Read is the
@@ -108,7 +97,7 @@ func (g *Group) readStripe(stripe, chunkFirst, chunkLast int64, b *sim.Barrier, 
 		for m := 0; m < g.cfg.Width(); m++ {
 			g.submitTo(m, disk.Op{LBA: stripeOff, Size: ck}, b)
 		}
-		repaired, lost := g.checkRange(stripeOff, ck, false, b)
+		repaired, lost := g.checkRange(stripeOff, ck, b)
 		oc.Repaired += repaired
 		if lost > 0 {
 			oc.EIO = true
@@ -124,84 +113,6 @@ func (g *Group) readStripe(stripe, chunkFirst, chunkLast int64, b *sim.Barrier, 
 			g.tracer.Mark(spantrace.RAID, "corrupt-read-undetected", sp, ck, "")
 		}
 		g.submitTo(m, disk.Op{LBA: stripeOff, Size: ck}, b)
-	}
-}
-
-// ScrubStripes reads stripes [first, first+n) from every online member,
-// verifies them, repairs what parity can reconstruct, escalates what it
-// cannot, and hands the batch outcome to done. It is one throttle
-// quantum: callers (the background scrubber) pace batches exactly like
-// rebuildBatch paces reconstruction.
-func (g *Group) ScrubStripes(first, n int64, done func(ScrubResult)) {
-	total := g.TotalStripes()
-	if first < 0 {
-		first = 0
-	}
-	if first+n > total {
-		n = total - first
-	}
-	if g.state == Failed || n <= 0 {
-		if done != nil {
-			g.eng.After(0, func() { done(ScrubResult{}) })
-		}
-		return
-	}
-	r := g.scrub
-	if r == nil {
-		r = newScrubBatch(g)
-		g.scrub = r
-	}
-	if r.busy {
-		// Overlaps the batch in flight, which owns the group's record.
-		r = newScrubBatch(g)
-	}
-	r.busy = true
-	r.res = ScrubResult{Scanned: n, Rebuilding: g.state == Rebuilding}
-	r.done = done
-	ck := g.cfg.ChunkSize
-	off := first * ck
-	size := n * ck
-	g.ScrubbedStripes += n
-	// Background work with no client request to parent to: self-sample
-	// like rebuild batches so scrub interference shows up in traces.
-	r.sp = g.tracer.SampleRoot(spantrace.RAID, "scrub-batch", size)
-	r.b.Reset(r.fire)
-	old := g.tracer.Swap(r.sp)
-	for m := 0; m < g.cfg.Width(); m++ {
-		g.submitTo(m, disk.Op{LBA: off, Size: size}, &r.b)
-	}
-	r.res.Repaired, r.res.Lost = g.checkRange(off, size, true, &r.b)
-	g.tracer.Swap(old)
-	r.b.Arm()
-}
-
-// scrubBatch is one ScrubStripes call from issue until its barrier
-// fires. Each group keeps one and reuses it, so a steady-state scrub
-// batch allocates nothing; a call that overlaps the batch in flight
-// gets a fresh one.
-type scrubBatch struct {
-	g    *Group
-	res  ScrubResult
-	b    sim.Barrier
-	sp   spantrace.SpanID
-	done func(ScrubResult)
-	fire func() // r.finish, bound once
-	busy bool
-}
-
-func newScrubBatch(g *Group) *scrubBatch {
-	r := &scrubBatch{g: g}
-	r.fire = r.finish
-	return r
-}
-
-// finish ends the batch's span, frees the record and reports.
-func (r *scrubBatch) finish() {
-	r.g.tracer.End(r.sp)
-	done, res := r.done, r.res
-	r.done, r.busy = nil, false
-	if done != nil {
-		done(res)
 	}
 }
 
@@ -221,7 +132,7 @@ type stripeHit struct {
 // call and given back after it, so a warmed group's scan allocates
 // nothing (a check nested in a stripe-loss hook starts a buffer of its
 // own).
-func (g *Group) checkRange(off, size int64, scrub bool, b *sim.Barrier) (repaired, lost int) {
+func (g *Group) checkRange(off, size int64, b *sim.Barrier) (repaired, lost int) {
 	ck := g.cfg.ChunkSize
 	hits := g.hits[:0]
 	g.hits = nil
@@ -268,9 +179,6 @@ func (g *Group) checkRange(off, size int64, scrub bool, b *sim.Barrier) (repaire
 			// read by the caller; the rewrite heals the member's media.
 			g.submitTo(h.member, disk.Op{Write: true, LBA: g.diskOffset(s), Size: ck}, b)
 			g.RepairedChunks++
-			if scrub {
-				g.ScrubRepairs++
-			}
 			g.tracer.Mark(spantrace.RAID, "verify-repair", g.tracer.Cur(), ck, "")
 			repaired++
 		}

@@ -116,19 +116,19 @@ func TestScrubRepairsStormAndConverges(t *testing.T) {
 	for _, d := range g.dsks {
 		planted += d.CorruptSectors()
 	}
-	var res ScrubResult
-	g.ScrubStripes(0, g.TotalStripes(), func(r ScrubResult) { res = r })
-	eng.Run()
-	if res.Repaired != planted || res.Lost != 0 {
-		t.Fatalf("scrub repaired %d of %d planted, lost %d", res.Repaired, planted, res.Lost)
+	// One batch is one full pass; the next pass starts an hour later.
+	s := NewScrubber(g, ScrubConfig{BatchStripes: g.stripes, BatchPause: sim.Second, PassInterval: sim.Hour})
+	s.Start()
+	eng.RunFor(sim.Minute)
+	if s.Passes != 1 || s.Repairs != planted || s.Lost != 0 || s.ScannedStripes != g.stripes {
+		t.Fatalf("first pass: %d passes over %d stripes repaired %d of %d planted, lost %d",
+			s.Passes, s.ScannedStripes, s.Repairs, planted, s.Lost)
 	}
-	if g.ScrubRepairs != uint64(planted) || g.ScrubbedStripes != g.TotalStripes() {
-		t.Fatalf("ScrubRepairs/ScrubbedStripes = %d/%d", g.ScrubRepairs, g.ScrubbedStripes)
-	}
-	g.ScrubStripes(0, g.TotalStripes(), func(r ScrubResult) { res = r })
+	eng.RunFor(sim.Hour)
+	s.Stop()
 	eng.Run()
-	if res.Repaired != 0 {
-		t.Fatalf("second scrub pass repaired %d, want a clean array", res.Repaired)
+	if s.Passes != 2 || s.Repairs != planted {
+		t.Fatalf("second pass repaired %d more, want a clean array", s.Repairs-planted)
 	}
 }
 
@@ -147,15 +147,16 @@ func TestScrubDuringRebuildMeasuresDoubleFailureWindow(t *testing.T) {
 	}
 	repl := disk.New(eng, 99, g.dsks[0].Config(), disk.Nominal(), rng.New(5).Split("r"))
 	g.StartRebuild(3, repl, nil)
-	var res ScrubResult
-	g.ScrubStripes(0, 128, func(r ScrubResult) { res = r })
+	s := NewScrubber(g, ScrubConfig{BatchStripes: 128, BatchPause: sim.Hour, PassInterval: sim.Hour})
+	s.Start()
 	eng.RunFor(5 * sim.Second)
-	if !res.Rebuilding || res.Repaired != 1 {
-		t.Fatalf("scrub result = %+v, want a repair during the rebuild", res)
+	if s.RebuildOverlaps != 1 || s.Repairs != 1 {
+		t.Fatalf("overlaps/repairs = %d/%d, want a repair during the rebuild", s.RebuildOverlaps, s.Repairs)
 	}
 	if g.RebuildLatentHits == 0 {
 		t.Fatal("latent error during rebuild not counted as double-failure exposure")
 	}
+	s.Stop()
 	eng.Run()
 	if g.State() != Healthy {
 		t.Fatalf("state = %v after rebuild completes", g.State())
@@ -175,7 +176,7 @@ func TestRestoreDuringRebuildCancelsCleanly(t *testing.T) {
 	if g.State() != Rebuilding {
 		t.Fatalf("state = %v, want rebuilding", g.State())
 	}
-	if st := g.RestoreDisk(4); st != Healthy {
+	if st := g.restoreDisk(4); st != Healthy {
 		t.Fatalf("restore -> %v, want healthy", st)
 	}
 	if g.rebuildEvent.Pending() || g.rebuildMember != -1 || g.rebuildNext != 0 {
@@ -238,52 +239,8 @@ func TestGroupFailureDuringRebuildClearsBookkeeping(t *testing.T) {
 		t.Fatalf("state = %v", g.State())
 	}
 	// Restoring a member of a dead group resurrects nothing.
-	if st := g.RestoreDisk(5); st != Failed {
+	if st := g.restoreDisk(5); st != Failed {
 		t.Fatalf("restore on failed group -> %v", st)
-	}
-}
-
-// TestOverlappingScrubsReportTheirOwnResults issues a second scrub
-// while the first is still reading, and a third from inside the first
-// one's completion, so the group's reusable scrub record is busy, then
-// free again, while another call holds a fresh one. Each call must
-// report its own range's outcome.
-func TestOverlappingScrubsReportTheirOwnResults(t *testing.T) {
-	eng, g := smallGroup(t, 27)
-	corruptChunk(g, 10, 0, disk.Silent) // first: one repair
-	corruptChunk(g, 20, 3, disk.URE)    // first: another
-	corruptChunk(g, 100, 1, disk.Silent)
-	for k := 0; k < 3; k++ { // second: one stripe beyond parity
-		corruptChunk(g, 150, k, disk.Silent)
-	}
-	corruptChunk(g, 300, 5, disk.Silent) // third: one repair
-	var first, second, third ScrubResult
-	calls := 0
-	g.ScrubStripes(0, 64, func(r ScrubResult) {
-		calls++
-		first = r
-		g.ScrubStripes(256, 128, func(r ScrubResult) { calls++; third = r })
-	})
-	g.ScrubStripes(64, 128, func(r ScrubResult) { calls++; second = r })
-	eng.Run()
-	if calls != 3 {
-		t.Fatalf("%d completions, want 3", calls)
-	}
-	for _, c := range []struct {
-		name      string
-		got, want ScrubResult
-	}{
-		{"first", first, ScrubResult{Scanned: 64, Repaired: 2}},
-		{"second", second, ScrubResult{Scanned: 128, Repaired: 1, Lost: 1}},
-		{"third", third, ScrubResult{Scanned: 128, Repaired: 1}},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s scrub reported %+v, want %+v", c.name, c.got, c.want)
-		}
-	}
-	if g.ScrubbedStripes != 320 || g.ScrubRepairs != 4 || g.UnrecoverableStripes != 1 {
-		t.Fatalf("ScrubbedStripes/ScrubRepairs/UnrecoverableStripes = %d/%d/%d, want 320/4/1",
-			g.ScrubbedStripes, g.ScrubRepairs, g.UnrecoverableStripes)
 	}
 }
 
@@ -336,7 +293,10 @@ func TestDiskTracingHasNoObserverEffect(t *testing.T) {
 			tr.End(root)
 			eng.RunFor(10 * sim.Millisecond)
 		}
-		g.ScrubStripes(0, g.TotalStripes(), nil)
+		s := NewScrubber(g, ScrubConfig{BatchStripes: g.stripes, BatchPause: sim.Hour, PassInterval: sim.Hour})
+		s.Start()
+		eng.RunFor(sim.Minute) // one full-range batch
+		s.Stop()
 		eng.Run()
 		out := make([]member, len(members))
 		for i, d := range members {
@@ -383,11 +343,11 @@ func TestCheckRangeAllocationCeiling(t *testing.T) {
 		}
 	}
 	var b sim.Barrier
-	if _, lost := g.checkRange(0, 16*ck, true, &b); lost != 3 {
+	if _, lost := g.checkRange(0, 16*ck, &b); lost != 3 {
 		t.Fatalf("warming check lost %d stripes, want 3", lost)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if repaired, lost := g.checkRange(0, 16*ck, true, &b); repaired != 0 || lost != 0 {
+		if repaired, lost := g.checkRange(0, 16*ck, &b); repaired != 0 || lost != 0 {
 			t.Fatalf("repeat check repaired/lost %d/%d, want 0/0", repaired, lost)
 		}
 	}); n > 0 {

@@ -1,8 +1,9 @@
 // Package raid models the DDN-style RAID-6 (8+2) storage arrays behind
 // the Spider object storage targets: chunked striping with rotating
 // parity, read-modify-write for partial-stripe writes, degraded-mode
-// reconstruction, background rebuild, and the controller write journal
-// whose loss caused the 2010 Spider I incident (§IV-E of the paper).
+// reconstruction, background rebuild and scrub, and the controller
+// write journal whose loss caused the 2010 Spider I incident (§IV-E of
+// the paper).
 package raid
 
 import (
@@ -85,10 +86,8 @@ type Group struct {
 	// OnStripeLoss, when set, fires once per stripe escalated as
 	// unrecoverable — the chaos ledger's data-loss accounting hook.
 	OnStripeLoss func(stripe int64)
-	// scrub is the reusable record of a ScrubStripes call (integrity.go),
-	// built on the first one; hits is checkRange's reusable defect list.
-	scrub *scrubBatch
-	hits  []stripeHit
+	// hits is checkRange's reusable defect list (integrity.go).
+	hits []stripeHit
 	// idleWrites and idleRMWs hold reusable Write records.
 	idleWrites []*writeOp
 	idleRMWs   []*rmwStripe
@@ -132,12 +131,10 @@ type Group struct {
 	UREsDetected           uint64 // drive-reported unrecoverable read errors seen
 	ChecksumMismatches     uint64 // silent corruption caught by parity verify
 	RepairedChunks         uint64 // chunks reconstructed and rewritten
-	ScrubRepairs           uint64 // subset of RepairedChunks found by scrubbing
 	UndetectedCorruptReads uint64 // silently corrupt chunks served to callers
 	UnrecoverableStripes   int64  // stripes with defects beyond parity
 	LostStripeReads        uint64 // reads answered EIO from an unrecoverable stripe
 	RebuildLatentHits      uint64 // latent errors hit while a rebuild was in flight
-	ScrubbedStripes        int64  // stripes walked by ScrubStripes
 }
 
 // pendingRebuild is a queued replacement waiting for the running
@@ -219,7 +216,7 @@ func (g *Group) chunkLocation(stripe int64, dataIdx int) (member int) {
 // given stripe — the layout map experiments use to plant targeted
 // defects.
 //
-//simlint:allow test-only-export layout map the integrity tests plant targeted defects with
+//simlint:allow test-only-export layout map the lustre read-path tests plant targeted defects with
 func (g *Group) ChunkMember(stripe int64, dataIdx int) int {
 	return g.chunkLocation(stripe, dataIdx)
 }
@@ -473,15 +470,13 @@ func (g *Group) FailDisk(m int) State {
 	return g.state
 }
 
-// RestoreDisk brings offline member m back intact without a rebuild —
+// restoreDisk brings offline member m back intact without a rebuild —
 // an enclosure repower or a reseated drive, where the controller's
 // dirty-region tracking makes the member immediately consistent. If m
 // was the member being rebuilt, the rebuild is cancelled cleanly and
 // any queued replacement for another member starts. Restoring a member
 // of a Failed group changes nothing: the data is already gone.
-//
-//simlint:allow test-only-export fault injector the integrity tests revive a member with
-func (g *Group) RestoreDisk(m int) State {
+func (g *Group) restoreDisk(m int) State {
 	if m < 0 || m >= g.cfg.Width() {
 		panic("raid: bad member index") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
@@ -655,7 +650,7 @@ func (r *rebuildBatch) step() {
 	g.dsks[g.rebuildMember].Submit(disk.Op{Write: true, LBA: first * g.cfg.ChunkSize, Size: size}, r.b.DoneFunc())
 	// Latent errors on the survivors surface here, with parity margin
 	// already spent on the rebuilding member — repair or escalate.
-	g.checkRange(first*g.cfg.ChunkSize, size, false, &r.b)
+	g.checkRange(first*g.cfg.ChunkSize, size, &r.b)
 	g.tracer.Swap(old)
 	r.b.Arm()
 }

@@ -297,17 +297,17 @@ func rebuildGroup(seed uint64) (*sim.Engine, *Group, *disk.Disk) {
 // it used to be read from, onto the same product leaves it unchanged.
 func TestTotalStripesSurvivesRebuild(t *testing.T) {
 	eng, g, repl := rebuildGroup(14)
-	stripes, capacity := g.TotalStripes(), g.Capacity()
+	stripes, capacity := g.stripes, g.Capacity()
 	if want := repl.Config().Capacity / g.Config().ChunkSize; stripes != want {
-		t.Fatalf("TotalStripes = %d, want %d", stripes, want)
+		t.Fatalf("stripes = %d, want %d", stripes, want)
 	}
 	g.StartRebuild(0, repl, nil)
 	eng.Run()
 	if g.State() != Healthy || g.Disks()[0] != repl {
 		t.Fatalf("state %v after rebuild onto member 0", g.State())
 	}
-	if g.TotalStripes() != stripes || g.Capacity() != capacity {
-		t.Fatalf("after rebuild: %d stripes, capacity %d; before: %d, %d", g.TotalStripes(), g.Capacity(), stripes, capacity)
+	if g.stripes != stripes || g.Capacity() != capacity {
+		t.Fatalf("after rebuild: %d stripes, capacity %d; before: %d, %d", g.stripes, g.Capacity(), stripes, capacity)
 	}
 }
 
@@ -347,7 +347,7 @@ func TestRebuildTimeMatchesThrottle(t *testing.T) {
 	g.RebuildPause = pause
 	g.FailDisk(0)
 
-	stripes := g.TotalStripes()
+	stripes := g.stripes
 	batches := (stripes + chunk - 1) / chunk
 	perMember := stripes * cfg.ChunkSize
 	// From the outer edge with the head already there: one command's
@@ -414,7 +414,7 @@ func TestRebuildAfterCancelMidBatch(t *testing.T) {
 	if !orphan.busy {
 		t.Fatal("first batch not in flight")
 	}
-	g.RestoreDisk(0)
+	g.restoreDisk(0)
 	g.FailDisk(1)
 	repl1 := disk.New(eng, 98, repl.Config(), disk.Nominal(), rng.New(17))
 	finished := 0

@@ -66,36 +66,12 @@ stage_test() {
 	# ./... never compiles it; test it here so a change to the
 	# simulator's public API cannot break it unnoticed.
 	(cd bench && go test ./...)
-	# The pending-set rung: one hold-model event at each standing depth
-	# (400, 2,048 and 20,000), so the benchmark that sizes the engine's
-	# tiers keeps building and running.
-	go test -run '^$' -bench 'BenchmarkEngineHold' -benchtime 1x ./internal/sim
-	# The cancel rung: schedule+cancel against 400 standing events (the
-	# near heap) and 20,000 (ring buckets and the far heap), with its
-	# allocations reported (0 per op: a canceled event is reused).
-	go test -run '^$' -bench 'BenchmarkCancelChurn' -benchtime 1x -benchmem ./internal/sim
-	# The queue-growth rung: a single-slot server driven through a
-	# 2,000-deep burst until it drains, with its bytes and allocations
-	# reported (the segmented sim.Queue's growth cost).
-	go test -run '^$' -bench 'BenchmarkServerBurst' -benchtime 1x -benchmem ./internal/sim
-	# The fabric-construction rung: one slab-built Spider II fabric
-	# (68,440 one-cache-line links), with its bytes and allocations
-	# reported (about 5.0 MB and 55 allocs; 9.35 MB with 120-byte links
-	# and per-node torus tables).
-	go test -run '^$' -bench 'BenchmarkNewFabric' -benchtime 1x -benchmem ./internal/netsim
-	# The congestion-wave rung: one untraced 2,048-flow Spider II wave,
-	# with its bytes reported (flow-pool and link-registry growth).
-	go test -run '^$' -bench 'BenchmarkSpider2Congestion/untraced' -benchtime 1x -benchmem ./internal/netsim
-	# The quick-campaign rung: one featured one-day small-center chaos
-	# campaign, the work a serve-mix cold session does, with its
-	# allocations reported.
-	go test -run '^$' -bench 'BenchmarkQuickCampaign' -benchtime 1x -benchmem ./internal/chaos
 	set +x
 }
 
 stage_race() {
 	set -x
-	go test -race ./internal/chaos/... ./internal/failure/... ./internal/sim/... ./internal/disk/... ./internal/raid/... ./internal/lustre/... ./internal/netsim/... ./internal/spantrace/... ./internal/sweep/... ./internal/integrity/... ./internal/serve/... ./internal/ledger/...
+	go test -race ./internal/chaos/... ./internal/failure/... ./internal/sim/... ./internal/disk/... ./internal/raid/... ./internal/lustre/... ./internal/netsim/... ./internal/spantrace/... ./internal/sweep/... ./internal/serve/... ./internal/ledger/...
 	# The real sweep bodies on the 4-worker replica pool: every
 	# experiment.Sweeps entry and the E19 suite.
 	go test -race -run 'SuiteDeterministic' ./internal/experiment/
@@ -106,11 +82,16 @@ stage_bench() {
 	set -x
 	# Benchmark smoke: one iteration of every BenchmarkPaper study
 	# (Figs. 2-4, E1-E17, HERO, ablations A1-A8) and every
-	# netsim/sim/lustre/raid/spantrace/serve benchmark, including the
-	# Spider II-scale congestion wave untraced and 1-in-64 traced and
-	# the service's report encode path, so no benchmark harness can rot
-	# silently.
-	go test -bench . -benchtime=1x -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/lustre/ ./internal/raid/ ./internal/spantrace/ ./internal/serve/
+	# netsim/sim/lustre/raid/spantrace/serve/chaos benchmark, with bytes
+	# and allocations reported, so no benchmark harness can rot
+	# silently. Among them: the engine's pending-set (EngineHold) and
+	# cancel (CancelChurn, 0 allocs/op) rungs, the segmented queue's
+	# burst (ServerBurst), one Spider II fabric build (NewFabric, about
+	# 5.0 MB and 55 allocs), the congestion wave untraced and 1-in-64
+	# traced, the service's report encode path, and one featured
+	# one-day quick chaos campaign (QuickCampaign, a serve-mix cold
+	# session's work).
+	go test -bench . -benchtime=1x -benchmem -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/lustre/ ./internal/raid/ ./internal/spantrace/ ./internal/serve/ ./internal/chaos/
 	# Run what go build only compiles: every examples/ program and the
 	# default benchsuite §III-B block-vs-FS sweep, once each with stdout
 	# discarded, so a runtime panic on those paths fails here.
