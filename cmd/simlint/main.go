@@ -18,7 +18,9 @@
 // against the committed baseline (default .simlint-baseline.json under
 // the module root): growth, a reasonless site, or a stale site fails
 // the gate with exit 1. -update rewrites the baseline from the fresh
-// report — the conscious act of signing off on a debt change.
+// report — the conscious act of signing off on a debt change. -debt
+// runs every check, so -checks with it exits 2; so do -update and
+// -baseline without it.
 package main
 
 import (
@@ -54,6 +56,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if *debt && given["checks"] {
+		fmt.Fprintln(stderr, "simlint: -checks does not combine with -debt: a directive is stale only if no check needs it")
+		return 2
+	}
+	if !*debt && (given["update"] || given["baseline"]) {
+		fmt.Fprintln(stderr, "simlint: -update and -baseline need -debt")
+		return 2
+	}
 
 	checks := lint.Checks()
 	if *list {
@@ -85,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !filepath.IsAbs(basePath) {
 			basePath = filepath.Join(*root, basePath)
 		}
-		return runDebt(mod, checks, basePath, *update, *asJSON, stdout, stderr)
+		return runDebt(mod, basePath, *update, *asJSON, stdout, stderr)
 	}
 
 	diags := mod.Run(checks)
@@ -116,8 +128,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runDebt implements the -debt mode: inventory, optional baseline
 // rewrite, and the growth/reason/staleness gate.
-func runDebt(mod *lint.Module, checks []*lint.Check, baselinePath string, update, asJSON bool, stdout, stderr io.Writer) int {
-	report := mod.Debt(checks)
+func runDebt(mod *lint.Module, baselinePath string, update, asJSON bool, stdout, stderr io.Writer) int {
+	report := mod.Debt()
 
 	if update {
 		data, err := json.MarshalIndent(report.Baseline(), "", "  ")

@@ -46,21 +46,20 @@ func main() {
 		{
 			Vendor: "block-storage-co", Unit: procure.Spider2SSU(),
 			Schedule: 0.9, PastPerformance: 0.9, Risk: 0.8,
-			Model: "block", IntegrationCost: 2e6,
+			IntegrationCost: 2e6, // block storage: the center integrates
 		},
 		{
 			Vendor: "appliance-corp",
-			Unit: procure.SSU{Name: "appliance", SeqBps: 30e9, RandBps: 7e9,
+			Unit: procure.SSU{SeqBps: 30e9, RandBps: 7e9,
 				Capacity: 1.0e15, Disks: 600, PriceUSD: 1.6e6},
 			Schedule: 0.95, PastPerformance: 0.85, Risk: 0.95,
-			Model: "appliance",
 		},
 		{
 			Vendor: "budget-array-inc",
-			Unit: procure.SSU{Name: "budget", SeqBps: 14e9, RandBps: 3e9,
+			Unit: procure.SSU{SeqBps: 14e9, RandBps: 3e9,
 				Capacity: 0.7e15, Disks: 480, PriceUSD: 0.8e6},
 			Schedule: 0.7, PastPerformance: 0.6, Risk: 0.5,
-			Model: "block", IntegrationCost: 3e6,
+			IntegrationCost: 3e6, // block storage
 		},
 	}
 	fmt.Println("\nevaluation (best value, weighted):")

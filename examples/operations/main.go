@@ -97,8 +97,8 @@ func main() {
 	bps := store.Series("ctrl0.write_bps")
 	var peak float64
 	for _, p := range bps.Points {
-		if p.Value > peak {
-			peak = p.Value
+		if p > peak {
+			peak = p
 		}
 	}
 	fmt.Printf("controller poller: %d samples, peak write rate %.1f MB/s\n",

@@ -171,7 +171,7 @@ func (c *Center) CoupletsOf(ns int, layout raid.EnclosureLayout) []*raid.Couplet
 	perSSU := len(groups) / len(fs.Ctrls)
 	out := make([]*raid.Couplet, 0, len(fs.Ctrls))
 	for ssu := 0; ssu < len(fs.Ctrls); ssu++ {
-		out = append(out, raid.NewCouplet(c.Eng, ssu, layout, groups[ssu*perSSU:(ssu+1)*perSSU]))
+		out = append(out, raid.NewCouplet(layout, groups[ssu*perSSU:(ssu+1)*perSSU]))
 	}
 	return out
 }

@@ -212,14 +212,3 @@ func (g *Graph) Stats() []ComponentStats {
 	}
 	return out
 }
-
-// downCount returns how many nodes of the given kind are currently down.
-func (g *Graph) downCount(kind Kind) int {
-	c := 0
-	for _, n := range g.order {
-		if n.Kind == kind && n.Down() {
-			c++
-		}
-	}
-	return c
-}

@@ -106,11 +106,11 @@ func TestGraphDownCount(t *testing.T) {
 	eng := sim.NewEngine()
 	g := buildTestGraph(eng)
 	g.Fail("oss0")
-	if n := g.downCount(KindOST); n != 2 {
-		t.Fatalf("down OSTs = %d, want 2", n)
+	if !g.Down("ost0") || !g.Down("ost1") {
+		t.Fatal("down OSTs: want both ost0 and ost1 down")
 	}
-	if n := g.downCount(KindGroup); n != 0 {
-		t.Fatalf("down groups = %d, want 0", n)
+	if g.Down("grp0") || g.Down("grp1") {
+		t.Fatal("down groups: want neither grp0 nor grp1 down")
 	}
 }
 

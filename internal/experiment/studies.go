@@ -285,10 +285,10 @@ func E6(seed uint64) Result {
 	vizFS := lustre.Build(eng2, p, rng.New(seed+2))
 	ex := center.ExclusiveWorkflow(simFS, vizFS, 256<<20, 4, 4, 10e9)
 	cmp := procure.CompareModels([]procure.Platform{
-		{Name: "titan", MemBytes: 710e12, WorkflowShareBytes: 100e12},
-		{Name: "analysis", MemBytes: 30e12, WorkflowShareBytes: 20e12},
-		{Name: "viz", MemBytes: 20e12, WorkflowShareBytes: 10e12},
-		{Name: "dtn", MemBytes: 10e12, WorkflowShareBytes: 5e12},
+		{MemBytes: 710e12, WorkflowShareBytes: 100e12}, // titan
+		{MemBytes: 30e12, WorkflowShareBytes: 20e12},   // analysis
+		{MemBytes: 20e12, WorkflowShareBytes: 10e12},   // viz
+		{MemBytes: 10e12, WorkflowShareBytes: 5e12},    // dtn
 	}, procure.Spider2SSU(), 10e9)
 	return Result{"E6 data-centric vs machine-exclusive (paper Secs. II, VII)", fmt.Sprintf(
 		"workflow: data-centric %v vs exclusive %v (transfer %v, %d MiB moved)\nacquisition: %v\n",

@@ -194,7 +194,7 @@ func HumanErrorScenario(layout raid.EnclosureLayout, seed uint64) IncidentReport
 		g.RebuildPause = 30 * sim.Minute
 		g.RebuildChunk = 8
 	}
-	c := raid.NewCouplet(eng, 0, layout, groups)
+	c := raid.NewCouplet(layout, groups)
 	g := groups[0]
 	g.FailDisk(0)
 	repl := disk.New(eng, 9999, dcfg, disk.Nominal(), rng.New(seed).Split("r"))

@@ -72,14 +72,15 @@ func (b Baseline) sites(check string) int {
 }
 
 // Debt inventories every allow directive in the module and marks which
-// ones actually suppress a diagnostic from the given checks.
-func (m *Module) Debt(checks []*Check) DebtReport {
-	return m.debtOver(m.Pkgs, checks)
+// ones actually suppress a diagnostic. It runs every check: a directive
+// is stale only if no check needs it.
+func (m *Module) Debt() DebtReport {
+	return m.debtOver(m.Pkgs)
 }
 
 // debtOver is Debt over an explicit package list (fixture packages in
 // tests, the whole module in production).
-func (m *Module) debtOver(pkgs []*Package, checks []*Check) DebtReport {
+func (m *Module) debtOver(pkgs []*Package) DebtReport {
 	var sites []DebtSite
 	type key struct {
 		file string
@@ -122,7 +123,7 @@ func (m *Module) debtOver(pkgs []*Package, checks []*Check) DebtReport {
 		// Usage: a directive is alive iff the unfiltered run produces a
 		// diagnostic it matches (same file, its line or the line below,
 		// check named).
-		for _, d := range m.runPackageUnfiltered(p, checks) {
+		for _, d := range m.runPackageUnfiltered(p, Checks()) {
 			pos := d.Pos
 			for _, line := range []int{pos.Line, pos.Line - 1} {
 				i, ok := index[key{pos.Filename, line}]
@@ -134,7 +135,9 @@ func (m *Module) debtOver(pkgs []*Package, checks []*Check) DebtReport {
 						continue
 					}
 					sites[i].Used = true
-					if fn := funcNameAt(m, p, pos); d.Check == "test-only-export" && !mentioned[fn] {
+					// A field site has no such check: no file reads
+					// the field, tests included, so no test keeps it.
+					if fn := funcNameAt(m, p, pos); d.Check == "test-only-export" && fn != "" && !mentioned[fn] {
 						sites[i].Untested = append(sites[i].Untested, fn)
 					}
 				}
@@ -162,7 +165,7 @@ func (m *Module) debtOver(pkgs []*Package, checks []*Check) DebtReport {
 }
 
 // funcNameAt returns the name of the function p declares at pos, the
-// position test-only-export reports.
+// position test-only-export reports, or "" when pos is a field.
 func funcNameAt(m *Module, p *Package, pos token.Position) string {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -182,20 +185,6 @@ func (m *Module) relPath(name string) string {
 		return filepath.ToSlash(name)
 	}
 	return filepath.ToSlash(rel)
-}
-
-// runPackageUnfiltered is runPackage without the allow filter: the
-// debt inventory needs to see what each directive would have silenced.
-func (m *Module) runPackageUnfiltered(p *Package, checks []*Check) []Diagnostic {
-	diags := append([]Diagnostic(nil), p.loadErrs...)
-	for _, c := range checks {
-		diags = append(diags, c.run(m, p)...)
-	}
-	for i := range diags {
-		diags[i].File = diags[i].Pos.Filename
-		diags[i].Line = diags[i].Pos.Line
-	}
-	return diags
 }
 
 // GateDebt compares a fresh inventory against the committed baseline

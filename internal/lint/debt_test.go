@@ -15,7 +15,7 @@ import (
 // `simlint -debt` enforces in verify.sh and CI.
 func TestSuppressionDebtGate(t *testing.T) {
 	m := loadRepo(t)
-	report := m.Debt(Checks())
+	report := m.Debt()
 
 	data, err := os.ReadFile("../../.simlint-baseline.json")
 	if err != nil {
@@ -44,7 +44,7 @@ func TestSuppressionDebtGate(t *testing.T) {
 // per-check totals consistent with the site list.
 func TestDebtInventoryShape(t *testing.T) {
 	m := loadRepo(t)
-	report := m.Debt(Checks())
+	report := m.Debt()
 
 	counts := map[string]int{}
 	foundCausality := false
@@ -94,6 +94,8 @@ func calm() int {
 	x := 1 //simlint:allow no-wallclock fixture: nothing on this line to suppress
 	return x
 }
+
+var _ = []any{provoke, calm}
 `,
 	})
 	if err != nil {
@@ -108,7 +110,7 @@ func calm() int {
 
 	// The inventory over the same package must mark one site used, one
 	// stale.
-	report := m.debtOver([]*Package{pkg}, Checks())
+	report := m.debtOver([]*Package{pkg})
 	if report.Total != 2 {
 		t.Fatalf("inventory found %d sites, want 2: %+v", report.Total, report.Sites)
 	}
@@ -150,7 +152,7 @@ func TestDebtUntestedOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: TypecheckSource: %v", c.dir, err)
 		}
-		report := m.debtOver([]*Package{pkg}, Checks())
+		report := m.debtOver([]*Package{pkg})
 		fails := GateDebt(report.Baseline(), report)
 		switch {
 		case report.Total != 1 || !report.Sites[0].Used:

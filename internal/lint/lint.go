@@ -109,11 +109,17 @@ func (m *Module) RunPackage(p *Package, checks []*Check) []Diagnostic {
 }
 
 func (m *Module) runPackage(p *Package, checks []*Check) []Diagnostic {
+	return p.filterAllowed(m.Fset, m.runPackageUnfiltered(p, checks))
+}
+
+// runPackageUnfiltered is runPackage without the allow filter: the
+// debt inventory needs to see what each directive would have silenced.
+func (m *Module) runPackageUnfiltered(p *Package, checks []*Check) []Diagnostic {
 	diags := append([]Diagnostic(nil), p.loadErrs...)
 	for _, c := range checks {
 		diags = append(diags, c.run(m, p)...)
 	}
-	return p.filterAllowed(m.Fset, diags)
+	return diags
 }
 
 func finish(diags []Diagnostic) []Diagnostic {

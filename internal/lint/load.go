@@ -17,11 +17,14 @@ import (
 type Package struct {
 	Path      string      // import path
 	Name      string      // package clause name
-	Dir       string      // directory on disk
 	Files     []*ast.File // non-test files, typechecked
-	TestFiles []*ast.File // _test.go files, parsed for syntax-only checks
+	TestFiles []*ast.File // _test.go files
 	Types     *types.Package
-	Info      *types.Info
+	Info      *types.Info // Files only
+	// TestInfo types TestFiles: the in-package ones checked together
+	// with Files, the external _test package against the module. Only
+	// test-only-export reads it, for the field reads tests make.
+	TestInfo *types.Info
 
 	loadErrs []Diagnostic
 	allows   allowDirectives
@@ -87,22 +90,17 @@ func LoadModule(root string) (*Module, error) {
 		if err != nil {
 			return nil, err
 		}
+		// One directory, one import path: p is not in m.Pkgs yet.
 		if p != nil {
-			// load memoizes, so packages pulled in early as
-			// dependencies are not duplicated here.
-			found := false
-			for _, q := range m.Pkgs {
-				if q == p {
-					found = true
-					break
-				}
-			}
-			if !found {
-				m.Pkgs = append(m.Pkgs, p)
-			}
+			m.Pkgs = append(m.Pkgs, p)
 		}
 	}
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
+	// External test packages may import any module package, so the
+	// tests are typed once the whole module is loaded.
+	for _, p := range m.Pkgs {
+		m.typecheckTests(p)
+	}
 	return m, nil
 }
 
@@ -219,7 +217,7 @@ func (m *Module) load(ip string) (*Package, error) {
 		m.local[ip] = nil
 		return nil, nil
 	}
-	p := &Package{Path: ip, Dir: dir, Files: files, TestFiles: testFiles}
+	p := &Package{Path: ip, Files: files, TestFiles: testFiles}
 	if len(files) > 0 {
 		p.Name = files[0].Name.Name
 		m.typecheck(p)
@@ -231,15 +229,19 @@ func (m *Module) load(ip string) (*Package, error) {
 	return p, nil
 }
 
-// typecheck runs the tolerant typechecker over p's non-test files,
-// recording every type error as a "load" diagnostic on the package.
-func (m *Module) typecheck(p *Package) {
-	p.Info = &types.Info{
+func newInfo() *types.Info {
+	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
+}
+
+// typecheck runs the tolerant typechecker over p's non-test files,
+// recording every type error as a "load" diagnostic on the package.
+func (m *Module) typecheck(p *Package) {
+	p.Info = newInfo()
 	conf := types.Config{
 		Importer: m,
 		Error: func(err error) {
@@ -256,6 +258,28 @@ func (m *Module) typecheck(p *Package) {
 		tpkg = types.NewPackage(p.Path, p.Name)
 	}
 	p.Types = tpkg
+}
+
+// typecheckTests fills p.TestInfo. Type errors in test files are
+// dropped: go vet reports them, and a read the checker misses through
+// one can only add a test-only-export diagnostic, never hide one.
+func (m *Module) typecheckTests(p *Package) {
+	var in, ext []*ast.File
+	for _, f := range p.TestFiles {
+		if f.Name.Name == p.Name {
+			in = append(in, f)
+		} else {
+			ext = append(ext, f)
+		}
+	}
+	p.TestInfo = newInfo()
+	conf := types.Config{Importer: m, Error: func(error) {}}
+	if len(in) > 0 {
+		_, _ = conf.Check(p.Path, m.Fset, append(append([]*ast.File(nil), p.Files...), in...), p.TestInfo)
+	}
+	if len(ext) > 0 {
+		_, _ = conf.Check(p.Path+"_test", m.Fset, ext, p.TestInfo)
+	}
 }
 
 // TypecheckSource typechecks an in-memory package against the module
@@ -288,5 +312,6 @@ func (m *Module) TypecheckSource(importPath string, files map[string]string) (*P
 	}
 	p := &Package{Path: importPath, Name: parsed[0].Name.Name, Files: parsed, TestFiles: tests}
 	m.typecheck(p)
+	m.typecheckTests(p)
 	return p, nil
 }

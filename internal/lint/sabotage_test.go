@@ -26,6 +26,8 @@ func (t *Tracker) scheduleCompletions(done func(string)) {
 		t.eng.At(at, func() { done(n) })
 	}
 }
+
+var _ = (*Tracker).scheduleCompletions
 `
 
 // The ordered-registry rewrite PR 2 shipped: an insertion-ordered
@@ -52,6 +54,10 @@ func (t *Tracker) scheduleCompletions(done func(string)) {
 		t.eng.At(it.at, func() { done(n) })
 	}
 }
+
+func (t *Tracker) lookup(name string) item { return t.order[t.index[name]] }
+
+var _ = []any{(*Tracker).scheduleCompletions, (*Tracker).lookup}
 `
 
 // TestSabotageMapRangeScheduling mirrors the PR 2 sabotage-validation
@@ -308,6 +314,8 @@ func TestSpread(t *testing.T) {
 import "fmt"
 
 func report(xs []float64) string { return fmt.Sprintf("band %.1f", Spread(xs)) }
+
+var _ = report
 `,
 	})
 	if err != nil {
@@ -346,7 +354,7 @@ func run() { (&Network{}).Start(1) }
 		if err != nil {
 			t.Fatalf("TypecheckSource: %v", err)
 		}
-		report := m.debtOver([]*Package{pkg}, Checks())
+		report := m.debtOver([]*Package{pkg})
 		return GateDebt(report.Baseline(), report)
 	}
 	if fails := gate(`package sabotage
@@ -369,5 +377,60 @@ func TestStart(t *testing.T) { (&Network{}).Start(1) }
 `)
 	if len(fails) != 1 || !strings.Contains(fails[0], "flow.go") || !strings.Contains(fails[0], "keeps Sync") {
 		t.Fatalf("Sync with no test left should fail the gate once, naming it, got %v", fails)
+	}
+}
+
+// TestSabotageWriteOnlyField plants a running total into an in-memory
+// copy of the real internal/stats, the shape of the Summary.Sum that
+// every observation added to and nothing read, and asserts that
+// test-only-export names it. The copy's exports and fields have no
+// readers outside it, so the planted copy is judged against the
+// pristine one: exactly one diagnostic more.
+func TestSabotageWriteOnlyField(t *testing.T) {
+	m := loadRepo(t)
+	paths, err := filepath.Glob("../stats/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, p := range paths {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatalf("reading real stats source: %v", err)
+		}
+		files[filepath.Base(p)] = string(src)
+	}
+	messages := func(files map[string]string) map[string]int {
+		t.Helper()
+		pkg, err := m.TypecheckSource("spiderfs/internal/stats", files)
+		if err != nil {
+			t.Fatalf("TypecheckSource: %v", err)
+		}
+		got := map[string]int{}
+		for _, d := range m.RunPackage(pkg, Checks()) {
+			got[d.Check+": "+d.Message]++
+		}
+		return got
+	}
+	pristine := messages(files)
+
+	src := files["stats.go"]
+	planted := strings.Replace(src, "\tm2       float64\n", "\tm2       float64\n\ttotal    float64\n", 1)
+	planted = strings.Replace(planted, "\ts.N++\n", "\ts.N++\n\ts.total += x\n", 1)
+	if strings.Count(planted, "total") != strings.Count(src, "total")+2 {
+		t.Fatal("stats.Summary changed shape; re-anchor the planted field")
+	}
+	files["stats.go"] = planted
+	var extra []string
+	for msg, n := range messages(files) {
+		for ; n > pristine[msg]; n-- {
+			extra = append(extra, msg)
+		}
+	}
+	if len(extra) != 1 || !strings.Contains(extra[0], "test-only-export: field Summary.total is never read") {
+		t.Fatalf("planted write-only field: got extra diagnostics %q, want exactly one naming Summary.total", extra)
 	}
 }

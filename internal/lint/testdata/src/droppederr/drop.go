@@ -50,3 +50,6 @@ func tickHandled(d *device) error {
 	}
 	return nil
 }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{tick, tickAsync, tickDeferred, tickExplicit, tickHandled}

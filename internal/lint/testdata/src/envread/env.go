@@ -15,3 +15,6 @@ func load(path string) ([]byte, error) {
 func openIt(path string) (*os.File, error) {
 	return os.Open(path) // want env-free-sim
 }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{load, openIt, configured}

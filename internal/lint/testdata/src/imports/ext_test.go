@@ -1,6 +1,6 @@
 // Sabotage fixture: a third-party import. It lives in a _test.go file
-// so only the import scanner sees it (test files are parsed, not
-// typechecked), proving the check covers tests too.
+// so only the import scanner reports it (type errors in test files are
+// dropped), proving the check covers tests too.
 package imports
 
 import (

@@ -76,3 +76,6 @@ func dumpSorted(w io.Writer, counts map[string]int) {
 		fmt.Fprintf(w, "%s %d\n", name, counts[name])
 	}
 }
+
+// Stands in for the callers and readers a fixture package does not load.
+var _ = []any{scheduleAll, scheduleViaHelper, dump, scheduleTwoHops, countThenReport, dumpSorted, func(j job) string { return j.name }}

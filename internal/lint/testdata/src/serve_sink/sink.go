@@ -82,3 +82,6 @@ func doneCount(sessions []*serve.Session) int {
 	wg.Wait()
 	return done
 }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{submitAll, submitByName, soloPerEntry, doneCount}

@@ -64,3 +64,6 @@ func reportAll(sessions []*serve.Session) []*serve.Report {
 	wg.Wait()
 	return out
 }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{submitList, submitByName, submitNamed, reportAll}

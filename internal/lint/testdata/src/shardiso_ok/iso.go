@@ -57,3 +57,6 @@ func sumPerWorker(parts [][]uint64) []uint64 {
 	wg.Wait()
 	return sums
 }
+
+// Stands in for the callers and readers a fixture package does not load.
+var _ = []any{runAll, sumPerWorker, func(r replica) uint64 { return r.out }}

@@ -32,3 +32,6 @@ func markByName(tr *spantrace.Tracer, parent spantrace.SpanID, byName map[string
 		tr.Mark(spantrace.Fabric, "hop", parent, byName[name], name)
 	}
 }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{markHops, markByName}

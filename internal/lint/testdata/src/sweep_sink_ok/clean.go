@@ -38,3 +38,6 @@ func recordByName(r *sweep.Rep, byName map[string]float64) {
 func runNamed(bodies map[string]sweep.Body, label string) (*sweep.Result, error) {
 	return sweep.Run(sweep.Entry{Label: label, Replicas: 2, Body: bodies[label]}, 1, 0)
 }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{recordTotals, recordByName, runNamed}

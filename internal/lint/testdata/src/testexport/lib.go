@@ -1,8 +1,8 @@
-// Sabotage fixture: exported functions and methods that only tests
-// would call.
+// Sabotage fixture: functions and methods that only tests would call,
+// exported or not, and a field that is written but never read.
 package testexport
 
-type Counter struct{ n int }
+type Counter struct{ n int } // want test-only-export
 
 func (c *Counter) Add(k int) { c.n += k }
 
@@ -24,4 +24,10 @@ func Fib(n int) int { // want test-only-export
 	return Fib(n-1) + Fib(n-2)
 }
 
+// zero has only a test caller.
+func zero(c *Counter) { c.n = 0 } // want test-only-export
+
 func tick(c *Counter) { c.Add(1) }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{tick}

@@ -1,4 +1,7 @@
 package testexport
 
 // A test-file caller does not count.
-func resetForTest(c *Counter) { c.Reset() }
+func resetForTest(c *Counter) {
+	c.Reset()
+	zero(c)
+}

@@ -1,6 +1,6 @@
-// Clean fixture: every export has a non-test caller, directly, as a
+// Clean fixture: every function has a non-test caller, directly, as a
 // func value, or through an interface the loaded packages declare or
-// import, or it carries a reason.
+// import, or it carries a reason; and every field has a reader.
 package testexportok
 
 import (
@@ -34,11 +34,42 @@ func Total(xs []int) int {
 	return total
 }
 
+// Gauge.last is read only by a test: an oracle.
+type Gauge struct{ last int }
+
+func (g *Gauge) Set(v int) { g.last = v }
+
+// Row's fields are read by encoding/json, through the tag.
+type Row struct {
+	Label string `json:"label"`
+}
+
+// slot's fields are read by every lookup of the map it keys.
+type slot struct{ rack, bay int }
+
+// span's fields are read by every == on a span.
+type span struct{ lo, hi int }
+
+// area is reached only through shape.
+type shape interface{ area() int }
+
+type square struct{ side int }
+
+func (s square) area() int { return s.side * s.side }
+
 func run() string {
 	c := &Counter{}
 	apply := Double
 	c.Add(apply(3))
 	xs := byValue{3, 1, 2}
 	sort.Sort(xs)
-	return fmt.Sprint(c, xs)
+	g := &Gauge{}
+	g.Set(len(xs))
+	used := map[slot]bool{{rack: 1, bay: 2}: true}
+	same := span{lo: 1} == span{hi: 2}
+	var s shape = square{side: 2}
+	return fmt.Sprint(c, xs, Row{Label: "a"}, len(used), same, s.area())
 }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{run}

@@ -25,3 +25,6 @@ func allowed() time.Duration {
 	d := 3 * time.Second
 	return d
 }
+
+// Stands in for the callers a fixture package does not load.
+var _ = []any{elapsed, timer, sleepy, allowed, stamp}

@@ -79,14 +79,14 @@ func Build(eng *sim.Engine, p Params, src *rng.Source) *FS {
 	ostOSS := make([]int, nOST)
 	for ssu := range ctrls {
 		ctrl := &ctrlSlab[ssu]
-		ctrl.init(eng, ssu, p.CtrlCfg)
+		ctrl.init(eng, p.CtrlCfg)
 		ctrls[ssu] = ctrl
 		ssuSrc := src.SplitIndex("ssu-", ssu)
 		groups := raid.BuildGroups(eng, p.OSTsPerSSU, p.DiskCfg, &ssuSrc)
 		ssuOSSBase := ssu * p.OSSPerSSU
 		for i := 0; i < p.OSSPerSSU; i++ {
 			id := ssuOSSBase + i
-			ossSlab[id].init(eng, id, p.OSSCfg)
+			ossSlab[id].init(eng, p.OSSCfg)
 			osses[id] = &ossSlab[id]
 		}
 		for i, g := range groups {

@@ -26,7 +26,6 @@ func (n NullTransport) Send(_ topology.Coord, _ int, _ int64, done func()) {
 // Client is one compute-node Lustre client issuing pipelined RPC
 // streams, like an IOR file-per-process rank.
 type Client struct {
-	ID    int
 	Coord topology.Coord
 	FS    *FS
 	TR    Transport
@@ -51,7 +50,6 @@ type Client struct {
 	BackoffSrc *rng.Source
 
 	BytesWritten int64
-	BytesRead    int64
 	RPCsSent     uint64
 	// RPCTimeouts counts watchdog expirations (stalled sends);
 	// RPCRetries counts the resends those expirations model.
@@ -83,9 +81,10 @@ const (
 // retries instead of one every RPCTimeout.
 const backoffCapFactor = 8
 
-// NewClient builds a client at the given torus coordinate.
-func NewClient(id int, coord topology.Coord, fs *FS, tr Transport) *Client {
-	return &Client{ID: id, Coord: coord, FS: fs, TR: tr}
+// NewClient builds a client at the given torus coordinate. The first
+// argument, the client's rank, is not kept: nothing reads it.
+func NewClient(_ int, coord topology.Coord, fs *FS, tr Transport) *Client {
+	return &Client{Coord: coord, FS: fs, TR: tr}
 }
 
 // stream drives one pipelined RPC stream.
@@ -289,7 +288,6 @@ func (r *rpc) complete() {
 		c.BytesWritten += size
 		s.f.MTime = c.FS.eng.Now()
 	} else {
-		c.BytesRead += size
 		s.f.ATime = c.FS.eng.Now()
 	}
 	s.pump()

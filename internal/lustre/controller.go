@@ -47,7 +47,6 @@ func Spider2ControllerUpgraded() ControllerConfig {
 // provides request servicing (CPU/bandwidth) and write-back cache
 // admission control.
 type Controller struct {
-	ID  int
 	cfg ControllerConfig
 	eng *sim.Engine
 	srv sim.Server
@@ -73,21 +72,22 @@ type ctrlWaiter struct {
 	done func()
 }
 
-// NewController builds a controller couplet on eng.
-func NewController(eng *sim.Engine, id int, cfg ControllerConfig) *Controller {
+// NewController builds a controller couplet on eng. The second
+// argument, the couplet's index, is not kept: nothing reads it.
+func NewController(eng *sim.Engine, _ int, cfg ControllerConfig) *Controller {
 	c := new(Controller)
-	c.init(eng, id, cfg)
+	c.init(eng, cfg)
 	return c
 }
 
 // init readies a zero Controller, such as one held in Build's slab, on
 // eng. The controller must not be copied afterwards: its server's
 // scheduled events point to it.
-func (c *Controller) init(eng *sim.Engine, id int, cfg ControllerConfig) {
+func (c *Controller) init(eng *sim.Engine, cfg ControllerConfig) {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	c.ID, c.cfg, c.eng = id, cfg, eng
+	c.cfg, c.eng = cfg, eng
 	c.srv.Init(eng, cfg.Slots)
 }
 

@@ -26,13 +26,10 @@ func Spider2OSS() OSSConfig {
 // OSS is one object storage server fronting several OSTs. Every data RPC
 // passes through its CPU before reaching the controller.
 type OSS struct {
-	ID     int
-	cfg    OSSConfig
 	cpu    sim.Server
 	tracer *spantrace.Tracer
 
-	RPCs  uint64
-	Bytes int64
+	RPCs uint64
 
 	down    bool
 	stalled []func()
@@ -46,11 +43,7 @@ type OSS struct {
 
 // init readies a zero OSS, held in Build's slab, on eng. The OSS must
 // not be copied afterwards: its CPU's scheduled events point to it.
-func (s *OSS) init(eng *sim.Engine, id int, cfg OSSConfig) {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	s.ID, s.cfg = id, cfg
+func (s *OSS) init(eng *sim.Engine, cfg OSSConfig) {
 	s.cpu.Init(eng, cfg.Cores)
 }
 
@@ -80,7 +73,6 @@ func (s *OSS) Service(size int64, done func()) {
 		return
 	}
 	s.RPCs++
-	s.Bytes += size
 	t := ossFixedPerRPC + sim.Time(size)*ossPerByte
 	sp := s.tracer.Begin(spantrace.OSS, "oss-service", s.tracer.Cur(), size)
 	cb := done

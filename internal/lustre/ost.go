@@ -68,7 +68,6 @@ type OST struct {
 
 	// Counters.
 	BytesWritten      int64
-	BytesRead         int64
 	FragmentedFlushes uint64
 	SequentialFlushes uint64
 	JournalCommits    uint64
@@ -443,7 +442,6 @@ func (obj *Object) Read(size int64, random bool, done func()) {
 	}
 	sp := o.tracer.Begin(spantrace.OST, "ost-read", o.tracer.Cur(), size)
 	o.ctrl.ServiceRead(size, func() {
-		o.BytesRead += size
 		var lba int64
 		if random || o.src.Bool(o.FragmentProb()) {
 			lba = o.randAlloc(size)

@@ -106,9 +106,9 @@ func TestCoalescerChainExtension(t *testing.T) {
 }
 
 func TestTimeSeriesBounded(t *testing.T) {
-	ts := &TimeSeries{Name: "x"}
+	ts := &TimeSeries{}
 	for i := 0; i < maxSeriesPoints+5; i++ {
-		ts.Add(sim.Time(i), float64(i))
+		ts.Add(float64(i))
 	}
 	if len(ts.Points) != maxSeriesPoints {
 		t.Fatalf("series len = %d", len(ts.Points))
@@ -116,7 +116,7 @@ func TestTimeSeriesBounded(t *testing.T) {
 	if ts.Last() != maxSeriesPoints+4 {
 		t.Fatalf("last = %f", ts.Last())
 	}
-	if v := ts.Points[0].Value; v != 5 {
+	if v := ts.Points[0]; v != 5 {
 		t.Fatalf("oldest kept value = %v, want 5", v)
 	}
 }
@@ -142,8 +142,8 @@ func TestControllerPollerRecordsRates(t *testing.T) {
 	bps := store.Series("ctrl0.write_bps")
 	var peak float64
 	for _, pt := range bps.Points {
-		if pt.Value > peak {
-			peak = pt.Value
+		if pt > peak {
+			peak = pt
 		}
 	}
 	if peak <= 0 {

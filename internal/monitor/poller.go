@@ -8,12 +8,6 @@ import (
 	"spiderfs/internal/sim"
 )
 
-// Point is one time-series sample.
-type Point struct {
-	At    sim.Time
-	Value float64
-}
-
 // maxSeriesPoints bounds each series' memory: more than eleven days of
 // samples at a 10 s polling interval.
 const maxSeriesPoints = 100000
@@ -21,13 +15,12 @@ const maxSeriesPoints = 100000
 // TimeSeries is a bounded in-memory series (the MySQL store of the DDN
 // tool, reduced to what the analyses need).
 type TimeSeries struct {
-	Name   string
-	Points []Point
+	Points []float64 // one sample per poller interval
 }
 
 // Add appends a sample, evicting the oldest beyond maxSeriesPoints.
-func (ts *TimeSeries) Add(at sim.Time, v float64) {
-	ts.Points = append(ts.Points, Point{At: at, Value: v})
+func (ts *TimeSeries) Add(v float64) {
+	ts.Points = append(ts.Points, v)
 	if len(ts.Points) > maxSeriesPoints {
 		ts.Points = ts.Points[len(ts.Points)-maxSeriesPoints:]
 	}
@@ -40,7 +33,7 @@ func (ts *TimeSeries) Last() float64 {
 	if len(ts.Points) == 0 {
 		return 0
 	}
-	return ts.Points[len(ts.Points)-1].Value
+	return ts.Points[len(ts.Points)-1]
 }
 
 // Store holds named series.
@@ -57,7 +50,7 @@ func NewStore() *Store {
 func (s *Store) Series(name string) *TimeSeries {
 	ts, ok := s.series[name]
 	if !ok {
-		ts = &TimeSeries{Name: name}
+		ts = &TimeSeries{}
 		s.series[name] = ts
 	}
 	return ts
@@ -112,9 +105,9 @@ func (p *ControllerPoller) schedule() {
 		for i, c := range p.ctrls {
 			rpcs := c.RPCs
 			bytes := c.BytesIn
-			p.store.Series(fmt.Sprintf("ctrl%d.rpc_rate", i)).Add(p.eng.Now(), float64(rpcs-p.lastRPCs[i])/secs)
-			p.store.Series(fmt.Sprintf("ctrl%d.write_bps", i)).Add(p.eng.Now(), float64(bytes-p.lastBytes[i])/secs)
-			p.store.Series(fmt.Sprintf("ctrl%d.dirty_bytes", i)).Add(p.eng.Now(), float64(c.Dirty()))
+			p.store.Series(fmt.Sprintf("ctrl%d.rpc_rate", i)).Add(float64(rpcs-p.lastRPCs[i]) / secs)
+			p.store.Series(fmt.Sprintf("ctrl%d.write_bps", i)).Add(float64(bytes-p.lastBytes[i]) / secs)
+			p.store.Series(fmt.Sprintf("ctrl%d.dirty_bytes", i)).Add(float64(c.Dirty()))
 			p.lastRPCs[i] = rpcs
 			p.lastBytes[i] = bytes
 		}

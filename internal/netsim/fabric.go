@@ -57,7 +57,6 @@ type Fabric struct {
 
 	routerFwd []*Link // per router ID
 	routerUp  []*Link // router -> its leaf switch port
-	leafDown  []*Link // leaf switch -> attached OSS port group (shared per OSS)
 
 	ossLeaf []int   // OSS index -> leaf switch
 	ossPort []*Link // leaf -> OSS port

@@ -48,28 +48,22 @@ func CapacityTarget(aggregateMemBytes float64, multiple, headroom float64) float
 // SSU is the vendor-defined Scalable System Unit: the unit of
 // configuration, pricing, benchmarking, and integration.
 type SSU struct {
-	Name      string
-	SeqBps    float64
-	RandBps   float64
-	Capacity  float64 // bytes
-	Disks     int
-	PriceUSD  float64
-	PowerKW   float64
-	RackUnits int
+	SeqBps   float64
+	RandBps  float64
+	Capacity float64 // bytes
+	Disks    int
+	PriceUSD float64
 }
 
 // Spider2SSU returns the as-built Spider II unit: 560 drives, ~28 GB/s
 // sequential, ~0.9 PB usable, one of 36.
 func Spider2SSU() SSU {
 	return SSU{
-		Name:      "spider2-ssu",
-		SeqBps:    28e9,
-		RandBps:   6.7e9,
-		Capacity:  0.9e15,
-		Disks:     560,
-		PriceUSD:  1.1e6,
-		PowerKW:   25,
-		RackUnits: 84,
+		SeqBps:   28e9,
+		RandBps:  6.7e9,
+		Capacity: 0.9e15,
+		Disks:    560,
+		PriceUSD: 1.1e6,
 	}
 }
 
@@ -135,10 +129,9 @@ type Proposal struct {
 	Schedule        float64 // delivery schedule confidence
 	PastPerformance float64
 	Risk            float64 // 1 = lowest risk
-	// Model selects block-storage vs appliance (affects integration
-	// burden, captured in IntegrationCost).
-	Model           string
-	IntegrationCost float64 // USD borne by the center (block model > 0)
+	// IntegrationCost is the USD the center bears: above zero for a
+	// block-storage purchase, zero for an appliance.
+	IntegrationCost float64
 }
 
 // Weights for the §III-C evaluation: "technical elements, performance,
@@ -210,7 +203,6 @@ func Evaluate(reqs Requirements, proposals []Proposal, w Weights) []Score {
 // machine-exclusive per-platform file systems for a center with the
 // given compute platforms.
 type Platform struct {
-	Name     string
 	MemBytes float64
 	// WorkflowShareBytes is how much of this platform's output other
 	// platforms consume (drives data movement in the exclusive model).
@@ -221,7 +213,6 @@ type Platform struct {
 type ModelComparison struct {
 	DataCentricUSD            float64
 	MachineExclusiveUSD       float64
-	MovedBytesPerDay          float64 // exclusive model's inter-system traffic
 	MoveHoursPerDay           float64
 	AddPlatformUSDDataCentric float64
 	AddPlatformUSDExclusive   float64
@@ -250,7 +241,6 @@ func CompareModels(platforms []Platform, unit SSU, dtnBps float64) ModelComparis
 		out.MachineExclusiveUSD += float64(units) * unit.PriceUSD
 	}
 	out.MachineExclusiveUSD *= 1.10
-	out.MovedBytesPerDay = moved
 	if dtnBps > 0 {
 		out.MoveHoursPerDay = moved / dtnBps / 3600
 	}

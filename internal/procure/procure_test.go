@@ -72,13 +72,12 @@ func TestEvaluateRanksBestValue(t *testing.T) {
 	reqs := Spider2Requirements()
 	good := Proposal{
 		Vendor: "blockco", Unit: Spider2SSU(), Schedule: 0.9,
-		PastPerformance: 0.9, Risk: 0.8, Model: "block", IntegrationCost: 2e6,
+		PastPerformance: 0.9, Risk: 0.8, IntegrationCost: 2e6, // block storage
 	}
 	pricey := good
 	pricey.Vendor = "appliancecorp"
 	pricey.Unit.PriceUSD = 2.2e6
-	pricey.Model = "appliance"
-	pricey.IntegrationCost = 0
+	pricey.IntegrationCost = 0 // an appliance
 	pricey.Risk = 0.95
 
 	weak := good
@@ -110,10 +109,10 @@ func TestEvaluateRanksBestValue(t *testing.T) {
 
 func TestCompareModelsFavorsDataCentric(t *testing.T) {
 	platforms := []Platform{
-		{Name: "titan", MemBytes: 710e12, WorkflowShareBytes: 100e12},
-		{Name: "analysis", MemBytes: 30e12, WorkflowShareBytes: 20e12},
-		{Name: "viz", MemBytes: 20e12, WorkflowShareBytes: 10e12},
-		{Name: "dtn", MemBytes: 10e12, WorkflowShareBytes: 5e12},
+		{MemBytes: 710e12, WorkflowShareBytes: 100e12}, // titan
+		{MemBytes: 30e12, WorkflowShareBytes: 20e12},   // analysis
+		{MemBytes: 20e12, WorkflowShareBytes: 10e12},   // viz
+		{MemBytes: 10e12, WorkflowShareBytes: 5e12},    // dtn
 	}
 	cmp := CompareModels(platforms, Spider2SSU(), 10e9)
 	if cmp.DataCentricUSD >= cmp.MachineExclusiveUSD {

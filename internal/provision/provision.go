@@ -70,7 +70,6 @@ const (
 
 // BootProfile gives the phase durations of a node boot.
 type BootProfile struct {
-	Kind NodeKind
 	// PXE through kernel+initrd load.
 	Firmware sim.Time
 	// Root: NFS read-only mount (diskless) or local fsck+mount
@@ -85,13 +84,13 @@ type BootProfile struct {
 
 // DisklessProfile mirrors a GeDI node.
 func DisklessProfile() BootProfile {
-	return BootProfile{Kind: Diskless, Firmware: 45 * sim.Second, Root: 20 * sim.Second,
+	return BootProfile{Firmware: 45 * sim.Second, Root: 20 * sim.Second,
 		ServiceStart: 15 * sim.Second, RootFailProb: 0.002}
 }
 
 // DiskFullProfile mirrors a conventionally imaged node.
 func DiskFullProfile() BootProfile {
-	return BootProfile{Kind: DiskFull, Firmware: 45 * sim.Second, Root: 90 * sim.Second,
+	return BootProfile{Firmware: 45 * sim.Second, Root: 90 * sim.Second,
 		ServiceStart: 15 * sim.Second, RootFailProb: 0.03}
 }
 

@@ -26,7 +26,6 @@ func Spider2Policy() Policy {
 
 // SweepReport summarizes one sweep.
 type SweepReport struct {
-	At         sim.Time
 	Scanned    int
 	Deleted    int
 	BytesFreed int64
@@ -75,7 +74,7 @@ func lastTouch(f *lustre.File) sim.Time {
 func (p *Purger) Sweep(done func(SweepReport)) {
 	eng := p.fs.Engine()
 	now := eng.Now()
-	rep := SweepReport{At: now, FillBefore: p.fs.Fill()}
+	rep := SweepReport{FillBefore: p.fs.Fill()}
 	var victims []*lustre.File
 	p.fs.Walk(nil, func(f *lustre.File) {
 		rep.Scanned++

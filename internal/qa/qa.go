@@ -23,12 +23,10 @@ const spreadTarget = 0.05
 
 // Round reports one benchmark/replace cycle.
 type Round struct {
-	Index     int
-	GroupMBps []float64
-	MeanMBps  float64
-	MinMBps   float64
-	Spread    float64 // (mean-min)/mean
-	Replaced  int
+	Index    int
+	MeanMBps float64
+	Spread   float64 // (mean-min)/mean
+	Replaced int
 }
 
 // Report summarizes a campaign.
@@ -129,15 +127,15 @@ func replaceSlowDisks(groups []*raid.Group, mbps []float64, src *rng.Source) int
 	return replaced
 }
 
-func spreadOf(mbps []float64) (mean, min, spread float64) {
+func spreadOf(mbps []float64) (mean, spread float64) {
 	var s stats.Summary
 	for _, v := range mbps {
 		s.Add(v)
 	}
 	if s.Mean == 0 {
-		return 0, 0, 0
+		return 0, 0
 	}
-	return s.Mean, s.Min, (s.Mean - s.Min) / s.Mean
+	return s.Mean, (s.Mean - s.Min) / s.Mean
 }
 
 // maxRounds bounds the campaign.
@@ -149,8 +147,8 @@ func RunElimination(eng *sim.Engine, groups []*raid.Group, benchBytes int64, src
 	var rep Report
 	for round := 0; round < maxRounds; round++ {
 		mbps := benchGroups(eng, groups, benchBytes)
-		mean, min, spread := spreadOf(mbps)
-		r := Round{Index: round, GroupMBps: mbps, MeanMBps: mean, MinMBps: min, Spread: spread}
+		mean, spread := spreadOf(mbps)
+		r := Round{Index: round, MeanMBps: mean, Spread: spread}
 		if round == 0 {
 			rep.BeforeMBps = mean * float64(len(groups))
 		}

@@ -61,8 +61,6 @@ func Spider2Layout() EnclosureLayout { return EnclosureLayout{Enclosures: 10, Pe
 // member disks are distributed across shared enclosures. It owns the
 // write journal and models controller failover.
 type Couplet struct {
-	ID      int
-	eng     *sim.Engine
 	layout  EnclosureLayout
 	groups  []*Group
 	Journal Journal
@@ -77,7 +75,7 @@ type Couplet struct {
 
 // NewCouplet wires groups to enclosures under the given layout. Every
 // group must have layout.Enclosures*layout.PerEnclosure members.
-func NewCouplet(eng *sim.Engine, id int, layout EnclosureLayout, groups []*Group) *Couplet {
+func NewCouplet(layout EnclosureLayout, groups []*Group) *Couplet {
 	want := layout.Enclosures * layout.PerEnclosure
 	for _, g := range groups {
 		if g.Config().Width() != want {
@@ -93,8 +91,7 @@ func NewCouplet(eng *sim.Engine, id int, layout EnclosureLayout, groups []*Group
 		}
 	}
 	return &Couplet{
-		ID: id, eng: eng, layout: layout, groups: groups,
-		ActiveControllers: 2, enclosureMembers: em,
+		layout: layout, groups: groups, ActiveControllers: 2, enclosureMembers: em,
 	}
 }
 

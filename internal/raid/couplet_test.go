@@ -15,7 +15,7 @@ func newCouplet(t *testing.T, layout EnclosureLayout, nGroups int, seed uint64) 
 	dcfg := disk.NLSAS2TB()
 	dcfg.Capacity = 64 << 20
 	groups := BuildGroups(eng, nGroups, dcfg, src)
-	return eng, NewCouplet(eng, 0, layout, groups)
+	return eng, NewCouplet(layout, groups)
 }
 
 func TestJournalLifecycle(t *testing.T) {
@@ -138,7 +138,7 @@ func TestCoupletLayoutMismatchPanics(t *testing.T) {
 			t.Error("expected panic on layout mismatch")
 		}
 	}()
-	NewCouplet(eng, 0, EnclosureLayout{Enclosures: 4, PerEnclosure: 2}, groups)
+	NewCouplet(EnclosureLayout{Enclosures: 4, PerEnclosure: 2}, groups)
 }
 
 func TestBuildGroupsPartitionsDisks(t *testing.T) {

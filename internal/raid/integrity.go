@@ -44,7 +44,6 @@ func (g *Group) ReadChecked(off, size int64, done func(ReadOutcome)) {
 		}
 		return
 	}
-	g.Reads++
 	g.BytesRead += size
 	oc := &ReadOutcome{}
 	sp := g.tracer.Begin(spantrace.RAID, "raid-read", g.tracer.Cur(), size)

@@ -165,30 +165,6 @@ func TestScrubDuringRebuildMeasuresDoubleFailureWindow(t *testing.T) {
 
 // --- rebuild lifecycle hardening (satellite 2) ---
 
-func TestRestoreDuringRebuildCancelsCleanly(t *testing.T) {
-	eng, g := smallGroup(t, 27)
-	g.RebuildChunk = 8
-	g.RebuildPause = 5 * sim.Second
-	g.FailDisk(4)
-	repl := disk.New(eng, 99, g.dsks[0].Config(), disk.Nominal(), rng.New(6).Split("r"))
-	g.StartRebuild(4, repl, func() { t.Fatal("cancelled rebuild must not report completion") })
-	eng.RunFor(2 * sim.Second)
-	if g.State() != Rebuilding {
-		t.Fatalf("state = %v, want rebuilding", g.State())
-	}
-	if st := g.restoreDisk(4); st != Healthy {
-		t.Fatalf("restore -> %v, want healthy", st)
-	}
-	if g.rebuildEvent.Pending() || g.rebuildMember != -1 || g.rebuildNext != 0 {
-		t.Fatalf("stale rebuild bookkeeping: event=%v member=%d next=%d",
-			g.rebuildEvent, g.rebuildMember, g.rebuildNext)
-	}
-	eng.Run() // any orphaned batch continuation would fire t.Fatal above
-	if g.State() != Healthy {
-		t.Fatalf("state = %v after drain", g.State())
-	}
-}
-
 func TestSecondFailureDuringRebuildQueuesReplacement(t *testing.T) {
 	eng, g := smallGroup(t, 28)
 	g.RebuildChunk = 16
@@ -237,10 +213,6 @@ func TestGroupFailureDuringRebuildClearsBookkeeping(t *testing.T) {
 	eng.Run()
 	if g.State() != Failed {
 		t.Fatalf("state = %v", g.State())
-	}
-	// Restoring a member of a dead group resurrects nothing.
-	if st := g.restoreDisk(5); st != Failed {
-		t.Fatalf("restore on failed group -> %v", st)
 	}
 }
 

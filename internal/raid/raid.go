@@ -97,10 +97,6 @@ type Group struct {
 	rebuildMember int
 	rebuildNext   int64 // next stripe index to reconstruct
 	rebuildEvent  sim.Event
-	// rebuildGen orphans in-flight batch chains when a rebuild is
-	// cancelled (group failure, member restore) or superseded: batch
-	// continuations check their generation before rescheduling.
-	rebuildGen uint64
 	// pending queues replacements that arrived while a rebuild was
 	// already running — one rebuild at a time, like a real controller.
 	pending sim.Queue[pendingRebuild]
@@ -114,7 +110,6 @@ type Group struct {
 	RebuildPause sim.Time
 
 	// Counters.
-	Reads, Writes   uint64
 	FullStripeWrite uint64
 	PartialWrite    uint64
 	DegradedReads   uint64
@@ -181,7 +176,7 @@ func (g *Group) Config() GroupConfig { return g.cfg }
 func (g *Group) State() State { return g.state }
 
 // Offline reports whether member m is offline: failed or pulled, and
-// not yet restored or rebuilt.
+// not yet rebuilt.
 func (g *Group) Offline(m int) bool { return g.offline[m] }
 
 // Disks returns the member disks (monitoring/QA use).
@@ -261,7 +256,6 @@ func (g *Group) Write(off, size int64, done func()) {
 		g.ioError(done)
 		return
 	}
-	g.Writes++
 	g.BytesWritten += size
 	sp := g.tracer.Begin(spantrace.RAID, "raid-write", g.tracer.Cur(), size)
 	op := g.takeWrite()
@@ -460,7 +454,11 @@ func (g *Group) FailDisk(m int) State {
 		g.LostStripes = g.stripes
 		// Cancel the rebuild cleanly: event, cursor, and member are
 		// cleared together, and queued replacements die with the group.
-		g.cancelRebuild()
+		// Failed is terminal, so a batch still reading finds the state
+		// changed when it finishes and schedules nothing.
+		g.rebuildEvent.Cancel()
+		g.rebuildMember = -1
+		g.rebuildNext = 0
 		g.pending = sim.Queue[pendingRebuild]{}
 		return g.state
 	}
@@ -470,48 +468,9 @@ func (g *Group) FailDisk(m int) State {
 	return g.state
 }
 
-// restoreDisk brings offline member m back intact without a rebuild —
-// an enclosure repower or a reseated drive, where the controller's
-// dirty-region tracking makes the member immediately consistent. If m
-// was the member being rebuilt, the rebuild is cancelled cleanly and
-// any queued replacement for another member starts. Restoring a member
-// of a Failed group changes nothing: the data is already gone.
-func (g *Group) restoreDisk(m int) State {
-	if m < 0 || m >= g.cfg.Width() {
-		panic("raid: bad member index") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	if g.state == Failed || !g.offline[m] {
-		return g.state
-	}
-	delete(g.offline, m)
-	if g.state == Rebuilding {
-		if g.rebuildMember != m {
-			return g.state // some other member is still rebuilding
-		}
-		g.cancelRebuild()
-	}
-	if len(g.offline) == 0 {
-		g.state = Healthy
-	} else {
-		g.state = Degraded
-	}
-	g.startQueuedRebuild()
-	return g.state
-}
-
-// cancelRebuild clears every piece of rebuild bookkeeping together —
-// event, cursor, member, and the generation that orphans any in-flight
-// batch continuation.
-func (g *Group) cancelRebuild() {
-	g.rebuildEvent.Cancel()
-	g.rebuildMember = -1
-	g.rebuildNext = 0
-	g.rebuildGen++
-}
-
 // startQueuedRebuild begins the next queued rebuild whose member is
-// still offline. Entries whose member came back (restored, or rebuilt
-// under an earlier replacement) complete vacuously.
+// still offline. Entries whose member was rebuilt under an earlier
+// replacement complete vacuously.
 func (g *Group) startQueuedRebuild() {
 	for g.pending.Len() > 0 && g.state != Rebuilding && g.state != Failed {
 		p, _ := g.pending.Pop()
@@ -553,15 +512,12 @@ func (g *Group) beginRebuild(m int, replacement *disk.Disk, done func()) {
 	g.state = Rebuilding
 	g.rebuildMember = m
 	g.rebuildNext = 0
-	g.rebuildGen++
 	r := g.rebuild
-	if r == nil || r.busy {
-		// A batch of a cancelled rebuild may still be reading into the
-		// old record; it finds its generation stale when it fires.
+	if r == nil {
 		r = newRebuildBatch(g)
 		g.rebuild = r
 	}
-	r.gen, r.done = g.rebuildGen, done
+	r.done = done
 	r.step()
 }
 
@@ -579,17 +535,17 @@ func (g *Group) RebuildProgress() float64 {
 	return float64(g.rebuildNext) / float64(g.stripes)
 }
 
-// rebuildBatch is one rebuild's chain of batches: its generation, its
-// done and, while a batch is reading, that batch's barrier and span.
-// Each group keeps one and reuses it from batch to batch and rebuild
-// to rebuild, so a steady-state batch allocates nothing.
+// rebuildBatch is one rebuild's chain of batches: its done and, while
+// a batch is reading, that batch's barrier and span. Each group keeps
+// one and reuses it from batch to batch and rebuild to rebuild, so a
+// steady-state batch allocates nothing. A rebuild begins only once the
+// last batch has finished: the one way to cancel a rebuild is FailDisk
+// taking the group to Failed, and no rebuild starts on a Failed group.
 type rebuildBatch struct {
 	g    *Group
-	gen  uint64
 	done func()
 	b    sim.Barrier
 	sp   spantrace.SpanID
-	busy bool   // a batch's reads are outstanding
 	fire func() // r.finish, bound once
 	next func() // r.step, bound once, for the pause timer
 }
@@ -631,7 +587,6 @@ func (r *rebuildBatch) step() {
 	first := g.rebuildNext
 	g.rebuildNext += n
 	size := n * g.cfg.ChunkSize
-	r.busy = true
 	// Rebuild batches are background work with no client request to
 	// parent to: self-sample them as roots so rebuild interference is
 	// visible in chaos-campaign traces.
@@ -656,12 +611,11 @@ func (r *rebuildBatch) step() {
 }
 
 // finish ends a batch's span and paces the next batch, unless the
-// rebuild was cancelled or superseded while the batch was reading.
+// group failed while the batch was reading.
 func (r *rebuildBatch) finish() {
 	g := r.g
 	g.tracer.End(r.sp)
-	r.busy = false
-	if g.state != Rebuilding || g.rebuildGen != r.gen {
+	if g.state != Rebuilding {
 		return
 	}
 	if g.RebuildPause > 0 {

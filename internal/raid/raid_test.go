@@ -404,30 +404,6 @@ func TestRebuildBatchAllocationCeiling(t *testing.T) {
 	}
 }
 
-// A rebuild cancelled while its batch is reading leaves that batch the
-// record it is reading into; the next rebuild gets its own, so the two
-// barriers never share a count and the orphan only ends its span.
-func TestRebuildAfterCancelMidBatch(t *testing.T) {
-	eng, g, repl := rebuildGroup(16)
-	g.StartRebuild(0, repl, func() { t.Error("cancelled rebuild reported done") })
-	orphan := g.rebuild
-	if !orphan.busy {
-		t.Fatal("first batch not in flight")
-	}
-	g.restoreDisk(0)
-	g.FailDisk(1)
-	repl1 := disk.New(eng, 98, repl.Config(), disk.Nominal(), rng.New(17))
-	finished := 0
-	g.StartRebuild(1, repl1, func() { finished++ })
-	if g.rebuild == orphan {
-		t.Fatal("new rebuild reuses the record of the batch still reading")
-	}
-	eng.Run()
-	if orphan.busy || finished != 1 || g.State() != Healthy {
-		t.Fatalf("orphan busy %v, %d completions, state %v; want idle, 1, healthy", orphan.busy, finished, g.State())
-	}
-}
-
 func TestInvalidExtentPanics(t *testing.T) {
 	_, g := newTestGroup(t, 13)
 	defer func() {

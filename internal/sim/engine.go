@@ -17,15 +17,14 @@ type Event struct {
 }
 
 // event is the engine's recycled record of one scheduled callback. A
-// sim.Server completion is data, not a closure: the server and the job's
-// service time ride in srv and service, and fn is the job's own done.
+// sim.Server completion is data, not a closure: the server rides in
+// srv, and fn is the job's own done.
 // The fields fit an 80-byte allocation class.
 type event struct {
 	t          Time
 	seq        uint64
 	fn         func()
 	srv        *Server
-	service    Time
 	eng        *Engine
 	gen        uint64 // bumped each time the event is recycled
 	next, prev *event // neighbours in a ring bucket
@@ -206,9 +205,9 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// schedule queues a callback at t: fn, or srv.finish(service, fn) when
-// srv is set. It reuses a recycled event when one is free.
-func (e *Engine) schedule(t Time, fn func(), srv *Server, service Time) Event {
+// schedule queues a callback at t: fn, or srv.finish(fn) when srv is
+// set. It reuses a recycled event when one is free.
+func (e *Engine) schedule(t Time, fn func(), srv *Server) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //simlint:allow no-library-panic causality assertion: scheduling into the past is a model bug
 	}
@@ -219,7 +218,7 @@ func (e *Engine) schedule(t Time, fn func(), srv *Server, service Time) Event {
 	} else {
 		ev = &event{eng: e}
 	}
-	ev.t, ev.seq, ev.fn, ev.srv, ev.service = t, e.seq, fn, srv, service
+	ev.t, ev.seq, ev.fn, ev.srv = t, e.seq, fn, srv
 	e.seq++
 	e.live++
 	if e.live > e.peak {
@@ -245,7 +244,7 @@ func (e *Engine) enqueue(ev *event) {
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) Event { return e.schedule(t, fn, nil, 0) }
+func (e *Engine) At(t Time, fn func()) Event { return e.schedule(t, fn, nil) }
 
 // Reschedule moves a still-pending event to absolute time t, keeping
 // its callback. The event receives a fresh sequence number, so FIFO
@@ -305,7 +304,7 @@ func (e *Engine) Step() bool {
 		e.rebuild()
 	}
 	e.now = ev.t
-	seq, fn, srv, service := ev.seq, ev.fn, ev.srv, ev.service
+	seq, fn, srv := ev.seq, ev.fn, ev.srv
 	e.recycle(ev)
 	e.live--
 	e.fired++
@@ -313,7 +312,7 @@ func (e *Engine) Step() bool {
 		e.trace(e.now, seq)
 	}
 	if srv != nil {
-		srv.finish(service, fn)
+		srv.finish(fn)
 	} else {
 		fn()
 	}

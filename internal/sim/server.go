@@ -9,7 +9,8 @@ package sim
 // layers can report busy time, queue depth, and wait times without extra
 // bookkeeping.
 type Server struct {
-	eng  *Engine
+	eng *Engine
+	//simlint:allow test-only-export NewServer's name parameter is fixed by bench/probes.go, which calls NewServer(eng, "probe", 1)
 	name string // diagnostic label, shown by %+v and debuggers
 	// capacity is the number of jobs that can be in service at once.
 	capacity int
@@ -18,11 +19,10 @@ type Server struct {
 	queue     Queue[serverJob]
 
 	// statistics
-	Completed   uint64
-	BusyTime    Time // slot-occupancy integrated over time (sum over slots)
-	WaitTime    Time // total time jobs spent queued before service
-	ServiceTime Time // total service time of completed jobs
-	MaxQueue    int
+	Completed uint64
+	BusyTime  Time // slot-occupancy integrated over time (sum over slots)
+	WaitTime  Time // total time jobs spent queued before service
+	MaxQueue  int
 
 	lastChange Time
 }
@@ -81,22 +81,20 @@ func (s *Server) Submit(service Time, done func()) {
 }
 
 // start puts job in service. Its completion is scheduled as data — the
-// server, the service time and done ride in the event — so no closure is
-// allocated.
+// server and done ride in the event — so no closure is allocated.
 func (s *Server) start(job serverJob) {
 	s.inService++
 	now := s.eng.Now()
 	s.WaitTime += now - job.arrive
-	s.eng.schedule(now+job.service, job.done, s, job.service)
+	s.eng.schedule(now+job.service, job.done, s)
 }
 
-// finish completes a job of the given service time: the engine calls it
-// when that time has elapsed, with the job's done.
-func (s *Server) finish(service Time, done func()) {
+// finish completes a job: the engine calls it when the job's service
+// time has elapsed, with the job's done.
+func (s *Server) finish(done func()) {
 	s.accumulateBusy()
 	s.inService--
 	s.Completed++
-	s.ServiceTime += service
 	if next, ok := s.queue.Pop(); ok {
 		s.start(next)
 		if s.queue.Len() == 0 && s.queue.slots() > maxDrainedRing {

@@ -16,13 +16,11 @@ type Summary struct {
 	Mean     float64
 	m2       float64
 	Min, Max float64
-	Sum      float64
 }
 
 // Add incorporates one observation.
 func (s *Summary) Add(x float64) {
 	s.N++
-	s.Sum += x
 	if s.N == 1 {
 		s.Min, s.Max = x, x
 	} else {

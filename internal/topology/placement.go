@@ -36,7 +36,6 @@ func (g CabinetGrid) TorusXY(col, row int) (x, y int) { return col, row * 2 }
 // module's router group, so a single switch failure degrades rather than
 // severs the module.
 type IOModule struct {
-	Cabinet   int   // col*Rows + row
 	Col, Row  int   // cabinet grid position
 	Coord     Coord // torus position of the module's Gemini
 	Group     int   // router group (~ SSU index block)
@@ -79,8 +78,7 @@ func PlaceRouters(grid CabinetGrid, torus Torus, nModules, nGroups int) Placemen
 		// Alternate Z within cabinets so modules spread along Z too.
 		z := (i * torus.NZ / nModules) % torus.NZ
 		m := IOModule{
-			Cabinet: col*grid.Rows + row,
-			Col:     col, Row: row,
+			Col: col, Row: row,
 			Coord: Coord{X: x, Y: y, Z: z},
 			Group: groupForColumn(col, grid.Cols, nGroups),
 		}

@@ -53,7 +53,6 @@ const analyticsRequestSize = 64 << 10
 type AnalyticsResult struct {
 	Latency   stats.Summary
 	P95Millis float64
-	Duration  sim.Time
 }
 
 // RunAnalytics pre-creates one single-stripe dataset per reader under
@@ -76,7 +75,6 @@ func RunAnalytics(fs *lustre.FS, cfg AnalyticsConfig) AnalyticsResult {
 
 	var res AnalyticsResult
 	var lats []float64
-	start := eng.Now()
 	for i := 0; i < cfg.Readers; i++ {
 		i := i
 		var next func(remaining int)
@@ -95,7 +93,6 @@ func RunAnalytics(fs *lustre.FS, cfg AnalyticsConfig) AnalyticsResult {
 		next(cfg.Requests)
 	}
 	eng.Run()
-	res.Duration = eng.Now() - start
 	res.P95Millis = stats.Percentile(lats, 0.95)
 	return res
 }
@@ -134,8 +131,6 @@ type MixedTrace struct {
 	Writes, Reads uint64
 	Sizes         []float64 // bytes
 	InterArrivals []float64 // seconds
-	BytesWritten  int64
-	BytesRead     int64
 }
 
 // WriteFraction returns the measured write fraction of requests.
@@ -196,11 +191,9 @@ func RunMixed(fs *lustre.FS, cfg MixedConfig, src *rng.Source) *MixedTrace {
 			tr.Sizes = append(tr.Sizes, float64(size))
 			if src.Bool(mixedWriteFrac) {
 				tr.Writes++
-				tr.BytesWritten += size
 				clients[stream].WriteStream(files[stream], size, minI64(size, 1<<20), nil)
 			} else {
 				tr.Reads++
-				tr.BytesRead += size
 				clients[stream].ReadStream(files[stream], size, minI64(size, 1<<20), true, nil)
 			}
 			schedule(stream)
