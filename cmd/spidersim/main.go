@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	replicas := fs.Int("replicas", 0, fmt.Sprintf("sweep: override the replica count per sweep (0 keeps each sweep's; at most %d)", sweep.MaxReplicas))
 	workers := fs.Int("workers", 0, "sweep: parallel worker count (0 = GOMAXPROCS)")
 	spec := fs.String("spec", "", "session: the scenario spec as JSON, e.g. '{\"kind\":\"workload\",\"seed\":7}'")
-	ledgerOut := fs.String("ledger", "", "chaos: export the campaign's operations ledger as JSON to this file")
+	ledgerOut := fs.String("ledger", "", "chaos, session: export the run's operations ledger as JSON to this file (a session writes the bytes spidersimd's /ledger serves)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	if err := fs.Parse(args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runScrub(*seed, stdout)
 		return 0
 	case "session":
-		return runSession(*spec, stdout, stderr)
+		return runSession(*spec, *ledgerOut, stdout, stderr)
 	case "arch":
 		c := center.New(center.Config{Scale: 1, Namespaces: 2, Seed: *seed})
 		fmt.Fprint(stdout, c.RenderArchitecture())
@@ -170,10 +170,13 @@ func startProfile(path string, stderr io.Writer) (stop func(), err error) {
 
 // runSession executes one service session spec solo and prints the
 // exact report bytes the daemon's /report endpoint would serve — the
-// reference side of the spidersimd determinism contract. The sweep
-// catalog is the same one the daemon registers, so "sweep"-kind specs
-// resolve identically; every model stream comes from the spec's seed.
-func runSession(specJSON string, stdout, stderr io.Writer) int {
+// reference side of the spidersimd determinism contract. With
+// ledgerOut it also writes the session's operations ledger there, the
+// bytes /ledger serves; a sweep session keeps none and exits 1. The
+// sweep catalog is the same one the daemon registers, so "sweep"-kind
+// specs resolve identically; every model stream comes from the spec's
+// seed.
+func runSession(specJSON, ledgerOut string, stdout, stderr io.Writer) int {
 	if specJSON == "" {
 		fmt.Fprintln(stderr, `session: -spec required, e.g. -spec '{"kind":"workload","seed":7}'`)
 		return 2
@@ -182,6 +185,11 @@ func runSession(specJSON string, stdout, stderr io.Writer) int {
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
 		fmt.Fprintln(stderr, "session: bad -spec:", err)
 		return 2
+	}
+	if ledgerOut != "" && spec.Kind == "sweep" {
+		// Refused before the sweep runs, which would be wasted.
+		fmt.Fprintln(stderr, "session: sweep sessions keep no operations ledger")
+		return 1
 	}
 	rep, err := serve.RunSolo(spec, experiment.Sweeps())
 	if err != nil {
@@ -192,6 +200,12 @@ func runSession(specJSON string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "session:", err)
 		return 1
+	}
+	if ledgerOut != "" {
+		if err := writeLedger(ledgerOut, rep.Ledger); err != nil {
+			fmt.Fprintln(stderr, "session:", err)
+			return 1
+		}
 	}
 	stdout.Write(data)
 	return 0

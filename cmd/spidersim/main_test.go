@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +19,7 @@ import (
 	"time"
 
 	"spiderfs/internal/experiment"
+	"spiderfs/internal/serve"
 )
 
 // TestMain runs the command itself when runChild starts the test binary
@@ -227,6 +231,64 @@ func TestLedgerVerbs(t *testing.T) {
 	spidersim(1, "ledger", "verify", "-in", forged)
 	spidersim(2, "ledger", "verify")
 	spidersim(2, "ledger", "rewind", "-in", clean)
+}
+
+// TestSessionLedger: `session -ledger FILE` prints the report bytes
+// spidersimd's /report serves and writes the ledger bytes its /ledger
+// serves, for a workload and a chaos spec. A sweep session keeps no
+// ledger, so asking for one exits 1 with one session: line and prints
+// no report.
+func TestSessionLedger(t *testing.T) {
+	svc := serve.New(serve.Config{Workers: 1, QueueDepth: 4, Sweeps: experiment.Sweeps()})
+	defer svc.Close()
+	h := svc.Handler()
+	get := func(method, path, body string) []byte {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if w.Code != http.StatusOK && w.Code != http.StatusAccepted {
+			t.Fatalf("%s %s: status %d: %s", method, path, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	dir := t.TempDir()
+	for _, spec := range []string{
+		`{"kind":"workload","seed":7,"waves":2,"flows":16,"bytes":1e6}`,
+		`{"kind":"chaos","seed":7}`,
+	} {
+		out := filepath.Join(dir, "ledger.json")
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"session", "-spec", spec, "-ledger", out}, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", spec, code, &stderr)
+		}
+		written, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var snap serve.Snapshot
+		if err := json.Unmarshal(get("POST", "/v1/sessions", spec), &snap); err != nil {
+			t.Fatal(err)
+		}
+		path := "/v1/sessions/" + snap.ID
+		get("GET", path+"/events", "") // returns after the terminal event
+		if served := get("GET", path+"/report", ""); !bytes.Equal(stdout.Bytes(), served) {
+			t.Errorf("%s: printed report\n%s\nserved\n%s", spec, &stdout, served)
+		}
+		if served := get("GET", path+"/ledger", ""); !bytes.Equal(written, served) {
+			t.Errorf("%s: wrote %d ledger bytes, /ledger serves %d", spec, len(written), len(served))
+		}
+	}
+
+	out := filepath.Join(dir, "sweep.json")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"session", "-spec", `{"kind":"sweep","seed":7,"sweep":"e13-purge","replicas":1}`, "-ledger", out}, &stdout, &stderr)
+	if code != 1 || stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "session: ") || strings.Count(stderr.String(), "\n") != 1 {
+		t.Errorf("sweep -ledger: exit %d, %d bytes of stdout, stderr %q; want exit 1 and one session: line", code, stdout.Len(), &stderr)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("sweep -ledger left a file: %v", err)
+	}
 }
 
 // TestStudiesDoNotShadowCommands guards main's dispatch order: a study

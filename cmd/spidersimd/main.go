@@ -14,11 +14,14 @@
 //	     -d '{"kind":"workload","seed":7}'
 //	curl -s localhost:8080/v1/sessions/s-000001/events   # ndjson stream
 //	curl -s localhost:8080/v1/sessions/s-000001/report
+//	curl -s localhost:8080/v1/sessions/s-000001/ledger   # audit trail
 //
 // The determinism contract: a session's report — fingerprint included —
 // is byte-identical to `spidersim session -spec '<the same json>'`, no
 // matter how many tenants share the daemon or whether the session ran
-// on a cold, pooled, or cached path. When the admission queue is full
+// on a cold, pooled, or cached path. The report carries the outcome
+// only; the operations ledger is served at /ledger alone, and
+// `spidersim session -ledger FILE` writes the same bytes. When the admission queue is full
 // the daemon sheds immediately with 429 and a Retry-After hint; it
 // never queues unboundedly. Nor does it keep every session: once 1,024
 // newer sessions have finished, a finished session's endpoints answer

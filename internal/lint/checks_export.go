@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -95,22 +97,29 @@ type exportUses struct {
 // moduleExports lazily builds exportUses over every module package.
 func (m *Module) moduleExports() *exportUses {
 	if m.exports == nil {
-		m.exports = m.exportsWith(nil)
+		ex := &exportUses{used: map[*types.Func]bool{}, seen: map[string]bool{}, read: map[token.Pos]bool{}}
+		ex.ifaces = append(ex.ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+		for _, p := range m.Pkgs {
+			ex.addPackage(p)
+		}
+		m.exports = ex
 	}
 	return m.exports
 }
 
-// exportsWith builds exportUses over every module package plus extra
-// (a fixture package from TypecheckSource, which is not in m.Pkgs).
+// exportsWith is moduleExports plus extra, a fixture package from
+// TypecheckSource, which is not in m.Pkgs. Module code cannot refer to
+// a fixture's objects, so the fixture adds only its own uses, reads and
+// interfaces, to a copy that leaves the module's set as it was.
 func (m *Module) exportsWith(extra *Package) *exportUses {
-	ex := &exportUses{used: map[*types.Func]bool{}, seen: map[string]bool{}, read: map[token.Pos]bool{}}
-	ex.ifaces = append(ex.ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-	for _, p := range m.Pkgs {
-		ex.addPackage(p)
+	mod := m.moduleExports()
+	ex := &exportUses{
+		used:   maps.Clone(mod.used),
+		ifaces: slices.Clone(mod.ifaces),
+		seen:   maps.Clone(mod.seen),
+		read:   maps.Clone(mod.read),
 	}
-	if extra != nil {
-		ex.addPackage(extra)
-	}
+	ex.addPackage(extra)
 	return ex
 }
 

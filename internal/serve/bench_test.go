@@ -23,9 +23,10 @@ func (d *discardWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// chaosReportRequest finishes one quick chaos session (seed 7) and
-// returns the service's handler with a GET of that session's report.
-func chaosReportRequest(tb testing.TB) (http.Handler, *http.Request, *Report) {
+// chaosLedgerRequest finishes one quick chaos session (seed 7) and
+// returns the service's handler with a GET of that session's
+// operations ledger, the API's one document of tens of kilobytes.
+func chaosLedgerRequest(tb testing.TB) (http.Handler, *http.Request, *Report) {
 	tb.Helper()
 	svc := New(Config{Workers: 1})
 	tb.Cleanup(svc.Close)
@@ -37,14 +38,14 @@ func chaosReportRequest(tb testing.TB) (http.Handler, *http.Request, *Report) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return svc.Handler(), httptest.NewRequest("GET", "/v1/sessions/"+sess.ID+"/report", nil), rep
+	return svc.Handler(), httptest.NewRequest("GET", "/v1/sessions/"+sess.ID+"/ledger", nil), rep
 }
 
-// BenchmarkServeReport serves the report of a finished quick chaos
-// session through Handler() per op: the encode path's time and
-// allocations for a document of tens of kilobytes.
+// BenchmarkServeReport serves the operations ledger of a finished
+// quick chaos session through Handler() per op: the encode path's time
+// and allocations for a document of tens of kilobytes.
 func BenchmarkServeReport(b *testing.B) {
-	h, req, _ := chaosReportRequest(b)
+	h, req, _ := chaosLedgerRequest(b)
 	w := &discardWriter{header: http.Header{}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -58,13 +59,16 @@ func BenchmarkServeReport(b *testing.B) {
 
 // TestServeReportAllocationsFlat holds the encode path to a small
 // constant allocation per response, not one proportional to the
-// document: serving a 31 KB chaos report reuses a pooled buffer. The
-// lower quartile of 41 responses is pinned, because a garbage
-// collection empties the pool and the race detector drops a quarter of
-// its Puts, so some responses do grow a fresh buffer.
+// document: serving a chaos session's 31 KB ledger reuses a pooled
+// buffer. The lower quartile of 41 responses is pinned, because a
+// garbage collection empties the pool and the race detector drops a
+// quarter of its Puts, so some responses do grow a fresh buffer.
 func TestServeReportAllocationsFlat(t *testing.T) {
-	h, req, rep := chaosReportRequest(t)
-	size := len(mustJSON(t, rep))
+	h, req, rep := chaosLedgerRequest(t)
+	size := len(mustJSON(t, rep.Ledger))
+	if size < 16<<10 {
+		t.Fatalf("the chaos ledger is %d bytes, too small to show a per-byte cost", size)
+	}
 	w := &discardWriter{header: http.Header{}}
 	h.ServeHTTP(w, req) // fill the pool
 	var before, after runtime.MemStats
@@ -80,7 +84,7 @@ func TestServeReportAllocationsFlat(t *testing.T) {
 	}
 	slices.Sort(perCall)
 	if q1 := perCall[len(perCall)/4]; q1 > 2048 {
-		t.Errorf("serving a %d-byte report allocates %d bytes (lower quartile of %d), want at most 2,048",
+		t.Errorf("serving a %d-byte ledger allocates %d bytes (lower quartile of %d), want at most 2,048",
 			size, q1, len(perCall))
 	}
 }

@@ -17,9 +17,9 @@ import (
 //	GET  /v1/sessions/{id}/events  chunked progress stream (ndjson),
 //	                               ?seq=N resumes past the first N events
 //	GET  /v1/sessions/{id}/report  final report (202 while running)
-//	GET  /v1/sessions/{id}/ledger  session operations-ledger export
-//	                               (202 while running, 404 for kinds
-//	                               that keep none)
+//	GET  /v1/sessions/{id}/ledger  session operations-ledger export, the
+//	                               ledger's one endpoint (202 while
+//	                               running, 404 for kinds that keep none)
 //	GET  /v1/stats                 service counters; ?sessions=1 lists
 //	                               the retained sessions
 //
@@ -41,8 +41,8 @@ func (s *Service) Handler() http.Handler {
 }
 
 // maxPooledBuffer bounds the buffer an encoder may keep in the pool. A
-// quick chaos report is 23–132 KB of indented JSON and reuses its
-// buffer; a rarer, larger document is encoded into a buffer that is
+// quick chaos session's ledger is 23–132 KB of indented JSON and reuses
+// its buffer; a rarer, larger document is encoded into a buffer that is
 // then dropped, so the pool never pins its size between requests.
 const maxPooledBuffer = 1 << 20
 

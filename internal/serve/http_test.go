@@ -241,65 +241,99 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}
 }
 
-// TestHTTPLedgerEndpoint pulls a finished workload session's
-// operations-ledger export, audits it clean, and byte-compares it
-// against the solo run's — then checks that sweep sessions (which keep
-// no ledger) answer 404.
+// TestHTTPLedgerEndpoint pulls a finished workload session's and a
+// chaos session's operations-ledger export, audits it clean, and holds
+// it to the bytes `spidersim session -ledger` writes from the solo run:
+// MarshalIndent of RunSolo's export plus a newline. The ledger's one
+// endpoint is /ledger: the report, the poll of a finished session and
+// the POST body of a cache hit carry no ledger key. Sweep sessions
+// (which keep no ledger) answer 404.
 func TestHTTPLedgerEndpoint(t *testing.T) {
-	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 8, Sweeps: toyCatalog()})
+	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 8, CacheSize: 4, Sweeps: toyCatalog()})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	_, snap := postSpec(t, ts, `{"kind":"workload","seed":42,"waves":2,"flows":64,"bytes":4e6}`)
-	sess, ok := svc.Session(snap.ID)
-	if !ok {
-		t.Fatal("session vanished")
-	}
-	if _, err := sess.wait(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		spec             Spec
+		entries, anchors int // 0: at least one
+	}{
+		{Spec{Kind: "workload", Seed: 42, Waves: 2, Flows: 64, Bytes: 4e6}, 2, 2},
+		{Spec{Kind: "chaos", Seed: 7}, 0, 0},
+	} {
+		kind := tc.spec.Kind
+		body, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() (string, response) {
+			t.Helper()
+			got := fetch(t, ts, "POST", "/v1/sessions", string(body))
+			var snap Snapshot
+			if err := json.Unmarshal(got.body, &snap); err != nil || got.status != http.StatusAccepted {
+				t.Fatalf("%s submit: status %d, %v: %s", kind, got.status, err, got.body)
+			}
+			sess, ok := svc.Session(snap.ID)
+			if !ok {
+				t.Fatal("session vanished")
+			}
+			if _, err := sess.wait(); err != nil {
+				t.Fatal(err)
+			}
+			return snap.ID, got
+		}
+		id, _ := run()
+		path := "/v1/sessions/" + id
+		got := fetch(t, ts, "GET", path+"/ledger", "")
+		if got.status != http.StatusOK {
+			t.Fatalf("%s ledger status %d: %s", kind, got.status, got.body)
+		}
+		var exp ledger.Export
+		if err := json.Unmarshal(got.body, &exp); err != nil {
+			t.Fatalf("%s ledger export does not decode: %v", kind, err)
+		}
+		if fs := ledger.Audit(&exp); len(fs) != 0 {
+			t.Fatalf("served %s ledger audit found %v", kind, fs)
+		}
+		if len(exp.Entries) == 0 || len(exp.Anchors) == 0 ||
+			tc.entries != 0 && (len(exp.Entries) != tc.entries || len(exp.Anchors) != tc.anchors) {
+			t.Fatalf("%s session served %d entries in %d anchors, want %d/%d",
+				kind, len(exp.Entries), len(exp.Anchors), tc.entries, tc.anchors)
+		}
 
-	resp, err := http.Get(ts.URL + "/v1/sessions/" + snap.ID + "/ledger")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ledger status %d: %s", resp.StatusCode, body)
-	}
-	var exp ledger.Export
-	if err := json.Unmarshal(body, &exp); err != nil {
-		t.Fatalf("ledger export does not decode: %v", err)
-	}
-	if fs := ledger.Audit(&exp); len(fs) != 0 {
-		t.Fatalf("served ledger audit found %v", fs)
-	}
-	if len(exp.Entries) != 2 || len(exp.Anchors) != 2 {
-		t.Fatalf("2-wave session served %d entries in %d anchors, want 2/2",
-			len(exp.Entries), len(exp.Anchors))
-	}
+		// Byte-identical to the solo run's export — the pooled-replay
+		// half of the ledger determinism contract.
+		want, err := RunSolo(tc.spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantJSON := mustJSON(t, want.Ledger); !bytes.Equal(got.body, wantJSON) {
+			t.Fatalf("served %s ledger differs from solo run:\n%s\nvs\n%s", kind, got.body, wantJSON)
+		}
 
-	// Byte-identical to the solo run's export — the pooled-replay half
-	// of the ledger determinism contract.
-	want, err := RunSolo(Spec{Kind: "workload", Seed: 42, Waves: 2, Flows: 64, Bytes: 4e6}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := json.Marshal(want.Ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(&exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("served ledger differs from solo run:\n%s\nvs\n%s", gotJSON, wantJSON)
+		// No other body carries the ledger. A cache hit's POST body
+		// holds the report only when the worker answers it before the
+		// handler takes the snapshot; its poll always does.
+		hitID, hitPost := run()
+		bodies := map[string]response{
+			"report":         fetch(t, ts, "GET", path+"/report", ""),
+			"poll":           fetch(t, ts, "GET", path, ""),
+			"cache-hit POST": hitPost,
+			"cache-hit poll": fetch(t, ts, "GET", "/v1/sessions/"+hitID, ""),
+		}
+		for what, got := range bodies {
+			// A "ledger" key at any depth; inside a string value the
+			// quotes would be escaped.
+			if bytes.Contains(got.body, []byte(`"ledger":`)) {
+				t.Errorf("%s %s body has a ledger key:\n%s", kind, what, got.body)
+			}
+		}
+		for _, what := range []string{"poll", "cache-hit poll"} {
+			var snap Snapshot
+			if err := json.Unmarshal(bodies[what].body, &snap); err != nil || snap.Report == nil {
+				t.Errorf("%s %s: %v, no report in\n%s", kind, what, err, bodies[what].body)
+			}
+		}
 	}
 
 	// Sweep sessions keep no ledger: 404.
@@ -309,14 +343,8 @@ func TestHTTPLedgerEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err = http.Get(ts.URL + "/v1/sessions/" + sw.ID + "/ledger")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("sweep ledger status %d, want 404", resp.StatusCode)
+	if got := fetch(t, ts, "GET", "/v1/sessions/"+sw.ID+"/ledger", ""); got.status != http.StatusNotFound {
+		t.Fatalf("sweep ledger status %d, want 404", got.status)
 	}
 }
 
@@ -443,13 +471,15 @@ type response struct {
 	body   []byte
 }
 
-func mustJSON(t *testing.T, r *Report) []byte {
+// mustJSON is the document the API serves for v: MarshalIndent plus a
+// newline, as Report.JSON encodes a report.
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
-	data, err := r.JSON()
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return append(data, '\n')
 }
 
 func fetch(t *testing.T, ts *httptest.Server, method, path, body string) response {
@@ -491,9 +521,9 @@ func expectJSON(t *testing.T, what string, got response, status int, v any) {
 
 // TestHTTPJSONByteContract holds every JSON endpoint, its error bodies
 // included, to the bytes of MarshalIndent plus a newline of the value
-// it serves. The chaos report (31 KB) is served before the small
-// workload one, so a pooled buffer that the first grew must carry no
-// bytes into the second.
+// it serves. The chaos session's ledger (31 KB) is served before every
+// small body, so a pooled buffer that it grew must carry no bytes into
+// the next.
 func TestHTTPJSONByteContract(t *testing.T) {
 	svc := New(Config{Workers: 1, PoolSize: 1, QueueDepth: 1, CacheSize: 4})
 	held, release, refuse := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -551,9 +581,9 @@ func TestHTTPJSONByteContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := "/v1/sessions/" + sess.ID
+		expectJSON(t, sess.ID+" ledger", fetch(t, ts, "GET", path+"/ledger", ""), http.StatusOK, rep.Ledger)
 		expectJSON(t, sess.ID+" report", fetch(t, ts, "GET", path+"/report", ""), http.StatusOK, rep)
 		expectJSON(t, sess.ID+" poll", fetch(t, ts, "GET", path, ""), http.StatusOK, sess.Snapshot())
-		expectJSON(t, sess.ID+" ledger", fetch(t, ts, "GET", path+"/ledger", ""), http.StatusOK, rep.Ledger)
 
 		// The event stream is compact ndjson, one json.Marshal line each.
 		events, _ := sess.EventsSince(0)
@@ -568,8 +598,8 @@ func TestHTTPJSONByteContract(t *testing.T) {
 	}
 	big, _ := chaosSess.Report()
 	little, _ := small.Report()
-	if b, l := mustJSON(t, big), mustJSON(t, little); len(b) < 8*len(l) {
-		t.Fatalf("chaos report is %d bytes and workload report %d: too close to show a carry-over", len(b), len(l))
+	if b, l := mustJSON(t, big.Ledger), mustJSON(t, little); len(b) < 8*len(l) {
+		t.Fatalf("chaos ledger is %d bytes and workload report %d: too close to show a carry-over", len(b), len(l))
 	}
 
 	// A failed session answers 422 on its report and its ledger. It

@@ -15,7 +15,10 @@ type Metric = sweep.Metric
 // Report is the final result of a session. Two runs of the same
 // normalized spec — solo or pooled, alone or among 64 concurrent
 // sessions — produce byte-identical reports; Fingerprint condenses
-// that identity into one comparable value.
+// that identity into one comparable value. Its JSON — the /report
+// body, the report of a finished session's snapshot and what
+// `spidersim session` prints — carries the run's outcome only: kind,
+// key, seed, fingerprint and metrics.
 type Report struct {
 	Kind        string   `json:"kind"`
 	Key         string   `json:"key"`
@@ -30,8 +33,10 @@ type Report struct {
 	// deliberately not folded into Fingerprint: the fingerprint pins the
 	// model outcome, the ledger pins the operational narrative, and the
 	// auditor — not the fingerprint — is what proves the narrative
-	// untampered.
-	Ledger *ledger.Export `json:"ledger,omitempty"`
+	// untampered. It is an audit trail read on demand, so the report's
+	// JSON leaves it out: /v1/sessions/{id}/ledger is its one endpoint
+	// (`spidersim session -ledger FILE` its solo reference).
+	Ledger *ledger.Export `json:"-"`
 }
 
 // JSON encodes the report with a trailing newline through the API's

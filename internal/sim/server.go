@@ -10,8 +10,6 @@ package sim
 // bookkeeping.
 type Server struct {
 	eng *Engine
-	//simlint:allow test-only-export NewServer's name parameter is fixed by bench/probes.go, which calls NewServer(eng, "probe", 1)
-	name string // diagnostic label, shown by %+v and debuggers
 	// capacity is the number of jobs that can be in service at once.
 	capacity int
 
@@ -39,9 +37,10 @@ type serverJob struct {
 }
 
 // NewServer creates a server with the given number of parallel service
-// slots attached to engine eng. capacity must be >= 1.
-func NewServer(eng *Engine, name string, capacity int) *Server {
-	s := &Server{name: name}
+// slots attached to engine eng. capacity must be >= 1. The second
+// argument, a label, is not kept: nothing reads it.
+func NewServer(eng *Engine, _ string, capacity int) *Server {
+	s := new(Server)
 	s.Init(eng, capacity)
 	return s
 }
