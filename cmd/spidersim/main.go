@@ -361,7 +361,9 @@ func runChaos(seed uint64, days int, full bool, ledgerOut string, stdout, stderr
 		abl.StalledSends, abl.StallTime, feat.StalledSends, feat.StallTime)
 	fmt.Fprintf(stdout, "  probe rate:    mean %.1f MB/s -> %.1f MB/s\n",
 		abl.MeanProbeMBps, feat.MeanProbeMBps)
-	fmt.Fprintf(stdout, "engine: at most %d events pending at once (%d ablated)\n",
-		feat.PeakPending, abl.PeakPending)
+	fmt.Fprintf(stdout, "engine: at most %d events pending at once (%d ablated); flow solver: %d entries walked, %d flows re-rated, %d rates changed (%d, %d, %d ablated)\n",
+		feat.PeakPending, abl.PeakPending,
+		feat.EntriesWalked, feat.FlowsRerated, feat.RatesChanged,
+		abl.EntriesWalked, abl.FlowsRerated, abl.RatesChanged)
 	return 0
 }

@@ -337,6 +337,8 @@ func run(cfg Config, sched schedule) *Report {
 	}
 	p.finishReport()
 	p.rep.PeakPending = eng.PeakPending()
+	net := p.c.Fabric.Net
+	p.rep.EntriesWalked, p.rep.FlowsRerated, p.rep.RatesChanged = net.EntriesWalked, net.FlowsRerated, net.RatesChanged
 	if th != nil {
 		p.rep.EventTrace = th.Sum()
 		p.rep.TraceEvents = th.Events()

@@ -63,6 +63,21 @@ func TestPeakPendingOutsideFingerprint(t *testing.T) {
 	}
 }
 
+// The fabric solver's work counts are a cost of the simulator too: the
+// report carries them, and fingerprints the same without them.
+func TestSolverWorkOutsideFingerprint(t *testing.T) {
+	r := *featured(t)
+	if r.EntriesWalked == 0 || r.FlowsRerated == 0 || r.RatesChanged == 0 {
+		t.Fatalf("solver work %d entries walked, %d flows re-rated, %d rates changed; want the fabric's counts",
+			r.EntriesWalked, r.FlowsRerated, r.RatesChanged)
+	}
+	fp := r.Fingerprint()
+	r.EntriesWalked, r.FlowsRerated, r.RatesChanged = 0, 0, 0
+	if r.Fingerprint() != fp {
+		t.Fatal("the fingerprint moves with the solver's work counts")
+	}
+}
+
 // The event-granular determinism contract: two in-process runs of a
 // congestion-heavy full-center campaign (dense probe pulses drive many
 // same-instant flow completions through the shared fabric) must produce

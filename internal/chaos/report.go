@@ -108,6 +108,11 @@ type Report struct {
 	// at once (sim.Engine.PeakPending): a cost of the simulator, not a
 	// result of the model, so Fingerprint leaves it out.
 	PeakPending int
+	// EntriesWalked, FlowsRerated and RatesChanged are the fabric flow
+	// solver's work over the campaign (netsim.Network's counters of the
+	// same names): like PeakPending a cost of the simulator, so
+	// Fingerprint leaves them out.
+	EntriesWalked, FlowsRerated, RatesChanged uint64
 
 	Components []ComponentStats
 	Timeline   []string

@@ -269,6 +269,15 @@ type Network struct {
 	FlowsStarted   uint64
 	FlowsCompleted uint64
 	BytesDelivered float64
+
+	// The solver's work, counted so that a change to it shows exactly
+	// whatever the host's speed: registry entries the start and finish
+	// walks read (one add of a link's registry length per link walked),
+	// flows handed to reassign, and the flows among them whose rate or
+	// completion event reassign changed.
+	EntriesWalked uint64
+	FlowsRerated  uint64
+	RatesChanged  uint64
 }
 
 // NewNetwork creates an empty network on eng.
@@ -403,6 +412,7 @@ func (n *Network) start(f *Flow, size float64, done func()) *Flow {
 	for k, l := range f.path {
 		l.attach(f, k)
 		share := l.share
+		n.EntriesWalked += uint64(len(l.flows))
 		for _, e := range l.flows {
 			g := tab[e.id]
 			if g.stamp != n.epoch {
@@ -471,6 +481,7 @@ func (n *Network) advance(f *Flow) {
 // already-scheduled completion time both remain exact, so the
 // cancel+reschedule (two heap operations) is skipped.
 func (n *Network) reassign(flows []*Flow) {
+	n.FlowsRerated += uint64(len(flows))
 	for _, f := range flows {
 		rate := f.next
 		if rate < 0 {
@@ -479,6 +490,7 @@ func (n *Network) reassign(flows []*Flow) {
 		if rate == f.rate && f.completion.Pending() {
 			continue
 		}
+		n.RatesChanged++
 		n.advance(f)
 		f.rate = rate
 		if rate <= 0 {
@@ -522,6 +534,7 @@ func (n *Network) finish(f *Flow) {
 	tab := n.tab
 	for _, l := range f.path {
 		share := l.share
+		n.EntriesWalked += uint64(len(l.flows))
 		for _, e := range l.flows {
 			g := tab[e.id]
 			if g.stamp != n.epoch {
@@ -572,6 +585,7 @@ func (n *Network) Reset() error {
 	n.FlowsStarted = 0
 	n.FlowsCompleted = 0
 	n.BytesDelivered = 0
+	n.EntriesWalked, n.FlowsRerated, n.RatesChanged = 0, 0, 0
 	n.epoch = 0
 	n.scratch = n.scratch[:0]
 	// Degraded links return to nominal capacity; every integral,

@@ -260,6 +260,49 @@ func TestCongestionWaveBytesCeiling(t *testing.T) {
 	t.Logf("waves 2-4 allocate %d bytes", got)
 }
 
+// TestCongestionWaveWorkCountsPinned pins the solver's work counts over
+// three seeded 2,048-flow Spider II waves: registry entries walked,
+// flows re-rated and rates changed, as running totals after each wave.
+// They are a function of the flow schedule alone, so a change to the
+// solver's work moves them exactly, whatever the host's speed, and a
+// change that keeps the model moves no other pin. Reset zeroes them.
+func TestCongestionWaveWorkCountsPinned(t *testing.T) {
+	const (
+		clients = 18688
+		nOSS    = 288
+		wave    = 2048
+	)
+	eng := sim.NewEngine()
+	cfg := Spider2Fabric()
+	fab := NewFabric(eng, cfg, placementForBench(cfg), nOSS)
+	net := fab.Net
+	src := rng.New(3)
+	type counts struct{ events, walked, rerated, changed uint64 }
+	want := []counts{
+		{4096, 133774, 38258, 14513},
+		{8192, 266670, 77054, 29555},
+		{12288, 399036, 115188, 44484},
+	}
+	for w, want := range want {
+		for i := 0; i < wave; i++ {
+			c := cfg.Torus.CoordOf(src.Intn(clients) % cfg.Torus.Nodes())
+			fab.StartClientFlow(c, src.Intn(nOSS), RouteFGR, 32e6, src, nil)
+		}
+		eng.Run()
+		got := counts{net.FlowsStarted + net.FlowsCompleted, net.EntriesWalked, net.FlowsRerated, net.RatesChanged}
+		if got != want {
+			t.Errorf("after wave %d: %d flow events, %d entries walked, %d flows re-rated, %d rates changed; want %d, %d, %d, %d",
+				w+1, got.events, got.walked, got.rerated, got.changed, want.events, want.walked, want.rerated, want.changed)
+		}
+	}
+	if err := net.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if net.EntriesWalked != 0 || net.FlowsRerated != 0 || net.RatesChanged != 0 {
+		t.Errorf("Reset left %d entries walked, %d flows re-rated, %d rates changed", net.EntriesWalked, net.FlowsRerated, net.RatesChanged)
+	}
+}
+
 // refWalk visits the dimension-ordered route from a to b one unit hop
 // at a time (excluding a, including b): all X hops, then Y, then Z,
 // each axis the short way round, a tie going the + way.

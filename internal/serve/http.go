@@ -11,8 +11,10 @@ import (
 
 // Handler returns the service's HTTP API:
 //
-//	POST /v1/sessions              submit a spec; 202 + session snapshot,
-//	                               or 429 + Retry-After when shedding
+//	POST /v1/sessions              submit a spec; 202 + the admission
+//	                               snapshot (queued, one event, no
+//	                               report, even for a cache hit), or
+//	                               429 + Retry-After when shedding
 //	GET  /v1/sessions/{id}         poll a session snapshot
 //	GET  /v1/sessions/{id}/events  chunked progress stream (ndjson),
 //	                               ?seq=N resumes past the first N events
@@ -115,7 +117,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, sess.Snapshot())
+	writeJSON(w, http.StatusAccepted, sess.admission())
 }
 
 func (s *Service) lookup(w http.ResponseWriter, r *http.Request) (*Session, bool) {

@@ -311,9 +311,8 @@ func TestHTTPLedgerEndpoint(t *testing.T) {
 			t.Fatalf("served %s ledger differs from solo run:\n%s\nvs\n%s", kind, got.body, wantJSON)
 		}
 
-		// No other body carries the ledger. A cache hit's POST body
-		// holds the report only when the worker answers it before the
-		// handler takes the snapshot; its poll always does.
+		// No other body carries the ledger. A cache hit's POST body is
+		// its admission snapshot, with no report; its poll has one.
 		hitID, hitPost := run()
 		bodies := map[string]response{
 			"report":         fetch(t, ts, "GET", path+"/report", ""),
@@ -345,6 +344,50 @@ func TestHTTPLedgerEndpoint(t *testing.T) {
 	}
 	if got := fetch(t, ts, "GET", "/v1/sessions/"+sw.ID+"/ledger", ""); got.status != http.StatusNotFound {
 		t.Fatalf("sweep ledger status %d, want 404", got.status)
+	}
+}
+
+// TestHTTPSubmitAnswersAdmissionSnapshot submits one cached spec many
+// times while two workers answer each from the result cache as soon as
+// it is queued. Every 202 body must be the session as admitted: state
+// queued, one event, not yet cached and no report, however far a
+// worker has got with it by the time the handler writes the body.
+func TestHTTPSubmitAnswersAdmissionSnapshot(t *testing.T) {
+	const posts = 200
+	svc := New(Config{Workers: 2, PoolSize: 1, QueueDepth: posts, CacheSize: 4})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	const spec = `{"kind":"workload","seed":7,"waves":1,"flows":16,"bytes":1e6}`
+	_, first := postSpec(t, ts, spec)
+	sess, ok := svc.Session(first.ID)
+	if !ok {
+		t.Fatal("session vanished")
+	}
+	if _, err := sess.wait(); err != nil {
+		t.Fatal(err)
+	}
+	bad, firstBad := 0, ""
+	for i := 0; i < posts; i++ {
+		got := fetch(t, ts, "POST", "/v1/sessions", spec)
+		var snap Snapshot
+		if err := json.Unmarshal(got.body, &snap); err != nil || got.status != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d, %v: %s", i, got.status, err, got.body)
+		}
+		hit, ok := svc.Session(snap.ID)
+		if !ok {
+			t.Fatalf("submit %d: session %q not found", i, snap.ID)
+		}
+		want := Snapshot{ID: hit.ID, Token: hit.Snapshot().Token, Key: first.Key, State: StateQueued, Events: 1}
+		if snap != want || bytes.Contains(got.body, []byte(`"report"`)) {
+			if bad++; bad == 1 {
+				firstBad = string(got.body)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d cache-hit POST bodies were not the admission snapshot; the first:\n%s", bad, posts, firstBad)
 	}
 }
 

@@ -115,15 +115,23 @@ type Snapshot struct {
 	Report *Report `json:"report,omitempty"`
 }
 
+// admission returns the session's snapshot as admitted: queued, with
+// its one admission event and no report. It reads only what newSession
+// fixed, so it is the view the admission lock saw before any worker
+// could pick the session up, and a POST answers with it whatever a
+// worker has done since.
+func (s *Session) admission() Snapshot {
+	return Snapshot{ID: s.ID, Token: fmt.Sprintf("%016x", s.Token), Key: s.key, State: StateQueued, Events: 1}
+}
+
 // Snapshot returns the session's current view.
 func (s *Session) Snapshot() Snapshot {
+	snap := s.admission()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Snapshot{
-		ID: s.ID, Token: fmt.Sprintf("%016x", s.Token), Key: s.key,
-		State: s.state, Events: len(s.events),
-		Cached: s.cached, Warm: s.warm, Error: s.errmsg, Report: s.report,
-	}
+	snap.State, snap.Events = s.state, len(s.events)
+	snap.Cached, snap.Warm, snap.Error, snap.Report = s.cached, s.warm, s.errmsg, s.report
+	return snap
 }
 
 // LatencyNs returns the session's recorded execution wall latency —

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"spiderfs/internal/rng"
 )
@@ -249,7 +250,7 @@ func allocated(f func()) (bytes, mallocs uint64) {
 func burst(depth int) *Queue[serverJob] {
 	q := new(Queue[serverJob])
 	for i := 0; i < depth; i++ {
-		q.Push(serverJob{arrive: Time(i)})
+		q.Push(serverJob{service: Time(i)})
 	}
 	return q
 }
@@ -257,10 +258,12 @@ func burst(depth int) *Queue[serverJob] {
 var sinkQueue *Queue[serverJob]
 
 // TestQueueBurstCopiesNothing pins the growth claim. Up to ringSlots
-// the ring grows as an appended slice would; past it, a push-only burst
-// to depth D costs the chain's header plus one allocation per segment,
-// and every slot past the ring is paid for once, at a segment's per-slot
-// price, plus at most one partly filled segment of slack. A queue that
+// the ring grows as an appended slice would: for 16-byte serverJobs,
+// ten allocations and 9.4 KB, ending at 303 slots. Past it, a push-only
+// burst to depth D costs the chain's header plus one allocation per
+// segment, and every slot past the ring is paid for once, at a
+// segment's per-slot price, plus at most one partly filled segment of
+// slack. A queue that
 // grew by copying pays for its old arrays again at every growth and
 // fails the byte bound.
 func TestQueueBurstCopiesNothing(t *testing.T) {
@@ -282,4 +285,23 @@ func TestQueueBurstCopiesNothing(t *testing.T) {
 		}
 	}
 	sinkQueue = nil
+}
+
+var sinkSegment *segment[serverJob]
+
+// TestServerJobFitsSizeClass pins the record every drive, OSS CPU,
+// controller and MDS queues: a serverJob is its service time and its
+// done, 16 bytes, and one segment of them (its link, 255 slots and the
+// allocator's 8-byte header) fills the 4 KiB size class. One more
+// 8-byte field, such as an arrival time, puts every segment in the
+// 6 KiB class.
+func TestServerJobFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(serverJob{}); size != 16 {
+		t.Errorf("serverJob is %d bytes, want 16", size)
+	}
+	bytes, mallocs := allocated(func() { sinkSegment = new(segment[serverJob]) })
+	if mallocs != 1 || bytes > 4096 {
+		t.Errorf("a serverJob segment costs %d bytes in %d allocations, want at most 4,096 in 1", bytes, mallocs)
+	}
+	sinkSegment = nil
 }

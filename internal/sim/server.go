@@ -7,7 +7,11 @@ package sim
 //
 // The Server tracks utilization and queueing statistics so that model
 // layers can report busy time, queue depth, and wait times without extra
-// bookkeeping.
+// bookkeeping. Busy time and wait time are both integrals over time,
+// of the slots in service and of the jobs queued, so a queued job
+// carries no arrival time. Once the server has drained, the area under
+// the queue is exactly the sum of every job's wait (the operational
+// identity behind Little's law).
 type Server struct {
 	eng *Engine
 	// capacity is the number of jobs that can be in service at once.
@@ -19,8 +23,12 @@ type Server struct {
 	// statistics
 	Completed uint64
 	BusyTime  Time // slot-occupancy integrated over time (sum over slots)
-	WaitTime  Time // total time jobs spent queued before service
-	MaxQueue  int
+	// WaitTime is the queue length integrated over time: the time every
+	// job has spent queued, up to the last submit, completion or
+	// statistics read. At a drained server it is the sum of the jobs'
+	// waits; mid-run it also counts what still-queued jobs have waited.
+	WaitTime Time
+	MaxQueue int
 
 	lastChange Time
 }
@@ -30,8 +38,9 @@ type Server struct {
 // and grows new ones if another burst comes.
 const maxDrainedRing = 1024
 
+// serverJob is one queued job: 16 bytes, so a queue segment of them
+// fills the 4 KiB size class.
 type serverJob struct {
-	arrive  Time
 	service Time
 	done    func()
 }
@@ -67,8 +76,8 @@ func (s *Server) Submit(service Time, done func()) {
 	if service < 0 {
 		service = 0
 	}
-	s.accumulateBusy()
-	job := serverJob{arrive: s.eng.Now(), service: service, done: done}
+	s.accumulate()
+	job := serverJob{service: service, done: done}
 	if s.inService < s.capacity {
 		s.start(job)
 		return
@@ -83,15 +92,13 @@ func (s *Server) Submit(service Time, done func()) {
 // server and done ride in the event — so no closure is allocated.
 func (s *Server) start(job serverJob) {
 	s.inService++
-	now := s.eng.Now()
-	s.WaitTime += now - job.arrive
-	s.eng.schedule(now+job.service, job.done, s)
+	s.eng.schedule(s.eng.Now()+job.service, job.done, s)
 }
 
 // finish completes a job: the engine calls it when the job's service
 // time has elapsed, with the job's done.
 func (s *Server) finish(done func()) {
-	s.accumulateBusy()
+	s.accumulate()
 	s.inService--
 	s.Completed++
 	if next, ok := s.queue.Pop(); ok {
@@ -108,16 +115,21 @@ func (s *Server) finish(done func()) {
 	}
 }
 
-func (s *Server) accumulateBusy() {
+// accumulate brings BusyTime and WaitTime up to now. Every change to
+// inService or to the queue's length comes after a call, so both
+// integrands are constant since lastChange.
+func (s *Server) accumulate() {
 	now := s.eng.Now()
-	s.BusyTime += Time(int64(now-s.lastChange) * int64(s.inService))
+	dt := int64(now - s.lastChange)
+	s.BusyTime += Time(dt * int64(s.inService))
+	s.WaitTime += Time(dt * int64(s.queue.Len()))
 	s.lastChange = now
 }
 
 // Utilization returns the mean fraction of service slots busy over the
 // interval [0, now]. It is 0 when no time has elapsed.
 func (s *Server) Utilization() float64 {
-	s.accumulateBusy()
+	s.accumulate()
 	now := s.eng.Now()
 	if now == 0 {
 		return 0
@@ -125,11 +137,13 @@ func (s *Server) Utilization() float64 {
 	return float64(s.BusyTime) / (float64(now) * float64(s.capacity))
 }
 
-// MeanWait returns the mean queueing delay of jobs that entered service.
+// MeanWait returns WaitTime up to now over every job submitted. At a
+// drained server that is the mean queueing delay of all its jobs.
 func (s *Server) MeanWait() Time {
-	served := s.Completed + uint64(s.inService)
-	if served == 0 {
+	s.accumulate()
+	jobs := s.Completed + uint64(s.inService) + uint64(s.queue.Len())
+	if jobs == 0 {
 		return 0
 	}
-	return Time(uint64(s.WaitTime) / served)
+	return Time(uint64(s.WaitTime) / jobs)
 }
