@@ -361,9 +361,13 @@ func runChaos(seed uint64, days int, full bool, ledgerOut string, stdout, stderr
 		abl.StalledSends, abl.StallTime, feat.StalledSends, feat.StallTime)
 	fmt.Fprintf(stdout, "  probe rate:    mean %.1f MB/s -> %.1f MB/s\n",
 		abl.MeanProbeMBps, feat.MeanProbeMBps)
-	fmt.Fprintf(stdout, "engine: at most %d events pending at once (%d ablated); flow solver: %d entries walked, %d flows re-rated, %d rates changed (%d, %d, %d ablated)\n",
+	fw, aw := feat.PendingWork, abl.PendingWork
+	fmt.Fprintf(stdout, "engine: at most %d events pending at once (%d ablated); pending set: %d near, %d ring and %d far filings, %d bucket loads, %d rebuilds (%d, %d, %d, %d, %d ablated); flow solver: %d entries walked, %d flows re-rated, %d rates changed (%d, %d, %d ablated); raid: %d stripes checked (%d ablated)\n",
 		feat.PeakPending, abl.PeakPending,
+		fw.Near, fw.Ring, fw.Far, fw.Loads, fw.Rebuilds,
+		aw.Near, aw.Ring, aw.Far, aw.Loads, aw.Rebuilds,
 		feat.EntriesWalked, feat.FlowsRerated, feat.RatesChanged,
-		abl.EntriesWalked, abl.FlowsRerated, abl.RatesChanged)
+		abl.EntriesWalked, abl.FlowsRerated, abl.RatesChanged,
+		feat.StripesChecked, abl.StripesChecked)
 	return 0
 }

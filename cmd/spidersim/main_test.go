@@ -72,7 +72,7 @@ func TestChaosDaysBound(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"chaos", "-days", days}, &stdout, &stderr)
 		out := stdout.String()
-		if code != 0 || stderr.Len() != 0 || !strings.Contains(out, "center-wide chaos campaign") || !strings.Contains(out, "events pending at once") || !strings.Contains(out, "rates changed") {
+		if code != 0 || stderr.Len() != 0 || !strings.Contains(out, "center-wide chaos campaign") || !strings.Contains(out, "events pending at once") || !strings.Contains(out, "rates changed") || !strings.Contains(out, "rebuilds") || !strings.Contains(out, "stripes checked") {
 			t.Errorf("-days %s: exit %d, stderr %q, stdout:\n%s", days, code, &stderr, &stdout)
 		}
 	}

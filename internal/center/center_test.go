@@ -2,6 +2,7 @@ package center
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -223,9 +224,37 @@ func TestStaggeredCheckpointsBeatAligned(t *testing.T) {
 // callback (a controller its readmit event) on first use, not at build
 // time (2,016 OSTs would otherwise cost one closure each).
 func TestFullCenterBuildAllocations(t *testing.T) {
-	cfg := Config{Scale: 1, Namespaces: 2, UseFabric: true, Seed: 42}
-	n := testing.AllocsPerRun(1, func() { New(cfg) })
+	n := testing.AllocsPerRun(1, func() { New(fullCenter) })
 	if n > 400 {
 		t.Errorf("a full two-namespace center build allocates %.0f times, want at most 400", n)
 	}
 }
+
+// fullCenter is the full-scale two-namespace center with its fabric.
+var fullCenter = Config{Scale: 1, Namespaces: 2, UseFabric: true, Seed: 42}
+
+// TestFullCenterBuildBytes holds the same build to 13.5 MB. Most of it
+// is the 20,160 drive records, one slab per SSU, at 320 bytes each
+// (6.45 MB; 8.39 MB when a drive record was 416 bytes and a build 15.2
+// MB), and the fabric's one-line links (about 4.4 MB).
+func TestFullCenterBuildBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	centerSink = New(fullCenter)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 13.5e6 {
+		t.Errorf("a full two-namespace center build allocates %d bytes, want at most 13.5 MB", got)
+	}
+}
+
+// BenchmarkFullCenterBuild builds one full-scale two-namespace center
+// with its fabric per op: the build a chaos-week campaign runs twice.
+func BenchmarkFullCenterBuild(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		centerSink = New(fullCenter)
+	}
+}
+
+// centerSink keeps a build from being optimized away.
+var centerSink *Center

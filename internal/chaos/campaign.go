@@ -337,6 +337,7 @@ func run(cfg Config, sched schedule) *Report {
 	}
 	p.finishReport()
 	p.rep.PeakPending = eng.PeakPending()
+	p.rep.PendingWork = eng.PendingWork()
 	net := p.c.Fabric.Net
 	p.rep.EntriesWalked, p.rep.FlowsRerated, p.rep.RatesChanged = net.EntriesWalked, net.FlowsRerated, net.RatesChanged
 	if th != nil {
@@ -741,6 +742,7 @@ func (p *campaign) finishReport() {
 			r.RebuildLatentHits += g.RebuildLatentHits
 			r.LatentDataLoss += g.UnrecoverableStripes
 			r.LostStripeReads += g.LostStripeReads
+			r.StripesChecked += g.StripesChecked
 		}
 		for _, s := range fs.OSSes {
 			r.OSSDoubleFaults += s.DoubleFaults

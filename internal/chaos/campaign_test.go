@@ -78,6 +78,51 @@ func TestSolverWorkOutsideFingerprint(t *testing.T) {
 	}
 }
 
+// The pending set's and the RAID range checks' work counts are costs of
+// the simulator too: the report carries them, and fingerprints the same
+// without them.
+func TestWorkCountsOutsideFingerprint(t *testing.T) {
+	r := *featured(t)
+	if r.PendingWork.Near == 0 || r.StripesChecked == 0 {
+		t.Fatalf("pending set %+v, %d stripes checked; want the campaign's counts", r.PendingWork, r.StripesChecked)
+	}
+	fp := r.Fingerprint()
+	r.PendingWork, r.StripesChecked = sim.PendingWork{}, 0
+	if r.Fingerprint() != fp {
+		t.Fatal("the fingerprint moves with the pending set's or the range checks' work counts")
+	}
+}
+
+// TestWorkCountsPinned pins every work count the quick campaign reports
+// at the test seed, featured and ablated. They are a function of the
+// seed, so a change that makes the simulator do less work shows here
+// exactly; it updates the literals and gives the ratio. The quick
+// campaign holds at most 362 events, below the ring's threshold, so its
+// pending set is one heap: every filing but the first goes to near.
+func TestWorkCountsPinned(t *testing.T) {
+	type counts struct {
+		peak                   int
+		set                    sim.PendingWork
+		walked, rerated, rated uint64
+		stripes                uint64
+	}
+	of := func(r *Report) counts {
+		return counts{r.PeakPending, r.PendingWork, r.EntriesWalked, r.FlowsRerated, r.RatesChanged, r.StripesChecked}
+	}
+	for _, c := range []struct {
+		name string
+		got  counts
+		want counts
+	}{
+		{"featured", of(featured(t)), counts{362, sim.PendingWork{Near: 146872, Far: 1, Rebuilds: 1}, 47168, 11904, 11904, 6537216}},
+		{"ablated", of(ablated(t)), counts{362, sim.PendingWork{Near: 146880, Far: 1, Rebuilds: 1}, 46584, 11664, 11664, 6537216}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: work counts %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+}
+
 // The event-granular determinism contract: two in-process runs of a
 // congestion-heavy full-center campaign (dense probe pulses drive many
 // same-instant flow completions through the shared fabric) must produce

@@ -113,6 +113,13 @@ type Report struct {
 	// same names): like PeakPending a cost of the simulator, so
 	// Fingerprint leaves them out.
 	EntriesWalked, FlowsRerated, RatesChanged uint64
+	// PendingWork is the engine's pending-set work over the campaign
+	// (sim.Engine.PendingWork) and StripesChecked the stripes the RAID
+	// groups' range checks examined (raid.Group.StripesChecked, summed
+	// over the center): costs of the simulator too, so Fingerprint
+	// leaves them out.
+	PendingWork    sim.PendingWork
+	StripesChecked uint64
 
 	Components []ComponentStats
 	Timeline   []string

@@ -16,7 +16,6 @@ import (
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
-	"spiderfs/internal/stats"
 )
 
 // Config describes a disk product. Capacity is its one knob: the unit
@@ -88,24 +87,26 @@ func Nominal() Health {
 // A Disk is one contiguous record: its server and both rng streams are
 // held by value and the defect bounds sit next to them, so a command
 // (a scrub read, above all) touches no other object until it finds a
-// defect in range. A Disk must not be copied once created.
+// defect in range. A full center holds 20,160 of them, so the record
+// keeps only what a reader needs (DESIGN.md "Drive record"): the server
+// holds the engine, and of the latency statistics only the mean that
+// the QA tooling reads. A Disk must not be copied once created.
 type Disk struct {
-	ID     int
 	cfg    Config
 	health Health
-	eng    *sim.Engine
 	srv    sim.Server
 	src    rng.Source
 
 	lastEnd int64 // LBA following the previous command, for sequential detection
 
 	// Latent media-error model (faults.go). faultSrc is a dedicated
-	// stream, drawn from only while armed: disarmed disks draw nothing,
-	// so enabling injection on one disk never perturbs another model's
-	// randomness.
-	faults   FaultConfig
-	armed    bool
-	faultSrc rng.Source
+	// stream, drawn from only while faults holds a non-zero rate:
+	// disarmed disks draw nothing, so enabling injection on one disk
+	// never perturbs another model's randomness. faultPois is its
+	// Poisson memo.
+	faults    FaultConfig
+	faultSrc  rng.Source
+	faultPois rng.Poisson
 	// defects holds the corrupt sectors in ascending sector order;
 	// loSector and hiSector are its first and last sectors, so a range
 	// that misses them is rejected without reading the slice.
@@ -117,30 +118,34 @@ type Disk struct {
 	Tracer *spantrace.Tracer
 
 	// Counters for the monitoring and QA layers.
-	Ops      uint64
-	Bytes    int64
-	Latency  stats.Summary // per-command service latency in milliseconds, recorded at submit time
-	SlowCmds uint64        // commands that took a tail excursion
+	Ops   uint64
+	Bytes int64
+	// latMean is the mean per-command service latency in milliseconds
+	// over the Ops commands, recorded at submit time by Welford's
+	// update (MeanLatency).
+	latMean  float64
+	SlowCmds uint32 // commands that took a tail excursion
 
 	// Integrity counters (faults.go).
-	InjectedUREs    uint64 // drive-detectable defects seeded
-	InjectedSilent  uint64 // silent (bit-rot) defects seeded
-	RepairedSectors uint64 // defects healed by overwrites and repairs
+	InjectedUREs    uint32 // drive-detectable defects seeded
+	InjectedSilent  uint32 // silent (bit-rot) defects seeded
+	RepairedSectors uint32 // defects healed by overwrites and repairs
 }
 
 // New creates a single disk with the given personality, such as a
 // replacement drive; NewPopulation builds a batch in one slab. The disk
 // takes over src's stream: it copies the state, so the caller must not
-// draw from src again.
-func New(eng *sim.Engine, id int, cfg Config, health Health, src *rng.Source) *Disk {
+// draw from src again. The second argument, an id, is not kept: nothing
+// reads it.
+func New(eng *sim.Engine, _ int, cfg Config, health Health, src *rng.Source) *Disk {
 	d := new(Disk)
-	d.init(eng, id, cfg, health, *src)
+	d.init(eng, cfg, health, *src)
 	return d
 }
 
 // init readies a zero Disk in place, wherever it is held.
-func (d *Disk) init(eng *sim.Engine, id int, cfg Config, health Health, src rng.Source) {
-	d.ID, d.cfg, d.health, d.eng, d.src = id, cfg, health, eng, src
+func (d *Disk) init(eng *sim.Engine, cfg Config, health Health, src rng.Source) {
+	d.cfg, d.health, d.src = cfg, health, src
 	d.srv.Init(eng, 1)
 }
 
@@ -161,9 +166,15 @@ func (d *Disk) SetHealth(h Health) { d.health = h }
 func (d *Disk) ResetStats() {
 	d.Ops = 0
 	d.Bytes = 0
-	d.Latency = stats.Summary{}
+	d.latMean = 0
 	d.SlowCmds = 0
 }
+
+// MeanLatency returns the mean per-command service latency in
+// milliseconds since the drive was built or its stats were reset, 0
+// before the first command. It is the mean a stats.Summary fed every
+// command's service time would hold, to the last bit.
+func (d *Disk) MeanLatency() float64 { return d.latMean }
 
 // Utilization returns the drive's busy fraction since t=0.
 func (d *Disk) Utilization() float64 { return d.srv.Utilization() }
@@ -222,10 +233,10 @@ func (d *Disk) ServiceTime(op Op) sim.Time {
 // Submit queues op and calls done (may be nil) at completion.
 //
 // An untraced command hands done straight to the server, whose event
-// carries it as data, so it allocates nothing. Latency is recorded here
-// rather than at completion: the disk is a single-slot FIFO, so
-// commands complete in submission order and a drained run's Summary is
-// the same either way. Only a sampled traced command keeps a closure,
+// carries it as data, so it allocates nothing. The latency mean is
+// updated here rather than at completion: the disk is a single-slot
+// FIFO, so commands complete in submission order and a drained run's
+// mean is the same either way. Only a sampled traced command keeps a closure,
 // to decompose its span once it completes.
 func (d *Disk) Submit(op Op, done func()) {
 	if op.Size <= 0 || op.LBA < 0 || op.LBA+op.Size > d.cfg.Capacity {
@@ -237,7 +248,7 @@ func (d *Disk) Submit(op Op, done func()) {
 	d.lastEnd = op.LBA + op.Size
 	d.Ops++
 	d.Bytes += op.Size
-	d.Latency.Add(st.Millis())
+	d.latMean += (st.Millis() - d.latMean) / float64(d.Ops)
 	op2 := "disk-read"
 	if op.Write {
 		op2 = "disk-write"
@@ -247,12 +258,13 @@ func (d *Disk) Submit(op Op, done func()) {
 		d.srv.Submit(st, done)
 		return
 	}
-	submitted := d.eng.Now()
+	eng := d.srv.Engine()
+	submitted := eng.Now()
 	d.srv.Submit(st, func() {
 		// Decompose retroactively: the actuator started this command
 		// total ns before it completed; everything earlier was
 		// queueing behind other commands.
-		end := d.eng.Now()
+		end := eng.Now()
 		at := end - st
 		if at > submitted {
 			d.Tracer.Range(spantrace.Disk, "queue", sp, submitted, at, 0)
@@ -313,7 +325,7 @@ func NewPopulation(eng *sim.Engine, n int, cfg Config, src *rng.Source) []*Disk 
 			h.TailProb = weakTailPr
 			h.TailScale = weakTailDur
 		}
-		slab[i].init(eng, i, cfg, h, src.SplitIndex("disk-", i))
+		slab[i].init(eng, cfg, h, src.SplitIndex("disk-", i))
 		disks[i] = &slab[i]
 	}
 	return disks

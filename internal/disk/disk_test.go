@@ -2,11 +2,13 @@ package disk
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
+	"spiderfs/internal/stats"
 )
 
 // measure drives n ops of the given pattern through a fresh disk and
@@ -119,26 +121,37 @@ func TestSlowDiskIsSlower(t *testing.T) {
 	}
 }
 
+// TestWeakDiskAccumulatesTailLatency runs a weak drive and a nominal
+// twin (the same product, speed and stream) through the same commands:
+// the weak drive's tail excursions must show in its mean latency, the
+// figure the QA tooling screens drives by.
 func TestWeakDiskAccumulatesTailLatency(t *testing.T) {
-	eng := sim.NewEngine()
-	src := rng.New(4)
-	weak := New(eng, 0, NLSAS2TB(),
-		Health{SpeedFactor: 1.0, TailProb: 0.2, TailScale: 60 * sim.Millisecond}, src.Split("w"))
-	n := 500
-	var next func()
-	next = func() {
-		n--
-		if n >= 0 {
-			weak.Submit(Op{LBA: 0, Size: 1 << 20}, next)
+	weakHealth := Health{SpeedFactor: 1.0, TailProb: 0.2, TailScale: 60 * sim.Millisecond}
+	run := func(h Health) *Disk {
+		eng := sim.NewEngine()
+		d := New(eng, 0, NLSAS2TB(), h, rng.New(4).Split("w"))
+		n := 500
+		var next func()
+		next = func() {
+			n--
+			if n >= 0 {
+				d.Submit(Op{LBA: 0, Size: 1 << 20}, next)
+			}
 		}
+		next()
+		eng.Run()
+		return d
 	}
-	next()
-	eng.Run()
+	weak, twin := run(weakHealth), run(Nominal())
 	if weak.SlowCmds < 50 {
 		t.Fatalf("weak disk recorded only %d slow commands of ~100 expected", weak.SlowCmds)
 	}
-	if weak.Latency.Max < 30 {
-		t.Fatalf("weak disk max latency %.1fms, expected tail excursions", weak.Latency.Max)
+	// Each command adds TailProb × TailScale (12 ms) on average; ask
+	// for half of it.
+	excess := weak.MeanLatency() - twin.MeanLatency()
+	if want := weakHealth.TailProb * weakHealth.TailScale.Millis() / 2; excess < want {
+		t.Fatalf("weak disk mean %.2f ms, nominal twin %.2f ms: excess %.2f ms, want at least %.2f",
+			weak.MeanLatency(), twin.MeanLatency(), excess, want)
 	}
 }
 
@@ -239,8 +252,8 @@ func referencePopulation(eng *sim.Engine, n int, cfg Config, src *rng.Source) []
 }
 
 // TestPopulationStreamsGolden checks that every slab-built drive has the
-// identity, personality and stream the one-drive-at-a-time build gave
-// it, and that both builds leave the parent stream at the same place.
+// personality and stream the one-drive-at-a-time build gave it, and
+// that both builds leave the parent stream at the same place.
 func TestPopulationStreamsGolden(t *testing.T) {
 	eng := sim.NewEngine()
 	src, ref := rng.New(42), rng.New(42)
@@ -248,8 +261,8 @@ func TestPopulationStreamsGolden(t *testing.T) {
 	want := referencePopulation(eng, 1200, NLSAS2TB(), ref)
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.ID != w.ID || g.health != w.health || g.src != w.src {
-			t.Fatalf("disk %d: (id %d, %+v, %v), want (id %d, %+v, %v)", i, g.ID, g.health, g.src, w.ID, w.health, w.src)
+		if g.health != w.health || g.src != w.src {
+			t.Fatalf("disk %d: (%+v, %v), want (%+v, %v)", i, g.health, g.src, w.health, w.src)
 		}
 	}
 	if g, w := src.Uint64(), ref.Uint64(); g != w {
@@ -302,5 +315,68 @@ func TestSubmitAllocationCeiling(t *testing.T) {
 	}
 	if perCmd > 0 {
 		t.Errorf("untraced submit+complete at depth 64 allocates %.2f, want 0", perCmd)
+	}
+}
+
+// TestMeanLatencyMatchesSummary is the drive-latency oracle: a weak
+// drive serves a mixed stream of reads and writes, random and
+// sequential, arriving fast enough to queue, with a ResetStats midway.
+// Each command's service time is rebuilt from completion times alone —
+// one actuator serving FIFO starts command k at the later of its submit
+// and command k−1's completion — and the drive's mean must equal a
+// stats.Summary fed the commands since the reset, bit for bit.
+func TestMeanLatencyMatchesSummary(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := Config{Capacity: 2 << 30}
+	d := New(eng, 0, cfg, Health{SpeedFactor: 0.9, TailProb: 0.1, TailScale: 40 * sim.Millisecond}, rng.New(8).Split("d"))
+	load := rng.New(9)
+	const n = 2000
+	submit, complete := make([]sim.Time, n), make([]sim.Time, n)
+	issued, resetAfter := 0, -1
+	var at sim.Time
+	var next int64
+	for i := range n {
+		at += sim.Time(load.Exp(1) * float64(12*sim.Millisecond))
+		op := Op{Write: load.Bool(0.4), Size: (1 + load.Int63n(8)) * (64 << 10)}
+		if !load.Bool(0.3) || next+op.Size > cfg.Capacity {
+			op.LBA = load.Int63n(cfg.Capacity-op.Size) &^ (SectorSize - 1)
+		} else {
+			op.LBA = next
+		}
+		next = op.LBA + op.Size
+		eng.At(at, func() {
+			submit[i] = eng.Now()
+			issued++
+			d.Submit(op, func() { complete[i] = eng.Now() })
+		})
+	}
+	eng.At(at/2, func() {
+		d.ResetStats()
+		resetAfter = issued
+	})
+	eng.Run()
+
+	var want stats.Summary
+	var prev sim.Time
+	queued := 0
+	for k := range n {
+		start := max(submit[k], prev)
+		if start > submit[k] {
+			queued++
+		}
+		if k >= resetAfter {
+			want.Add((complete[k] - start).Millis())
+		}
+		prev = complete[k]
+	}
+	if resetAfter <= 0 || resetAfter >= n || queued == 0 || queued == n || d.SlowCmds == 0 {
+		t.Fatalf("weak mix: reset after %d of %d, %d queued, %d slow; want a reset midway, both queued and idle starts, and excursions",
+			resetAfter, n, queued, d.SlowCmds)
+	}
+	if d.Ops != want.N {
+		t.Fatalf("Ops = %d since the reset, want %d", d.Ops, want.N)
+	}
+	if got := d.MeanLatency(); math.Float64bits(got) != math.Float64bits(want.Mean) {
+		t.Fatalf("MeanLatency = %v ms, a Summary of the rebuilt service times %v ms", got, want.Mean)
 	}
 }

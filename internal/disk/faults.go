@@ -13,7 +13,9 @@ import "spiderfs/internal/rng"
 // stream installed by SetFaultInjection. A disarmed disk (no stream, or
 // all-zero rates) draws nothing and is bit-identical to a build without
 // the fault model; an armed disk consumes only its own stream, so the
-// service-time streams of every other model are unperturbed.
+// service-time streams of every other model are unperturbed. A disk is
+// armed exactly when its FaultConfig is non-zero: disarming zeroes it,
+// and a zero rate draws nothing.
 
 // CorruptKind classifies a latent media defect.
 type CorruptKind uint8
@@ -60,11 +62,11 @@ type defect struct {
 // advance it on every command while armed. The disk copies src's
 // state, so the caller must not draw from src again.
 func (d *Disk) SetFaultInjection(fc FaultConfig, src *rng.Source) {
-	d.faults = fc
-	d.armed = src != nil
-	if d.armed {
-		d.faultSrc = *src
+	if src == nil {
+		d.faults = FaultConfig{}
+		return
 	}
+	d.faults, d.faultSrc = fc, *src
 }
 
 // InjectError marks the sector containing lba corrupt. Scripted
@@ -132,7 +134,7 @@ func (d *Disk) Repair(lba, size int64) int {
 	}
 	d.defects = append(d.defects[:i], d.defects[j:]...)
 	d.setBounds()
-	d.RepairedSectors += uint64(j - i)
+	d.RepairedSectors += uint32(j - i)
 	return j - i
 }
 
@@ -208,7 +210,7 @@ func (d *Disk) applyFaults(op Op) {
 	if op.Write && len(d.defects) > 0 {
 		d.Repair(op.LBA, op.Size)
 	}
-	if !d.armed {
+	if d.faults == (FaultConfig{}) {
 		return
 	}
 	gb := float64(op.Size) / 1e9
@@ -225,7 +227,7 @@ func (d *Disk) injectUniform(lba, size int64, lambda float64, kind CorruptKind) 
 	if lambda <= 0 {
 		return
 	}
-	n := d.faultSrc.Poisson(lambda)
+	n := d.faultPois.Draw(&d.faultSrc, lambda)
 	if n == 0 {
 		return
 	}

@@ -151,7 +151,7 @@ func runMediaOps(t *testing.T, ops []byte) {
 				}
 			}
 		}
-		if d.InjectedUREs != ref.ures || d.InjectedSilent != ref.silent || d.RepairedSectors != ref.repaired {
+		if uint64(d.InjectedUREs) != ref.ures || uint64(d.InjectedSilent) != ref.silent || uint64(d.RepairedSectors) != ref.repaired {
 			t.Fatalf("op %d: counters %d/%d/%d, want %d/%d/%d", n,
 				d.InjectedUREs, d.InjectedSilent, d.RepairedSectors, ref.ures, ref.silent, ref.repaired)
 		}

@@ -75,7 +75,8 @@ func slowDiskReplica(r *sweep.Rep) error {
 // report shows how tightly the policy bounds residency.
 func purgeReplica(r *sweep.Rep) error {
 	arrivals := r.Src.Split("production")
-	record(r, purgeMetrics(purge.Residency(r.Seed, func() int { return arrivals.Poisson(e13FilesPerDay) })))
+	var pois rng.Poisson
+	record(r, purgeMetrics(purge.Residency(r.Seed, func() int { return pois.Draw(arrivals, e13FilesPerDay) })))
 	return nil
 }
 

@@ -66,8 +66,9 @@ func TestNamespace() Params {
 
 // Build manufactures the namespace: disks, RAID groups, controllers,
 // OSTs, OSSes, and MDS, wired together on eng. The controllers, OSTs
-// and OSSes each live in one slab; SSU ssu's drives are split from src
-// as "ssu-<ssu>" and OST i's stream as "ost-<i>".
+// and OSSes each live in one slab and the OSTs share one idle list of
+// write records; SSU ssu's drives are split from src as "ssu-<ssu>" and
+// OST i's stream as "ost-<i>".
 func Build(eng *sim.Engine, p Params, src *rng.Source) *FS {
 	if p.NumSSU < 1 || p.OSTsPerSSU < 1 || p.OSSPerSSU < 1 {
 		panic("lustre: invalid namespace shape") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
@@ -77,6 +78,7 @@ func Build(eng *sim.Engine, p Params, src *rng.Source) *FS {
 	ostSlab, ossSlab, ctrlSlab := make([]OST, nOST), make([]OSS, nOSS), make([]Controller, p.NumSSU)
 	osts, osses, ctrls := make([]*OST, nOST), make([]*OSS, nOSS), make([]*Controller, p.NumSSU)
 	ostOSS := make([]int, nOST)
+	idle := &idleWrites{max: maxIdleWrites * nOST}
 	for ssu := range ctrls {
 		ctrl := &ctrlSlab[ssu]
 		ctrl.init(eng, p.CtrlCfg)
@@ -91,7 +93,7 @@ func Build(eng *sim.Engine, p Params, src *rng.Source) *FS {
 		}
 		for i, g := range groups {
 			id := ssu*p.OSTsPerSSU + i
-			ostSlab[id].init(eng, id, g, ctrl, src.SplitIndex("ost-", id))
+			ostSlab[id].init(eng, id, g, ctrl, idle, src.SplitIndex("ost-", id))
 			osts[id] = &ostSlab[id]
 			ostOSS[id] = ssuOSSBase + i%p.OSSPerSSU
 		}

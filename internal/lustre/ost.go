@@ -63,7 +63,7 @@ type OST struct {
 	journalPtr  int64 // offset within the journal region (SyncJournal)
 	uncommitted int   // flushes since the last journal commit
 
-	idleWrites    []*ostWrite // reusable Object.Write records
+	idle          *idleWrites // reusable Object.Write records, shared by the OSTs of one Build
 	stripeFlushed func()      // one-stripe flush completion, bound by stripeDone
 
 	// Counters.
@@ -79,10 +79,11 @@ type OST struct {
 	CorruptReads  uint64
 }
 
-// init wires a zero OST, held in Build's slab, over a RAID group and
-// its SSU controller. The OST takes over src's stream.
-func (o *OST) init(eng *sim.Engine, id int, group *raid.Group, ctrl *Controller, src rng.Source) {
-	o.ID, o.eng, o.group, o.ctrl, o.src = id, eng, group, ctrl, src
+// init wires a zero OST, held in Build's slab, over a RAID group, its
+// SSU controller and the idle write list it shares. The OST takes over
+// src's stream.
+func (o *OST) init(eng *sim.Engine, id int, group *raid.Group, ctrl *Controller, idle *idleWrites, src rng.Source) {
+	o.ID, o.eng, o.group, o.ctrl, o.idle, o.src = id, eng, group, ctrl, idle, src
 }
 
 // SetTracer attaches the tracing plane to this OST and everything
@@ -264,9 +265,9 @@ func (obj *Object) Write(size int64, done func()) {
 	o.ctrl.AdmitWrite(size, w.onAdmit)
 }
 
-// ostWrite is one Object.Write waiting for write-back admission. An
-// OST keeps up to maxIdleWrites idle records and reuses them; each
-// record's admission callback is bound once.
+// ostWrite is one Object.Write waiting for write-back admission. OSTs
+// keep idle records and reuse them; each record's admission callback
+// is bound once.
 type ostWrite struct {
 	obj     *Object
 	size    int64
@@ -275,16 +276,26 @@ type ostWrite struct {
 	onAdmit func() // w.admitted, bound once
 }
 
-// maxIdleWrites bounds an OST's idle ostWrite records. A completion
+// maxIdleWrites bounds the idle ostWrite records per OST. A completion
 // frees a record before the next write takes one, so a few suffice,
 // and a namespace kept alive after its run pins no more than these.
 const maxIdleWrites = 16
 
-// takeWrite returns an idle record of o, or a new one.
+// idleWrites is an idle list of ostWrite records. The OSTs one Build
+// call builds share one, capped at maxIdleWrites per OST, so a record
+// one OST frees serves the next OST's write: sparse traffic that
+// touches many OSTs leaves a few records in all, not one in each.
+type idleWrites struct {
+	recs []*ostWrite
+	max  int // the most records the list keeps
+}
+
+// takeWrite returns an idle record, or a new one.
 func (o *OST) takeWrite() *ostWrite {
-	if n := len(o.idleWrites); n > 0 {
-		w := o.idleWrites[n-1]
-		o.idleWrites = o.idleWrites[:n-1]
+	l := o.idle
+	if n := len(l.recs); n > 0 {
+		w := l.recs[n-1]
+		l.recs = l.recs[:n-1]
 		return w
 	}
 	w := &ostWrite{}
@@ -293,13 +304,14 @@ func (o *OST) takeWrite() *ostWrite {
 }
 
 // admitted buffers the admitted bytes, flushes what the stream allows
-// and acks the write; the record goes back to its OST before done runs.
+// and acks the write; the record goes back to the idle list before done
+// runs.
 func (w *ostWrite) admitted() {
 	obj, size, sp, done := w.obj, w.size, w.sp, w.done
 	o := obj.ost
-	if len(o.idleWrites) < maxIdleWrites {
+	if l := o.idle; len(l.recs) < l.max {
 		w.obj, w.done = nil, nil
-		o.idleWrites = append(o.idleWrites, w)
+		l.recs = append(l.recs, w)
 	}
 	o.BytesWritten += size
 	o.used += size

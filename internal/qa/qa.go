@@ -106,7 +106,7 @@ func replaceSlowDisks(groups []*raid.Group, mbps []float64, src *rng.Source) int
 		disks := g.Disks()
 		lats := make([]float64, len(disks))
 		for i, d := range disks {
-			lats[i] = d.Latency.Mean
+			lats[i] = d.MeanLatency()
 		}
 		median := stats.Percentile(lats, 0.5)
 		if median <= 0 {

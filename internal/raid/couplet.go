@@ -162,15 +162,17 @@ func (c *Couplet) RecoverFiles(src *rng.Source, successRate float64) (recovered,
 // II groups under one couplet and returns the groups. Disk personalities
 // are drawn from the Spider II batch spread (disk.NewPopulation). The
 // groups live in one slab, as the disks do in theirs; a pointer to any
-// group keeps the whole slab alive.
+// group keeps the whole slab alive. The groups share one idle list of
+// write records, capped at maxIdleWrites per group.
 func BuildGroups(eng *sim.Engine, n int, dcfg disk.Config, src *rng.Source) []*Group {
 	gcfg := Spider2Group()
 	w := gcfg.Width()
 	slab := make([]Group, n)
 	groups := make([]*Group, n)
 	disks := disk.NewPopulation(eng, n*w, dcfg, src)
+	idle := &idleRecords{max: maxIdleWrites * n}
 	for i := range slab {
-		slab[i].init(eng, i, gcfg, disks[i*w:(i+1)*w])
+		slab[i].init(eng, i, gcfg, disks[i*w:(i+1)*w], idle)
 		groups[i] = &slab[i]
 	}
 	return groups

@@ -6,6 +6,7 @@ import (
 	"spiderfs/internal/disk"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
+	"spiderfs/internal/spantrace"
 )
 
 func newCouplet(t *testing.T, layout EnclosureLayout, nGroups int, seed uint64) (*sim.Engine, *Couplet) {
@@ -156,5 +157,53 @@ func TestBuildGroupsPartitionsDisks(t *testing.T) {
 	}
 	if len(seen) != 30 {
 		t.Fatalf("total disks = %d", len(seen))
+	}
+}
+
+// TestBuiltGroupsShareIdleRecords: the groups of one BuildGroups call
+// share one idle list, and a write record one group frees serves the
+// next group that takes it. That group's write must reach its own
+// drives and close its spans on its own tracer, so a taken record is
+// pointed at the group that takes it.
+func TestBuiltGroupsShareIdleRecords(t *testing.T) {
+	eng := sim.NewEngine()
+	dcfg := disk.NLSAS2TB()
+	dcfg.Capacity = 64 << 20
+	groups := BuildGroups(eng, 2, dcfg, rng.New(10))
+	l := groups[0].idle
+	if groups[1].idle != l || l.max != 2*maxIdleWrites {
+		t.Fatalf("groups of one build keep lists %p and %p (cap %d), want one of cap %d",
+			l, groups[1].idle, l.max, 2*maxIdleWrites)
+	}
+	ops := func(g *Group) (n uint64) {
+		for _, d := range g.Disks() {
+			n += d.Ops
+		}
+		return n
+	}
+	for i, g := range groups {
+		tr := spantrace.New(rng.New(uint64(20+i)), 1)
+		tr.Bind(eng)
+		g.SetTracer(tr)
+		other := ops(groups[1-i])
+		root := tr.SampleRoot(spantrace.Client, "write", 2<<20)
+		old := tr.Swap(root)
+		g.Write(0, 1<<20, nil)             // full stripe
+		g.Write(1<<20, 128<<10, nil)       // read-modify-write
+		g.Write(2<<20+64<<10, 64<<10, nil) // read-modify-write
+		tr.Swap(old)
+		tr.End(root)
+		eng.Run()
+		if ops(g) == 0 || ops(groups[1-i]) != other {
+			t.Errorf("group %d's writes: %d commands on its drives, %d on the other group's", i, ops(g), ops(groups[1-i])-other)
+		}
+		if n := tr.Open(); n != 0 {
+			t.Errorf("group %d: %d spans left open on its tracer", i, n)
+		}
+		// The second group's three writes and two stripes reuse the
+		// first group's records.
+		if len(l.writes) != 3 || len(l.rmws) != 2 {
+			t.Errorf("after group %d: %d idle writes and %d idle stripes, want 3 and 2", i, len(l.writes), len(l.rmws))
+		}
 	}
 }

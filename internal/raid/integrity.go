@@ -133,6 +133,7 @@ type stripeHit struct {
 // own).
 func (g *Group) checkRange(off, size int64, b *sim.Barrier) (repaired, lost int) {
 	ck := g.cfg.ChunkSize
+	g.StripesChecked += uint64((size + ck - 1) / ck)
 	hits := g.hits[:0]
 	g.hits = nil
 	for m := 0; m < g.cfg.Width(); m++ {

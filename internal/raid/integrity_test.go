@@ -7,7 +7,6 @@ import (
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
-	"spiderfs/internal/stats"
 )
 
 // smallGroup builds a 8+2 group over 64 MiB member disks (512 stripes)
@@ -223,10 +222,10 @@ func TestGroupFailureDuringRebuildClearsBookkeeping(t *testing.T) {
 // same counters on every member.
 func TestDiskTracingHasNoObserverEffect(t *testing.T) {
 	type member struct {
-		lat      stats.Summary
+		lat      float64
 		ops      uint64
 		bytes    int64
-		slowCmds uint64
+		slowCmds uint32
 	}
 	run := func(every int) (uint64, uint64, []member, int) {
 		eng := sim.NewEngine()
@@ -272,7 +271,7 @@ func TestDiskTracingHasNoObserverEffect(t *testing.T) {
 		eng.Run()
 		out := make([]member, len(members))
 		for i, d := range members {
-			out[i] = member{d.Latency, d.Ops, d.Bytes, d.SlowCmds}
+			out[i] = member{d.MeanLatency(), d.Ops, d.Bytes, d.SlowCmds}
 		}
 		diskSpans := 0
 		for _, sp := range tr.Spans() {
@@ -295,7 +294,7 @@ func TestDiskTracingHasNoObserverEffect(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("member %d: untraced %+v, traced %+v", i, a[i], b[i])
 		}
-		slow += a[i].slowCmds
+		slow += uint64(a[i].slowCmds)
 	}
 	if slow == 0 {
 		t.Fatal("no tail excursions: SlowCmds is not exercised")

@@ -88,9 +88,9 @@ type Group struct {
 	OnStripeLoss func(stripe int64)
 	// hits is checkRange's reusable defect list (integrity.go).
 	hits []stripeHit
-	// idleWrites and idleRMWs hold reusable Write records.
-	idleWrites []*writeOp
-	idleRMWs   []*rmwStripe
+	// idle holds reusable Write records, shared by the groups one
+	// BuildGroups call builds.
+	idle *idleRecords
 
 	// rebuild bookkeeping
 	rebuild       *rebuildBatch // reusable batch record, built on the first rebuild
@@ -130,6 +130,10 @@ type Group struct {
 	UnrecoverableStripes   int64  // stripes with defects beyond parity
 	LostStripeReads        uint64 // reads answered EIO from an unrecoverable stripe
 	RebuildLatentHits      uint64 // latent errors hit while a rebuild was in flight
+	// StripesChecked counts the stripes checkRange examined, each
+	// scanned on every online member: a cost of the simulator, for
+	// work counts, not a result of the model.
+	StripesChecked uint64
 }
 
 // pendingRebuild is a queued replacement waiting for the running
@@ -144,16 +148,17 @@ type pendingRebuild struct {
 // equal cfg.Width().
 func NewGroup(eng *sim.Engine, id int, cfg GroupConfig, members []*disk.Disk) *Group {
 	g := new(Group)
-	g.init(eng, id, cfg, members)
+	g.init(eng, id, cfg, members, &idleRecords{max: maxIdleWrites})
 	return g
 }
 
-// init readies a zero Group in place, wherever it is held.
-func (g *Group) init(eng *sim.Engine, id int, cfg GroupConfig, members []*disk.Disk) {
+// init readies a zero Group in place, wherever it is held, over the
+// idle list it shares.
+func (g *Group) init(eng *sim.Engine, id int, cfg GroupConfig, members []*disk.Disk, idle *idleRecords) {
 	if len(members) != cfg.Width() {
 		panic(fmt.Sprintf("raid: group wants %d disks, got %d", cfg.Width(), len(members))) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	g.ID, g.cfg, g.eng, g.dsks = id, cfg, eng, members
+	g.ID, g.cfg, g.eng, g.dsks, g.idle = id, cfg, eng, members, idle
 	g.stripes = members[0].Config().Capacity / cfg.ChunkSize
 	g.state = Healthy
 	g.rebuildMember = -1
@@ -302,10 +307,9 @@ func (g *Group) submitStripe(stripe, first, last int64, write bool, b *sim.Barri
 	g.submitTo(p1, op, b)
 }
 
-// writeOp is one Write's fan-out: its barrier, span and done. A group
-// keeps up to maxIdleWrites idle records and reuses them; the barrier
-// and its DoneFunc are bound once per record, so a full-stripe write
-// allocates nothing.
+// writeOp is one Write's fan-out: its barrier, span and done. Groups
+// keep idle records and reuse them; the barrier and its DoneFunc are
+// bound once per record, so a full-stripe write allocates nothing.
 type writeOp struct {
 	g    *Group
 	b    sim.Barrier
@@ -314,16 +318,29 @@ type writeOp struct {
 	fire func() // op.finish, bound once
 }
 
-// maxIdleWrites bounds a group's idle writeOp and rmwStripe records. A
-// completion frees a record before the next write takes one, so a few
-// suffice, and a group kept alive after its run pins no more than these.
+// maxIdleWrites bounds the idle writeOp and rmwStripe records per group.
+// A completion frees a record before the next write takes one, so a few
+// suffice, and groups kept alive after their run pin no more than these.
 const maxIdleWrites = 16
 
-// takeWrite returns an idle record of g, or a new one.
+// idleRecords is an idle list of write records. The groups one
+// BuildGroups call builds share one, capped at maxIdleWrites per group,
+// so a record one group frees serves the next group's write: sparse
+// traffic that touches many groups leaves a few records in all, not
+// one in each. A NewGroup group has a list of its own.
+type idleRecords struct {
+	writes []*writeOp
+	rmws   []*rmwStripe
+	max    int // the most records of each kind the list keeps
+}
+
+// takeWrite returns an idle record for g, or a new one.
 func (g *Group) takeWrite() *writeOp {
-	if n := len(g.idleWrites); n > 0 {
-		op := g.idleWrites[n-1]
-		g.idleWrites = g.idleWrites[:n-1]
+	l := g.idle
+	if n := len(l.writes); n > 0 {
+		op := l.writes[n-1]
+		l.writes = l.writes[:n-1]
+		op.g = g
 		return op
 	}
 	op := &writeOp{g: g}
@@ -332,12 +349,12 @@ func (g *Group) takeWrite() *writeOp {
 }
 
 // finish ends the write's span and calls its done; the record goes
-// back to its group first.
+// back to the idle list first.
 func (op *writeOp) finish() {
 	g, sp, done := op.g, op.sp, op.done
-	if len(g.idleWrites) < maxIdleWrites {
+	if l := g.idle; len(l.writes) < l.max {
 		op.done = nil
-		g.idleWrites = append(g.idleWrites, op)
+		l.writes = append(l.writes, op)
 	}
 	g.tracer.End(sp)
 	if done != nil {
@@ -346,8 +363,8 @@ func (op *writeOp) finish() {
 }
 
 // rmwStripe is one partial stripe of a write: its phase barriers, read
-// then write, and its "rmw" span. A group reuses these records as it
-// does writeOps.
+// then write, and its "rmw" span. Groups reuse these records as they
+// do writeOps.
 type rmwStripe struct {
 	g           *Group
 	b           *sim.Barrier // the write's barrier, done when phase 2 is
@@ -359,11 +376,13 @@ type rmwStripe struct {
 	onRead, onWrite func()
 }
 
-// takeRMW returns an idle rmwStripe record of g, or a new one.
+// takeRMW returns an idle rmwStripe record for g, or a new one.
 func (g *Group) takeRMW() *rmwStripe {
-	if n := len(g.idleRMWs); n > 0 {
-		r := g.idleRMWs[n-1]
-		g.idleRMWs = g.idleRMWs[:n-1]
+	l := g.idle
+	if n := len(l.rmws); n > 0 {
+		r := l.rmws[n-1]
+		l.rmws = l.rmws[:n-1]
+		r.g = g
 		return r
 	}
 	r := &rmwStripe{g: g}
@@ -382,12 +401,12 @@ func (r *rmwStripe) readDone() {
 }
 
 // writeDone ends the stripe's span and completes its share of the
-// write; the record goes back to its group first.
+// write; the record goes back to the idle list first.
 func (r *rmwStripe) writeDone() {
 	g, b, sp := r.g, r.b, r.sp
-	if len(g.idleRMWs) < maxIdleWrites {
+	if l := g.idle; len(l.rmws) < l.max {
 		r.b = nil
-		g.idleRMWs = append(g.idleRMWs, r)
+		l.rmws = append(l.rmws, r)
 	}
 	g.tracer.End(sp)
 	b.Done()

@@ -16,11 +16,6 @@ import (
 // split per-goroutine sources with Split.
 type Source struct {
 	s [4]uint64
-
-	// Poisson's exp(-lambda) for the last lambda it drew with. Callers
-	// such as a drive's media-fault stream repeat one lambda per
-	// command, so the exponential is computed once per distinct value.
-	poisLambda, poisExp float64
 }
 
 func splitmix64(x *uint64) uint64 {
@@ -176,11 +171,19 @@ func (r *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Poisson returns a Poisson(lambda) count using Knuth's method for small
-// lambda and a normal approximation above 500. exp(-lambda) is
-// remembered for the last lambda seen; the draws are the same either
-// way.
-func (r *Source) Poisson(lambda float64) int {
+// Poisson draws Poisson counts from a Source, using Knuth's method for
+// small lambda and a normal approximation above 500. It remembers
+// exp(-lambda) for the last lambda it drew with: callers such as a
+// drive's media-fault stream repeat one lambda per command, so the
+// exponential is computed once per distinct value. The draws are the
+// same either way. The zero value is ready to use; the memo lives with
+// the caller, not in every Source, because few streams draw Poisson.
+type Poisson struct {
+	lambda, exp float64
+}
+
+// Draw returns a Poisson(lambda) count drawn from r; 0 for lambda <= 0.
+func (p *Poisson) Draw(r *Source, lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -191,15 +194,15 @@ func (r *Source) Poisson(lambda float64) int {
 		}
 		return int(v + 0.5)
 	}
-	if lambda != r.poisLambda {
-		r.poisLambda, r.poisExp = lambda, math.Exp(-lambda)
+	if lambda != p.lambda {
+		p.lambda, p.exp = lambda, math.Exp(-lambda)
 	}
-	l := r.poisExp
+	l := p.exp
 	k := 0
-	p := 1.0
+	q := 1.0
 	for {
-		p *= r.Float64()
-		if p <= l {
+		q *= r.Float64()
+		if q <= l {
 			return k
 		}
 		k++

@@ -155,23 +155,24 @@ func TestTruncNormalPathologicalFallsBack(t *testing.T) {
 
 func TestPoissonMean(t *testing.T) {
 	r := New(11)
+	var pois Poisson
 	for _, lambda := range []float64{0.5, 4, 50, 1000} {
 		n := 20000
 		sum := 0
 		for i := 0; i < n; i++ {
-			sum += r.Poisson(lambda)
+			sum += pois.Draw(r, lambda)
 		}
 		mean := float64(sum) / float64(n)
 		if math.Abs(mean-lambda)/lambda > 0.05 {
 			t.Fatalf("Poisson(%f) mean = %f", lambda, mean)
 		}
 	}
-	if New(1).Poisson(-1) != 0 {
+	if pois.Draw(New(1), -1) != 0 {
 		t.Fatal("Poisson of negative lambda should be 0")
 	}
 }
 
-// poissonRef is Poisson without the exp(-lambda) memo.
+// poissonRef is Poisson.Draw without the exp(-lambda) memo.
 func poissonRef(r *Source, lambda float64) int {
 	if lambda <= 0 {
 		return 0
@@ -202,10 +203,11 @@ func TestPoissonMemoMatchesReference(t *testing.T) {
 	lambdas := []float64{0.5, 1e-4, 3, 0, 700, 42.5, math.SmallestNonzeroFloat64}
 	pick := New(3)
 	got, want := New(19), New(19)
+	var memo Poisson
 	for i := 0; i < 20000; i++ {
 		lambda := lambdas[pick.Intn(len(lambdas))]
-		if g, w := got.Poisson(lambda), poissonRef(want, lambda); g != w {
-			t.Fatalf("draw %d: Poisson(%g) = %d, reference %d", i, lambda, g, w)
+		if g, w := memo.Draw(got, lambda), poissonRef(want, lambda); g != w {
+			t.Fatalf("draw %d: Draw(%g) = %d, reference %d", i, lambda, g, w)
 		}
 		if got.s != want.s {
 			t.Fatalf("draw %d: stream state diverged after Poisson(%g)", i, lambda)

@@ -192,6 +192,16 @@ func (e *Engine) Pending() int { return e.live }
 // hold. It observes and changes nothing.
 func (e *Engine) PeakPending() int { return e.peak }
 
+// PendingWork returns the pending set's work since the engine was built
+// or last Reset. It observes and changes nothing.
+func (e *Engine) PendingWork() PendingWork {
+	s := &e.set
+	return PendingWork{
+		Near: s.filed[inNear], Ring: s.filed[inRing], Far: s.filed[inFar],
+		Loads: s.loads, Rebuilds: s.rebuilds,
+	}
+}
+
 // recycle retires ev: the generation bump turns every handle to it
 // stale, inFree makes every lane entry for it stale, and the event joins
 // the free list for reuse. Within a run the set and the free list

@@ -133,6 +133,23 @@ type pendingSet struct {
 	inRing int      // events linked into the ring
 	grow   int      // rebuild when the set grows past this size
 	shrink int      // rebuild when the set shrinks below this size
+
+	// Work counts (PendingWork): filings by tier, bucket loads and
+	// rebuilds.
+	filed           [inFree]uint64
+	loads, rebuilds uint64
+}
+
+// PendingWork counts what an engine's pending set did: plain integers,
+// a function of the model and its seed, never of the host. A change
+// that makes the set do less work shows here exactly, where a wall-clock
+// reading needs many paired runs to resolve it.
+type PendingWork struct {
+	// Near, Ring and Far count the events filed into each tier: on
+	// scheduling, on a rebuild's refiling and on a migration from far.
+	Near, Ring, Far uint64
+	Loads           uint64 // ring buckets moved into the near heap
+	Rebuilds        uint64 // ring resizings
 }
 
 // ringMin is the set size at which the ring gets buckets. Below it the
@@ -178,6 +195,7 @@ func (s *pendingSet) slot(ev *event) int {
 // add files ev in the tier its time belongs in.
 func (s *pendingSet) add(ev *event) {
 	ev.tier = s.tierOf(ev.t)
+	s.filed[ev.tier]++
 	if ev.tier == inRing {
 		s.link(ev)
 	} else {
@@ -229,6 +247,7 @@ func (s *pendingSet) unlink(ev *event) {
 // load moves the ring's first non-empty bucket into near and advances
 // the ring past it. The ring must hold an event and near must be empty.
 func (s *pendingSet) load() {
+	s.loads++
 	mask := len(s.ring) - 1
 	i := int(s.base) & mask
 	w := i >> 6
@@ -324,6 +343,7 @@ func (s *pendingSet) migrate() {
 // amortized over at least n/2 operations.
 func (e *Engine) rebuild() {
 	s := &e.set
+	s.rebuilds++
 	n := s.size()
 	nb := 0
 	if n >= ringMin {

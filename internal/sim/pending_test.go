@@ -354,3 +354,31 @@ func TestPendingSetRebuildKeepsNearFirst(t *testing.T) {
 		t.Fatal("no rebuild widened the buckets while near held an event")
 	}
 }
+
+// TestPendingWorkPinned pins the pending set's work counts for the hold
+// model at chaos-week's depth: 20,000 standing events, each fired event
+// scheduling a successor at an exponential delay (mean 1 ms), for
+// 100,000 steps. The counts are a function of the schedule alone, so a
+// change to the set's geometry that does more or less work moves them
+// exactly; such a change re-pins them and says why. Reset clears them.
+func TestPendingWorkPinned(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	e := NewEngine()
+	var fire func()
+	fire = func() { e.After(1+Time(r.ExpFloat64()*float64(Millisecond)), fire) }
+	for range 20000 {
+		fire()
+	}
+	for range 100000 {
+		e.Step()
+	}
+	w := e.PendingWork()
+	want := PendingWork{Near: 1029, Ring: 150013, Far: 1824, Loads: 36037, Rebuilds: 6}
+	if w != want {
+		t.Errorf("hold model at 20,000: %+v, want %+v", w, want)
+	}
+	e.Reset()
+	if w := e.PendingWork(); w != (PendingWork{}) {
+		t.Errorf("after Reset: %+v, want zero", w)
+	}
+}

@@ -15,9 +15,10 @@ package sim
 type Server struct {
 	eng *Engine
 	// capacity is the number of jobs that can be in service at once.
-	capacity int
-
-	inService int
+	// It and inService are int32 so that a drive's server, one per
+	// drive in a full center, fits in 96 bytes.
+	capacity  int32
+	inService int32
 	queue     Queue[serverJob]
 
 	// statistics
@@ -63,8 +64,11 @@ func (s *Server) Init(eng *Engine, capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	s.eng, s.capacity = eng, capacity
+	s.eng, s.capacity = eng, int32(capacity)
 }
+
+// Engine returns the engine the server is attached to.
+func (s *Server) Engine() *Engine { return s.eng }
 
 // QueueLen returns the number of jobs waiting (not in service).
 func (s *Server) QueueLen() int { return s.queue.Len() }

@@ -82,16 +82,17 @@ stage_bench() {
 	set -x
 	# Benchmark smoke: one iteration of every BenchmarkPaper study
 	# (Figs. 2-4, E1-E17, HERO, ablations A1-A8) and every
-	# netsim/sim/lustre/raid/spantrace/serve/chaos benchmark, with bytes
-	# and allocations reported, so no benchmark harness can rot
+	# netsim/sim/lustre/raid/spantrace/serve/chaos/center benchmark, with
+	# bytes and allocations reported, so no benchmark harness can rot
 	# silently. Among them: the engine's pending-set (EngineHold) and
 	# cancel (CancelChurn, 0 allocs/op) rungs, the segmented queue's
 	# burst (ServerBurst), one Spider II fabric build (NewFabric, about
-	# 5.0 MB and 55 allocs), the congestion wave untraced and 1-in-64
-	# traced, the service's report encode path, and one featured
-	# one-day quick chaos campaign (QuickCampaign, a serve-mix cold
-	# session's work).
-	go test -bench . -benchtime=1x -benchmem -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/lustre/ ./internal/raid/ ./internal/spantrace/ ./internal/serve/ ./internal/chaos/
+	# 5.0 MB and 55 allocs), one full two-namespace center build with
+	# its fabric (FullCenterBuild, about 12.9 MB and 287 allocs), the
+	# congestion wave untraced and 1-in-64 traced, the service's report
+	# encode path, and one featured one-day quick chaos campaign
+	# (QuickCampaign, a serve-mix cold session's work).
+	go test -bench . -benchtime=1x -benchmem -run '^$' . ./internal/netsim/ ./internal/sim/ ./internal/lustre/ ./internal/raid/ ./internal/spantrace/ ./internal/serve/ ./internal/chaos/ ./internal/center/
 	# Run what go build only compiles: every examples/ program and the
 	# default benchsuite §III-B block-vs-FS sweep, once each with stdout
 	# discarded, so a runtime panic on those paths fails here.
