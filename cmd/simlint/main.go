@@ -16,11 +16,11 @@
 // //simlint:allow directive is located, its reason captured, and its
 // usefulness verified against an unfiltered run. The report is gated
 // against the committed baseline (default .simlint-baseline.json under
-// the module root): growth, a reasonless site, or a stale site fails
-// the gate with exit 1. -update rewrites the baseline from the fresh
-// report — the conscious act of signing off on a debt change. -debt
-// runs every check, so -checks with it exits 2; so do -update and
-// -baseline without it.
+// the module root): growth, a baseline left looser than the report, a
+// reasonless site, or a stale site fails the gate with exit 1. -update
+// rewrites the baseline from the fresh report — the conscious act of
+// signing off on a debt change. -debt runs every check, so -checks with
+// it exits 2; so do -update and -baseline without it.
 package main
 
 import (
@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runDebt implements the -debt mode: inventory, optional baseline
-// rewrite, and the growth/reason/staleness gate.
+// rewrite, and the ratchet/reason/staleness gate.
 func runDebt(mod *lint.Module, baselinePath string, update, asJSON bool, stdout, stderr io.Writer) int {
 	report := mod.Debt()
 
@@ -171,9 +171,6 @@ func runDebt(mod *lint.Module, baselinePath string, update, asJSON bool, stdout,
 	fails := lint.GateDebt(base, report)
 	for _, f := range fails {
 		fmt.Fprintf(stderr, "simlint: debt gate: %s\n", f)
-	}
-	for _, note := range lint.Tighten(base, report) {
-		fmt.Fprintf(stderr, "simlint: note: %s\n", note)
 	}
 	if len(fails) > 0 {
 		return 1

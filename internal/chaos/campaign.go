@@ -249,12 +249,23 @@ type campaign struct {
 	ops  *ledger.Ledger
 	coal *monitor.Coalescer
 
-	grpName   map[*raid.Group]string
+	// The graph's nodes as buildGraph made them: per namespace, per
+	// router id (routers, cables) and per RAID group.
+	spaces          []nsNodes
+	routers, cables []*Node
+	groups          map[*raid.Group]*Node
+
 	injectors []*failure.Injector
 	probers   []*lustre.Client
 	scrubbers []*raid.Scrubber
 
 	rep *Report
+}
+
+// nsNodes are one namespace's MDS, namespace and OSS nodes.
+type nsNodes struct {
+	mds, ns *Node
+	oss     []*Node // indexed like the namespace's OSSes
 }
 
 // Run executes the campaign under the quick schedule when cfg.Small,
@@ -291,9 +302,9 @@ func run(cfg Config, sched schedule) *Report {
 	graph := NewGraph(eng)
 	p := &campaign{
 		cfg: cfg, sched: sched, c: cc, eng: eng, graph: graph,
-		ops:     ledger.New(ledger.Config{}),
-		coal:    &monitor.Coalescer{},
-		grpName: map[*raid.Group]string{},
+		ops:    ledger.New(ledger.Config{}),
+		coal:   &monitor.Coalescer{},
+		groups: map[*raid.Group]*Node{},
 		rep: &Report{
 			Seed: cfg.Seed, Window: cfg.Duration,
 			Imperative: cfg.Imperative, ARN: cfg.ARN,
@@ -377,39 +388,31 @@ func (p *campaign) note(format string, args ...interface{}) {
 	}
 }
 
-func nsName(fs *lustre.FS) string             { return fs.Name }
-func mdsName(fs *lustre.FS) string            { return fs.Name + "-mds" }
-func ossName(fs *lustre.FS, i int) string     { return fmt.Sprintf("%s-oss%d", fs.Name, i) }
-func ostName(fs *lustre.FS, i int) string     { return fmt.Sprintf("%s-ost%d", fs.Name, i) }
-func grpNodeName(fs *lustre.FS, i int) string { return fmt.Sprintf("%s-grp%d", fs.Name, i) }
-func routerName(rid int) string               { return fmt.Sprintf("rtr%d", rid) }
-func cableName(rid int) string                { return fmt.Sprintf("cable%d", rid) }
-
 // buildGraph registers the center's failure domains: per namespace the
 // MDS, the namespace depending on it, every OSS, and every OST
 // depending on its RAID group, its serving OSS, and the MDS; plus one
-// cable -> router chain per LNET router.
+// cable -> router chain per LNET router. It names every node and keeps
+// the nodes the fault processes address; nothing after it formats a
+// node name.
 //
 // A drive's media stream, SplitIndex(gn+"-d", j), must stay the stream
 // of Split(fmt.Sprintf("%s-d%d", gn, j)): the campaign fingerprints pin
 // it.
 func (p *campaign) buildGraph() {
 	media := rng.New(p.cfg.Seed).Split("chaos-media")
+	p.spaces = make([]nsNodes, len(p.c.Namespaces))
 	for ns, fs := range p.c.Namespaces {
-		mds := mdsName(fs)
-		p.graph.Add(mds, KindMDS)
-		p.graph.Add(nsName(fs), KindNamespace, mds)
-		oss := make([]string, len(fs.OSSes))
+		mds := p.graph.Add(fs.Name+"-mds", KindMDS)
+		oss := make([]*Node, len(fs.OSSes))
+		p.spaces[ns] = nsNodes{mds: mds, ns: p.graph.Add(fs.Name, KindNamespace, mds), oss: oss}
 		for i := range oss {
-			oss[i] = ossName(fs, i)
-			p.graph.Add(oss[i], KindOSS)
+			oss[i] = p.graph.Add(fmt.Sprintf("%s-oss%d", fs.Name, i), KindOSS)
 		}
-		groups := p.c.GroupsOf(ns)
-		for i, g := range groups {
-			gn := grpNodeName(fs, i)
-			p.grpName[g] = gn
-			p.graph.Add(gn, KindGroup)
-			p.graph.Add(ostName(fs, i), KindOST, gn, oss[fs.OSSOf(i)], mds)
+		for i, g := range p.c.GroupsOf(ns) {
+			gn := fmt.Sprintf("%s-grp%d", fs.Name, i)
+			grp := p.graph.Add(gn, KindGroup)
+			p.groups[g] = grp
+			p.graph.Add(fmt.Sprintf("%s-ost%d", fs.Name, i), KindOST, grp, oss[fs.OSSOf(i)], mds)
 			g.RebuildChunk = p.sched.rebuildChunk
 			g.RebuildPause = p.sched.rebuildPause
 			drive := gn + "-d"
@@ -424,10 +427,11 @@ func (p *campaign) buildGraph() {
 			}
 		}
 	}
-	for rid := 0; rid < p.c.Fabric.NumRouters(); rid++ {
-		cable := cableName(rid)
-		p.graph.Add(cable, KindCable)
-		p.graph.Add(routerName(rid), KindRouter, cable)
+	n := p.c.Fabric.NumRouters()
+	p.routers, p.cables = make([]*Node, n), make([]*Node, n)
+	for rid := range n {
+		p.cables[rid] = p.graph.Add(fmt.Sprintf("cable%d", rid), KindCable)
+		p.routers[rid] = p.graph.Add(fmt.Sprintf("rtr%d", rid), KindRouter, p.cables[rid])
 	}
 }
 
@@ -437,8 +441,8 @@ func (p *campaign) startDiskFailures() {
 			rng.New(p.cfg.Seed).Split(fmt.Sprintf("chaos-disks-%d", ns)))
 		in.Events = p.ingest
 		in.OnGroupFailed = func(g *raid.Group) {
-			p.note("%v %s raid group lost (data loss)", p.eng.Now(), p.grpName[g])
-			p.graph.Fail(p.grpName[g])
+			p.note("%v %s raid group lost (data loss)", p.eng.Now(), p.groups[g].Name)
+			p.graph.Fail(p.groups[g])
 		}
 		in.Start()
 		p.injectors = append(p.injectors, in)
@@ -454,15 +458,15 @@ func (p *campaign) startOSSCrashes() {
 		ns := src.Intn(len(p.c.Namespaces))
 		fs := p.c.Namespaces[ns]
 		i := src.Intn(len(fs.OSSes))
-		name := ossName(fs, i)
+		oss := p.spaces[ns].oss[i]
 		if err := lustre.FailOSS(fs, i, p.cfg.Imperative, func(outage sim.Time) {
-			p.graph.Recover(name)
+			p.graph.Recover(oss)
 		}); err != nil {
 			p.rep.SkippedFaults++
 		} else {
 			p.rep.OSSCrashes++
-			p.emit(name, monitor.Software, "oss-crash")
-			p.graph.Fail(name)
+			p.emit(oss.Name, monitor.Software, "oss-crash")
+			p.graph.Fail(oss)
 		}
 	})
 }
@@ -507,20 +511,20 @@ func (p *campaign) startRouterBursts() {
 			}
 			f.FailRouter(rid)
 			p.rep.RoutersKilled++
-			root := routerName(rid)
+			root := p.routers[rid]
 			if src.Bool(cableCutFraction) {
-				root = cableName(rid)
+				root = p.cables[rid]
 				p.rep.CableCuts++
-				p.emit(root, monitor.Hardware, "cable-cut")
+				p.emit(root.Name, monitor.Hardware, "cable-cut")
 			} else {
-				p.emit(root, monitor.Software, "router-lbug")
+				p.emit(root.Name, monitor.Software, "router-lbug")
 			}
 			p.graph.Fail(root)
 			deadRID, deadRoot := rid, root
 			p.eng.After(p.sched.routerRepair, func() {
 				f.RecoverRouter(deadRID)
 				p.graph.Recover(deadRoot)
-				p.opAppend(p.eng.Now(), deadRoot, "operator", "router-repaired", "")
+				p.opAppend(p.eng.Now(), deadRoot.Name, "operator", "router-repaired", "")
 			})
 		}
 	})
@@ -558,14 +562,14 @@ func (p *campaign) startCableDegradation() {
 }
 
 func (p *campaign) scheduleMDSOutage() {
-	fs := p.c.Namespaces[0]
+	mds := p.spaces[0].mds
 	p.eng.At(p.sched.mdsOutageAt, func() {
 		p.rep.MDSOutages++
-		p.emit(mdsName(fs), monitor.Software, "mds-outage")
-		p.graph.Fail(mdsName(fs))
+		p.emit(mds.Name, monitor.Software, "mds-outage")
+		p.graph.Fail(mds)
 		p.eng.After(p.sched.mdsOutageDuration, func() {
-			p.graph.Recover(mdsName(fs))
-			p.opAppend(p.eng.Now(), mdsName(fs), "operator", "mds-recovered", "")
+			p.graph.Recover(mds)
+			p.opAppend(p.eng.Now(), mds.Name, "operator", "mds-recovered", "")
 		})
 	})
 }
@@ -584,7 +588,7 @@ func (p *campaign) scheduleEnclosureLoss() {
 		g0 := groups[0]
 		if g0.State() == raid.Healthy {
 			g0.FailDisk(0)
-			p.emit(p.grpName[g0]+"-disk0", monitor.Hardware, "disk-failure")
+			p.emit(p.groups[g0].Name+"-disk0", monitor.Hardware, "disk-failure")
 			repl := disk.New(p.eng, 2_000_000, g0.Disks()[0].Config(), disk.Nominal(), src.Split("repl0"))
 			g0.StartRebuild(0, repl, nil)
 		}
@@ -598,7 +602,7 @@ func (p *campaign) scheduleEnclosureLoss() {
 			for i, g := range groups {
 				if g.State() == raid.Failed && before[i] != raid.Failed {
 					p.rep.EnclosureGroupsFailed++
-					p.graph.Fail(p.grpName[g])
+					p.graph.Fail(p.groups[g])
 				}
 			}
 			// Repair: the enclosure's drive slot (member 1 of every group
@@ -660,7 +664,7 @@ func (p *campaign) startScrubbers() {
 	for ns := range p.c.Namespaces {
 		for _, g := range p.c.GroupsOf(ns) {
 			s := raid.NewScrubber(g, p.sched.scrub)
-			gn := p.grpName[g]
+			gn := p.groups[g].Name
 			s.Escalate = func(lost int) {
 				p.opAppend(p.eng.Now(), gn, "integrity", "scrub-escalation",
 					fmt.Sprintf("%d stripes beyond parity", lost))
@@ -690,7 +694,7 @@ func (p *campaign) startProbes() {
 		tick = func() {
 			k := pulse
 			pulse++
-			if p.graph.Down(nsName(fs)) {
+			if p.spaces[ns].ns.Down() {
 				p.rep.UnavailableProbes++
 			} else {
 				p.rep.ProbesLaunched++

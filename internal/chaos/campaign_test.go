@@ -98,7 +98,7 @@ func TestWorkCountsOutsideFingerprint(t *testing.T) {
 // seed, so a change that makes the simulator do less work shows here
 // exactly; it updates the literals and gives the ratio. The quick
 // campaign holds at most 362 events, below the ring's threshold, so its
-// pending set is one heap: every filing but the first goes to near.
+// pending set is one heap: every filing goes to near.
 func TestWorkCountsPinned(t *testing.T) {
 	type counts struct {
 		peak                   int
@@ -114,8 +114,8 @@ func TestWorkCountsPinned(t *testing.T) {
 		got  counts
 		want counts
 	}{
-		{"featured", of(featured(t)), counts{362, sim.PendingWork{Near: 146872, Far: 1, Rebuilds: 1}, 47168, 11904, 11904, 6537216}},
-		{"ablated", of(ablated(t)), counts{362, sim.PendingWork{Near: 146880, Far: 1, Rebuilds: 1}, 46584, 11664, 11664, 6537216}},
+		{"featured", of(featured(t)), counts{362, sim.PendingWork{Near: 146872}, 47168, 11904, 11904, 6537216}},
+		{"ablated", of(ablated(t)), counts{362, sim.PendingWork{Near: 146880}, 46584, 11664, 11664, 6537216}},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: work counts %+v, want %+v", c.name, c.got, c.want)

@@ -13,6 +13,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"spiderfs/internal/monitor"
 	"spiderfs/internal/sim"
@@ -73,9 +74,9 @@ type ComponentStats struct {
 type Node struct {
 	ComponentStats
 
-	dependents []*Node         // nodes that depend on this one, insertion order
-	causes     map[string]bool // made on the node's first fault
-	downSince  sim.Time        // start of the current outage, while down
+	dependents []*Node  // nodes that depend on this one, insertion order
+	causes     []*Node  // the failed roots keeping the node down, each once
+	downSince  sim.Time // start of the current outage, while down
 }
 
 // Down reports whether the node is currently unavailable.
@@ -84,7 +85,6 @@ func (n *Node) Down() bool { return len(n.causes) > 0 }
 // Graph is the failure-domain graph for one simulated center.
 type Graph struct {
 	eng   *sim.Engine
-	nodes map[string]*Node
 	order []*Node
 
 	// Events, when set, receives one cascade event for every node taken
@@ -98,71 +98,43 @@ type Graph struct {
 
 // NewGraph builds an empty graph on eng, whose clock times outages.
 func NewGraph(eng *sim.Engine) *Graph {
-	return &Graph{eng: eng, nodes: map[string]*Node{}}
+	return &Graph{eng: eng}
 }
 
-// Add registers a node depending on the named, previously added nodes.
-// Dependencies must form a DAG (enforced by the add-before-use order).
-func (g *Graph) Add(name string, kind Kind, deps ...string) {
-	if _, dup := g.nodes[name]; dup {
-		panic(fmt.Sprintf("chaos: duplicate node %q", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
+// Add registers a node depending on deps, nodes this graph returned
+// earlier, and returns it. Dependencies form a DAG by construction: a
+// node can only depend on nodes that exist before it.
+func (g *Graph) Add(name string, kind Kind, deps ...*Node) *Node {
 	n := &Node{ComponentStats: ComponentStats{Name: name, Kind: kind}}
 	for _, d := range deps {
-		dn := g.nodes[d]
-		if dn == nil {
-			panic(fmt.Sprintf("chaos: node %q depends on unknown %q", name, d)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-		}
-		dn.dependents = append(dn.dependents, n)
+		d.dependents = append(d.dependents, n)
 	}
-	g.nodes[name] = n
 	g.order = append(g.order, n)
+	return n
 }
 
-// Down reports whether the named node is currently unavailable. Unknown
-// names are up (the graph only tracks components with failure modes).
-func (g *Graph) Down(name string) bool {
-	n := g.nodes[name]
-	return n != nil && n.Down()
-}
+// Fail injects a direct fault into n. The fault cascades: every
+// transitive dependent gains n as an active root cause and, if it was
+// up, goes down — charged a failure and surfaced as a cascade event.
+// Failing an already-failed node is a no-op.
+func (g *Graph) Fail(n *Node) { g.addCause(n, n, true) }
 
-// Fail injects a direct fault into the named node. The fault cascades:
-// every transitive dependent gains this node as an active root cause
-// and, if it was up, goes down — charged a failure and surfaced as a
-// cascade event. Failing an already-failed node is a no-op.
-func (g *Graph) Fail(name string) {
-	n := g.nodes[name]
-	if n == nil {
-		panic(fmt.Sprintf("chaos: Fail unknown node %q", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	g.addCause(n, name, true)
-}
+// Recover clears n's direct fault. Dependents lose this root cause and
+// come back up once their cause sets empty.
+func (g *Graph) Recover(n *Node) { g.removeCause(n, n) }
 
-// Recover clears the named node's direct fault. Dependents lose this
-// root cause and come back up once their cause sets empty.
-func (g *Graph) Recover(name string) {
-	n := g.nodes[name]
-	if n == nil {
-		panic(fmt.Sprintf("chaos: Recover unknown node %q", name)) //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
-	}
-	g.removeCause(n, name)
-}
-
-func (g *Graph) addCause(n *Node, cause string, root bool) {
-	if n.causes[cause] {
+func (g *Graph) addCause(n, root *Node, direct bool) {
+	if slices.Contains(n.causes, root) {
 		// Already reached through another dependency path (diamond): the
 		// entire downstream of n carries this cause already.
 		return
 	}
 	wasDown := n.Down()
-	if n.causes == nil {
-		n.causes = map[string]bool{}
-	}
-	n.causes[cause] = true
+	n.causes = append(n.causes, root)
 	if !wasDown {
 		n.Failures++
 		n.downSince = g.eng.Now()
-		if !root {
+		if !direct {
 			g.Cascades++
 			if g.Events != nil {
 				g.Events(monitor.Event{
@@ -173,20 +145,24 @@ func (g *Graph) addCause(n *Node, cause string, root bool) {
 		}
 	}
 	for _, d := range n.dependents {
-		g.addCause(d, cause, false)
+		g.addCause(d, root, false)
 	}
 }
 
-func (g *Graph) removeCause(n *Node, cause string) {
-	if !n.causes[cause] {
+func (g *Graph) removeCause(n, root *Node) {
+	i := slices.Index(n.causes, root)
+	if i < 0 {
 		return
 	}
-	delete(n.causes, cause)
+	last := len(n.causes) - 1
+	n.causes[i] = n.causes[last]
+	n.causes[last] = nil
+	n.causes = n.causes[:last]
 	if !n.Down() {
 		n.Downtime += g.eng.Now() - n.downSince
 	}
 	for _, d := range n.dependents {
-		g.removeCause(d, cause)
+		g.removeCause(d, root)
 	}
 }
 

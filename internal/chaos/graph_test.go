@@ -7,22 +7,27 @@ import (
 	"spiderfs/internal/sim"
 )
 
-// buildTestGraph wires a miniature center slice:
+// testGraph is a miniature center slice and its nodes:
 //
 //	mds            oss0          grp0  grp1
 //	  \             |  \          |     |
 //	   ns           |   +-- ost0 -+     |
 //	    \           +------- ost1 ------+
 //	     (ost0, ost1 also depend on mds)
-func buildTestGraph(eng *sim.Engine) *Graph {
-	g := NewGraph(eng)
-	g.Add("mds", KindMDS)
-	g.Add("ns", KindNamespace, "mds")
-	g.Add("oss0", KindOSS)
-	g.Add("grp0", KindGroup)
-	g.Add("grp1", KindGroup)
-	g.Add("ost0", KindOST, "grp0", "oss0", "mds")
-	g.Add("ost1", KindOST, "grp1", "oss0", "mds")
+type testGraph struct {
+	*Graph
+	mds, ns, oss0, grp0, grp1, ost0, ost1 *Node
+}
+
+func buildTestGraph(eng *sim.Engine) testGraph {
+	g := testGraph{Graph: NewGraph(eng)}
+	g.mds = g.Add("mds", KindMDS)
+	g.ns = g.Add("ns", KindNamespace, g.mds)
+	g.oss0 = g.Add("oss0", KindOSS)
+	g.grp0 = g.Add("grp0", KindGroup)
+	g.grp1 = g.Add("grp1", KindGroup)
+	g.ost0 = g.Add("ost0", KindOST, g.grp0, g.oss0, g.mds)
+	g.ost1 = g.Add("ost1", KindOST, g.grp1, g.oss0, g.mds)
 	return g
 }
 
@@ -32,11 +37,11 @@ func TestGraphCascadeDownAndUp(t *testing.T) {
 	var events []monitor.Event
 	g.Events = func(ev monitor.Event) { events = append(events, ev) }
 
-	g.Fail("oss0")
-	if !g.Down("oss0") || !g.Down("ost0") || !g.Down("ost1") {
+	g.Fail(g.oss0)
+	if !g.oss0.Down() || !g.ost0.Down() || !g.ost1.Down() {
 		t.Fatal("OSS failure must take both served OSTs down")
 	}
-	if g.Down("grp0") || g.Down("ns") || g.Down("mds") {
+	if g.grp0.Down() || g.ns.Down() || g.mds.Down() {
 		t.Fatal("fault leaked to components that do not depend on the OSS")
 	}
 	if g.Cascades != 2 || len(events) != 2 {
@@ -45,8 +50,8 @@ func TestGraphCascadeDownAndUp(t *testing.T) {
 	if events[0].Component != "ost0" || events[1].Component != "ost1" {
 		t.Fatalf("cascade order %v, want insertion order ost0, ost1", events)
 	}
-	g.Recover("oss0")
-	if g.Down("oss0") || g.Down("ost0") || g.Down("ost1") {
+	g.Recover(g.oss0)
+	if g.oss0.Down() || g.ost0.Down() || g.ost1.Down() {
 		t.Fatal("recovery must clear the cascade")
 	}
 }
@@ -56,17 +61,17 @@ func TestGraphCascadeDownAndUp(t *testing.T) {
 func TestGraphOverlappingCauses(t *testing.T) {
 	eng := sim.NewEngine()
 	g := buildTestGraph(eng)
-	g.Fail("grp0")
-	g.Fail("oss0")
-	g.Recover("oss0")
-	if !g.Down("ost0") {
+	g.Fail(g.grp0)
+	g.Fail(g.oss0)
+	g.Recover(g.oss0)
+	if !g.ost0.Down() {
 		t.Fatal("ost0 lost its group; OSS recovery alone must not revive it")
 	}
-	if g.Down("ost1") {
+	if g.ost1.Down() {
 		t.Fatal("ost1 has no remaining cause")
 	}
-	g.Recover("grp0")
-	if g.Down("ost0") {
+	g.Recover(g.grp0)
+	if g.ost0.Down() {
 		t.Fatal("both causes cleared; ost0 must be up")
 	}
 }
@@ -78,13 +83,13 @@ func TestGraphDiamondAndIdempotence(t *testing.T) {
 	eng := sim.NewEngine()
 	g := buildTestGraph(eng)
 
-	g.Fail("mds")
-	g.Fail("mds") // idempotent
-	if !g.Down("ns") || !g.Down("ost0") || !g.Down("ost1") {
+	g.Fail(g.mds)
+	g.Fail(g.mds) // idempotent
+	if !g.ns.Down() || !g.ost0.Down() || !g.ost1.Down() {
 		t.Fatal("MDS outage must take namespace and OSTs down")
 	}
 	eng.RunFor(10 * sim.Minute)
-	g.Recover("mds")
+	g.Recover(g.mds)
 	for _, s := range g.Stats() {
 		switch s.Name {
 		case "mds", "ns", "ost0", "ost1":
@@ -105,11 +110,11 @@ func TestGraphDiamondAndIdempotence(t *testing.T) {
 func TestGraphDownCount(t *testing.T) {
 	eng := sim.NewEngine()
 	g := buildTestGraph(eng)
-	g.Fail("oss0")
-	if !g.Down("ost0") || !g.Down("ost1") {
+	g.Fail(g.oss0)
+	if !g.ost0.Down() || !g.ost1.Down() {
 		t.Fatal("down OSTs: want both ost0 and ost1 down")
 	}
-	if g.Down("grp0") || g.Down("grp1") {
+	if g.grp0.Down() || g.grp1.Down() {
 		t.Fatal("down groups: want neither grp0 nor grp1 down")
 	}
 }
@@ -119,13 +124,13 @@ func TestGraphDownCount(t *testing.T) {
 func TestGraphCloseSettlesOpenOutage(t *testing.T) {
 	eng := sim.NewEngine()
 	g := NewGraph(eng)
-	g.Add("oss", KindOSS)
+	oss := g.Add("oss", KindOSS)
 
-	g.Fail("oss")
+	g.Fail(oss)
 	eng.RunFor(sim.Minute)
-	g.Recover("oss")
+	g.Recover(oss)
 	eng.RunFor(sim.Minute)
-	g.Fail("oss")
+	g.Fail(oss)
 	eng.RunFor(30 * sim.Second)
 	g.Close() // open outage settles at the close point
 
@@ -146,11 +151,11 @@ func TestGraphCloseSettlesOpenOutage(t *testing.T) {
 func TestReportKindsOverGraphStats(t *testing.T) {
 	eng := sim.NewEngine()
 	g := NewGraph(eng)
-	g.Add("ost0", KindOST)
+	ost0 := g.Add("ost0", KindOST)
 	g.Add("ost1", KindOST)
-	g.Fail("ost0")
+	g.Fail(ost0)
 	eng.RunFor(sim.Minute)
-	g.Recover("ost0")
+	g.Recover(ost0)
 	r := &Report{Window: sim.Hour, Components: g.Stats()}
 	ks := r.Kinds()
 	if len(ks) != 1 || ks[0].Kind != KindOST {

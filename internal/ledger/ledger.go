@@ -2,7 +2,7 @@
 // hash-chained, append-only record of every operator action, injected
 // failure, repair, and scrub escalation the chaos/integrity planes
 // emit. Entries are batched into Merkle trees and the batch roots are
-// anchored — once per simulated epoch, or earlier when a batch fills —
+// anchored — once per simulated epoch, or earlier when Seal forces it —
 // into a second hash chain, the off-chain-payload/on-chain-hash shape:
 // an auditor that remembers only the anchored root sequence can later
 // prove or refute the integrity of the full payload history.
@@ -50,7 +50,7 @@ type Entry struct {
 // Anchor seals one batch: the Merkle root over the batch's entry
 // hashes, chained to the previous anchor. Epoch is the simulated-time
 // epoch index the batch belongs to (several anchors may share an epoch
-// when MaxBatch splits it; an idle epoch anchors nothing).
+// when Seal splits it; an idle epoch anchors nothing).
 type Anchor struct {
 	Epoch    int    `json:"epoch"`
 	FirstSeq uint64 `json:"first_seq"`
@@ -73,20 +73,16 @@ type Config struct {
 	// appended entry whose epoch index has moved past the open batch
 	// seals that batch first. Zero means DefaultEpoch.
 	Epoch sim.Time
-	// MaxBatch seals a batch early once it holds this many entries
-	// (several anchors then share one epoch). Zero means unbounded.
-	MaxBatch int
 }
 
 // Export is the portable JSON form of a ledger — the unit the auditor,
 // the CLI, and the /v1/sessions/{id}/ledger endpoint exchange.
 type Export struct {
-	Schema   string   `json:"schema"`
-	EpochNS  int64    `json:"epoch_ns"`
-	MaxBatch int      `json:"max_batch,omitempty"`
-	Entries  []Entry  `json:"entries"`
-	Anchors  []Anchor `json:"anchors"`
-	Head     string   `json:"head"`
+	Schema  string   `json:"schema"`
+	EpochNS int64    `json:"epoch_ns"`
+	Entries []Entry  `json:"entries"`
+	Anchors []Anchor `json:"anchors"`
+	Head    string   `json:"head"`
 }
 
 // Ledger is the writer. Create with New, feed with Append in
@@ -110,9 +106,6 @@ func New(cfg Config) *Ledger {
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = DefaultEpoch
 	}
-	if cfg.MaxBatch < 0 {
-		cfg.MaxBatch = 0
-	}
 	return &Ledger{cfg: cfg}
 }
 
@@ -131,8 +124,7 @@ func (l *Ledger) Append(at sim.Time, actor, class, action, detail string) error 
 		return fmt.Errorf("ledger: time regression %v -> %v for %s/%s", l.lastAt, at, actor, action)
 	}
 	epoch := int(at / l.cfg.Epoch)
-	if len(l.leaves) > 0 &&
-		(epoch != l.batchEpoch || (l.cfg.MaxBatch > 0 && len(l.leaves) >= l.cfg.MaxBatch)) {
+	if len(l.leaves) > 0 && epoch != l.batchEpoch {
 		l.seal()
 	}
 	if len(l.leaves) == 0 {
@@ -229,7 +221,7 @@ func (e *Export) RootRefs() []RootRef {
 // copies; mutating the export never corrupts the writer.
 func (l *Ledger) Export() *Export {
 	return &Export{
-		Schema: Schema, EpochNS: int64(l.cfg.Epoch), MaxBatch: l.cfg.MaxBatch,
+		Schema: Schema, EpochNS: int64(l.cfg.Epoch),
 		Entries: append([]Entry(nil), l.entries...),
 		Anchors: append([]Anchor(nil), l.anchors...),
 		Head:    l.Head(),
@@ -247,7 +239,7 @@ func Resume(exp *Export) (*Ledger, error) {
 	if fs := Audit(exp); len(fs) > 0 {
 		return nil, fmt.Errorf("ledger: resume refused: %s", fs[0])
 	}
-	l := New(Config{Epoch: sim.Time(exp.EpochNS), MaxBatch: exp.MaxBatch})
+	l := New(Config{Epoch: sim.Time(exp.EpochNS)})
 	l.entries = append([]Entry(nil), exp.Entries...)
 	l.anchors = append([]Anchor(nil), exp.Anchors...)
 	if n := len(exp.Entries); n > 0 {

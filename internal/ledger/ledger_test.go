@@ -3,7 +3,6 @@ package ledger
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -72,52 +71,6 @@ func TestChainAndEpochAnchoring(t *testing.T) {
 	}
 	if fs := Audit(exp); len(fs) != 0 {
 		t.Fatalf("clean ledger audits dirty: %v", fs)
-	}
-}
-
-func TestMaxBatchSplitsAnEpoch(t *testing.T) {
-	l := New(Config{Epoch: sim.Hour, MaxBatch: 2})
-	for i := 0; i < 5; i++ {
-		mustAppend(t, l, sim.Time(i)*sim.Minute, "cmp", "test", "tick", "")
-	}
-	l.Close()
-	if l.AnchorCount() != 3 {
-		t.Fatalf("AnchorCount = %d, want 3 (2+2+1 under MaxBatch 2)", l.AnchorCount())
-	}
-	for _, a := range l.Export().Anchors {
-		if a.Epoch != 0 {
-			t.Errorf("anchor epoch = %d, want 0 (all entries in one epoch)", a.Epoch)
-		}
-	}
-	if fs := Audit(l.Export()); len(fs) != 0 {
-		t.Fatalf("split-epoch ledger audits dirty: %v", fs)
-	}
-}
-
-// TestMaxBatchSweepPinned appends one fixed stream of 8,192 entries,
-// one per simulated second (a busy campaign's monitor-burst density,
-// crossing two epoch boundaries), under four MaxBatch settings, and
-// pins each ledger's anchor count and head.
-func TestMaxBatchSweepPinned(t *testing.T) {
-	const entries = 8192
-	for _, c := range []struct {
-		maxBatch, anchors int
-		head              string
-	}{
-		{64, 130, "400562acf3959cf987970463585a603623d686523befdc484189bf607658ae23"},
-		{256, 34, "9aabd08bdd3bf1f38ff37e98246b045840d7d31fe47164cc1f075f71be8a14dc"},
-		{1024, 9, "96733633e113d8409891536658cd865511ba2d812fd7f1b55160e752a5c94460"},
-		{4096, 3, "711f2ab89736b5258784d617a6d89638b66ed386646873f083a271b7684f3400"},
-	} {
-		l := New(Config{Epoch: sim.Hour, MaxBatch: c.maxBatch})
-		for i := 0; i < entries; i++ {
-			mustAppend(t, l, sim.Time(i)*sim.Second, fmt.Sprintf("oss%03d", i%97), "hardware", "synthetic-event", "")
-		}
-		l.Close()
-		if l.Len() != entries || l.AnchorCount() != c.anchors || l.Head() != c.head {
-			t.Errorf("MaxBatch %d: %d entries, %d anchors, head %s; want %d, %d, %s",
-				c.maxBatch, l.Len(), l.AnchorCount(), l.Head(), entries, c.anchors, c.head)
-		}
 	}
 }
 

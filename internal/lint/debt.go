@@ -61,9 +61,9 @@ func (r DebtReport) Baseline() Baseline {
 	return Baseline{Total: r.Total, PerCheck: per}
 }
 
-// sites returns the count pinned for check, zero if absent.
-func (b Baseline) sites(check string) int {
-	for _, c := range b.PerCheck {
+// sites returns per's count for check, zero if absent.
+func sites(per []CheckDebt, check string) int {
+	for _, c := range per {
 		if c.Check == check {
 			return c.Sites
 		}
@@ -196,9 +196,10 @@ func (m *Module) relPath(name string) string {
 //     real future violations on its line),
 //   - a test-only-export directive on a function no file mentions, test
 //     files included (its tests are gone, so the function is dead),
-//   - total or per-check growth beyond the baseline.
-//
-// Shrinking debt passes; Tighten reports when the pin can be lowered.
+//   - total or per-check growth beyond the baseline,
+//   - a baseline looser than the inventory, in total or for any check:
+//     the pin is a ratchet, so a change that pays debt down re-pins it
+//     and the paid-off sites cannot creep back.
 func GateDebt(base Baseline, r DebtReport) []string {
 	var fails []string
 	for _, s := range r.Sites {
@@ -215,25 +216,25 @@ func GateDebt(base Baseline, r DebtReport) []string {
 				s.File, s.Line, fn))
 		}
 	}
-	if r.Total > base.Total {
+	const ratchet = "ratchet the baseline down with -debt -update"
+	switch {
+	case r.Total > base.Total:
 		fails = append(fails, fmt.Sprintf("suppression debt grew: %d sites, baseline pins %d; fix the new site or consciously raise the baseline with -debt -update",
 			r.Total, base.Total))
+	case r.Total < base.Total:
+		fails = append(fails, fmt.Sprintf("suppression debt shrank: %d sites, baseline pins %d; %s", r.Total, base.Total, ratchet))
 	}
 	for _, c := range r.PerCheck {
-		if c.Sites > base.sites(c.Check) {
+		if c.Sites > sites(base.PerCheck, c.Check) {
 			fails = append(fails, fmt.Sprintf("suppression debt for %s grew: %d sites, baseline pins %d",
-				c.Check, c.Sites, base.sites(c.Check)))
+				c.Check, c.Sites, sites(base.PerCheck, c.Check)))
+		}
+	}
+	for _, c := range base.PerCheck {
+		if n := sites(r.PerCheck, c.Check); n < c.Sites {
+			fails = append(fails, fmt.Sprintf("suppression debt for %s shrank: %d sites, baseline pins %d; %s",
+				c.Check, n, c.Sites, ratchet))
 		}
 	}
 	return fails
-}
-
-// Tighten reports where the baseline is looser than reality, so a
-// debt-reducing PR can also ratchet the pin down.
-func Tighten(base Baseline, r DebtReport) []string {
-	var notes []string
-	if r.Total < base.Total {
-		notes = append(notes, fmt.Sprintf("debt shrank: %d sites, baseline pins %d; ratchet with -debt -update", r.Total, base.Total))
-	}
-	return notes
 }

@@ -11,7 +11,7 @@ import (
 // TestSuppressionDebtGate is the debt gate in test form: the committed
 // tree's //simlint:allow inventory must pass against the committed
 // baseline — every site reasoned, every site actually suppressing
-// something, totals no higher than the pin. This is the same predicate
+// something, totals and per-check counts equal to the pin. This is the same predicate
 // `simlint -debt` enforces in verify.sh and CI.
 func TestSuppressionDebtGate(t *testing.T) {
 	m := loadRepo(t)
@@ -30,12 +30,6 @@ func TestSuppressionDebtGate(t *testing.T) {
 	}
 	if report.Total == 0 {
 		t.Fatal("debt inventory found no sites; the collector is broken")
-	}
-	// The pin is exact in both directions inside the repo's own test:
-	// a debt-reducing change must also ratchet the baseline, so the
-	// committed number always states the truth.
-	if notes := Tighten(base, report); len(notes) != 0 {
-		t.Errorf("baseline is loose: %v (run: go run ./cmd/simlint -debt -update)", notes)
 	}
 }
 
@@ -233,11 +227,19 @@ func TestGateDebtPolicy(t *testing.T) {
 		t.Errorf("debt under a new check should fail against a baseline that never pinned it, got %v", fails)
 	}
 
+	// The pin is a ratchet: a baseline looser than the inventory fails,
+	// in total and per check, until it is re-pinned.
 	shrunk := DebtReport{Total: 1, PerCheck: []CheckDebt{{Check: "no-library-panic", Sites: 1}}, Sites: ok.Sites[:1]}
-	if fails := GateDebt(base, shrunk); len(fails) != 0 {
-		t.Errorf("shrinking debt should pass the gate, got %v", fails)
+	fails = GateDebt(base, shrunk)
+	if len(fails) != 2 || !strings.Contains(fails[0], "shrank") || !strings.Contains(fails[1], "no-library-panic shrank") {
+		t.Errorf("a looser baseline should fail total and per-check, got %v", fails)
 	}
-	if notes := Tighten(base, shrunk); len(notes) != 1 {
-		t.Errorf("shrinking debt should suggest a ratchet, got %v", notes)
+	if fails := GateDebt(shrunk.Baseline(), shrunk); len(fails) != 0 {
+		t.Errorf("a re-pinned baseline should pass, got %v", fails)
+	}
+	moved := Baseline{Total: 2, PerCheck: []CheckDebt{{Check: "no-library-panic", Sites: 1}, {Check: "test-only-export", Sites: 1}}}
+	fails = GateDebt(moved, ok)
+	if len(fails) != 2 || !strings.Contains(fails[0], "no-library-panic grew") || !strings.Contains(fails[1], "test-only-export shrank") {
+		t.Errorf("a baseline pinning a check the inventory no longer has should fail, got %v", fails)
 	}
 }

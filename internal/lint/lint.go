@@ -13,8 +13,8 @@
 //
 // The escape-hatch directives themselves are managed debt: Debt
 // inventories every //simlint:allow site, verifies it still suppresses
-// something and carries a reason, and GateDebt pins the totals against
-// a committed baseline (.simlint-baseline.json, enforced by verify.sh
+// something and carries a reason, and GateDebt holds the totals equal
+// to a committed baseline (.simlint-baseline.json, enforced by verify.sh
 // and CI via simlint -debt).
 //
 // Each invariant is a named Check producing file:line:col diagnostics.

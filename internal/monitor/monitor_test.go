@@ -35,7 +35,7 @@ func TestSchedulerRunsAndAlertsOnTransitions(t *testing.T) {
 	if a.From != OK || a.To != Critical || a.Check != "probe" {
 		t.Fatalf("alert = %+v", a)
 	}
-	if s.CurrentLevel("probe") != Critical || s.WorstLevel() != Critical {
+	if s.level["probe"] != Critical || s.WorstLevel() != Critical {
 		t.Fatal("level tracking broken")
 	}
 	level = OK
@@ -113,8 +113,8 @@ func TestTimeSeriesBounded(t *testing.T) {
 	if len(ts.Points) != maxSeriesPoints {
 		t.Fatalf("series len = %d", len(ts.Points))
 	}
-	if ts.Last() != maxSeriesPoints+4 {
-		t.Fatalf("last = %f", ts.Last())
+	if v := ts.Points[len(ts.Points)-1]; v != maxSeriesPoints+4 {
+		t.Fatalf("last = %f", v)
 	}
 	if v := ts.Points[0]; v != 5 {
 		t.Fatalf("oldest kept value = %v, want 5", v)
@@ -154,8 +154,8 @@ func TestControllerPollerRecordsRates(t *testing.T) {
 	if peak < 10e6 {
 		t.Fatalf("peak write rate %g implausibly low", peak)
 	}
-	if len(store.Names()) < 3 {
-		t.Fatalf("store has %v", store.Names())
+	if len(store.series) < 3 {
+		t.Fatalf("store has %d series", len(store.series))
 	}
 }
 
@@ -176,15 +176,15 @@ func TestStandardChecksFire(t *testing.T) {
 		ost.SetFill(0.75)
 	}
 	eng.RunUntil(45 * sim.Second)
-	if s.CurrentLevel(fs.Name+".fill") != Warning {
-		t.Fatalf("fill check = %v at 75%% full", s.CurrentLevel(fs.Name+".fill"))
+	if s.level[fs.Name+".fill"] != Warning {
+		t.Fatalf("fill check = %v at 75%% full", s.level[fs.Name+".fill"])
 	}
 	for _, ost := range fs.OSTs {
 		ost.SetFill(0.95)
 	}
 	eng.RunUntil(60 * sim.Second)
-	if s.CurrentLevel(fs.Name+".fill") != Critical {
-		t.Fatalf("fill check = %v at 95%% full", s.CurrentLevel(fs.Name+".fill"))
+	if s.level[fs.Name+".fill"] != Critical {
+		t.Fatalf("fill check = %v at 95%% full", s.level[fs.Name+".fill"])
 	}
 	s.Stop()
 }

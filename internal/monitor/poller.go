@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 
 	"spiderfs/internal/lustre"
 	"spiderfs/internal/sim"
@@ -26,16 +25,6 @@ func (ts *TimeSeries) Add(v float64) {
 	}
 }
 
-// Last returns the most recent value, or 0 if empty.
-//
-//simlint:allow test-only-export read-only accessor the series tests assert
-func (ts *TimeSeries) Last() float64 {
-	if len(ts.Points) == 0 {
-		return 0
-	}
-	return ts.Points[len(ts.Points)-1]
-}
-
 // Store holds named series.
 type Store struct {
 	series map[string]*TimeSeries
@@ -54,20 +43,6 @@ func (s *Store) Series(name string) *TimeSeries {
 		s.series[name] = ts
 	}
 	return ts
-}
-
-// Names returns the registered series names, sorted. (The backing
-// index is a map; handing callers its iteration order would leak map
-// randomization into reports — see the determinism contract.)
-//
-//simlint:allow test-only-export read-only accessor the poller tests assert
-func (s *Store) Names() []string {
-	out := make([]string, 0, len(s.series))
-	for n := range s.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ControllerPoller samples each controller's request counters, inbound

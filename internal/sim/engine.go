@@ -173,7 +173,7 @@ func (t *TraceHash) Sum() uint64 { return t.h }
 func (t *TraceHash) Events() uint64 { return t.events }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{set: emptySet(nil, nil, nil, nil)} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -400,7 +400,7 @@ func (e *Engine) Reset() {
 	if cap(ring) > resetKeep {
 		ring, occ = nil, nil
 	}
-	e.set = pendingSet{near: s.near, far: s.far, ring: ring, occ: occ}
+	e.set = emptySet(s.near, s.far, ring, occ)
 	// Pop zeroes each slot it empties. A stale entry's event sits in
 	// the free list already, so only current entries recycle.
 	for e.lane.Len() > 0 {

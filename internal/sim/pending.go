@@ -164,6 +164,16 @@ const ringMin = 1024
 // bucket number, as the bucket width is at least 2 ns.
 const noRing = math.MaxInt64
 
+// emptySet returns a set that holds no events, over the given storage:
+// the state a fresh engine starts in and Reset returns to, the one a
+// rebuild below ringMin leaves. Its ring has no buckets and top is at
+// infinity (buckets are 2 ns wide, so even MaxTime's lies below
+// noRing), so the first event is filed straight into near, and the
+// first rebuild comes when the set grows past ringMin−1 events.
+func emptySet(near, far eventHeap, ring []*event, occ []uint64) pendingSet {
+	return pendingSet{near: near, far: far, ring: ring, occ: occ, base: noRing, shift: 1, grow: ringMin - 1}
+}
+
 // size counts the events in the set.
 func (s *pendingSet) size() int { return len(s.near) + s.inRing + len(s.far) }
 

@@ -373,12 +373,37 @@ func TestPendingWorkPinned(t *testing.T) {
 		e.Step()
 	}
 	w := e.PendingWork()
-	want := PendingWork{Near: 1029, Ring: 150013, Far: 1824, Loads: 36037, Rebuilds: 6}
+	want := PendingWork{Near: 1029, Ring: 150013, Far: 1823, Loads: 36037, Rebuilds: 5}
 	if w != want {
 		t.Errorf("hold model at 20,000: %+v, want %+v", w, want)
 	}
 	e.Reset()
 	if w := e.PendingWork(); w != (PendingWork{}) {
 		t.Errorf("after Reset: %+v, want zero", w)
+	}
+}
+
+// TestFirstEventFiledNear: a fresh engine and a Reset one start from the
+// same empty set, so the first event goes straight into near, with
+// nothing filed into far and no rebuild. The event is at MaxTime, whose
+// bucket lies below noRing only with the empty set's 2 ns buckets.
+func TestFirstEventFiledNear(t *testing.T) {
+	for _, state := range []string{"fresh", "reset"} {
+		e := NewEngine()
+		if state == "reset" {
+			for range 2 * ringMin {
+				e.After(Second, func() {})
+			}
+			e.Run()
+			e.Reset()
+		}
+		fired := false
+		e.At(MaxTime, func() { fired = true })
+		if w, want := e.PendingWork(), (PendingWork{Near: 1}); w != want {
+			t.Errorf("%s engine, first event: %+v, want %+v", state, w, want)
+		}
+		if e.Run(); !fired {
+			t.Errorf("%s engine: the event at MaxTime did not fire", state)
+		}
 	}
 }

@@ -133,16 +133,6 @@ func (t *Tracer) Bind(eng *sim.Engine) {
 // Enabled reports whether this tracer can record anything at all.
 func (t *Tracer) Enabled() bool { return t != nil && t.every > 0 && t.eng != nil }
 
-// SampleEvery returns the configured 1-in-N rate (0 = off).
-//
-//simlint:allow test-only-export read-only accessor the tracer tests assert
-func (t *Tracer) SampleEvery() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.every)
-}
-
 func (t *Tracer) newID() SpanID {
 	id := SpanID(t.src.Uint64())
 	for id == 0 || id == NoSpan {

@@ -36,7 +36,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Cur() != 0 || tr.Swap(7) != 0 || tr.Len() != 0 || tr.Open() != 0 || tr.Sampled() != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
-	if tr.Spans() != nil || tr.SampleEvery() != 0 {
+	if tr.Spans() != nil {
 		t.Fatal("nil tracer returned data")
 	}
 }

@@ -33,7 +33,8 @@ func RandomPlacer(t topology.Torus, seed uint64) Placer {
 	}
 }
 
-// IORConfig parameterizes a file-per-process run.
+// IORConfig parameterizes a file-per-process run: each process has its
+// own file, striped over one OST.
 type IORConfig struct {
 	Clients      int
 	TransferSize int64
@@ -42,11 +43,9 @@ type IORConfig struct {
 	BlockSize int64
 	StoneWall sim.Time
 	Read      bool
-	// StripeCount for each process's file; file-per-process runs use 1.
-	StripeCount int
-	Dir         string
-	Placer      Placer
-	Transport   lustre.Transport
+	Dir       string
+	Placer    Placer
+	Transport lustre.Transport
 	// Tracer, when set, is handed to every client so sampled RPCs are
 	// recorded by the spantrace plane (attach it to the namespace with
 	// FS.SetTracer or center.AttachTracer first).
@@ -92,9 +91,6 @@ func RunIOR(fs *lustre.FS, cfg IORConfig) IORResult {
 	if cfg.StoneWall <= 0 && cfg.BlockSize <= 0 {
 		panic("workload: IOR needs a stonewall or a block size") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	if cfg.StripeCount <= 0 {
-		cfg.StripeCount = 1
-	}
 	if cfg.Placer == nil {
 		cfg.Placer = func(int) topology.Coord { return topology.Coord{} }
 	}
@@ -112,7 +108,7 @@ func RunIOR(fs *lustre.FS, cfg IORConfig) IORResult {
 		clients[i] = lustre.NewClient(i, cfg.Placer(i), fs, cfg.Transport)
 		clients[i].Tracer = cfg.Tracer
 		i := i
-		fs.Create(fmt.Sprintf("%s/rank%07d", dir, i), cfg.StripeCount, func(f *lustre.File) {
+		fs.Create(fmt.Sprintf("%s/rank%07d", dir, i), 1, func(f *lustre.File) {
 			files[i] = f
 		})
 	}
